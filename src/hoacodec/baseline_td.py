@@ -151,15 +151,6 @@ class BaselineFrameResult:
     decomposition: FrameDecomposition
     background: np.ndarray  # (2L, (t+1)^2)
     discarded: np.ndarray  # (2L, M-(t+1)^2) ambient channels dropped by order reduction
-    per_sample_bases: np.ndarray  # (L, M, r) used over the advance region
-    raw_basis: TruncatedBasis  # unquantized truncated right-singular vectors
-
-
-class BaselineEncoderState:
-    """Carries the previous frame's reconstructed basis across frames."""
-
-    def __init__(self):
-        self.prev_basis: TruncatedBasis | None = None
 
 
 def truncated_basis(X: np.ndarray, rank: int, frame: int = 0) -> TruncatedBasis:
@@ -193,7 +184,6 @@ def decompose_frame(
     window: InterpolationWindow,
     t: int,
     order: int,
-    raw_basis: TruncatedBasis | None = None,
 ) -> BaselineFrameResult:
     """Split a frame given its (quantized) basis and the previous one.
 
@@ -221,44 +211,4 @@ def decompose_frame(
         basis=basis,
         dropped=None if keep.all() else ~keep,
     )
-    return BaselineFrameResult(
-        decomposition=dec,
-        background=background,
-        discarded=discarded,
-        per_sample_bases=per_sample,
-        raw_basis=raw_basis if raw_basis is not None else basis,
-    )
-
-
-def encode_frame_baseline(
-    X: np.ndarray,
-    frame_index: int,
-    rank: int,
-    t: int,
-    order: int,
-    state: BaselineEncoderState,
-    window: InterpolationWindow,
-    quantize_basis=None,
-) -> BaselineFrameResult:
-    """Full per-frame analysis of the time-domain path.
-
-    ``quantize_basis``, when given, maps the matched/aligned basis to its
-    quantized reconstruction (the side-info module supplies this); the
-    first frame uses itself as the interpolation partner, so no blend.
-    """
-    raw = truncated_basis(X, rank, frame_index)
-
-    if state.prev_basis is None:
-        aligned = raw
-    else:
-        _, _, aligned = match_bases(state.prev_basis, raw)
-
-    basis = TruncatedBasis(
-        vectors=quantize_basis(aligned.vectors) if quantize_basis else aligned.vectors,
-        frame=frame_index,
-    )
-    result = decompose_frame(
-        X, basis, state.prev_basis, window, t, order, raw_basis=raw
-    )
-    state.prev_basis = basis
-    return result
+    return BaselineFrameResult(decomposition=dec, background=background, discarded=discarded)

@@ -132,10 +132,6 @@ class BitReader:
     def bit_position(self) -> int:
         return self._pos
 
-    @property
-    def bits_left(self) -> int:
-        return 8 * len(self._data) - self._pos
-
 
 def lehmer_encode(perm) -> int:
     """Rank a permutation of 0..r-1 in lexicographic order."""

@@ -92,17 +92,6 @@ class CodedChannel:
     escalated: np.ndarray = field(default=None)  # bands where no scalefactor met target
     band_costs: dict = field(default=None, repr=False)  # cache: band -> (huff, raw, width)
 
-    def step_sizes(self) -> np.ndarray:
-        return 10.0 ** (1.5 * self.scalefactors / 20.0)
-
-
-def _quantize(absx: np.ndarray, step: float) -> np.ndarray:
-    return np.floor((absx / step) ** 0.75 + _QUANT_MAGIC).astype(np.int64)
-
-
-def _dequantize(q: np.ndarray, step: float) -> np.ndarray:
-    return (q.astype(np.float64) ** (4.0 / 3.0)) * step
-
 
 # q^(4/3) lookup for the small quantizer indices that dominate; larger
 # values fall back to pow
@@ -263,9 +252,6 @@ class HuffmanTable:
             if l <= fb:
                 base = self.codes[s] << (fb - l)
                 self._fast[base : base + (1 << (fb - l))] = (s << 6) | l
-
-    def write_symbol(self, writer: BitWriter, symbol: int) -> None:
-        writer.write(self.codes[symbol], self.lengths[symbol])
 
     def read_symbol(self, reader: BitReader) -> int:
         entry = int(self._fast[reader.peek(self._FAST_BITS)])

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hoacodec.baseline_td import (
-    TruncatedBasis,
-    drop_degenerate_columns,
-    extract_foreground,
-    truncated_basis,
-)
-from hoacodec.errors import DegenerateBasisError, ShapeError
+from hoacodec.baseline_td import foreground_with_fallback, truncated_basis
+from hoacodec.errors import ShapeError
 from hoacodec.numlin import svd
 from hoacodec.transform import SpectralFrame
 
@@ -102,15 +97,13 @@ def band_decompose(
     bands: list,
     ranks,
     layout: BandLayout,
-    quantize_basis=None,
     bases: list | None = None,
 ) -> BandDecomposition:
-    """Per-band SVD, truncation, optional quantization, and projection.
+    """Per-band SVD, truncation, and projection.
 
     ``bases`` overrides the per-band bases (the pipeline passes in the
     side-info-reconstructed ones so encoder and decoder stay in sync);
-    otherwise each band's basis is the truncated SVD of the band,
-    optionally passed through ``quantize_basis``.
+    otherwise each band's basis is the truncated SVD of the band.
     """
     if isinstance(ranks, int):
         ranks = [ranks] * len(bands)
@@ -124,23 +117,10 @@ def band_decompose(
             raise ShapeError(
                 f"band {i} has {band.shape[0]} bins, cannot retain {r} components"
             )
-        if bases is not None:
-            basis = bases[i]
-        else:
-            basis = truncated_basis(band, r, frame=i)
-            if quantize_basis is not None:
-                basis = TruncatedBasis(vectors=quantize_basis(basis.vectors), frame=i)
-        keep = np.ones(basis.rank, dtype=bool)
-        try:
-            fg = extract_foreground(band, basis)
-        except DegenerateBasisError:
-            keep = drop_degenerate_columns(basis)
-            fg = np.zeros((band.shape[0], basis.rank))
-            if keep.any():
-                sub = TruncatedBasis(vectors=basis.vectors[:, keep])
-                fg[:, keep] = extract_foreground(band, sub)
+        basis = bases[i] if bases is not None else truncated_basis(band, r, frame=i)
+        fg, keep = foreground_with_fallback(band, basis)
         out_bases.append(basis)
-        foregrounds.append(fg * keep)
+        foregrounds.append(fg)
         dropped.append(None if keep.all() else ~keep)
     return BandDecomposition(
         layout=layout, bases=out_bases, foregrounds=foregrounds, dropped=dropped

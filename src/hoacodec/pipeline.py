@@ -68,7 +68,6 @@ class EncoderConfig:
     huffman_table: core_codec.HuffmanTable | None = None
     groups: FrequencyGroups | None = None
     masking: core_codec.MaskingConfig = field(default_factory=core_codec.MaskingConfig)
-    force_modes: object = None  # optional per-frame mode override (test/diagnostic hook)
 
     def codec_id(self) -> int:
         try:
@@ -87,9 +86,6 @@ class EncoderConfig:
 
     def resolved_table(self) -> core_codec.HuffmanTable:
         return self.huffman_table or core_codec.default_table()
-
-    def num_components(self) -> int:
-        return self.rank + (self.background_order + 1) ** 2
 
     def validate(self, order: int) -> None:
         M = (order + 1) ** 2
@@ -135,6 +131,23 @@ class FrameStats:
     concealed: bool = False
     max_nmr: float = 0.0  # encoder-side worst band NMR (0 in bypass)
     escalated_bands: int = 0  # bands where no scalefactor met the target
+
+
+def _frame_stats(
+    index: int, payload: bytes, mode: int, side_bits=0, noise_bits=0, core_bits=0, **extra
+) -> FrameStats:
+    """Accounting of one container frame: the payload bits left over by the
+    three categories are padding, and framing adds the u32 size and CRC."""
+    return FrameStats(
+        index=index,
+        mode=mode,
+        side_bits=side_bits,
+        noise_bits=noise_bits,
+        core_bits=core_bits,
+        padding_bits=8 * len(payload) - side_bits - noise_bits - core_bits,
+        total_bits=8 * len(payload) + 64,
+        **extra,
+    )
 
 
 @dataclass
@@ -223,6 +236,16 @@ class StreamHeader:
     def num_channels(self) -> int:
         return (self.order + 1) ** 2
 
+    def stream_stats(self, frames: list) -> StreamStats:
+        return StreamStats(
+            codec="proposed" if self.codec_id == CODEC_PROPOSED else "baseline",
+            sample_rate=self.sample_rate,
+            num_samples=self.original_length,
+            num_channels=self.num_channels,
+            header_bits=8 * HEADER_BYTES,
+            frames=frames,
+        )
+
 
 def _table_fingerprint(table: core_codec.HuffmanTable) -> int:
     return zlib.crc32(bytes(table.lengths))
@@ -259,7 +282,7 @@ def _read_header(data: bytes) -> StreamHeader:
     version = r.read(16)
     if version != VERSION:
         raise StreamError(f"unsupported stream version {version}")
-    return StreamHeader(
+    h = StreamHeader(
         codec_id=r.read(8),
         flags=r.read(8),
         sample_rate=r.read(32),
@@ -277,6 +300,21 @@ def _read_header(data: bytes) -> StreamHeader:
         table_fingerprint=r.read(32),
         group_table_id=r.read(8),
     )
+    # values the encoder can never write (EncoderConfig.validate)
+    if h.codec_id not in (CODEC_BASELINE, CODEC_PROPOSED):
+        raise StreamError(f"unknown codec id {h.codec_id}")
+    if h.group_table_id not in (GROUP_TABLE_AAC48K, GROUP_TABLE_UNIFORM):
+        raise StreamError(f"unknown group table id {h.group_table_id}")
+    aac = h.group_table_id == GROUP_TABLE_AAC48K
+    if h.half_length < NUM_GROUPS or (aac and h.half_length != noise_subst.AAC_48K_LONG_OFFSETS[-1]):
+        raise StreamError(f"half length {h.half_length} does not fit group table {h.group_table_id}")
+    if not 1 <= h.rank <= h.num_channels:
+        raise StreamError(f"rank {h.rank} out of range for M={h.num_channels}")
+    if h.background_order > h.order:
+        raise StreamError(f"background order {h.background_order} exceeds order {h.order}")
+    if h.bands < 2 or (h.codec_id == CODEC_PROPOSED and h.half_length % h.bands):
+        raise StreamError(f"band count {h.bands} invalid for half length {h.half_length}")
+    return h
 
 
 # --------------------------------------------------------------------------
@@ -348,20 +386,6 @@ def _write_components(coded_list, channels, groups, table, writer: BitWriter, by
     return writer.bit_length - start
 
 
-def _decode_components(
-    reader: BitReader, count: int, groups: FrequencyGroups, table, bypass: bool
-):
-    decoded = []
-    start = reader.bit_position
-    for _ in range(count):
-        if bypass:
-            decoded.append(_read_raw_matrix(reader, (groups.num_bins,)))
-        else:
-            coded = core_codec.entropy_decode_channel(reader, groups, table)
-            decoded.append(core_codec.dequantize_channel(coded, groups))
-    return decoded, reader.bit_position - start
-
-
 def _mask_weighted_error(original: np.ndarray, decoded: np.ndarray, groups, masking_cfg) -> float:
     """Distortion for RD decisions: sum over channels/bands of noise/mask."""
     total = 0.0
@@ -382,9 +406,9 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
     cfg.validate(signal.order)
     codec_id = cfg.codec_id()
     if codec_id == CODEC_PROPOSED:
-        frames, stats = _encode_proposed(signal, cfg)
+        frames, frame_stats = _encode_proposed(signal, cfg)
     else:
-        frames, stats = _encode_baseline(signal, cfg)
+        frames, frame_stats = _encode_baseline(signal, cfg)
 
     qfp = cfg.quantizers.fingerprint() if cfg.quantizers is not None else 0
     flags = _FLAG_BYPASS if cfg.bypass_quantization else 0
@@ -412,23 +436,8 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
     _write_header(hw, header)
     parts = [hw.getvalue()]
     for payload in frames:
-        lenw = BitWriter()
-        lenw.write(len(payload), 32)
-        parts.append(lenw.getvalue())
-        parts.append(payload)
-        crcw = BitWriter()
-        crcw.write(zlib.crc32(payload) & 0xFFFFFFFF, 32)
-        parts.append(crcw.getvalue())
-    stream = b"".join(parts)
-    stats.header_bits = 8 * len(parts[0])
-    return EncodeResult(stream=stream, stats=stats)
-
-
-def _frame_mode(cfg: EncoderConfig, index: int) -> int | None:
-    if cfg.force_modes is None:
-        return None
-    fm = cfg.force_modes
-    return int(fm(index)) if callable(fm) else int(fm[index % len(fm)])
+        parts += [len(payload).to_bytes(4, "big"), payload, zlib.crc32(payload).to_bytes(4, "big")]
+    return EncodeResult(stream=b"".join(parts), stats=header.stream_stats(frame_stats))
 
 
 def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
@@ -438,23 +447,11 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
     window = transform.sine_window(L)
     spectra, _ = transform.analyze(signal.samples, L, window)
     state = sideinfo.SideInfoState()
-    stats = StreamStats(
-        codec="proposed",
-        sample_rate=signal.sample_rate,
-        num_samples=signal.length,
-        num_channels=signal.num_channels,
-        header_bits=0,
-    )
-    payloads = []
+    payloads, frame_stats = [], []
 
     for sp in spectra:
-        forced = _frame_mode(cfg, sp.index)
-        candidates = (forced,) if forced is not None else (
-            freq_svd.MODE_SINGLE_BAND,
-            freq_svd.MODE_FOUR_BANDS,
-        )
         trials = []
-        for mode in candidates:
+        for mode in (freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS):
             w = BitWriter()
             trial_state = _clone_state(state)
             trial = _encode_proposed_frame(
@@ -469,32 +466,23 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
             cost = distortion + cfg.rd_lambda * bits
             trials.append((cost, mode, trial, trial_state, w))
         trials.sort(key=lambda t: (t[0], t[1]))  # tie -> mode 0
-        cost, mode, trial, new_state, w = trials[0]
-        other_cost = trials[1][0] if len(trials) > 1 else cost
-        state = new_state
+        (cost, mode, trial, state, w), (other_cost, *_) = trials
         core_bits = _write_components(
             trial["coded"], trial["channels"], groups, table, w, cfg.bypass_quantization
         )
         assert core_bits == trial["core_bits"]
         payload = w.getvalue()
         payloads.append(payload)
-        side_bits, noise_bits = trial["side_bits"], trial["noise_bits"]
-        stats.frames.append(
-            FrameStats(
-                index=sp.index,
-                mode=mode,
-                side_bits=side_bits,
-                noise_bits=noise_bits,
-                core_bits=core_bits,
-                padding_bits=8 * len(payload) - side_bits - noise_bits - core_bits,
-                total_bits=8 * len(payload) + 64,
+        frame_stats.append(
+            _frame_stats(
+                sp.index, payload, mode, trial["side_bits"], trial["noise_bits"], core_bits,
                 rd_cost=cost,
                 rd_cost_other=other_cost,
                 max_nmr=trial["max_nmr"],
                 escalated_bands=trial["escalated"],
             )
         )
-    return payloads, stats
+    return payloads, frame_stats
 
 
 def _clone_state(state: sideinfo.SideInfoState) -> sideinfo.SideInfoState:
@@ -605,7 +593,7 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
             )
             basis = baseline_td.TruncatedBasis(vectors=recon[0], frame=f)
         result = baseline_td.decompose_frame(
-            X, basis, prev_basis, interp, cfg.background_order, signal.order, raw_basis=raw
+            X, basis, prev_basis, interp, cfg.background_order, signal.order
         )
         fg_stream[f * L : (f + 1) * L] = result.decomposition.foreground[:L]
         bg_stream[f * L : (f + 1) * L] = result.background[:L]
@@ -614,14 +602,7 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
         prev_basis = basis
 
     # pass 2: core-code the streams blockwise (block f covers [fL, fL+2L))
-    stats = StreamStats(
-        codec="baseline",
-        sample_rate=signal.sample_rate,
-        num_samples=signal.length,
-        num_channels=M,
-        header_bits=0,
-    )
-    payloads = []
+    payloads, frame_stats = [], []
     for f in range(F):
         w = side_payloads[f]
         side_bits = w.bit_length
@@ -647,20 +628,13 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
         )
         payload = w.getvalue()
         payloads.append(payload)
-        stats.frames.append(
-            FrameStats(
-                index=f,
-                mode=0,
-                side_bits=side_bits,
-                noise_bits=noise_bits,
-                core_bits=core_bits,
-                padding_bits=8 * len(payload) - side_bits - noise_bits - core_bits,
-                total_bits=8 * len(payload) + 64,
-                max_nmr=max_nmr,
-                escalated_bands=escalated,
+        frame_stats.append(
+            _frame_stats(
+                f, payload, 0, side_bits, noise_bits, core_bits,
+                max_nmr=max_nmr, escalated_bands=escalated,
             )
         )
-    return payloads, stats
+    return payloads, frame_stats
 
 
 # --------------------------------------------------------------------------
@@ -668,10 +642,105 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
 # --------------------------------------------------------------------------
 
 @dataclass
+class ParsedFrame:
+    """One frame payload as read from the stream, before reconstruction."""
+
+    mode: int
+    bases: list  # per band, the (M, r) basis (one band for the baseline)
+    noise: NoiseGroupInfo
+    channels: list  # per component: CodedChannel, or the raw spectrum in bypass
+    side_bits: int
+    noise_bits: int
+    core_bits: int
+
+    def spectra(self, groups: FrequencyGroups) -> list:
+        """The component spectra the decoder reconstructs from."""
+        if isinstance(self.channels[0], np.ndarray):  # bypass
+            return self.channels
+        return [core_codec.dequantize_channel(c, groups) for c in self.channels]
+
+
+@dataclass
 class DecodeResult:
     signal: HoaSignal
     stats: StreamStats
     concealed_frames: int = 0
+
+
+def _open_stream(stream: bytes, quantizers, huffman_table, groups):
+    """Read and check the header, resolve the group table and split frames.
+
+    Returns (header, table, groups, frames, truncated) where ``frames`` is
+    a list of (payload, crc_ok).  Codebooks or a Huffman table that do not
+    match the stream's fingerprints raise :class:`ConfigurationError`.
+    """
+    header = _read_header(stream)
+    table = huffman_table or core_codec.default_table()
+    if _table_fingerprint(table) != header.table_fingerprint:
+        raise ConfigurationError("Huffman table does not match the stream")
+    if not header.bypass:
+        if quantizers is None:
+            raise ConfigurationError(
+                "stream was coded with trained quantizers; pass the codebook directory"
+            )
+        if quantizers.fingerprint() != header.quantizer_fingerprint:
+            raise ConfigurationError("codebooks do not match the stream fingerprint")
+    if groups is None:
+        if header.group_table_id == GROUP_TABLE_AAC48K:
+            groups = FrequencyGroups.aac_48k_long()
+        else:
+            groups = FrequencyGroups.uniform(header.half_length)
+
+    frames = []
+    pos = HEADER_BYTES
+    truncated = False
+    for _ in range(header.frame_count):
+        if pos + 4 > len(stream):
+            truncated = True
+            break
+        size = int.from_bytes(stream[pos : pos + 4], "big")
+        if pos + 4 + size + 4 > len(stream):
+            truncated = True
+            break
+        payload = stream[pos + 4 : pos + 4 + size]
+        crc = int.from_bytes(stream[pos + 4 + size : pos + 8 + size], "big")
+        frames.append((payload, (zlib.crc32(payload) & 0xFFFFFFFF) == crc))
+        pos += 8 + size
+    return header, table, groups, frames, truncated
+
+
+def parse_frame(
+    reader: BitReader,
+    header: StreamHeader,
+    state: sideinfo.SideInfoState,
+    quantizers: sideinfo.QuantizerSet | None,
+    table: core_codec.HuffmanTable,
+    groups: FrequencyGroups,
+) -> ParsedFrame:
+    """Read one frame payload: side info, noise block, component channels.
+
+    The same syntax serves both codecs; the baseline has a single band in
+    either mode.  ``state`` is the side-info prediction state and advances
+    with the frame.  Raises :class:`StreamError` on a malformed payload.
+    """
+    rank = header.rank
+    nbands = header.bands if header.codec_id == CODEC_PROPOSED else 1
+    ranks = {0: [rank], 1: [rank] * nbands}
+    if header.bypass:
+        mode = reader.read(1)
+        bases = [_read_raw_matrix(reader, (header.num_channels, rank)) for _ in ranks[mode]]
+    else:
+        frame_info, bases = sideinfo.decode_sideinfo(reader, quantizers, state, ranks)
+        mode = frame_info.mode
+    side_bits = reader.bit_position
+    noise, noise_bits = _read_noise_block(reader)
+    count = rank + (header.background_order + 1) ** 2
+    if header.bypass:
+        channels = [_read_raw_matrix(reader, (groups.num_bins,)) for _ in range(count)]
+    else:
+        channels = [core_codec.entropy_decode_channel(reader, groups, table) for _ in range(count)]
+    core_bits = reader.bit_position - side_bits - noise_bits
+    return ParsedFrame(mode, bases, noise, channels, side_bits, noise_bits, core_bits)
 
 
 def decode(
@@ -686,220 +755,109 @@ def decode(
     decoded spectra; a truncated stream raises :class:`StreamError` whose
     ``partial`` attribute carries the samples decoded so far.
     """
-    header = _read_header(stream)
-    table = huffman_table or core_codec.default_table()
-    if _table_fingerprint(table) != header.table_fingerprint:
-        raise ConfigurationError("Huffman table does not match the stream")
-    if groups is None:
-        if header.group_table_id == GROUP_TABLE_AAC48K:
-            groups = FrequencyGroups.aac_48k_long()
-        else:
-            groups = FrequencyGroups.uniform(header.half_length)
-    if not header.bypass:
-        if quantizers is None:
-            raise ConfigurationError(
-                "stream was coded with trained quantizers; pass the codebook directory"
-            )
-        if quantizers.fingerprint() != header.quantizer_fingerprint:
-            raise ConfigurationError("codebooks do not match the stream fingerprint")
-
-    payloads, frame_sizes, truncated = _split_frames(stream, header)
+    header, table, groups, frames, truncated = _open_stream(
+        stream, quantizers, huffman_table, groups
+    )
+    state = sideinfo.SideInfoState()
+    parsed, frame_stats = [], []
+    for f, (payload, crc_ok) in enumerate(frames):
+        p = None
+        if crc_ok:
+            try:
+                p = parse_frame(BitReader(payload), header, state, quantizers, table, groups)
+            except StreamError:
+                # a damaged prediction chain can leave later frames
+                # unparseable; treat them like CRC failures
+                pass
+        parsed.append(p)
+        frame_stats.append(
+            _frame_stats(f, payload, -1, concealed=True) if p is None
+            else _frame_stats(f, payload, p.mode, p.side_bits, p.noise_bits, p.core_bits)
+        )
     if header.codec_id == CODEC_PROPOSED:
-        samples, stats, concealed = _decode_proposed(header, payloads, quantizers, table, groups)
+        samples = _reconstruct_proposed(header, parsed, groups)
     else:
-        samples, stats, concealed = _decode_baseline(header, payloads, quantizers, table, groups)
+        samples = _reconstruct_baseline(header, parsed, groups)
 
     signal = HoaSignal(
         sample_rate=header.sample_rate, order=header.order, samples=samples
     )
     if truncated:
         raise StreamError(
-            f"stream truncated after {len(payloads)} of {header.frame_count} frames",
+            f"stream truncated after {len(frames)} of {header.frame_count} frames",
             partial=signal,
         )
-    return DecodeResult(signal=signal, stats=stats, concealed_frames=concealed)
+    return DecodeResult(
+        signal=signal,
+        stats=header.stream_stats(frame_stats),
+        concealed_frames=sum(p is None for p in parsed),
+    )
 
 
-def _split_frames(stream: bytes, header: StreamHeader):
-    """Frame payloads with CRC verdicts: list of (payload, crc_ok)."""
-    out = []
-    pos = HEADER_BYTES
-    truncated = False
-    sizes = []
-    for _ in range(header.frame_count):
-        if pos + 4 > len(stream):
-            truncated = True
-            break
-        size = int.from_bytes(stream[pos : pos + 4], "big")
-        if pos + 4 + size + 4 > len(stream):
-            truncated = True
-            break
-        payload = stream[pos + 4 : pos + 4 + size]
-        crc = int.from_bytes(stream[pos + 4 + size : pos + 8 + size], "big")
-        out.append((payload, (zlib.crc32(payload) & 0xFFFFFFFF) == crc))
-        sizes.append(size)
-        pos += 8 + size
-    return out, sizes, truncated
-
-
-def _decode_proposed(header, payloads, quantizers, table, groups):
+def _reconstruct_proposed(header: StreamHeader, parsed: list, groups) -> np.ndarray:
+    """Per-band back-projection plus background and noise, then the inverse
+    MDCT; a concealed frame (None) repeats the previous frame's spectra."""
     L = header.half_length
     M = header.num_channels
     nbg = (header.background_order + 1) ** 2
     rank = header.rank
-    state = sideinfo.SideInfoState()
-    ranks = {0: [rank], 1: [rank] * header.bands}
     window = transform.sine_window(L)
-    stats = StreamStats(
-        codec="proposed",
-        sample_rate=header.sample_rate,
-        num_samples=header.original_length,
-        num_channels=M,
-        header_bits=8 * HEADER_BYTES,
-    )
     spectra = []
     prev_spectrum = np.zeros((L, M))
-    concealed = 0
-    for f, (payload, crc_ok) in enumerate(payloads):
-        parsed = None
-        if crc_ok:
-            try:
-                r = BitReader(payload)
-                if header.bypass:
-                    mode = r.read(1)
-                    layout = freq_svd.layout_for_mode(mode, L, header.bands)
-                    bases = [_read_raw_matrix(r, (M, rank)) for _ in range(layout.n)]
-                    side_bits = r.bit_position
-                else:
-                    frame_info, bases = sideinfo.decode_sideinfo(r, quantizers, state, ranks)
-                    mode = frame_info.mode
-                    layout = freq_svd.layout_for_mode(mode, L, header.bands)
-                    side_bits = r.bit_position
-                info, noise_bits = _read_noise_block(r)
-                decoded, core_bits = _decode_components(
-                    r, rank + nbg, groups, table, header.bypass
-                )
-                parsed = True
-            except StreamError:
-                # a damaged prediction chain can leave later frames
-                # unparseable; treat them like CRC failures
-                parsed = None
-        if parsed is None:
-            concealed += 1
+    for f, p in enumerate(parsed):
+        if p is None:
             spectra.append(prev_spectrum.copy())
-            stats.frames.append(
-                FrameStats(
-                    index=f, mode=-1, side_bits=0, noise_bits=0, core_bits=0,
-                    padding_bits=8 * len(payload),
-                    total_bits=8 * len(payload) + 64, concealed=True,
-                )
-            )
             continue
+        decoded = p.spectra(groups)
+        layout = freq_svd.layout_for_mode(p.mode, L, header.bands)
         fg = np.stack(decoded[:rank], axis=1)
         S = np.zeros((L, M))
-        for (a, b), basis in zip(layout.edges, bases):
+        for (a, b), basis in zip(layout.edges, p.bases):
             S[a:b] = fg[a:b] @ basis.T
         S[:, :nbg] += np.stack(decoded[rank:], axis=1)
-        ndisc = M - nbg
-        if ndisc:
-            S[:, nbg:] += noise_subst.synthesize_noise(
-                info, groups, ndisc, header.seed, f, channel_offset=nbg
-            )
+        S[:, nbg:] += noise_subst.synthesize_noise(
+            p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg
+        )
         spectra.append(S)
         prev_spectrum = S
-        stats.frames.append(
-            FrameStats(
-                index=f, mode=mode, side_bits=side_bits, noise_bits=noise_bits,
-                core_bits=core_bits,
-                padding_bits=8 * len(payload) - side_bits - noise_bits - core_bits,
-                total_bits=8 * len(payload) + 64,
-            )
-        )
     if not spectra:
-        return np.zeros((0, M)), stats, concealed
+        return np.zeros((0, M))
     frames = [transform.SpectralFrame(index=f, coeffs=S) for f, S in enumerate(spectra)]
-    samples = transform.synthesize(frames, window, header.original_length)
-    return samples, stats, concealed
+    return transform.synthesize(frames, window, header.original_length)
 
 
-def _decode_baseline(header, payloads, quantizers, table, groups):
+def _reconstruct_baseline(header: StreamHeader, parsed: list, groups) -> np.ndarray:
+    """Inverse-MDCT the component streams, then recombine them with the
+    interpolated bases; a concealed frame (None) repeats the previous
+    frame's components and basis."""
     L = header.half_length
     M = header.num_channels
     nbg = (header.background_order + 1) ** 2
     ndisc = M - nbg
     rank = header.rank
-    F = len(payloads)
-    state = sideinfo.SideInfoState()
+    F = len(parsed)
     mdct_win = transform.sine_window(L)
     interp = baseline_td.InterpolationWindow.make(L, header.interp_kind)
-    stats = StreamStats(
-        codec="baseline",
-        sample_rate=header.sample_rate,
-        num_samples=header.original_length,
-        num_channels=M,
-        header_bits=8 * HEADER_BYTES,
-    )
 
     bases_seq = []
     fg_blocks, bg_blocks, disc_blocks = [], [], []
-    prev_components = None
-    concealed = 0
-    for f, (payload, crc_ok) in enumerate(payloads):
-        parsed = None
-        if crc_ok:
-            try:
-                r = BitReader(payload)
-                if header.bypass:
-                    r.read(1)
-                    basis = _read_raw_matrix(r, (M, rank))
-                    side_bits = r.bit_position
-                else:
-                    _, recon = sideinfo.decode_sideinfo(r, quantizers, state, [rank])
-                    basis = recon[0]
-                    side_bits = r.bit_position
-                info, noise_bits = _read_noise_block(r)
-                decoded, core_bits = _decode_components(
-                    r, rank + nbg, groups, table, header.bypass
-                )
-                parsed = True
-            except StreamError:
-                parsed = None
-        if parsed is None:
-            concealed += 1
-            comps = prev_components if prev_components is not None else {
-                "fg": np.zeros((L, rank)),
-                "bg": np.zeros((L, nbg)),
-                "disc": np.zeros((L, ndisc)),
-            }
+    prev_components = (np.zeros((L, rank)), np.zeros((L, nbg)), np.zeros((L, ndisc)))
+    for f, p in enumerate(parsed):
+        if p is None:
             bases_seq.append(bases_seq[-1] if bases_seq else np.full((M, rank), np.nan))
-            fg_blocks.append(comps["fg"].copy())
-            bg_blocks.append(comps["bg"].copy())
-            disc_blocks.append(comps["disc"].copy())
-            stats.frames.append(
-                FrameStats(
-                    index=f, mode=0, side_bits=0, noise_bits=0, core_bits=0,
-                    padding_bits=8 * len(payload),
-                    total_bits=8 * len(payload) + 64, concealed=True,
-                )
+            fg, bg, disc = prev_components
+        else:
+            decoded = p.spectra(groups)
+            bases_seq.append(p.bases[0])
+            fg = np.stack(decoded[:rank], axis=1)
+            bg = np.stack(decoded[rank:], axis=1)
+            disc = noise_subst.synthesize_noise(
+                p.noise, groups, ndisc, header.seed, f, channel_offset=nbg
             )
-            continue
-        fg_blocks.append(np.stack(decoded[:rank], axis=1))
-        bg_blocks.append(np.stack(decoded[rank:], axis=1))
-        disc_blocks.append(
-            noise_subst.synthesize_noise(info, groups, ndisc, header.seed, f, channel_offset=nbg)
-            if ndisc
-            else np.zeros((L, 0))
-        )
-        bases_seq.append(basis)
-        prev_components = {"fg": fg_blocks[-1], "bg": bg_blocks[-1], "disc": disc_blocks[-1]}
-        stats.frames.append(
-            FrameStats(
-                index=f, mode=0, side_bits=side_bits, noise_bits=noise_bits,
-                core_bits=core_bits,
-                padding_bits=8 * len(payload) - side_bits - noise_bits - core_bits,
-                total_bits=8 * len(payload) + 64,
-            )
-        )
+            prev_components = (fg, bg, disc)
+        fg_blocks.append(fg)
+        bg_blocks.append(bg)
+        disc_blocks.append(disc)
 
     # component streams via IMDCT + overlap-add; stream sample n needs
     # blocks n//L - 1 and n//L, so [0, L) is zero by construction
@@ -934,20 +892,12 @@ def _decode_baseline(header, payloads, quantizers, table, groups):
         if ndisc:
             hoa[sl, nbg:] += disc_stream[sl]
         prev_basis = basis
-    samples = hoa[L : L + header.original_length]
-    return samples, stats, concealed
+    return hoa[L : L + header.original_length]
 
 
 # --------------------------------------------------------------------------
-# mode selection and stream measurement
+# stream measurement
 # --------------------------------------------------------------------------
-
-def select_mode(candidates, rd_lambda: float) -> int:
-    """argmin over (distortion, bits) pairs of D + lambda * R; tie -> mode 0."""
-    costs = [d + rd_lambda * r for d, r in candidates]
-    best = min(range(len(costs)), key=lambda i: (costs[i], i))
-    return best
-
 
 def measure_stream(
     stream: bytes,
@@ -956,57 +906,18 @@ def measure_stream(
 ) -> StreamStats:
     """Exact per-frame bit accounting of an existing stream.
 
-    Runs the structural parts of the decoder (side info, noise block,
-    entropy decode) without any signal reconstruction; category sums plus
-    framing overhead equal the container size exactly.
+    Parses every frame as the decoder does (:func:`parse_frame`) without
+    any signal reconstruction; category sums plus framing overhead equal
+    the container size exactly.
     """
-    header = _read_header(stream)
-    table = huffman_table or core_codec.default_table()
-    groups = (
-        FrequencyGroups.aac_48k_long()
-        if header.group_table_id == GROUP_TABLE_AAC48K
-        else FrequencyGroups.uniform(header.half_length)
-    )
-    if not header.bypass and quantizers is None:
-        raise ConfigurationError("measure_stream needs the stream's codebooks")
-    payloads, _, truncated = _split_frames(stream, header)
+    header, table, groups, frames, truncated = _open_stream(stream, quantizers, huffman_table, None)
     if truncated:
         raise StreamError("stream truncated; cannot account bits")
     state = sideinfo.SideInfoState()
-    rank = header.rank
-    M = header.num_channels
-    nbg = (header.background_order + 1) ** 2
-    ranks = {0: [rank], 1: [rank] * header.bands}
-    stats = StreamStats(
-        codec="proposed" if header.codec_id == CODEC_PROPOSED else "baseline",
-        sample_rate=header.sample_rate,
-        num_samples=header.original_length,
-        num_channels=M,
-        header_bits=8 * HEADER_BYTES,
-    )
-    for f, (payload, crc_ok) in enumerate(payloads):
+    frame_stats = []
+    for f, (payload, crc_ok) in enumerate(frames):
         if not crc_ok:
             raise StreamError(f"frame {f}: CRC mismatch")
-        r = BitReader(payload)
-        if header.bypass:
-            mode = r.read(1)
-            nbands = header.bands if (header.codec_id == CODEC_PROPOSED and mode == 1) else 1
-            for _ in range(nbands):
-                _read_raw_matrix(r, (M, rank))
-            side_bits = r.bit_position
-        else:
-            si_ranks = ranks if header.codec_id == CODEC_PROPOSED else {0: [rank], 1: [rank]}
-            frame_info, _ = sideinfo.decode_sideinfo(r, quantizers, state, si_ranks)
-            mode = frame_info.mode
-            side_bits = r.bit_position
-        _, noise_bits = _read_noise_block(r)
-        _, core_bits = _decode_components(r, rank + nbg, groups, table, header.bypass)
-        stats.frames.append(
-            FrameStats(
-                index=f, mode=mode, side_bits=side_bits, noise_bits=noise_bits,
-                core_bits=core_bits,
-                padding_bits=8 * len(payload) - side_bits - noise_bits - core_bits,
-                total_bits=8 * len(payload) + 64,
-            )
-        )
-    return stats
+        p = parse_frame(BitReader(payload), header, state, quantizers, table, groups)
+        frame_stats.append(_frame_stats(f, payload, p.mode, p.side_bits, p.noise_bits, p.core_bits))
+    return header.stream_stats(frame_stats)

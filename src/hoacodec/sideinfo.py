@@ -119,7 +119,6 @@ class SideInfoFrame:
     mode: int
     bands: list  # of BandSideInfo
     switched: bool = False
-    noise_groups: object = None  # filled in by the pipeline
     bit_count: int = 0
 
 
@@ -342,6 +341,8 @@ def decode_sideinfo(
                 is_intra = reader.read_flag()
                 if is_intra:
                     idx = reader.read(q.intra_bits)
+                    if idx >= q.intra.size:
+                        raise StreamError("intra codebook index out of range")
                     recon[:, k] = _reconstruct_intra(q, idx, k)
                     cols.append(ColumnCode(intra=True, intra_index=idx))
                 else:

@@ -3,10 +3,9 @@ import pytest
 
 from hoacodec import scenes
 from hoacodec.baseline_td import (
-    BaselineEncoderState,
     InterpolationWindow,
     TruncatedBasis,
-    encode_frame_baseline,
+    decompose_frame,
     extract_foreground,
     interpolate_basis,
     match_bases,
@@ -162,9 +161,8 @@ def _plane_wave_frame(rng, L=256, az=0.7, el=0.2):
 
 def test_single_source_captured_by_rank_one(rng):
     X = _plane_wave_frame(rng)
-    state = BaselineEncoderState()
     w = InterpolationWindow.make(X.shape[0] // 2)
-    res = encode_frame_baseline(X, 0, 1, 1, 3, state, w)
+    res = decompose_frame(X, truncated_basis(X, 1), None, w, 1, 3)
     total = np.sum(X**2)
     fg_energy = np.sum(res.decomposition.foreground**2)
     assert fg_energy > 0.99 * total
@@ -173,23 +171,20 @@ def test_single_source_captured_by_rank_one(rng):
 
 def test_silence_frame(rng):
     X = np.zeros((128, 16))
-    state = BaselineEncoderState()
-    res = encode_frame_baseline(X, 0, 4, 1, 3, state, InterpolationWindow.make(64))
+    res = decompose_frame(X, truncated_basis(X, 4), None, InterpolationWindow.make(64), 1, 3)
     assert np.all(res.decomposition.foreground == 0)
     assert np.all(res.decomposition.ambient == 0)
 
 
 def test_complete_basis_leaves_no_ambient(rng):
     X = rng.standard_normal((64, 16))
-    state = BaselineEncoderState()
-    res = encode_frame_baseline(X, 0, 16, 3, 3, state, InterpolationWindow.make(32))
+    res = decompose_frame(X, truncated_basis(X, 16), None, InterpolationWindow.make(32), 3, 3)
     assert np.sum(res.decomposition.ambient**2) < 1e-18 * np.sum(X**2)
 
 
 def test_ambient_is_frame_minus_approximation(rng):
     X = rng.standard_normal((64, 9))
-    state = BaselineEncoderState()
-    res = encode_frame_baseline(X, 0, 2, 1, 2, state, InterpolationWindow.make(32))
+    res = decompose_frame(X, truncated_basis(X, 2), None, InterpolationWindow.make(32), 1, 2)
     L = 32
     approx = X - res.decomposition.ambient
     # trailing half must be the frame-basis back-projection exactly
@@ -198,14 +193,13 @@ def test_ambient_is_frame_minus_approximation(rng):
 
 
 def test_state_chain_matches_and_aligns(rng):
-    state = BaselineEncoderState()
     w = InterpolationWindow.make(32)
     X1 = _plane_wave_frame(rng, L=32)
-    encode_frame_baseline(X1, 0, 2, 1, 3, state, w)
-    first = state.prev_basis.vectors.copy()
+    first = truncated_basis(X1, 2, 0)
     X2 = -X1  # same subspace, flipped sign
-    encode_frame_baseline(X2, 1, 2, 1, 3, state, w)
-    dots = np.einsum("mi,mi->i", first, state.prev_basis.vectors)
+    _, _, aligned = match_bases(first, truncated_basis(X2, 2, 1))
+    res = decompose_frame(X2, aligned, first, w, 1, 3)
+    dots = np.einsum("mi,mi->i", first.vectors, res.decomposition.basis.vectors)
     assert np.all(dots >= -1e-12)
 
 

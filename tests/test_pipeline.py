@@ -81,14 +81,12 @@ def test_side_info_share_is_minor(encoded):
     assert encoded["proposed"].stats.side_info_share < 0.15
 
 
-def test_force_modes_hook(small_scene_module, small_quantizers_module):
-    pattern = [0, 1] * 50
-    cfg = _cfg(small_quantizers_module, force_modes=pattern)
-    res = pipeline.encode(small_scene_module, cfg)
-    got = [f.mode for f in res.stats.frames]
-    assert got == [pattern[i % len(pattern)] for i in range(len(got))]
-    dec = pipeline.decode(res.stream, quantizers=small_quantizers_module)
-    assert dec.signal.length == small_scene_module.length
+def test_proposed_stream_switches_modes(encoded):
+    # the round-trip tests decode this stream, so they cover both modes and
+    # the side-info syntax of a mode switch
+    modes = [f.mode for f in encoded["proposed"].stats.frames]
+    assert set(modes) == {0, 1}
+    assert any(a != b for a, b in zip(modes, modes[1:]))
 
 
 def test_hanning_interpolation_window_travels_in_header(small_scene_module, small_quantizers_module):
@@ -191,23 +189,67 @@ def test_wrong_huffman_table_rejected(encoded, small_quantizers_module):
                         quantizers=small_quantizers_module, huffman_table=other)
 
 
+def test_measure_stream_checks_fingerprints(encoded, small_quantizers_module):
+    import copy
+
+    from hoacodec.core_codec import HuffmanTable
+
+    stream = encoded["proposed"].stream
+    other_table = HuffmanTable((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 16))
+    with pytest.raises(ConfigurationError, match="table"):
+        pipeline.measure_stream(stream, quantizers=small_quantizers_module, huffman_table=other_table)
+    other_codebooks = copy.deepcopy(small_quantizers_module)
+    other_codebooks.residual.centroids[0, 0] += 1.0
+    with pytest.raises(ConfigurationError, match="fingerprint"):
+        pipeline.measure_stream(stream, quantizers=other_codebooks)
+
+
+# (byte offset, size) of header fields, see docs/bitstream.md
+_HEADER_FIELDS = {
+    "codec_id": (6, 1), "half_length": (13, 4), "rank": (17, 1), "bands": (18, 1),
+    "background_order": (19, 1), "group_table_id": (64, 1),
+}
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("codec_id", 7, "codec id"),
+    ("group_table_id", 5, "group table id"),
+    ("group_table_id", 0, "half length"),  # the AAC table needs L=1024, the stream has 256
+    ("half_length", 32, "half length"),  # fewer bins than noise groups
+    ("rank", 0, "rank"),
+    ("rank", 17, "rank"),  # M=16
+    ("background_order", 4, "background order"),  # order 3
+    ("bands", 1, "band count"),
+    ("bands", 3, "band count"),  # 256 bins do not split into 3 bands
+])
+def test_header_values_the_encoder_never_writes_are_rejected(
+    encoded, small_quantizers_module, field, value, match
+):
+    offset, size = _HEADER_FIELDS[field]
+    stream = bytearray(encoded["proposed"].stream)
+    stream[offset : offset + size] = value.to_bytes(size, "big")
+    for parse in (pipeline.decode, pipeline.measure_stream):
+        with pytest.raises(StreamError, match=match):
+            parse(bytes(stream), quantizers=small_quantizers_module)
+
+
+def test_concealed_frames_report_mode_minus_one(encoded, small_quantizers_module):
+    for codec in ("proposed", "baseline"):
+        stream = bytearray(encoded[codec].stream)
+        size = int.from_bytes(stream[pipeline.HEADER_BYTES : pipeline.HEADER_BYTES + 4], "big")
+        stream[pipeline.HEADER_BYTES + 4 + size // 2] ^= 0xFF  # frame 0 payload
+        dec = pipeline.decode(bytes(stream), quantizers=small_quantizers_module)
+        assert dec.stats.frames[0].concealed
+        assert dec.stats.frames[0].mode == -1
+        assert dec.stats.mode_histogram.get(-1) == dec.concealed_frames
+
+
 def test_measure_stream_on_bypass_needs_no_codebooks(small_scene_module):
     cfg = pipeline.EncoderConfig(codec="proposed", half_length=256, rank=4,
                                  background_order=1, bypass_quantization=True, seed=1)
     res = pipeline.encode(small_scene_module, cfg)
     stats = pipeline.measure_stream(res.stream)
     assert stats.total_bits == 8 * len(res.stream)
-
-
-def test_select_mode_contract():
-    assert pipeline.select_mode([(1.0, 100), (1.0, 50)], 1.0) == 1
-    assert pipeline.select_mode([(1.0, 100), (0.5, 500)], 0.0) == 1
-    assert pipeline.select_mode([(1.0, 100), (1.0, 100)], 0.5) == 0  # tie -> mode 0
-    # sweeping lambda on fixed candidates switches at most once
-    cands = [(2.0, 120), (1.0, 300)]
-    choices = [pipeline.select_mode(cands, lam) for lam in np.linspace(0, 0.1, 50)]
-    switches = sum(a != b for a, b in zip(choices, choices[1:]))
-    assert switches <= 1
 
 
 def test_stats_json_serializable(encoded):

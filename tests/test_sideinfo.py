@@ -5,7 +5,7 @@ from hoacodec import scenes
 from hoacodec.baseline_td import TruncatedBasis
 from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.errors import ConfigurationError, StreamError, TrainingError
-from hoacodec.numlin import svd
+from hoacodec.numlin import Codebook, svd
 from hoacodec.sideinfo import (
     QuantizerSet,
     SideInfoState,
@@ -135,6 +135,25 @@ def test_corrupt_permutation_index_raises(rng, small_quantizers):
     dec_state.prev_mode = 0
     with pytest.raises(StreamError, match="permutation"):
         decode_sideinfo(BitReader(bytes(data)), small_quantizers, dec_state, {0: [4], 1: [4] * 4})
+
+
+def test_switched_intra_index_out_of_range_raises(rng, small_quantizers):
+    # 200 intra entries take 8 index bits, so indices 200..255 are writable
+    q = QuantizerSet(
+        coeff=small_quantizers.coeff,
+        residual=small_quantizers.residual,
+        intra=Codebook(centroids=_random_basis(rng, m=16, r=16)[:, np.arange(200) % 16].T),
+    )
+    w = BitWriter()
+    w.write(1, 1)  # mode 1 after a mode-0 frame: the switched branch
+    w.write_flag(False)  # predicted band
+    w.write_flag(True)  # intra column
+    w.write(255, q.intra_bits)
+    dec_state = SideInfoState()
+    dec_state.prev_bases = [_random_basis(rng)]
+    dec_state.prev_mode = 0
+    with pytest.raises(StreamError, match="intra codebook index"):
+        decode_sideinfo(BitReader(w.getvalue()), q, dec_state, {0: [4], 1: [1]})
 
 
 def test_truncated_stream_raises(rng, small_quantizers):
