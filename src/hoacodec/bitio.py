@@ -129,8 +129,18 @@ class BitReader:
         return bytes(self.read(8) for _ in range(n))
 
     @property
+    def data(self) -> bytes:
+        return self._data
+
+    @property
     def bit_position(self) -> int:
         return self._pos
+
+    @bit_position.setter
+    def bit_position(self, pos: int) -> None:
+        if not 0 <= pos <= 8 * len(self._data):
+            raise StreamError("bitstream exhausted")
+        self._pos = pos
 
 
 def lehmer_encode(perm) -> int:

@@ -12,6 +12,7 @@ with a fixed SNR offset instead of tonality estimation, scalefactors on a
 
 from __future__ import annotations
 
+import functools
 import heapq
 import struct
 from dataclasses import dataclass, field
@@ -408,38 +409,97 @@ def entropy_encode_channel(
     return writer.bit_length - start
 
 
+# Decoding reads a frame payload through a lookup over its bit positions:
+# the signed value of the Huffman-coded bin that starts at each position and
+# the bits it spans (code plus sign bit), from the 12-bit fast table.  An
+# advance of 0 sends that bin to the bit-serial path: escapes, codes longer
+# than the fast window, and codes or sign bits that run past the payload.
+
+_EXHAUSTED = "bitstream exhausted"
+_MAX_MAGNITUDE = (1 << 63) - 1  # quantizer indices are int64
+
+
+@functools.lru_cache(maxsize=1)
+def _payload_lookup(data: bytes, table: HuffmanTable) -> tuple:
+    """(value, advance) lists over the bit positions 0..8*len(data)."""
+    nbits = 8 * len(data)
+    b = np.frombuffer(data + b"\0\0\0", dtype=np.uint8).astype(np.int64)
+    u24 = (b[:-2] << 16) | (b[1:-1] << 8) | b[2:]
+    pos = np.arange(nbits + 1)
+    window = ((u24[pos >> 3] << (pos & 7)) >> 8) & 0xFFFF  # next 16 bits, zero-padded
+    entry = table._fast[window >> (16 - HuffmanTable._FAST_BITS)]
+    fast = entry >= 0
+    sym = np.where(fast, entry >> 6, ESCAPE_SYMBOL)
+    length = np.where(fast, entry & 63, 0)
+    negative = (window >> (15 - length)) & 1
+    value = np.where(negative == 1, -sym, sym)
+    advance = length + (sym > 0)
+    advance[(sym >= ESCAPE_SYMBOL) | (pos + advance > nbits)] = 0
+    return value.tolist(), advance.tolist()
+
+
 def entropy_decode_channel(
     reader: BitReader,
     groups: FrequencyGroups,
     table: HuffmanTable,
 ) -> CodedChannel:
     """Exact inverse of :func:`entropy_encode_channel`."""
+    data = reader.data
+    padded = data + b"\0\0"
+    nbits = 8 * len(data)
+    value, advance = _payload_lookup(data, table)
+    pos = reader.bit_position
     nb = len(groups.edges)
-    num_bins = groups.num_bins
-    zero_band = np.zeros(nb, dtype=bool)
-    scalefactors = np.zeros(nb, dtype=np.int64)
-    qidx = np.zeros(num_bins, dtype=np.int64)
+    zero_band = [False] * nb
+    scalefactors = [0] * nb
+    q = [0] * groups.num_bins
     for b, (lo, hi) in enumerate(groups.edges):
-        if reader.read_flag():
+        if pos >= nbits:
+            raise StreamError(_EXHAUSTED)
+        i = pos >> 3
+        head = (int.from_bytes(padded[i : i + 3], "big") >> (8 - (pos & 7))) & 0xFFFF
+        if head & 0x8000:  # zero:u1
             zero_band[b] = True
+            pos += 1
             continue
-        scalefactors[b] = reader.read(8) + SF_MIN
-        if reader.read_flag():  # raw mode
-            width = reader.read(6)
-            for k in range(lo, hi):
+        if pos + 10 > nbits:
+            raise StreamError(_EXHAUSTED)
+        scalefactors[b] = ((head >> 7) & 0xFF) + SF_MIN
+        if head & 0x40:  # raw mode: width:u6, then the band as one field
+            width = head & 63
+            w1 = width + 1
+            pos += 16
+            end = pos + (hi - lo) * w1
+            if end > nbits:
+                raise StreamError(_EXHAUSTED)
+            big = int.from_bytes(data[pos >> 3 : (end + 7) >> 3], "big") >> (-end & 7)
+            mask = (1 << width) - 1
+            for k in range(hi - 1, lo - 1, -1):
+                mag = big & mask
+                q[k] = -mag if (big >> width) & 1 else mag
+                big >>= w1
+            pos = end
+            continue
+        pos += 10
+        for k in range(lo, hi):
+            a = advance[pos]
+            if a:
+                q[k] = value[pos]
+                pos += a
+                continue
+            reader.bit_position = pos
+            sym = table.read_symbol(reader)
+            mag = sym if sym < ESCAPE_SYMBOL else ESCAPE_SYMBOL + reader.read_ue()
+            if mag:
                 neg = reader.read_flag()
-                mag = reader.read(width)
-                qidx[k] = -mag if neg else mag
-        else:
-            for k in range(lo, hi):
-                sym = table.read_symbol(reader)
-                mag = sym if sym < ESCAPE_SYMBOL else ESCAPE_SYMBOL + reader.read_ue()
-                if mag:
-                    neg = reader.read_flag()
-                    qidx[k] = -mag if neg else mag
+                if mag > _MAX_MAGNITUDE:
+                    raise StreamError(f"escape magnitude {mag} out of range")
+                q[k] = -mag if neg else mag
+            pos = reader.bit_position
+    reader.bit_position = pos
     return CodedChannel(
-        num_bins=num_bins,
-        zero_band=zero_band,
-        scalefactors=scalefactors,
-        quant_indices=qidx,
+        num_bins=groups.num_bins,
+        zero_band=np.array(zero_band, dtype=bool),
+        scalefactors=np.array(scalefactors, dtype=np.int64),
+        quant_indices=np.array(q, dtype=np.int64),
     )

@@ -214,21 +214,32 @@ def synthesize_noise(
     decoding is reproducible without transmitting the noise.
     """
     out = np.zeros((groups.num_bins, channel_count))
-    if channel_count == 0:
-        return out
     energies = info.energies()
-    edges = groups.edges
-    for c in range(channel_count):
-        rng = _channel_rng(stream_seed, frame_index, channel_offset + c)
-        for j in np.flatnonzero(info.active):
-            a, b = edges[j]
-            e = energies[j]
-            if e <= 0:
-                continue
-            draw = rng.standard_normal(b - a)
-            ss = np.sum(draw**2)
-            if ss == 0:
-                draw = np.ones(b - a)
-                ss = float(b - a)
-            out[a:b, c] = draw * np.sqrt(e * (b - a) / ss)
+    sel = np.flatnonzero(energies > 0)  # active groups with nonzero energy
+    if channel_count == 0 or sel.size == 0:
+        return out
+    offsets = np.asarray(groups.offsets)
+    starts = offsets[sel]
+    widths = offsets[sel + 1] - starts
+    first = np.cumsum(widths) - widths  # each group's start in a channel's draw
+    # one draw per channel over its groups in ascending order equals
+    # consecutive per-group draws from the same generator
+    draws = np.stack([
+        _channel_rng(stream_seed, frame_index, channel_offset + c).standard_normal(int(widths.sum()))
+        for c in range(channel_count)
+    ])
+    # per-group sums of squares as row sums of a contiguous (rows, width)
+    # array per distinct width: the same pairwise summation as np.sum over
+    # one group, which reduceat or a 3-D sum would not reproduce bit for bit
+    ss = np.empty((channel_count, sel.size))
+    for w in np.unique(widths):
+        cols = np.flatnonzero(widths == w)
+        block = np.ascontiguousarray(draws[:, first[cols, None] + np.arange(w)]) ** 2
+        ss[:, cols] = block.reshape(-1, w).sum(axis=1).reshape(channel_count, cols.size)
+    for c, g in zip(*np.nonzero(ss == 0)):  # an all-zero draw becomes a flat group
+        draws[c, first[g] : first[g] + widths[g]] = 1.0
+        ss[c, g] = float(widths[g])
+    gain = np.sqrt(energies[sel] * widths / ss)
+    rows = np.repeat(starts - first, widths) + np.arange(draws.shape[1])
+    out[rows] = (draws * np.repeat(gain, widths, axis=1)).T
     return out

@@ -129,6 +129,7 @@ class FrameStats:
     rd_cost: float = 0.0
     rd_cost_other: float = 0.0
     concealed: bool = False
+    conceal_reason: str = ""  # "crc" or the parse error of a concealed frame
     max_nmr: float = 0.0  # encoder-side worst band NMR (0 in bypass)
     escalated_bands: int = 0  # bands where no scalefactor met the target
 
@@ -672,7 +673,8 @@ def _open_stream(stream: bytes, quantizers, huffman_table, groups):
 
     Returns (header, table, groups, frames, truncated) where ``frames`` is
     a list of (payload, crc_ok).  Codebooks or a Huffman table that do not
-    match the stream's fingerprints raise :class:`ConfigurationError`.
+    match the stream's fingerprints, and a group table that does not cover
+    the stream's half length, raise :class:`ConfigurationError`.
     """
     header = _read_header(stream)
     table = huffman_table or core_codec.default_table()
@@ -690,6 +692,10 @@ def _open_stream(stream: bytes, quantizers, huffman_table, groups):
             groups = FrequencyGroups.aac_48k_long()
         else:
             groups = FrequencyGroups.uniform(header.half_length)
+    elif groups.num_bins != header.half_length:
+        raise ConfigurationError(
+            f"group table covers {groups.num_bins} bins, stream has {header.half_length}"
+        )
 
     frames = []
     pos = HEADER_BYTES
@@ -761,17 +767,17 @@ def decode(
     state = sideinfo.SideInfoState()
     parsed, frame_stats = [], []
     for f, (payload, crc_ok) in enumerate(frames):
-        p = None
+        p, reason = None, "crc"
         if crc_ok:
             try:
                 p = parse_frame(BitReader(payload), header, state, quantizers, table, groups)
-            except StreamError:
+            except StreamError as exc:
                 # a damaged prediction chain can leave later frames
                 # unparseable; treat them like CRC failures
-                pass
+                reason = str(exc)
         parsed.append(p)
         frame_stats.append(
-            _frame_stats(f, payload, -1, concealed=True) if p is None
+            _frame_stats(f, payload, -1, concealed=True, conceal_reason=reason) if p is None
             else _frame_stats(f, payload, p.mode, p.side_bits, p.noise_bits, p.core_bits)
         )
     if header.codec_id == CODEC_PROPOSED:

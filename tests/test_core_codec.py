@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.core_codec import (
+    ESCAPE_SYMBOL,
+    SF_MAX,
+    SF_MIN,
+    CodedChannel,
     HuffmanTable,
     MaskingConfig,
     band_energies,
@@ -15,8 +21,8 @@ from hoacodec.core_codec import (
     measure_nmr,
     quantize_mnmr,
 )
-from hoacodec.errors import FormatError
-from hoacodec.noise_subst import groups_for
+from hoacodec.errors import FormatError, StreamError
+from hoacodec.noise_subst import FrequencyGroups, groups_for
 
 
 @pytest.fixture
@@ -198,8 +204,6 @@ def test_skewed_distribution_near_entropy(rng):
 
 
 def test_escape_values_roundtrip(groups):
-    from hoacodec.core_codec import CodedChannel
-
     values = np.zeros(1024, dtype=np.int64)
     values[5] = 4000
     values[6] = -77
@@ -247,3 +251,137 @@ def test_band_energy_reduction(groups, rng):
     e = band_energies(spectrum, groups)
     for b, (lo, hi) in enumerate(groups.edges):
         assert e[b] == pytest.approx(float(np.sum(spectrum[lo:hi] ** 2)))
+
+
+# --- table-driven channel decoder against a bit-serial reference ---
+
+
+def _reference_decode(reader, groups, table):
+    """One reader call per field and one bit per Huffman code step."""
+    codes = {(table.lengths[s], table.codes[s]): s for s in range(ESCAPE_SYMBOL + 1)}
+    nb = len(groups.edges)
+    zero_band = np.zeros(nb, dtype=bool)
+    scalefactors = np.zeros(nb, dtype=np.int64)
+    q = [0] * groups.num_bins
+    for b, (lo, hi) in enumerate(groups.edges):
+        if reader.read_flag():
+            zero_band[b] = True
+            continue
+        scalefactors[b] = reader.read(8) + SF_MIN
+        if reader.read_flag():
+            width = reader.read(6)
+            for k in range(lo, hi):
+                neg = reader.read_flag()
+                mag = reader.read(width)
+                q[k] = -mag if neg else mag
+            continue
+        for k in range(lo, hi):
+            code, length = 0, 0
+            while (length, code) not in codes:
+                code, length = (code << 1) | reader.read(1), length + 1
+            sym = codes[(length, code)]
+            mag = sym if sym < ESCAPE_SYMBOL else ESCAPE_SYMBOL + reader.read_ue()
+            if mag:
+                neg = reader.read_flag()
+                if mag >= 1 << 63:
+                    raise StreamError("escape magnitude out of range")
+                q[k] = -mag if neg else mag
+    return CodedChannel(groups.num_bins, zero_band, scalefactors, np.array(q, dtype=np.int64))
+
+
+def _outcome(decoder, data, start, groups, table):
+    """(CodedChannel fields, end bit position), or "StreamError"."""
+    reader = BitReader(data)
+    reader.bit_position = start
+    try:
+        c = decoder(reader, groups, table)
+    except StreamError:
+        return "StreamError"
+    return (c.num_bins, c.zero_band.tolist(), c.scalefactors.tolist(),
+            c.quant_indices.tolist(), reader.bit_position)
+
+
+@st.composite
+def huffman_tables(draw):
+    """Kraft-complete tables: split leaves of a binary tree until it has one
+    leaf per symbol; long chains give codes beyond the 12-bit fast window."""
+    lengths = [1, 1]
+    while len(lengths) < ESCAPE_SYMBOL + 1:
+        i = draw(st.integers(0, len(lengths) - 1))
+        lengths[i:i + 1] = [lengths[i] + 1] * 2
+    return HuffmanTable(draw(st.permutations(lengths)))
+
+
+@st.composite
+def coded_channels(draw):
+    groups = FrequencyGroups.uniform(draw(st.integers(49, 120)))
+    nb = len(groups.edges)
+    values = np.zeros(groups.num_bins, dtype=np.int64)
+    zero_band = np.zeros(nb, dtype=bool)
+    scalefactors = np.zeros(nb, dtype=np.int64)
+    band_costs = {}
+    magnitude = st.one_of(st.integers(0, 3), st.integers(0, 15), st.integers(16, 1 << 20))
+    for b, (lo, hi) in enumerate(groups.edges):
+        kind = draw(st.sampled_from(["zero", "huffman", "huffman", "raw"]))
+        if kind == "zero":
+            zero_band[b] = True
+            continue
+        scalefactors[b] = draw(st.integers(SF_MIN, SF_MAX))
+        mags = draw(st.lists(magnitude, min_size=hi - lo, max_size=hi - lo))
+        signs = draw(st.lists(st.booleans(), min_size=hi - lo, max_size=hi - lo))
+        values[lo:hi] = [-m if s else m for m, s in zip(mags, signs)]
+        if kind == "raw":  # force raw mode, possibly wider than needed
+            width = max(mags).bit_length() + draw(st.integers(0, 2))
+            band_costs[b] = (1, 0, width)
+    coded = CodedChannel(groups.num_bins, zero_band, scalefactors, values, band_costs=band_costs)
+    return coded, groups
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@_PROPERTY
+@given(huffman_tables(), coded_channels(), st.integers(0, 15), st.integers(0, 20), st.randoms())
+def test_channel_decoder_matches_reference(table, channel, lead, trail, rnd):
+    coded, groups = channel
+    w = BitWriter()
+    w.write(rnd.getrandbits(lead), lead)  # start away from a byte boundary
+    entropy_encode_channel(coded, groups, table, w)
+    w.write(rnd.getrandbits(trail), trail)
+    data = w.getvalue()
+
+    got = _outcome(entropy_decode_channel, data, lead, groups, table)
+    assert got == _outcome(_reference_decode, data, lead, groups, table)
+    expected = np.where(np.repeat(coded.zero_band, groups.widths()), 0, coded.quant_indices)
+    assert got[3] == expected.tolist()
+    for cut in range(len(data)):  # every truncation: the reference's result or StreamError
+        truncated = data[:cut]
+        start = min(lead, 8 * cut)
+        assert _outcome(entropy_decode_channel, truncated, start, groups, table) == _outcome(
+            _reference_decode, truncated, start, groups, table
+        )
+
+
+@_PROPERTY
+@given(huffman_tables(), st.binary(max_size=200), st.integers(0, 7), st.integers(49, 120))
+def test_channel_decoder_on_random_bytes(table, data, lead, num_bins):
+    groups = FrequencyGroups.uniform(num_bins)
+    lead = min(lead, 8 * len(data))
+    assert _outcome(entropy_decode_channel, data, lead, groups, table) == _outcome(
+        _reference_decode, data, lead, groups, table
+    )
+
+
+def test_escape_beyond_int64_is_a_stream_error():
+    table = default_table()
+    w = BitWriter()
+    w.write(0, 1)  # coded band
+    w.write(-SF_MIN, 8)
+    w.write(0, 1)  # Huffman mode
+    w.write(table.codes[ESCAPE_SYMBOL], table.lengths[ESCAPE_SYMBOL])
+    w.write(0, 64)  # ue() with 64 leading zeros: an excess of 2**64 - 1
+    w.write(1, 1)
+    w.write(0, 64)
+    w.write(0, 1)  # sign
+    with pytest.raises(StreamError, match="out of range"):
+        entropy_decode_channel(BitReader(w.getvalue()), FrequencyGroups.uniform(49), table)

@@ -160,6 +160,36 @@ def test_same_seed_is_bit_identical(rng):
     assert not np.array_equal(a, c)
 
 
+def _reference_noise(info, groups, channels, seed, frame, offset):
+    """The documented draw contract, one group at a time."""
+    out = np.zeros((groups.num_bins, channels))
+    energies = info.energies()
+    for c in range(channels):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, frame, offset + c]))
+        for j, (a, b) in enumerate(groups.edges):
+            if energies[j] > 0:
+                draw = rng.standard_normal(b - a)
+                out[a:b, c] = draw * np.sqrt(energies[j] * (b - a) / np.sum(draw**2))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_bins=st.sampled_from([1024, 256, 300]),
+    active=st.lists(st.booleans(), min_size=NUM_GROUPS, max_size=NUM_GROUPS),
+    indices=st.lists(st.integers(0, 63), min_size=NUM_GROUPS, max_size=NUM_GROUPS),
+    channels=st.integers(0, 12),
+    seed=st.integers(0, 2**32),
+    frame=st.integers(0, 5000),
+    offset=st.integers(0, 9),
+)
+def test_synthesis_is_bit_identical_to_per_group_draws(num_bins, active, indices, channels, seed, frame, offset):
+    g = groups_for(num_bins)
+    info = NoiseGroupInfo(active=np.array(active), energy_indices=np.array(indices, dtype=np.uint8))
+    out = synthesize_noise(info, g, channels, seed, frame, channel_offset=offset)
+    assert np.array_equal(out, _reference_noise(info, g, channels, seed, frame, offset))
+
+
 def test_bit_budget_of_info_block():
     info = NoiseGroupInfo.empty()
     assert info.active.size == NUM_GROUPS

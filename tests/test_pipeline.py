@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hoacodec import pipeline
-from hoacodec.errors import ConfigurationError, StreamError
+from hoacodec.errors import ConfigurationError, HoaCodecError, StreamError
 from hoacodec.hoa_io import HoaSignal
 
 
@@ -242,6 +244,96 @@ def test_concealed_frames_report_mode_minus_one(encoded, small_quantizers_module
         assert dec.stats.frames[0].concealed
         assert dec.stats.frames[0].mode == -1
         assert dec.stats.mode_histogram.get(-1) == dec.concealed_frames
+
+
+def _frame_span(stream, index):
+    """(start, size) of frame ``index``'s payload in a container stream."""
+    pos = pipeline.HEADER_BYTES
+    for _ in range(index):
+        pos += 8 + int.from_bytes(stream[pos : pos + 4], "big")
+    return pos + 4, int.from_bytes(stream[pos : pos + 4], "big")
+
+
+def test_concealment_reasons(encoded, small_quantizers_module):
+    import json
+    import zlib
+
+    stream = encoded["proposed"].stream
+    start, size = _frame_span(stream, 2)
+    crc_damaged = bytearray(stream)
+    crc_damaged[start + size // 2] ^= 0xFF
+    # frame 2 with an empty payload and a matching CRC: it fails to parse
+    empty = (
+        stream[: start - 4] + (0).to_bytes(4, "big") + zlib.crc32(b"").to_bytes(4, "big")
+        + stream[start + size + 4 :]
+    )
+    for damaged, reason in ((bytes(crc_damaged), "crc"), (empty, "bitstream exhausted")):
+        dec = pipeline.decode(damaged, quantizers=small_quantizers_module)
+        frames = dec.stats.frames
+        assert frames[2].concealed and frames[2].conceal_reason == reason
+        assert all(f.conceal_reason == "" for f in frames[:2])
+        assert all(bool(f.conceal_reason) == f.concealed for f in frames)
+        doc = json.loads(json.dumps(dec.stats.to_dict()))
+        assert doc["frames"][2]["conceal_reason"] == reason
+
+
+def test_group_table_must_cover_the_stream(small_scene_module):
+    from hoacodec.noise_subst import FrequencyGroups
+
+    cfg = pipeline.EncoderConfig(codec="proposed", half_length=256, rank=16,
+                                 background_order=3, bypass_quantization=True, seed=3)
+    stream = pipeline.encode(small_scene_module, cfg).stream
+    with pytest.raises(ConfigurationError, match="300 bins"):
+        pipeline.decode(stream, groups=FrequencyGroups.uniform(300))
+    dec = pipeline.decode(stream, groups=FrequencyGroups.uniform(256))
+    assert dec.concealed_frames == 0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    codec=st.sampled_from(["proposed", "baseline"]),
+    frame=st.integers(0, 5),
+    flips=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=4),
+)
+def test_bit_flips_with_valid_crc_conceal_or_raise(encoded, small_quantizers_module, codec, frame, flips):
+    import zlib
+
+    stream = bytearray(encoded[codec].stream)
+    start, size = _frame_span(stream, frame)
+    for bit in flips:
+        bit %= 8 * size
+        stream[start + bit // 8] ^= 0x80 >> (bit % 8)
+    stream[start + size : start + size + 4] = zlib.crc32(stream[start : start + size]).to_bytes(4, "big")
+    stream = bytes(stream)
+    try:
+        pipeline.decode(stream, quantizers=small_quantizers_module)
+    except HoaCodecError:
+        pass
+    try:
+        pipeline.measure_stream(stream, quantizers=small_quantizers_module)
+    except StreamError:
+        pass
+
+
+def test_decode_reads_no_bit_at_a_time(small_scene_module, small_quantizers_module, monkeypatch):
+    """Entropy decoding must not fall back to one BitReader call per symbol."""
+    from hoacodec.bitio import BitReader
+
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("read", "read_flag", "peek", "skip", "read_ue", "read_se", "read_f64", "read_bytes"):
+        monkeypatch.setattr(BitReader, name, counted(getattr(BitReader, name)))
+    stream = pipeline.encode(small_scene_module, _cfg(small_quantizers_module, half_length=1024)).stream
+    pipeline.decode(stream, quantizers=small_quantizers_module)
+    pipeline.measure_stream(stream, quantizers=small_quantizers_module)
+    assert calls[0] / (2 * 8 * len(stream)) < 0.02
 
 
 def test_measure_stream_on_bypass_needs_no_codebooks(small_scene_module):
