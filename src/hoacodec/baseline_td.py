@@ -4,7 +4,7 @@ Each 2L-sample frame is decomposed with an SVD; the truncated, quantized
 basis is matched to the previous frame (Hungarian on correlation magnitude,
 sign correction), interpolated per sample across the frame's advance
 region, and used to split the frame into foreground components and an
-ambient residual whose ambisonics order is then reduced.
+ambient residual.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class FrameDecomposition:
     foreground: np.ndarray  # (2L, r)
     ambient: np.ndarray  # (2L, M)
     basis: TruncatedBasis
-    dropped: np.ndarray | None = None  # bool mask of columns excluded from Eq-style inverse
 
 
 def extract_foreground(X: np.ndarray, basis: TruncatedBasis) -> np.ndarray:
@@ -137,44 +136,24 @@ def interpolate_basis(
     return (1.0 - w) * prev.vectors[None] + w * cur.vectors[None]
 
 
-def order_reduce(ambient: np.ndarray, t: int, order: int) -> np.ndarray:
-    """Keep the first (t+1)^2 ACN channels of the ambient residual."""
-    if t > order:
-        raise ParameterError(f"reduced order t={t} exceeds signal order N={order}")
-    if t < 0:
-        raise ParameterError("reduced order must be >= 0")
-    return ambient[:, : (t + 1) ** 2]
-
-
-@dataclass
-class BaselineFrameResult:
-    decomposition: FrameDecomposition
-    background: np.ndarray  # (2L, (t+1)^2)
-    discarded: np.ndarray  # (2L, M-(t+1)^2) ambient channels dropped by order reduction
-
-
 def truncated_basis(X: np.ndarray, rank: int, frame: int = 0) -> TruncatedBasis:
     """SVD of a frame and truncation of V to the first ``rank`` columns."""
     res = svd(X)
     return TruncatedBasis(vectors=res.right[:, :rank], frame=frame)
 
 
-def foreground_with_fallback(X: np.ndarray, basis: TruncatedBasis):
-    """Eq-style projection with the degenerate-column fallback.
-
-    Returns (foreground, keep) where dropped columns are zeroed in the
-    foreground and False in ``keep``.
-    """
-    keep = np.ones(basis.rank, dtype=bool)
+def foreground_with_fallback(X: np.ndarray, basis: TruncatedBasis) -> np.ndarray:
+    """Eq-style projection with the degenerate-column fallback: columns
+    that would make the Gram matrix singular get a zero foreground."""
     try:
-        return extract_foreground(X, basis), keep
+        return extract_foreground(X, basis)
     except DegenerateBasisError:
         keep = drop_degenerate_columns(basis)
         foreground = np.zeros((X.shape[0], basis.rank))
         if keep.any():
             sub = TruncatedBasis(vectors=basis.vectors[:, keep], frame=basis.frame)
             foreground[:, keep] = extract_foreground(X, sub)
-        return foreground, keep
+        return foreground
 
 
 def decompose_frame(
@@ -182,9 +161,7 @@ def decompose_frame(
     basis: TruncatedBasis,
     prev_basis: TruncatedBasis | None,
     window: InterpolationWindow,
-    t: int,
-    order: int,
-) -> BaselineFrameResult:
+) -> FrameDecomposition:
     """Split a frame given its (quantized) basis and the previous one.
 
     Foreground comes from the frame-end basis; the back-transform uses the
@@ -193,22 +170,8 @@ def decompose_frame(
     """
     L = X.shape[0] // 2
     prev = prev_basis if prev_basis is not None else basis
-    per_sample = interpolate_basis(prev, basis, window)
-    foreground, keep = foreground_with_fallback(X, basis)
-
+    foreground = foreground_with_fallback(X, basis)
     approx = np.empty_like(X)
-    fg_kept = foreground * keep
-    approx[:L] = np.einsum("lr,lmr->lm", fg_kept[:L], per_sample)
-    approx[L:] = fg_kept[L:] @ basis.vectors.T
-
-    ambient = X - approx
-    background = order_reduce(ambient, t, order)
-    discarded = ambient[:, (t + 1) ** 2 :]
-
-    dec = FrameDecomposition(
-        foreground=foreground,
-        ambient=ambient,
-        basis=basis,
-        dropped=None if keep.all() else ~keep,
-    )
-    return BaselineFrameResult(decomposition=dec, background=background, discarded=discarded)
+    approx[:L] = np.einsum("lr,lmr->lm", foreground[:L], interpolate_basis(prev, basis, window))
+    approx[L:] = foreground[L:] @ basis.vectors.T
+    return FrameDecomposition(foreground=foreground, ambient=X - approx, basis=basis)

@@ -20,7 +20,7 @@ class BitWriter:
         self._nacc = 0
 
     def write(self, value: int, nbits: int) -> None:
-        if nbits < 0 or (nbits < 64 and value >> nbits):
+        if nbits < 0 or value < 0 or value >> nbits:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
         self._acc = (self._acc << nbits) | int(value)
         self._nacc += nbits

@@ -72,11 +72,6 @@ class BandDecomposition:
     layout: BandLayout
     bases: list  # of TruncatedBasis, one per band (quantized)
     foregrounds: list  # of (l_i, r_i) arrays
-    dropped: list  # per band: None or bool mask of excluded columns
-
-    @property
-    def ranks(self) -> list:
-        return [b.rank for b in self.bases]
 
     def stacked_foreground(self) -> np.ndarray:
         """Vertically concatenated foreground, (L, r) when all ranks agree."""
@@ -111,20 +106,15 @@ def band_decompose(
         raise ShapeError("one rank per band required")
     out_bases = []
     foregrounds = []
-    dropped = []
     for i, (band, r) in enumerate(zip(bands, ranks)):
         if band.shape[0] < r:
             raise ShapeError(
                 f"band {i} has {band.shape[0]} bins, cannot retain {r} components"
             )
         basis = bases[i] if bases is not None else truncated_basis(band, r, frame=i)
-        fg, keep = foreground_with_fallback(band, basis)
         out_bases.append(basis)
-        foregrounds.append(fg)
-        dropped.append(None if keep.all() else ~keep)
-    return BandDecomposition(
-        layout=layout, bases=out_bases, foregrounds=foregrounds, dropped=dropped
-    )
+        foregrounds.append(foreground_with_fallback(band, basis))
+    return BandDecomposition(layout=layout, bases=out_bases, foregrounds=foregrounds)
 
 
 def reconstruct_spectrum(dec: BandDecomposition) -> np.ndarray:

@@ -89,6 +89,14 @@ class EncoderConfig:
 
     def validate(self, order: int) -> None:
         M = (order + 1) ** 2
+        # header field widths (docs/bitstream.md)
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigurationError(f"seed {self.seed} does not fit 64 bits")
+        if self.half_length >= 1 << 32:
+            raise ConfigurationError(f"half length {self.half_length} does not fit 32 bits")
+        for name in ("rank", "bands", "background_order"):
+            if getattr(self, name) > 255:
+                raise ConfigurationError(f"{name} {getattr(self, name)} does not fit 8 bits")
         if self.rank < 1 or self.rank > M:
             raise ConfigurationError(f"rank {self.rank} out of range for M={M}")
         if self.background_order > order:
@@ -302,6 +310,8 @@ def _read_header(data: bytes) -> StreamHeader:
         group_table_id=r.read(8),
     )
     # values the encoder can never write (EncoderConfig.validate)
+    if h.sample_rate == 0:
+        raise StreamError("sample rate 0")
     if h.codec_id not in (CODEC_BASELINE, CODEC_PROPOSED):
         raise StreamError(f"unknown codec id {h.codec_id}")
     if h.group_table_id not in (GROUP_TABLE_AAC48K, GROUP_TABLE_UNIFORM):
@@ -347,8 +357,17 @@ def _write_raw_matrix(w: BitWriter, m: np.ndarray) -> None:
 
 
 def _read_raw_matrix(r: BitReader, shape) -> np.ndarray:
-    flat = np.array([r.read_f64() for _ in range(int(np.prod(shape)))])
-    return flat.reshape(shape)
+    """Read ``prod(shape)`` big-endian float64 values at any bit offset: one
+    byte slice, shifted into byte alignment when the run does not start on
+    a byte boundary."""
+    nbytes = 8 * int(np.prod(shape))
+    start = r.bit_position
+    r.bit_position = start + 8 * nbytes  # raises StreamError past the end
+    first, shift = divmod(start, 8)
+    buf = np.frombuffer(r.data, np.uint8, nbytes + (shift > 0), first)
+    if shift:
+        buf = (buf[:-1] << shift) | (buf[1:] >> (8 - shift))
+    return buf.view(">f8").astype(np.float64).reshape(shape)
 
 
 def _quantize_components(channels: list, groups, masking_cfg, mnmr, table, bypass):
@@ -534,23 +553,13 @@ def _encode_proposed_frame(sp, mode, cfg, groups, table, window, state, w: BitWr
         channels, groups, cfg.masking, cfg.mnmr, table, cfg.bypass_quantization
     )
 
-    # deterministic decoder-view reconstruction (noise injection excluded)
-    dec_fg = np.stack(decoded_channels[: cfg.rank], axis=1)
-    dec_dec = freq_svd.BandDecomposition(
-        layout=layout,
-        bases=dec.bases,
-        foregrounds=[dec_fg[a:b] for a, b in layout.edges],
-        dropped=dec.dropped,
-    )
-    approx = freq_svd.reconstruct_spectrum(dec_dec)
-    approx[:, :nbg] += np.stack(decoded_channels[cfg.rank :], axis=1)
     return {
         "side_bits": side_bits,
         "noise_bits": noise_bits,
         "core_bits": core_bits,
         "coded": coded,
         "channels": channels,
-        "decoded": approx,
+        "decoded": _proposed_spectrum(decoded_channels, recon, layout, sp.num_channels, nbg),
         "max_nmr": max_nmr,
         "escalated": escalated,
     }
@@ -558,9 +567,8 @@ def _encode_proposed_frame(sp, mode, cfg, groups, table, window, state, w: BitWr
 
 def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
     L = cfg.half_length
-    M = signal.num_channels
+    r = cfg.rank
     nbg = (cfg.background_order + 1) ** 2
-    ndisc = M - nbg
     groups = cfg.resolved_groups()
     table = cfg.resolved_table()
     interp = baseline_td.InterpolationWindow.make(L, cfg.interp_window_kind)
@@ -571,14 +579,13 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
     state = sideinfo.SideInfoState()
     prev_basis: baseline_td.TruncatedBasis | None = None
 
-    # pass 1: spatial decomposition into continuous component streams
-    fg_stream = np.zeros((F * L + L, cfg.rank))  # extra L zeros for the last core block
-    bg_stream = np.zeros((F * L + L, nbg))
-    disc_stream = np.zeros((F * L + L, ndisc))
+    # pass 1: spatial decomposition into one component stream whose columns
+    # are the r foreground tracks, then the M-channel ambient residual
+    stream = np.zeros((F * L + L, r + signal.num_channels))  # extra L zeros for the last block
     side_payloads = []
     for f in range(F):
         X = padded[f * L : f * L + 2 * L]
-        raw = baseline_td.truncated_basis(X, cfg.rank, f)
+        raw = baseline_td.truncated_basis(X, r, f)
         w = BitWriter()
         if cfg.bypass_quantization:
             if prev_basis is None:
@@ -593,34 +600,24 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
                 [raw.vectors], 0, cfg.quantizers, state, w
             )
             basis = baseline_td.TruncatedBasis(vectors=recon[0], frame=f)
-        result = baseline_td.decompose_frame(
-            X, basis, prev_basis, interp, cfg.background_order, signal.order
-        )
-        fg_stream[f * L : (f + 1) * L] = result.decomposition.foreground[:L]
-        bg_stream[f * L : (f + 1) * L] = result.background[:L]
-        disc_stream[f * L : (f + 1) * L] = result.discarded[:L]
+        dec = baseline_td.decompose_frame(X, basis, prev_basis, interp)
+        stream[f * L : (f + 1) * L, :r] = dec.foreground[:L]
+        stream[f * L : (f + 1) * L, r:] = dec.ambient[:L]
         side_payloads.append(w)
         prev_basis = basis
 
-    # pass 2: core-code the streams blockwise (block f covers [fL, fL+2L))
+    # pass 2: core-code the stream blockwise (block f covers [fL, fL+2L));
+    # the background is the first (t+1)^2 ambient channels, the rest is
+    # discarded and described by the noise block
     payloads, frame_stats = [], []
-    for f in range(F):
-        w = side_payloads[f]
+    for f, w in enumerate(side_payloads):
         side_bits = w.bit_length
-        sl = slice(f * L, f * L + 2 * L)
-
-        def _spec(block):
-            return transform.mdct_forward(TimeFrame(index=f, samples=block), mdct_win).coeffs
-
-        fg_spec = _spec(fg_stream[sl])
-        bg_spec = _spec(bg_stream[sl])
-        disc_spec = _spec(disc_stream[sl]) if ndisc else np.zeros((L, 0))
-
-        info = noise_subst.analyze_discarded(disc_spec, groups, cfg.flatness_threshold)
+        block = TimeFrame(index=f, samples=stream[f * L : f * L + 2 * L])
+        spec = transform.mdct_forward(block, mdct_win).coeffs
+        info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups, cfg.flatness_threshold)
         noise_bits = _write_noise_block(w, info)
 
-        channels = [fg_spec[:, k] for k in range(cfg.rank)]
-        channels += [bg_spec[:, c] for c in range(nbg)]
+        channels = [spec[:, k] for k in range(r + nbg)]
         coded, _, _, max_nmr, escalated = _quantize_components(
             channels, groups, cfg.masking, cfg.mnmr, table, cfg.bypass_quantization
         )
@@ -800,105 +797,74 @@ def decode(
     )
 
 
+def _proposed_spectrum(decoded: list, bases: list, layout, M: int, nbg: int) -> np.ndarray:
+    """L x M spectrum of one proposed frame without noise substitution: each
+    band's foreground back-projected through its basis, plus the background
+    channels.  ``decoded`` holds the r foreground, then the nbg background
+    channel spectra; the encoder's RD trials and the decoder both use it."""
+    rank = len(decoded) - nbg
+    fg = np.stack(decoded[:rank], axis=1)
+    S = np.zeros((layout.total, M))
+    for (a, b), basis in zip(layout.edges, bases):
+        S[a:b] = fg[a:b] @ basis.T
+    S[:, :nbg] += np.stack(decoded[rank:], axis=1)
+    return S
+
+
 def _reconstruct_proposed(header: StreamHeader, parsed: list, groups) -> np.ndarray:
     """Per-band back-projection plus background and noise, then the inverse
-    MDCT; a concealed frame (None) repeats the previous frame's spectra."""
+    MDCT; a concealed frame (None) repeats the previous frame's spectrum."""
     L = header.half_length
     M = header.num_channels
     nbg = (header.background_order + 1) ** 2
-    rank = header.rank
-    window = transform.sine_window(L)
+    S = np.zeros((L, M))
     spectra = []
-    prev_spectrum = np.zeros((L, M))
     for f, p in enumerate(parsed):
-        if p is None:
-            spectra.append(prev_spectrum.copy())
-            continue
-        decoded = p.spectra(groups)
-        layout = freq_svd.layout_for_mode(p.mode, L, header.bands)
-        fg = np.stack(decoded[:rank], axis=1)
-        S = np.zeros((L, M))
-        for (a, b), basis in zip(layout.edges, p.bases):
-            S[a:b] = fg[a:b] @ basis.T
-        S[:, :nbg] += np.stack(decoded[rank:], axis=1)
-        S[:, nbg:] += noise_subst.synthesize_noise(
-            p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg
-        )
-        spectra.append(S)
-        prev_spectrum = S
+        if p is not None:
+            layout = freq_svd.layout_for_mode(p.mode, L, header.bands)
+            S = _proposed_spectrum(p.spectra(groups), p.bases, layout, M, nbg)
+            S[:, nbg:] += noise_subst.synthesize_noise(
+                p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg
+            )
+        spectra.append(transform.SpectralFrame(index=f, coeffs=S))
     if not spectra:
         return np.zeros((0, M))
-    frames = [transform.SpectralFrame(index=f, coeffs=S) for f, S in enumerate(spectra)]
-    return transform.synthesize(frames, window, header.original_length)
+    return transform.synthesize(spectra, transform.sine_window(L), header.original_length)
 
 
 def _reconstruct_baseline(header: StreamHeader, parsed: list, groups) -> np.ndarray:
-    """Inverse-MDCT the component streams, then recombine them with the
-    interpolated bases; a concealed frame (None) repeats the previous
-    frame's components and basis."""
+    """Inverse-MDCT the component stream [foreground | ambient], then
+    recombine its rows with the interpolated bases; a concealed frame (None)
+    repeats the previous frame's coefficient block and basis."""
     L = header.half_length
     M = header.num_channels
     nbg = (header.background_order + 1) ** 2
-    ndisc = M - nbg
     rank = header.rank
     F = len(parsed)
-    mdct_win = transform.sine_window(L)
-    interp = baseline_td.InterpolationWindow.make(L, header.interp_kind)
-
-    bases_seq = []
-    fg_blocks, bg_blocks, disc_blocks = [], [], []
-    prev_components = (np.zeros((L, rank)), np.zeros((L, nbg)), np.zeros((L, ndisc)))
+    if not F:
+        return np.zeros((0, M))
+    block, basis = np.zeros((L, rank + M)), np.zeros((M, rank))
+    blocks, bases = [], []
     for f, p in enumerate(parsed):
-        if p is None:
-            bases_seq.append(bases_seq[-1] if bases_seq else np.full((M, rank), np.nan))
-            fg, bg, disc = prev_components
-        else:
-            decoded = p.spectra(groups)
-            bases_seq.append(p.bases[0])
-            fg = np.stack(decoded[:rank], axis=1)
-            bg = np.stack(decoded[rank:], axis=1)
-            disc = noise_subst.synthesize_noise(
-                p.noise, groups, ndisc, header.seed, f, channel_offset=nbg
+        if p is not None:
+            noise = noise_subst.synthesize_noise(
+                p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg
             )
-            prev_components = (fg, bg, disc)
-        fg_blocks.append(fg)
-        bg_blocks.append(bg)
-        disc_blocks.append(disc)
+            block = np.column_stack(p.spectra(groups) + [noise])
+            basis = p.bases[0]
+        blocks.append(transform.SpectralFrame(index=f, coeffs=block))
+        bases.append(baseline_td.TruncatedBasis(vectors=basis, frame=f))
 
-    # component streams via IMDCT + overlap-add; stream sample n needs
-    # blocks n//L - 1 and n//L, so [0, L) is zero by construction
-    def _stream(blocks, width):
-        if not blocks:
-            return np.zeros((0, width))
-        out = np.zeros((F * L + L, width))
-        for f, coeffs in enumerate(blocks):
-            block = transform.mdct_inverse(
-                transform.SpectralFrame(index=f, coeffs=coeffs), mdct_win
-            )
-            out[f * L : f * L + 2 * L] += block
-        out[:L] = 0.0
-        return out
-
-    fg_stream = _stream(fg_blocks, rank)
-    bg_stream = _stream(bg_blocks, nbg)
-    disc_stream = _stream(disc_blocks, ndisc)
-
-    hoa = np.zeros((F * L, M))
-    prev_basis = None
-    for f in range(F):
-        basis = bases_seq[f]
-        if np.any(np.isnan(basis)):
-            basis = prev_basis if prev_basis is not None else np.zeros((M, rank))
-        cur = baseline_td.TruncatedBasis(vectors=basis, frame=f)
-        prev = baseline_td.TruncatedBasis(vectors=prev_basis, frame=f - 1) if prev_basis is not None else cur
-        per_sample = baseline_td.interpolate_basis(prev, cur, interp)
-        sl = slice(f * L, (f + 1) * L)
-        hoa[sl] = np.einsum("lr,lmr->lm", fg_stream[sl], per_sample)
-        hoa[sl, :nbg] += bg_stream[sl]
-        if ndisc:
-            hoa[sl, nbg:] += disc_stream[sl]
-        prev_basis = basis
-    return hoa[L : L + header.original_length]
+    # stream sample n needs blocks n//L - 1 and n//L; the first L samples
+    # only pad the head, so synthesis starts at sample L
+    stream = transform.synthesize(blocks, transform.sine_window(L), (F - 1) * L)
+    interp = baseline_td.InterpolationWindow.make(L, header.interp_kind)
+    hoa = np.empty(((F - 1) * L, M))
+    for f in range(1, F):
+        sl = slice((f - 1) * L, f * L)
+        per_sample = baseline_td.interpolate_basis(bases[f - 1], bases[f], interp)
+        hoa[sl] = np.einsum("lr,lmr->lm", stream[sl, :rank], per_sample) + stream[sl, rank:]
+    return hoa[: header.original_length]
 
 
 # --------------------------------------------------------------------------

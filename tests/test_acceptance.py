@@ -327,8 +327,8 @@ def test_c13_baseline_seam_regression(rng):
             X = padded[f * L : f * L + 2 * L]
             raw = baseline_td.truncated_basis(X, r, f)
             aligned = raw if prev is None else baseline_td.match_bases(prev, raw)[2]
-            res = baseline_td.decompose_frame(X, aligned, prev, interp, 3, 3)
-            approx_stream[f * L : (f + 1) * L] = (X - res.decomposition.ambient)[:L]
+            res = baseline_td.decompose_frame(X, aligned, prev, interp)
+            approx_stream[f * L : (f + 1) * L] = (X - res.ambient)[:L]
             prev = aligned
         xb = approx_stream[L : L + sig.length]
         seam_baseline = np.linalg.norm(xb - x) / np.linalg.norm(x)

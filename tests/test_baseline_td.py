@@ -9,7 +9,6 @@ from hoacodec.baseline_td import (
     extract_foreground,
     interpolate_basis,
     match_bases,
-    order_reduce,
     truncated_basis,
 )
 from hoacodec.errors import ParameterError, ShapeError
@@ -140,17 +139,6 @@ def test_triangular_midpoint_is_arithmetic_mean(rng):
     assert np.allclose(seq[mid], 0.5 * P + 0.5 * C, atol=1e-12)
 
 
-# --- order reduction ---
-
-def test_order_reduce_counts(rng):
-    ambient = rng.standard_normal((32, 16))
-    assert order_reduce(ambient, 1, 3).shape == (32, 4)
-    assert np.array_equal(order_reduce(ambient, 3, 3), ambient)
-    assert order_reduce(ambient, 0, 3).shape == (32, 1)
-    with pytest.raises(ParameterError):
-        order_reduce(ambient, 4, 3)
-
-
 # --- full frame analysis ---
 
 def _plane_wave_frame(rng, L=256, az=0.7, el=0.2):
@@ -162,34 +150,34 @@ def _plane_wave_frame(rng, L=256, az=0.7, el=0.2):
 def test_single_source_captured_by_rank_one(rng):
     X = _plane_wave_frame(rng)
     w = InterpolationWindow.make(X.shape[0] // 2)
-    res = decompose_frame(X, truncated_basis(X, 1), None, w, 1, 3)
+    res = decompose_frame(X, truncated_basis(X, 1), None, w)
     total = np.sum(X**2)
-    fg_energy = np.sum(res.decomposition.foreground**2)
+    fg_energy = np.sum(res.foreground**2)
     assert fg_energy > 0.99 * total
-    assert np.sum(res.decomposition.ambient**2) < 0.01 * total
+    assert np.sum(res.ambient**2) < 0.01 * total
 
 
 def test_silence_frame(rng):
     X = np.zeros((128, 16))
-    res = decompose_frame(X, truncated_basis(X, 4), None, InterpolationWindow.make(64), 1, 3)
-    assert np.all(res.decomposition.foreground == 0)
-    assert np.all(res.decomposition.ambient == 0)
+    res = decompose_frame(X, truncated_basis(X, 4), None, InterpolationWindow.make(64))
+    assert np.all(res.foreground == 0)
+    assert np.all(res.ambient == 0)
 
 
 def test_complete_basis_leaves_no_ambient(rng):
     X = rng.standard_normal((64, 16))
-    res = decompose_frame(X, truncated_basis(X, 16), None, InterpolationWindow.make(32), 3, 3)
-    assert np.sum(res.decomposition.ambient**2) < 1e-18 * np.sum(X**2)
+    res = decompose_frame(X, truncated_basis(X, 16), None, InterpolationWindow.make(32))
+    assert np.sum(res.ambient**2) < 1e-18 * np.sum(X**2)
 
 
 def test_ambient_is_frame_minus_approximation(rng):
     X = rng.standard_normal((64, 9))
-    res = decompose_frame(X, truncated_basis(X, 2), None, InterpolationWindow.make(32), 1, 2)
+    res = decompose_frame(X, truncated_basis(X, 2), None, InterpolationWindow.make(32))
     L = 32
-    approx = X - res.decomposition.ambient
+    approx = X - res.ambient
     # trailing half must be the frame-basis back-projection exactly
-    V = res.decomposition.basis.vectors
-    assert np.allclose(approx[L:], res.decomposition.foreground[L:] @ V.T, atol=1e-12)
+    V = res.basis.vectors
+    assert np.allclose(approx[L:], res.foreground[L:] @ V.T, atol=1e-12)
 
 
 def test_state_chain_matches_and_aligns(rng):
@@ -198,8 +186,8 @@ def test_state_chain_matches_and_aligns(rng):
     first = truncated_basis(X1, 2, 0)
     X2 = -X1  # same subspace, flipped sign
     _, _, aligned = match_bases(first, truncated_basis(X2, 2, 1))
-    res = decompose_frame(X2, aligned, first, w, 1, 3)
-    dots = np.einsum("mi,mi->i", first.vectors, res.decomposition.basis.vectors)
+    res = decompose_frame(X2, aligned, first, w)
+    dots = np.einsum("mi,mi->i", first.vectors, res.basis.vectors)
     assert np.all(dots >= -1e-12)
 
 

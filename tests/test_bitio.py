@@ -29,6 +29,13 @@ def test_value_too_wide_rejected():
     w = BitWriter()
     with pytest.raises(ValueError):
         w.write(4, 2)
+    # at every width, including the 64-bit header fields: no silent wrap
+    for value, nbits in ((-1, 8), (-1, 64), (1 << 64, 64), ((1 << 64) + 5, 64), (1 << 70, 65)):
+        with pytest.raises(ValueError):
+            w.write(value, nbits)
+    assert w.bit_length == 0
+    w.write((1 << 64) - 1, 64)
+    assert BitReader(w.getvalue()).read(64) == (1 << 64) - 1
 
 
 def test_exp_golomb_roundtrip():

@@ -180,6 +180,22 @@ def test_config_validation(small_quantizers_module):
         cfg = pipeline.EncoderConfig(codec="proposed", half_length=256, rank=4,
                                      background_order=4, bypass_quantization=True)
         pipeline.encode(HoaSignal(48000, 3, np.zeros((256, 16))), cfg)
+    # values that do not fit their header field are refused before encoding
+    with pytest.raises(ConfigurationError, match="seed"):
+        cfg = pipeline.EncoderConfig(codec="baseline", half_length=256, seed=-1,
+                                     bypass_quantization=True)
+        pipeline.encode(HoaSignal(48000, 3, np.zeros((256, 16))), cfg)
+    for kw, order in (
+        (dict(seed=2**64 + 5), 3),
+        (dict(half_length=2**32), 3),
+        (dict(bands=256), 3),
+        (dict(rank=256), 15),  # M=256: the rank is in range but not 8 bits wide
+        (dict(background_order=256), 15),
+    ):
+        cfg = pipeline.EncoderConfig(codec="baseline", bypass_quantization=True, **kw)
+        with pytest.raises(ConfigurationError):
+            cfg.validate(order)
+    pipeline.EncoderConfig(codec="baseline", bypass_quantization=True, seed=2**64 - 1).validate(3)
 
 
 def test_wrong_huffman_table_rejected(encoded, small_quantizers_module):
@@ -208,13 +224,14 @@ def test_measure_stream_checks_fingerprints(encoded, small_quantizers_module):
 
 # (byte offset, size) of header fields, see docs/bitstream.md
 _HEADER_FIELDS = {
-    "codec_id": (6, 1), "half_length": (13, 4), "rank": (17, 1), "bands": (18, 1),
+    "codec_id": (6, 1), "sample_rate": (8, 4), "half_length": (13, 4), "rank": (17, 1), "bands": (18, 1),
     "background_order": (19, 1), "group_table_id": (64, 1),
 }
 
 
 @pytest.mark.parametrize("field,value,match", [
     ("codec_id", 7, "codec id"),
+    ("sample_rate", 0, "sample rate"),
     ("group_table_id", 5, "group table id"),
     ("group_table_id", 0, "half length"),  # the AAC table needs L=1024, the stream has 256
     ("half_length", 32, "half length"),  # fewer bins than noise groups
@@ -334,6 +351,35 @@ def test_decode_reads_no_bit_at_a_time(small_scene_module, small_quantizers_modu
     pipeline.decode(stream, quantizers=small_quantizers_module)
     pipeline.measure_stream(stream, quantizers=small_quantizers_module)
     assert calls[0] / (2 * 8 * len(stream)) < 0.02
+
+
+@pytest.mark.parametrize("offset", range(8))
+def test_raw_matrix_read_matches_per_value_reads(rng, offset):
+    from hoacodec.bitio import BitReader, BitWriter
+
+    values = rng.standard_normal(24) * 10.0 ** rng.integers(-300, 300, 24)
+    values[:3] = (-0.0, np.inf, np.nan)
+    w = BitWriter()
+    w.write(0, offset)
+    for v in values:
+        w.write_f64(v)
+    w.write(0b101, 3)
+    data = w.getvalue()
+    per_value = BitReader(data)
+    per_value.skip(offset)
+    expected = np.array([per_value.read_f64() for _ in values]).reshape(4, 6)
+    reader = BitReader(data)
+    reader.skip(offset)
+    got = pipeline._read_raw_matrix(reader, (4, 6))
+    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+    assert reader.bit_position == per_value.bit_position
+    assert reader.read(3) == 0b101
+    # a run that passes the end of the payload
+    for cut in (len(data) - 2, 8 + offset // 8):
+        short = BitReader(data[:cut])
+        short.skip(offset)
+        with pytest.raises(StreamError):
+            pipeline._read_raw_matrix(short, (4, 6))
 
 
 def test_measure_stream_on_bypass_needs_no_codebooks(small_scene_module):
