@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from hoacodec.errors import StreamError
 
 
@@ -47,6 +49,21 @@ class BitWriter:
 
     def write_f64(self, value: float) -> None:
         self.write(int.from_bytes(struct.pack(">d", value), "big"), 64)
+
+    def write_f64_array(self, values) -> None:
+        """Write ``values`` row-major as big-endian float64, the bits of one
+        :meth:`write_f64` per value: one byte string, shifted into the
+        pending bits when the writer is not byte-aligned."""
+        data = np.ascontiguousarray(values, dtype=">f8").tobytes()
+        n = self._nacc
+        if not n or not data:
+            self._buf += data
+            return
+        buf = np.frombuffer(data, np.uint8)
+        prev = np.empty_like(buf)
+        prev[0], prev[1:] = self._acc, buf[:-1]
+        self._buf += ((prev << (8 - n)) | (buf >> n)).tobytes()
+        self._acc = int(buf[-1]) & ((1 << n) - 1)
 
     def write_bytes(self, data: bytes) -> None:
         for b in data:
@@ -124,6 +141,19 @@ class BitReader:
 
     def read_f64(self) -> float:
         return struct.unpack(">d", self.read(64).to_bytes(8, "big"))[0]
+
+    def read_f64_array(self, shape) -> np.ndarray:
+        """Read ``prod(shape)`` big-endian float64 values at any bit offset:
+        one byte slice, shifted into byte alignment when the run does not
+        start on a byte boundary."""
+        nbytes = 8 * int(np.prod(shape))
+        start = self._pos
+        self.bit_position = start + 8 * nbytes  # raises StreamError past the end
+        first, shift = divmod(start, 8)
+        buf = np.frombuffer(self._data, np.uint8, nbytes + (shift > 0), first)
+        if shift:
+            buf = (buf[:-1] << shift) | (buf[1:] >> (8 - shift))
+        return buf.view(">f8").astype(np.float64).reshape(shape)
 
     def read_bytes(self, n: int) -> bytes:
         return bytes(self.read(8) for _ in range(n))

@@ -87,16 +87,12 @@ class EncoderConfig:
     def resolved_table(self) -> core_codec.HuffmanTable:
         return self.huffman_table or core_codec.default_table()
 
+    def side_quantizers(self) -> sideinfo.QuantizerSet | None:
+        """The side-info quantizers; None in bypass (raw float64 bases)."""
+        return None if self.bypass_quantization else self.quantizers
+
     def validate(self, order: int) -> None:
         M = (order + 1) ** 2
-        # header field widths (docs/bitstream.md)
-        if not 0 <= self.seed < 1 << 64:
-            raise ConfigurationError(f"seed {self.seed} does not fit 64 bits")
-        if self.half_length >= 1 << 32:
-            raise ConfigurationError(f"half length {self.half_length} does not fit 32 bits")
-        for name in ("rank", "bands", "background_order"):
-            if getattr(self, name) > 255:
-                raise ConfigurationError(f"{name} {getattr(self, name)} does not fit 8 bits")
         if self.rank < 1 or self.rank > M:
             raise ConfigurationError(f"rank {self.rank} out of range for M={M}")
         if self.background_order > order:
@@ -140,21 +136,31 @@ class FrameStats:
     conceal_reason: str = ""  # "crc" or the parse error of a concealed frame
     max_nmr: float = 0.0  # encoder-side worst band NMR (0 in bypass)
     escalated_bands: int = 0  # bands where no scalefactor met the target
+    # side-info basis columns by coding (all 0 in bypass and when concealed)
+    intra_columns: int = 0
+    predicted_columns: int = 0
+    switched_columns: int = 0  # predicted from a reference after a mode switch
 
 
 def _frame_stats(
-    index: int, payload: bytes, mode: int, side_bits=0, noise_bits=0, core_bits=0, **extra
+    index: int, payload: bytes, side: sideinfo.SideInfoFrame | None, noise_bits=0, core_bits=0,
+    **extra,
 ) -> FrameStats:
     """Accounting of one container frame: the payload bits left over by the
-    three categories are padding, and framing adds the u32 size and CRC."""
+    three categories are padding, and framing adds the u32 size and CRC.
+    A concealed frame has no side info and reports mode -1."""
+    side = side or sideinfo.SideInfoFrame(mode=-1)
     return FrameStats(
         index=index,
-        mode=mode,
-        side_bits=side_bits,
+        mode=side.mode,
+        side_bits=side.bit_count,
         noise_bits=noise_bits,
         core_bits=core_bits,
-        padding_bits=8 * len(payload) - side_bits - noise_bits - core_bits,
+        padding_bits=8 * len(payload) - side.bit_count - noise_bits - core_bits,
         total_bits=8 * len(payload) + 64,
+        intra_columns=side.intra_columns,
+        predicted_columns=side.predicted_columns,
+        switched_columns=side.switched_columns,
         **extra,
     )
 
@@ -260,27 +266,34 @@ def _table_fingerprint(table: core_codec.HuffmanTable) -> int:
     return zlib.crc32(bytes(table.lengths))
 
 
+# the header after magic and version: (StreamHeader field, bits) in stream
+# order; the float fields are IEEE-754 doubles, the others unsigned
+_HEADER_FIELDS = (
+    ("codec_id", 8), ("flags", 8), ("sample_rate", 32), ("order", 8), ("half_length", 32),
+    ("rank", 8), ("bands", 8), ("background_order", 8), ("seed", 64), ("original_length", 64),
+    ("frame_count", 32), ("mnmr", 64), ("rd_lambda", 64), ("quantizer_fingerprint", 32),
+    ("table_fingerprint", 32), ("group_table_id", 8),
+)
+_FLOAT_FIELDS = ("mnmr", "rd_lambda")
+HEADER_BYTES = len(MAGIC) + 2 + sum(bits for _, bits in _HEADER_FIELDS) // 8
+
+
+def _check_header_fits(h: StreamHeader) -> None:
+    """Refuse a header value the bit writer could not store in its field."""
+    for name, bits in _HEADER_FIELDS:
+        value = getattr(h, name)
+        if name not in _FLOAT_FIELDS and not 0 <= value < 1 << bits:
+            raise ConfigurationError(f"{name} {value} does not fit its {bits}-bit header field")
+
+
 def _write_header(w: BitWriter, h: StreamHeader) -> None:
     w.write_bytes(MAGIC)
     w.write(VERSION, 16)
-    w.write(h.codec_id, 8)
-    w.write(h.flags, 8)
-    w.write(h.sample_rate, 32)
-    w.write(h.order, 8)
-    w.write(h.half_length, 32)
-    w.write(h.rank, 8)
-    w.write(h.bands, 8)
-    w.write(h.background_order, 8)
-    w.write(h.seed, 64)
-    w.write(h.original_length, 64)
-    w.write(h.frame_count, 32)
-    w.write_f64(h.mnmr)
-    w.write_f64(h.rd_lambda)
-    w.write(h.quantizer_fingerprint, 32)
-    w.write(h.table_fingerprint, 32)
-    w.write(h.group_table_id, 8)
-
-HEADER_BYTES = 4 + 2 + 1 + 1 + 4 + 1 + 4 + 1 + 1 + 1 + 8 + 8 + 4 + 8 + 8 + 4 + 4 + 1
+    for name, bits in _HEADER_FIELDS:
+        if name in _FLOAT_FIELDS:
+            w.write_f64(getattr(h, name))
+        else:
+            w.write(getattr(h, name), bits)
 
 
 def _read_header(data: bytes) -> StreamHeader:
@@ -291,24 +304,10 @@ def _read_header(data: bytes) -> StreamHeader:
     version = r.read(16)
     if version != VERSION:
         raise StreamError(f"unsupported stream version {version}")
-    h = StreamHeader(
-        codec_id=r.read(8),
-        flags=r.read(8),
-        sample_rate=r.read(32),
-        order=r.read(8),
-        half_length=r.read(32),
-        rank=r.read(8),
-        bands=r.read(8),
-        background_order=r.read(8),
-        seed=r.read(64),
-        original_length=r.read(64),
-        frame_count=r.read(32),
-        mnmr=r.read_f64(),
-        rd_lambda=r.read_f64(),
-        quantizer_fingerprint=r.read(32),
-        table_fingerprint=r.read(32),
-        group_table_id=r.read(8),
-    )
+    h = StreamHeader(**{
+        name: r.read_f64() if name in _FLOAT_FIELDS else r.read(bits)
+        for name, bits in _HEADER_FIELDS
+    })
     # values the encoder can never write (EncoderConfig.validate)
     if h.sample_rate == 0:
         raise StreamError("sample rate 0")
@@ -351,25 +350,6 @@ def _read_noise_block(r: BitReader) -> tuple:
     return info, r.bit_position - start
 
 
-def _write_raw_matrix(w: BitWriter, m: np.ndarray) -> None:
-    for v in np.asarray(m, dtype=np.float64).reshape(-1):
-        w.write_f64(v)
-
-
-def _read_raw_matrix(r: BitReader, shape) -> np.ndarray:
-    """Read ``prod(shape)`` big-endian float64 values at any bit offset: one
-    byte slice, shifted into byte alignment when the run does not start on
-    a byte boundary."""
-    nbytes = 8 * int(np.prod(shape))
-    start = r.bit_position
-    r.bit_position = start + 8 * nbytes  # raises StreamError past the end
-    first, shift = divmod(start, 8)
-    buf = np.frombuffer(r.data, np.uint8, nbytes + (shift > 0), first)
-    if shift:
-        buf = (buf[:-1] << shift) | (buf[1:] >> (8 - shift))
-    return buf.view(">f8").astype(np.float64).reshape(shape)
-
-
 def _quantize_components(channels: list, groups, masking_cfg, mnmr, table, bypass):
     """MNMR-quantize the component spectra without serializing.
 
@@ -400,7 +380,7 @@ def _write_components(coded_list, channels, groups, table, writer: BitWriter, by
     start = writer.bit_length
     for coded, spec in zip(coded_list, channels):
         if bypass:
-            _write_raw_matrix(writer, spec)
+            writer.write_f64_array(spec)
         else:
             core_codec.entropy_encode_channel(coded, groups, table, writer)
     return writer.bit_length - start
@@ -425,11 +405,6 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
     """Encode a signal with the configured codec into a container stream."""
     cfg.validate(signal.order)
     codec_id = cfg.codec_id()
-    if codec_id == CODEC_PROPOSED:
-        frames, frame_stats = _encode_proposed(signal, cfg)
-    else:
-        frames, frame_stats = _encode_baseline(signal, cfg)
-
     qfp = cfg.quantizers.fingerprint() if cfg.quantizers is not None else 0
     flags = _FLAG_BYPASS if cfg.bypass_quantization else 0
     if cfg.interp_window_kind == "hanning":
@@ -445,13 +420,18 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
         background_order=cfg.background_order,
         seed=cfg.seed,
         original_length=signal.length,
-        frame_count=len(frames),
+        frame_count=num_frames(signal.length, cfg.half_length),
         mnmr=cfg.mnmr,
         rd_lambda=cfg.rd_lambda,
         quantizer_fingerprint=qfp,
         table_fingerprint=_table_fingerprint(cfg.resolved_table()),
         group_table_id=cfg.group_table_id(),
     )
+    _check_header_fits(header)
+    if codec_id == CODEC_PROPOSED:
+        frames, frame_stats = _encode_proposed(signal, cfg)
+    else:
+        frames, frame_stats = _encode_baseline(signal, cfg)
     hw = BitWriter()
     _write_header(hw, header)
     parts = [hw.getvalue()]
@@ -473,7 +453,7 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
         trials = []
         for mode in (freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS):
             w = BitWriter()
-            trial_state = _clone_state(state)
+            trial_state = state.copy()
             trial = _encode_proposed_frame(
                 sp, mode, cfg, groups, table, window, trial_state, w
             )
@@ -481,8 +461,8 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
                 sp.coeffs, trial["decoded"], groups, cfg.masking
             )
             # side + noise already written; channel payload size known exactly
-            bits = trial["side_bits"] + trial["noise_bits"] + trial["core_bits"] + 64
-            bits += (-(trial["side_bits"] + trial["noise_bits"] + trial["core_bits"])) % 8
+            payload_bits = trial["side"].bit_count + trial["noise_bits"] + trial["core_bits"]
+            bits = payload_bits + 64 + (-payload_bits) % 8
             cost = distortion + cfg.rd_lambda * bits
             trials.append((cost, mode, trial, trial_state, w))
         trials.sort(key=lambda t: (t[0], t[1]))  # tie -> mode 0
@@ -495,7 +475,7 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
         payloads.append(payload)
         frame_stats.append(
             _frame_stats(
-                sp.index, payload, mode, trial["side_bits"], trial["noise_bits"], core_bits,
+                sp.index, payload, trial["side"], trial["noise_bits"], core_bits,
                 rd_cost=cost,
                 rd_cost_other=other_cost,
                 max_nmr=trial["max_nmr"],
@@ -503,14 +483,6 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
             )
         )
     return payloads, frame_stats
-
-
-def _clone_state(state: sideinfo.SideInfoState) -> sideinfo.SideInfoState:
-    clone = sideinfo.SideInfoState()
-    clone.prev_mode = state.prev_mode
-    if state.prev_bases is not None:
-        clone.prev_bases = [b.copy() for b in state.prev_bases]
-    return clone
 
 
 def _encode_proposed_frame(sp, mode, cfg, groups, table, window, state, w: BitWriter):
@@ -522,15 +494,7 @@ def _encode_proposed_frame(sp, mode, cfg, groups, table, window, state, w: BitWr
     raw_bases = [
         baseline_td.truncated_basis(band, cfg.rank, sp.index).vectors for band in bands
     ]
-    if cfg.bypass_quantization:
-        w.write(mode & 1, 1)
-        for rb in raw_bases:
-            _write_raw_matrix(w, rb)
-        side_bits = w.bit_length
-        recon = raw_bases
-    else:
-        _, recon = sideinfo.encode_sideinfo(raw_bases, mode, cfg.quantizers, state, w)
-        side_bits = w.bit_length
+    side, recon = sideinfo.encode_sideinfo(raw_bases, mode, cfg.side_quantizers(), state, w)
 
     dec = freq_svd.band_decompose(
         bands,
@@ -554,7 +518,7 @@ def _encode_proposed_frame(sp, mode, cfg, groups, table, window, state, w: BitWr
     )
 
     return {
-        "side_bits": side_bits,
+        "side": side,
         "noise_bits": noise_bits,
         "core_bits": core_bits,
         "coded": coded,
@@ -586,32 +550,24 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
     for f in range(F):
         X = padded[f * L : f * L + 2 * L]
         raw = baseline_td.truncated_basis(X, r, f)
+        if cfg.bypass_quantization and prev_basis is not None:
+            # the raw basis is sent, so align it here (quantized side info
+            # aligns inside its predicted bands)
+            _, _, raw = baseline_td.match_bases(prev_basis, raw)
         w = BitWriter()
-        if cfg.bypass_quantization:
-            if prev_basis is None:
-                aligned = raw
-            else:
-                _, _, aligned = baseline_td.match_bases(prev_basis, raw)
-            w.write(0, 1)
-            _write_raw_matrix(w, aligned.vectors)
-            basis = aligned
-        else:
-            _, recon = sideinfo.encode_sideinfo(
-                [raw.vectors], 0, cfg.quantizers, state, w
-            )
-            basis = baseline_td.TruncatedBasis(vectors=recon[0], frame=f)
+        side, recon = sideinfo.encode_sideinfo([raw.vectors], 0, cfg.side_quantizers(), state, w)
+        basis = baseline_td.TruncatedBasis(vectors=recon[0], frame=f)
         dec = baseline_td.decompose_frame(X, basis, prev_basis, interp)
         stream[f * L : (f + 1) * L, :r] = dec.foreground[:L]
         stream[f * L : (f + 1) * L, r:] = dec.ambient[:L]
-        side_payloads.append(w)
+        side_payloads.append((w, side))
         prev_basis = basis
 
     # pass 2: core-code the stream blockwise (block f covers [fL, fL+2L));
     # the background is the first (t+1)^2 ambient channels, the rest is
     # discarded and described by the noise block
     payloads, frame_stats = [], []
-    for f, w in enumerate(side_payloads):
-        side_bits = w.bit_length
+    for f, (w, side) in enumerate(side_payloads):
         block = TimeFrame(index=f, samples=stream[f * L : f * L + 2 * L])
         spec = transform.mdct_forward(block, mdct_win).coeffs
         info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups, cfg.flatness_threshold)
@@ -628,7 +584,7 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
         payloads.append(payload)
         frame_stats.append(
             _frame_stats(
-                f, payload, 0, side_bits, noise_bits, core_bits,
+                f, payload, side, noise_bits, core_bits,
                 max_nmr=max_nmr, escalated_bands=escalated,
             )
         )
@@ -643,11 +599,10 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
 class ParsedFrame:
     """One frame payload as read from the stream, before reconstruction."""
 
-    mode: int
+    side: sideinfo.SideInfoFrame
     bases: list  # per band, the (M, r) basis (one band for the baseline)
     noise: NoiseGroupInfo
     channels: list  # per component: CodedChannel, or the raw spectrum in bypass
-    side_bits: int
     noise_bits: int
     core_bits: int
 
@@ -729,21 +684,16 @@ def parse_frame(
     rank = header.rank
     nbands = header.bands if header.codec_id == CODEC_PROPOSED else 1
     ranks = {0: [rank], 1: [rank] * nbands}
-    if header.bypass:
-        mode = reader.read(1)
-        bases = [_read_raw_matrix(reader, (header.num_channels, rank)) for _ in ranks[mode]]
-    else:
-        frame_info, bases = sideinfo.decode_sideinfo(reader, quantizers, state, ranks)
-        mode = frame_info.mode
-    side_bits = reader.bit_position
+    q = None if header.bypass else quantizers
+    side, bases = sideinfo.decode_sideinfo(reader, q, state, ranks, header.num_channels)
     noise, noise_bits = _read_noise_block(reader)
     count = rank + (header.background_order + 1) ** 2
     if header.bypass:
-        channels = [_read_raw_matrix(reader, (groups.num_bins,)) for _ in range(count)]
+        channels = [reader.read_f64_array((groups.num_bins,)) for _ in range(count)]
     else:
         channels = [core_codec.entropy_decode_channel(reader, groups, table) for _ in range(count)]
-    core_bits = reader.bit_position - side_bits - noise_bits
-    return ParsedFrame(mode, bases, noise, channels, side_bits, noise_bits, core_bits)
+    core_bits = reader.bit_position - side.bit_count - noise_bits
+    return ParsedFrame(side, bases, noise, channels, noise_bits, core_bits)
 
 
 def decode(
@@ -774,8 +724,8 @@ def decode(
                 reason = str(exc)
         parsed.append(p)
         frame_stats.append(
-            _frame_stats(f, payload, -1, concealed=True, conceal_reason=reason) if p is None
-            else _frame_stats(f, payload, p.mode, p.side_bits, p.noise_bits, p.core_bits)
+            _frame_stats(f, payload, None, concealed=True, conceal_reason=reason) if p is None
+            else _frame_stats(f, payload, p.side, p.noise_bits, p.core_bits)
         )
     if header.codec_id == CODEC_PROPOSED:
         samples = _reconstruct_proposed(header, parsed, groups)
@@ -821,7 +771,7 @@ def _reconstruct_proposed(header: StreamHeader, parsed: list, groups) -> np.ndar
     spectra = []
     for f, p in enumerate(parsed):
         if p is not None:
-            layout = freq_svd.layout_for_mode(p.mode, L, header.bands)
+            layout = freq_svd.layout_for_mode(p.side.mode, L, header.bands)
             S = _proposed_spectrum(p.spectra(groups), p.bases, layout, M, nbg)
             S[:, nbg:] += noise_subst.synthesize_noise(
                 p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg
@@ -891,5 +841,5 @@ def measure_stream(
         if not crc_ok:
             raise StreamError(f"frame {f}: CRC mismatch")
         p = parse_frame(BitReader(payload), header, state, quantizers, table, groups)
-        frame_stats.append(_frame_stats(f, payload, p.mode, p.side_bits, p.noise_bits, p.core_bits))
+        frame_stats.append(_frame_stats(f, payload, p.side, p.noise_bits, p.core_bits))
     return header.stream_stats(frame_stats)

@@ -11,18 +11,22 @@ On a mode switch the band structure changes and there is no per-band
 predecessor; each column is then predicted from the best-correlated column
 available anywhere in the previous frame, with the chosen reference index
 transmitted.
+
+Encoding and decoding walk the one syntax in :func:`_side_info`; in bypass
+(no quantizer set) the bases travel as raw float64 through the same walk.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from hoacodec.baseline_td import TruncatedBasis, match_bases
-from hoacodec.bitio import BitReader, BitWriter, factorial_bits, lehmer_decode, lehmer_encode
+from hoacodec.bitio import BitReader, BitWriter, factorial_bits, lehmer_encode
 from hoacodec.errors import ConfigurationError, ShapeError, StreamError, TrainingError
 from hoacodec.numlin import Codebook, gla_train, load_codebook, quantize_nearest, save_codebook
 
@@ -50,18 +54,6 @@ class QuantizerSet:
     @property
     def dim(self) -> int:
         return self.residual.dim
-
-    @property
-    def coeff_bits(self) -> int:
-        return max(1, (self.coeff.size - 1).bit_length())
-
-    @property
-    def residual_bits(self) -> int:
-        return max(1, (self.residual.size - 1).bit_length())
-
-    @property
-    def intra_bits(self) -> int:
-        return max(1, (self.intra.size - 1).bit_length())
 
     def fingerprint(self) -> int:
         crc = 0
@@ -93,33 +85,15 @@ class QuantizerSet:
 
 
 @dataclass
-class ColumnCode:
-    """How one basis column was coded."""
-
-    intra: bool
-    intra_index: int = 0
-    coeff_index: int = 0
-    residual_index: int = 0
-    ref_index: int = 0  # only on mode-switch frames
-    sign_flip: bool = False  # only on mode-switch frames
-
-
-@dataclass
-class BandSideInfo:
-    intra_band: bool
-    permutation: list = field(default_factory=list)
-    signs: list = field(default_factory=list)
-    columns: list = field(default_factory=list)  # of ColumnCode
-
-
-@dataclass
 class SideInfoFrame:
-    """Everything the decoder needs to rebuild one frame's bases."""
+    """One frame's side info: its mode, its size and how its columns were coded."""
 
     mode: int
-    bands: list  # of BandSideInfo
     switched: bool = False
     bit_count: int = 0
+    intra_columns: int = 0
+    predicted_columns: int = 0  # from the same column of the band's previous basis
+    switched_columns: int = 0  # from a column of the previous frame's pool
 
 
 class SideInfoState:
@@ -132,6 +106,48 @@ class SideInfoState:
     def pool(self) -> np.ndarray:
         """All previous columns side by side, (M, total)."""
         return np.concatenate(self.prev_bases, axis=1)
+
+    def copy(self) -> "SideInfoState":
+        """An independent state, e.g. for one trial encode of a frame; the
+        arrays are shared because a walk replaces them and never writes them."""
+        clone = SideInfoState()
+        clone.prev_bases, clone.prev_mode = self.prev_bases, self.prev_mode
+        return clone
+
+
+class _Fields:
+    """The bit I/O of one side-info walk.  Writing, a field stores the
+    encoder's value; reading, it returns the stream's value after checking
+    it against the field's limit (:class:`StreamError` naming the field)."""
+
+    def __init__(self, io):
+        self.io = io
+        self.reading = isinstance(io, BitReader)
+
+    @property
+    def position(self) -> int:
+        return self.io.bit_position if self.reading else self.io.bit_length
+
+    def uint(self, name: str, limit: int, value: int = 0, bits: int | None = None) -> int:
+        """A value below ``limit`` in ``bits`` bits (default cb(limit), at least 1)."""
+        if bits is None:
+            bits = max(1, (limit - 1).bit_length())
+        if not self.reading:
+            self.io.write(value, bits)
+            return value
+        value = self.io.read(bits)
+        if value >= limit:
+            raise StreamError(f"{name} {value} out of range (limit {limit})")
+        return value
+
+    def flag(self, value: bool = False) -> bool:
+        return bool(self.uint("flag", 2, int(value)))
+
+    def floats(self, shape: tuple, value: np.ndarray | None = None) -> np.ndarray:
+        if not self.reading:
+            self.io.write_f64_array(value)
+            return value
+        return self.io.read_f64_array(shape)
 
 
 def _renormalize(v: np.ndarray, fallback_axis: int, dim: int) -> np.ndarray:
@@ -173,240 +189,140 @@ def predict_basis(prev: TruncatedBasis, cur: TruncatedBasis):
     return rho, residual
 
 
-def _code_column(
-    q: QuantizerSet,
-    target: np.ndarray,
-    ref: np.ndarray | None,
-    col: int,
-):
-    """Choose predictive vs intra coding for one column; return
-    (ColumnCode without ref/sign fields, reconstruction)."""
+def _choose(q: QuantizerSet, target: np.ndarray, ref: np.ndarray, col: int) -> tuple:
+    """The encoder's coding of one column, (intra, intra index, coeff index,
+    residual index): predicted from ``ref`` when that reconstructs no worse
+    than intra."""
     intra_idx, _ = quantize_nearest(target, q.intra)
-    intra_rec = _reconstruct_intra(q, intra_idx, col)
-    intra_err = float(np.sum((intra_rec - target) ** 2))
-    if ref is not None and np.linalg.norm(ref) > _NORM_EPS:
-        rho = float(target @ ref)
-        c_idx, _ = quantize_nearest([rho], q.coeff)
-        residual = target - float(q.coeff.centroids[c_idx, 0]) * ref
-        r_idx, _ = quantize_nearest(residual, q.residual)
-        pred_rec = _reconstruct_predicted(q, c_idx, r_idx, ref, col)
-        pred_err = float(np.sum((pred_rec - target) ** 2))
+    intra_err = float(np.sum((_reconstruct_intra(q, intra_idx, col) - target) ** 2))
+    if np.linalg.norm(ref) > _NORM_EPS:
+        c_idx, _ = quantize_nearest([float(target @ ref)], q.coeff)
+        r_idx, _ = quantize_nearest(target - float(q.coeff.centroids[c_idx, 0]) * ref, q.residual)
+        pred_err = float(np.sum((_reconstruct_predicted(q, c_idx, r_idx, ref, col) - target) ** 2))
         if pred_err <= intra_err:
-            return ColumnCode(intra=False, coeff_index=c_idx, residual_index=r_idx), pred_rec
-    return ColumnCode(intra=True, intra_index=intra_idx), intra_rec
+            return False, 0, c_idx, r_idx
+    return True, intra_idx, 0, 0
+
+
+def _column(f: _Fields, q, k: int, info: SideInfoFrame, target, ref, pool=None) -> np.ndarray:
+    """column_intra:u1, then an intra index, or a prediction: on a mode
+    switch from the ``pool`` column the stream names (ref_index, sign), else
+    from ``ref``.  ``target`` is the encoder's column, None when decoding."""
+    ref_index, flip, choice = 0, False, (False, 0, 0, 0)
+    if target is not None:
+        if pool is not None:
+            corrs = target @ pool
+            ref_index = int(np.argmax(np.abs(corrs)))
+            flip = bool(corrs[ref_index] < 0)
+            target, ref = (-target if flip else target), pool[:, ref_index]
+        choice = _choose(q, target, ref, k)
+    intra, intra_index, coeff_index, residual_index = choice
+    if f.flag(intra):
+        info.intra_columns += 1
+        return _reconstruct_intra(q, f.uint("intra codebook index", q.intra.size, intra_index), k)
+    if pool is not None:
+        ref = pool[:, f.uint("prediction reference", pool.shape[1], ref_index)]
+        f.flag(flip)
+        info.switched_columns += 1
+    else:
+        info.predicted_columns += 1
+    coeff_index = f.uint("coefficient codebook index", q.coeff.size, coeff_index)
+    residual_index = f.uint("residual codebook index", q.residual.size, residual_index)
+    return _reconstruct_predicted(q, coeff_index, residual_index, ref, k)
+
+
+def _band(f: _Fields, q, state: SideInfoState, band: int, r: int, info, raw) -> np.ndarray:
+    """intra_band:u1, then r intra indices or a predicted band; ``raw`` is
+    the encoder's (M, r) basis, None when decoding."""
+    recon = np.empty((q.dim, r))
+    if f.flag(state.prev_bases is None):
+        for k in range(r):
+            idx = 0 if raw is None else quantize_nearest(raw[:, k], q.intra)[0]
+            recon[:, k] = _reconstruct_intra(q, f.uint("intra codebook index", q.intra.size, idx), k)
+        info.intra_columns += r
+        return recon
+    if state.prev_bases is None:
+        raise StreamError("predicted band before any intra frame")
+    pool, prev, targets = None, None, raw
+    if info.switched:
+        pool = state.pool()
+    else:
+        prev = state.prev_bases[band]
+        perm, signs = 0, [1.0] * r
+        if raw is not None:
+            assignment, signs, aligned = match_bases(
+                TruncatedBasis(vectors=prev), TruncatedBasis(vectors=raw)
+            )
+            perm, targets = lehmer_encode(assignment.permutation.tolist()), aligned.vectors
+        f.uint("permutation index", math.factorial(r), perm, factorial_bits(r))
+        for s in signs:
+            f.flag(s < 0)
+    for k in range(r):
+        target = None if targets is None else targets[:, k]
+        recon[:, k] = _column(f, q, k, info, target, None if prev is None else prev[:, k], pool)
+    return recon
+
+
+def _side_info(f: _Fields, q, state, ranks: dict, mode=0, raw=None, channels=None) -> tuple:
+    """The one side-info syntax (docs/bitstream.md § Side info):
+
+        side_info := mode:u1 ( band+ | bypass_basis+ )
+
+    Encodes ``raw`` (per band, the (M, r) basis) when it is given, running
+    the encoder's decisions, else decodes.  ``q`` None is bypass: each basis
+    is ``channels`` x r raw float64.  Advances ``state``."""
+    start = f.position
+    mode = f.uint("mode", 2, mode)
+    info = SideInfoFrame(mode=mode, switched=state.prev_mode is not None and state.prev_mode != mode)
+    bases = []
+    for band, r in enumerate(ranks[mode]):
+        target = None if raw is None else raw[band]
+        if q is None:
+            bases.append(f.floats((channels, r), target))
+        else:
+            bases.append(_band(f, q, state, band, r, info, target))
+    state.prev_bases = [b.copy() for b in bases]
+    state.prev_mode = mode
+    info.bit_count = f.position - start
+    return info, bases
 
 
 def encode_sideinfo(
     raw_bases: list,
     mode: int,
-    q: QuantizerSet,
+    q: QuantizerSet | None,
     state: SideInfoState,
     writer: BitWriter,
 ) -> tuple:
     """Quantize one frame's bases and serialize them.
 
     ``raw_bases``: per band, the (M, r) truncated right-singular vectors in
-    singular-value order.  Returns (SideInfoFrame, reconstructed bases);
-    ``state`` is advanced to the reconstructions.
+    singular-value order; ``q`` None writes them as raw float64 (bypass).
+    Returns (SideInfoFrame, reconstructed bases); ``state`` is advanced to
+    the reconstructions.
     """
-    if any(b.shape[0] != q.dim for b in raw_bases):
+    if q is not None and any(b.shape[0] != q.dim for b in raw_bases):
         raise ConfigurationError(
             f"quantizers trained for {q.dim} channels, stream differs"
         )
-    start = writer.bit_length
-    writer.write(mode & 1, 1)
-    switched = state.prev_mode is not None and state.prev_mode != mode
-    bands_info = []
-    recon_bases = []
-
-    for band_idx, raw in enumerate(raw_bases):
-        r = raw.shape[1]
-        if state.prev_bases is None:
-            # intra frame: every column coded standalone
-            writer.write_flag(True)
-            cols = []
-            recon = np.empty_like(raw)
-            for k in range(r):
-                idx, _ = quantize_nearest(raw[:, k], q.intra)
-                writer.write(idx, q.intra_bits)
-                recon[:, k] = _reconstruct_intra(q, idx, k)
-                cols.append(ColumnCode(intra=True, intra_index=idx))
-            bands_info.append(BandSideInfo(intra_band=True, columns=cols))
-            recon_bases.append(recon)
-        elif switched:
-            writer.write_flag(False)
-            pool = state.pool()
-            ref_bits = max(1, (pool.shape[1] - 1).bit_length())
-            cols = []
-            recon = np.empty_like(raw)
-            for k in range(r):
-                col = raw[:, k]
-                corrs = col @ pool
-                ref_idx = int(np.argmax(np.abs(corrs)))
-                flip = corrs[ref_idx] < 0
-                target = -col if flip else col
-                code, rec = _code_column(q, target, pool[:, ref_idx], k)
-                code.ref_index = ref_idx
-                code.sign_flip = bool(flip)
-                writer.write_flag(code.intra)
-                if code.intra:
-                    writer.write(code.intra_index, q.intra_bits)
-                else:
-                    writer.write(ref_idx, ref_bits)
-                    writer.write_flag(code.sign_flip)
-                    writer.write(code.coeff_index, q.coeff_bits)
-                    writer.write(code.residual_index, q.residual_bits)
-                recon[:, k] = rec
-                cols.append(code)
-            bands_info.append(BandSideInfo(intra_band=False, columns=cols))
-            recon_bases.append(recon)
-        else:
-            writer.write_flag(False)
-            prev = TruncatedBasis(vectors=state.prev_bases[band_idx])
-            assignment, signs, aligned = match_bases(prev, TruncatedBasis(vectors=raw))
-            perm = assignment.permutation.tolist()
-            writer.write(lehmer_encode(perm), factorial_bits(r))
-            for s in signs:
-                writer.write_flag(s < 0)
-            cols = []
-            recon = np.empty_like(raw)
-            for k in range(r):
-                target = aligned.vectors[:, k]
-                code, rec = _code_column(q, target, state.prev_bases[band_idx][:, k], k)
-                writer.write_flag(code.intra)
-                if code.intra:
-                    writer.write(code.intra_index, q.intra_bits)
-                else:
-                    writer.write(code.coeff_index, q.coeff_bits)
-                    writer.write(code.residual_index, q.residual_bits)
-                recon[:, k] = rec
-                cols.append(code)
-            bands_info.append(
-                BandSideInfo(
-                    intra_band=False,
-                    permutation=perm,
-                    signs=[bool(s < 0) for s in signs],
-                    columns=cols,
-                )
-            )
-            recon_bases.append(recon)
-
-    state.prev_bases = [b.copy() for b in recon_bases]
-    state.prev_mode = mode
-    frame = SideInfoFrame(
-        mode=mode,
-        bands=bands_info,
-        switched=switched,
-        bit_count=writer.bit_length - start,
-    )
-    return frame, recon_bases
+    ranks = {mode: [b.shape[1] for b in raw_bases]}
+    return _side_info(_Fields(writer), q, state, ranks, mode, raw_bases)
 
 
 def decode_sideinfo(
     reader: BitReader,
-    q: QuantizerSet,
+    q: QuantizerSet | None,
     state: SideInfoState,
-    ranks: list | None = None,
+    ranks: dict,
+    channels: int | None = None,
 ) -> tuple:
-    """Bit-exact mirror of :func:`encode_sideinfo`.
+    """Read what :func:`encode_sideinfo` writes.
 
-    ``ranks``: per-band column counts for the mode read from the stream;
-    resolved by the caller from its configuration (list per mode).
+    ``ranks``: per mode, the per-band column counts; ``channels``: the row
+    count of bypass bases (``q`` None).  Raises :class:`StreamError` on a
+    truncated or out-of-range field.
     """
-    start = reader.bit_position
-    mode = reader.read(1)
-    band_ranks = ranks[mode] if isinstance(ranks, dict) else ranks
-    switched = state.prev_mode is not None and state.prev_mode != mode
-    bands_info = []
-    recon_bases = []
-
-    for band_idx, r in enumerate(band_ranks):
-        intra_band = reader.read_flag()
-        recon = np.empty((q.dim, r))
-        cols = []
-        if intra_band:
-            for k in range(r):
-                idx = reader.read(q.intra_bits)
-                if idx >= q.intra.size:
-                    raise StreamError("intra codebook index out of range")
-                recon[:, k] = _reconstruct_intra(q, idx, k)
-                cols.append(ColumnCode(intra=True, intra_index=idx))
-            bands_info.append(BandSideInfo(intra_band=True, columns=cols))
-        elif switched:
-            if state.prev_bases is None:
-                raise StreamError("predicted band before any intra frame")
-            pool = state.pool()
-            ref_bits = max(1, (pool.shape[1] - 1).bit_length())
-            for k in range(r):
-                is_intra = reader.read_flag()
-                if is_intra:
-                    idx = reader.read(q.intra_bits)
-                    if idx >= q.intra.size:
-                        raise StreamError("intra codebook index out of range")
-                    recon[:, k] = _reconstruct_intra(q, idx, k)
-                    cols.append(ColumnCode(intra=True, intra_index=idx))
-                else:
-                    ref_idx = reader.read(ref_bits)
-                    if ref_idx >= pool.shape[1]:
-                        raise StreamError("prediction reference out of range")
-                    flip = reader.read_flag()
-                    c_idx = reader.read(q.coeff_bits)
-                    r_idx = reader.read(q.residual_bits)
-                    if c_idx >= q.coeff.size or r_idx >= q.residual.size:
-                        raise StreamError("prediction codebook index out of range")
-                    recon[:, k] = _reconstruct_predicted(q, c_idx, r_idx, pool[:, ref_idx], k)
-                    cols.append(
-                        ColumnCode(
-                            intra=False,
-                            coeff_index=c_idx,
-                            residual_index=r_idx,
-                            ref_index=ref_idx,
-                            sign_flip=flip,
-                        )
-                    )
-            bands_info.append(BandSideInfo(intra_band=False, columns=cols))
-        else:
-            if state.prev_bases is None:
-                raise StreamError("predicted band before any intra frame")
-            rank_code = reader.read(factorial_bits(r))
-            fact = 1
-            for i in range(2, r + 1):
-                fact *= i
-            if rank_code >= fact:
-                raise StreamError("permutation index out of range")
-            perm = lehmer_decode(rank_code, r)
-            signs = [reader.read_flag() for _ in range(r)]
-            for k in range(r):
-                is_intra = reader.read_flag()
-                if is_intra:
-                    idx = reader.read(q.intra_bits)
-                    if idx >= q.intra.size:
-                        raise StreamError("intra codebook index out of range")
-                    recon[:, k] = _reconstruct_intra(q, idx, k)
-                    cols.append(ColumnCode(intra=True, intra_index=idx))
-                else:
-                    c_idx = reader.read(q.coeff_bits)
-                    r_idx = reader.read(q.residual_bits)
-                    if c_idx >= q.coeff.size or r_idx >= q.residual.size:
-                        raise StreamError("prediction codebook index out of range")
-                    recon[:, k] = _reconstruct_predicted(
-                        q, c_idx, r_idx, state.prev_bases[band_idx][:, k], k
-                    )
-                    cols.append(ColumnCode(intra=False, coeff_index=c_idx, residual_index=r_idx))
-            bands_info.append(
-                BandSideInfo(intra_band=False, permutation=perm, signs=signs, columns=cols)
-            )
-        recon_bases.append(recon)
-
-    state.prev_bases = [b.copy() for b in recon_bases]
-    state.prev_mode = mode
-    frame = SideInfoFrame(
-        mode=mode,
-        bands=bands_info,
-        switched=switched,
-        bit_count=reader.bit_position - start,
-    )
-    return frame, recon_bases
+    return _side_info(_Fields(reader), q, state, ranks, channels=channels)
 
 
 # --------------------------------------------------------------------------

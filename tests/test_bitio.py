@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,6 +50,25 @@ def test_exp_golomb_roundtrip():
     r = BitReader(w.getvalue())
     assert [r.read_ue() for _ in values] == values
     assert [r.read_se() for _ in signed] == signed
+
+
+@pytest.mark.parametrize("offset", range(8))
+def test_f64_array_write_matches_per_value_writes(offset):
+    values = np.array([
+        [-0.0, 0.0, np.inf, -np.inf],
+        [np.nan, 5e-324, -2.2250738585072e-309, 1.0],
+        [-1.5, 3.141592653589793, 1e-300, -2e300],
+    ])
+    per_value, run = BitWriter(), BitWriter()
+    for w in (per_value, run):
+        w.write(0b1011011 >> (7 - offset) if offset else 0, offset)
+    for v in values.reshape(-1):
+        per_value.write_f64(v)
+    run.write_f64_array(values)
+    assert run.bit_length == per_value.bit_length
+    for w in (per_value, run):
+        w.write(0b101, 3)
+    assert run.getvalue() == per_value.getvalue()
 
 
 def test_f64_roundtrip():

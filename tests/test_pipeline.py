@@ -68,6 +68,21 @@ def test_rate_accounting_closes(encoded, small_quantizers_module):
             assert f_enc.core_bits == f_meas.core_bits
 
 
+def test_side_info_column_counts(encoded, small_quantizers_module, small_scene_module):
+    def counts(stats):
+        return [(f.intra_columns, f.predicted_columns, f.switched_columns) for f in stats.frames]
+
+    for codec in ("proposed", "baseline"):
+        stream, enc = encoded[codec].stream, counts(encoded[codec].stats)
+        assert counts(pipeline.measure_stream(stream, quantizers=small_quantizers_module)) == enc
+        assert counts(pipeline.decode(stream, quantizers=small_quantizers_module).stats) == enc
+        assert all(sum(c) == 4 * (1 if codec == "baseline" or f.mode == 0 else 4)
+                   for c, f in zip(enc, encoded[codec].stats.frames))
+    assert all(sum(column) > 0 for column in zip(*counts(encoded["proposed"].stats)))
+    cfg = pipeline.EncoderConfig(codec="proposed", half_length=256, bypass_quantization=True)
+    assert sum(map(sum, counts(pipeline.encode(small_scene_module, cfg).stats))) == 0
+
+
 def test_rd_selection_recorded(encoded):
     frames = encoded["proposed"].stats.frames
     assert all(f.rd_cost <= f.rd_cost_other for f in frames)
@@ -180,22 +195,25 @@ def test_config_validation(small_quantizers_module):
         cfg = pipeline.EncoderConfig(codec="proposed", half_length=256, rank=4,
                                      background_order=4, bypass_quantization=True)
         pipeline.encode(HoaSignal(48000, 3, np.zeros((256, 16))), cfg)
-    # values that do not fit their header field are refused before encoding
-    with pytest.raises(ConfigurationError, match="seed"):
-        cfg = pipeline.EncoderConfig(codec="baseline", half_length=256, seed=-1,
-                                     bypass_quantization=True)
-        pipeline.encode(HoaSignal(48000, 3, np.zeros((256, 16))), cfg)
-    for kw, order in (
-        (dict(seed=2**64 + 5), 3),
-        (dict(half_length=2**32), 3),
-        (dict(bands=256), 3),
-        (dict(rank=256), 15),  # M=256: the rank is in range but not 8 bits wide
-        (dict(background_order=256), 15),
+    # values that do not fit their header field are refused before any frame
+    # is encoded
+    for kw, order, match in (
+        (dict(seed=-1), 3, "seed"),
+        (dict(seed=2**64 + 5), 3, "seed"),
+        (dict(half_length=2**32), 3, "half_length"),
+        (dict(bands=256), 3, "bands"),
+        (dict(rank=256), 15, "rank"),  # M=256: the rank is in range but not 8 bits wide
+        (dict(background_order=256), 15, "background order"),
     ):
         cfg = pipeline.EncoderConfig(codec="baseline", bypass_quantization=True, **kw)
-        with pytest.raises(ConfigurationError):
-            cfg.validate(order)
-    pipeline.EncoderConfig(codec="baseline", bypass_quantization=True, seed=2**64 - 1).validate(3)
+        with pytest.raises(ConfigurationError, match=match):
+            pipeline.encode(HoaSignal(48000, order, np.zeros((256, (order + 1) ** 2))), cfg)
+    cfg = pipeline.EncoderConfig(codec="baseline", half_length=256, bypass_quantization=True)
+    with pytest.raises(ConfigurationError, match="sample_rate"):
+        pipeline.encode(HoaSignal(2**32, 1, np.zeros((512, 4))), cfg)
+    cfg.seed = 2**64 - 1
+    res = pipeline.encode(HoaSignal(48000, 1, np.zeros((512, 4))), cfg)
+    assert pipeline.decode(res.stream).stats.frames
 
 
 def test_wrong_huffman_table_rejected(encoded, small_quantizers_module):
@@ -260,6 +278,8 @@ def test_concealed_frames_report_mode_minus_one(encoded, small_quantizers_module
         dec = pipeline.decode(bytes(stream), quantizers=small_quantizers_module)
         assert dec.stats.frames[0].concealed
         assert dec.stats.frames[0].mode == -1
+        f0 = dec.stats.frames[0]
+        assert f0.intra_columns == f0.predicted_columns == f0.switched_columns == 0
         assert dec.stats.mode_histogram.get(-1) == dec.concealed_frames
 
 
@@ -370,7 +390,7 @@ def test_raw_matrix_read_matches_per_value_reads(rng, offset):
     expected = np.array([per_value.read_f64() for _ in values]).reshape(4, 6)
     reader = BitReader(data)
     reader.skip(offset)
-    got = pipeline._read_raw_matrix(reader, (4, 6))
+    got = reader.read_f64_array((4, 6))
     assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
     assert reader.bit_position == per_value.bit_position
     assert reader.read(3) == 0b101
@@ -379,7 +399,7 @@ def test_raw_matrix_read_matches_per_value_reads(rng, offset):
         short = BitReader(data[:cut])
         short.skip(offset)
         with pytest.raises(StreamError):
-            pipeline._read_raw_matrix(short, (4, 6))
+            short.read_f64_array((4, 6))
 
 
 def test_measure_stream_on_bypass_needs_no_codebooks(small_scene_module):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hoacodec import scenes
 from hoacodec.baseline_td import TruncatedBasis
@@ -19,6 +21,11 @@ from hoacodec.sideinfo import (
 
 def _random_basis(rng, m=16, r=4):
     return svd(rng.standard_normal((64, m))).right[:, :r]
+
+
+def _index_bits(codebook):
+    """Width of an index field into ``codebook``: cb(size), at least 1."""
+    return max(1, (codebook.size - 1).bit_length())
 
 
 # --- prediction ---
@@ -82,9 +89,18 @@ def test_encoder_decoder_stay_in_sync(rng, small_quantizers):
 
 
 def test_first_frame_is_intra(rng, small_quantizers):
-    frames = list(_roundtrip_frames(rng, small_quantizers, [0, 0]))
-    assert frames[0][0].bands[0].intra_band
-    assert not frames[1][0].bands[0].intra_band
+    q = small_quantizers
+    (first, _), (second, _) = _roundtrip_frames(rng, q, [0, 0])
+    # mode, intra_band flag, then one bare intra index per column
+    assert (first.intra_columns, first.predicted_columns, first.switched_columns) == (4, 0, 0)
+    assert first.bit_count == 1 + 1 + 4 * _index_bits(q.intra)
+    # a predicted band: permutation, signs and a column_intra flag per column
+    assert not second.switched and second.switched_columns == 0
+    assert second.intra_columns + second.predicted_columns == 4
+    assert second.bit_count == 1 + 1 + 5 + 4 + 4 + (
+        second.intra_columns * _index_bits(q.intra)
+        + second.predicted_columns * (_index_bits(q.coeff) + _index_bits(q.residual))
+    )
 
 
 def test_reconstructed_columns_unit_norm(rng, small_quantizers):
@@ -95,14 +111,18 @@ def test_reconstructed_columns_unit_norm(rng, small_quantizers):
 
 
 def test_mode_switch_uses_reference_indices(rng, small_quantizers):
-    frames = list(_roundtrip_frames(rng, small_quantizers, [1, 0]))
-    switch_frame = frames[1][0]
+    q = small_quantizers
+    _, (switch_frame, _) = _roundtrip_frames(rng, q, [1, 0])
     assert switch_frame.switched
-    band = switch_frame.bands[0]
-    assert not band.intra_band
-    refs = [c.ref_index for c in band.columns if not c.intra]
-    # references may point anywhere in the 16-column pool of the 4 bands
-    assert all(0 <= ref < 16 for ref in refs)
+    assert switch_frame.predicted_columns == 0
+    assert switch_frame.intra_columns + switch_frame.switched_columns == 4
+    assert switch_frame.switched_columns > 0
+    # no permutation or band signs; each predicted column names one of the
+    # 16 columns the 4 bands left in the pool (4 bits) and a sign
+    assert switch_frame.bit_count == 1 + 1 + 4 + (
+        switch_frame.intra_columns * _index_bits(q.intra)
+        + switch_frame.switched_columns * (4 + 1 + _index_bits(q.coeff) + _index_bits(q.residual))
+    )
 
 
 def test_static_scene_side_info_near_floor(rng, small_quantizers):
@@ -116,7 +136,9 @@ def test_static_scene_side_info_near_floor(rng, small_quantizers):
     r = 4
     # static content after the intra frame: permutation + signs + per-column
     # flag/indices; the coefficient stays pinned at the top codebook entry
-    floor = 1 + 1 + 5 + r + r * (1 + small_quantizers.coeff_bits + small_quantizers.residual_bits)
+    floor = 1 + 1 + 5 + r + r * (
+        1 + _index_bits(small_quantizers.coeff) + _index_bits(small_quantizers.residual)
+    )
     assert all(b <= floor for b in bits[1:])
 
 
@@ -137,25 +159,6 @@ def test_corrupt_permutation_index_raises(rng, small_quantizers):
         decode_sideinfo(BitReader(bytes(data)), small_quantizers, dec_state, {0: [4], 1: [4] * 4})
 
 
-def test_switched_intra_index_out_of_range_raises(rng, small_quantizers):
-    # 200 intra entries take 8 index bits, so indices 200..255 are writable
-    q = QuantizerSet(
-        coeff=small_quantizers.coeff,
-        residual=small_quantizers.residual,
-        intra=Codebook(centroids=_random_basis(rng, m=16, r=16)[:, np.arange(200) % 16].T),
-    )
-    w = BitWriter()
-    w.write(1, 1)  # mode 1 after a mode-0 frame: the switched branch
-    w.write_flag(False)  # predicted band
-    w.write_flag(True)  # intra column
-    w.write(255, q.intra_bits)
-    dec_state = SideInfoState()
-    dec_state.prev_bases = [_random_basis(rng)]
-    dec_state.prev_mode = 0
-    with pytest.raises(StreamError, match="intra codebook index"):
-        decode_sideinfo(BitReader(w.getvalue()), q, dec_state, {0: [4], 1: [1]})
-
-
 def test_truncated_stream_raises(rng, small_quantizers):
     enc_state = SideInfoState()
     w = BitWriter()
@@ -163,6 +166,75 @@ def test_truncated_stream_raises(rng, small_quantizers):
     data = w.getvalue()[:2]
     with pytest.raises(StreamError):
         decode_sideinfo(BitReader(data), small_quantizers, SideInfoState(), {0: [4], 1: [4] * 4})
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    modes=st.lists(st.integers(0, 1), min_size=1, max_size=6),
+    rank=st.integers(1, 5),
+    bypass=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grammar_roundtrip_and_prefixes(small_quantizers, modes, rank, bypass, seed):
+    """Decoded bases are bit-identical to the encoder's, ``bit_count`` is the
+    bits read, and every strict byte prefix of a frame raises StreamError."""
+    rng = np.random.default_rng(seed)
+    q = None if bypass else small_quantizers
+    ranks = {0: [rank], 1: [rank] * 4}
+    enc_state, dec_state = SideInfoState(), SideInfoState()
+    for mode in modes:
+        raw = [_random_basis(rng, 16, rank) for _ in ranks[mode]]
+        w = BitWriter()
+        frame, recon = encode_sideinfo(raw, mode, q, enc_state, w)
+        data = w.getvalue()
+        for cut in range(len(data)):
+            with pytest.raises(StreamError):
+                decode_sideinfo(BitReader(data[:cut]), q, dec_state.copy(), ranks, 16)
+        reader = BitReader(data)
+        dframe, drecon = decode_sideinfo(reader, q, dec_state, ranks, 16)
+        assert dframe.bit_count == frame.bit_count == reader.bit_position
+        assert (dframe.mode, dframe.switched) == (frame.mode, frame.switched)
+        assert (dframe.intra_columns, dframe.predicted_columns, dframe.switched_columns) == (
+            frame.intra_columns, frame.predicted_columns, frame.switched_columns)
+        for a, b in zip(recon, drecon):
+            assert a.tobytes() == b.tobytes()
+
+
+# out-of-range values in each index field of each branch; r=3 columns, one
+# previous mode-0 band (a 3-column pool), codebooks of 12/40/40 entries.
+# Fields after the mode bit, as (value, bits).
+_PREDICTED = [(0, 1), (0, 3), (0, 3)]  # intra_band, permutation, 3 signs
+_SWITCHED = [(0, 1)]  # intra_band
+_BAD_FIELDS = {
+    "intra band, intra index": (0, [(1, 1), (63, 6)], "intra codebook index"),
+    "predicted, permutation": (0, [(0, 1), (7, 3)], "permutation index"),
+    "predicted, intra index": (0, _PREDICTED + [(1, 1), (40, 6)], "intra codebook index"),
+    "predicted, coeff index": (0, _PREDICTED + [(0, 1), (12, 4)], "coefficient codebook index"),
+    "predicted, residual index": (0, _PREDICTED + [(0, 1), (0, 4), (63, 6)], "residual codebook index"),
+    "switched, intra index": (1, _SWITCHED + [(1, 1), (63, 6)], "intra codebook index"),
+    "switched, reference": (1, _SWITCHED + [(0, 1), (3, 2)], "prediction reference"),
+    "switched, coeff index": (1, _SWITCHED + [(0, 1), (2, 2), (1, 1), (15, 4)], "coefficient codebook index"),
+    "switched, residual index": (1, _SWITCHED + [(0, 1), (0, 2), (0, 1), (0, 4), (40, 6)], "residual codebook index"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
+def test_out_of_range_field_raises_stream_error(rng, case):
+    mode, fields, match = _BAD_FIELDS[case]
+    q = QuantizerSet(
+        coeff=Codebook(centroids=np.linspace(-1, 1, 12)[:, None]),
+        residual=Codebook(centroids=rng.standard_normal((40, 16))),
+        intra=Codebook(centroids=rng.standard_normal((40, 16))),
+    )
+    state = SideInfoState()
+    if case != "intra band, intra index":
+        state.prev_bases, state.prev_mode = [_random_basis(rng, 16, 3)], 0
+    w = BitWriter()
+    w.write(mode, 1)
+    for value, bits in fields:
+        w.write(value, bits)
+    with pytest.raises(StreamError, match=match):
+        decode_sideinfo(BitReader(w.getvalue() + bytes(8)), q, state, {0: [3], 1: [3, 3]})
 
 
 def test_wrong_dimension_rejected(rng, small_quantizers):
