@@ -65,6 +65,29 @@ class BitWriter:
         self._buf += ((prev << (8 - n)) | (buf >> n)).tobytes()
         self._acc = int(buf[-1]) & ((1 << n) - 1)
 
+    def write_fields(self, values: np.ndarray, lengths: np.ndarray) -> None:
+        """Write ``values[i]`` in ``lengths[i]`` bits for every i, the bits of
+        one :meth:`write` per field: the fields are expanded into one bit
+        array, packed behind the pending bits and appended as bytes."""
+        values = np.asarray(values, dtype=np.uint64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if np.any((lengths < 0) | (lengths > 64)) or np.any(
+            (lengths < 64) & (values >> np.minimum(lengths, 63).astype(np.uint64) != 0)
+        ):
+            raise ValueError("a value does not fit in its field")
+        n = self._nacc
+        total = int(lengths.sum())
+        ends = np.cumsum(lengths)
+        # bit k of the run is bit (end of its field - 1 - k) of the field's value
+        shift = np.repeat(ends, lengths) - 1 - np.arange(total)
+        bits = np.empty(n + total, dtype=np.uint8)
+        bits[:n] = (self._acc >> np.arange(n - 1, -1, -1)) & 1
+        bits[n:] = (np.repeat(values, lengths) >> shift.astype(np.uint64)) & np.uint64(1)
+        full = (n + total) // 8 * 8
+        self._buf += np.packbits(bits[:full]).tobytes()
+        self._nacc = n + total - full
+        self._acc = int.from_bytes(np.packbits(bits[full:]).tobytes(), "big") >> (-self._nacc % 8)
+
     def write_bytes(self, data: bytes) -> None:
         for b in data:
             self.write(b, 8)

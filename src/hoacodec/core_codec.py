@@ -61,6 +61,16 @@ def band_energies(spectrum: np.ndarray, groups: FrequencyGroups) -> np.ndarray:
     return np.add.reduceat(s2, groups.offsets[:-1])
 
 
+@functools.lru_cache(maxsize=8)
+def _spreading(lower_db: float, upper_db: float, nb: int) -> np.ndarray:
+    """Two-slope spreading gains, (target band, masker band); read-only."""
+    d = np.arange(nb)[:, None] - np.arange(nb)[None, :]  # target - masker
+    atten_db = np.where(d >= 0, upper_db * d, -lower_db * d)
+    gains = 10.0 ** (-atten_db / 10.0)
+    gains.setflags(write=False)
+    return gains
+
+
 def masking_threshold(
     spectrum: np.ndarray,
     groups: FrequencyGroups,
@@ -73,10 +83,7 @@ def masking_threshold(
             f"spectrum has {spectrum.shape[0]} bins, group table {groups.num_bins}"
         )
     energy = band_energies(spectrum, groups)
-    nb = energy.size
-    d = np.arange(nb)[:, None] - np.arange(nb)[None, :]  # target - masker
-    atten_db = np.where(d >= 0, cfg.spread_upper_db * d, -cfg.spread_lower_db * d)
-    spread = energy[None, :] * 10.0 ** (-atten_db / 10.0)
+    spread = energy[None, :] * _spreading(cfg.spread_lower_db, cfg.spread_upper_db, energy.size)
     mask = spread.sum(axis=1) * 10.0 ** (-cfg.snr_offset_db / 10.0)
     return MaskingCurve(band_power=np.maximum(mask, cfg.absolute_floor))
 
@@ -110,6 +117,44 @@ def _pow43(q: np.ndarray) -> np.ndarray:
     return out
 
 
+# scalefactor rows tried per band in the batched search, from the first step
+# that quantizes the band's peak to a nonzero index; on the synthetic corpus
+# the pick lies fewer than 24 rows past it.  Bands without an in-budget row
+# in the window continue with the per-band scan, so the value never changes
+# the result, only the time.
+_WINDOW = 32
+
+
+def _scan_band(absx: np.ndarray, absx34: np.ndarray, budget: float, first: int):
+    """Coarse-to-fine scan of one band from row ``first``, 16 rows at a time:
+    (row, noise, escalated) of the coarsest row within ``budget``, or of the
+    minimum-noise row (escalated) when none is."""
+    best = (np.inf, -1)
+    for chunk in range(first, _SF_COUNT, 16):
+        rows = slice(chunk, min(chunk + 16, _SF_COUNT))
+        q = np.floor(absx34[None, :] / _SF_STEPS_34[rows, None] + _QUANT_MAGIC)
+        deq = _pow43(q) * _SF_STEPS[rows, None]
+        noise = np.sum((absx[None, :] - deq) ** 2, axis=1)
+        ok = noise <= budget
+        if ok.any():
+            j = int(np.argmax(ok))
+            return chunk + j, float(noise[j]), False
+        j = int(np.argmin(noise))
+        if noise[j] < best[0]:
+            best = (float(noise[j]), chunk + j)
+    pick = best[1] if best[1] >= 0 else _SF_COUNT - 1
+    q = np.floor(absx34 / _SF_STEPS_34[pick] + _QUANT_MAGIC)
+    return pick, float(np.sum((absx - _pow43(q) * _SF_STEPS[pick]) ** 2)), True
+
+
+def _band_sums(values: np.ndarray, bands: np.ndarray, bins: np.ndarray, out: np.ndarray) -> None:
+    """``out[..., bands] = `` the sums of ``values[..., bins]`` over each
+    row of ``bins``, gathered into a C-contiguous array and reduced over its
+    last axis: the pairwise summation ``np.sum`` applies to one band alone,
+    which ``np.add.reduceat`` and strided rows do not reproduce bit for bit."""
+    out[..., bands] = np.ascontiguousarray(values[..., bins]).sum(axis=-1)
+
+
 def quantize_mnmr(
     spectrum: np.ndarray,
     mask: MaskingCurve,
@@ -122,62 +167,72 @@ def quantize_mnmr(
     Bands whose full energy already fits the budget are sent as silent.
     If even the finest step misses the target (pathological inputs), the
     band is coded at its minimum-noise scalefactor and flagged.
+
+    The search runs on all coded bands at once: every bin is quantized at
+    the ``_WINDOW`` scalefactor rows from its band's first nonzero step,
+    and the squared errors are summed per band and row (:func:`_band_sums`).
+    A band without an in-budget row there continues with the per-band scan.
     """
     if target <= 0:
         raise ShapeError("MNMR target must be positive")
     x = np.asarray(spectrum, dtype=np.float64)
     if x.shape[0] != groups.num_bins:
         raise ShapeError("spectrum does not match the group table")
-    nb = len(groups.edges)
-    zero_band = np.zeros(nb, dtype=bool)
-    scalefactors = np.zeros(nb, dtype=np.int64)
-    qidx = np.zeros(x.shape[0], dtype=np.int64)
-    nmr = np.zeros(nb)
-    escalated = np.zeros(nb, dtype=bool)
+    offsets, widths, by_width = groups.layout
+    nb = widths.size
+    power = mask.band_power
+    budget = target * power
+    absx = np.abs(x)
+    absx34 = absx**0.75
 
-    for b, (lo, hi) in enumerate(groups.edges):
-        xs = x[lo:hi]
-        budget = target * mask.band_power[b]
-        energy = float(np.sum(xs**2))
-        if energy <= budget:
-            zero_band[b] = True
-            nmr[b] = energy / mask.band_power[b]
-            continue
-        absx = np.abs(xs)
-        absx34 = absx**0.75
-        peak34 = float(absx34.max())
-        # scalefactors whose step quantizes every coefficient to zero give
-        # noise == band energy > budget, so the coarse-to-fine scan can
-        # start at the first step that produces a nonzero index
-        ratio = peak34 / _SF_STEPS_34  # ascending (steps run coarse to fine)
-        first = int(np.searchsorted(ratio, 1.0 - _QUANT_MAGIC, side="left"))
-        first = min(first, _SF_COUNT - 1)
-        pick = -1
-        best = (np.inf, -1)
-        for chunk in range(first, _SF_COUNT, 16):
-            rows = slice(chunk, min(chunk + 16, _SF_COUNT))
-            q = np.floor(absx34[None, :] / _SF_STEPS_34[rows, None] + _QUANT_MAGIC)
-            deq = _pow43(q) * _SF_STEPS[rows, None]
-            noise = np.sum((absx[None, :] - deq) ** 2, axis=1)
-            ok = noise <= budget
-            if ok.any():
-                j = int(np.argmax(ok))
-                pick = chunk + j
-                picked_q = q[j]
-                picked_noise = float(noise[j])
-                break
-            j = int(np.argmin(noise))
-            if noise[j] < best[0]:
-                best = (float(noise[j]), chunk + j)
-        if pick < 0:  # no scalefactor meets the target: flag, use min-noise
-            escalated[b] = True
-            pick = best[1] if best[1] >= 0 else _SF_COUNT - 1
-            step34 = _SF_STEPS_34[pick]
-            picked_q = np.floor(absx34 / step34 + _QUANT_MAGIC)
-            picked_noise = float(np.sum((absx - _pow43(picked_q) * _SF_STEPS[pick]) ** 2))
-        scalefactors[b] = SF_MAX - pick
-        qidx[lo:hi] = np.sign(xs) * picked_q.astype(np.int64)
-        nmr[b] = picked_noise / mask.band_power[b]
+    energy = np.empty(nb)
+    x2 = x * x
+    for bands, bins in by_width:
+        _band_sums(x2, bands, bins, energy)
+    zero_band = energy <= budget
+    nmr = energy / power  # the coded bands' entries are replaced below
+    coded = np.flatnonzero(~zero_band)
+    # steps that quantize every coefficient to zero give noise == band
+    # energy > budget, so the scan starts at the first step that gives the
+    # band's peak a nonzero index
+    peak34 = np.maximum.reduceat(absx34, offsets[:-1])[coded]
+    first = np.count_nonzero(peak34[:, None] / _SF_STEPS_34 < 1.0 - _QUANT_MAGIC, axis=1)
+    first = np.minimum(first, _SF_COUNT - 1)
+
+    # squared error of every coded bin at each row of its band's window
+    coded_bins = np.repeat(~zero_band, widths)
+    rows = np.minimum(np.repeat(first, widths[coded]) + np.arange(_WINDOW)[:, None], _SF_COUNT - 1)
+    err = absx34[coded_bins] / _SF_STEPS_34[rows]
+    err += _QUANT_MAGIC
+    np.floor(err, out=err)
+    err = _pow43(err) * _SF_STEPS[rows]
+    err -= absx[coded_bins]
+    err *= err  # (_WINDOW, coded bins)
+    column = np.cumsum(coded_bins) - 1  # bin -> column of err
+    noise = np.empty((_WINDOW, nb))
+    for bands, bins in by_width:
+        keep = ~zero_band[bands]
+        _band_sums(err, bands[keep], column[bins[keep]], noise)
+    noise = noise[:, coded].T  # (coded bands, _WINDOW)
+
+    ok = (noise <= budget[coded, None]) & (first[:, None] + np.arange(_WINDOW) < _SF_COUNT)
+    j = ok.argmax(axis=1)
+    k = np.arange(coded.size)
+    pick, picked_noise = first + j, noise[k, j]
+    escalated = np.zeros(nb, dtype=bool)
+    for i in np.flatnonzero(~ok[k, j]).tolist():  # no in-budget row in the window
+        b = coded[i]
+        lo, hi = offsets[b], offsets[b + 1]
+        pick[i], picked_noise[i], escalated[b] = _scan_band(
+            absx[lo:hi], absx34[lo:hi], budget[b], int(first[i])
+        )
+    nmr[coded] = picked_noise / power[coded]
+    scalefactors = np.zeros(nb, dtype=np.int64)
+    scalefactors[coded] = SF_MAX - pick
+    step34 = _SF_STEPS_34[np.repeat(pick, widths[coded])]
+    q = np.floor(absx34[coded_bins] / step34 + _QUANT_MAGIC)
+    qidx = np.zeros(x.shape[0], dtype=np.int64)
+    qidx[coded_bins] = np.sign(x[coded_bins]) * q.astype(np.int64)
 
     return CodedChannel(
         num_bins=x.shape[0],
@@ -191,7 +246,7 @@ def quantize_mnmr(
 
 def dequantize_channel(coded: CodedChannel, groups: FrequencyGroups) -> np.ndarray:
     """Reconstruct the spectrum a decoder sees."""
-    widths = groups.widths()
+    widths = groups.layout.widths
     steps = np.where(coded.zero_band, 0.0, 10.0 ** (1.5 * coded.scalefactors / 20.0))
     per_bin = np.repeat(steps, widths)
     q = coded.quant_indices
@@ -242,6 +297,7 @@ class HuffmanTable:
             self.codes[s] = code
             prev_len = lengths[s]
             code += 1
+        self.code_array = np.asarray(self.codes, dtype=np.int64)
         self._decode_map = {
             (lengths[s], self.codes[s]): s for s in range(_ALPHABET)
         }
@@ -319,40 +375,44 @@ def default_table() -> HuffmanTable:
     return HuffmanTable(DEFAULT_MAGNITUDE_LENGTHS)
 
 
-def _raw_width(values: np.ndarray) -> int:
-    peak = int(np.max(np.abs(values), initial=0))
-    return max(1, peak.bit_length())
+def _bit_length(v: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each value (non-negative int64)."""
+    return np.array([x.bit_length() for x in v.tolist()], dtype=np.int64)
 
 
-def _band_costs(values: np.ndarray, table: HuffmanTable):
-    """Exact (huffman_bits, raw_bits, raw_width) for one band's values."""
-    mags = np.abs(values)
-    width = _raw_width(values)
-    raw_cost = 6 + values.size * (width + 1)
-    clipped = np.minimum(mags, ESCAPE_SYMBOL)
-    huff_cost = int(table.length_array[clipped].sum())
-    huff_cost += int(np.count_nonzero(mags))  # sign bits
-    esc = mags[mags >= ESCAPE_SYMBOL]
-    if esc.size:
-        # unsigned Exp-Golomb of (mag - ESCAPE_SYMBOL) costs 2*bitlen(v+1)-1
-        v1 = esc - ESCAPE_SYMBOL + 1
-        huff_cost += int(np.sum(2 * (np.floor(np.log2(v1)).astype(np.int64) + 1) - 1))
-    return huff_cost, raw_cost, width
+def _escapes(mags: np.ndarray):
+    """The bins coded with the escape symbol, and the bit length of each
+    one's unsigned Exp-Golomb value ``magnitude - ESCAPE_SYMBOL + 1``."""
+    esc = np.flatnonzero(mags >= ESCAPE_SYMBOL)
+    return esc, _bit_length(mags[esc] - (ESCAPE_SYMBOL - 1))
+
+
+def _band_costs(mags: np.ndarray, groups: FrequencyGroups, table: HuffmanTable):
+    """Exact (huffman_bits, raw_bits, raw_width) of every band from the
+    bins' magnitudes, int64 arrays: per-bin code, sign and escape lengths
+    summed per band."""
+    offsets, widths, _ = groups.layout
+    per_bin = table.length_array[np.minimum(mags, ESCAPE_SYMBOL)] + (mags > 0)
+    esc, esc_bits = _escapes(mags)
+    per_bin[esc] += 2 * esc_bits - 1  # ue() of the excess
+    huff = np.add.reduceat(per_bin, offsets[:-1])
+    width = np.maximum(_bit_length(np.maximum.reduceat(mags, offsets[:-1])), 1)
+    raw = 6 + widths * (width + 1)
+    return huff, raw, width
+
+
+def _cost_cache(coded: CodedChannel, groups: FrequencyGroups, table: HuffmanTable) -> dict:
+    """band -> (huffman_bits, raw_bits, raw_width) of every coded band."""
+    huff, raw, width = _band_costs(np.abs(coded.quant_indices), groups, table)
+    bands = np.flatnonzero(~np.asarray(coded.zero_band, dtype=bool))
+    return dict(zip(bands.tolist(), zip(huff[bands].tolist(), raw[bands].tolist(), width[bands].tolist())))
 
 
 def channel_cost(coded: CodedChannel, groups: FrequencyGroups, table: HuffmanTable) -> int:
     """Exact bit count :func:`entropy_encode_channel` would produce."""
-    total = 0
-    cache = {}
-    for b, (lo, hi) in enumerate(groups.edges):
-        total += 1  # zero flag
-        if coded.zero_band[b]:
-            continue
-        costs = _band_costs(coded.quant_indices[lo:hi], table)
-        cache[b] = costs
-        total += 8 + 1 + min(costs[0], costs[1])
-    coded.band_costs = cache
-    return total
+    coded.band_costs = _cost_cache(coded, groups, table)
+    # zero flag per band; scalefactor, mode flag and the cheaper coding per coded band
+    return len(groups.edges) + sum(9 + min(huff, raw) for huff, raw, _ in coded.band_costs.values())
 
 
 def entropy_encode_channel(
@@ -361,51 +421,59 @@ def entropy_encode_channel(
     table: HuffmanTable,
     writer: BitWriter,
 ) -> int:
-    """Serialize one coded channel; returns the number of bits written."""
+    """Serialize one coded channel; returns the number of bits written.
+
+    The channel is written as one run of fields in stream order: each
+    band's header, then one field per bin (Huffman code and sign, or raw
+    sign and magnitude), with an escape's excess inserted after its code.
+    """
+    q = coded.quant_indices
+    offsets, widths, _ = groups.layout
+    zero = np.asarray(coded.zero_band, dtype=bool)
+    sf = np.asarray(coded.scalefactors)
+    bad = ~zero & ((sf < SF_MIN) | (sf > SF_MAX))
+    if bad.any():
+        raise StreamError(f"scalefactor {int(sf[bad][0])} out of range")
+    # the band modes come from the cost cache (channel_cost's, or the
+    # caller's), completed here for bands it does not cover
+    costs = coded.band_costs or {}
+    bands = np.flatnonzero(~zero)
+    if not costs.keys() >= set(bands.tolist()):
+        costs = {**_cost_cache(coded, groups, table), **costs}
+    huff, raw_cost, band_width = np.array([costs[b] for b in bands.tolist()], dtype=np.int64).reshape(-1, 3).T
+    raw = np.zeros(zero.size, dtype=bool)
+    raw[bands] = huff > raw_cost
+    width = np.ones(zero.size, dtype=np.int64)
+    width[bands] = band_width
+    # band header: zero:u1, or zero:u1 scalefactor:u8 raw:u1 [width:u6]
+    head = np.where(zero, 1, ((sf - SF_MIN) << 1 | raw) << 6 * raw | raw * width)
+    head_len = np.where(zero, 1, 10 + 6 * raw)
+
+    # bin field: Huffman code then the sign of a nonzero value, or raw sign
+    # then magnitude; none in a zero band
+    mags = np.abs(q)
+    neg = (q < 0).astype(np.int64)
+    nonzero = mags > 0
+    sym = np.minimum(mags, ESCAPE_SYMBOL)
+    bin_raw = np.repeat(raw, widths)
+    bin_width = np.repeat(width, widths)
+    bins = np.empty((q.size, 2), dtype=np.int64)  # (value, length)
+    bins[:, 0] = np.where(bin_raw, neg << bin_width | mags, table.code_array[sym] << nonzero | neg)
+    bins[:, 1] = np.where(bin_raw, bin_width + 1, table.length_array[sym] + nonzero)
+    bins[np.repeat(zero, widths)] = 0
+    # an escape's bin field is its code alone; its ue() prefix, ue() value
+    # and sign are inserted after it, before the next band's header
+    esc, esc_bits = _escapes(mags)
+    huffman = np.repeat(~zero & ~raw, widths)[esc]
+    esc, esc_bits = esc[huffman], esc_bits[huffman]
+    bins[esc] = table.codes[ESCAPE_SYMBOL], table.lengths[ESCAPE_SYMBOL]
+    extra = np.column_stack([
+        np.zeros_like(esc), esc_bits - 1, mags[esc] - (ESCAPE_SYMBOL - 1), esc_bits, neg[esc], np.ones_like(esc),
+    ]).reshape(-1, 2)
+    at = np.concatenate([np.repeat(esc + 1, 3), offsets[:-1]])
+    fields = np.insert(bins, at, np.concatenate([extra, np.column_stack([head, head_len])]), axis=0)
     start = writer.bit_length
-    codes, lens = table.codes, table.lengths
-    for b, (lo, hi) in enumerate(groups.edges):
-        writer.write_flag(bool(coded.zero_band[b]))
-        if coded.zero_band[b]:
-            continue
-        sf = int(coded.scalefactors[b])
-        if not SF_MIN <= sf <= SF_MAX:
-            raise StreamError(f"scalefactor {sf} out of range")
-        writer.write(sf - SF_MIN, 8)
-        values = coded.quant_indices[lo:hi]
-        if coded.band_costs is not None and b in coded.band_costs:
-            huff_cost, raw_cost, width = coded.band_costs[b]
-        else:
-            huff_cost, raw_cost, width = _band_costs(values, table)
-        # the whole band is packed into one integer before writing
-        big = 0
-        total = 0
-        if huff_cost <= raw_cost:
-            writer.write_flag(False)  # Huffman mode
-            for v in values.tolist():
-                m = v if v >= 0 else -v
-                if m >= ESCAPE_SYMBOL:
-                    big = (big << lens[ESCAPE_SYMBOL]) | codes[ESCAPE_SYMBOL]
-                    total += lens[ESCAPE_SYMBOL]
-                    u = m - ESCAPE_SYMBOL + 1
-                    nb = u.bit_length()
-                    big = (big << (2 * nb - 1)) | u
-                    total += 2 * nb - 1
-                else:
-                    big = (big << lens[m]) | codes[m]
-                    total += lens[m]
-                if m:
-                    big = (big << 1) | (1 if v < 0 else 0)
-                    total += 1
-        else:
-            writer.write_flag(True)  # raw mode
-            writer.write(width, 6)
-            w1 = width + 1
-            for v in values.tolist():
-                m = v if v >= 0 else -v
-                big = (big << w1) | ((1 if v < 0 else 0) << width) | m
-                total += w1
-        writer.write(big, total)
+    writer.write_fields(fields[:, 0], fields[:, 1])
     return writer.bit_length - start
 
 

@@ -11,8 +11,10 @@ power exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,14 @@ _ENERGY_LEVELS = (1 << ENERGY_BITS) - 1  # nonzero indices 1..63
 _ENERGY_STEP_DB = ENERGY_SPAN_DB / (_ENERGY_LEVELS - 1)
 
 
+class GroupLayout(NamedTuple):
+    """Read-only index arrays of a group table."""
+
+    offsets: np.ndarray  # (50,) group edges
+    widths: np.ndarray  # (49,)
+    by_width: tuple  # per distinct width: (groups, their bins as (groups, width))
+
+
 @dataclass(frozen=True)
 class FrequencyGroups:
     """49 contiguous bin ranges covering [0, L)."""
@@ -61,6 +71,21 @@ class FrequencyGroups:
 
     def widths(self) -> np.ndarray:
         return np.diff(np.asarray(self.offsets))
+
+    @functools.cached_property
+    def layout(self) -> GroupLayout:
+        """Index arrays for work done on all groups of one width at once,
+        built on first use."""
+        o = np.asarray(self.offsets)
+        widths = np.diff(o)
+        by_width = tuple(
+            (g, o[g, None] + np.arange(w))
+            for w in np.unique(widths).tolist()
+            for g in [np.flatnonzero(widths == w)]
+        )
+        for a in (o, widths, *(a for group in by_width for a in group)):
+            a.setflags(write=False)
+        return GroupLayout(o, widths, by_width)
 
     @classmethod
     def aac_48k_long(cls) -> "FrequencyGroups":
@@ -119,15 +144,14 @@ class NoiseGroupInfo:
         return out
 
 
-def quantize_energy(energy: float) -> int:
-    """Log-domain 6-bit index; 0 encodes exact silence."""
-    if energy <= 0:
-        return 0
-    db = 10.0 * np.log10(energy)
-    if db < ENERGY_FLOOR_DB - _ENERGY_STEP_DB / 2:
-        return 0
-    idx = int(round((db - ENERGY_FLOOR_DB) / _ENERGY_STEP_DB)) + 1
-    return int(np.clip(idx, 1, _ENERGY_LEVELS))
+def quantize_energy(energy):
+    """Log-domain 6-bit index; 0 encodes exact silence (vectorized)."""
+    e = np.asarray(energy, dtype=np.float64)
+    db = 10.0 * np.log10(np.maximum(e, np.finfo(np.float64).tiny))
+    idx = np.clip(np.round((db - ENERGY_FLOOR_DB) / _ENERGY_STEP_DB) + 1, 1, _ENERGY_LEVELS)
+    silent = (e <= 0) | (db < ENERGY_FLOOR_DB - _ENERGY_STEP_DB / 2)
+    out = np.where(silent, 0, idx).astype(np.int64)
+    return out if out.ndim else int(out)
 
 
 def dequantize_energy(index):
@@ -174,21 +198,22 @@ def analyze_discarded(
         return NoiseGroupInfo.empty()
     if groups.num_bins != L:
         raise ShapeError(f"group table covers {groups.num_bins} bins, frame has {L}")
+    # all groups of one width at once, as a C-contiguous (groups, bins, C)
+    # array: its means over bins and channels add in the same order as
+    # those of one (bins, C) group
     power = discarded_spectra**2
-    active = np.zeros(NUM_GROUPS, dtype=bool)
-    indices = np.zeros(NUM_GROUPS, dtype=np.uint8)
-    for j, (a, b) in enumerate(groups.edges):
-        p = power[a:b]  # (bins, C)
-        floored = np.maximum(p, 1e-12 * p.mean(axis=0) + 1e-30)
-        ratio = floored / floored.mean(axis=0)
-        flat = float(np.mean(np.minimum(1.0, np.exp(np.mean(np.log(ratio), axis=0)))))
-        if flat > threshold:
-            idx = quantize_energy(float(p.mean()))
-            # below-floor energy decodes to silence anyway: send inactive
-            if idx > 0:
-                active[j] = True
-                indices[j] = idx
-    return NoiseGroupInfo(active=active, energy_indices=indices)
+    flat = np.empty(NUM_GROUPS)
+    mean_power = np.empty(NUM_GROUPS)
+    for g, bins in groups.layout.by_width:
+        p = power[bins]
+        floored = np.maximum(p, 1e-12 * p.mean(axis=1, keepdims=True) + 1e-30)
+        ratio = floored / floored.mean(axis=1, keepdims=True)
+        flat[g] = np.minimum(1.0, np.exp(np.log(ratio).mean(axis=1))).mean(axis=-1)
+        mean_power[g] = p.reshape(g.size, -1).mean(axis=-1)
+    indices = quantize_energy(mean_power)
+    # below-floor energy decodes to silence anyway: send inactive
+    active = (flat > threshold) & (indices > 0)
+    return NoiseGroupInfo(active=active, energy_indices=np.where(active, indices, 0).astype(np.uint8))
 
 
 def _channel_rng(stream_seed: int, frame_index: int, channel_index: int):

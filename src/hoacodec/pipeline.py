@@ -324,6 +324,11 @@ def _read_header(data: bytes) -> StreamHeader:
         raise StreamError(f"background order {h.background_order} exceeds order {h.order}")
     if h.bands < 2 or (h.codec_id == CODEC_PROPOSED and h.half_length % h.bands):
         raise StreamError(f"band count {h.bands} invalid for half length {h.half_length}")
+    if h.frame_count != num_frames(h.original_length, h.half_length):
+        raise StreamError(
+            f"frame count {h.frame_count} does not match {h.original_length} samples "
+            f"at half length {h.half_length}"
+        )
     return h
 
 
@@ -386,11 +391,11 @@ def _write_components(coded_list, channels, groups, table, writer: BitWriter, by
     return writer.bit_length - start
 
 
-def _mask_weighted_error(original: np.ndarray, decoded: np.ndarray, groups, masking_cfg) -> float:
-    """Distortion for RD decisions: sum over channels/bands of noise/mask."""
+def _mask_weighted_error(original: np.ndarray, decoded: np.ndarray, masks: list, groups) -> float:
+    """Distortion for RD decisions: sum over channels/bands of noise/mask,
+    with ``masks`` the masking curves of the original channels."""
     total = 0.0
-    for ch in range(original.shape[1]):
-        mask = core_codec.masking_threshold(original[:, ch], groups, masking_cfg)
+    for ch, mask in enumerate(masks):
         total += float(
             np.sum(core_codec.measure_nmr(original[:, ch], decoded[:, ch], mask, groups))
         )
@@ -450,6 +455,11 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
     payloads, frame_stats = [], []
 
     for sp in spectra:
+        # both RD trials weigh their error with the original channels' masks
+        masks = [
+            core_codec.masking_threshold(sp.coeffs[:, ch], groups, cfg.masking)
+            for ch in range(sp.num_channels)
+        ]
         trials = []
         for mode in (freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS):
             w = BitWriter()
@@ -457,9 +467,7 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
             trial = _encode_proposed_frame(
                 sp, mode, cfg, groups, table, window, trial_state, w
             )
-            distortion = _mask_weighted_error(
-                sp.coeffs, trial["decoded"], groups, cfg.masking
-            )
+            distortion = _mask_weighted_error(sp.coeffs, trial["decoded"], masks, groups)
             # side + noise already written; channel payload size known exactly
             payload_bits = trial["side"].bit_count + trial["noise_bits"] + trial["core_bits"]
             bits = payload_bits + 64 + (-payload_bits) % 8

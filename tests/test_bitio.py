@@ -71,6 +71,36 @@ def test_f64_array_write_matches_per_value_writes(offset):
     assert run.getvalue() == per_value.getvalue()
 
 
+@given(
+    st.lists(st.integers(0, 64).flatmap(
+        lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n))), max_size=60),
+    st.integers(0, 7),
+    st.integers(0, 127),
+)
+def test_field_run_matches_per_field_writes(fields, offset, lead):
+    per_field, run = BitWriter(), BitWriter()
+    for w in (per_field, run):
+        w.write(lead >> (7 - offset), offset)
+    for value, nbits in fields:
+        per_field.write(value, nbits)
+    run.write_fields(
+        np.array([v for v, _ in fields], dtype=np.uint64), np.array([n for _, n in fields], dtype=np.int64)
+    )
+    assert run.bit_length == per_field.bit_length
+    for w in (per_field, run):
+        w.write(0b101, 3)
+    assert run.getvalue() == per_field.getvalue()
+
+
+def test_field_run_rejects_values_wider_than_their_field():
+    w = BitWriter()
+    w.write(1, 3)
+    for values, lengths in (([4], [2]), ([1], [0]), ([0, 1 << 63], [1, 63]), ([0], [65]), ([0], [-1])):
+        with pytest.raises(ValueError):
+            w.write_fields(np.array(values, dtype=np.uint64), np.array(lengths))
+    assert w.bit_length == 3
+
+
 def test_f64_roundtrip():
     w = BitWriter()
     for v in (0.0, -1.5, 3.141592653589793, 1e-300, -2e300):

@@ -11,6 +11,13 @@ from hoacodec.core_codec import (
     CodedChannel,
     HuffmanTable,
     MaskingConfig,
+    MaskingCurve,
+    _QUANT_MAGIC,
+    _SF_COUNT,
+    _SF_STEPS,
+    _SF_STEPS_34,
+    _WINDOW,
+    _pow43,
     band_energies,
     channel_cost,
     default_table,
@@ -385,3 +392,194 @@ def test_escape_beyond_int64_is_a_stream_error():
     w.write(0, 1)  # sign
     with pytest.raises(StreamError, match="out of range"):
         entropy_decode_channel(BitReader(w.getvalue()), FrequencyGroups.uniform(49), table)
+
+
+# --- batched encoder against the per-band references it replaced ---
+
+def _reference_quantize_mnmr(spectrum, mask, target, groups):
+    """Per-band coarse-to-fine scan, 16 scalefactor rows at a time."""
+    x = np.asarray(spectrum, dtype=np.float64)
+    nb = len(groups.edges)
+    zero_band = np.zeros(nb, dtype=bool)
+    scalefactors = np.zeros(nb, dtype=np.int64)
+    qidx = np.zeros(x.shape[0], dtype=np.int64)
+    nmr = np.zeros(nb)
+    escalated = np.zeros(nb, dtype=bool)
+    for b, (lo, hi) in enumerate(groups.edges):
+        xs = x[lo:hi]
+        budget = target * mask.band_power[b]
+        energy = float(np.sum(xs**2))
+        if energy <= budget:
+            zero_band[b] = True
+            nmr[b] = energy / mask.band_power[b]
+            continue
+        absx = np.abs(xs)
+        absx34 = absx**0.75
+        ratio = float(absx34.max()) / _SF_STEPS_34
+        first = min(int(np.searchsorted(ratio, 1.0 - _QUANT_MAGIC, side="left")), _SF_COUNT - 1)
+        pick, best = -1, (np.inf, -1)
+        for chunk in range(first, _SF_COUNT, 16):
+            rows = slice(chunk, min(chunk + 16, _SF_COUNT))
+            q = np.floor(absx34[None, :] / _SF_STEPS_34[rows, None] + _QUANT_MAGIC)
+            noise = np.sum((absx[None, :] - _pow43(q) * _SF_STEPS[rows, None]) ** 2, axis=1)
+            ok = noise <= budget
+            if ok.any():
+                j = int(np.argmax(ok))
+                pick, picked_q, picked_noise = chunk + j, q[j], float(noise[j])
+                break
+            j = int(np.argmin(noise))
+            if noise[j] < best[0]:
+                best = (float(noise[j]), chunk + j)
+        if pick < 0:
+            escalated[b] = True
+            pick = best[1] if best[1] >= 0 else _SF_COUNT - 1
+            picked_q = np.floor(absx34 / _SF_STEPS_34[pick] + _QUANT_MAGIC)
+            picked_noise = float(np.sum((absx - _pow43(picked_q) * _SF_STEPS[pick]) ** 2))
+        scalefactors[b] = SF_MAX - pick
+        qidx[lo:hi] = np.sign(xs) * picked_q.astype(np.int64)
+        nmr[b] = picked_noise / mask.band_power[b]
+    return CodedChannel(x.shape[0], zero_band, scalefactors, qidx, nmr=nmr, escalated=escalated)
+
+
+def _reference_band_costs(values, table):
+    mags = np.abs(values)
+    width = max(1, int(np.max(mags, initial=0)).bit_length())
+    huff = int(table.length_array[np.minimum(mags, ESCAPE_SYMBOL)].sum()) + int(np.count_nonzero(mags))
+    esc = mags[mags >= ESCAPE_SYMBOL]
+    if esc.size:
+        huff += int(np.sum(2 * (np.floor(np.log2(esc - ESCAPE_SYMBOL + 1)).astype(np.int64) + 1) - 1))
+    return huff, 6 + values.size * (width + 1), width
+
+
+def _reference_channel_cost(coded, groups, table):
+    total = 0
+    for b, (lo, hi) in enumerate(groups.edges):
+        total += 1
+        if not coded.zero_band[b]:
+            huff, raw, _ = _reference_band_costs(coded.quant_indices[lo:hi], table)
+            total += 9 + min(huff, raw)
+    return total
+
+
+def _reference_encode(coded, groups, table, writer):
+    """One BitWriter.write per header field and per value."""
+    start = writer.bit_length
+    for b, (lo, hi) in enumerate(groups.edges):
+        writer.write_flag(bool(coded.zero_band[b]))
+        if coded.zero_band[b]:
+            continue
+        writer.write(int(coded.scalefactors[b]) - SF_MIN, 8)
+        values = coded.quant_indices[lo:hi]
+        huff, raw, width = (coded.band_costs or {}).get(b) or _reference_band_costs(values, table)
+        writer.write_flag(huff > raw)
+        if huff > raw:
+            writer.write(width, 6)
+            for v in values.tolist():
+                writer.write((v < 0) << width | abs(v), width + 1)
+            continue
+        for v in values.tolist():
+            m = abs(v)
+            s = min(m, ESCAPE_SYMBOL)
+            writer.write(table.codes[s], table.lengths[s])
+            if m >= ESCAPE_SYMBOL:
+                writer.write_ue(m - ESCAPE_SYMBOL)
+            if m:
+                writer.write_flag(v < 0)
+    return writer.bit_length - start
+
+
+def _same_coding(got, ref):
+    assert np.array_equal(got.zero_band, ref.zero_band)
+    assert np.array_equal(got.scalefactors, ref.scalefactors)
+    assert np.array_equal(got.quant_indices, ref.quant_indices)
+    assert np.array_equal(got.escalated, ref.escalated)
+    assert got.nmr.tobytes() == ref.nmr.tobytes()
+
+
+_GROUP_TABLES = [FrequencyGroups.aac_48k_long(), FrequencyGroups.uniform(256)]
+_BAND_KINDS = ("zero", "normal", "normal", "spike", "spike_on_floor", "tiny")
+
+
+@st.composite
+def mnmr_cases(draw):
+    """(spectrum, mask, target, groups): per band silence, Gaussian bins, a
+    lone spike, a spike over a floor 60-120 dB down (first nonzero step set
+    by the spike, the pick by the floor: past the window), or values near
+    the finest step; masks realistic or log-uniform per band over 36 decades
+    (escalated bands where the finest step misses)."""
+    groups = draw(st.sampled_from(_GROUP_TABLES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    x = np.zeros(groups.num_bins)
+    for lo, hi in groups.edges:
+        kind = draw(st.sampled_from(_BAND_KINDS))
+        if kind == "normal":
+            x[lo:hi] = rng.standard_normal(hi - lo) * scale
+        elif kind == "spike":
+            x[lo + draw(st.integers(0, hi - lo - 1))] = scale * (1 if draw(st.booleans()) else -1)
+        elif kind == "spike_on_floor":
+            x[lo:hi] = rng.standard_normal(hi - lo) * scale * 10.0 ** -draw(st.floats(3, 6))
+            x[lo] = scale
+        elif kind == "tiny":
+            x[lo:hi] = rng.uniform(-1, 1, hi - lo) * 10.0 ** draw(st.floats(-6.5, -4))
+    if draw(st.booleans()):
+        mask = masking_threshold(x, groups)
+    else:
+        mask = MaskingCurve(scale**2 * 10.0 ** rng.uniform(-30, 6, len(groups.edges)))
+    target = 10.0 ** draw(st.floats(np.log10(0.05), 3))
+    return x, mask, target, groups
+
+
+_EQUIVALENCE = settings(max_examples=80, deadline=None, derandomize=True,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+
+@_EQUIVALENCE
+@given(mnmr_cases())
+def test_batched_search_matches_per_band_scan(case):
+    x, mask, target, groups = case
+    got = quantize_mnmr(x, mask, target, groups)
+    _same_coding(got, _reference_quantize_mnmr(x, mask, target, groups))
+    table = default_table()
+    assert channel_cost(got, groups, table) == _reference_channel_cost(got, groups, table)
+    w, ref = BitWriter(), BitWriter()
+    assert entropy_encode_channel(got, groups, table, w) == _reference_encode(got, groups, table, ref)
+    assert w.getvalue() == ref.getvalue()
+
+
+def test_search_window_edges_match_per_band_scan():
+    """Picks past the window, windows that run off the finest step, and
+    escalated bands all take the per-band path and agree with it."""
+    groups = FrequencyGroups.uniform(256)
+    x = np.zeros(256)
+    x[0:5] = [1e3, 1e-3, -2e-3, 3e-3, 1e-3]  # spike over a floor 120 dB down
+    x[5:10] = 3e-6  # first nonzero step a few rows from the finest
+    x[10:15] = [1.0, 0.3, -0.7, 0.2, 0.9]  # budget below the finest step's noise
+    power = np.ones(len(groups.edges))
+    power[0], power[1], power[2] = 1e-6, 1e-11, 1e-20
+    mask = MaskingCurve(power)
+    got = quantize_mnmr(x, mask, 1.0, groups)
+    ref = _reference_quantize_mnmr(x, mask, 1.0, groups)
+    _same_coding(got, ref)
+    first = [int(np.searchsorted(np.abs(x[lo:hi]).max() ** 0.75 / _SF_STEPS_34, 1 - _QUANT_MAGIC))
+             for lo, hi in groups.edges[:3]]
+    picks = [SF_MAX - int(sf) for sf in got.scalefactors[:3]]
+    assert picks[0] - first[0] >= _WINDOW  # found by the per-band scan
+    assert first[1] + _WINDOW > _SF_COUNT  # window clipped at the finest step
+    assert got.escalated[2] and not got.escalated[:2].any()
+
+
+@_PROPERTY
+@given(huffman_tables(), coded_channels(), st.integers(0, 7), st.randoms())
+def test_channel_writer_matches_per_value_writes(table, channel, lead, rnd):
+    coded, groups = channel
+    forced = dict(coded.band_costs)
+    coded.band_costs = None
+    assert channel_cost(coded, groups, table) == _reference_channel_cost(coded, groups, table)
+    coded.band_costs = {**coded.band_costs, **forced}  # raw-forced bands stay raw
+    prefix = rnd.getrandbits(lead)
+    w, ref = BitWriter(), BitWriter()
+    w.write(prefix, lead)
+    ref.write(prefix, lead)
+    assert entropy_encode_channel(coded, groups, table, w) == _reference_encode(coded, groups, table, ref)
+    assert w.getvalue() == ref.getvalue()

@@ -190,6 +190,65 @@ def test_synthesis_is_bit_identical_to_per_group_draws(num_bins, active, indices
     assert np.array_equal(out, _reference_noise(info, g, channels, seed, frame, offset))
 
 
+def _reference_quantize_energy(energy):
+    if energy <= 0:
+        return 0
+    db = 10.0 * np.log10(energy)
+    if db < -60.0 - 96.0 / 62 / 2:
+        return 0
+    return int(np.clip(int(round((db + 60.0) / (96.0 / 62))) + 1, 1, 63))
+
+
+def test_energy_quantizer_matches_scalar_reference(rng):
+    step = 96.0 / 62
+    db = np.concatenate([rng.uniform(-80, 50, 2000), -60.0 + step * (np.arange(-2, 66) + 0.5)])
+    energies = np.concatenate([10.0 ** (db / 10), [0.0, -1.0, 5e-324, 1e300]])
+    energies = np.concatenate([energies, np.nextafter(energies, 0), np.nextafter(energies, np.inf)])
+    expected = [_reference_quantize_energy(e) for e in energies]
+    assert quantize_energy(energies).tolist() == expected
+    assert [quantize_energy(float(e)) for e in energies] == expected
+
+
+def _reference_flatness(discarded, groups):
+    """Per group, one (bins, C) block at a time: channel-averaged flatness
+    and mean power."""
+    power = discarded**2
+    flat, mean = [], []
+    for a, b in groups.edges:
+        p = power[a:b]
+        floored = np.maximum(p, 1e-12 * p.mean(axis=0) + 1e-30)
+        ratio = floored / floored.mean(axis=0)
+        flat.append(float(np.mean(np.minimum(1.0, np.exp(np.mean(np.log(ratio), axis=0))))))
+        mean.append(float(p.mean()))
+    return flat, mean
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    num_bins=st.sampled_from([1024, 256, 300]),
+    channels=st.integers(1, 16),
+    seed=st.integers(0, 2**32),
+    pivot=st.integers(0, NUM_GROUPS - 1),
+    silent_bins=st.integers(0, 400),
+)
+def test_analysis_is_bit_identical_to_per_group_loop(num_bins, channels, seed, pivot, silent_bins):
+    g = groups_for(num_bins)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((num_bins, channels)) * 10.0 ** rng.uniform(-8, 4, channels)
+    x *= 10.0 ** rng.uniform(-3, 3, (num_bins, 1))
+    x[:silent_bins] = 0.0
+    flat, mean = _reference_flatness(x, g)
+    # a threshold equal to one group's flatness, and one ulp below it, flips
+    # that group on any change in how its means add up
+    for threshold in (0.25, flat[pivot], np.nextafter(flat[pivot], -np.inf)):
+        info = analyze_discarded(x, g, threshold)
+        expected = [f > threshold and _reference_quantize_energy(m) > 0 for f, m in zip(flat, mean)]
+        assert info.active.tolist() == expected
+        assert info.energy_indices.tolist() == [
+            _reference_quantize_energy(m) if on else 0 for on, m in zip(expected, mean)
+        ]
+
+
 def test_bit_budget_of_info_block():
     info = NoiseGroupInfo.empty()
     assert info.active.size == NUM_GROUPS

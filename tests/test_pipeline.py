@@ -243,7 +243,7 @@ def test_measure_stream_checks_fingerprints(encoded, small_quantizers_module):
 # (byte offset, size) of header fields, see docs/bitstream.md
 _HEADER_FIELDS = {
     "codec_id": (6, 1), "sample_rate": (8, 4), "half_length": (13, 4), "rank": (17, 1), "bands": (18, 1),
-    "background_order": (19, 1), "group_table_id": (64, 1),
+    "background_order": (19, 1), "original_length": (28, 8), "group_table_id": (64, 1),
 }
 
 
@@ -258,6 +258,10 @@ _HEADER_FIELDS = {
     ("background_order", 4, "background order"),  # order 3
     ("bands", 1, "band count"),
     ("bands", 3, "band count"),  # 256 bins do not split into 3 bands
+    # the 0.4 s scene has 19200 samples in 76 frames at L=256
+    ("original_length", 2**62, "frame count"),
+    ("original_length", 3 * 19200, "frame count"),
+    ("original_length", 1, "frame count"),
 ])
 def test_header_values_the_encoder_never_writes_are_rejected(
     encoded, small_quantizers_module, field, value, match
@@ -371,6 +375,46 @@ def test_decode_reads_no_bit_at_a_time(small_scene_module, small_quantizers_modu
     pipeline.decode(stream, quantizers=small_quantizers_module)
     pipeline.measure_stream(stream, quantizers=small_quantizers_module)
     assert calls[0] / (2 * 8 * len(stream)) < 0.02
+
+
+def test_encode_does_no_work_per_symbol(small_scene_module, small_quantizers_module, monkeypatch):
+    """A proposed encode computes each original channel's masking curve once
+    per frame (M, shared by both RD trials) plus one per coded component per
+    trial (2(r + nbg)), and entropy-encodes each channel as one bit run, not
+    one BitWriter call per field."""
+    from hoacodec import core_codec
+    from hoacodec.bitio import BitWriter
+
+    masks, writes, inside = [0], [0], [False]
+    masking_threshold = core_codec.masking_threshold
+    entropy_encode_channel = core_codec.entropy_encode_channel
+
+    def counted_mask(*args, **kwargs):
+        masks[0] += 1
+        return masking_threshold(*args, **kwargs)
+
+    def encode_channel(*args, **kwargs):
+        inside[0] = True
+        try:
+            return entropy_encode_channel(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            writes[0] += inside[0]
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(core_codec, "masking_threshold", counted_mask)
+    monkeypatch.setattr(core_codec, "entropy_encode_channel", encode_channel)
+    for name in [n for n in vars(BitWriter) if n.startswith("write")]:
+        monkeypatch.setattr(BitWriter, name, counted(getattr(BitWriter, name)))
+    cfg = _cfg(small_quantizers_module, half_length=1024)
+    frames = pipeline.encode(small_scene_module, cfg).stats.frames
+    M, r, nbg = small_scene_module.num_channels, cfg.rank, (cfg.background_order + 1) ** 2
+    assert masks[0] <= (M + 2 * (r + nbg)) * len(frames)  # 32 per frame
+    assert writes[0] < 0.01 * sum(f.core_bits for f in frames)
 
 
 @pytest.mark.parametrize("offset", range(8))
