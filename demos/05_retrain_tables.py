@@ -15,8 +15,10 @@ original = core_codec.quantize_mnmr
 
 
 def counting_quantizer(spectrum, mask, target, groups):
+    """Count every channel of the (L, C) matrix one call codes: both RD
+    trials' components of a proposed frame, or a baseline frame's."""
     coded = original(spectrum, mask, target, groups)
-    np.add.at(histogram, np.minimum(np.abs(coded.quant_indices), 16), 1)
+    np.add.at(histogram, np.minimum(np.abs(coded.quant_indices), 16).ravel(), 1)
     return coded
 
 

@@ -1,9 +1,12 @@
 """AAC-like coding of component channels.
 
-Per channel and frame: a simplified psychoacoustic masking curve over the
-49 frequency groups, scalefactor search meeting a maximum noise-to-mask
-ratio per band, x^(3/4) companded integer quantization, and canonical
-Huffman entropy coding with trained tables and a per-band raw fallback.
+Per frame, on all of its component channels at once (the columns of an
+(L, C) spectrum matrix; a 1-D spectrum is one channel): a simplified
+psychoacoustic masking curve over the 49 frequency groups, scalefactor
+search meeting a maximum noise-to-mask ratio per band, x^(3/4) companded
+integer quantization, and canonical Huffman entropy coding with trained
+tables and a per-band raw fallback.  Results keep the layout of the
+input: per-band arrays are (49,) or (49, C), per-bin ones (L,) or (L, C).
 
 The model is deliberately compact: a two-slope spreading over band indices
 with a fixed SNR offset instead of tonality estimation, scalefactors on a
@@ -21,7 +24,7 @@ import numpy as np
 
 from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.errors import FormatError, ShapeError, StreamError
-from hoacodec.noise_subst import FrequencyGroups
+from hoacodec.noise_subst import FrequencyGroups, GroupLayout
 
 SF_MIN = -80  # 1.5 dB steps: -120 dB
 SF_MAX = 80  # +120 dB
@@ -56,9 +59,25 @@ class MaskingCurve:
         self.band_power = np.asarray(self.band_power, dtype=np.float64)
 
 
+def _flat(a, n: int) -> np.ndarray:
+    """The channels of ``a``, one (n,) channel or the columns of an (n, C)
+    matrix, laid end to end: (C * n,)."""
+    a = np.asarray(a)
+    if a.shape[0] != n:
+        raise ShapeError(f"{a.shape[0]} rows do not match the group table's {n}")
+    return a.ravel(order="F")
+
+
+def _unflat(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """Channels laid end to end (:func:`_flat`) back in ``shape``."""
+    return flat.reshape(shape, order="F")
+
+
 def band_energies(spectrum: np.ndarray, groups: FrequencyGroups) -> np.ndarray:
-    s2 = np.asarray(spectrum, dtype=np.float64) ** 2
-    return np.add.reduceat(s2, groups.offsets[:-1])
+    """Energy of each band of each channel."""
+    x = _flat(np.asarray(spectrum, dtype=np.float64), groups.num_bins)
+    energy = np.add.reduceat(x**2, groups.layout(x.size // groups.num_bins).offsets[:-1])
+    return _unflat(energy, (len(groups.edges),) + np.shape(spectrum)[1:])
 
 
 @functools.lru_cache(maxsize=8)
@@ -76,29 +95,39 @@ def masking_threshold(
     groups: FrequencyGroups,
     config: MaskingConfig | None = None,
 ) -> MaskingCurve:
-    """Spread per-band energy with two slopes, drop by the SNR offset, floor."""
+    """Spread per-band energy with two slopes, drop by the SNR offset, floor;
+    per channel."""
     cfg = config or MaskingConfig()
-    if spectrum.shape[0] != groups.num_bins:
-        raise ShapeError(
-            f"spectrum has {spectrum.shape[0]} bins, group table {groups.num_bins}"
-        )
     energy = band_energies(spectrum, groups)
-    spread = energy[None, :] * _spreading(cfg.spread_lower_db, cfg.spread_upper_db, energy.size)
-    mask = spread.sum(axis=1) * 10.0 ** (-cfg.snr_offset_db / 10.0)
-    return MaskingCurve(band_power=np.maximum(mask, cfg.absolute_floor))
+    nb = energy.shape[0]
+    per_channel = _flat(energy, nb).reshape(-1, nb)
+    spread = per_channel[:, None, :] * _spreading(cfg.spread_lower_db, cfg.spread_upper_db, nb)
+    mask = spread.sum(axis=-1) * 10.0 ** (-cfg.snr_offset_db / 10.0)
+    return MaskingCurve(band_power=_unflat(np.maximum(mask, cfg.absolute_floor).ravel(), energy.shape))
 
 
 @dataclass
 class CodedChannel:
-    """Quantization result for one channel of one frame."""
+    """Quantization result for the component channels of one frame: per-band
+    arrays (nb,) for one channel or (nb, C) for C, per-bin arrays (num_bins,)
+    or (num_bins, C)."""
 
     num_bins: int
-    zero_band: np.ndarray  # (nb,) bool: band transmitted as silent
-    scalefactors: np.ndarray  # (nb,) int in [SF_MIN, SF_MAX]; valid where not zero_band
-    quant_indices: np.ndarray  # (num_bins,) int64 signed
+    zero_band: np.ndarray  # bool: band transmitted as silent
+    scalefactors: np.ndarray  # int in [SF_MIN, SF_MAX]; valid where not zero_band
+    quant_indices: np.ndarray  # int64 signed
     nmr: np.ndarray = field(default=None)  # encoder-side achieved NMR per band
     escalated: np.ndarray = field(default=None)  # bands where no scalefactor met target
-    band_costs: dict = field(default=None, repr=False)  # cache: band -> (huff, raw, width)
+    # (huffman_bits, raw_bits, raw_width) per band, stacked on a leading axis
+    band_costs: np.ndarray = field(default=None, repr=False)
+
+    def columns(self, index) -> "CodedChannel":
+        """The channels ``index`` selects from a matrix of channels."""
+        return CodedChannel(self.num_bins, *(
+            None if a is None else a[..., index]
+            for a in (self.zero_band, self.scalefactors, self.quant_indices,
+                      self.nmr, self.escalated, self.band_costs)
+        ))
 
 
 # q^(4/3) lookup for the small quantizer indices that dominate; larger
@@ -117,12 +146,15 @@ def _pow43(q: np.ndarray) -> np.ndarray:
     return out
 
 
-# scalefactor rows tried per band in the batched search, from the first step
-# that quantizes the band's peak to a nonzero index; on the synthetic corpus
-# the pick lies fewer than 24 rows past it.  Bands without an in-budget row
-# in the window continue with the per-band scan, so the value never changes
-# the result, only the time.
-_WINDOW = 32
+# scalefactor rows searched per band in the batched passes, from the first
+# step that quantizes the band's peak to a nonzero index: the first chunk for
+# every coded band, each later one only for the bands still without an
+# in-budget row.  On the synthetic corpus the pick lies fewer than 24 rows
+# past that step, and within 16 rows for most bands.  Bands without an
+# in-budget row in the _WINDOW rows continue with the per-band scan, so the
+# chunks never change the result, only the time.
+_CHUNKS = (16, 8, 8)
+_WINDOW = sum(_CHUNKS)
 
 
 def _scan_band(absx: np.ndarray, absx34: np.ndarray, budget: float, first: int):
@@ -155,32 +187,61 @@ def _band_sums(values: np.ndarray, bands: np.ndarray, bins: np.ndarray, out: np.
     out[..., bands] = np.ascontiguousarray(values[..., bins]).sum(axis=-1)
 
 
+def _rows_noise(absx, absx34, layout: GroupLayout, bands, first, rows: int) -> np.ndarray:
+    """Squared quantization error of each of ``bands`` (increasing) at the
+    ``rows`` scalefactor rows from its row in ``first``, clipped at the
+    finest step: (bands, rows)."""
+    _, widths, by_width = layout
+    chosen = np.zeros(widths.size, dtype=bool)
+    chosen[bands] = True
+    chosen_bins = np.repeat(chosen, widths)
+    row = np.minimum(first + np.arange(rows)[:, None], _SF_COUNT - 1)  # (rows, bands)
+    band_widths = widths[bands]
+    err = absx34[chosen_bins] / np.repeat(_SF_STEPS_34[row], band_widths, axis=1)
+    err += _QUANT_MAGIC
+    np.floor(err, out=err)
+    err = _pow43(err)
+    err *= np.repeat(_SF_STEPS[row], band_widths, axis=1)
+    err -= absx[chosen_bins]
+    err *= err  # (rows, chosen bins)
+    column = np.cumsum(chosen_bins) - 1  # bin -> column of err
+    noise = np.empty((rows, widths.size))
+    for group, bins in by_width:
+        keep = chosen[group]
+        _band_sums(err, group[keep], column[bins[keep]], noise)
+    return noise[:, bands].T
+
+
 def quantize_mnmr(
     spectrum: np.ndarray,
     mask: MaskingCurve,
     target: float,
     groups: FrequencyGroups,
 ) -> CodedChannel:
-    """Per band, the coarsest scalefactor whose noise stays within
-    ``target`` times the masked threshold.
+    """Per band of every channel, the coarsest scalefactor whose noise stays
+    within ``target`` times the masked threshold.
 
     Bands whose full energy already fits the budget are sent as silent.
     If even the finest step misses the target (pathological inputs), the
     band is coded at its minimum-noise scalefactor and flagged.
 
-    The search runs on all coded bands at once: every bin is quantized at
-    the ``_WINDOW`` scalefactor rows from its band's first nonzero step,
-    and the squared errors are summed per band and row (:func:`_band_sums`).
-    A band without an in-budget row there continues with the per-band scan.
+    The search runs on all coded bands of all channels at once, laid end
+    to end (``groups.layout``).  From each band's first nonzero step, the
+    bins are quantized at the rows of one ``_CHUNKS`` entry after the
+    other, for the bands without an in-budget row so far, and the squared
+    errors are summed per band and row (:func:`_band_sums`).  A band
+    without an in-budget row in those ``_WINDOW`` rows continues with the
+    per-band scan.
     """
     if target <= 0:
         raise ShapeError("MNMR target must be positive")
-    x = np.asarray(spectrum, dtype=np.float64)
-    if x.shape[0] != groups.num_bins:
-        raise ShapeError("spectrum does not match the group table")
-    offsets, widths, by_width = groups.layout
+    shape = np.shape(spectrum)
+    band_shape = (len(groups.edges),) + shape[1:]
+    x = _flat(np.asarray(spectrum, dtype=np.float64), groups.num_bins)
+    layout = groups.layout(x.size // groups.num_bins)
+    offsets, widths, by_width = layout
     nb = widths.size
-    power = mask.band_power
+    power = _flat(mask.band_power, band_shape[0])
     budget = target * power
     absx = np.abs(x)
     absx34 = absx**0.75
@@ -199,28 +260,25 @@ def quantize_mnmr(
     first = np.count_nonzero(peak34[:, None] / _SF_STEPS_34 < 1.0 - _QUANT_MAGIC, axis=1)
     first = np.minimum(first, _SF_COUNT - 1)
 
-    # squared error of every coded bin at each row of its band's window
-    coded_bins = np.repeat(~zero_band, widths)
-    rows = np.minimum(np.repeat(first, widths[coded]) + np.arange(_WINDOW)[:, None], _SF_COUNT - 1)
-    err = absx34[coded_bins] / _SF_STEPS_34[rows]
-    err += _QUANT_MAGIC
-    np.floor(err, out=err)
-    err = _pow43(err) * _SF_STEPS[rows]
-    err -= absx[coded_bins]
-    err *= err  # (_WINDOW, coded bins)
-    column = np.cumsum(coded_bins) - 1  # bin -> column of err
-    noise = np.empty((_WINDOW, nb))
-    for bands, bins in by_width:
-        keep = ~zero_band[bands]
-        _band_sums(err, bands[keep], column[bins[keep]], noise)
-    noise = noise[:, coded].T  # (coded bands, _WINDOW)
-
-    ok = (noise <= budget[coded, None]) & (first[:, None] + np.arange(_WINDOW) < _SF_COUNT)
-    j = ok.argmax(axis=1)
-    k = np.arange(coded.size)
-    pick, picked_noise = first + j, noise[k, j]
+    pick = np.empty(coded.size, dtype=np.int64)
+    picked_noise = np.empty(coded.size)
+    todo = np.arange(coded.size)  # coded bands without an in-budget row yet
+    start = 0
+    for rows in _CHUNKS:
+        if not todo.size:
+            break
+        row = first[todo, None] + start + np.arange(rows)
+        noise = _rows_noise(absx, absx34, layout, coded[todo], first[todo] + start, rows)
+        ok = (noise <= budget[coded[todo], None]) & (row < _SF_COUNT)
+        found = ok.any(axis=1)
+        hit = np.flatnonzero(found)
+        j = ok[hit].argmax(axis=1)
+        pick[todo[hit]] = row[hit, j]
+        picked_noise[todo[hit]] = noise[hit, j]
+        todo = todo[~found]
+        start += rows
     escalated = np.zeros(nb, dtype=bool)
-    for i in np.flatnonzero(~ok[k, j]).tolist():  # no in-budget row in the window
+    for i in todo.tolist():  # no in-budget row in the window
         b = coded[i]
         lo, hi = offsets[b], offsets[b + 1]
         pick[i], picked_noise[i], escalated[b] = _scan_band(
@@ -229,26 +287,26 @@ def quantize_mnmr(
     nmr[coded] = picked_noise / power[coded]
     scalefactors = np.zeros(nb, dtype=np.int64)
     scalefactors[coded] = SF_MAX - pick
+    coded_bins = np.repeat(~zero_band, widths)
     step34 = _SF_STEPS_34[np.repeat(pick, widths[coded])]
     q = np.floor(absx34[coded_bins] / step34 + _QUANT_MAGIC)
-    qidx = np.zeros(x.shape[0], dtype=np.int64)
+    qidx = np.zeros(x.size, dtype=np.int64)
     qidx[coded_bins] = np.sign(x[coded_bins]) * q.astype(np.int64)
 
     return CodedChannel(
-        num_bins=x.shape[0],
-        zero_band=zero_band,
-        scalefactors=scalefactors,
-        quant_indices=qidx,
-        nmr=nmr,
-        escalated=escalated,
+        num_bins=groups.num_bins,
+        zero_band=_unflat(zero_band, band_shape),
+        scalefactors=_unflat(scalefactors, band_shape),
+        quant_indices=_unflat(qidx, shape),
+        nmr=_unflat(nmr, band_shape),
+        escalated=_unflat(escalated, band_shape),
     )
 
 
 def dequantize_channel(coded: CodedChannel, groups: FrequencyGroups) -> np.ndarray:
-    """Reconstruct the spectrum a decoder sees."""
-    widths = groups.layout.widths
+    """Reconstruct the spectra a decoder sees, in the layout of ``coded``."""
     steps = np.where(coded.zero_band, 0.0, 10.0 ** (1.5 * coded.scalefactors / 20.0))
-    per_bin = np.repeat(steps, widths)
+    per_bin = np.repeat(steps, groups.layout().widths, axis=0)
     q = coded.quant_indices
     return np.sign(q) * _pow43(np.abs(q)) * per_bin
 
@@ -259,12 +317,14 @@ def measure_nmr(
     mask: MaskingCurve,
     groups: FrequencyGroups,
 ) -> np.ndarray:
-    """Per-band quantization-noise power over masked threshold power."""
-    if original.shape != decoded.shape:
+    """Per-band quantization-noise power over masked threshold power, per
+    channel."""
+    if np.shape(original) != np.shape(decoded):
         raise ShapeError("original/decoded shape mismatch")
-    err2 = (np.asarray(original, dtype=np.float64) - decoded) ** 2
-    noise = np.add.reduceat(err2, groups.offsets[:-1])
-    return noise / mask.band_power
+    err2 = _flat((np.asarray(original, dtype=np.float64) - decoded) ** 2, groups.num_bins)
+    noise = np.add.reduceat(err2, groups.layout(err2.size // groups.num_bins).offsets[:-1])
+    band_shape = (len(groups.edges),) + np.shape(original)[1:]
+    return _unflat(noise / _flat(mask.band_power, band_shape[0]), band_shape)
 
 
 # --------------------------------------------------------------------------
@@ -387,32 +447,32 @@ def _escapes(mags: np.ndarray):
     return esc, _bit_length(mags[esc] - (ESCAPE_SYMBOL - 1))
 
 
-def _band_costs(mags: np.ndarray, groups: FrequencyGroups, table: HuffmanTable):
+def _band_costs(mags: np.ndarray, layout: GroupLayout, table: HuffmanTable) -> np.ndarray:
     """Exact (huffman_bits, raw_bits, raw_width) of every band from the
-    bins' magnitudes, int64 arrays: per-bin code, sign and escape lengths
-    summed per band."""
-    offsets, widths, _ = groups.layout
+    bins' magnitudes, as a (3, bands) int64 array: per-bin code, sign and
+    escape lengths summed per band."""
+    offsets, widths, _ = layout
     per_bin = table.length_array[np.minimum(mags, ESCAPE_SYMBOL)] + (mags > 0)
     esc, esc_bits = _escapes(mags)
     per_bin[esc] += 2 * esc_bits - 1  # ue() of the excess
     huff = np.add.reduceat(per_bin, offsets[:-1])
     width = np.maximum(_bit_length(np.maximum.reduceat(mags, offsets[:-1])), 1)
-    raw = 6 + widths * (width + 1)
-    return huff, raw, width
+    return np.stack([huff, 6 + widths * (width + 1), width])
 
 
-def _cost_cache(coded: CodedChannel, groups: FrequencyGroups, table: HuffmanTable) -> dict:
-    """band -> (huffman_bits, raw_bits, raw_width) of every coded band."""
-    huff, raw, width = _band_costs(np.abs(coded.quant_indices), groups, table)
-    bands = np.flatnonzero(~np.asarray(coded.zero_band, dtype=bool))
-    return dict(zip(bands.tolist(), zip(huff[bands].tolist(), raw[bands].tolist(), width[bands].tolist())))
-
-
-def channel_cost(coded: CodedChannel, groups: FrequencyGroups, table: HuffmanTable) -> int:
-    """Exact bit count :func:`entropy_encode_channel` would produce."""
-    coded.band_costs = _cost_cache(coded, groups, table)
+def channel_cost(coded: CodedChannel, groups: FrequencyGroups, table: HuffmanTable):
+    """Exact bit count :func:`entropy_encode_channel` would produce for each
+    channel: an integer for one channel, a (C,) array for C.  The band
+    costs are kept in ``coded.band_costs``."""
+    nb = len(groups.edges)
+    shape = np.shape(coded.zero_band)
+    zero = _flat(coded.zero_band, nb)
+    mags = np.abs(_flat(coded.quant_indices, groups.num_bins))
+    costs = _band_costs(mags, groups.layout(zero.size // nb), table)
+    coded.band_costs = np.stack([_unflat(c, shape) for c in costs])
     # zero flag per band; scalefactor, mode flag and the cheaper coding per coded band
-    return len(groups.edges) + sum(9 + min(huff, raw) for huff, raw, _ in coded.band_costs.values())
+    bits = np.where(zero, 1, 10 + np.minimum(costs[0], costs[1]))
+    return bits.reshape(-1, nb).sum(axis=1).reshape(shape[1:])[()]
 
 
 def entropy_encode_channel(
@@ -421,37 +481,36 @@ def entropy_encode_channel(
     table: HuffmanTable,
     writer: BitWriter,
 ) -> int:
-    """Serialize one coded channel; returns the number of bits written.
+    """Serialize the coded channels one after another; returns the number of
+    bits written.
 
-    The channel is written as one run of fields in stream order: each
+    The channels are written as one run of fields in stream order: each
     band's header, then one field per bin (Huffman code and sign, or raw
     sign and magnitude), with an escape's excess inserted after its code.
     """
-    q = coded.quant_indices
-    offsets, widths, _ = groups.layout
-    zero = np.asarray(coded.zero_band, dtype=bool)
-    sf = np.asarray(coded.scalefactors)
+    nb = len(groups.edges)
+    zero = _flat(coded.zero_band, nb).astype(bool)
+    sf = _flat(coded.scalefactors, nb)
     bad = ~zero & ((sf < SF_MIN) | (sf > SF_MAX))
     if bad.any():
         raise StreamError(f"scalefactor {int(sf[bad][0])} out of range")
-    # the band modes come from the cost cache (channel_cost's, or the
-    # caller's), completed here for bands it does not cover
-    costs = coded.band_costs or {}
-    bands = np.flatnonzero(~zero)
-    if not costs.keys() >= set(bands.tolist()):
-        costs = {**_cost_cache(coded, groups, table), **costs}
-    huff, raw_cost, band_width = np.array([costs[b] for b in bands.tolist()], dtype=np.int64).reshape(-1, 3).T
-    raw = np.zeros(zero.size, dtype=bool)
-    raw[bands] = huff > raw_cost
-    width = np.ones(zero.size, dtype=np.int64)
-    width[bands] = band_width
+    q = _flat(coded.quant_indices, groups.num_bins)
+    mags = np.abs(q)
+    layout = groups.layout(zero.size // nb)
+    offsets, widths, _ = layout
+    # the band modes come from the cost cache (channel_cost's, or the caller's)
+    if coded.band_costs is None:
+        huff, raw_cost, width = _band_costs(mags, layout, table)
+    else:
+        huff, raw_cost, width = (_flat(c, nb) for c in coded.band_costs)
+    raw = ~zero & (huff > raw_cost)
+    width = np.where(zero, 1, width)
     # band header: zero:u1, or zero:u1 scalefactor:u8 raw:u1 [width:u6]
     head = np.where(zero, 1, ((sf - SF_MIN) << 1 | raw) << 6 * raw | raw * width)
     head_len = np.where(zero, 1, 10 + 6 * raw)
 
     # bin field: Huffman code then the sign of a nonzero value, or raw sign
     # then magnitude; none in a zero band
-    mags = np.abs(q)
     neg = (q < 0).astype(np.int64)
     nonzero = mags > 0
     sym = np.minimum(mags, ESCAPE_SYMBOL)

@@ -72,11 +72,14 @@ class FrequencyGroups:
     def widths(self) -> np.ndarray:
         return np.diff(np.asarray(self.offsets))
 
-    @functools.cached_property
-    def layout(self) -> GroupLayout:
+    @functools.lru_cache(maxsize=16)
+    def layout(self, channels: int = 1) -> GroupLayout:
         """Index arrays for work done on all groups of one width at once,
-        built on first use."""
-        o = np.asarray(self.offsets)
+        built on first use; for ``channels`` spectra laid end to end, one
+        table of ``channels`` x 49 groups over ``channels`` x L bins."""
+        n = self.num_bins
+        starts = np.asarray(self.offsets[:-1]) + n * np.arange(channels)[:, None]
+        o = np.append(starts.ravel(), n * channels)
         widths = np.diff(o)
         by_width = tuple(
             (g, o[g, None] + np.arange(w))
@@ -204,7 +207,7 @@ def analyze_discarded(
     power = discarded_spectra**2
     flat = np.empty(NUM_GROUPS)
     mean_power = np.empty(NUM_GROUPS)
-    for g, bins in groups.layout.by_width:
+    for g, bins in groups.layout().by_width:
         p = power[bins]
         floored = np.maximum(p, 1e-12 * p.mean(axis=1, keepdims=True) + 1e-30)
         ratio = floored / floored.mean(axis=1, keepdims=True)

@@ -44,6 +44,10 @@ _FLAG_HANNING_INTERP = 2
 GROUP_TABLE_AAC48K = 0
 GROUP_TABLE_UNIFORM = 1
 
+# highest ambisonic order either side accepts, (15 + 1)^2 = 256 channels: the
+# decoder allocates per channel, and the 8-bit header field admits 65536 channels
+MAX_ORDER = 15
+
 # default RD lambda: calibrated on the synthetic corpus so both band-split
 # modes are exercised at the default operating points
 DEFAULT_RD_LAMBDA = 1e-4
@@ -92,6 +96,8 @@ class EncoderConfig:
         return None if self.bypass_quantization else self.quantizers
 
     def validate(self, order: int) -> None:
+        if order > MAX_ORDER:
+            raise ConfigurationError(f"order {order} above the maximum {MAX_ORDER}")
         M = (order + 1) ** 2
         if self.rank < 1 or self.rank > M:
             raise ConfigurationError(f"rank {self.rank} out of range for M={M}")
@@ -311,6 +317,8 @@ def _read_header(data: bytes) -> StreamHeader:
     # values the encoder can never write (EncoderConfig.validate)
     if h.sample_rate == 0:
         raise StreamError("sample rate 0")
+    if h.order > MAX_ORDER:
+        raise StreamError(f"order {h.order} above the maximum {MAX_ORDER}")
     if h.codec_id not in (CODEC_BASELINE, CODEC_PROPOSED):
         raise StreamError(f"unknown codec id {h.codec_id}")
     if h.group_table_id not in (GROUP_TABLE_AAC48K, GROUP_TABLE_UNIFORM):
@@ -337,17 +345,20 @@ def _read_header(data: bytes) -> StreamHeader:
 # --------------------------------------------------------------------------
 
 def _write_noise_block(w: BitWriter, info: NoiseGroupInfo) -> int:
+    """The activity flags as one NUM_GROUPS-bit field, then the active
+    groups' energy indices as one run of fields."""
     start = w.bit_length
-    for j in range(NUM_GROUPS):
-        w.write_flag(bool(info.active[j]))
-    for j in np.flatnonzero(info.active):
-        w.write(int(info.energy_indices[j]), noise_subst.ENERGY_BITS)
+    active = np.asarray(info.active, dtype=bool)
+    w.write(int.from_bytes(np.packbits(active).tobytes(), "big") >> (-NUM_GROUPS % 8), NUM_GROUPS)
+    energies = info.energy_indices[active]
+    w.write_fields(energies, np.full(energies.size, noise_subst.ENERGY_BITS))
     return w.bit_length - start
 
 
 def _read_noise_block(r: BitReader) -> tuple:
     start = r.bit_position
-    active = np.array([r.read_flag() for _ in range(NUM_GROUPS)])
+    flags = r.read(NUM_GROUPS)
+    active = (flags >> np.arange(NUM_GROUPS - 1, -1, -1) & 1).astype(bool)
     indices = np.zeros(NUM_GROUPS, dtype=np.uint8)
     for j in np.flatnonzero(active):
         indices[j] = r.read(noise_subst.ENERGY_BITS)
@@ -355,51 +366,38 @@ def _read_noise_block(r: BitReader) -> tuple:
     return info, r.bit_position - start
 
 
-def _quantize_components(channels: list, groups, masking_cfg, mnmr, table, bypass):
-    """MNMR-quantize the component spectra without serializing.
+def _code_components(channels: np.ndarray, groups, masking_cfg, mnmr, table, bypass):
+    """MNMR-quantize the (L, C) component spectra of a frame in one pass,
+    without serializing.
 
-    Returns (coded list, decoded spectra list, exact payload bit count).
+    Returns the coded channels and, per channel, the exact payload bits,
+    the worst band NMR and the escalated band count; in bypass nothing is
+    coded and the spectra go out raw.
     """
-    decoded = []
-    coded_list = []
-    bits = 0
-    max_nmr = 0.0
-    escalated = 0
-    for spec in channels:
-        if bypass:
-            coded_list.append(None)
-            decoded.append(spec.copy())
-            bits += 64 * spec.shape[0]
-            continue
-        mask = core_codec.masking_threshold(spec, groups, masking_cfg)
-        coded = core_codec.quantize_mnmr(spec, mask, mnmr, groups)
-        coded_list.append(coded)
-        decoded.append(core_codec.dequantize_channel(coded, groups))
-        bits += core_codec.channel_cost(coded, groups, table)
-        max_nmr = max(max_nmr, float(coded.nmr.max()))
-        escalated += int(coded.escalated.sum())
-    return coded_list, decoded, bits, max_nmr, escalated
+    if bypass:
+        C = channels.shape[1]
+        return None, np.full(C, 64 * channels.shape[0]), np.zeros(C), np.zeros(C, dtype=int)
+    mask = core_codec.masking_threshold(channels, groups, masking_cfg)
+    coded = core_codec.quantize_mnmr(channels, mask, mnmr, groups)
+    bits = core_codec.channel_cost(coded, groups, table)
+    return coded, bits, coded.nmr.max(axis=0), coded.escalated.sum(axis=0)
 
 
-def _write_components(coded_list, channels, groups, table, writer: BitWriter, bypass: bool) -> int:
+def _write_components(coded, channels, groups, table, writer: BitWriter, bypass: bool) -> int:
     start = writer.bit_length
-    for coded, spec in zip(coded_list, channels):
-        if bypass:
-            writer.write_f64_array(spec)
-        else:
-            core_codec.entropy_encode_channel(coded, groups, table, writer)
+    if bypass:
+        writer.write_f64_array(channels.T)  # channel after channel
+    else:
+        core_codec.entropy_encode_channel(coded, groups, table, writer)
     return writer.bit_length - start
 
 
-def _mask_weighted_error(original: np.ndarray, decoded: np.ndarray, masks: list, groups) -> float:
+def _mask_weighted_error(original: np.ndarray, decoded: np.ndarray, masks, groups) -> float:
     """Distortion for RD decisions: sum over channels/bands of noise/mask,
-    with ``masks`` the masking curves of the original channels."""
-    total = 0.0
-    for ch, mask in enumerate(masks):
-        total += float(
-            np.sum(core_codec.measure_nmr(original[:, ch], decoded[:, ch], mask, groups))
-        )
-    return total
+    with ``masks`` the masking curves of the original channels; the bands
+    of each channel are summed on their own, then the channels in order."""
+    nmr = core_codec.measure_nmr(original, decoded, masks, groups)
+    return float(np.cumsum(np.ascontiguousarray(nmr.T).sum(axis=1))[-1])
 
 
 # --------------------------------------------------------------------------
@@ -452,51 +450,57 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
     window = transform.sine_window(L)
     spectra, _ = transform.analyze(signal.samples, L, window)
     state = sideinfo.SideInfoState()
+    nbg = (cfg.background_order + 1) ** 2
+    count = cfg.rank + nbg  # component channels per RD trial
     payloads, frame_stats = [], []
 
     for sp in spectra:
-        # both RD trials weigh their error with the original channels' masks
-        masks = [
-            core_codec.masking_threshold(sp.coeffs[:, ch], groups, cfg.masking)
-            for ch in range(sp.num_channels)
+        trials = [
+            _analyze_proposed_frame(sp, mode, cfg, groups, state.copy())
+            for mode in (freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS)
         ]
-        trials = []
-        for mode in (freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS):
-            w = BitWriter()
-            trial_state = state.copy()
-            trial = _encode_proposed_frame(
-                sp, mode, cfg, groups, table, window, trial_state, w
-            )
-            distortion = _mask_weighted_error(sp.coeffs, trial["decoded"], masks, groups)
-            # side + noise already written; channel payload size known exactly
-            payload_bits = trial["side"].bit_count + trial["noise_bits"] + trial["core_bits"]
-            bits = payload_bits + 64 + (-payload_bits) % 8
-            cost = distortion + cfg.rd_lambda * bits
-            trials.append((cost, mode, trial, trial_state, w))
-        trials.sort(key=lambda t: (t[0], t[1]))  # tie -> mode 0
-        (cost, mode, trial, state, w), (other_cost, *_) = trials
-        core_bits = _write_components(
-            trial["coded"], trial["channels"], groups, table, w, cfg.bypass_quantization
+        # both trials' components are coded in one pass, and both trials
+        # weigh their error with the original channels' masks
+        channels = np.hstack([t["channels"] for t in trials])
+        coded, bits, max_nmr, escalated = _code_components(
+            channels, groups, cfg.masking, cfg.mnmr, table, cfg.bypass_quantization
         )
-        assert core_bits == trial["core_bits"]
+        decoded = channels if coded is None else core_codec.dequantize_channel(coded, groups)
+        masks = core_codec.masking_threshold(sp.coeffs, groups, cfg.masking)
+        for k, trial in enumerate(trials):
+            cols = trial["cols"] = slice(k * count, (k + 1) * count)
+            spectrum = _proposed_spectrum(
+                decoded[:, cols], trial["recon"], trial["layout"], sp.num_channels, nbg
+            )
+            distortion = _mask_weighted_error(sp.coeffs, spectrum, masks, groups)
+            # side + noise already written; channel payload size known exactly
+            trial["core_bits"] = int(bits[cols].sum())
+            payload_bits = trial["side"].bit_count + trial["noise_bits"] + trial["core_bits"]
+            trial["cost"] = distortion + cfg.rd_lambda * (payload_bits + 64 + (-payload_bits) % 8)
+        best, other = sorted(trials, key=lambda t: (t["cost"], t["side"].mode))  # tie -> mode 0
+        state, w, cols = best["state"], best["writer"], best["cols"]
+        winner = None if coded is None else coded.columns(cols)
+        core_bits = _write_components(winner, best["channels"], groups, table, w, cfg.bypass_quantization)
+        assert core_bits == best["core_bits"]
         payload = w.getvalue()
         payloads.append(payload)
         frame_stats.append(
             _frame_stats(
-                sp.index, payload, trial["side"], trial["noise_bits"], core_bits,
-                rd_cost=cost,
-                rd_cost_other=other_cost,
-                max_nmr=trial["max_nmr"],
-                escalated_bands=trial["escalated"],
+                sp.index, payload, best["side"], best["noise_bits"], core_bits,
+                rd_cost=best["cost"],
+                rd_cost_other=other["cost"],
+                max_nmr=float(max_nmr[cols].max()),
+                escalated_bands=int(escalated[cols].sum()),
             )
         )
     return payloads, frame_stats
 
 
-def _encode_proposed_frame(sp, mode, cfg, groups, table, window, state, w: BitWriter):
-    """Analyze one frame in one mode: writes side info + noise block into
-    ``w``, quantizes the components, and returns everything the RD
-    selection and final serialization need."""
+def _analyze_proposed_frame(sp, mode, cfg, groups, state) -> dict:
+    """One RD trial up to its component channels: writes side info and the
+    noise block, advancing ``state``, and returns what the core coding, the
+    RD cost and serialization need."""
+    w = BitWriter()
     layout = freq_svd.layout_for_mode(mode, cfg.half_length, cfg.bands)
     bands = freq_svd.band_split(sp, layout)
     raw_bases = [
@@ -512,28 +516,16 @@ def _encode_proposed_frame(sp, mode, cfg, groups, table, window, state, w: BitWr
     )
     residual = freq_svd.compute_residual(sp, dec)
     nbg = (cfg.background_order + 1) ** 2
-    background = residual[:, :nbg]
-    discarded = residual[:, nbg:]
-
-    info = noise_subst.analyze_discarded(discarded, groups, cfg.flatness_threshold)
-    noise_bits = _write_noise_block(w, info)
-
-    fg = dec.stacked_foreground()
-    channels = [fg[:, k] for k in range(cfg.rank)]
-    channels += [background[:, c] for c in range(nbg)]
-    coded, decoded_channels, core_bits, max_nmr, escalated = _quantize_components(
-        channels, groups, cfg.masking, cfg.mnmr, table, cfg.bypass_quantization
-    )
-
+    info = noise_subst.analyze_discarded(residual[:, nbg:], groups, cfg.flatness_threshold)
     return {
+        "state": state,
+        "writer": w,
         "side": side,
-        "noise_bits": noise_bits,
-        "core_bits": core_bits,
-        "coded": coded,
-        "channels": channels,
-        "decoded": _proposed_spectrum(decoded_channels, recon, layout, sp.num_channels, nbg),
-        "max_nmr": max_nmr,
-        "escalated": escalated,
+        "recon": recon,
+        "layout": layout,
+        "noise_bits": _write_noise_block(w, info),
+        # the r foreground tracks, then the nbg background channels
+        "channels": np.hstack([dec.stacked_foreground(), residual[:, :nbg]]),
     }
 
 
@@ -581,8 +573,8 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
         info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups, cfg.flatness_threshold)
         noise_bits = _write_noise_block(w, info)
 
-        channels = [spec[:, k] for k in range(r + nbg)]
-        coded, _, _, max_nmr, escalated = _quantize_components(
+        channels = spec[:, : r + nbg]
+        coded, _, max_nmr, escalated = _code_components(
             channels, groups, cfg.masking, cfg.mnmr, table, cfg.bypass_quantization
         )
         core_bits = _write_components(
@@ -593,7 +585,7 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
         frame_stats.append(
             _frame_stats(
                 f, payload, side, noise_bits, core_bits,
-                max_nmr=max_nmr, escalated_bands=escalated,
+                max_nmr=float(max_nmr.max()), escalated_bands=int(escalated.sum()),
             )
         )
     return payloads, frame_stats
@@ -610,15 +602,19 @@ class ParsedFrame:
     side: sideinfo.SideInfoFrame
     bases: list  # per band, the (M, r) basis (one band for the baseline)
     noise: NoiseGroupInfo
-    channels: list  # per component: CodedChannel, or the raw spectrum in bypass
+    channels: list | np.ndarray  # per component a CodedChannel, or the raw (L, C) spectra in bypass
     noise_bits: int
     core_bits: int
 
-    def spectra(self, groups: FrequencyGroups) -> list:
-        """The component spectra the decoder reconstructs from."""
-        if isinstance(self.channels[0], np.ndarray):  # bypass
+    def spectra(self, groups: FrequencyGroups) -> np.ndarray:
+        """The (L, C) component spectra the decoder reconstructs from."""
+        if isinstance(self.channels, np.ndarray):  # bypass
             return self.channels
-        return [core_codec.dequantize_channel(c, groups) for c in self.channels]
+        coded = core_codec.CodedChannel(groups.num_bins, *(
+            np.stack([getattr(c, name) for c in self.channels], axis=1)
+            for name in ("zero_band", "scalefactors", "quant_indices")
+        ))
+        return core_codec.dequantize_channel(coded, groups)
 
 
 @dataclass
@@ -697,7 +693,7 @@ def parse_frame(
     noise, noise_bits = _read_noise_block(reader)
     count = rank + (header.background_order + 1) ** 2
     if header.bypass:
-        channels = [reader.read_f64_array((groups.num_bins,)) for _ in range(count)]
+        channels = reader.read_f64_array((count, groups.num_bins)).T
     else:
         channels = [core_codec.entropy_decode_channel(reader, groups, table) for _ in range(count)]
     core_bits = reader.bit_position - side.bit_count - noise_bits
@@ -755,17 +751,20 @@ def decode(
     )
 
 
-def _proposed_spectrum(decoded: list, bases: list, layout, M: int, nbg: int) -> np.ndarray:
+def _proposed_spectrum(decoded: np.ndarray, bases: list, layout, M: int, nbg: int) -> np.ndarray:
     """L x M spectrum of one proposed frame without noise substitution: each
     band's foreground back-projected through its basis, plus the background
-    channels.  ``decoded`` holds the r foreground, then the nbg background
-    channel spectra; the encoder's RD trials and the decoder both use it."""
-    rank = len(decoded) - nbg
-    fg = np.stack(decoded[:rank], axis=1)
+    channels.  The columns of ``decoded`` are the r foreground, then the nbg
+    background channel spectra; the encoder's RD trials and the decoder both
+    use it."""
+    rank = decoded.shape[1] - nbg
+    # a matrix product's rounding can depend on its operands' memory layout,
+    # and the encoder's RD trials and the decoder must agree bit for bit
+    fg = np.ascontiguousarray(decoded[:, :rank])
     S = np.zeros((layout.total, M))
     for (a, b), basis in zip(layout.edges, bases):
         S[a:b] = fg[a:b] @ basis.T
-    S[:, :nbg] += np.stack(decoded[rank:], axis=1)
+    S[:, :nbg] += decoded[:, rank:]
     return S
 
 
@@ -808,7 +807,7 @@ def _reconstruct_baseline(header: StreamHeader, parsed: list, groups) -> np.ndar
             noise = noise_subst.synthesize_noise(
                 p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg
             )
-            block = np.column_stack(p.spectra(groups) + [noise])
+            block = np.column_stack([p.spectra(groups), noise])
             basis = p.bases[0]
         blocks.append(transform.SpectralFrame(index=f, coeffs=block))
         bases.append(baseline_td.TruncatedBasis(vectors=basis, frame=f))

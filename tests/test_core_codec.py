@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hoacodec import core_codec
 from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.core_codec import (
     ESCAPE_SYMBOL,
@@ -12,6 +13,7 @@ from hoacodec.core_codec import (
     HuffmanTable,
     MaskingConfig,
     MaskingCurve,
+    _CHUNKS,
     _QUANT_MAGIC,
     _SF_COUNT,
     _SF_STEPS,
@@ -326,7 +328,7 @@ def coded_channels(draw):
     values = np.zeros(groups.num_bins, dtype=np.int64)
     zero_band = np.zeros(nb, dtype=bool)
     scalefactors = np.zeros(nb, dtype=np.int64)
-    band_costs = {}
+    forced = {}
     magnitude = st.one_of(st.integers(0, 3), st.integers(0, 15), st.integers(16, 1 << 20))
     for b, (lo, hi) in enumerate(groups.edges):
         kind = draw(st.sampled_from(["zero", "huffman", "huffman", "raw"]))
@@ -338,10 +340,16 @@ def coded_channels(draw):
         signs = draw(st.lists(st.booleans(), min_size=hi - lo, max_size=hi - lo))
         values[lo:hi] = [-m if s else m for m, s in zip(mags, signs)]
         if kind == "raw":  # force raw mode, possibly wider than needed
-            width = max(mags).bit_length() + draw(st.integers(0, 2))
-            band_costs[b] = (1, 0, width)
-    coded = CodedChannel(groups.num_bins, zero_band, scalefactors, values, band_costs=band_costs)
-    return coded, groups
+            forced[b] = max(mags).bit_length() + draw(st.integers(0, 2))
+    return CodedChannel(groups.num_bins, zero_band, scalefactors, values), groups, forced
+
+
+def _force_raw(coded, groups, table, forced):
+    """Fill the band cost cache, then send the ``forced`` bands raw at the
+    given widths (band -> width)."""
+    channel_cost(coded, groups, table)
+    for b, width in forced.items():
+        coded.band_costs[:, b] = (1, 0, width)
 
 
 _PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -350,7 +358,8 @@ _PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[Heal
 @_PROPERTY
 @given(huffman_tables(), coded_channels(), st.integers(0, 15), st.integers(0, 20), st.randoms())
 def test_channel_decoder_matches_reference(table, channel, lead, trail, rnd):
-    coded, groups = channel
+    coded, groups, forced = channel
+    _force_raw(coded, groups, table, forced)
     w = BitWriter()
     w.write(rnd.getrandbits(lead), lead)  # start away from a byte boundary
     entropy_encode_channel(coded, groups, table, w)
@@ -470,7 +479,10 @@ def _reference_encode(coded, groups, table, writer):
             continue
         writer.write(int(coded.scalefactors[b]) - SF_MIN, 8)
         values = coded.quant_indices[lo:hi]
-        huff, raw, width = (coded.band_costs or {}).get(b) or _reference_band_costs(values, table)
+        if coded.band_costs is None:
+            huff, raw, width = _reference_band_costs(values, table)
+        else:
+            huff, raw, width = coded.band_costs[:, b].tolist()
         writer.write_flag(huff > raw)
         if huff > raw:
             writer.write(width, 6)
@@ -501,33 +513,37 @@ _BAND_KINDS = ("zero", "normal", "normal", "spike", "spike_on_floor", "tiny")
 
 
 @st.composite
-def mnmr_cases(draw):
-    """(spectrum, mask, target, groups): per band silence, Gaussian bins, a
+def mnmr_stacks(draw):
+    """(spectra, masks, target, groups): 1-16 channels as the columns of an
+    (L, C) matrix and its (49, C) mask.  Per band silence, Gaussian bins, a
     lone spike, a spike over a floor 60-120 dB down (first nonzero step set
     by the spike, the pick by the floor: past the window), or values near
-    the finest step; masks realistic or log-uniform per band over 36 decades
-    (escalated bands where the finest step misses)."""
+    the finest step; per channel a realistic mask or one log-uniform per
+    band over 36 decades (escalated bands where the finest step misses)."""
     groups = draw(st.sampled_from(_GROUP_TABLES))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** draw(st.floats(-6, 6))
-    x = np.zeros(groups.num_bins)
-    for lo, hi in groups.edges:
-        kind = draw(st.sampled_from(_BAND_KINDS))
-        if kind == "normal":
-            x[lo:hi] = rng.standard_normal(hi - lo) * scale
-        elif kind == "spike":
-            x[lo + draw(st.integers(0, hi - lo - 1))] = scale * (1 if draw(st.booleans()) else -1)
-        elif kind == "spike_on_floor":
-            x[lo:hi] = rng.standard_normal(hi - lo) * scale * 10.0 ** -draw(st.floats(3, 6))
-            x[lo] = scale
-        elif kind == "tiny":
-            x[lo:hi] = rng.uniform(-1, 1, hi - lo) * 10.0 ** draw(st.floats(-6.5, -4))
-    if draw(st.booleans()):
-        mask = masking_threshold(x, groups)
-    else:
-        mask = MaskingCurve(scale**2 * 10.0 ** rng.uniform(-30, 6, len(groups.edges)))
+    count = draw(st.integers(1, 16))
+    x = np.zeros((groups.num_bins, count))
+    power = np.zeros((len(groups.edges), count))
+    for c in range(count):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = 10.0 ** draw(st.floats(-6, 6))
+        for lo, hi in groups.edges:
+            kind = draw(st.sampled_from(_BAND_KINDS))
+            if kind == "normal":
+                x[lo:hi, c] = rng.standard_normal(hi - lo) * scale
+            elif kind == "spike":
+                x[lo + draw(st.integers(0, hi - lo - 1)), c] = scale * (1 if draw(st.booleans()) else -1)
+            elif kind == "spike_on_floor":
+                x[lo:hi, c] = rng.standard_normal(hi - lo) * scale * 10.0 ** -draw(st.floats(3, 6))
+                x[lo, c] = scale
+            elif kind == "tiny":
+                x[lo:hi, c] = rng.uniform(-1, 1, hi - lo) * 10.0 ** draw(st.floats(-6.5, -4))
+        if draw(st.booleans()):
+            power[:, c] = masking_threshold(x[:, c], groups).band_power
+        else:
+            power[:, c] = scale**2 * 10.0 ** rng.uniform(-30, 6, len(groups.edges))
     target = 10.0 ** draw(st.floats(np.log10(0.05), 3))
-    return x, mask, target, groups
+    return x, MaskingCurve(power), target, groups
 
 
 _EQUIVALENCE = settings(max_examples=80, deadline=None, derandomize=True,
@@ -535,48 +551,73 @@ _EQUIVALENCE = settings(max_examples=80, deadline=None, derandomize=True,
 
 
 @_EQUIVALENCE
-@given(mnmr_cases())
+@given(mnmr_stacks())
 def test_batched_search_matches_per_band_scan(case):
+    """One call codes the whole matrix; every column equals the per-band
+    references applied to that column alone, and so do the matrix forms of
+    masking, dequantization and measured NMR."""
     x, mask, target, groups = case
     got = quantize_mnmr(x, mask, target, groups)
-    _same_coding(got, _reference_quantize_mnmr(x, mask, target, groups))
     table = default_table()
-    assert channel_cost(got, groups, table) == _reference_channel_cost(got, groups, table)
+    costs = channel_cost(got, groups, table)
     w, ref = BitWriter(), BitWriter()
-    assert entropy_encode_channel(got, groups, table, w) == _reference_encode(got, groups, table, ref)
+    written = entropy_encode_channel(got, groups, table, w)
+    masks = masking_threshold(x, groups).band_power
+    decoded = dequantize_channel(got, groups)
+    nmr = measure_nmr(x, decoded, mask, groups)
+    for c in range(x.shape[1]):
+        column = MaskingCurve(mask.band_power[:, c])
+        one = got.columns(c)
+        _same_coding(one, _reference_quantize_mnmr(x[:, c], column, target, groups))
+        one.band_costs = None
+        assert costs[c] == _reference_channel_cost(one, groups, table)
+        _reference_encode(one, groups, table, ref)
+        assert masks[:, c].tobytes() == masking_threshold(x[:, c], groups).band_power.tobytes()
+        assert decoded[:, c].tobytes() == dequantize_channel(one, groups).tobytes()
+        assert nmr[:, c].tobytes() == measure_nmr(x[:, c], decoded[:, c], column, groups).tobytes()
+    assert written == ref.bit_length == costs.sum()
     assert w.getvalue() == ref.getvalue()
 
 
-def test_search_window_edges_match_per_band_scan():
-    """Picks past the window, windows that run off the finest step, and
-    escalated bands all take the per-band path and agree with it."""
+def test_search_window_edges_match_per_band_scan(monkeypatch):
+    """Picks in each chunk, a pick past the last batched row, a window
+    clipped at the finest step and an escalated band, coded in one matrix
+    call, all agree with the per-band scan; only the band past the window
+    and the escalated one take that scan."""
+    scanned = []  # first rows of the bands given to the per-band scan
+    scan = core_codec._scan_band
+    monkeypatch.setattr(core_codec, "_scan_band", lambda *args: scanned.append(args[3]) or scan(*args))
     groups = FrequencyGroups.uniform(256)
-    x = np.zeros(256)
-    x[0:5] = [1e3, 1e-3, -2e-3, 3e-3, 1e-3]  # spike over a floor 120 dB down
-    x[5:10] = 3e-6  # first nonzero step a few rows from the finest
-    x[10:15] = [1.0, 0.3, -0.7, 0.2, 0.9]  # budget below the finest step's noise
-    power = np.ones(len(groups.edges))
-    power[0], power[1], power[2] = 1e-6, 1e-11, 1e-20
-    mask = MaskingCurve(power)
-    got = quantize_mnmr(x, mask, 1.0, groups)
-    ref = _reference_quantize_mnmr(x, mask, 1.0, groups)
-    _same_coding(got, ref)
-    first = [int(np.searchsorted(np.abs(x[lo:hi]).max() ** 0.75 / _SF_STEPS_34, 1 - _QUANT_MAGIC))
-             for lo, hi in groups.edges[:3]]
-    picks = [SF_MAX - int(sf) for sf in got.scalefactors[:3]]
-    assert picks[0] - first[0] >= _WINDOW  # found by the per-band scan
-    assert first[1] + _WINDOW > _SF_COUNT  # window clipped at the finest step
-    assert got.escalated[2] and not got.escalated[:2].any()
+    x = np.zeros((256, 2))
+    x[0:5, 0] = [1e3, 1e-3, -2e-3, 3e-3, 1e-3]  # spike over a floor 120 dB down
+    x[5:10, 0] = 3e-6  # first nonzero step a few rows from the finest
+    x[10:15, 0] = [1.0, 0.3, -0.7, 0.2, 0.9]  # budget below the finest step's noise
+    x[0:5, 1] = x[10:15, 1] = [1.0, 0.3, -0.7, 0.2, 0.9]
+    x[5:10, 1] = [1.0, 3e-2, -2e-2, 4e-2, 1e-2]  # spike over a floor 30 dB down
+    power = np.ones((len(groups.edges), 2))
+    power[0:3, 0] = 1e-6, 1e-11, 1e-20
+    power[0:3, 1] = 1e-1, 1e-3, 1e-2
+    got = quantize_mnmr(x, MaskingCurve(power), 1.0, groups)
+    for c in range(2):
+        _same_coding(got.columns(c), _reference_quantize_mnmr(x[:, c], MaskingCurve(power[:, c]), 1.0, groups))
+    # scalefactor rows of the first three bands, from the first nonzero step
+    peaks = np.stack([np.abs(x[lo:hi]).max(axis=0) for lo, hi in groups.edges[:3]])
+    first = np.count_nonzero(peaks[..., None] ** 0.75 / _SF_STEPS_34 < 1 - _QUANT_MAGIC, axis=-1)
+    after = SF_MAX - got.scalefactors[:3] - first
+    assert scanned == first[[0, 2], 0].tolist()
+    assert after[0, 0] >= _WINDOW  # found by the per-band scan
+    assert first[1, 0] + _WINDOW > _SF_COUNT  # window clipped at the finest step
+    assert got.escalated[2, 0] and not got.escalated[:2, 0].any() and not got.escalated[:, 1].any()
+    # channel 1 picks in the first, second and third chunk
+    assert after[0, 1] < _CHUNKS[0] <= after[2, 1] < _CHUNKS[0] + _CHUNKS[1] <= after[1, 1] < _WINDOW
 
 
 @_PROPERTY
 @given(huffman_tables(), coded_channels(), st.integers(0, 7), st.randoms())
 def test_channel_writer_matches_per_value_writes(table, channel, lead, rnd):
-    coded, groups = channel
-    forced = dict(coded.band_costs)
-    coded.band_costs = None
+    coded, groups, forced = channel
     assert channel_cost(coded, groups, table) == _reference_channel_cost(coded, groups, table)
-    coded.band_costs = {**coded.band_costs, **forced}  # raw-forced bands stay raw
+    _force_raw(coded, groups, table, forced)  # raw-forced bands stay raw
     prefix = rnd.getrandbits(lead)
     w, ref = BitWriter(), BitWriter()
     w.write(prefix, lead)

@@ -195,6 +195,9 @@ def test_config_validation(small_quantizers_module):
         cfg = pipeline.EncoderConfig(codec="proposed", half_length=256, rank=4,
                                      background_order=4, bypass_quantization=True)
         pipeline.encode(HoaSignal(48000, 3, np.zeros((256, 16))), cfg)
+    with pytest.raises(ConfigurationError, match="order 16 above the maximum"):
+        cfg = pipeline.EncoderConfig(codec="baseline", half_length=256, bypass_quantization=True)
+        pipeline.encode(HoaSignal(48000, pipeline.MAX_ORDER + 1, np.zeros((256, 289))), cfg)
     # values that do not fit their header field are refused before any frame
     # is encoded
     for kw, order, match in (
@@ -242,7 +245,7 @@ def test_measure_stream_checks_fingerprints(encoded, small_quantizers_module):
 
 # (byte offset, size) of header fields, see docs/bitstream.md
 _HEADER_FIELDS = {
-    "codec_id": (6, 1), "sample_rate": (8, 4), "half_length": (13, 4), "rank": (17, 1), "bands": (18, 1),
+    "codec_id": (6, 1), "sample_rate": (8, 4), "order": (12, 1), "half_length": (13, 4), "rank": (17, 1), "bands": (18, 1),
     "background_order": (19, 1), "original_length": (28, 8), "group_table_id": (64, 1),
 }
 
@@ -250,6 +253,8 @@ _HEADER_FIELDS = {
 @pytest.mark.parametrize("field,value,match", [
     ("codec_id", 7, "codec id"),
     ("sample_rate", 0, "sample rate"),
+    ("order", 16, "order 16 above"),  # M=289 channels
+    ("order", 200, "order 200 above"),  # M=40401
     ("group_table_id", 5, "group table id"),
     ("group_table_id", 0, "half length"),  # the AAC table needs L=1024, the stream has 256
     ("half_length", 32, "half length"),  # fewer bins than noise groups
@@ -272,6 +277,36 @@ def test_header_values_the_encoder_never_writes_are_rejected(
     for parse in (pipeline.decode, pipeline.measure_stream):
         with pytest.raises(StreamError, match=match):
             parse(bytes(stream), quantizers=small_quantizers_module)
+
+
+@pytest.mark.parametrize("lead", [0, 3])
+def test_noise_block_matches_per_flag_fields_and_detects_truncation(rng, lead):
+    from hoacodec.bitio import BitReader, BitWriter
+    from hoacodec.noise_subst import ENERGY_BITS, NUM_GROUPS, NoiseGroupInfo
+
+    active = rng.random(NUM_GROUPS) < 0.5
+    energies = rng.integers(0, 1 << ENERGY_BITS, NUM_GROUPS).astype(np.uint8)
+    w, ref = BitWriter(), BitWriter()
+    for writer in (w, ref):
+        writer.write(0b101 & ((1 << lead) - 1), lead)
+    bits = pipeline._write_noise_block(w, NoiseGroupInfo(active, energies))
+    for flag in active:
+        ref.write_flag(bool(flag))
+    for j in np.flatnonzero(active):
+        ref.write(int(energies[j]), ENERGY_BITS)
+    data = w.getvalue()
+    assert data == ref.getvalue() and bits == NUM_GROUPS + ENERGY_BITS * active.sum()
+
+    r = BitReader(data)
+    r.skip(lead)
+    info, read_bits = pipeline._read_noise_block(r)
+    assert read_bits == bits and np.array_equal(info.active, active)
+    assert np.array_equal(info.energy_indices[active], energies[active])
+    for cut in ((lead + NUM_GROUPS) // 8, (lead + bits - 1) // 8):  # in the flags, in the energies
+        r = BitReader(data[:cut])
+        r.skip(lead)
+        with pytest.raises(StreamError, match="bitstream exhausted"):
+            pipeline._read_noise_block(r)
 
 
 def test_concealed_frames_report_mode_minus_one(encoded, small_quantizers_module):
@@ -378,14 +413,14 @@ def test_decode_reads_no_bit_at_a_time(small_scene_module, small_quantizers_modu
 
 
 def test_encode_does_no_work_per_symbol(small_scene_module, small_quantizers_module, monkeypatch):
-    """A proposed encode computes each original channel's masking curve once
-    per frame (M, shared by both RD trials) plus one per coded component per
-    trial (2(r + nbg)), and entropy-encodes each channel as one bit run, not
-    one BitWriter call per field."""
+    """A proposed encode computes masking curves in two calls per frame, one
+    for the original channels (shared by both RD trials) and one for both
+    trials' components, and entropy-encodes the winner's channels in one
+    call per frame, as one bit run, not one BitWriter call per field."""
     from hoacodec import core_codec
     from hoacodec.bitio import BitWriter
 
-    masks, writes, inside = [0], [0], [False]
+    masks, encodes, writes, inside = [0], [0], [0], [False]
     masking_threshold = core_codec.masking_threshold
     entropy_encode_channel = core_codec.entropy_encode_channel
 
@@ -394,6 +429,7 @@ def test_encode_does_no_work_per_symbol(small_scene_module, small_quantizers_mod
         return masking_threshold(*args, **kwargs)
 
     def encode_channel(*args, **kwargs):
+        encodes[0] += 1
         inside[0] = True
         try:
             return entropy_encode_channel(*args, **kwargs)
@@ -412,8 +448,8 @@ def test_encode_does_no_work_per_symbol(small_scene_module, small_quantizers_mod
         monkeypatch.setattr(BitWriter, name, counted(getattr(BitWriter, name)))
     cfg = _cfg(small_quantizers_module, half_length=1024)
     frames = pipeline.encode(small_scene_module, cfg).stats.frames
-    M, r, nbg = small_scene_module.num_channels, cfg.rank, (cfg.background_order + 1) ** 2
-    assert masks[0] <= (M + 2 * (r + nbg)) * len(frames)  # 32 per frame
+    assert masks[0] <= 2 * len(frames)
+    assert encodes[0] == len(frames)
     assert writes[0] < 0.01 * sum(f.core_bits for f in frames)
 
 
