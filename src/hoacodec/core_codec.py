@@ -149,34 +149,10 @@ def _pow43(q: np.ndarray) -> np.ndarray:
 # scalefactor rows searched per band in the batched passes, from the first
 # step that quantizes the band's peak to a nonzero index: the first chunk for
 # every coded band, each later one only for the bands still without an
-# in-budget row.  On the synthetic corpus the pick lies fewer than 24 rows
-# past that step, and within 16 rows for most bands.  Bands without an
-# in-budget row in the _WINDOW rows continue with the per-band scan, so the
-# chunks never change the result, only the time.
+# in-budget row, and then 16 rows at a time down to the finest step.  On the
+# synthetic corpus the pick lies fewer than 24 rows past that step, and
+# within 16 rows for most bands, so the chunks set the time, not the result.
 _CHUNKS = (16, 8, 8)
-_WINDOW = sum(_CHUNKS)
-
-
-def _scan_band(absx: np.ndarray, absx34: np.ndarray, budget: float, first: int):
-    """Coarse-to-fine scan of one band from row ``first``, 16 rows at a time:
-    (row, noise, escalated) of the coarsest row within ``budget``, or of the
-    minimum-noise row (escalated) when none is."""
-    best = (np.inf, -1)
-    for chunk in range(first, _SF_COUNT, 16):
-        rows = slice(chunk, min(chunk + 16, _SF_COUNT))
-        q = np.floor(absx34[None, :] / _SF_STEPS_34[rows, None] + _QUANT_MAGIC)
-        deq = _pow43(q) * _SF_STEPS[rows, None]
-        noise = np.sum((absx[None, :] - deq) ** 2, axis=1)
-        ok = noise <= budget
-        if ok.any():
-            j = int(np.argmax(ok))
-            return chunk + j, float(noise[j]), False
-        j = int(np.argmin(noise))
-        if noise[j] < best[0]:
-            best = (float(noise[j]), chunk + j)
-    pick = best[1] if best[1] >= 0 else _SF_COUNT - 1
-    q = np.floor(absx34 / _SF_STEPS_34[pick] + _QUANT_MAGIC)
-    return pick, float(np.sum((absx - _pow43(q) * _SF_STEPS[pick]) ** 2)), True
 
 
 def _band_sums(values: np.ndarray, bands: np.ndarray, bins: np.ndarray, out: np.ndarray) -> None:
@@ -228,10 +204,10 @@ def quantize_mnmr(
     The search runs on all coded bands of all channels at once, laid end
     to end (``groups.layout``).  From each band's first nonzero step, the
     bins are quantized at the rows of one ``_CHUNKS`` entry after the
-    other, for the bands without an in-budget row so far, and the squared
-    errors are summed per band and row (:func:`_band_sums`).  A band
-    without an in-budget row in those ``_WINDOW`` rows continues with the
-    per-band scan.
+    other, then of 16 rows at a time down to the finest step, for the bands
+    without an in-budget row so far, and the squared errors are summed per
+    band and row (:func:`_band_sums`).  A band without an in-budget row at
+    any step takes its minimum-noise row, the first one of all its rows.
     """
     if target <= 0:
         raise ShapeError("MNMR target must be positive")
@@ -263,10 +239,9 @@ def quantize_mnmr(
     pick = np.empty(coded.size, dtype=np.int64)
     picked_noise = np.empty(coded.size)
     todo = np.arange(coded.size)  # coded bands without an in-budget row yet
-    start = 0
-    for rows in _CHUNKS:
-        if not todo.size:
-            break
+    start, chunks = 0, iter(_CHUNKS)
+    while todo.size and start < _SF_COUNT:
+        rows = next(chunks, 16)
         row = first[todo, None] + start + np.arange(rows)
         noise = _rows_noise(absx, absx34, layout, coded[todo], first[todo] + start, rows)
         ok = (noise <= budget[coded[todo], None]) & (row < _SF_COUNT)
@@ -278,12 +253,12 @@ def quantize_mnmr(
         todo = todo[~found]
         start += rows
     escalated = np.zeros(nb, dtype=bool)
-    for i in todo.tolist():  # no in-budget row in the window
-        b = coded[i]
-        lo, hi = offsets[b], offsets[b + 1]
-        pick[i], picked_noise[i], escalated[b] = _scan_band(
-            absx[lo:hi], absx34[lo:hi], budget[b], int(first[i])
-        )
+    if todo.size:  # no in-budget row at any step; clipped rows repeat the finest
+        noise = _rows_noise(absx, absx34, layout, coded[todo], first[todo], _SF_COUNT - first[todo].min())
+        j = noise.argmin(axis=1)
+        pick[todo] = first[todo] + j
+        picked_noise[todo] = noise[np.arange(todo.size), j]
+        escalated[coded[todo]] = True
     nmr[coded] = picked_noise / power[coded]
     scalefactors = np.zeros(nb, dtype=np.int64)
     scalefactors[coded] = SF_MAX - pick

@@ -73,10 +73,6 @@ class BandDecomposition:
     bases: list  # of TruncatedBasis, one per band (quantized)
     foregrounds: list  # of (l_i, r_i) arrays
 
-    def stacked_foreground(self) -> np.ndarray:
-        """Vertically concatenated foreground, (L, r) when all ranks agree."""
-        return np.concatenate(self.foregrounds, axis=0)
-
 
 def band_split(spec: SpectralFrame, layout: BandLayout) -> list:
     """Row-contiguous partition of the L x M coefficient matrix."""
@@ -86,6 +82,15 @@ def band_split(spec: SpectralFrame, layout: BandLayout) -> list:
             f"layout covers {layout.total} bins, frame has {S.shape[0]}"
         )
     return [S[a:b] for a, b in layout.edges]
+
+
+def mode_bases(spec: SpectralFrame, mode: int, rank: int, bands: int = 4) -> tuple:
+    """A frame's analysis in one coding mode: (layout, per-band coefficient
+    rows, per-band raw truncated bases as (M, rank) arrays).  The proposed
+    encoder's RD trials and codebook training both start from it."""
+    layout = layout_for_mode(mode, spec.num_bins, bands)
+    parts = band_split(spec, layout)
+    return layout, parts, [truncated_basis(b, rank, spec.index).vectors for b in parts]
 
 
 def band_decompose(
@@ -117,10 +122,20 @@ def band_decompose(
     return BandDecomposition(layout=layout, bases=out_bases, foregrounds=foregrounds)
 
 
+def back_project(foregrounds: list, bases: list) -> np.ndarray:
+    """Stack the per-band back-projections Y_i V_i^T: per band the (l_i, r)
+    foreground and the (M, r) basis, stacked into a (sum l_i, M) matrix.
+
+    The one back-projection of the encoder, its RD trials and the decoder.
+    A matrix product's rounding can depend on its operands' memory layout,
+    so callers that must agree bit for bit pass foregrounds of one layout.
+    """
+    return np.concatenate([fg @ V.T for fg, V in zip(foregrounds, bases)], axis=0)
+
+
 def reconstruct_spectrum(dec: BandDecomposition) -> np.ndarray:
-    """Stack the per-band back-projections Y_i V_i^T into an L x M matrix."""
-    parts = [fg @ basis.vectors.T for fg, basis in zip(dec.foregrounds, dec.bases)]
-    return np.concatenate(parts, axis=0)
+    """The decomposition's L x M approximation (:func:`back_project`)."""
+    return back_project(dec.foregrounds, [basis.vectors for basis in dec.bases])
 
 
 def compute_residual(spec: SpectralFrame, dec: BandDecomposition) -> np.ndarray:

@@ -75,10 +75,6 @@ class TimeFrame:
     index: int
     samples: np.ndarray  # (2L, M)
 
-    @property
-    def half_length(self) -> int:
-        return self.samples.shape[0] // 2
-
 
 def _order_for_channels(channels: int) -> int:
     root = round(channels**0.5)
@@ -232,18 +228,23 @@ def pad_signal(samples: np.ndarray, half_length: int) -> np.ndarray:
     return np.concatenate([head, samples, tail], axis=0)
 
 
-def segment_frames(signal: HoaSignal, half_length: int) -> list[TimeFrame]:
-    """Split into 2L-sample frames advancing by L (50% overlap).
+def segment_frames(samples: np.ndarray, half_length: int) -> list[TimeFrame]:
+    """Split a (length, channels) array into 2L-sample frames advancing by L
+    (50% overlap); a 1-D array is one channel.
 
     Frame f covers padded samples [f*L, f*L + 2L); the padded timeline has
     L zeros prepended (see :func:`pad_signal`).  An empty signal yields an
-    empty list.
+    empty list.  This is the one framing of both encoders and of codebook
+    training.
     """
     if half_length <= 0:
         raise ShapeError("frame half-length must be positive")
-    padded = pad_signal(signal.samples, half_length)
-    count = num_frames(signal.length, half_length)
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim == 1:
+        samples = samples[:, None]
+    L = half_length
+    padded = pad_signal(samples, L)
     return [
-        TimeFrame(index=f, samples=padded[f * half_length : f * half_length + 2 * half_length])
-        for f in range(count)
+        TimeFrame(index=f, samples=padded[f * L : f * L + 2 * L])
+        for f in range(num_frames(samples.shape[0], L))
     ]

@@ -28,7 +28,7 @@ import numpy as np
 from hoacodec import baseline_td, core_codec, freq_svd, noise_subst, sideinfo, transform
 from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.errors import ConfigurationError, StreamError
-from hoacodec.hoa_io import HoaSignal, TimeFrame, num_frames, pad_signal
+from hoacodec.hoa_io import HoaSignal, TimeFrame, num_frames, segment_frames
 from hoacodec.noise_subst import NUM_GROUPS, FrequencyGroups, NoiseGroupInfo
 
 MAGIC = b"HOAC"
@@ -47,6 +47,9 @@ GROUP_TABLE_UNIFORM = 1
 # highest ambisonic order either side accepts, (15 + 1)^2 = 256 channels: the
 # decoder allocates per channel, and the 8-bit header field admits 65536 channels
 MAX_ORDER = 15
+# longest frame half length either side accepts (the default is 1024): the
+# coders allocate per frame, and the 32-bit header field admits 2^32 - 1
+MAX_HALF_LENGTH = 8192
 
 # default RD lambda: calibrated on the synthetic corpus so both band-split
 # modes are exercised at the default operating points
@@ -71,7 +74,6 @@ class EncoderConfig:
     quantizers: sideinfo.QuantizerSet | None = None
     huffman_table: core_codec.HuffmanTable | None = None
     groups: FrequencyGroups | None = None
-    masking: core_codec.MaskingConfig = field(default_factory=core_codec.MaskingConfig)
 
     def codec_id(self) -> int:
         try:
@@ -98,6 +100,8 @@ class EncoderConfig:
     def validate(self, order: int) -> None:
         if order > MAX_ORDER:
             raise ConfigurationError(f"order {order} above the maximum {MAX_ORDER}")
+        if self.half_length > MAX_HALF_LENGTH:
+            raise ConfigurationError(f"half_length {self.half_length} above the maximum {MAX_HALF_LENGTH}")
         M = (order + 1) ** 2
         if self.rank < 1 or self.rank > M:
             raise ConfigurationError(f"rank {self.rank} out of range for M={M}")
@@ -319,6 +323,10 @@ def _read_header(data: bytes) -> StreamHeader:
         raise StreamError("sample rate 0")
     if h.order > MAX_ORDER:
         raise StreamError(f"order {h.order} above the maximum {MAX_ORDER}")
+    if h.half_length > MAX_HALF_LENGTH:
+        raise StreamError(f"half length {h.half_length} above the maximum {MAX_HALF_LENGTH}")
+    if h.flags & ~(_FLAG_BYPASS | _FLAG_HANNING_INTERP):
+        raise StreamError(f"unknown flag bits in {h.flags:#04x}")
     if h.codec_id not in (CODEC_BASELINE, CODEC_PROPOSED):
         raise StreamError(f"unknown codec id {h.codec_id}")
     if h.group_table_id not in (GROUP_TABLE_AAC48K, GROUP_TABLE_UNIFORM):
@@ -366,7 +374,7 @@ def _read_noise_block(r: BitReader) -> tuple:
     return info, r.bit_position - start
 
 
-def _code_components(channels: np.ndarray, groups, masking_cfg, mnmr, table, bypass):
+def _code_components(channels: np.ndarray, groups, mnmr, table, bypass):
     """MNMR-quantize the (L, C) component spectra of a frame in one pass,
     without serializing.
 
@@ -377,7 +385,7 @@ def _code_components(channels: np.ndarray, groups, masking_cfg, mnmr, table, byp
     if bypass:
         C = channels.shape[1]
         return None, np.full(C, 64 * channels.shape[0]), np.zeros(C), np.zeros(C, dtype=int)
-    mask = core_codec.masking_threshold(channels, groups, masking_cfg)
+    mask = core_codec.masking_threshold(channels, groups)
     coded = core_codec.quantize_mnmr(channels, mask, mnmr, groups)
     bits = core_codec.channel_cost(coded, groups, table)
     return coded, bits, coded.nmr.max(axis=0), coded.escalated.sum(axis=0)
@@ -463,15 +471,13 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
         # weigh their error with the original channels' masks
         channels = np.hstack([t["channels"] for t in trials])
         coded, bits, max_nmr, escalated = _code_components(
-            channels, groups, cfg.masking, cfg.mnmr, table, cfg.bypass_quantization
+            channels, groups, cfg.mnmr, table, cfg.bypass_quantization
         )
         decoded = channels if coded is None else core_codec.dequantize_channel(coded, groups)
-        masks = core_codec.masking_threshold(sp.coeffs, groups, cfg.masking)
+        masks = core_codec.masking_threshold(sp.coeffs, groups)
         for k, trial in enumerate(trials):
             cols = trial["cols"] = slice(k * count, (k + 1) * count)
-            spectrum = _proposed_spectrum(
-                decoded[:, cols], trial["recon"], trial["layout"], sp.num_channels, nbg
-            )
+            spectrum = _proposed_spectrum(decoded[:, cols], trial["recon"], trial["layout"], nbg)
             distortion = _mask_weighted_error(sp.coeffs, spectrum, masks, groups)
             # side + noise already written; channel payload size known exactly
             trial["core_bits"] = int(bits[cols].sum())
@@ -501,11 +507,7 @@ def _analyze_proposed_frame(sp, mode, cfg, groups, state) -> dict:
     noise block, advancing ``state``, and returns what the core coding, the
     RD cost and serialization need."""
     w = BitWriter()
-    layout = freq_svd.layout_for_mode(mode, cfg.half_length, cfg.bands)
-    bands = freq_svd.band_split(sp, layout)
-    raw_bases = [
-        baseline_td.truncated_basis(band, cfg.rank, sp.index).vectors for band in bands
-    ]
+    layout, bands, raw_bases = freq_svd.mode_bases(sp, mode, cfg.rank, cfg.bands)
     side, recon = sideinfo.encode_sideinfo(raw_bases, mode, cfg.side_quantizers(), state, w)
 
     dec = freq_svd.band_decompose(
@@ -525,7 +527,7 @@ def _analyze_proposed_frame(sp, mode, cfg, groups, state) -> dict:
         "layout": layout,
         "noise_bits": _write_noise_block(w, info),
         # the r foreground tracks, then the nbg background channels
-        "channels": np.hstack([dec.stacked_foreground(), residual[:, :nbg]]),
+        "channels": np.hstack([np.concatenate(dec.foregrounds), residual[:, :nbg]]),
     }
 
 
@@ -538,8 +540,8 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
     interp = baseline_td.InterpolationWindow.make(L, cfg.interp_window_kind)
     mdct_win = transform.sine_window(L)
 
-    padded = pad_signal(signal.samples, L)
-    F = num_frames(signal.length, L)
+    frames = segment_frames(signal.samples, L)
+    F = len(frames)
     state = sideinfo.SideInfoState()
     prev_basis: baseline_td.TruncatedBasis | None = None
 
@@ -547,8 +549,8 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
     # are the r foreground tracks, then the M-channel ambient residual
     stream = np.zeros((F * L + L, r + signal.num_channels))  # extra L zeros for the last block
     side_payloads = []
-    for f in range(F):
-        X = padded[f * L : f * L + 2 * L]
+    for f, frame in enumerate(frames):
+        X = frame.samples
         raw = baseline_td.truncated_basis(X, r, f)
         if cfg.bypass_quantization and prev_basis is not None:
             # the raw basis is sent, so align it here (quantized side info
@@ -575,7 +577,7 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
 
         channels = spec[:, : r + nbg]
         coded, _, max_nmr, escalated = _code_components(
-            channels, groups, cfg.masking, cfg.mnmr, table, cfg.bypass_quantization
+            channels, groups, cfg.mnmr, table, cfg.bypass_quantization
         )
         core_bits = _write_components(
             coded, channels, groups, table, w, cfg.bypass_quantization
@@ -751,19 +753,17 @@ def decode(
     )
 
 
-def _proposed_spectrum(decoded: np.ndarray, bases: list, layout, M: int, nbg: int) -> np.ndarray:
+def _proposed_spectrum(decoded: np.ndarray, bases: list, layout, nbg: int) -> np.ndarray:
     """L x M spectrum of one proposed frame without noise substitution: each
     band's foreground back-projected through its basis, plus the background
     channels.  The columns of ``decoded`` are the r foreground, then the nbg
     background channel spectra; the encoder's RD trials and the decoder both
     use it."""
     rank = decoded.shape[1] - nbg
-    # a matrix product's rounding can depend on its operands' memory layout,
-    # and the encoder's RD trials and the decoder must agree bit for bit
+    # the encoder's RD trials and the decoder must agree bit for bit, so
+    # both back-project C-contiguous foregrounds (freq_svd.back_project)
     fg = np.ascontiguousarray(decoded[:, :rank])
-    S = np.zeros((layout.total, M))
-    for (a, b), basis in zip(layout.edges, bases):
-        S[a:b] = fg[a:b] @ basis.T
+    S = freq_svd.back_project([fg[a:b] for a, b in layout.edges], bases)
     S[:, :nbg] += decoded[:, rank:]
     return S
 
@@ -779,7 +779,7 @@ def _reconstruct_proposed(header: StreamHeader, parsed: list, groups) -> np.ndar
     for f, p in enumerate(parsed):
         if p is not None:
             layout = freq_svd.layout_for_mode(p.side.mode, L, header.bands)
-            S = _proposed_spectrum(p.spectra(groups), p.bases, layout, M, nbg)
+            S = _proposed_spectrum(p.spectra(groups), p.bases, layout, nbg)
             S[:, nbg:] += noise_subst.synthesize_noise(
                 p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg
             )

@@ -25,10 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from hoacodec.baseline_td import TruncatedBasis, match_bases
+from hoacodec.baseline_td import TruncatedBasis, match_bases, truncated_basis
 from hoacodec.bitio import BitReader, BitWriter, factorial_bits, lehmer_encode
 from hoacodec.errors import ConfigurationError, ShapeError, StreamError, TrainingError
+from hoacodec.freq_svd import MODE_FOUR_BANDS, MODE_SINGLE_BAND, mode_bases
+from hoacodec.hoa_io import segment_frames
 from hoacodec.numlin import Codebook, gla_train, load_codebook, quantize_nearest, save_codebook
+from hoacodec.transform import analyze, sine_window
 
 _NORM_EPS = 1e-12
 
@@ -345,36 +348,23 @@ class TrainingConfig:
 def harvest_training_pairs(signals, config: TrainingConfig):
     """Open-loop analysis of both pipelines to collect training material.
 
-    Runs the time-domain path and both band layouts of the frequency-domain
-    path over every signal, matching each frame's truncated basis to the
-    previous frame's, and records (rho, residual) pairs plus the raw columns
-    for the intra codebook.
+    Takes the raw bases of the time-domain path (one per frame) and of both
+    modes of the frequency-domain path (:func:`freq_svd.mode_bases`) over
+    every signal, matches each frame's truncated basis to the previous
+    frame's, and records (rho, residual) pairs plus the raw columns for the
+    intra codebook.
     """
-    from hoacodec.freq_svd import MODE_FOUR_BANDS, MODE_SINGLE_BAND, band_split, layout_for_mode
-    from hoacodec.transform import analyze, sine_window
-    from hoacodec.baseline_td import truncated_basis
-    from hoacodec.hoa_io import segment_frames
-
     rhos, residuals, intras = [], [], []
     frames_used = 0
     L = config.half_length
     window = sine_window(L)
     for sig in signals:
-        streams = []
-        # time-domain path: one basis per frame
-        tframes = segment_frames(sig, L)
-        streams.append([[truncated_basis(fr.samples, config.rank).vectors] for fr in tframes])
-        # frequency-domain path, both layouts
+        # per frame, the time-domain path's one basis, then per mode the
+        # frequency-domain path's per-band bases
+        streams = [[[truncated_basis(fr.samples, config.rank).vectors] for fr in segment_frames(sig.samples, L)]]
         specs, _ = analyze(sig.samples, L, window)
         for mode in (MODE_SINGLE_BAND, MODE_FOUR_BANDS):
-            layout = layout_for_mode(mode, L)
-            per_frame = []
-            for sp in specs:
-                bands = band_split(sp, layout)
-                per_frame.append(
-                    [truncated_basis(b, config.rank).vectors for b in bands]
-                )
-            streams.append(per_frame)
+            streams.append([mode_bases(sp, mode, config.rank)[2] for sp in specs])
         for stream in streams:
             prev = None
             for frame_bases in stream:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 
 from hoacodec.errors import ShapeError
-from hoacodec.hoa_io import TimeFrame
+from hoacodec.hoa_io import TimeFrame, segment_frames
 
 
 @dataclass
@@ -63,10 +63,6 @@ class SpectralFrame:
     @property
     def num_bins(self) -> int:
         return self.coeffs.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.coeffs.shape[1]
 
 
 def _dct4(u: np.ndarray) -> np.ndarray:
@@ -129,23 +125,13 @@ def overlap_add(blocks, half_length: int, original_length: int) -> np.ndarray:
 def analyze(signal_samples: np.ndarray, half_length: int, window: AnalysisWindow | None = None):
     """MDCT-transform a (length, channels) array; returns (frames, window).
 
-    Convenience wrapper chaining padding, segmentation and the forward
-    transform the way both pipelines consume per-channel-group signals.
+    Convenience wrapper chaining :func:`hoa_io.segment_frames` and the
+    forward transform the way both pipelines consume per-channel-group
+    signals.
     """
-    from hoacodec.hoa_io import num_frames, pad_signal
-
     if window is None:
         window = sine_window(half_length)
-    samples = np.asarray(signal_samples, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    padded = pad_signal(samples, half_length)
-    L = half_length
-    frames = [
-        TimeFrame(index=f, samples=padded[f * L : f * L + 2 * L])
-        for f in range(num_frames(samples.shape[0], L))
-    ]
-    return [mdct_forward(fr, window) for fr in frames], window
+    return [mdct_forward(fr, window) for fr in segment_frames(signal_samples, half_length)], window
 
 
 def synthesize(spectra, window: AnalysisWindow, original_length: int) -> np.ndarray:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hoacodec import core_codec
 from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.core_codec import (
     ESCAPE_SYMBOL,
@@ -18,7 +17,6 @@ from hoacodec.core_codec import (
     _SF_COUNT,
     _SF_STEPS,
     _SF_STEPS_34,
-    _WINDOW,
     _pow43,
     band_energies,
     channel_cost,
@@ -579,14 +577,10 @@ def test_batched_search_matches_per_band_scan(case):
     assert w.getvalue() == ref.getvalue()
 
 
-def test_search_window_edges_match_per_band_scan(monkeypatch):
-    """Picks in each chunk, a pick past the last batched row, a window
+def test_search_window_edges_match_per_band_scan():
+    """Picks in each chunk, a pick past the last of ``_CHUNKS``, a search
     clipped at the finest step and an escalated band, coded in one matrix
-    call, all agree with the per-band scan; only the band past the window
-    and the escalated one take that scan."""
-    scanned = []  # first rows of the bands given to the per-band scan
-    scan = core_codec._scan_band
-    monkeypatch.setattr(core_codec, "_scan_band", lambda *args: scanned.append(args[3]) or scan(*args))
+    call, all agree with the per-band scan."""
     groups = FrequencyGroups.uniform(256)
     x = np.zeros((256, 2))
     x[0:5, 0] = [1e3, 1e-3, -2e-3, 3e-3, 1e-3]  # spike over a floor 120 dB down
@@ -604,12 +598,12 @@ def test_search_window_edges_match_per_band_scan(monkeypatch):
     peaks = np.stack([np.abs(x[lo:hi]).max(axis=0) for lo, hi in groups.edges[:3]])
     first = np.count_nonzero(peaks[..., None] ** 0.75 / _SF_STEPS_34 < 1 - _QUANT_MAGIC, axis=-1)
     after = SF_MAX - got.scalefactors[:3] - first
-    assert scanned == first[[0, 2], 0].tolist()
-    assert after[0, 0] >= _WINDOW  # found by the per-band scan
-    assert first[1, 0] + _WINDOW > _SF_COUNT  # window clipped at the finest step
+    window = sum(_CHUNKS)
+    assert after[0, 0] >= window  # found by a 16-row pass after the chunks
+    assert first[1, 0] + window > _SF_COUNT  # search clipped at the finest step
     assert got.escalated[2, 0] and not got.escalated[:2, 0].any() and not got.escalated[:, 1].any()
     # channel 1 picks in the first, second and third chunk
-    assert after[0, 1] < _CHUNKS[0] <= after[2, 1] < _CHUNKS[0] + _CHUNKS[1] <= after[1, 1] < _WINDOW
+    assert after[0, 1] < _CHUNKS[0] <= after[2, 1] < _CHUNKS[0] + _CHUNKS[1] <= after[1, 1] < window
 
 
 @_PROPERTY

@@ -198,6 +198,10 @@ def test_config_validation(small_quantizers_module):
     with pytest.raises(ConfigurationError, match="order 16 above the maximum"):
         cfg = pipeline.EncoderConfig(codec="baseline", half_length=256, bypass_quantization=True)
         pipeline.encode(HoaSignal(48000, pipeline.MAX_ORDER + 1, np.zeros((256, 289))), cfg)
+    with pytest.raises(ConfigurationError, match="half_length 8193 above the maximum"):
+        cfg = pipeline.EncoderConfig(codec="baseline", half_length=pipeline.MAX_HALF_LENGTH + 1,
+                                     bypass_quantization=True)
+        pipeline.encode(HoaSignal(48000, 1, np.zeros((256, 4))), cfg)
     # values that do not fit their header field are refused before any frame
     # is encoded
     for kw, order, match in (
@@ -245,19 +249,25 @@ def test_measure_stream_checks_fingerprints(encoded, small_quantizers_module):
 
 # (byte offset, size) of header fields, see docs/bitstream.md
 _HEADER_FIELDS = {
-    "codec_id": (6, 1), "sample_rate": (8, 4), "order": (12, 1), "half_length": (13, 4), "rank": (17, 1), "bands": (18, 1),
-    "background_order": (19, 1), "original_length": (28, 8), "group_table_id": (64, 1),
+    "codec_id": (6, 1), "flags": (7, 1), "sample_rate": (8, 4), "order": (12, 1), "half_length": (13, 4),
+    "rank": (17, 1), "bands": (18, 1), "background_order": (19, 1), "original_length": (28, 8),
+    "frame_count": (36, 4), "group_table_id": (64, 1),
 }
 
 
 @pytest.mark.parametrize("field,value,match", [
     ("codec_id", 7, "codec id"),
+    ("flags", 5, "unknown flag bits"),  # bypass plus an undefined bit
+    ("flags", 129, "unknown flag bits"),
     ("sample_rate", 0, "sample rate"),
     ("order", 16, "order 16 above"),  # M=289 channels
     ("order", 200, "order 200 above"),  # M=40401
     ("group_table_id", 5, "group table id"),
     ("group_table_id", 0, "half length"),  # the AAC table needs L=1024, the stream has 256
     ("half_length", 32, "half length"),  # fewer bins than noise groups
+    # with a matching frame count; the decoder would allocate per frame
+    ("half_length", 2**26, "half length 67108864 above the maximum"),
+    ("half_length", 2**31, "half length 2147483648 above the maximum"),
     ("rank", 0, "rank"),
     ("rank", 17, "rank"),  # M=16
     ("background_order", 4, "background order"),  # order 3
@@ -271,9 +281,13 @@ _HEADER_FIELDS = {
 def test_header_values_the_encoder_never_writes_are_rejected(
     encoded, small_quantizers_module, field, value, match
 ):
-    offset, size = _HEADER_FIELDS[field]
     stream = bytearray(encoded["proposed"].stream)
-    stream[offset : offset + size] = value.to_bytes(size, "big")
+    edits = {field: value}
+    if field == "half_length":  # keep the frame count consistent with it
+        edits["frame_count"] = pipeline.num_frames(19200, value)
+    for name, v in edits.items():
+        offset, size = _HEADER_FIELDS[name]
+        stream[offset : offset + size] = v.to_bytes(size, "big")
     for parse in (pipeline.decode, pipeline.measure_stream):
         with pytest.raises(StreamError, match=match):
             parse(bytes(stream), quantizers=small_quantizers_module)

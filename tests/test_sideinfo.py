@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +16,7 @@ from hoacodec.sideinfo import (
     TrainingConfig,
     decode_sideinfo,
     encode_sideinfo,
+    harvest_training_pairs,
     predict_basis,
     train_quantizers,
 )
@@ -256,13 +259,28 @@ def test_training_requires_enough_data():
         train_quantizers([sig], config)
 
 
-def test_training_deterministic(small_quantizers):
+def _small_corpus():
+    """The corpus and training config of the ``small_quantizers`` fixture."""
     sigs = [scenes.render_scene(s) for s in scenes.corpus_specs(duration=0.4)[:2]]
     config = TrainingConfig(half_length=256, rank=4, coeff_size=16,
                             residual_size=64, intra_size=64, max_iter=20, seed=7)
-    again = train_quantizers(sigs, config)
+    return sigs, config
+
+
+def test_training_deterministic(small_quantizers):
+    again = train_quantizers(*_small_corpus())
     assert again.fingerprint() == small_quantizers.fingerprint()
     assert np.array_equal(again.residual.centroids, small_quantizers.residual.centroids)
+
+
+def test_harvested_training_material_is_pinned():
+    """SHA-256 of the (rho, residual) pairs and intra columns taken from the
+    ``small_quantizers`` corpus: both encoders' analysis path (framing, MDCT,
+    per-mode bases, matching) feeds training unchanged."""
+    rhos, residuals, intras = harvest_training_pairs(*_small_corpus())
+    assert (rhos.shape, residuals.shape, intras.shape) == ((3600, 1), (3600, 16), (3648, 16))
+    digest = hashlib.sha256(rhos.tobytes() + residuals.tobytes() + intras.tobytes()).hexdigest()
+    assert digest == "45b97519a414acb4eab0248df89ee4e4dccd22bbafc4f21f4951c609bc0a4e1c"
 
 
 def test_static_corpus_concentrates_coefficient_codebook(rng):
