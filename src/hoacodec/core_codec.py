@@ -311,7 +311,7 @@ def measure_nmr(
 class HuffmanTable:
     """Canonical Huffman code defined entirely by its code lengths."""
 
-    _FAST_BITS = 12
+    _FAST_BITS = 16  # the longest code of any accepted table
 
     def __init__(self, lengths):
         lengths = [int(v) for v in lengths]
@@ -319,44 +319,27 @@ class HuffmanTable:
             raise FormatError(f"expected {_ALPHABET} code lengths")
         if any(l < 1 or l > 32 for l in lengths):
             raise FormatError("code lengths must be in [1, 32]")
-        if abs(sum(2.0 ** -l for l in lengths) - 1.0) > 1e-9:
+        # exact in integers: a float sum within 1e-9 of 1 passes over-full
+        # lengths such as 1..14, 15, 15, 32.  A complete code over 17 symbols
+        # is a full binary tree with 17 leaves, so no code exceeds 16 bits.
+        if sum(1 << (32 - l) for l in lengths) != 1 << 32:
             raise FormatError("code lengths violate the Kraft equality")
         self.lengths = lengths
         self.length_array = np.asarray(lengths, dtype=np.int64)
-        order = sorted(range(_ALPHABET), key=lambda s: (lengths[s], s))
         self.codes = [0] * _ALPHABET
-        code = 0
-        prev_len = lengths[order[0]]
-        for s in order:
+        code, prev_len = 0, 0
+        for s in sorted(range(_ALPHABET), key=lambda s: (lengths[s], s)):
             code <<= lengths[s] - prev_len
             self.codes[s] = code
-            prev_len = lengths[s]
-            code += 1
+            code, prev_len = code + 1, lengths[s]
         self.code_array = np.asarray(self.codes, dtype=np.int64)
-        self._decode_map = {
-            (lengths[s], self.codes[s]): s for s in range(_ALPHABET)
-        }
-        # one-shot decode table over the first _FAST_BITS bits
+        # one-shot decode table over the next _FAST_BITS bits, which hold
+        # every code: (symbol << 6) | length
         fb = self._FAST_BITS
-        self._fast = np.full(1 << fb, -1, dtype=np.int32)  # (symbol << 6) | length
+        self._fast = np.empty(1 << fb, dtype=np.int16)
         for s in range(_ALPHABET):
-            l = lengths[s]
-            if l <= fb:
-                base = self.codes[s] << (fb - l)
-                self._fast[base : base + (1 << (fb - l))] = (s << 6) | l
-
-    def read_symbol(self, reader: BitReader) -> int:
-        entry = int(self._fast[reader.peek(self._FAST_BITS)])
-        if entry >= 0:
-            reader.skip(entry & 63)
-            return entry >> 6
-        code = 0
-        for length in range(1, 33):
-            code = (code << 1) | reader.read(1)
-            sym = self._decode_map.get((length, code))
-            if sym is not None:
-                return sym
-        raise StreamError("invalid Huffman code")
+            base = self.codes[s] << (fb - lengths[s])
+            self._fast[base : base + (1 << (fb - lengths[s]))] = (s << 6) | lengths[s]
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -513,27 +496,25 @@ def entropy_encode_channel(
 
 # Decoding reads a frame payload through a lookup over its bit positions:
 # the signed value of the Huffman-coded bin that starts at each position and
-# the bits it spans (code plus sign bit), from the 12-bit fast table.  An
-# advance of 0 sends that bin to the bit-serial path: escapes, codes longer
-# than the fast window, and codes or sign bits that run past the payload.
+# the bits it spans (code plus sign bit), from the 16-bit table, which holds
+# every code.  An advance of 0 marks an escape, whose excess and sign are then
+# read field by field, or a bin that runs past the payload.
 
 _EXHAUSTED = "bitstream exhausted"
 _MAX_MAGNITUDE = (1 << 63) - 1  # quantizer indices are int64
 
 
-@functools.lru_cache(maxsize=1)
 def _payload_lookup(data: bytes, table: HuffmanTable) -> tuple:
     """(value, advance) lists over the bit positions 0..8*len(data)."""
     nbits = 8 * len(data)
-    b = np.frombuffer(data + b"\0\0\0", dtype=np.uint8).astype(np.int64)
-    u24 = (b[:-2] << 16) | (b[1:-1] << 8) | b[2:]
+    b = np.frombuffer(data + bytes(4), dtype=np.uint8).astype(np.int64)
+    u32 = (b[:-3] << 24) | (b[1:-2] << 16) | (b[2:-1] << 8) | b[3:]
     pos = np.arange(nbits + 1)
-    window = ((u24[pos >> 3] << (pos & 7)) >> 8) & 0xFFFF  # next 16 bits, zero-padded
-    entry = table._fast[window >> (16 - HuffmanTable._FAST_BITS)]
-    fast = entry >= 0
-    sym = np.where(fast, entry >> 6, ESCAPE_SYMBOL)
-    length = np.where(fast, entry & 63, 0)
-    negative = (window >> (15 - length)) & 1
+    window = (u32[pos >> 3] >> (15 - (pos & 7))) & 0x1FFFF  # next 17 bits, zero-padded
+    entry = table._fast[window >> 1]
+    sym = entry >> 6
+    length = entry & 63
+    negative = (window >> (16 - length)) & 1
     value = np.where(negative == 1, -sym, sym)
     advance = length + (sym > 0)
     advance[(sym >= ESCAPE_SYMBOL) | (pos + advance > nbits)] = 0
@@ -544,18 +525,22 @@ def entropy_decode_channel(
     reader: BitReader,
     groups: FrequencyGroups,
     table: HuffmanTable,
+    channels: int | None = None,
 ) -> CodedChannel:
-    """Exact inverse of :func:`entropy_encode_channel`."""
+    """Exact inverse of :func:`entropy_encode_channel`: reads ``channels``
+    channels, one after another, into an (L, channels) matrix, or one 1-D
+    channel when ``channels`` is None."""
     data = reader.data
     padded = data + b"\0\0"
     nbits = 8 * len(data)
     value, advance = _payload_lookup(data, table)
     pos = reader.bit_position
-    nb = len(groups.edges)
-    zero_band = [False] * nb
-    scalefactors = [0] * nb
-    q = [0] * groups.num_bins
-    for b, (lo, hi) in enumerate(groups.edges):
+    count = 1 if channels is None else channels
+    offsets = groups.layout(count).offsets.tolist()  # the channels' bands end to end
+    zero_band = [False] * (len(offsets) - 1)
+    scalefactors = [0] * (len(offsets) - 1)
+    q = [0] * offsets[-1]
+    for b, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
         if pos >= nbits:
             raise StreamError(_EXHAUSTED)
         i = pos >> 3
@@ -589,19 +574,20 @@ def entropy_decode_channel(
                 q[k] = value[pos]
                 pos += a
                 continue
-            reader.bit_position = pos
-            sym = table.read_symbol(reader)
-            mag = sym if sym < ESCAPE_SYMBOL else ESCAPE_SYMBOL + reader.read_ue()
-            if mag:
-                neg = reader.read_flag()
-                if mag > _MAX_MAGNITUDE:
-                    raise StreamError(f"escape magnitude {mag} out of range")
-                q[k] = -mag if neg else mag
+            if abs(value[pos]) != ESCAPE_SYMBOL:  # a code or sign bit past the payload
+                raise StreamError(_EXHAUSTED)
+            reader.bit_position = pos + table.lengths[ESCAPE_SYMBOL]
+            mag = ESCAPE_SYMBOL + reader.read_ue()
+            neg = reader.read_flag()
+            if mag > _MAX_MAGNITUDE:
+                raise StreamError(f"escape magnitude {mag} out of range")
+            q[k] = -mag if neg else mag
             pos = reader.bit_position
     reader.bit_position = pos
+    band_shape = (len(groups.edges),) + (() if channels is None else (channels,))
     return CodedChannel(
-        num_bins=groups.num_bins,
-        zero_band=np.array(zero_band, dtype=bool),
-        scalefactors=np.array(scalefactors, dtype=np.int64),
-        quant_indices=np.array(q, dtype=np.int64),
+        groups.num_bins,
+        _unflat(np.array(zero_band, dtype=bool), band_shape),
+        _unflat(np.array(scalefactors, dtype=np.int64), band_shape),
+        _unflat(np.array(q, dtype=np.int64), (groups.num_bins,) + band_shape[1:]),
     )

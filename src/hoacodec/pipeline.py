@@ -20,6 +20,7 @@ the MNMR constraint the core codec enforces.
 
 from __future__ import annotations
 
+import collections
 import zlib
 from dataclasses import dataclass, field
 
@@ -98,25 +99,8 @@ class EncoderConfig:
         return None if self.bypass_quantization else self.quantizers
 
     def validate(self, order: int) -> None:
-        if order > MAX_ORDER:
-            raise ConfigurationError(f"order {order} above the maximum {MAX_ORDER}")
-        if self.half_length > MAX_HALF_LENGTH:
-            raise ConfigurationError(f"half_length {self.half_length} above the maximum {MAX_HALF_LENGTH}")
+        _check_parameters(ConfigurationError, self.codec_id(), order, self)
         M = (order + 1) ** 2
-        if self.rank < 1 or self.rank > M:
-            raise ConfigurationError(f"rank {self.rank} out of range for M={M}")
-        if self.background_order > order:
-            raise ConfigurationError(
-                f"background order {self.background_order} exceeds signal order {order}"
-            )
-        if self.bands < 2:
-            raise ConfigurationError("banded mode needs at least 2 bands")
-        if self.codec_id() == CODEC_PROPOSED and self.half_length % self.bands:
-            raise ConfigurationError(
-                f"half_length must be divisible by the band count {self.bands}"
-            )
-        if self.half_length // self.bands < self.rank:
-            raise ConfigurationError("bands too short to retain rank components")
         if not self.bypass_quantization:
             if self.quantizers is None:
                 raise ConfigurationError(
@@ -129,6 +113,27 @@ class EncoderConfig:
                 )
         if self.resolved_groups().num_bins != self.half_length:
             raise ConfigurationError("group table does not match half_length")
+
+
+def _check_parameters(error, codec_id: int, order: int, p) -> None:
+    """Refuse, as ``error``, the coding parameters of ``p`` (an EncoderConfig
+    or a StreamHeader) that neither the encoder nor the decoder accepts."""
+    M = (order + 1) ** 2
+    L = p.half_length
+    if order > MAX_ORDER:
+        raise error(f"order {order} above the maximum {MAX_ORDER}")
+    if L > MAX_HALF_LENGTH:
+        raise error(f"half length {L} above the maximum {MAX_HALF_LENGTH}")
+    if L % 2:
+        raise error(f"half length {L} is odd; the MDCT folds an even half length")
+    if not 1 <= p.rank <= M:
+        raise error(f"rank {p.rank} out of range for M={M}")
+    if p.background_order > order:
+        raise error(f"background order {p.background_order} exceeds order {order}")
+    if p.bands < 2 or (codec_id == CODEC_PROPOSED and L % p.bands):
+        raise error(f"band count {p.bands} invalid for half length {L}")
+    if L // p.bands < p.rank:
+        raise error(f"bands of {L // p.bands} bins too short to retain rank {p.rank}")
 
 
 @dataclass
@@ -321,25 +326,16 @@ def _read_header(data: bytes) -> StreamHeader:
     # values the encoder can never write (EncoderConfig.validate)
     if h.sample_rate == 0:
         raise StreamError("sample rate 0")
-    if h.order > MAX_ORDER:
-        raise StreamError(f"order {h.order} above the maximum {MAX_ORDER}")
-    if h.half_length > MAX_HALF_LENGTH:
-        raise StreamError(f"half length {h.half_length} above the maximum {MAX_HALF_LENGTH}")
     if h.flags & ~(_FLAG_BYPASS | _FLAG_HANNING_INTERP):
         raise StreamError(f"unknown flag bits in {h.flags:#04x}")
     if h.codec_id not in (CODEC_BASELINE, CODEC_PROPOSED):
         raise StreamError(f"unknown codec id {h.codec_id}")
+    _check_parameters(StreamError, h.codec_id, h.order, h)
     if h.group_table_id not in (GROUP_TABLE_AAC48K, GROUP_TABLE_UNIFORM):
         raise StreamError(f"unknown group table id {h.group_table_id}")
     aac = h.group_table_id == GROUP_TABLE_AAC48K
     if h.half_length < NUM_GROUPS or (aac and h.half_length != noise_subst.AAC_48K_LONG_OFFSETS[-1]):
         raise StreamError(f"half length {h.half_length} does not fit group table {h.group_table_id}")
-    if not 1 <= h.rank <= h.num_channels:
-        raise StreamError(f"rank {h.rank} out of range for M={h.num_channels}")
-    if h.background_order > h.order:
-        raise StreamError(f"background order {h.background_order} exceeds order {h.order}")
-    if h.bands < 2 or (h.codec_id == CODEC_PROPOSED and h.half_length % h.bands):
-        raise StreamError(f"band count {h.bands} invalid for half length {h.half_length}")
     if h.frame_count != num_frames(h.original_length, h.half_length):
         raise StreamError(
             f"frame count {h.frame_count} does not match {h.original_length} samples "
@@ -604,19 +600,9 @@ class ParsedFrame:
     side: sideinfo.SideInfoFrame
     bases: list  # per band, the (M, r) basis (one band for the baseline)
     noise: NoiseGroupInfo
-    channels: list | np.ndarray  # per component a CodedChannel, or the raw (L, C) spectra in bypass
+    channels: core_codec.CodedChannel | np.ndarray  # the (L, C) components; raw spectra in bypass
     noise_bits: int
     core_bits: int
-
-    def spectra(self, groups: FrequencyGroups) -> np.ndarray:
-        """The (L, C) component spectra the decoder reconstructs from."""
-        if isinstance(self.channels, np.ndarray):  # bypass
-            return self.channels
-        coded = core_codec.CodedChannel(groups.num_bins, *(
-            np.stack([getattr(c, name) for c in self.channels], axis=1)
-            for name in ("zero_band", "scalefactors", "quant_indices")
-        ))
-        return core_codec.dequantize_channel(coded, groups)
 
 
 @dataclass
@@ -655,22 +641,16 @@ def _open_stream(stream: bytes, quantizers, huffman_table, groups):
             f"group table covers {groups.num_bins} bins, stream has {header.half_length}"
         )
 
-    frames = []
-    pos = HEADER_BYTES
-    truncated = False
-    for _ in range(header.frame_count):
-        if pos + 4 > len(stream):
-            truncated = True
-            break
+    frames, pos = [], HEADER_BYTES
+    while len(frames) < header.frame_count and pos + 4 <= len(stream):
         size = int.from_bytes(stream[pos : pos + 4], "big")
-        if pos + 4 + size + 4 > len(stream):
-            truncated = True
+        if pos + 8 + size > len(stream):
             break
         payload = stream[pos + 4 : pos + 4 + size]
         crc = int.from_bytes(stream[pos + 4 + size : pos + 8 + size], "big")
         frames.append((payload, (zlib.crc32(payload) & 0xFFFFFFFF) == crc))
         pos += 8 + size
-    return header, table, groups, frames, truncated
+    return header, table, groups, frames, len(frames) < header.frame_count
 
 
 def parse_frame(
@@ -697,7 +677,7 @@ def parse_frame(
     if header.bypass:
         channels = reader.read_f64_array((count, groups.num_bins)).T
     else:
-        channels = [core_codec.entropy_decode_channel(reader, groups, table) for _ in range(count)]
+        channels = core_codec.entropy_decode_channel(reader, groups, table, count)
     core_bits = reader.bit_position - side.bit_count - noise_bits
     return ParsedFrame(side, bases, noise, channels, noise_bits, core_bits)
 
@@ -708,17 +688,49 @@ def decode(
     huffman_table: core_codec.HuffmanTable | None = None,
     groups: FrequencyGroups | None = None,
 ) -> DecodeResult:
-    """Decode a container stream back to an :class:`HoaSignal`.
+    """Decode a container stream back to an :class:`HoaSignal` in one pass:
+    each frame is parsed, reconstructed and overlap-added as it is read.
 
     CRC-failing frames are concealed by repeating the previous frame's
     decoded spectra; a truncated stream raises :class:`StreamError` whose
     ``partial`` attribute carries the samples decoded so far.
     """
-    header, table, groups, frames, truncated = _open_stream(
-        stream, quantizers, huffman_table, groups
+    header, table, groups, frames, truncated = _open_stream(stream, quantizers, huffman_table, groups)
+    frame_stats = []
+    decoded = _decode_frames(header, frames, quantizers, table, groups, frame_stats)
+    window = transform.sine_window(header.half_length)
+    if not frames:
+        samples = np.zeros((0, header.num_channels))
+    elif header.codec_id == CODEC_PROPOSED:  # the output of the frames the stream holds
+        length = min(header.original_length, len(frames) * header.half_length)
+        samples = transform.synthesize((sp for sp, _ in decoded), window, length)
+    else:
+        samples = _recombine_baseline(header, decoded, len(frames), window)
+
+    signal = HoaSignal(sample_rate=header.sample_rate, order=header.order, samples=samples)
+    if truncated:
+        raise StreamError(
+            f"stream truncated after {len(frames)} of {header.frame_count} frames",
+            partial=signal,
+        )
+    return DecodeResult(
+        signal=signal,
+        stats=header.stream_stats(frame_stats),
+        concealed_frames=sum(f.concealed for f in frame_stats),
     )
+
+
+def _decode_frames(header: StreamHeader, frames, quantizers, table, groups, frame_stats: list):
+    """Parse each frame payload, or conceal it, and yield its spectrum and
+    bases as it is read, appending its :class:`FrameStats` to ``frame_stats``.
+    The spectrum is the proposed codec's L x M spectrum, or the baseline's
+    (L, r + M) component block.  A concealed frame repeats the previous
+    frame's spectrum and bases (zeros before the first decoded frame)."""
+    L, M, rank = header.half_length, header.num_channels, header.rank
+    nbg = (header.background_order + 1) ** 2
+    proposed = header.codec_id == CODEC_PROPOSED
+    spectrum, bases = np.zeros((L, M if proposed else rank + M)), [np.zeros((M, rank))]
     state = sideinfo.SideInfoState()
-    parsed, frame_stats = [], []
     for f, (payload, crc_ok) in enumerate(frames):
         p, reason = None, "crc"
         if crc_ok:
@@ -728,29 +740,20 @@ def decode(
                 # a damaged prediction chain can leave later frames
                 # unparseable; treat them like CRC failures
                 reason = str(exc)
-        parsed.append(p)
-        frame_stats.append(
-            _frame_stats(f, payload, None, concealed=True, conceal_reason=reason) if p is None
-            else _frame_stats(f, payload, p.side, p.noise_bits, p.core_bits)
-        )
-    if header.codec_id == CODEC_PROPOSED:
-        samples = _reconstruct_proposed(header, parsed, groups)
-    else:
-        samples = _reconstruct_baseline(header, parsed, groups)
-
-    signal = HoaSignal(
-        sample_rate=header.sample_rate, order=header.order, samples=samples
-    )
-    if truncated:
-        raise StreamError(
-            f"stream truncated after {len(frames)} of {header.frame_count} frames",
-            partial=signal,
-        )
-    return DecodeResult(
-        signal=signal,
-        stats=header.stream_stats(frame_stats),
-        concealed_frames=sum(p is None for p in parsed),
-    )
+        if p is None:
+            frame_stats.append(_frame_stats(f, payload, None, concealed=True, conceal_reason=reason))
+        else:
+            frame_stats.append(_frame_stats(f, payload, p.side, p.noise_bits, p.core_bits))
+            bases = p.bases
+            channels = p.channels if header.bypass else core_codec.dequantize_channel(p.channels, groups)
+            noise = noise_subst.synthesize_noise(p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg)
+            if proposed:
+                layout = freq_svd.layout_for_mode(p.side.mode, L, header.bands)
+                spectrum = _proposed_spectrum(channels, bases, layout, nbg)
+                spectrum[:, nbg:] += noise
+            else:
+                spectrum = np.column_stack([channels, noise])
+        yield transform.SpectralFrame(index=f, coeffs=spectrum), bases
 
 
 def _proposed_spectrum(decoded: np.ndarray, bases: list, layout, nbg: int) -> np.ndarray:
@@ -768,59 +771,27 @@ def _proposed_spectrum(decoded: np.ndarray, bases: list, layout, nbg: int) -> np
     return S
 
 
-def _reconstruct_proposed(header: StreamHeader, parsed: list, groups) -> np.ndarray:
-    """Per-band back-projection plus background and noise, then the inverse
-    MDCT; a concealed frame (None) repeats the previous frame's spectrum."""
-    L = header.half_length
-    M = header.num_channels
-    nbg = (header.background_order + 1) ** 2
-    S = np.zeros((L, M))
-    spectra = []
-    for f, p in enumerate(parsed):
-        if p is not None:
-            layout = freq_svd.layout_for_mode(p.side.mode, L, header.bands)
-            S = _proposed_spectrum(p.spectra(groups), p.bases, layout, nbg)
-            S[:, nbg:] += noise_subst.synthesize_noise(
-                p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg
-            )
-        spectra.append(transform.SpectralFrame(index=f, coeffs=S))
-    if not spectra:
-        return np.zeros((0, M))
-    return transform.synthesize(spectra, transform.sine_window(L), header.original_length)
-
-
-def _reconstruct_baseline(header: StreamHeader, parsed: list, groups) -> np.ndarray:
-    """Inverse-MDCT the component stream [foreground | ambient], then
-    recombine its rows with the interpolated bases; a concealed frame (None)
-    repeats the previous frame's coefficient block and basis."""
-    L = header.half_length
-    M = header.num_channels
-    nbg = (header.background_order + 1) ** 2
-    rank = header.rank
-    F = len(parsed)
-    if not F:
-        return np.zeros((0, M))
-    block, basis = np.zeros((L, rank + M)), np.zeros((M, rank))
-    blocks, bases = [], []
-    for f, p in enumerate(parsed):
-        if p is not None:
-            noise = noise_subst.synthesize_noise(
-                p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg
-            )
-            block = np.column_stack([p.spectra(groups), noise])
-            basis = p.bases[0]
-        blocks.append(transform.SpectralFrame(index=f, coeffs=block))
-        bases.append(baseline_td.TruncatedBasis(vectors=basis, frame=f))
-
-    # stream sample n needs blocks n//L - 1 and n//L; the first L samples
-    # only pad the head, so synthesis starts at sample L
-    stream = transform.synthesize(blocks, transform.sine_window(L), (F - 1) * L)
+def _recombine_baseline(header: StreamHeader, decoded, count: int, window) -> np.ndarray:
+    """Overlap-add the component stream [foreground | ambient] and, once block
+    f >= 1 is added, recombine stream samples [fL, fL+L): the foreground times
+    the per-sample blend of bases f-1 and f, plus the ambient columns.  The
+    head padding and the tail after the last of ``count`` blocks are dropped."""
+    L, rank = header.half_length, header.rank
     interp = baseline_td.InterpolationWindow.make(L, header.interp_kind)
-    hoa = np.empty(((F - 1) * L, M))
-    for f in range(1, F):
-        sl = slice((f - 1) * L, f * L)
-        per_sample = baseline_td.interpolate_basis(bases[f - 1], bases[f], interp)
-        hoa[sl] = np.einsum("lr,lmr->lm", stream[sl, :rank], per_sample) + stream[sl, rank:]
+    hoa = np.empty(((count - 1) * L, header.num_channels))
+    recent = collections.deque(maxlen=2)  # the bases of the last two blocks read
+
+    def blocks():
+        for block, bases in decoded:
+            recent.append(baseline_td.TruncatedBasis(bases[0]))
+            yield block
+
+    # overlap_add yields samples [fL, fL+L) right after it reads block f
+    hops = transform.overlap_add(blocks(), window)
+    next(hops)  # the head padding
+    for f, hop in zip(range(1, count), hops):
+        per_sample = baseline_td.interpolate_basis(*recent, interp)
+        hoa[(f - 1) * L : f * L] = np.einsum("lr,lmr->lm", hop[:, :rank], per_sample) + hop[:, rank:]
     return hoa[: header.original_length]
 
 

@@ -18,6 +18,7 @@ Encoding and decoding walk the one syntax in :func:`_side_info`; in bypass
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -345,6 +346,21 @@ class TrainingConfig:
     max_frames: int = 12000
 
 
+def _raw_basis_frames(signals, config: TrainingConfig):
+    """(previous, current) raw bases of each frame of the time-domain path
+    (one basis), then of each mode of the frequency-domain path (per-band
+    bases), signal after signal; a path's first frame has None before it."""
+    L = config.half_length
+    window = sine_window(L)
+    for sig in signals:
+        streams = [[[truncated_basis(fr.samples, config.rank).vectors] for fr in segment_frames(sig.samples, L)]]
+        specs, _ = analyze(sig.samples, L, window)
+        for mode in (MODE_SINGLE_BAND, MODE_FOUR_BANDS):
+            streams.append([mode_bases(sp, mode, config.rank)[2] for sp in specs])
+        for stream in streams:
+            yield from zip([None] + stream, stream)
+
+
 def harvest_training_pairs(signals, config: TrainingConfig):
     """Open-loop analysis of both pipelines to collect training material.
 
@@ -352,40 +368,24 @@ def harvest_training_pairs(signals, config: TrainingConfig):
     modes of the frequency-domain path (:func:`freq_svd.mode_bases`) over
     every signal, matches each frame's truncated basis to the previous
     frame's, and records (rho, residual) pairs plus the raw columns for the
-    intra codebook.
+    intra codebook, from the first ``config.max_frames`` frames in all.
     """
     rhos, residuals, intras = [], [], []
-    frames_used = 0
-    L = config.half_length
-    window = sine_window(L)
-    for sig in signals:
-        # per frame, the time-domain path's one basis, then per mode the
-        # frequency-domain path's per-band bases
-        streams = [[[truncated_basis(fr.samples, config.rank).vectors] for fr in segment_frames(sig.samples, L)]]
-        specs, _ = analyze(sig.samples, L, window)
-        for mode in (MODE_SINGLE_BAND, MODE_FOUR_BANDS):
-            streams.append([mode_bases(sp, mode, config.rank)[2] for sp in specs])
-        for stream in streams:
-            prev = None
-            for frame_bases in stream:
-                frames_used += 1
-                for band_idx, raw in enumerate(frame_bases):
-                    for k in range(raw.shape[1]):
-                        intras.append(raw[:, k])
-                    if prev is not None and len(prev) == len(frame_bases):
-                        _, _, aligned = match_bases(
-                            TruncatedBasis(vectors=prev[band_idx]),
-                            TruncatedBasis(vectors=raw),
-                        )
-                        rho, residual = predict_basis(
-                            TruncatedBasis(vectors=prev[band_idx]),
-                            TruncatedBasis(vectors=aligned.vectors),
-                        )
-                        rhos.extend(rho.tolist())
-                        residuals.extend(residual.T)
-                prev = frame_bases
-                if frames_used >= config.max_frames:
-                    break
+    for prev, frame_bases in itertools.islice(_raw_basis_frames(signals, config), config.max_frames):
+        for band_idx, raw in enumerate(frame_bases):
+            for k in range(raw.shape[1]):
+                intras.append(raw[:, k])
+            if prev is not None and len(prev) == len(frame_bases):
+                _, _, aligned = match_bases(
+                    TruncatedBasis(vectors=prev[band_idx]),
+                    TruncatedBasis(vectors=raw),
+                )
+                rho, residual = predict_basis(
+                    TruncatedBasis(vectors=prev[band_idx]),
+                    TruncatedBasis(vectors=aligned.vectors),
+                )
+                rhos.extend(rho.tolist())
+                residuals.extend(residual.T)
     return np.asarray(rhos)[:, None], np.asarray(residuals), np.asarray(intras)
 
 

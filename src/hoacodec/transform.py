@@ -102,26 +102,6 @@ def mdct_inverse(spec: SpectralFrame, window: AnalysisWindow) -> np.ndarray:
     return window.values[:, None] * y
 
 
-def overlap_add(blocks, half_length: int, original_length: int) -> np.ndarray:
-    """Overlap-add 2L x M blocks at hop L and strip the head/tail padding.
-
-    ``blocks`` are in frame order: block f lands on padded samples
-    [f*L, f*L + 2L).  Returns the first ``original_length`` samples after
-    the leading L padding samples.
-    """
-    blocks = list(blocks)
-    if not blocks:
-        return np.zeros((0, 0))
-    L = half_length
-    channels = blocks[0].shape[1]
-    out = np.zeros(((len(blocks) + 1) * L, channels))
-    for f, blk in enumerate(blocks):
-        if blk.shape != (2 * L, channels):
-            raise ShapeError(f"block {f} has shape {blk.shape}, expected {(2 * L, channels)}")
-        out[f * L : f * L + 2 * L] += blk
-    return out[L : L + original_length]
-
-
 def analyze(signal_samples: np.ndarray, half_length: int, window: AnalysisWindow | None = None):
     """MDCT-transform a (length, channels) array; returns (frames, window).
 
@@ -134,7 +114,40 @@ def analyze(signal_samples: np.ndarray, half_length: int, window: AnalysisWindow
     return [mdct_forward(fr, window) for fr in segment_frames(signal_samples, half_length)], window
 
 
+def overlap_add(spectra, window: AnalysisWindow):
+    """Inverse-MDCT each spectrum as it arrives and overlap-add the blocks at
+    hop L: block f lands on samples [fL, fL + 2L) of the padded timeline
+    (:func:`hoa_io.pad_signal`).  Right after block f this yields samples
+    [fL, fL + L), which no later block reaches, and after the last of F
+    blocks the tail [FL, FL + L).  Each sample is the sum of its blocks in
+    frame order, added onto 0.0."""
+    L = window.half_length
+    pending = None  # the 2L samples the next block lands on
+    for f, sp in enumerate(spectra):
+        block = mdct_inverse(sp, window)
+        if pending is None:
+            pending = np.zeros_like(block)
+        elif block.shape != pending.shape:
+            raise ShapeError(f"block {f} has shape {block.shape}, expected {pending.shape}")
+        pending += block
+        yield pending[:L].copy()
+        pending[:L] = pending[L:]
+        pending[L:] = 0.0
+    if pending is not None:
+        yield pending[:L]
+
+
 def synthesize(spectra, window: AnalysisWindow, original_length: int) -> np.ndarray:
-    """Inverse of :func:`analyze`: IMDCT every frame and overlap-add."""
-    blocks = [mdct_inverse(sp, window) for sp in spectra]
-    return overlap_add(blocks, window.half_length, original_length)
+    """Inverse of :func:`analyze` for any iterable of spectra: the samples
+    :func:`overlap_add` yields after the head padding, the first
+    ``original_length`` of them, or all F*L of F spectra if that is fewer."""
+    hops = overlap_add(spectra, window)
+    next(hops, None)  # the head padding
+    out, end = np.zeros((0, 0)), 0
+    for hop in hops:
+        if not end:
+            out = np.empty((original_length, hop.shape[1]))
+        n = min(len(hop), original_length - end)
+        out[end : end + n] = hop[:n]
+        end += n
+    return out[:end]

@@ -251,6 +251,9 @@ def test_table_bad_file_rejected(tmp_path):
         HuffmanTable.load(tmp_path / "bad.haht")
     with pytest.raises(FormatError):
         HuffmanTable([1] * 17)  # Kraft violation
+    with pytest.raises(FormatError, match="Kraft"):
+        # over-full by 2^-32: its 17th code would need 33 bits
+        HuffmanTable(list(range(1, 15)) + [15, 15, 32])
 
 
 def test_band_energy_reduction(groups, rng):
@@ -311,7 +314,8 @@ def _outcome(decoder, data, start, groups, table):
 @st.composite
 def huffman_tables(draw):
     """Kraft-complete tables: split leaves of a binary tree until it has one
-    leaf per symbol; long chains give codes beyond the 12-bit fast window."""
+    leaf per symbol; long chains give codes up to 16 bits, the longest a
+    complete code over 17 symbols has."""
     lengths = [1, 1]
     while len(lengths) < ESCAPE_SYMBOL + 1:
         i = draw(st.integers(0, len(lengths) - 1))

@@ -198,16 +198,20 @@ def test_config_validation(small_quantizers_module):
     with pytest.raises(ConfigurationError, match="order 16 above the maximum"):
         cfg = pipeline.EncoderConfig(codec="baseline", half_length=256, bypass_quantization=True)
         pipeline.encode(HoaSignal(48000, pipeline.MAX_ORDER + 1, np.zeros((256, 289))), cfg)
-    with pytest.raises(ConfigurationError, match="half_length 8193 above the maximum"):
+    with pytest.raises(ConfigurationError, match="half length 8193 above the maximum"):
         cfg = pipeline.EncoderConfig(codec="baseline", half_length=pipeline.MAX_HALF_LENGTH + 1,
                                      bypass_quantization=True)
         pipeline.encode(HoaSignal(48000, 1, np.zeros((256, 4))), cfg)
+    for codec in ("baseline", "proposed"):  # the MDCT folds an even half length
+        cfg = pipeline.EncoderConfig(codec=codec, half_length=257, bypass_quantization=True)
+        with pytest.raises(ConfigurationError, match="half length 257 is odd"):
+            pipeline.encode(HoaSignal(48000, 1, np.zeros((512, 4))), cfg)
     # values that do not fit their header field are refused before any frame
     # is encoded
     for kw, order, match in (
         (dict(seed=-1), 3, "seed"),
         (dict(seed=2**64 + 5), 3, "seed"),
-        (dict(half_length=2**32), 3, "half_length"),
+        (dict(half_length=2**32), 3, "half length"),
         (dict(bands=256), 3, "bands"),
         (dict(rank=256), 15, "rank"),  # M=256: the rank is in range but not 8 bits wide
         (dict(background_order=256), 15, "background order"),
@@ -268,6 +272,7 @@ _HEADER_FIELDS = {
     # with a matching frame count; the decoder would allocate per frame
     ("half_length", 2**26, "half length 67108864 above the maximum"),
     ("half_length", 2**31, "half length 2147483648 above the maximum"),
+    ("half_length", 257, "half length 257 is odd"),
     ("rank", 0, "rank"),
     ("rank", 17, "rank"),  # M=16
     ("background_order", 4, "background order"),  # order 3
@@ -291,6 +296,18 @@ def test_header_values_the_encoder_never_writes_are_rejected(
     for parse in (pipeline.decode, pipeline.measure_stream):
         with pytest.raises(StreamError, match=match):
             parse(bytes(stream), quantizers=small_quantizers_module)
+
+
+def test_odd_half_length_in_a_baseline_header_is_rejected(small_scene_module):
+    """Header bit 135 is the lowest bit of the half length: 256 becomes 257
+    with the frame count still matching, and the MDCT cannot fold it."""
+    sig = HoaSignal(48000, 3, small_scene_module.samples[:9600])
+    cfg = pipeline.EncoderConfig(codec="baseline", half_length=256, bypass_quantization=True)
+    stream = bytearray(pipeline.encode(sig, cfg).stream)
+    stream[135 // 8] ^= 0x80 >> 135 % 8
+    for parse in (pipeline.decode, pipeline.measure_stream):
+        with pytest.raises(StreamError, match="half length 257 is odd"):
+            parse(bytes(stream))
 
 
 @pytest.mark.parametrize("lead", [0, 3])
@@ -549,3 +566,39 @@ def test_parameter_matrix_roundtrips(foa_setup, codec, rank, bg_order, bands):
     assert dec.signal.samples.shape == sig.samples.shape
     measured = pipeline.measure_stream(res.stream, quantizers=quant)
     assert measured.total_bits == 8 * len(res.stream)
+
+
+def test_decode_peak_memory_stays_near_the_output(small_scene_module):
+    """One pass, no per-frame list of parsed frames, spectra or blocks: the
+    allocation peak of a decode stays below 4x the decoded samples' bytes."""
+    import tracemalloc
+
+    for codec in ("proposed", "baseline"):
+        cfg = pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True)
+        stream = pipeline.encode(small_scene_module, cfg).stream
+        tracemalloc.start()
+        try:
+            samples = pipeline.decode(stream).signal.samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * samples.nbytes, (codec, peak / samples.nbytes)
+
+
+def test_one_channel_decode_call_per_frame(encoded, small_quantizers_module, monkeypatch):
+    from hoacodec import core_codec
+
+    calls = []
+    decode_channels = core_codec.entropy_decode_channel
+
+    def counted(*args):
+        calls.append(args[3])
+        return decode_channels(*args)
+
+    monkeypatch.setattr(core_codec, "entropy_decode_channel", counted)
+    for codec in ("proposed", "baseline"):
+        stream = encoded[codec].stream
+        for parse in (lambda s, **kw: pipeline.decode(s, **kw).stats, pipeline.measure_stream):
+            calls.clear()
+            stats = parse(stream, quantizers=small_quantizers_module)
+            assert calls == [4 + 4] * len(stats.frames)  # rank 4 plus (1 + 1)^2 background channels

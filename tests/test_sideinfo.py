@@ -283,6 +283,20 @@ def test_harvested_training_material_is_pinned():
     assert digest == "45b97519a414acb4eab0248df89ee4e4dccd22bbafc4f21f4951c609bc0a4e1c"
 
 
+def test_max_frames_caps_the_whole_harvest():
+    """The cap counts frames over every path of every signal.  Per 0.1 s
+    signal at L=256 the time-domain path has 20 frames of one basis, then
+    each mode 20 frames of 1 or 4 band bases, 60 frames in all."""
+    sigs = [scenes.render_scene(s) for s in scenes.corpus_specs(duration=0.1)[:2]]
+    full = harvest_training_pairs(sigs, TrainingConfig(half_length=256, rank=4))
+    for cap, pairs, columns in ((3, 8, 12), (5, 16, 20), (60, 456, 480), (61, 456, 484), (120, 912, 960)):
+        rhos, residuals, intras = harvest_training_pairs(
+            sigs, TrainingConfig(half_length=256, rank=4, max_frames=cap)
+        )
+        assert (rhos.shape[0], residuals.shape[0], intras.shape[0]) == (pairs, pairs, columns)
+        assert np.array_equal(intras, full[2][:columns]) and np.array_equal(rhos, full[0][:pairs])
+
+
 def test_static_corpus_concentrates_coefficient_codebook(rng):
     # a constant scene: consecutive bases correlate perfectly, so the
     # coefficient codebook collapses near 1 and residuals near 0

@@ -117,19 +117,31 @@ def test_roundtrip_snr_over_180db(rng):
     assert snr > 180
 
 
-def test_overlap_add_of_constant_blocks():
+def test_overlap_add_of_constant_blocks(rng):
+    # the same spectrum in every frame: each interior hop sums the second
+    # half of one block and the first half of the next
     L = 16
-    blocks = [np.ones((2 * L, 1)) for _ in range(3)]
-    out = overlap_add(blocks, L, 2 * L)
-    # interior overlap sums two blocks of ones
-    assert np.all(out == 2.0)
+    win = sine_window(L)
+    sp = SpectralFrame(index=0, coeffs=rng.standard_normal((L, 1)))
+    block = mdct_inverse(sp, win)
+    hops = list(overlap_add(iter([sp] * 3), win))
+    assert len(hops) == 4
+    assert np.array_equal(hops[0], 0.0 + block[:L])
+    for hop in hops[1:3]:
+        assert np.array_equal(hop, 0.0 + block[L:] + block[:L])
+    assert np.array_equal(hops[3], 0.0 + block[L:])
+    assert np.array_equal(synthesize((s for s in [sp] * 3), win, 2 * L), np.concatenate(hops[1:3]))
 
 
 def test_overlap_add_length_arithmetic(rng):
     L = 1024
-    blocks = [rng.standard_normal((2 * L, 2)) for _ in range(3)]
-    out = overlap_add(blocks, L, 2048)
-    assert out.shape == (2048, 2)
+    win = sine_window(L)
+    spectra = [SpectralFrame(index=f, coeffs=rng.standard_normal((L, 2))) for f in range(3)]
+    assert synthesize(spectra, win, 2048).shape == (2048, 2)
+    # three frames cover 3L samples after the head padding, however long
+    # the signal was
+    assert synthesize(iter(spectra), win, 10 * L).shape == (3 * L, 2)
+    assert synthesize([], win, 2048).shape == (0, 0)
 
 
 def test_parseval_ratio_is_half_frame_length(rng):
