@@ -72,6 +72,14 @@ def _build_config(args, codec=None, mnmr=None) -> pipeline.EncoderConfig:
     )
 
 
+def _number_list(text: str, kind, option: str) -> list:
+    """The comma-separated numbers of an option; anything else is a usage error."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{option} wants comma-separated numbers, got {text!r}") from None
+
+
 def _load_decode_kwargs(args) -> dict:
     kwargs = {}
     if args.codebooks:
@@ -125,7 +133,7 @@ def cmd_train(args) -> int:
     if not wavs:
         raise UsageError(f"no WAV files under {args.corpus}")
     signals = [read_hoa_wav(p) for p in wavs]
-    sizes = [int(v) for v in args.sizes.split(",")]
+    sizes = _number_list(args.sizes, int, "--sizes")
     if len(sizes) != 3:
         raise UsageError("--sizes wants three comma-separated ints: coeff,residual,intra")
     config = sideinfo.TrainingConfig(
@@ -146,26 +154,17 @@ def cmd_train(args) -> int:
 
 def cmd_analyze(args) -> int:
     signal = read_hoa_wav(args.input)
-    window = transform.sine_window(args.frame)
-    spectra, _ = transform.analyze(signal.samples, args.frame, window)
+    spectra, _ = transform.analyze(signal.samples, args.frame)
     layout = freq_svd.BandLayout.uniform(args.frame, args.bands)
     groups = noise_subst.groups_for(args.frame)
 
-    comp_rows = []
-    dominated = 0
+    comp_rows, flat, dominated = [], [], 0
     for sp in spectra:
         eg, eb = freq_svd.compaction_gain(sp, args.rank, layout)
         comp_rows.append((sp.index, eg, eb))
-        if eb >= eg - 1e-9 * float(np.sum(sp.coeffs**2)):
-            dominated += 1
-
-    flat = np.zeros((len(spectra), noise_subst.NUM_GROUPS))
-    for i, sp in enumerate(spectra):
-        power = sp.coeffs**2
-        for j, (a, b) in enumerate(groups.edges):
-            flat[i, j] = np.mean(
-                [noise_subst.spectral_flatness(power[a:b, c]) for c in range(power.shape[1])]
-            )
+        dominated += eb >= eg - 1e-9 * float(np.sum(sp.coeffs**2))
+        flat.append(noise_subst.group_flatness(sp.coeffs, groups)[0])
+    flat = np.reshape(flat, (-1, noise_subst.NUM_GROUPS))
 
     comp_path = args.compaction_csv or args.input.with_suffix(".compaction.csv")
     with open(comp_path, "w", newline="") as fh:
@@ -202,7 +201,7 @@ def cmd_compare(args) -> int:
     wavs = _collect_wavs(args.corpus)
     if not wavs:
         raise UsageError(f"no WAV files under {args.corpus}")
-    points = [float(v) for v in args.mnmr.split(",")]
+    points = _number_list(args.mnmr, float, "--mnmr")
     rows = []
     for wav in wavs:
         signal = read_hoa_wav(wav)

@@ -8,6 +8,7 @@ are not a perfect square are rejected outright.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,9 +152,7 @@ def read_hoa_wav(path) -> HoaSignal:
     else:
         raise FormatError(f"{path}: unsupported WAV format tag={tag} bits={bits}")
 
-    samples = samples.reshape(-1, channels)
-    order = _order_for_channels(channels)
-    return HoaSignal(sample_rate=sample_rate, order=order, samples=samples)
+    return HoaSignal.from_samples(samples.reshape(-1, channels), sample_rate)
 
 
 def write_hoa_wav(signal: HoaSignal, path, sample_format: str = "float32") -> None:
@@ -218,33 +217,31 @@ def pad_signal(samples: np.ndarray, half_length: int) -> np.ndarray:
     frames, so overlap-add reconstructs head and tail samples at full
     weight.
     """
-    length = samples.shape[0]
-    count = num_frames(length, half_length)
-    if count == 0:
-        return np.zeros((0, samples.shape[1]))
-    padded_len = (count + 1) * half_length
-    head = np.zeros((half_length, samples.shape[1]))
-    tail = np.zeros((padded_len - half_length - length, samples.shape[1]))
-    return np.concatenate([head, samples, tail], axis=0)
+    count = num_frames(samples.shape[0], half_length)
+    padded = np.zeros(((count + 1) * half_length if count else 0, samples.shape[1]))
+    padded[half_length : half_length + samples.shape[0]] = samples
+    return padded
 
 
-def segment_frames(samples: np.ndarray, half_length: int) -> list[TimeFrame]:
-    """Split a (length, channels) array into 2L-sample frames advancing by L
-    (50% overlap); a 1-D array is one channel.
+def segment_frames(samples: np.ndarray, half_length: int) -> Iterator[TimeFrame]:
+    """Yield the 2L-sample frames of a (length, channels) array, advancing
+    by L (50% overlap); a 1-D array is one channel.
 
     Frame f covers padded samples [f*L, f*L + 2L); the padded timeline has
-    L zeros prepended (see :func:`pad_signal`).  An empty signal yields an
-    empty list.  This is the one framing of both encoders and of codebook
-    training.
+    L zeros prepended (see :func:`pad_signal`).  Each frame is built as it
+    is yielded, zeros then the signal rows it covers, so no padded copy of
+    the signal exists.  An empty signal yields nothing.  This is the one
+    framing of both encoders and of codebook training.
     """
     if half_length <= 0:
         raise ShapeError("frame half-length must be positive")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
         samples = samples[:, None]
-    L = half_length
-    padded = pad_signal(samples, L)
-    return [
-        TimeFrame(index=f, samples=padded[f * L : f * L + 2 * L])
-        for f in range(num_frames(samples.shape[0], L))
-    ]
+    L, length = half_length, samples.shape[0]
+    for f in range(num_frames(length, L)):
+        start = f * L - L  # the frame's first row on the signal's timeline
+        a, b = max(start, 0), min(start + 2 * L, length)
+        frame = np.zeros((2 * L, samples.shape[1]))
+        frame[a - start : b - start] = samples[a:b]
+        yield TimeFrame(index=f, samples=frame)

@@ -182,6 +182,30 @@ def spectral_flatness(power) -> float:
     return min(1.0, float(np.exp(np.mean(np.log(ratio)))))
 
 
+def group_flatness(spectra: np.ndarray, groups: FrequencyGroups) -> tuple:
+    """Per group of an (L, C) spectrum, the channel-averaged flatness of its
+    power (:func:`spectral_flatness` of each channel's group, averaged over
+    the C channels) and its per-bin power averaged over bins and channels:
+    two (49,) arrays."""
+    if spectra.ndim != 2:
+        raise ShapeError("spectra must be (L, C)")
+    if groups.num_bins != spectra.shape[0]:
+        raise ShapeError(f"group table covers {groups.num_bins} bins, frame has {spectra.shape[0]}")
+    # all groups of one width at once, as a C-contiguous (groups, bins, C)
+    # array: its means over bins and channels add in the same order as
+    # those of one (bins, C) group
+    power = spectra**2
+    flat = np.empty(NUM_GROUPS)
+    mean_power = np.empty(NUM_GROUPS)
+    for g, bins in groups.layout().by_width:
+        p = power[bins]
+        floored = np.maximum(p, 1e-12 * p.mean(axis=1, keepdims=True) + 1e-30)
+        ratio = floored / floored.mean(axis=1, keepdims=True)
+        flat[g] = np.minimum(1.0, np.exp(np.log(ratio).mean(axis=1))).mean(axis=-1)
+        mean_power[g] = p.reshape(g.size, -1).mean(axis=-1)
+    return flat, mean_power
+
+
 def analyze_discarded(
     discarded_spectra: np.ndarray,
     groups: FrequencyGroups,
@@ -192,27 +216,11 @@ def analyze_discarded(
     ``discarded_spectra`` is (L, C) MDCT coefficients of the C dropped
     channels.  A group is active when the channel-averaged flatness of its
     power spectrum exceeds ``threshold``; its transmitted energy is the
-    per-bin power averaged over bins and channels.
+    per-bin power averaged over bins and channels (:func:`group_flatness`).
     """
-    if discarded_spectra.ndim != 2:
-        raise ShapeError("discarded spectra must be (L, C)")
-    L, C = discarded_spectra.shape
-    if C == 0:
+    if discarded_spectra.ndim == 2 and discarded_spectra.shape[1] == 0:
         return NoiseGroupInfo.empty()
-    if groups.num_bins != L:
-        raise ShapeError(f"group table covers {groups.num_bins} bins, frame has {L}")
-    # all groups of one width at once, as a C-contiguous (groups, bins, C)
-    # array: its means over bins and channels add in the same order as
-    # those of one (bins, C) group
-    power = discarded_spectra**2
-    flat = np.empty(NUM_GROUPS)
-    mean_power = np.empty(NUM_GROUPS)
-    for g, bins in groups.layout().by_width:
-        p = power[bins]
-        floored = np.maximum(p, 1e-12 * p.mean(axis=1, keepdims=True) + 1e-30)
-        ratio = floored / floored.mean(axis=1, keepdims=True)
-        flat[g] = np.minimum(1.0, np.exp(np.log(ratio).mean(axis=1))).mean(axis=-1)
-        mean_power[g] = p.reshape(g.size, -1).mean(axis=-1)
+    flat, mean_power = group_flatness(discarded_spectra, groups)
     indices = quantize_energy(mean_power)
     # below-floor energy decodes to silence anyway: send inactive
     active = (flat > threshold) & (indices > 0)

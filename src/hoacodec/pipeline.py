@@ -21,8 +21,11 @@ the MNMR constraint the core codec enforces.
 from __future__ import annotations
 
 import collections
+import itertools
+import math
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,6 +137,10 @@ def _check_parameters(error, codec_id: int, order: int, p) -> None:
         raise error(f"band count {p.bands} invalid for half length {L}")
     if L // p.bands < p.rank:
         raise error(f"bands of {L // p.bands} bins too short to retain rank {p.rank}")
+    if not (math.isfinite(p.mnmr) and p.mnmr > 0):
+        raise error(f"MNMR {p.mnmr} is not a positive finite ratio")
+    if not (math.isfinite(p.rd_lambda) and p.rd_lambda >= 0):
+        raise error(f"RD lambda {p.rd_lambda} is not a finite value >= 0")
 
 
 @dataclass
@@ -200,10 +207,7 @@ class StreamStats:
 
     @property
     def mode_histogram(self) -> dict:
-        hist = {}
-        for f in self.frames:
-            hist[f.mode] = hist.get(f.mode, 0) + 1
-        return hist
+        return dict(collections.Counter(f.mode for f in self.frames))
 
     @property
     def side_info_share(self) -> float:
@@ -370,32 +374,6 @@ def _read_noise_block(r: BitReader) -> tuple:
     return info, r.bit_position - start
 
 
-def _code_components(channels: np.ndarray, groups, mnmr, table, bypass):
-    """MNMR-quantize the (L, C) component spectra of a frame in one pass,
-    without serializing.
-
-    Returns the coded channels and, per channel, the exact payload bits,
-    the worst band NMR and the escalated band count; in bypass nothing is
-    coded and the spectra go out raw.
-    """
-    if bypass:
-        C = channels.shape[1]
-        return None, np.full(C, 64 * channels.shape[0]), np.zeros(C), np.zeros(C, dtype=int)
-    mask = core_codec.masking_threshold(channels, groups)
-    coded = core_codec.quantize_mnmr(channels, mask, mnmr, groups)
-    bits = core_codec.channel_cost(coded, groups, table)
-    return coded, bits, coded.nmr.max(axis=0), coded.escalated.sum(axis=0)
-
-
-def _write_components(coded, channels, groups, table, writer: BitWriter, bypass: bool) -> int:
-    start = writer.bit_length
-    if bypass:
-        writer.write_f64_array(channels.T)  # channel after channel
-    else:
-        core_codec.entropy_encode_channel(coded, groups, table, writer)
-    return writer.bit_length - start
-
-
 def _mask_weighted_error(original: np.ndarray, decoded: np.ndarray, masks, groups) -> float:
     """Distortion for RD decisions: sum over channels/bands of noise/mask,
     with ``masks`` the masking curves of the original channels; the bands
@@ -435,158 +413,143 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
         group_table_id=cfg.group_table_id(),
     )
     _check_header_fits(header)
-    if codec_id == CODEC_PROPOSED:
-        frames, frame_stats = _encode_proposed(signal, cfg)
-    else:
-        frames, frame_stats = _encode_baseline(signal, cfg)
+    coder = _encode_proposed if codec_id == CODEC_PROPOSED else _encode_baseline
     hw = BitWriter()
     _write_header(hw, header)
-    parts = [hw.getvalue()]
-    for payload in frames:
+    parts, frame_stats = [hw.getvalue()], []
+    for payload, stats in coder(signal, cfg, cfg.resolved_groups(), cfg.resolved_table()):
         parts += [len(payload).to_bytes(4, "big"), payload, zlib.crc32(payload).to_bytes(4, "big")]
+        frame_stats.append(stats)
     return EncodeResult(stream=b"".join(parts), stats=header.stream_stats(frame_stats))
 
 
-def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig):
-    L = cfg.half_length
-    groups = cfg.resolved_groups()
-    table = cfg.resolved_table()
-    window = transform.sine_window(L)
-    spectra, _ = transform.analyze(signal.samples, L, window)
+class _Trial(NamedTuple):
+    """One candidate coding of a frame up to its component channels."""
+
+    writer: BitWriter  # holds the side info and the noise block
+    side: sideinfo.SideInfoFrame
+    noise_bits: int
+    channels: np.ndarray  # (L, C): the r foreground tracks, then the background
+    state: sideinfo.SideInfoState | None = None  # the side-info state after it
+    bases: list | None = None  # per band, the (M, r) basis (proposed RD pick)
+    layout: freq_svd.BandLayout | None = None
+
+
+def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConfig, groups, table):
+    """The one frame coder of both codecs.  Codes the channels of all
+    ``trials`` in one MNMR-quantization pass (raw in bypass).  With more
+    than one trial, the one of least rate-distortion cost against the
+    L x M ``original`` spectrum wins, ties going to the lower mode.  Writes
+    the winner's channels; returns (payload, FrameStats, winner's state)."""
+    channels = np.hstack([t.channels for t in trials]) if len(trials) > 1 else trials[0].channels
+    count, C = trials[0].channels.shape[1], channels.shape[1]
+    if cfg.bypass_quantization:
+        coded, bits = None, np.full(C, 64 * channels.shape[0])
+        max_nmr, escalated = np.zeros(C), np.zeros(C, dtype=int)
+    else:
+        mask = core_codec.masking_threshold(channels, groups)
+        coded = core_codec.quantize_mnmr(channels, mask, cfg.mnmr, groups)
+        bits = core_codec.channel_cost(coded, groups, table)
+        max_nmr, escalated = coded.nmr.max(axis=0), coded.escalated.sum(axis=0)
+    cols = [slice(k * count, (k + 1) * count) for k in range(len(trials))]
+    ranked, rd = [0], {}
+    if len(trials) > 1:
+        # every trial weighs its error with the original channels' masks
+        decoded = channels if coded is None else core_codec.dequantize_channel(coded, groups)
+        masks = core_codec.masking_threshold(original, groups)
+        costs = []
+        for t, c in zip(trials, cols):
+            spectrum = _proposed_spectrum(decoded[:, c], t.bases, t.layout)
+            payload_bits = t.side.bit_count + t.noise_bits + int(bits[c].sum())
+            costs.append(
+                _mask_weighted_error(original, spectrum, masks, groups)
+                + cfg.rd_lambda * (payload_bits + 64 + (-payload_bits) % 8)
+            )
+        ranked = sorted(range(len(trials)), key=lambda k: (costs[k], trials[k].side.mode))
+        rd = {"rd_cost": costs[ranked[0]], "rd_cost_other": costs[ranked[1]]}
+    t, c = trials[ranked[0]], cols[ranked[0]]
+    start = t.writer.bit_length
+    if coded is None:
+        t.writer.write_f64_array(t.channels.T)  # channel after channel
+    else:
+        core_codec.entropy_encode_channel(coded.columns(c), groups, table, t.writer)
+    core_bits = t.writer.bit_length - start
+    assert core_bits == bits[c].sum()
+    payload = t.writer.getvalue()
+    stats = _frame_stats(
+        index, payload, t.side, t.noise_bits, core_bits,
+        max_nmr=float(max_nmr[c].max()), escalated_bands=int(escalated[c].sum()), **rd,
+    )
+    return payload, stats, t.state
+
+
+def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups, table):
+    """Yield (payload, FrameStats) per frame: each frame's spectrum gets one
+    trial per band-split mode, and the winner's side-info state carries on."""
+    window = transform.sine_window(cfg.half_length)
     state = sideinfo.SideInfoState()
     nbg = (cfg.background_order + 1) ** 2
-    count = cfg.rank + nbg  # component channels per RD trial
-    payloads, frame_stats = [], []
-
-    for sp in spectra:
-        trials = [
-            _analyze_proposed_frame(sp, mode, cfg, groups, state.copy())
-            for mode in (freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS)
-        ]
-        # both trials' components are coded in one pass, and both trials
-        # weigh their error with the original channels' masks
-        channels = np.hstack([t["channels"] for t in trials])
-        coded, bits, max_nmr, escalated = _code_components(
-            channels, groups, cfg.mnmr, table, cfg.bypass_quantization
-        )
-        decoded = channels if coded is None else core_codec.dequantize_channel(coded, groups)
-        masks = core_codec.masking_threshold(sp.coeffs, groups)
-        for k, trial in enumerate(trials):
-            cols = trial["cols"] = slice(k * count, (k + 1) * count)
-            spectrum = _proposed_spectrum(decoded[:, cols], trial["recon"], trial["layout"], nbg)
-            distortion = _mask_weighted_error(sp.coeffs, spectrum, masks, groups)
-            # side + noise already written; channel payload size known exactly
-            trial["core_bits"] = int(bits[cols].sum())
-            payload_bits = trial["side"].bit_count + trial["noise_bits"] + trial["core_bits"]
-            trial["cost"] = distortion + cfg.rd_lambda * (payload_bits + 64 + (-payload_bits) % 8)
-        best, other = sorted(trials, key=lambda t: (t["cost"], t["side"].mode))  # tie -> mode 0
-        state, w, cols = best["state"], best["writer"], best["cols"]
-        winner = None if coded is None else coded.columns(cols)
-        core_bits = _write_components(winner, best["channels"], groups, table, w, cfg.bypass_quantization)
-        assert core_bits == best["core_bits"]
-        payload = w.getvalue()
-        payloads.append(payload)
-        frame_stats.append(
-            _frame_stats(
-                sp.index, payload, best["side"], best["noise_bits"], core_bits,
-                rd_cost=best["cost"],
-                rd_cost_other=other["cost"],
-                max_nmr=float(max_nmr[cols].max()),
-                escalated_bands=int(escalated[cols].sum()),
-            )
-        )
-    return payloads, frame_stats
+    for frame in segment_frames(signal.samples, cfg.half_length):
+        sp = transform.mdct_forward(frame, window)
+        trials = []
+        for mode in (freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS):
+            w, trial_state = BitWriter(), state.copy()
+            layout, bands, raw_bases = freq_svd.mode_bases(sp, mode, cfg.rank, cfg.bands)
+            side, recon = sideinfo.encode_sideinfo(raw_bases, mode, cfg.side_quantizers(), trial_state, w)
+            bases = [baseline_td.TruncatedBasis(vectors=v, frame=sp.index) for v in recon]
+            dec = freq_svd.band_decompose(bands, cfg.rank, layout, bases=bases)
+            residual = freq_svd.compute_residual(sp, dec)
+            info = noise_subst.analyze_discarded(residual[:, nbg:], groups, cfg.flatness_threshold)
+            noise_bits = _write_noise_block(w, info)
+            channels = np.hstack([np.concatenate(dec.foregrounds), residual[:, :nbg]])
+            trials.append(_Trial(w, side, noise_bits, channels, trial_state, recon, layout))
+        payload, stats, state = _code_frame(sp.index, trials, sp.coeffs, cfg, groups, table)
+        yield payload, stats
 
 
-def _analyze_proposed_frame(sp, mode, cfg, groups, state) -> dict:
-    """One RD trial up to its component channels: writes side info and the
-    noise block, advancing ``state``, and returns what the core coding, the
-    RD cost and serialization need."""
-    w = BitWriter()
-    layout, bands, raw_bases = freq_svd.mode_bases(sp, mode, cfg.rank, cfg.bands)
-    side, recon = sideinfo.encode_sideinfo(raw_bases, mode, cfg.side_quantizers(), state, w)
-
-    dec = freq_svd.band_decompose(
-        bands,
-        cfg.rank,
-        layout,
-        bases=[baseline_td.TruncatedBasis(vectors=v, frame=sp.index) for v in recon],
-    )
-    residual = freq_svd.compute_residual(sp, dec)
+def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups, table):
+    """Yield (payload, FrameStats) per frame, one frame behind the
+    decomposition.  Frame f's side info is written when frame f is
+    decomposed; its core block is [head(f); head(f+1)], where head(f) is
+    the first L rows of frame f's [foreground | ambient] components, so it
+    is coded once frame f+1 is decomposed (the last block ends in zeros).
+    The background is the first (t+1)^2 ambient channels; the rest is
+    discarded and described by the noise block."""
+    L, r = cfg.half_length, cfg.rank
     nbg = (cfg.background_order + 1) ** 2
-    info = noise_subst.analyze_discarded(residual[:, nbg:], groups, cfg.flatness_threshold)
-    return {
-        "state": state,
-        "writer": w,
-        "side": side,
-        "recon": recon,
-        "layout": layout,
-        "noise_bits": _write_noise_block(w, info),
-        # the r foreground tracks, then the nbg background channels
-        "channels": np.hstack([np.concatenate(dec.foregrounds), residual[:, :nbg]]),
-    }
-
-
-def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig):
-    L = cfg.half_length
-    r = cfg.rank
-    nbg = (cfg.background_order + 1) ** 2
-    groups = cfg.resolved_groups()
-    table = cfg.resolved_table()
     interp = baseline_td.InterpolationWindow.make(L, cfg.interp_window_kind)
     mdct_win = transform.sine_window(L)
-
-    frames = segment_frames(signal.samples, L)
-    F = len(frames)
     state = sideinfo.SideInfoState()
     prev_basis: baseline_td.TruncatedBasis | None = None
-
-    # pass 1: spatial decomposition into one component stream whose columns
-    # are the r foreground tracks, then the M-channel ambient residual
-    stream = np.zeros((F * L + L, r + signal.num_channels))  # extra L zeros for the last block
-    side_payloads = []
-    for f, frame in enumerate(frames):
-        X = frame.samples
-        raw = baseline_td.truncated_basis(X, r, f)
-        if cfg.bypass_quantization and prev_basis is not None:
-            # the raw basis is sent, so align it here (quantized side info
-            # aligns inside its predicted bands)
-            _, _, raw = baseline_td.match_bases(prev_basis, raw)
-        w = BitWriter()
-        side, recon = sideinfo.encode_sideinfo([raw.vectors], 0, cfg.side_quantizers(), state, w)
-        basis = baseline_td.TruncatedBasis(vectors=recon[0], frame=f)
-        dec = baseline_td.decompose_frame(X, basis, prev_basis, interp)
-        stream[f * L : (f + 1) * L, :r] = dec.foreground[:L]
-        stream[f * L : (f + 1) * L, r:] = dec.ambient[:L]
-        side_payloads.append((w, side))
-        prev_basis = basis
-
-    # pass 2: core-code the stream blockwise (block f covers [fL, fL+2L));
-    # the background is the first (t+1)^2 ambient channels, the rest is
-    # discarded and described by the noise block
-    payloads, frame_stats = [], []
-    for f, (w, side) in enumerate(side_payloads):
-        block = TimeFrame(index=f, samples=stream[f * L : f * L + 2 * L])
-        spec = transform.mdct_forward(block, mdct_win).coeffs
-        info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups, cfg.flatness_threshold)
-        noise_bits = _write_noise_block(w, info)
-
-        channels = spec[:, : r + nbg]
-        coded, _, max_nmr, escalated = _code_components(
-            channels, groups, cfg.mnmr, table, cfg.bypass_quantization
-        )
-        core_bits = _write_components(
-            coded, channels, groups, table, w, cfg.bypass_quantization
-        )
-        payload = w.getvalue()
-        payloads.append(payload)
-        frame_stats.append(
-            _frame_stats(
-                f, payload, side, noise_bits, core_bits,
-                max_nmr=float(max_nmr.max()), escalated_bands=int(escalated.sum()),
-            )
-        )
-    return payloads, frame_stats
+    block = np.zeros((2 * L, r + signal.num_channels))  # [head(f-1); head(f)]
+    waiting = None  # (index, writer, side info) of the frame whose block is next
+    for frame in itertools.chain(segment_frames(signal.samples, L), [None]):
+        if frame is None:
+            block[L:] = 0.0
+        else:
+            X = frame.samples
+            raw = baseline_td.truncated_basis(X, r, frame.index)
+            if cfg.bypass_quantization and prev_basis is not None:
+                # the raw basis is sent, so align it here (quantized side
+                # info aligns inside its predicted bands)
+                _, _, raw = baseline_td.match_bases(prev_basis, raw)
+            w = BitWriter()
+            side, recon = sideinfo.encode_sideinfo([raw.vectors], 0, cfg.side_quantizers(), state, w)
+            basis = baseline_td.TruncatedBasis(vectors=recon[0], frame=frame.index)
+            dec = baseline_td.decompose_frame(X, basis, prev_basis, interp)
+            block[L:, :r] = dec.foreground[:L]
+            block[L:, r:] = dec.ambient[:L]
+            prev_basis = basis
+        if waiting is not None:
+            index, writer, side_info = waiting
+            spec = transform.mdct_forward(TimeFrame(index=index, samples=block), mdct_win).coeffs
+            info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups, cfg.flatness_threshold)
+            trial = _Trial(writer, side_info, _write_noise_block(writer, info), spec[:, : r + nbg])
+            payload, stats, _ = _code_frame(index, [trial], spec, cfg, groups, table)
+            yield payload, stats
+        if frame is not None:
+            block[:L] = block[L:]
+            waiting = (frame.index, w, side)
 
 
 # --------------------------------------------------------------------------
@@ -616,9 +579,11 @@ def _open_stream(stream: bytes, quantizers, huffman_table, groups):
     """Read and check the header, resolve the group table and split frames.
 
     Returns (header, table, groups, frames, truncated) where ``frames`` is
-    a list of (payload, crc_ok).  Codebooks or a Huffman table that do not
-    match the stream's fingerprints, and a group table that does not cover
-    the stream's half length, raise :class:`ConfigurationError`.
+    a list of (start, end, crc_ok): the payload is ``stream[start:end]``,
+    sliced when it is read, and its CRC is checked without a copy.
+    Codebooks or a Huffman table that do not match the stream's
+    fingerprints, and a group table that does not cover the stream's half
+    length, raise :class:`ConfigurationError`.
     """
     header = _read_header(stream)
     table = huffman_table or core_codec.default_table()
@@ -641,15 +606,14 @@ def _open_stream(stream: bytes, quantizers, huffman_table, groups):
             f"group table covers {groups.num_bins} bins, stream has {header.half_length}"
         )
 
-    frames, pos = [], HEADER_BYTES
+    frames, pos, view = [], HEADER_BYTES, memoryview(stream)
     while len(frames) < header.frame_count and pos + 4 <= len(stream):
-        size = int.from_bytes(stream[pos : pos + 4], "big")
-        if pos + 8 + size > len(stream):
+        start, end = pos + 4, pos + 4 + int.from_bytes(stream[pos : pos + 4], "big")
+        if end + 4 > len(stream):
             break
-        payload = stream[pos + 4 : pos + 4 + size]
-        crc = int.from_bytes(stream[pos + 4 + size : pos + 8 + size], "big")
-        frames.append((payload, (zlib.crc32(payload) & 0xFFFFFFFF) == crc))
-        pos += 8 + size
+        crc = int.from_bytes(stream[end : end + 4], "big")
+        frames.append((start, end, zlib.crc32(view[start:end]) == crc))
+        pos = end + 4
     return header, table, groups, frames, len(frames) < header.frame_count
 
 
@@ -697,7 +661,7 @@ def decode(
     """
     header, table, groups, frames, truncated = _open_stream(stream, quantizers, huffman_table, groups)
     frame_stats = []
-    decoded = _decode_frames(header, frames, quantizers, table, groups, frame_stats)
+    decoded = _decode_frames(header, stream, frames, quantizers, table, groups, frame_stats)
     window = transform.sine_window(header.half_length)
     if not frames:
         samples = np.zeros((0, header.num_channels))
@@ -720,8 +684,8 @@ def decode(
     )
 
 
-def _decode_frames(header: StreamHeader, frames, quantizers, table, groups, frame_stats: list):
-    """Parse each frame payload, or conceal it, and yield its spectrum and
+def _decode_frames(header: StreamHeader, stream, frames, quantizers, table, groups, frame_stats: list):
+    """Parse each frame payload of ``stream``, or conceal it, and yield its spectrum and
     bases as it is read, appending its :class:`FrameStats` to ``frame_stats``.
     The spectrum is the proposed codec's L x M spectrum, or the baseline's
     (L, r + M) component block.  A concealed frame repeats the previous
@@ -731,8 +695,8 @@ def _decode_frames(header: StreamHeader, frames, quantizers, table, groups, fram
     proposed = header.codec_id == CODEC_PROPOSED
     spectrum, bases = np.zeros((L, M if proposed else rank + M)), [np.zeros((M, rank))]
     state = sideinfo.SideInfoState()
-    for f, (payload, crc_ok) in enumerate(frames):
-        p, reason = None, "crc"
+    for f, (start, end, crc_ok) in enumerate(frames):
+        payload, p, reason = stream[start:end], None, "crc"
         if crc_ok:
             try:
                 p = parse_frame(BitReader(payload), header, state, quantizers, table, groups)
@@ -749,25 +713,25 @@ def _decode_frames(header: StreamHeader, frames, quantizers, table, groups, fram
             noise = noise_subst.synthesize_noise(p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg)
             if proposed:
                 layout = freq_svd.layout_for_mode(p.side.mode, L, header.bands)
-                spectrum = _proposed_spectrum(channels, bases, layout, nbg)
+                spectrum = _proposed_spectrum(channels, bases, layout)
                 spectrum[:, nbg:] += noise
             else:
                 spectrum = np.column_stack([channels, noise])
         yield transform.SpectralFrame(index=f, coeffs=spectrum), bases
 
 
-def _proposed_spectrum(decoded: np.ndarray, bases: list, layout, nbg: int) -> np.ndarray:
+def _proposed_spectrum(decoded: np.ndarray, bases: list, layout) -> np.ndarray:
     """L x M spectrum of one proposed frame without noise substitution: each
-    band's foreground back-projected through its basis, plus the background
-    channels.  The columns of ``decoded`` are the r foreground, then the nbg
-    background channel spectra; the encoder's RD trials and the decoder both
-    use it."""
-    rank = decoded.shape[1] - nbg
+    band's foreground back-projected through its (M, r) basis, plus the
+    background channels.  The columns of ``decoded`` are the r foreground,
+    then the background channel spectra; the encoder's RD trials and the
+    decoder both use it."""
+    rank = bases[0].shape[1]
     # the encoder's RD trials and the decoder must agree bit for bit, so
     # both back-project C-contiguous foregrounds (freq_svd.back_project)
     fg = np.ascontiguousarray(decoded[:, :rank])
     S = freq_svd.back_project([fg[a:b] for a, b in layout.edges], bases)
-    S[:, :nbg] += decoded[:, rank:]
+    S[:, : decoded.shape[1] - rank] += decoded[:, rank:]
     return S
 
 
@@ -815,9 +779,10 @@ def measure_stream(
         raise StreamError("stream truncated; cannot account bits")
     state = sideinfo.SideInfoState()
     frame_stats = []
-    for f, (payload, crc_ok) in enumerate(frames):
+    for f, (start, end, crc_ok) in enumerate(frames):
         if not crc_ok:
             raise StreamError(f"frame {f}: CRC mismatch")
+        payload = stream[start:end]
         p = parse_frame(BitReader(payload), header, state, quantizers, table, groups)
         frame_stats.append(_frame_stats(f, payload, p.side, p.noise_bits, p.core_bits))
     return header.stream_stats(frame_stats)

@@ -111,6 +111,13 @@ def test_usage_errors_exit_1(workspace, capsys):
     assert main(["compare", "--corpus", str(workspace / "nowhere")]) == 1
     assert main(["train-quantizers", str(workspace / "corpus"),
                  "--out", str(workspace / "x"), "--sizes", "1,2"]) == 1
+    # a list entry that is not a number
+    capsys.readouterr()
+    assert main(["compare", "--corpus", str(workspace / "corpus"), "--mnmr", "1,abc"]) == 1
+    assert "--mnmr" in capsys.readouterr().err
+    assert main(["train-quantizers", str(workspace / "corpus"),
+                 "--out", str(workspace / "x"), "--sizes", "4,8,x"]) == 1
+    assert "--sizes" in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_2(workspace):

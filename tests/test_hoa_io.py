@@ -5,6 +5,7 @@ from hoacodec.errors import FormatError, ShapeError
 from hoacodec.hoa_io import (
     HoaSignal,
     num_frames,
+    pad_signal,
     read_hoa_wav,
     segment_frames,
     write_hoa_wav,
@@ -103,7 +104,7 @@ def test_frame_count_examples():
 
 
 def test_frames_are_2l_long(rng):
-    frames = segment_frames(_signal(rng, length=2048).samples, 1024)
+    frames = list(segment_frames(_signal(rng, length=2048).samples, 1024))
     assert len(frames) == 3
     assert all(fr.samples.shape == (2048, 16) for fr in frames)
 
@@ -120,16 +121,16 @@ def test_every_sample_in_exactly_two_frames(rng):
 
 
 def test_empty_signal_yields_no_frames():
-    assert segment_frames(np.zeros((0, 4)), 1024) == []
+    assert list(segment_frames(np.zeros((0, 4)), 1024)) == []
 
 
 def test_frame_offsets_follow_hop(rng):
     L = 64
-    x = rng.uniform(-0.9, 0.9, (500, 4))
-    frames = segment_frames(x, L)
-    padded = np.concatenate([np.zeros((L, 4)), x], axis=0)
-    for fr in frames[:4]:
-        start = fr.index * L
-        take = min(2 * L, padded.shape[0] - start)
-        if take > 0:
-            assert np.array_equal(fr.samples[:take], padded[start : start + take])
+    for length in (1, 64, 500, 512):
+        x = rng.uniform(-0.9, 0.9, (length, 4))
+        padded = pad_signal(x, L)
+        frames = list(segment_frames(x, L))
+        assert [fr.index for fr in frames] == list(range(num_frames(length, L)))
+        for fr in frames:
+            # bit for bit, zero padding included
+            assert fr.samples.tobytes() == padded[fr.index * L : fr.index * L + 2 * L].tobytes()

@@ -10,6 +10,7 @@ from hoacodec.noise_subst import (
     NoiseGroupInfo,
     analyze_discarded,
     dequantize_energy,
+    group_flatness,
     groups_for,
     quantize_energy,
     spectral_flatness,
@@ -238,6 +239,11 @@ def test_analysis_is_bit_identical_to_per_group_loop(num_bins, channels, seed, p
     x *= 10.0 ** rng.uniform(-3, 3, (num_bins, 1))
     x[:silent_bins] = 0.0
     flat, mean = _reference_flatness(x, g)
+    got_flat, got_mean = group_flatness(x, g)
+    assert got_flat.tolist() == flat and got_mean.tolist() == mean
+    # the scalar reference, one group and channel at a time, adds in its own order
+    scalar = [np.mean([spectral_flatness(x[a:b, c] ** 2) for c in range(channels)]) for a, b in g.edges]
+    np.testing.assert_allclose(got_flat, scalar, rtol=1e-12)
     # a threshold equal to one group's flatness, and one ulp below it, flips
     # that group on any change in how its means add up
     for threshold in (0.25, flat[pivot], np.nextafter(flat[pivot], -np.inf)):

@@ -227,6 +227,43 @@ def test_config_validation(small_quantizers_module):
     assert pipeline.decode(res.stream).stats.frames
 
 
+@pytest.mark.parametrize("codec", ["baseline", "proposed"])
+def test_operating_point_is_checked_up_front(codec, monkeypatch):
+    """An MNMR that is not a positive finite ratio, or an RD lambda that is
+    not finite and >= 0, is refused before any frame is analysed; the
+    decoder refuses a header carrying one."""
+    import struct
+
+    from hoacodec import transform
+
+    sig = HoaSignal(48000, 1, np.random.default_rng(3).uniform(-0.5, 0.5, (1024, 4)))
+    cfg = pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True)
+    stream = pipeline.encode(sig, cfg).stream
+    analysed = []
+    monkeypatch.setattr(transform, "mdct_forward", lambda *a: analysed.append(a))
+    for kw, match in (
+        (dict(mnmr=float("nan")), "MNMR"), (dict(mnmr=float("inf")), "MNMR"),
+        (dict(mnmr=0.0), "MNMR"), (dict(mnmr=-1.0), "MNMR"),
+        (dict(rd_lambda=float("nan")), "RD lambda"), (dict(rd_lambda=float("inf")), "RD lambda"),
+        (dict(rd_lambda=-1e-12), "RD lambda"),
+    ):
+        bad = pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True, **kw)
+        with pytest.raises(ConfigurationError, match=match):
+            pipeline.encode(sig, bad)
+        offset = 40 if "mnmr" in kw else 48  # the header's two f64 fields
+        edited = bytearray(stream)
+        edited[offset : offset + 8] = struct.pack(">d", *kw.values())
+        for parse in (pipeline.decode, pipeline.measure_stream):
+            with pytest.raises(StreamError, match=match):
+                parse(bytes(edited))
+    assert not analysed
+    monkeypatch.undo()
+    # the edges that stay valid: any positive ratio, and lambda 0
+    for kw in (dict(mnmr=1e-3), dict(mnmr=1e6), dict(rd_lambda=0.0)):
+        ok = pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True, **kw)
+        assert pipeline.decode(pipeline.encode(sig, ok).stream).stats.frames
+
+
 def test_wrong_huffman_table_rejected(encoded, small_quantizers_module):
     from hoacodec.core_codec import HuffmanTable
 
@@ -569,20 +606,27 @@ def test_parameter_matrix_roundtrips(foa_setup, codec, rank, bg_order, bands):
 
 
 def test_decode_peak_memory_stays_near_the_output(small_scene_module):
-    """One pass, no per-frame list of parsed frames, spectra or blocks: the
-    allocation peak of a decode stays below 4x the decoded samples' bytes."""
+    """One pass each way, with no per-frame list of frames, spectra,
+    payloads or blocks: the allocation peak of an encode stays below 2x the
+    input samples' bytes, and that of a decode below 1.6x the output's."""
     import tracemalloc
 
-    for codec in ("proposed", "baseline"):
-        cfg = pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True)
-        stream = pipeline.encode(small_scene_module, cfg).stream
+    def peak_of(call):
         tracemalloc.start()
         try:
-            samples = pipeline.decode(stream).signal.samples
-            peak = tracemalloc.get_traced_memory()[1]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * samples.nbytes, (codec, peak / samples.nbytes)
+
+    source = small_scene_module.samples.nbytes
+    for codec in ("proposed", "baseline"):
+        cfg = pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True)
+        encoded, peak = peak_of(lambda: pipeline.encode(small_scene_module, cfg))
+        assert peak < 2 * source, (codec, "encode", peak / source)
+        decoded, peak = peak_of(lambda: pipeline.decode(encoded.stream))
+        out = decoded.signal.samples.nbytes
+        assert peak < 1.6 * out, (codec, "decode", peak / out)
 
 
 def test_one_channel_decode_call_per_frame(encoded, small_quantizers_module, monkeypatch):
