@@ -24,12 +24,11 @@ class BitWriter:
     def write(self, value: int, nbits: int) -> None:
         if nbits < 0 or value < 0 or value >> nbits:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | int(value)
-        self._nacc += nbits
-        while self._nacc >= 8:
-            self._nacc -= 8
-            self._buf.append((self._acc >> self._nacc) & 0xFF)
-        self._acc &= (1 << self._nacc) - 1
+        acc = (self._acc << nbits) | int(value)
+        full, self._nacc = divmod(self._nacc + nbits, 8)
+        if full:
+            self._buf += (acc >> self._nacc).to_bytes(full, "big")
+        self._acc = acc & ((1 << self._nacc) - 1)
 
     def write_flag(self, flag: bool) -> None:
         self.write(1 if flag else 0, 1)
@@ -112,21 +111,14 @@ class BitReader:
         self._pos = 0  # in bits
 
     def read(self, nbits: int) -> int:
-        end = self._pos + nbits
+        pos = self._pos
+        end = pos + nbits
         if end > 8 * len(self._data):
             raise StreamError("bitstream exhausted")
-        value = 0
-        pos = self._pos
-        while nbits:
-            byte = self._data[pos >> 3]
-            avail = 8 - (pos & 7)
-            take = min(avail, nbits)
-            shift = avail - take
-            value = (value << take) | ((byte >> shift) & ((1 << take) - 1))
-            pos += take
-            nbits -= take
-        self._pos = pos
-        return value
+        self._pos = end
+        # the bytes the field touches, as one integer, less the bits after it
+        chunk = int.from_bytes(self._data[pos >> 3 : (end + 7) >> 3], "big")
+        return (chunk >> (-end % 8)) & ((1 << nbits) - 1)
 
     def read_flag(self) -> bool:
         return bool(self.read(1))

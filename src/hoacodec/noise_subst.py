@@ -109,13 +109,6 @@ class FrequencyGroups:
             doc = json.load(fh)
         return cls(offsets=tuple(int(v) for v in doc["offsets"]))
 
-    def to_config(self, path, sample_rate: int | None = None) -> None:
-        doc = {"offsets": list(self.offsets)}
-        if sample_rate is not None:
-            doc["sample_rate"] = sample_rate
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-
 
 def groups_for(num_bins: int) -> FrequencyGroups:
     """Default table: the AAC 48 kHz long-window bands at L=1024, an

@@ -9,6 +9,9 @@ contract.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -20,6 +23,12 @@ from hoacodec.errors import FormatError, NumericError, ShapeError, TrainingError
 _CODEBOOK_MAGIC = b"HACB"
 _CODEBOOK_VERSION = 1
 _FLAG_DEGENERATE = 1
+# quantize_nearest keeps the centroids within _NEAREST_ROUNDING * (dim + 4) *
+# (max ||c|| + ||x||)^2 of a row's least prefilter value: at least four times
+# the 2 * (dim + 2) * eps of that square that the rounding of the prefilter and
+# of the exact distance can add up to; the tiny floor covers underflow
+_NEAREST_ROUNDING = 8.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -63,6 +72,13 @@ class Codebook:
     def size(self) -> int:
         return self.centroids.shape[0]
 
+    @functools.cached_property
+    def _prefilter_terms(self) -> tuple:
+        """For :func:`quantize_nearest`: ||c||^2 per centroid, the largest
+        ||c||, and -2 C^T, so that x @ (-2 C^T) + ||c||^2 is the prefilter."""
+        sq_norms = np.einsum("ij,ij->i", self.centroids, self.centroids)
+        return sq_norms, math.sqrt(float(sq_norms.max())), np.ascontiguousarray(-2.0 * self.centroids.T)
+
     @property
     def dim(self) -> int:
         return self.centroids.shape[1]
@@ -86,13 +102,31 @@ def svd(A: np.ndarray) -> SvdResult:
     return SvdResult(left=U * signs, singular_values=s, right=V * signs)
 
 
+# matchings of at most this many columns are found by enumerating every
+# permutation in one pass; larger ones by a single solve plus pruned tie checks
+_ENUMERATE_MAX_RANK = 6
+
+
+@functools.lru_cache(maxsize=None)
+def _permutations(r: int) -> tuple:
+    """All permutations of range(r), (r!, r), in lexicographic order, and
+    their entries' flat indices into an r x r matrix."""
+    perms = np.array(list(itertools.permutations(range(r))), dtype=np.intp).reshape(-1, r)
+    return perms, perms + r * np.arange(r)
+
+
 def hungarian(cost: np.ndarray) -> Assignment:
     """Minimum-cost assignment; ties resolved to the lexicographically
     smallest permutation.
 
-    The optimum value comes from scipy's assignment solver; the specific
-    permutation is then pinned down by fixing sources in order to the
-    smallest target that keeps the remainder optimal.
+    The rule: of the permutations whose cost is within ``tol = 1e-9 *
+    max(1, |optimum|)`` of the optimum, the lexicographically smallest.  Up
+    to ``_ENUMERATE_MAX_RANK`` columns every permutation is costed in one
+    numpy pass (``itertools.permutations`` order is lexicographic).  Above
+    that, scipy's solver gives the optimum and a known optimal completion;
+    each source in order then tries only the free targets below the one
+    that completion uses, and solves the remainder for a target only when
+    the least cost of any matching through it is within tol of the optimum.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -102,27 +136,42 @@ def hungarian(cost: np.ndarray) -> Assignment:
     r = cost.shape[0]
     if r == 0:
         return Assignment(permutation=np.zeros(0, dtype=np.intp), total_cost=0.0)
+    if r <= _ENUMERATE_MAX_RANK:
+        perms, flat = _permutations(r)
+        totals = cost.take(flat).sum(axis=1)
+        optimum = float(totals.min())
+        tol = 1e-9 * max(1.0, abs(optimum))
+        return Assignment(permutation=perms[np.argmax(totals <= optimum + tol)].copy(), total_cost=optimum)
 
-    def best(sub: np.ndarray) -> float:
-        rows, cols = scipy.optimize.linear_sum_assignment(sub)
-        return float(sub[rows, cols].sum())
-
-    optimum = best(cost)
+    rows, perm = scipy.optimize.linear_sum_assignment(cost)
+    own = cost[rows, perm]
+    optimum = float(own.sum())
     tol = 1e-9 * max(1.0, abs(optimum))
-    perm = np.empty(r, dtype=np.intp)
-    free = list(range(r))
+    # Exchange graph of the optimum: arc a -> b moves the row holding column
+    # a to column b.  The least a matching that gives row i column j costs
+    # above the optimum is that move plus the cheapest path from j back to
+    # perm[i] (Floyd-Warshall); rounding can only lower it, which costs a
+    # solve, never a wrong pick, and ``slack`` covers the other direction.
+    holder = np.empty(r, dtype=np.intp)
+    holder[perm] = rows
+    dist = cost[holder] - own[holder][:, None]
+    for k in range(r):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    slack = 8.0 * (r + 1) ** 2 * np.finfo(float).eps * float(np.abs(cost).max())
+    near = cost - own[:, None] + dist[:, perm].T <= tol + slack
+    free = np.ones(r, dtype=bool)
     fixed_cost = 0.0
-    for i in range(r):
-        for j in free:
-            rest = [c for c in free if c != j]
-            tail = best(cost[np.ix_(range(i + 1, r), rest)]) if rest else 0.0
-            if fixed_cost + cost[i, j] + tail <= optimum + tol:
-                perm[i] = j
-                fixed_cost += cost[i, j]
-                free.remove(j)
+    for i in range(r - 1):
+        for j in np.flatnonzero(free[: perm[i]] & near[i, : perm[i]]):
+            rest = free.copy()
+            rest[j] = False
+            tail = cost[i + 1 :][:, rest]
+            sub_rows, sub_cols = scipy.optimize.linear_sum_assignment(tail)
+            if fixed_cost + cost[i, j] + float(tail[sub_rows, sub_cols].sum()) <= optimum + tol:
+                perm[i], perm[i + 1 :] = j, np.flatnonzero(rest)[sub_cols]
                 break
-        else:  # numerically impossible unless tol is violated
-            raise NumericError("assignment tie resolution failed")
+        free[perm[i]] = False
+        fixed_cost += cost[i, perm[i]]
     return Assignment(permutation=perm, total_cost=optimum)
 
 
@@ -200,14 +249,37 @@ def gla_train(
     return Codebook(centroids=centroids, seed=seed, degenerate=degenerate, history=history)
 
 
-def quantize_nearest(v: np.ndarray, cb: Codebook):
-    """Index and value of the closest centroid (ties -> smallest index)."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.size != cb.dim:
-        raise ShapeError(f"vector has dim {v.size}, codebook dim {cb.dim}")
-    d2 = np.sum((cb.centroids - v) ** 2, axis=1)
-    idx = int(np.argmin(d2))
-    return idx, cb.centroids[idx].copy()
+def quantize_nearest(rows, cb: Codebook) -> np.ndarray:
+    """Index of the closest centroid to each row of ``rows`` (n, dim).
+
+    The rule: the smallest index among the exact ties of
+    ``np.sum((c - x) ** 2)`` over the contiguous last axis.  A GEMM
+    prefilter ``||c||^2 - 2 x.c`` (the distance less ``||x||^2``) keeps, per
+    row, the centroids within a rounding bound of the row's least value;
+    only those are ranked by the exact distance.  The bound covers the
+    rounding of both the prefilter and the exact distance (each a float sum
+    of dim + 2 terms no larger than ``(max ||c|| + ||x||)^2``), so the
+    winner of the exact ranking always survives the prefilter.
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != cb.dim:
+        raise ShapeError(f"rows have shape {x.shape}, codebook dim {cb.dim}")
+    if not np.isfinite(x).all():
+        raise NumericError("vectors to quantize must be finite")
+    sq_norms, max_norm, scaled = cb._prefilter_terms
+    prefilter = x @ scaled + sq_norms
+    best = prefilter.argmin(axis=1)  # right wherever it is the only survivor
+    reach = max_norm + np.sqrt(np.einsum("ij,ij->i", x, x))
+    bound = _NEAREST_ROUNDING * (cb.dim + 4) * reach**2 + _TINY
+    # a NaN or infinite bound (overflow) keeps every centroid
+    keep = ~(prefilter > (prefilter[np.arange(len(x)), best] + bound)[:, None])
+    multi = np.flatnonzero(keep.sum(axis=1) > 1)
+    if multi.size:
+        row, col = np.nonzero(keep[multi])
+        exact = np.full((multi.size, cb.size), np.inf)
+        exact[row, col] = np.sum((cb.centroids[col] - x[multi[row]]) ** 2, axis=1)
+        best[multi] = np.argmin(exact, axis=1)  # the first of equal minima
+    return best
 
 
 def distortion(training: np.ndarray, cb: Codebook) -> float:

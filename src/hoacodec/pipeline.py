@@ -21,6 +21,7 @@ the MNMR constraint the core codec enforces.
 from __future__ import annotations
 
 import collections
+import io
 import itertools
 import math
 import zlib
@@ -354,24 +355,29 @@ def _read_header(data: bytes) -> StreamHeader:
 
 def _write_noise_block(w: BitWriter, info: NoiseGroupInfo) -> int:
     """The activity flags as one NUM_GROUPS-bit field, then the active
-    groups' energy indices as one run of fields."""
-    start = w.bit_length
+    groups' energy indices, packed into one integer and written at once."""
     active = np.asarray(info.active, dtype=bool)
-    w.write(int.from_bytes(np.packbits(active).tobytes(), "big") >> (-NUM_GROUPS % 8), NUM_GROUPS)
-    energies = info.energy_indices[active]
-    w.write_fields(energies, np.full(energies.size, noise_subst.ENERGY_BITS))
-    return w.bit_length - start
+    run = int.from_bytes(np.packbits(active).tobytes(), "big") >> (-NUM_GROUPS % 8)
+    energies = info.energy_indices[active].tolist()
+    for e in energies:
+        if e >> noise_subst.ENERGY_BITS:
+            raise ValueError(f"energy index {e} does not fit in {noise_subst.ENERGY_BITS} bits")
+        run = run << noise_subst.ENERGY_BITS | e
+    bits = NUM_GROUPS + noise_subst.ENERGY_BITS * len(energies)
+    w.write(run, bits)
+    return bits
 
 
 def _read_noise_block(r: BitReader) -> tuple:
-    start = r.bit_position
+    """What :func:`_write_noise_block` writes, read as two fields: the flags,
+    then all active energy indices as one."""
     flags = r.read(NUM_GROUPS)
     active = (flags >> np.arange(NUM_GROUPS - 1, -1, -1) & 1).astype(bool)
+    count, width = int(active.sum()), noise_subst.ENERGY_BITS
+    run = r.read(width * count)
     indices = np.zeros(NUM_GROUPS, dtype=np.uint8)
-    for j in np.flatnonzero(active):
-        indices[j] = r.read(noise_subst.ENERGY_BITS)
-    info = NoiseGroupInfo(active=active, energy_indices=indices)
-    return info, r.bit_position - start
+    indices[active] = [run >> width * (count - 1 - i) & ((1 << width) - 1) for i in range(count)]
+    return NoiseGroupInfo(active=active, energy_indices=indices), NUM_GROUPS + width * count
 
 
 def _mask_weighted_error(original: np.ndarray, decoded: np.ndarray, masks, groups) -> float:
@@ -416,11 +422,15 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
     coder = _encode_proposed if codec_id == CODEC_PROPOSED else _encode_baseline
     hw = BitWriter()
     _write_header(hw, header)
-    parts, frame_stats = [hw.getvalue()], []
+    stream, frame_stats = io.BytesIO(), []
+    stream.write(hw.getvalue())
     for payload, stats in coder(signal, cfg, cfg.resolved_groups(), cfg.resolved_table()):
-        parts += [len(payload).to_bytes(4, "big"), payload, zlib.crc32(payload).to_bytes(4, "big")]
+        stream.write(len(payload).to_bytes(4, "big"))
+        stream.write(payload)
+        stream.write(zlib.crc32(payload).to_bytes(4, "big"))
         frame_stats.append(stats)
-    return EncodeResult(stream=b"".join(parts), stats=header.stream_stats(frame_stats))
+    # getvalue() hands the buffer over without a copy
+    return EncodeResult(stream=stream.getvalue(), stats=header.stream_stats(frame_stats))
 
 
 class _Trial(NamedTuple):
@@ -491,11 +501,12 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups, table):
     nbg = (cfg.background_order + 1) ** 2
     for frame in segment_frames(signal.samples, cfg.half_length):
         sp = transform.mdct_forward(frame, window)
+        modes = [freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS]
+        analyses = [freq_svd.mode_bases(sp, mode, cfg.rank, cfg.bands) for mode in modes]
+        writers, states = [BitWriter() for _ in modes], [state.copy() for _ in modes]
+        sides = sideinfo.encode_sideinfo([a[2] for a in analyses], modes, cfg.side_quantizers(), states, writers)
         trials = []
-        for mode in (freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS):
-            w, trial_state = BitWriter(), state.copy()
-            layout, bands, raw_bases = freq_svd.mode_bases(sp, mode, cfg.rank, cfg.bands)
-            side, recon = sideinfo.encode_sideinfo(raw_bases, mode, cfg.side_quantizers(), trial_state, w)
+        for (layout, bands, _), (side, recon), w, trial_state in zip(analyses, sides, writers, states):
             bases = [baseline_td.TruncatedBasis(vectors=v, frame=sp.index) for v in recon]
             dec = freq_svd.band_decompose(bands, cfg.rank, layout, bases=bases)
             residual = freq_svd.compute_residual(sp, dec)
@@ -639,7 +650,7 @@ def parse_frame(
     noise, noise_bits = _read_noise_block(reader)
     count = rank + (header.background_order + 1) ** 2
     if header.bypass:
-        channels = reader.read_f64_array((count, groups.num_bins)).T
+        channels = sideinfo.require_finite(reader.read_f64_array((count, groups.num_bins)), "raw channel").T
     else:
         channels = core_codec.entropy_decode_channel(reader, groups, table, count)
     core_bits = reader.bit_position - side.bit_count - noise_bits

@@ -18,6 +18,7 @@ Encoding and decoding walk the one syntax in :func:`_side_info`; in bypass
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import zlib
@@ -58,6 +59,15 @@ class QuantizerSet:
     @property
     def dim(self) -> int:
         return self.residual.dim
+
+    @functools.cached_property
+    def intra_units(self) -> tuple:
+        """The intra centroids renormalized as reconstruction does, and which
+        of them have zero norm (those fall back per column); encoder and
+        decoder share it."""
+        units = self.intra.centroids.copy()
+        zero = np.array([math.sqrt(row.dot(row)) < _NORM_EPS for row in units])
+        return _renormalize(units, np.zeros(len(units), dtype=np.intp)), zero
 
     def fingerprint(self) -> int:
         crc = 0
@@ -120,59 +130,95 @@ class SideInfoState:
 
 
 class _Fields:
-    """The bit I/O of one side-info walk.  Writing, a field stores the
-    encoder's value; reading, it returns the stream's value after checking
-    it against the field's limit (:class:`StreamError` naming the field)."""
+    """The bit I/O of one side-info walk.  Writing, a field appends the
+    encoder's value to one run that :meth:`flush` writes with a single
+    :meth:`BitWriter.write`; reading, it returns the stream's value after
+    checking it against the field's limit (:class:`StreamError` naming the
+    field)."""
 
     def __init__(self, io):
         self.io = io
         self.reading = isinstance(io, BitReader)
+        self._run, self._run_bits = 0, 0
 
     @property
     def position(self) -> int:
-        return self.io.bit_position if self.reading else self.io.bit_length
+        return self.io.bit_position if self.reading else self.io.bit_length + self._run_bits
 
     def uint(self, name: str, limit: int, value: int = 0, bits: int | None = None) -> int:
         """A value below ``limit`` in ``bits`` bits (default cb(limit), at least 1)."""
         if bits is None:
-            bits = max(1, (limit - 1).bit_length())
-        if not self.reading:
-            self.io.write(value, bits)
+            bits = (limit - 1).bit_length() or 1
+        if self.reading:
+            value = self.io.read(bits)
+            if value >= limit:
+                raise StreamError(f"{name} {value} out of range (limit {limit})")
             return value
-        value = self.io.read(bits)
-        if value >= limit:
-            raise StreamError(f"{name} {value} out of range (limit {limit})")
+        value = int(value)
+        if value < 0 or value >> bits:
+            raise ValueError(f"{name} {value} does not fit in {bits} bits")
+        self._run = (self._run << bits) | value
+        self._run_bits += bits
         return value
 
     def flag(self, value: bool = False) -> bool:
-        return bool(self.uint("flag", 2, int(value)))
+        if self.reading:
+            return bool(self.io.read(1))
+        self._run = (self._run << 1) | bool(value)
+        self._run_bits += 1
+        return bool(value)
 
     def floats(self, shape: tuple, value: np.ndarray | None = None) -> np.ndarray:
+        """Raw float64 values; a non-finite one read is a :class:`StreamError`."""
         if not self.reading:
+            self.flush()
             self.io.write_f64_array(value)
             return value
-        return self.io.read_f64_array(shape)
+        return require_finite(self.io.read_f64_array(shape), "raw basis")
+
+    def flush(self) -> None:
+        if self._run_bits:
+            self.io.write(self._run, self._run_bits)
+            self._run, self._run_bits = 0, 0
 
 
-def _renormalize(v: np.ndarray, fallback_axis: int, dim: int) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n < _NORM_EPS:
-        out = np.zeros(dim)
-        out[fallback_axis % dim] = 1.0
-        return out
-    return v / n
+def require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, or a :class:`StreamError` when one is NaN or infinite (the
+    encoder never writes one: :func:`numlin.svd` refuses non-finite input)."""
+    if not np.all(np.isfinite(values)):
+        raise StreamError(f"non-finite {what} value")
+    return values
 
 
-def _reconstruct_predicted(
-    q: QuantizerSet, coeff_index: int, residual_index: int, ref: np.ndarray, col: int
-) -> np.ndarray:
-    rho = float(q.coeff.centroids[coeff_index, 0])
-    res = q.residual.centroids[residual_index]
-    return _renormalize(rho * ref + res, col, q.dim)
+def _renormalize(rows: np.ndarray, cols) -> np.ndarray:
+    """Each row scaled to unit length in place.  A row whose norm is below
+    ``_NORM_EPS`` becomes the unit vector on axis ``cols[i] % dim``.  The
+    norm is ``np.linalg.norm`` of the row: the BLAS dot of the contiguous
+    row with itself."""
+    norms = np.array([math.sqrt(row.dot(row)) for row in rows])
+    zero = norms < _NORM_EPS
+    rows /= np.where(zero, 1.0, norms)[:, None]
+    for i in np.flatnonzero(zero):
+        rows[i] = 0.0
+        rows[i, cols[i] % rows.shape[1]] = 1.0
+    return rows
 
 
-def _reconstruct_intra(q: QuantizerSet, index: int, col: int) -> np.ndarray:
-    return _renormalize(q.intra.centroids[index].copy(), col, q.dim)
+def _intra_rows(q: QuantizerSet, index, cols) -> np.ndarray:
+    """Reconstructed intra columns, as rows: the unit intra centroids, or
+    for a zero-norm centroid its column's fallback."""
+    units, zero = q.intra_units
+    rows, z = units[index], zero[index]
+    if z.any():
+        rows[z] = _renormalize(np.zeros((np.count_nonzero(z), q.dim)), cols[z])
+    return rows
+
+
+def _predicted_rows(q: QuantizerSet, coeff_index, residual_index, refs: np.ndarray, cols) -> np.ndarray:
+    """Reconstructed predicted columns, as rows: rho_hat * ref + residual_hat,
+    renormalized; ``refs`` holds the reference columns as rows."""
+    rho = q.coeff.centroids[coeff_index, 0]
+    return _renormalize(rho[:, None] * refs + q.residual.centroids[residual_index], cols)
 
 
 def predict_basis(prev: TruncatedBasis, cur: TruncatedBasis):
@@ -193,124 +239,199 @@ def predict_basis(prev: TruncatedBasis, cur: TruncatedBasis):
     return rho, residual
 
 
-def _choose(q: QuantizerSet, target: np.ndarray, ref: np.ndarray, col: int) -> tuple:
-    """The encoder's coding of one column, (intra, intra index, coeff index,
-    residual index): predicted from ``ref`` when that reconstructs no worse
-    than intra."""
-    intra_idx, _ = quantize_nearest(target, q.intra)
-    intra_err = float(np.sum((_reconstruct_intra(q, intra_idx, col) - target) ** 2))
-    if np.linalg.norm(ref) > _NORM_EPS:
-        c_idx, _ = quantize_nearest([float(target @ ref)], q.coeff)
-        r_idx, _ = quantize_nearest(target - float(q.coeff.centroids[c_idx, 0]) * ref, q.residual)
-        pred_err = float(np.sum((_reconstruct_predicted(q, c_idx, r_idx, ref, col) - target) ** 2))
-        if pred_err <= intra_err:
-            return False, 0, c_idx, r_idx
-    return True, intra_idx, 0, 0
+class _Code:
+    """The side-info fields of one frame: per column, band after band, and
+    per band the match's Lehmer rank.  The encoder fills them, and the
+    frame's bases, before its walk writes them; the decoder's walk reads
+    them, and each band's reference columns, into a fresh one."""
+
+    def __init__(self, ranks: list):
+        n = sum(ranks)
+        self.perm, self.refs, self.bases = [0] * len(ranks), [], None  # per band
+        self.intra = [True] * n  # column_intra (every column of an intra band)
+        self.intra_index, self.ref_index, self.flip = [0] * n, [0] * n, [False] * n
+        self.signs, self.coeff_index, self.residual_index = [False] * n, [0] * n, [0] * n
 
 
-def _column(f: _Fields, q, k: int, info: SideInfoFrame, target, ref, pool=None) -> np.ndarray:
-    """column_intra:u1, then an intra index, or a prediction: on a mode
-    switch from the ``pool`` column the stream names (ref_index, sign), else
-    from ``ref``.  ``target`` is the encoder's column, None when decoding."""
-    ref_index, flip, choice = 0, False, (False, 0, 0, 0)
-    if target is not None:
-        if pool is not None:
-            corrs = target @ pool
-            ref_index = int(np.argmax(np.abs(corrs)))
-            flip = bool(corrs[ref_index] < 0)
-            target, ref = (-target if flip else target), pool[:, ref_index]
-        choice = _choose(q, target, ref, k)
-    intra, intra_index, coeff_index, residual_index = choice
-    if f.flag(intra):
-        info.intra_columns += 1
-        return _reconstruct_intra(q, f.uint("intra codebook index", q.intra.size, intra_index), k)
-    if pool is not None:
-        ref = pool[:, f.uint("prediction reference", pool.shape[1], ref_index)]
-        f.flag(flip)
-        info.switched_columns += 1
-    else:
-        info.predicted_columns += 1
-    coeff_index = f.uint("coefficient codebook index", q.coeff.size, coeff_index)
-    residual_index = f.uint("residual codebook index", q.residual.size, residual_index)
-    return _reconstruct_predicted(q, coeff_index, residual_index, ref, k)
+def _split(rows: np.ndarray, ranks: list) -> list:
+    """Rows of a frame's columns, band after band, as (M, r) bases."""
+    ends = np.cumsum(ranks)
+    return [np.ascontiguousarray(rows[end - r : end].T) for r, end in zip(ranks, ends)]
 
 
-def _band(f: _Fields, q, state: SideInfoState, band: int, r: int, info, raw) -> np.ndarray:
-    """intra_band:u1, then r intra indices or a predicted band; ``raw`` is
-    the encoder's (M, r) basis, None when decoding."""
-    recon = np.empty((q.dim, r))
+def _reconstruct(q: QuantizerSet, c: _Code, ranks: list) -> list:
+    """Every band's (M, r) columns from the fields, the whole frame in one
+    pass: intra columns from the unit intra table, predicted ones from their
+    references."""
+    cols = np.concatenate([np.arange(r) for r in ranks])
+    rows = _intra_rows(q, c.intra_index, cols)  # predicted columns are overwritten
+    p = np.flatnonzero(np.logical_not(c.intra))
+    if p.size:
+        refs = np.concatenate([np.zeros((r, q.dim)) if ref is None else ref.T for r, ref in zip(ranks, c.refs)])
+        coeff, residual = np.take(c.coeff_index, p), np.take(c.residual_index, p)
+        rows[p] = _predicted_rows(q, coeff, residual, refs[p], cols[p])
+    return _split(rows, ranks)
+
+
+def _code_bands(q: QuantizerSet, trials: list) -> list:
+    """The encoder's decisions for every column of every trial (raw bases,
+    mode, state): per trial, its :class:`_Code`.
+
+    Each column's target and reference are fixed first: in a same-mode
+    band the Hungarian-matched, sign-aligned column and the band's previous
+    column; on a mode switch the raw column, flipped when its best pool
+    reference correlates negatively, and that pool column.  References are
+    reconstructed columns, so never zero.  Then one nearest-centroid pass
+    per codebook covers all columns: intra for all, then coefficient and
+    residual for the columns of predicted bands.  A column is predicted
+    when its reconstruction error is at most intra's.  Each dot product and
+    norm runs per column on the same view as in a per-column coder, so
+    every decision is bit-identical to one."""
+    codes, targets, refs, cols = [], [], [], []
+    for raw_bases, mode, state in trials:
+        c = _Code([raw.shape[1] for raw in raw_bases])
+        pool = state.pool() if state.prev_mode not in (None, mode) else None
+        at = 0
+        for band, raw in enumerate(raw_bases):
+            k = slice(at, at + raw.shape[1])
+            at = k.stop
+            if state.prev_bases is None:
+                targets += list(raw.T)
+                refs += [None] * raw.shape[1]
+            elif pool is not None:
+                corrs = np.array([target @ pool for target in raw.T])
+                best = np.abs(corrs).argmax(axis=1)
+                c.ref_index[k], c.flip[k] = best.tolist(), (corrs[np.arange(len(best)), best] < 0).tolist()
+                targets += [-t if f else t for t, f in zip(raw.T, c.flip[k])]
+                refs += [pool[:, j] for j in c.ref_index[k]]
+            else:
+                prev = state.prev_bases[band]
+                assignment, signs, aligned = match_bases(TruncatedBasis(vectors=prev), TruncatedBasis(vectors=raw))
+                c.perm[band], c.signs[k] = lehmer_encode(assignment.permutation.tolist()), (signs < 0).tolist()
+                targets += list(aligned.vectors.T)
+                refs += list(prev.T)
+            cols += range(raw.shape[1])
+        codes.append(c)
+
+    T, cols = np.array(targets), np.array(cols)
+    intra_index = quantize_nearest(T, q.intra)
+    rows = _intra_rows(q, intra_index, cols)
+    predicted = np.zeros(len(cols), dtype=bool)
+    coeff_index, residual_index = np.zeros_like(cols), np.zeros_like(cols)
+    p = np.flatnonzero([ref is not None for ref in refs])
+    if p.size:
+        coeff_index[p] = quantize_nearest([[float(targets[i] @ refs[i])] for i in p], q.coeff)
+        Tp, R = T[p], np.array([refs[i] for i in p])
+        residual_index[p] = quantize_nearest(Tp - q.coeff.centroids[coeff_index[p], 0][:, None] * R, q.residual)
+        pred_rows = _predicted_rows(q, coeff_index[p], residual_index[p], R, cols[p])
+        better = np.sum((pred_rows - Tp) ** 2, axis=1) <= np.sum((rows[p] - Tp) ** 2, axis=1)
+        predicted[p[better]] = True
+        rows[p[better]] = pred_rows[better]
+    coeff_index[~predicted] = residual_index[~predicted] = intra_index[predicted] = 0
+
+    at = 0
+    for c, (raw_bases, _, _) in zip(codes, trials):
+        k = slice(at, at + len(c.ref_index))
+        at = k.stop
+        c.intra, c.intra_index = (~predicted[k]).tolist(), intra_index[k].tolist()
+        c.coeff_index, c.residual_index = coeff_index[k].tolist(), residual_index[k].tolist()
+        c.bases = _split(rows[k], [b.shape[1] for b in raw_bases])
+    return codes
+
+
+def _band(f: _Fields, q, state: SideInfoState, band: int, r: int, info, c: _Code, at: int, pool) -> None:
+    """intra_band:u1, then r intra indices or a predicted band, for the
+    columns ``at``.. of ``c``: written as they stand when encoding, read
+    into ``c`` with the band's reference columns when decoding."""
     if f.flag(state.prev_bases is None):
-        for k in range(r):
-            idx = 0 if raw is None else quantize_nearest(raw[:, k], q.intra)[0]
-            recon[:, k] = _reconstruct_intra(q, f.uint("intra codebook index", q.intra.size, idx), k)
+        for k in range(at, at + r):
+            c.intra_index[k] = f.uint("intra codebook index", q.intra.size, c.intra_index[k])
         info.intra_columns += r
-        return recon
+        c.refs.append(None)
+        return
     if state.prev_bases is None:
         raise StreamError("predicted band before any intra frame")
-    pool, prev, targets = None, None, raw
-    if info.switched:
-        pool = state.pool()
-    else:
-        prev = state.prev_bases[band]
-        perm, signs = 0, [1.0] * r
-        if raw is not None:
-            assignment, signs, aligned = match_bases(
-                TruncatedBasis(vectors=prev), TruncatedBasis(vectors=raw)
-            )
-            perm, targets = lehmer_encode(assignment.permutation.tolist()), aligned.vectors
-        f.uint("permutation index", math.factorial(r), perm, factorial_bits(r))
-        for s in signs:
-            f.flag(s < 0)
-    for k in range(r):
-        target = None if targets is None else targets[:, k]
-        recon[:, k] = _column(f, q, k, info, target, None if prev is None else prev[:, k], pool)
-    return recon
+    if pool is None:
+        f.uint("permutation index", math.factorial(r), c.perm[band], factorial_bits(r))
+        for k in range(at, at + r):
+            f.flag(c.signs[k])
+    for k in range(at, at + r):
+        c.intra[k] = f.flag(c.intra[k])
+        if c.intra[k]:
+            c.intra_index[k] = f.uint("intra codebook index", q.intra.size, c.intra_index[k])
+            info.intra_columns += 1
+            continue
+        if pool is not None:
+            c.ref_index[k] = f.uint("prediction reference", pool.shape[1], c.ref_index[k])
+            f.flag(c.flip[k])
+            info.switched_columns += 1
+        else:
+            info.predicted_columns += 1
+        c.coeff_index[k] = f.uint("coefficient codebook index", q.coeff.size, c.coeff_index[k])
+        c.residual_index[k] = f.uint("residual codebook index", q.residual.size, c.residual_index[k])
+    c.refs.append(state.prev_bases[band] if pool is None else pool[:, c.ref_index[at : at + r]])
 
 
-def _side_info(f: _Fields, q, state, ranks: dict, mode=0, raw=None, channels=None) -> tuple:
+def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=None) -> tuple:
     """The one side-info syntax (docs/bitstream.md § Side info):
 
         side_info := mode:u1 ( band+ | bypass_basis+ )
 
-    Encodes ``raw`` (per band, the (M, r) basis) when it is given, running
-    the encoder's decisions, else decodes.  ``q`` None is bypass: each basis
-    is ``channels`` x r raw float64.  Advances ``state``."""
+    Encodes ``coded`` (the frame's :class:`_Code`, or in bypass its raw
+    (M, r) bases) when it is given, else decodes.  ``q`` None is bypass:
+    each basis is ``channels`` x r raw float64.  Advances ``state``."""
     start = f.position
     mode = f.uint("mode", 2, mode)
     info = SideInfoFrame(mode=mode, switched=state.prev_mode is not None and state.prev_mode != mode)
-    bases = []
-    for band, r in enumerate(ranks[mode]):
-        target = None if raw is None else raw[band]
-        if q is None:
-            bases.append(f.floats((channels, r), target))
-        else:
-            bases.append(_band(f, q, state, band, r, info, target))
+    if q is None:
+        bases = [f.floats((channels, r), None if coded is None else coded[band]) for band, r in enumerate(ranks[mode])]
+    else:
+        c = coded or _Code(ranks[mode])
+        pool = state.pool() if info.switched else None
+        for band, (r, at) in enumerate(zip(ranks[mode], itertools.accumulate(ranks[mode], initial=0))):
+            _band(f, q, state, band, r, info, c, at, pool)
+        bases = c.bases if coded else _reconstruct(q, c, ranks[mode])
+    info.bit_count = f.position - start
+    f.flush()
     state.prev_bases = [b.copy() for b in bases]
     state.prev_mode = mode
-    info.bit_count = f.position - start
     return info, bases
 
 
 def encode_sideinfo(
     raw_bases: list,
-    mode: int,
+    mode,
     q: QuantizerSet | None,
-    state: SideInfoState,
-    writer: BitWriter,
-) -> tuple:
+    state,
+    writer,
+):
     """Quantize one frame's bases and serialize them.
 
     ``raw_bases``: per band, the (M, r) truncated right-singular vectors in
     singular-value order; ``q`` None writes them as raw float64 (bypass).
     Returns (SideInfoFrame, reconstructed bases); ``state`` is advanced to
     the reconstructions.
+
+    Several candidate codings of one frame (the proposed encoder's RD
+    trials) are coded together when ``mode`` is a list: ``raw_bases``,
+    ``state`` and ``writer`` are then lists as well, one entry per trial,
+    and the result is the list of each trial's (SideInfoFrame, bases), as
+    one call per trial would give.  The decisions of all trials share one
+    nearest-centroid pass per codebook.
     """
-    if q is not None and any(b.shape[0] != q.dim for b in raw_bases):
+    one = not isinstance(mode, list)
+    if one:
+        raw_bases, mode, state, writer = [raw_bases], [mode], [state], [writer]
+    if q is not None and any(b.shape[0] != q.dim for bases in raw_bases for b in bases):
         raise ConfigurationError(
             f"quantizers trained for {q.dim} channels, stream differs"
         )
-    ranks = {mode: [b.shape[1] for b in raw_bases]}
-    return _side_info(_Fields(writer), q, state, ranks, mode, raw_bases)
+    codes = raw_bases if q is None else _code_bands(q, list(zip(raw_bases, mode, state)))
+    results = [
+        _side_info(_Fields(w), q, st, {m: [b.shape[1] for b in bases]}, m, coded)
+        for bases, m, st, w, coded in zip(raw_bases, mode, state, writer, codes)
+    ]
+    return results[0] if one else results
 
 
 def decode_sideinfo(
@@ -324,7 +445,7 @@ def decode_sideinfo(
 
     ``ranks``: per mode, the per-band column counts; ``channels``: the row
     count of bypass bases (``q`` None).  Raises :class:`StreamError` on a
-    truncated or out-of-range field.
+    truncated, out-of-range or (bypass) non-finite field.
     """
     return _side_info(_Fields(reader), q, state, ranks, channels=channels)
 

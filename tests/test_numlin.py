@@ -112,6 +112,69 @@ def test_non_square_rejected():
         hungarian(np.zeros((2, 3)))
 
 
+def _reference_hungarian(cost):
+    """The greedy tie rule the matcher replaced: scipy's optimum, then each
+    source in order takes the smallest target that keeps the remainder's
+    optimum (1 + r(r+1)/2 solves) within tol of it."""
+    import scipy.optimize
+
+    def best(sub):
+        rows, cols = scipy.optimize.linear_sum_assignment(sub)
+        return float(sub[rows, cols].sum())
+
+    r = cost.shape[0]
+    optimum = best(cost)
+    tol = 1e-9 * max(1.0, abs(optimum))
+    perm, free, fixed_cost = [], list(range(r)), 0.0
+    for i in range(r):
+        for j in free:
+            rest = [c for c in free if c != j]
+            tail = best(cost[np.ix_(range(i + 1, r), rest)]) if rest else 0.0
+            if fixed_cost + cost[i, j] + tail <= optimum + tol:
+                perm.append(j)
+                fixed_cost += cost[i, j]
+                free.remove(j)
+                break
+    return perm, optimum
+
+
+def _matching_costs(rng, r):
+    """Cost matrices with exact ties, near-ties either side of tol, and the
+    matcher's own 1 - |corr| between consecutive bases."""
+    yield np.ones((r, r))
+    yield rng.integers(0, 3, (r, r)).astype(float)
+    grid = rng.integers(0, 4, (r, r)) * 0.25
+    yield grid + rng.choice([0.0, 0.4e-9, 2.5e-9], (r, r))  # offsets below and above tol
+    yield grid * 1e3 + rng.choice([0.0, 0.4e-6, 2.5e-6], (r, r))  # tol scales with |optimum|
+    yield rng.uniform(-5, 5, (r, r))
+    m = max(r, 16)
+    prev = np.linalg.qr(rng.standard_normal((m, r)))[0]
+    cur = np.linalg.qr(prev[:, rng.permutation(r)] + 0.2 * rng.standard_normal((m, r)))[0]
+    yield 1.0 - np.abs(prev.T @ cur)
+
+
+@pytest.mark.parametrize("r", list(range(1, 13)) + [16, 20, 24, 32])
+def test_hungarian_matches_reference_rule(rng, r):
+    for cost in _matching_costs(rng, r):
+        a = hungarian(cost)
+        perm, optimum = _reference_hungarian(cost)
+        assert a.permutation.tolist() == perm
+        assert a.total_cost == pytest.approx(optimum, abs=1e-9 * max(1.0, abs(optimum)))
+
+
+def test_hungarian_solves_at_most_once_up_to_rank_six(rng, monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    solve = scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", lambda c: calls.append(c) or solve(c))
+    for r in range(1, 7):
+        hungarian(rng.uniform(0, 1, (r, r)))
+    assert calls == []
+    hungarian(1.0 - np.eye(16))  # the optimum is the identity: nothing below it to try
+    assert len(calls) == 1
+
+
 # --- GLA ---
 
 def test_size_one_codebook_is_mean(rng):
@@ -156,29 +219,82 @@ def test_empty_training_rejected():
 
 def test_exact_centroid_hit():
     cb = Codebook(centroids=np.array([[0.0, 0.0], [1.0, 1.0]]))
-    idx, rec = quantize_nearest([1.0, 1.0], cb)
-    assert idx == 1 and np.array_equal(rec, [1.0, 1.0])
+    idx = quantize_nearest([[1.0, 1.0]], cb)
+    assert idx.tolist() == [1] and np.array_equal(cb.centroids[idx[0]], [1.0, 1.0])
 
 
 def test_tie_goes_to_smaller_index():
     cb = Codebook(centroids=np.array([[-1.0], [1.0]]))
-    idx, _ = quantize_nearest([0.0], cb)
-    assert idx == 0
+    assert quantize_nearest([[0.0]], cb).tolist() == [0]
 
 
 def test_matches_linear_scan(rng):
     cb = Codebook(centroids=rng.standard_normal((32, 5)))
-    for _ in range(50):
-        v = rng.standard_normal(5)
-        idx, _ = quantize_nearest(v, cb)
-        scan = min(range(32), key=lambda i: (np.sum((cb.centroids[i] - v) ** 2), i))
-        assert idx == scan
+    rows = rng.standard_normal((50, 5))
+    scan = [min(range(32), key=lambda i: (np.sum((cb.centroids[i] - v) ** 2), i)) for v in rows]
+    assert quantize_nearest(rows, cb).tolist() == scan
 
 
 def test_dimension_mismatch_rejected():
     cb = Codebook(centroids=np.zeros((4, 3)))
     with pytest.raises(ShapeError):
-        quantize_nearest([1.0, 2.0], cb)
+        quantize_nearest([[1.0, 2.0]], cb)
+    with pytest.raises(ShapeError):
+        quantize_nearest([1.0, 2.0, 3.0], cb)  # one vector, not a (1, dim) row
+
+
+def test_non_finite_vector_rejected():
+    with pytest.raises(NumericError):
+        quantize_nearest([[0.0, np.nan, 1.0]], Codebook(centroids=np.zeros((4, 3))))
+
+
+def _reference_nearest(rows, cb):
+    """The per-vector search the batched one replaced: np.sum((c - v) ** 2)
+    over each centroid's contiguous row, the first minimum on ties."""
+    return [int(np.argmin(np.sum((cb.centroids - v) ** 2, axis=1))) for v in np.asarray(rows, float)]
+
+
+def _nearest_cases(rng):
+    """(rows, codebook) pairs that stress the prefilter's rounding bound."""
+    c = rng.standard_normal((64, 16))
+    c[10], c[40] = c[3], c[3]  # exact duplicate centroids: the first index wins
+    yield np.vstack([c[3], c[40], rng.standard_normal((6, 16))]), Codebook(centroids=c)
+    # rows exactly between two centroids, then 1 ulp off towards either side
+    mid = (c[5] + c[6]) / 2
+    yield np.vstack([mid, np.nextafter(mid, c[5]), np.nextafter(mid, c[6])]), Codebook(centroids=c)
+    # equidistant centroids around a row: a ring of points at one distance
+    angles = np.linspace(0, 2 * np.pi, 12, endpoint=False)
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    yield np.zeros((3, 2)), Codebook(centroids=ring)
+    yield np.array([[1e-300, -1e-300], [0.0, 0.0]]), Codebook(centroids=ring * 1e-160)
+    # the zero vector against a codebook holding it and its near neighbours
+    z = np.vstack([np.full(16, 1e-17), np.zeros(16), -np.full(16, 1e-17), c[:8]])
+    yield np.zeros((2, 16)), Codebook(centroids=z)
+    # the scalar coefficient codebook: exact ties and near-ties between levels
+    levels = np.linspace(-1, 1, 16)[:, None]
+    mids = (levels[:-1] + levels[1:]) / 2
+    yield np.vstack([mids, np.nextafter(mids, 2), np.nextafter(mids, -2), levels]), Codebook(centroids=levels)
+    # large norms: rows and centroids far from the origin, some huge
+    big = rng.standard_normal((40, 9)) * 1e150
+    yield np.vstack([big[:5] + 1e135, rng.standard_normal((3, 9)) * 1e153]), Codebook(centroids=big)
+    yield rng.standard_normal((5, 4)) * 1e200, Codebook(centroids=rng.standard_normal((7, 4)) * 1e200)
+
+
+def test_batched_nearest_matches_per_row_reference(rng):
+    with np.errstate(over="ignore", invalid="ignore"):  # the 1e200 case overflows
+        for rows, cb in _nearest_cases(rng):
+            assert quantize_nearest(rows, cb).tolist() == _reference_nearest(rows, cb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 300), st.integers(-3, 3))
+def test_batched_nearest_matches_reference_on_random_codebooks(seed, dim, size, scale):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((size, dim)) * 10.0**scale
+    c[rng.integers(size, size=size // 4)] = c[0]
+    rows = np.vstack([rng.standard_normal((8, dim)) * 10.0**scale, c[rng.integers(size, size=4)]])
+    cb = Codebook(centroids=c)
+    assert quantize_nearest(rows, cb).tolist() == _reference_nearest(rows, cb)
 
 
 # --- codebook files ---

@@ -421,6 +421,48 @@ def test_concealment_reasons(encoded, small_quantizers_module):
         assert doc["frames"][2]["conceal_reason"] == reason
 
 
+@pytest.fixture(scope="module")
+def chirp_bypass_streams():
+    """0.2 s of ``orbiting_chirp`` in bypass at L=256, per codec."""
+    from hoacodec import scenes
+
+    spec = next(s for s in scenes.corpus_specs(duration=0.2) if s.name == "orbiting_chirp")
+    signal = scenes.render_scene(spec)
+    return {
+        codec: pipeline.encode(signal, pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True))
+        for codec in ("proposed", "baseline")
+    }
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["basis", "channel"])
+@pytest.mark.parametrize("codec", ["proposed", "baseline"])
+def test_non_finite_raw_value_conceals_the_frame(chirp_bypass_streams, codec, where, value):
+    """A NaN or infinity where frame 0 holds a raw float64 (the first basis
+    value after the mode bit, or the payload's last channel value), under a
+    recomputed CRC, is a parse error: the frame is concealed and every
+    decoded sample stays finite."""
+    import struct
+    import zlib
+
+    res = chirp_bypass_streams[codec]
+    stream = bytearray(res.stream)
+    start, size = _frame_span(stream, 0)
+    f0 = res.stats.frames[0]
+    at = 1 if where == "basis" else f0.side_bits + f0.noise_bits + f0.core_bits - 64
+    bits = int.from_bytes(stream[start : start + size], "big")
+    shift = 8 * size - at - 64
+    bits = bits & ~(((1 << 64) - 1) << shift) | int.from_bytes(struct.pack(">d", value), "big") << shift
+    stream[start : start + size] = bits.to_bytes(size, "big")
+    stream[start + size : start + size + 4] = zlib.crc32(stream[start : start + size]).to_bytes(4, "big")
+    dec = pipeline.decode(bytes(stream))
+    assert dec.concealed_frames == 1 and dec.stats.frames[0].concealed
+    assert dec.stats.frames[0].conceal_reason == f"non-finite raw {where} value"
+    assert np.all(np.isfinite(dec.signal.samples))
+    with pytest.raises(StreamError, match="non-finite"):
+        pipeline.measure_stream(bytes(stream))
+
+
 def test_group_table_must_cover_the_stream(small_scene_module):
     from hoacodec.noise_subst import FrequencyGroups
 
@@ -607,8 +649,9 @@ def test_parameter_matrix_roundtrips(foa_setup, codec, rank, bg_order, bands):
 
 def test_decode_peak_memory_stays_near_the_output(small_scene_module):
     """One pass each way, with no per-frame list of frames, spectra,
-    payloads or blocks: the allocation peak of an encode stays below 2x the
-    input samples' bytes, and that of a decode below 1.6x the output's."""
+    payloads or blocks, and the stream held once: the allocation peak of an
+    encode stays below 1.5x the input samples' bytes, and that of a decode
+    below 1.6x the output's."""
     import tracemalloc
 
     def peak_of(call):
@@ -623,7 +666,7 @@ def test_decode_peak_memory_stays_near_the_output(small_scene_module):
     for codec in ("proposed", "baseline"):
         cfg = pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True)
         encoded, peak = peak_of(lambda: pipeline.encode(small_scene_module, cfg))
-        assert peak < 2 * source, (codec, "encode", peak / source)
+        assert peak < 1.5 * source, (codec, "encode", peak / source)
         decoded, peak = peak_of(lambda: pipeline.decode(encoded.stream))
         out = decoded.signal.samples.nbytes
         assert peak < 1.6 * out, (codec, "decode", peak / out)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hoacodec import scenes
-from hoacodec.baseline_td import TruncatedBasis
-from hoacodec.bitio import BitReader, BitWriter
+from hoacodec import scenes, sideinfo
+from hoacodec.baseline_td import TruncatedBasis, match_bases
+from hoacodec.bitio import BitReader, BitWriter, lehmer_encode
 from hoacodec.errors import ConfigurationError, StreamError, TrainingError
 from hoacodec.numlin import Codebook, svd
 from hoacodec.sideinfo import (
@@ -238,6 +238,133 @@ def test_out_of_range_field_raises_stream_error(rng, case):
         w.write(value, bits)
     with pytest.raises(StreamError, match=match):
         decode_sideinfo(BitReader(w.getvalue() + bytes(8)), q, state, {0: [3], 1: [3, 3]})
+
+
+# --- frame-wide decisions against the per-column coder they replaced ---
+
+def _reference_renormalize(v, fallback_axis, dim):
+    n = float(np.linalg.norm(v))
+    if n < 1e-12:
+        out = np.zeros(dim)
+        out[fallback_axis % dim] = 1.0
+        return out
+    return v / n
+
+
+def _reference_nearest(v, cb):
+    return int(np.argmin(np.sum((cb.centroids - np.asarray(v, dtype=np.float64).reshape(-1)) ** 2, axis=1)))
+
+
+def _reference_intra(q, index, col):
+    return _reference_renormalize(q.intra.centroids[index].copy(), col, q.dim)
+
+
+def _reference_predicted(q, coeff_index, residual_index, ref, col):
+    rho = float(q.coeff.centroids[coeff_index, 0])
+    return _reference_renormalize(rho * ref + q.residual.centroids[residual_index], col, q.dim)
+
+
+def _reference_choose(q, target, ref, col):
+    """One column's coding, (intra, intra index, coeff index, residual
+    index), and its reconstruction: predicted from ``ref`` when that
+    reconstructs no worse than intra."""
+    intra_idx = _reference_nearest(target, q.intra)
+    intra = _reference_intra(q, intra_idx, col)
+    if np.linalg.norm(ref) > 1e-12:
+        c_idx = _reference_nearest([float(target @ ref)], q.coeff)
+        r_idx = _reference_nearest(target - float(q.coeff.centroids[c_idx, 0]) * ref, q.residual)
+        predicted = _reference_predicted(q, c_idx, r_idx, ref, col)
+        if float(np.sum((predicted - target) ** 2)) <= float(np.sum((intra - target) ** 2)):
+            return (False, 0, c_idx, r_idx), predicted
+    return (True, intra_idx, 0, 0), intra
+
+
+def _reference_band(q, state, band, raw, switched):
+    """A predicted band coded column by column: (perm, signs, per column
+    (ref_index, flip, intra, intra index, coeff index, residual index), the
+    (M, r) reconstruction)."""
+    r = raw.shape[1]
+    recon, columns = np.empty((q.dim, r)), []
+    if switched:
+        pool, perm, signs = state.pool(), 0, [False] * r
+        for k in range(r):
+            target = raw[:, k]
+            corrs = target @ pool
+            ref_index = int(np.argmax(np.abs(corrs)))
+            flip = bool(corrs[ref_index] < 0)
+            choice, recon[:, k] = _reference_choose(q, -target if flip else target, pool[:, ref_index], k)
+            columns.append((ref_index, flip) + choice)
+    else:
+        prev = state.prev_bases[band]
+        assignment, signs, aligned = match_bases(TruncatedBasis(vectors=prev), TruncatedBasis(vectors=raw))
+        perm, signs = lehmer_encode(assignment.permutation.tolist()), (signs < 0).tolist()
+        for k in range(r):
+            choice, recon[:, k] = _reference_choose(q, aligned.vectors[:, k], prev[:, k], k)
+            columns.append((0, False) + choice)
+    return perm, signs, columns, recon
+
+
+def _zero_intra_centroid(q):
+    """``q`` with intra centroid 0 at the origin and the others pushed out,
+    so unit columns pick it and reconstruct through the per-column fallback."""
+    intra = q.intra.centroids * 3.0
+    intra[0] = 0.0
+    return QuantizerSet(coeff=q.coeff, residual=q.residual, intra=Codebook(centroids=intra))
+
+
+@pytest.mark.parametrize("zero_centroid", [False, True])
+@pytest.mark.parametrize("prev_mode", [0, 1])
+def test_frame_wide_decisions_match_per_column_reference(rng, small_quantizers, prev_mode, zero_centroid):
+    """Both RD trials of a frame after a mode-``prev_mode`` frame: one trial
+    has same-mode bands, the other switched ones.  Every field and every
+    reconstructed column equals the per-column coder's, bit for bit."""
+    q = _zero_intra_centroid(small_quantizers) if zero_centroid else small_quantizers
+    picked = set()
+    for _ in range(8):
+        state = SideInfoState()
+        prev_raw = [_random_basis(rng) for _ in range(1 if prev_mode == 0 else 4)]
+        encode_sideinfo(prev_raw, prev_mode, q, state, BitWriter())
+        raws = {}
+        for mode, nb in ((0, 1), (1, 4)):
+            # bands that drift from the previous frame (mostly predicted), new
+            # ones (mostly intra) and unit axes (intra through the fallback)
+            drift = [
+                svd(rng.standard_normal((64, 16)) * 0.3 + rng.standard_normal((64, 4)) @ p.T).right[:, :4]
+                for p in prev_raw
+            ]
+            kinds = rng.choice(3, nb, p=[0.5, 0.25, 0.25])
+            raws[mode] = [(drift[b % len(drift)], _random_basis(rng), np.eye(16)[:, :4])[k] for b, k in enumerate(kinds)]
+        codes = sideinfo._code_bands(q, [(raws[0], 0, state), (raws[1], 1, state)])
+        for mode, code in zip((0, 1), codes):
+            for band, raw in enumerate(raws[mode]):
+                perm, signs, columns, recon = _reference_band(q, state, band, raw, mode != prev_mode)
+                k = slice(4 * band, 4 * band + 4)
+                got = list(zip(code.ref_index[k], code.flip[k], code.intra[k], code.intra_index[k],
+                               code.coeff_index[k], code.residual_index[k]))
+                assert (code.perm[band], code.signs[k], got) == (perm, signs, columns)
+                assert code.bases[band].tobytes() == recon.tobytes()
+                picked.update((mode != prev_mode, c[2]) for c in columns)
+    # (switched band, intra) for every kind of column, or with the zero
+    # centroid at least one intra column
+    assert picked == {(False, False), (False, True), (True, False), (True, True)} or (
+        zero_centroid and {(False, True), (True, True)} & picked)
+
+
+def test_trials_coded_together_match_trials_coded_alone(rng, small_quantizers):
+    q = small_quantizers
+    for prev_mode in (None, 0, 1):
+        state = SideInfoState()
+        if prev_mode is not None:
+            encode_sideinfo([_random_basis(rng) for _ in range(1 + 3 * prev_mode)], prev_mode, q, state, BitWriter())
+        raws = [[_random_basis(rng)], [_random_basis(rng) for _ in range(4)]]
+        writers, states = [BitWriter(), BitWriter()], [state.copy(), state.copy()]
+        together = encode_sideinfo(raws, [0, 1], q, states, writers)
+        for mode, (frame, recon), w, st in zip((0, 1), together, writers, states):
+            alone_state, alone_writer = state.copy(), BitWriter()
+            alone, alone_recon = encode_sideinfo(raws[mode], mode, q, alone_state, alone_writer)
+            assert w.getvalue() == alone_writer.getvalue() and frame == alone
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(recon, alone_recon))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(st.prev_bases, alone_state.prev_bases))
 
 
 def test_wrong_dimension_rejected(rng, small_quantizers):
