@@ -10,7 +10,6 @@ contract.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -102,31 +101,17 @@ def svd(A: np.ndarray) -> SvdResult:
     return SvdResult(left=U * signs, singular_values=s, right=V * signs)
 
 
-# matchings of at most this many columns are found by enumerating every
-# permutation in one pass; larger ones by a single solve plus pruned tie checks
-_ENUMERATE_MAX_RANK = 6
-
-
-@functools.lru_cache(maxsize=None)
-def _permutations(r: int) -> tuple:
-    """All permutations of range(r), (r!, r), in lexicographic order, and
-    their entries' flat indices into an r x r matrix."""
-    perms = np.array(list(itertools.permutations(range(r))), dtype=np.intp).reshape(-1, r)
-    return perms, perms + r * np.arange(r)
-
-
 def hungarian(cost: np.ndarray) -> Assignment:
     """Minimum-cost assignment; ties resolved to the lexicographically
     smallest permutation.
 
     The rule: of the permutations whose cost is within ``tol = 1e-9 *
-    max(1, |optimum|)`` of the optimum, the lexicographically smallest.  Up
-    to ``_ENUMERATE_MAX_RANK`` columns every permutation is costed in one
-    numpy pass (``itertools.permutations`` order is lexicographic).  Above
-    that, scipy's solver gives the optimum and a known optimal completion;
-    each source in order then tries only the free targets below the one
-    that completion uses, and solves the remainder for a target only when
-    the least cost of any matching through it is within tol of the optimum.
+    max(1, |optimum|)`` of the optimum, the lexicographically smallest.
+    scipy's solver gives the optimum and a known optimal completion; each
+    source in order then tries only the free targets below the one that
+    completion uses, and solves the remainder for a target only when the
+    least cost of any matching through it is within tol of the optimum, so
+    a matrix without such a near-tie costs one solve.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -136,29 +121,33 @@ def hungarian(cost: np.ndarray) -> Assignment:
     r = cost.shape[0]
     if r == 0:
         return Assignment(permutation=np.zeros(0, dtype=np.intp), total_cost=0.0)
-    if r <= _ENUMERATE_MAX_RANK:
-        perms, flat = _permutations(r)
-        totals = cost.take(flat).sum(axis=1)
-        optimum = float(totals.min())
-        tol = 1e-9 * max(1.0, abs(optimum))
-        return Assignment(permutation=perms[np.argmax(totals <= optimum + tol)].copy(), total_cost=optimum)
-
     rows, perm = scipy.optimize.linear_sum_assignment(cost)
     own = cost[rows, perm]
     optimum = float(own.sum())
     tol = 1e-9 * max(1.0, abs(optimum))
-    # Exchange graph of the optimum: arc a -> b moves the row holding column
-    # a to column b.  The least a matching that gives row i column j costs
-    # above the optimum is that move plus the cheapest path from j back to
-    # perm[i] (Floyd-Warshall); rounding can only lower it, which costs a
-    # solve, never a wrong pick, and ``slack`` covers the other direction.
-    holder = np.empty(r, dtype=np.intp)
-    holder[perm] = rows
-    dist = cost[holder] - own[holder][:, None]
-    for k in range(r):
-        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    # ``near``: where a matching that gives row i column j may cost within
+    # tol of the optimum; ``slack`` covers rounding.  Cheap bounds first:
+    # that entry plus every other row's minimum, and plus every other
+    # column's.
     slack = 8.0 * (r + 1) ** 2 * np.finfo(float).eps * float(np.abs(cost).max())
-    near = cost - own[:, None] + dist[:, perm].T <= tol + slack
+    limit = optimum + tol + slack
+    row_min, col_min = cost.min(axis=1), cost.min(axis=0)
+    near = (cost - row_min[:, None] + float(row_min.sum()) <= limit) & (cost - col_min + float(col_min.sum()) <= limit)
+    below = np.arange(r) < perm[:, None]
+    if np.any(near & below):
+        # Exact bound, from the exchange graph of the optimum: arc a -> b
+        # moves the row holding column a to column b.  The least a matching
+        # that gives row i column j costs above the optimum is that move
+        # plus the cheapest path from j back to perm[i] (Floyd-Warshall);
+        # rounding can only lower it, which costs a solve, never a wrong pick.
+        holder = np.empty(r, dtype=np.intp)
+        holder[perm] = rows
+        dist = cost[holder] - own[holder][:, None]
+        for k in range(r):
+            np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+        near &= cost - own[:, None] + dist[:, perm].T <= tol + slack
+    if not np.any(near & below):  # no near-tie: the optimum is the pick
+        return Assignment(permutation=perm, total_cost=optimum)
     free = np.ones(r, dtype=bool)
     fixed_cost = 0.0
     for i in range(r - 1):

@@ -355,22 +355,18 @@ def _read_header(data: bytes) -> StreamHeader:
 
 def _write_noise_block(w: BitWriter, info: NoiseGroupInfo) -> int:
     """The activity flags as one NUM_GROUPS-bit field, then the active
-    groups' energy indices, packed into one integer and written at once."""
+    groups' energy indices as one run of fields."""
+    start = w.bit_length
     active = np.asarray(info.active, dtype=bool)
-    run = int.from_bytes(np.packbits(active).tobytes(), "big") >> (-NUM_GROUPS % 8)
-    energies = info.energy_indices[active].tolist()
-    for e in energies:
-        if e >> noise_subst.ENERGY_BITS:
-            raise ValueError(f"energy index {e} does not fit in {noise_subst.ENERGY_BITS} bits")
-        run = run << noise_subst.ENERGY_BITS | e
-    bits = NUM_GROUPS + noise_subst.ENERGY_BITS * len(energies)
-    w.write(run, bits)
-    return bits
+    w.write(int.from_bytes(np.packbits(active).tobytes(), "big") >> (-NUM_GROUPS % 8), NUM_GROUPS)
+    energies = info.energy_indices[active]
+    w.write_fields(energies, np.full(energies.size, noise_subst.ENERGY_BITS))
+    return w.bit_length - start
 
 
 def _read_noise_block(r: BitReader) -> tuple:
     """What :func:`_write_noise_block` writes, read as two fields: the flags,
-    then all active energy indices as one."""
+    then the active groups' energy indices as one."""
     flags = r.read(NUM_GROUPS)
     active = (flags >> np.arange(NUM_GROUPS - 1, -1, -1) & 1).astype(bool)
     count, width = int(active.sum()), noise_subst.ENERGY_BITS
@@ -504,7 +500,9 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups, table):
         modes = [freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS]
         analyses = [freq_svd.mode_bases(sp, mode, cfg.rank, cfg.bands) for mode in modes]
         writers, states = [BitWriter() for _ in modes], [state.copy() for _ in modes]
-        sides = sideinfo.encode_sideinfo([a[2] for a in analyses], modes, cfg.side_quantizers(), states, writers)
+        sides = sideinfo.encode_sideinfo_trials(
+            [(a[2], mode, st, w) for a, mode, st, w in zip(analyses, modes, states, writers)], cfg.side_quantizers()
+        )
         trials = []
         for (layout, bands, _), (side, recon), w, trial_state in zip(analyses, sides, writers, states):
             bases = [baseline_td.TruncatedBasis(vectors=v, frame=sp.index) for v in recon]

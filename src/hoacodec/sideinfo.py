@@ -67,7 +67,9 @@ class QuantizerSet:
         decoder share it."""
         units = self.intra.centroids.copy()
         zero = np.array([math.sqrt(row.dot(row)) < _NORM_EPS for row in units])
-        return _renormalize(units, np.zeros(len(units), dtype=np.intp)), zero
+        for row in units:
+            _renormalize(row, 0)
+        return units, zero
 
     def fingerprint(self) -> int:
         crc = 0
@@ -130,56 +132,39 @@ class SideInfoState:
 
 
 class _Fields:
-    """The bit I/O of one side-info walk.  Writing, a field appends the
-    encoder's value to one run that :meth:`flush` writes with a single
-    :meth:`BitWriter.write`; reading, it returns the stream's value after
-    checking it against the field's limit (:class:`StreamError` naming the
-    field)."""
+    """The bit I/O of one side-info walk.  Writing, a field stores the
+    encoder's value; reading, it returns the stream's value after checking
+    it against the field's limit (:class:`StreamError` naming the field)."""
 
     def __init__(self, io):
         self.io = io
         self.reading = isinstance(io, BitReader)
-        self._run, self._run_bits = 0, 0
 
     @property
     def position(self) -> int:
-        return self.io.bit_position if self.reading else self.io.bit_length + self._run_bits
+        return self.io.bit_position if self.reading else self.io.bit_length
 
     def uint(self, name: str, limit: int, value: int = 0, bits: int | None = None) -> int:
         """A value below ``limit`` in ``bits`` bits (default cb(limit), at least 1)."""
         if bits is None:
-            bits = (limit - 1).bit_length() or 1
-        if self.reading:
-            value = self.io.read(bits)
-            if value >= limit:
-                raise StreamError(f"{name} {value} out of range (limit {limit})")
+            bits = max(1, (limit - 1).bit_length())
+        if not self.reading:
+            self.io.write(value, bits)
             return value
-        value = int(value)
-        if value < 0 or value >> bits:
-            raise ValueError(f"{name} {value} does not fit in {bits} bits")
-        self._run = (self._run << bits) | value
-        self._run_bits += bits
+        value = self.io.read(bits)
+        if value >= limit:
+            raise StreamError(f"{name} {value} out of range (limit {limit})")
         return value
 
     def flag(self, value: bool = False) -> bool:
-        if self.reading:
-            return bool(self.io.read(1))
-        self._run = (self._run << 1) | bool(value)
-        self._run_bits += 1
-        return bool(value)
+        return bool(self.uint("flag", 2, int(value)))
 
     def floats(self, shape: tuple, value: np.ndarray | None = None) -> np.ndarray:
         """Raw float64 values; a non-finite one read is a :class:`StreamError`."""
         if not self.reading:
-            self.flush()
             self.io.write_f64_array(value)
             return value
         return require_finite(self.io.read_f64_array(shape), "raw basis")
-
-    def flush(self) -> None:
-        if self._run_bits:
-            self.io.write(self._run, self._run_bits)
-            self._run, self._run_bits = 0, 0
 
 
 def require_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -190,35 +175,37 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _renormalize(rows: np.ndarray, cols) -> np.ndarray:
-    """Each row scaled to unit length in place.  A row whose norm is below
-    ``_NORM_EPS`` becomes the unit vector on axis ``cols[i] % dim``.  The
-    norm is ``np.linalg.norm`` of the row: the BLAS dot of the contiguous
-    row with itself."""
-    norms = np.array([math.sqrt(row.dot(row)) for row in rows])
-    zero = norms < _NORM_EPS
-    rows /= np.where(zero, 1.0, norms)[:, None]
-    for i in np.flatnonzero(zero):
-        rows[i] = 0.0
-        rows[i, cols[i] % rows.shape[1]] = 1.0
-    return rows
+def _renormalize(v: np.ndarray, col: int) -> np.ndarray:
+    """``v`` scaled to unit length in place, or, when its norm is below
+    ``_NORM_EPS``, made the unit vector on axis ``col % dim``.  The norm is
+    ``np.linalg.norm`` of ``v``: the BLAS dot of the contiguous ``v`` with
+    itself.  The one reconstruction step of encoder and decoder."""
+    norm = math.sqrt(v.dot(v))
+    if norm < _NORM_EPS:
+        v[:] = 0.0
+        v[col % len(v)] = 1.0
+    else:
+        v /= norm
+    return v
 
 
 def _intra_rows(q: QuantizerSet, index, cols) -> np.ndarray:
     """Reconstructed intra columns, as rows: the unit intra centroids, or
     for a zero-norm centroid its column's fallback."""
     units, zero = q.intra_units
-    rows, z = units[index], zero[index]
-    if z.any():
-        rows[z] = _renormalize(np.zeros((np.count_nonzero(z), q.dim)), cols[z])
+    rows = units[index]
+    for i in np.flatnonzero(zero[index]):
+        rows[i] = _renormalize(np.zeros(q.dim), cols[i])
     return rows
 
 
 def _predicted_rows(q: QuantizerSet, coeff_index, residual_index, refs: np.ndarray, cols) -> np.ndarray:
-    """Reconstructed predicted columns, as rows: rho_hat * ref + residual_hat,
+    """Reconstructed predicted columns, as rows: rho_hat * ref + residual,
     renormalized; ``refs`` holds the reference columns as rows."""
-    rho = q.coeff.centroids[coeff_index, 0]
-    return _renormalize(rho[:, None] * refs + q.residual.centroids[residual_index], cols)
+    rows = q.coeff.centroids[coeff_index, 0][:, None] * refs + q.residual.centroids[residual_index]
+    for row, col in zip(rows, cols):
+        _renormalize(row, col)
+    return rows
 
 
 def predict_basis(prev: TruncatedBasis, cur: TruncatedBasis):
@@ -241,13 +228,13 @@ def predict_basis(prev: TruncatedBasis, cur: TruncatedBasis):
 
 class _Code:
     """The side-info fields of one frame: per column, band after band, and
-    per band the match's Lehmer rank.  The encoder fills them, and the
-    frame's bases, before its walk writes them; the decoder's walk reads
-    them, and each band's reference columns, into a fresh one."""
+    per band the match's Lehmer rank and reconstructed basis.  The encoder
+    fills them before its walk writes them; the decoder's walk reads them,
+    and rebuilds each band as it is read, into a fresh one."""
 
     def __init__(self, ranks: list):
         n = sum(ranks)
-        self.perm, self.refs, self.bases = [0] * len(ranks), [], None  # per band
+        self.perm, self.bases = [0] * len(ranks), []  # per band
         self.intra = [True] * n  # column_intra (every column of an intra band)
         self.intra_index, self.ref_index, self.flip = [0] * n, [0] * n, [False] * n
         self.signs, self.coeff_index, self.residual_index = [False] * n, [0] * n, [0] * n
@@ -259,18 +246,21 @@ def _split(rows: np.ndarray, ranks: list) -> list:
     return [np.ascontiguousarray(rows[end - r : end].T) for r, end in zip(ranks, ends)]
 
 
-def _reconstruct(q: QuantizerSet, c: _Code, ranks: list) -> list:
-    """Every band's (M, r) columns from the fields, the whole frame in one
-    pass: intra columns from the unit intra table, predicted ones from their
-    references."""
-    cols = np.concatenate([np.arange(r) for r in ranks])
-    rows = _intra_rows(q, c.intra_index, cols)  # predicted columns are overwritten
-    p = np.flatnonzero(np.logical_not(c.intra))
-    if p.size:
-        refs = np.concatenate([np.zeros((r, q.dim)) if ref is None else ref.T for r, ref in zip(ranks, c.refs)])
-        coeff, residual = np.take(c.coeff_index, p), np.take(c.residual_index, p)
-        rows[p] = _predicted_rows(q, coeff, residual, refs[p], cols[p])
-    return _split(rows, ranks)
+def _decoded_band(q: QuantizerSet, c: _Code, at: int, r: int, refs) -> np.ndarray:
+    """A band's (M, r) reconstruction from the fields of its columns ``at``..
+    in ``c``, column by column, with the values of :func:`_intra_rows` and
+    :func:`_predicted_rows`; ``refs`` holds the reference columns."""
+    units, zero = q.intra_units
+    basis = np.empty((q.dim, r))
+    for k, i in enumerate(range(at, at + r)):
+        if not c.intra[i]:
+            v = q.coeff.centroids[c.coeff_index[i], 0] * refs[:, k] + q.residual.centroids[c.residual_index[i]]
+            basis[:, k] = _renormalize(v, k)
+        elif zero[c.intra_index[i]]:
+            basis[:, k] = _renormalize(np.zeros(q.dim), k)
+        else:
+            basis[:, k] = units[c.intra_index[i]]
+    return basis
 
 
 def _code_bands(q: QuantizerSet, trials: list) -> list:
@@ -342,12 +332,13 @@ def _code_bands(q: QuantizerSet, trials: list) -> list:
 def _band(f: _Fields, q, state: SideInfoState, band: int, r: int, info, c: _Code, at: int, pool) -> None:
     """intra_band:u1, then r intra indices or a predicted band, for the
     columns ``at``.. of ``c``: written as they stand when encoding, read
-    into ``c`` with the band's reference columns when decoding."""
+    into ``c`` and reconstructed into ``c.bases`` when decoding."""
     if f.flag(state.prev_bases is None):
         for k in range(at, at + r):
             c.intra_index[k] = f.uint("intra codebook index", q.intra.size, c.intra_index[k])
         info.intra_columns += r
-        c.refs.append(None)
+        if f.reading:
+            c.bases.append(_decoded_band(q, c, at, r, None))
         return
     if state.prev_bases is None:
         raise StreamError("predicted band before any intra frame")
@@ -369,7 +360,9 @@ def _band(f: _Fields, q, state: SideInfoState, band: int, r: int, info, c: _Code
             info.predicted_columns += 1
         c.coeff_index[k] = f.uint("coefficient codebook index", q.coeff.size, c.coeff_index[k])
         c.residual_index[k] = f.uint("residual codebook index", q.residual.size, c.residual_index[k])
-    c.refs.append(state.prev_bases[band] if pool is None else pool[:, c.ref_index[at : at + r]])
+    if f.reading:
+        refs = state.prev_bases[band] if pool is None else pool[:, c.ref_index[at : at + r]]
+        c.bases.append(_decoded_band(q, c, at, r, refs))
 
 
 def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=None) -> tuple:
@@ -390,9 +383,8 @@ def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=N
         pool = state.pool() if info.switched else None
         for band, (r, at) in enumerate(zip(ranks[mode], itertools.accumulate(ranks[mode], initial=0))):
             _band(f, q, state, band, r, info, c, at, pool)
-        bases = c.bases if coded else _reconstruct(q, c, ranks[mode])
+        bases = c.bases
     info.bit_count = f.position - start
-    f.flush()
     state.prev_bases = [b.copy() for b in bases]
     state.prev_mode = mode
     return info, bases
@@ -400,38 +392,36 @@ def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=N
 
 def encode_sideinfo(
     raw_bases: list,
-    mode,
+    mode: int,
     q: QuantizerSet | None,
-    state,
-    writer,
-):
+    state: SideInfoState,
+    writer: BitWriter,
+) -> tuple:
     """Quantize one frame's bases and serialize them.
 
     ``raw_bases``: per band, the (M, r) truncated right-singular vectors in
     singular-value order; ``q`` None writes them as raw float64 (bypass).
     Returns (SideInfoFrame, reconstructed bases); ``state`` is advanced to
     the reconstructions.
-
-    Several candidate codings of one frame (the proposed encoder's RD
-    trials) are coded together when ``mode`` is a list: ``raw_bases``,
-    ``state`` and ``writer`` are then lists as well, one entry per trial,
-    and the result is the list of each trial's (SideInfoFrame, bases), as
-    one call per trial would give.  The decisions of all trials share one
-    nearest-centroid pass per codebook.
     """
-    one = not isinstance(mode, list)
-    if one:
-        raw_bases, mode, state, writer = [raw_bases], [mode], [state], [writer]
-    if q is not None and any(b.shape[0] != q.dim for bases in raw_bases for b in bases):
+    return encode_sideinfo_trials([(raw_bases, mode, state, writer)], q)[0]
+
+
+def encode_sideinfo_trials(trials: list, q: QuantizerSet | None) -> list:
+    """Several candidate codings of one frame (the proposed encoder's RD
+    trials), each a (raw_bases, mode, state, writer) as
+    :func:`encode_sideinfo` takes them; returns each trial's
+    (SideInfoFrame, bases), as one call per trial would.  The decisions of
+    all trials share one nearest-centroid pass per codebook."""
+    if q is not None and any(b.shape[0] != q.dim for raw_bases, *_ in trials for b in raw_bases):
         raise ConfigurationError(
             f"quantizers trained for {q.dim} channels, stream differs"
         )
-    codes = raw_bases if q is None else _code_bands(q, list(zip(raw_bases, mode, state)))
-    results = [
-        _side_info(_Fields(w), q, st, {m: [b.shape[1] for b in bases]}, m, coded)
-        for bases, m, st, w, coded in zip(raw_bases, mode, state, writer, codes)
+    codes = [t[0] for t in trials] if q is None else _code_bands(q, [t[:3] for t in trials])
+    return [
+        _side_info(_Fields(writer), q, state, {mode: [b.shape[1] for b in raw_bases]}, mode, coded)
+        for (raw_bases, mode, state, writer), coded in zip(trials, codes)
     ]
-    return results[0] if one else results
 
 
 def decode_sideinfo(

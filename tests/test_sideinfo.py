@@ -16,6 +16,7 @@ from hoacodec.sideinfo import (
     TrainingConfig,
     decode_sideinfo,
     encode_sideinfo,
+    encode_sideinfo_trials,
     harvest_training_pairs,
     predict_basis,
     train_quantizers,
@@ -358,7 +359,7 @@ def test_trials_coded_together_match_trials_coded_alone(rng, small_quantizers):
             encode_sideinfo([_random_basis(rng) for _ in range(1 + 3 * prev_mode)], prev_mode, q, state, BitWriter())
         raws = [[_random_basis(rng)], [_random_basis(rng) for _ in range(4)]]
         writers, states = [BitWriter(), BitWriter()], [state.copy(), state.copy()]
-        together = encode_sideinfo(raws, [0, 1], q, states, writers)
+        together = encode_sideinfo_trials(list(zip(raws, (0, 1), states, writers)), q)
         for mode, (frame, recon), w, st in zip((0, 1), together, writers, states):
             alone_state, alone_writer = state.copy(), BitWriter()
             alone, alone_recon = encode_sideinfo(raws[mode], mode, q, alone_state, alone_writer)
