@@ -311,8 +311,6 @@ def measure_nmr(
 class HuffmanTable:
     """Canonical Huffman code defined entirely by its code lengths."""
 
-    _FAST_BITS = 16  # the longest code of any accepted table
-
     def __init__(self, lengths):
         lengths = [int(v) for v in lengths]
         if len(lengths) != _ALPHABET:
@@ -333,13 +331,18 @@ class HuffmanTable:
             self.codes[s] = code
             code, prev_len = code + 1, lengths[s]
         self.code_array = np.asarray(self.codes, dtype=np.int64)
-        # one-shot decode table over the next _FAST_BITS bits, which hold
-        # every code: (symbol << 6) | length
-        fb = self._FAST_BITS
-        self._fast = np.empty(1 << fb, dtype=np.int16)
+        # decode table over the next 17 bits, which hold every code and the
+        # bit after it: the bits a bin spans (code, then the sign of a
+        # nonzero value) and its signed value; an escape, whose excess and
+        # sign follow its code, spans 0 bits and reads ESCAPE_SYMBOL
+        self._advance = np.empty(1 << 17, dtype=np.uint8)
+        self._value = np.empty(1 << 17, dtype=np.int8)
         for s in range(_ALPHABET):
-            base = self.codes[s] << (fb - lengths[s])
-            self._fast[base : base + (1 << (fb - lengths[s]))] = (s << 6) | lengths[s]
+            base, span = self.codes[s] << (17 - lengths[s]), 1 << (17 - lengths[s])
+            self._advance[base : base + span] = 0 if s == ESCAPE_SYMBOL else lengths[s] + (s > 0)
+            self._value[base : base + span] = s
+            if 0 < s < ESCAPE_SYMBOL:  # sign bit set
+                self._value[base + span // 2 : base + span] = -s
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -494,31 +497,106 @@ def entropy_encode_channel(
     return writer.bit_length - start
 
 
-# Decoding reads a frame payload through a lookup over its bit positions:
-# the signed value of the Huffman-coded bin that starts at each position and
-# the bits it spans (code plus sign bit), from the 16-bit table, which holds
-# every code.  An advance of 0 marks an escape, whose excess and sign are then
-# read field by field, or a bin that runs past the payload.
+# Decoding follows the chain of Huffman-coded bins through jump tables over
+# the channel region of a payload, from the reader's position to its end:
+# nxt[p] is the position after the bin that starts at p (code, sign bit and
+# an escape's excess), and doubling level k, nxt applied 2**k times, ends a
+# band of n bins in popcount(n) lookups.  A position whose bin runs past the
+# payload or is a bad escape goes to an absorbing dead entry.  The tables
+# live for one call.
 
 _EXHAUSTED = "bitstream exhausted"
 _MAX_MAGNITUDE = (1 << 63) - 1  # quantizer indices are int64
+_ESCAPE_SPAN = 130  # the longest escape excess: ue() of 64 zeros, 65 bits, then a sign
 
 
-def _payload_lookup(data: bytes, table: HuffmanTable) -> tuple:
-    """(value, advance) lists over the bit positions 0..8*len(data)."""
-    nbits = 8 * len(data)
-    b = np.frombuffer(data + bytes(4), dtype=np.uint8).astype(np.int64)
-    u32 = (b[:-3] << 24) | (b[1:-2] << 16) | (b[2:-1] << 8) | b[3:]
-    pos = np.arange(nbits + 1)
-    window = (u32[pos >> 3] >> (15 - (pos & 7))) & 0x1FFFF  # next 17 bits, zero-padded
-    entry = table._fast[window >> 1]
-    sym = entry >> 6
-    length = entry & 63
-    negative = (window >> (16 - length)) & 1
-    value = np.where(negative == 1, -sym, sym)
-    advance = length + (sym > 0)
-    advance[(sym >= ESCAPE_SYMBOL) | (pos + advance > nbits)] = 0
-    return value.tolist(), advance.tolist()
+def _escape_excess(data: bytes, pos: int) -> tuple:
+    """(end, signed magnitude) of the ue() excess and sign bit that follow
+    an escape code ending at bit ``pos``; raises the StreamError that
+    reading them with :class:`BitReader` would raise."""
+    avail = 8 * len(data) - pos
+    i, shift = pos >> 3, pos & 7
+    chunk = int.from_bytes(data[i : i + 18].ljust(18, b"\0"), "big")  # 144 >= 7 + 130 bits
+    x = (chunk >> (144 - shift - _ESCAPE_SPAN)) & ((1 << _ESCAPE_SPAN) - 1)
+    zeros = _ESCAPE_SPAN - x.bit_length()
+    if zeros > 64:
+        raise StreamError("malformed Exp-Golomb code" if avail > 64 else _EXHAUSTED)
+    size = 2 * zeros + 2
+    if size > avail:
+        raise StreamError(_EXHAUSTED)
+    mag = ESCAPE_SYMBOL - 1 + (x >> (_ESCAPE_SPAN - size + 1))
+    if mag > _MAX_MAGNITUDE:
+        raise StreamError(f"escape magnitude {mag} out of range")
+    return pos + size, -mag if (x >> (_ESCAPE_SPAN - size)) & 1 else mag
+
+
+def _bin_chain(data: bytes, start: int, table: HuffmanTable) -> tuple:
+    """The next-position table of the bins from bit ``start`` to the end of
+    ``data``, in positions relative to ``start``: (window, nxt, escapes,
+    values, errors).  ``window[p]`` holds the 17 bits at p, zero-padded;
+    ``nxt`` has the region's n positions, then n and the dead entry n + 1,
+    both dead; ``escapes`` lists the positions that start with the escape
+    code, in order, and ``values`` their values; ``errors`` maps each bad
+    escape to its message."""
+    first, n = start >> 3, 8 * len(data) - start
+    words = np.ndarray((len(data) - first,), ">u4", data + bytes(3), first, (1,))  # overlapping
+    window = words[:, None] >> np.arange(15, 7, -1, dtype=np.uint32)
+    window &= 0x1FFFF
+    window = window.ravel()[start & 7 :]
+    advance = table._advance[window]
+    dead = n + 1
+    nxt = np.arange(n + 2, dtype=np.int32)  # a payload holds under 2**31 bits
+    nxt[:n] += advance
+    np.minimum(nxt, dead, out=nxt)  # a code or sign bit past the end
+    nxt[n] = dead
+
+    # an escape's excess is read from the two windows after its code when
+    # it has at most 16 leading zeros, so that its ue() and sign fit in their
+    # 34 bits, and field by field otherwise
+    escapes = np.flatnonzero(advance == 0)
+    values, errors = np.zeros(escapes.size, dtype=np.int64), {}
+    if escapes.size:
+        at = escapes + table.lengths[ESCAPE_SYMBOL]
+        bits = np.zeros(escapes.size, dtype=np.int64)
+        inside = at + 34 <= n
+        bits[inside] = window[at[inside]].astype(np.int64) << 17 | window[at[inside] + 17]
+        zeros = 34 - np.frexp(bits)[1]
+        short = zeros <= 16
+        bits, zeros = bits[short], zeros[short]
+        mag = ESCAPE_SYMBOL - 1 + (bits >> (33 - 2 * zeros))
+        values[short] = np.where(bits >> (32 - 2 * zeros) & 1, -mag, mag)
+        nxt[escapes[short]] = at[short] + 2 * zeros + 2
+        for i in np.flatnonzero(~short).tolist():
+            p = int(escapes[i])
+            try:
+                end, values[i] = _escape_excess(data, start + int(at[i]))
+                nxt[p] = end - start
+            except StreamError as exc:
+                errors[p] = str(exc)
+                nxt[p] = dead
+    return window, nxt, escapes, values, errors
+
+
+def _band_bins(band: np.ndarray, offsets: np.ndarray, widths: np.ndarray) -> tuple:
+    """(rank in its band, index) of every bin of the bands ``band``."""
+    w = widths[band]
+    rank = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)
+    return rank, np.repeat(offsets[band], w) + rank
+
+
+def _raw_fields(data: bytes, at: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The signed values of the raw bins at bit positions ``at``: a sign bit,
+    then a ``width``-bit magnitude (width <= 63)."""
+    padded = data + bytes(9)
+    i, shift, width = at >> 3, (at & 7).astype(np.uint64), width.astype(np.uint64)
+    one = np.uint64(1)
+    # the 64 bits at each position: the big-endian word at its byte, shifted
+    # left, and the top bits of the byte after it
+    word = np.ndarray((len(data) + 1,), ">u8", padded, 0, (1,))[i].astype(np.uint64) << shift
+    word |= np.frombuffer(padded, np.uint8)[i + 8].astype(np.uint64) >> (np.uint64(8) - shift)
+    field = word >> (np.uint64(63) - width)
+    mag = (field & ((one << width) - one)).astype(np.int64)
+    return np.where(field >> width & one, -mag, mag)
 
 
 def entropy_decode_channel(
@@ -529,65 +607,79 @@ def entropy_decode_channel(
 ) -> CodedChannel:
     """Exact inverse of :func:`entropy_encode_channel`: reads ``channels``
     channels, one after another, into an (L, channels) matrix, or one 1-D
-    channel when ``channels`` is None."""
+    channel when ``channels`` is None.
+
+    The band headers are read one band at a time.  A band's bins are
+    skipped over: a raw band by its fixed width, a Huffman band through the
+    doubling levels.  The bins of all bands are then read in one pass."""
     data = reader.data
-    padded = data + b"\0\0"
-    nbits = 8 * len(data)
-    value, advance = _payload_lookup(data, table)
-    pos = reader.bit_position
+    start = reader.bit_position
+    window, nxt, escapes, escape_values, errors = _bin_chain(data, start, table)
+    dead = nxt.size - 1
+    n = dead - 1  # the region's bits
+    nb = len(groups.edges)
     count = 1 if channels is None else channels
-    offsets = groups.layout(count).offsets.tolist()  # the channels' bands end to end
-    zero_band = [False] * (len(offsets) - 1)
-    scalefactors = [0] * (len(offsets) - 1)
-    q = [0] * offsets[-1]
-    for b, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-        if pos >= nbits:
+    offsets, widths, _ = groups.layout(count)  # the channels' bands end to end
+    levels = [nxt]
+    while 1 << len(levels) <= widths.max():
+        levels.append(np.take(levels[-1], levels[-1]))
+    hops = [[levels[k] for k in range(w.bit_length()) if w >> k & 1] for w in widths[:nb].tolist()]
+    # per band: 0 zero, 1 Huffman, 2 raw; the position of its first bin;
+    # a raw band's width
+    kind, first, raw_width = [0] * widths.size, [0] * widths.size, [0] * widths.size
+    scalefactors = [0] * widths.size
+    p = 0  # relative to start
+    for b, (w, hop) in enumerate(zip(widths.tolist(), hops * count)):
+        if p >= n:
             raise StreamError(_EXHAUSTED)
-        i = pos >> 3
-        head = (int.from_bytes(padded[i : i + 3], "big") >> (8 - (pos & 7))) & 0xFFFF
-        if head & 0x8000:  # zero:u1
-            zero_band[b] = True
-            pos += 1
+        head = window.item(p)  # zero:u1, or zero:u1 scalefactor:u8 raw:u1 [width:u6]
+        if head >> 16:
+            p += 1
             continue
-        if pos + 10 > nbits:
+        if p + 10 > n:
             raise StreamError(_EXHAUSTED)
-        scalefactors[b] = ((head >> 7) & 0xFF) + SF_MIN
-        if head & 0x40:  # raw mode: width:u6, then the band as one field
-            width = head & 63
-            w1 = width + 1
-            pos += 16
-            end = pos + (hi - lo) * w1
-            if end > nbits:
+        scalefactors[b] = (head >> 8 & 0xFF) + SF_MIN
+        if head & 0x80:  # a sign and a magnitude per bin
+            kind[b], first[b], raw_width[b] = 2, p + 16, head >> 1 & 63
+            p += 16 + w * (raw_width[b] + 1)
+            if p > n:
                 raise StreamError(_EXHAUSTED)
-            big = int.from_bytes(data[pos >> 3 : (end + 7) >> 3], "big") >> (-end & 7)
-            mask = (1 << width) - 1
-            for k in range(hi - 1, lo - 1, -1):
-                mag = big & mask
-                q[k] = -mag if (big >> width) & 1 else mag
-                big >>= w1
-            pos = end
             continue
-        pos += 10
-        for k in range(lo, hi):
-            a = advance[pos]
-            if a:
-                q[k] = value[pos]
-                pos += a
-                continue
-            if abs(value[pos]) != ESCAPE_SYMBOL:  # a code or sign bit past the payload
-                raise StreamError(_EXHAUSTED)
-            reader.bit_position = pos + table.lengths[ESCAPE_SYMBOL]
-            mag = ESCAPE_SYMBOL + reader.read_ue()
-            neg = reader.read_flag()
-            if mag > _MAX_MAGNITUDE:
-                raise StreamError(f"escape magnitude {mag} out of range")
-            q[k] = -mag if neg else mag
-            pos = reader.bit_position
-    reader.bit_position = pos
-    band_shape = (len(groups.edges),) + (() if channels is None else (channels,))
+        kind[b] = 1
+        first[b] = p = p + 10
+        for level in hop:
+            p = level.item(p)
+        if p == dead:  # the first bad bin of the band raises its own error
+            p = first[b]
+            while nxt[p] != dead:
+                p = nxt[p]
+            raise StreamError(errors.get(int(p), _EXHAUSTED))
+    reader.bit_position = start + p
+
+    kind, first = np.array(kind), np.array(first, dtype=np.int32)
+    q = np.zeros(offsets[-1], dtype=np.int64)
+    band = np.flatnonzero(kind == 1)
+    # each Huffman bin's position: bin r + 2**k of a band, where r < 2**k,
+    # is doubling level k applied to bin r
+    rank, bins = _band_bins(band, offsets, widths)
+    at = np.repeat(first[band], widths[band])
+    for k, level in enumerate(levels):
+        sel = np.flatnonzero(rank >> k == 1)
+        at[sel] = np.take(level, at[sel - (1 << k)])
+    values = table._value[window[at]].astype(np.int64)
+    escaped = np.flatnonzero(values == ESCAPE_SYMBOL)
+    values[escaped] = escape_values[np.searchsorted(escapes, at[escaped])]
+    q[bins] = values
+    band = np.flatnonzero(kind == 2)
+    if band.size:
+        rank, bins = _band_bins(band, offsets, widths)
+        width = np.repeat(np.array(raw_width)[band], widths[band])
+        at = start + np.repeat(first[band], widths[band]) + rank * (width + 1)
+        q[bins] = _raw_fields(data, at, width)
+    band_shape = (nb,) + (() if channels is None else (channels,))
     return CodedChannel(
         groups.num_bins,
-        _unflat(np.array(zero_band, dtype=bool), band_shape),
+        _unflat(kind == 0, band_shape),
         _unflat(np.array(scalefactors, dtype=np.int64), band_shape),
-        _unflat(np.array(q, dtype=np.int64), (groups.num_bins,) + band_shape[1:]),
+        _unflat(q, (groups.num_bins,) + band_shape[1:]),
     )

@@ -156,7 +156,7 @@ class FrameStats:
     rd_cost: float = 0.0
     rd_cost_other: float = 0.0
     concealed: bool = False
-    conceal_reason: str = ""  # "crc" or the parse error of a concealed frame
+    conceal_reason: str = ""  # "crc", the parse error, or "decoded values out of range"
     max_nmr: float = 0.0  # encoder-side worst band NMR (0 in bypass)
     escalated_bands: int = 0  # bands where no scalefactor met the target
     # side-info basis columns by coding (all 0 in bypass and when concealed)
@@ -713,20 +713,43 @@ def _decode_frames(header: StreamHeader, stream, frames, quantizers, table, grou
                 # a damaged prediction chain can leave later frames
                 # unparseable; treat them like CRC failures
                 reason = str(exc)
+        if p is not None:
+            channels = p.channels if header.bypass else core_codec.dequantize_channel(p.channels, groups)
+            noise = noise_subst.synthesize_noise(p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                if proposed:
+                    layout = freq_svd.layout_for_mode(p.side.mode, L, header.bands)
+                    decoded = _proposed_spectrum(channels, p.bases, layout)
+                    decoded[:, nbg:] += noise
+                else:
+                    decoded = np.column_stack([channels, noise])
+                in_range = not header.bypass or _output_bound(decoded, p.bases) < _MAX_OUTPUT_BOUND
+            if in_range:
+                spectrum, bases = decoded, p.bases
+            else:
+                p, reason = None, "decoded values out of range"
         if p is None:
             frame_stats.append(_frame_stats(f, payload, None, concealed=True, conceal_reason=reason))
         else:
             frame_stats.append(_frame_stats(f, payload, p.side, p.noise_bits, p.core_bits))
-            bases = p.bases
-            channels = p.channels if header.bypass else core_codec.dequantize_channel(p.channels, groups)
-            noise = noise_subst.synthesize_noise(p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg)
-            if proposed:
-                layout = freq_svd.layout_for_mode(p.side.mode, L, header.bands)
-                spectrum = _proposed_spectrum(channels, bases, layout)
-                spectrum[:, nbg:] += noise
-            else:
-                spectrum = np.column_stack([channels, noise])
         yield transform.SpectralFrame(index=f, coeffs=spectrum), bases
+
+
+# Raw (bypass) values are any finite float64, and a frame of values near
+# 1e308 would overflow to inf and NaN samples in the inverse MDCT, the
+# overlap-add or the baseline's recombination.  Each output sample is at
+# most a few times the sum of the spectrum's magnitudes times the sum of
+# the bases' magnitudes, so a bypass frame whose product reaches this bound
+# is concealed.  Coded audio stays hundreds of decades below it.  Quantized
+# frames need no check: indices below 2**63 at steps up to +120 dB, unit
+# bases and tabled noise energies keep every value below about 1e40.
+_MAX_OUTPUT_BOUND = 1e300
+
+
+def _output_bound(spectrum: np.ndarray, bases: list) -> float:
+    """Sum of |spectrum| times (1 + the sum of |bases|); inf or NaN when
+    either overflows."""
+    return float(np.abs(spectrum).sum()) * (1.0 + sum(float(np.abs(b).sum()) for b in bases))
 
 
 def _proposed_spectrum(decoded: np.ndarray, bases: list, layout) -> np.ndarray:

@@ -266,8 +266,15 @@ def test_band_energy_reduction(groups, rng):
 # --- table-driven channel decoder against a bit-serial reference ---
 
 
-def _reference_decode(reader, groups, table):
-    """One reader call per field and one bit per Huffman code step."""
+def _reference_decode(reader, groups, table, channels=None):
+    """One reader call per field and one bit per Huffman code step;
+    ``channels`` channels one after another, stacked as columns."""
+    if channels is not None:
+        cols = [_reference_decode(reader, groups, table) for _ in range(channels)]
+        return CodedChannel(groups.num_bins, *(
+            np.stack([getattr(c, name) for c in cols], axis=-1)
+            for name in ("zero_band", "scalefactors", "quant_indices")
+        ))
     codes = {(table.lengths[s], table.codes[s]): s for s in range(ESCAPE_SYMBOL + 1)}
     nb = len(groups.edges)
     zero_band = np.zeros(nb, dtype=bool)
@@ -299,12 +306,12 @@ def _reference_decode(reader, groups, table):
     return CodedChannel(groups.num_bins, zero_band, scalefactors, np.array(q, dtype=np.int64))
 
 
-def _outcome(decoder, data, start, groups, table):
+def _outcome(decoder, data, start, groups, table, channels=None):
     """(CodedChannel fields, end bit position), or "StreamError"."""
     reader = BitReader(data)
     reader.bit_position = start
     try:
-        c = decoder(reader, groups, table)
+        c = decoder(reader, groups, table, channels)
     except StreamError:
         return "StreamError"
     return (c.num_bins, c.zero_band.tolist(), c.scalefactors.tolist(),
@@ -403,6 +410,106 @@ def test_escape_beyond_int64_is_a_stream_error():
     w.write(0, 1)  # sign
     with pytest.raises(StreamError, match="out of range"):
         entropy_decode_channel(BitReader(w.getvalue()), FrequencyGroups.uniform(49), table)
+
+
+
+@st.composite
+def wide_coded_channels(draw):
+    """1 to 3 channels over real band widths: the AAC table (4 to 96 bins)
+    or 49 uniform groups over 256 bins.  A band is zero, Huffman or raw;
+    magnitudes are mostly small, with escapes up to 2**62, and some bands
+    end in an escape.  Returns (coded, groups, raw widths or 0)."""
+    groups = draw(st.sampled_from([FrequencyGroups.aac_48k_long(), FrequencyGroups.uniform(256)]))
+    count = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nb, L = len(groups.edges), groups.num_bins
+    kind = rng.choice(3, size=(nb, count), p=[0.25, 0.6, 0.15])  # zero, Huffman, raw
+    mags = rng.integers(0, 4, size=(L, count))
+    escape = rng.random((L, count)) < 0.03
+    mags[escape] = rng.integers(ESCAPE_SYMBOL, 1 << 20, size=escape.sum())
+    last = np.asarray(groups.offsets[1:]) - 1
+    ends = rng.random((nb, count)) < 0.3
+    for b, c in zip(*np.nonzero(ends)):
+        mags[last[b], c] = rng.integers(ESCAPE_SYMBOL, 1 << 62)
+    values = np.where(rng.random((L, count)) < 0.5, -mags, mags)
+    coded = CodedChannel(L, kind == 0, rng.integers(SF_MIN, SF_MAX + 1, size=(nb, count)), values)
+    peak = np.maximum.reduceat(mags, groups.offsets[:-1], axis=0)
+    needed = np.array([[int(v).bit_length() for v in row] for row in peak])
+    raw_width = np.where(kind == 2, np.minimum(needed + rng.integers(0, 3, size=needed.shape), 63), 0)
+    return coded, groups, raw_width
+
+
+@_PROPERTY
+@given(huffman_tables(), wide_coded_channels(), st.integers(0, 15), st.integers(0, 20), st.randoms())
+def test_channel_decoder_matches_reference_at_real_band_widths(table, channel, lead, trail, rnd):
+    coded, groups, raw_width = channel
+    channel_cost(coded, groups, table)
+    raw = raw_width > 0
+    coded.band_costs[:, raw] = np.stack([np.ones(raw.sum()), np.zeros(raw.sum()), raw_width[raw]])
+    count = coded.zero_band.shape[1]
+    w = BitWriter()
+    w.write(rnd.getrandbits(lead), lead)
+    entropy_encode_channel(coded, groups, table, w)
+    w.write(rnd.getrandbits(trail), trail)
+    data = w.getvalue()
+
+    got = _outcome(entropy_decode_channel, data, lead, groups, table, count)
+    assert got == _outcome(_reference_decode, data, lead, groups, table, count)
+    expected = np.where(np.repeat(coded.zero_band, groups.widths(), axis=0), 0, coded.quant_indices)
+    assert got[3] == expected.tolist()
+    # a spread of truncations: the reference's result or StreamError
+    cuts = {*np.linspace(0, len(data) - 1, 6).astype(int).tolist(), *(rnd.randrange(len(data)) for _ in range(4))}
+    for cut in sorted(cuts):
+        truncated, start = data[:cut], min(lead, 8 * cut)
+        assert _outcome(entropy_decode_channel, truncated, start, groups, table, count) == _outcome(
+            _reference_decode, truncated, start, groups, table, count
+        )
+
+
+def _widest_band_stream(bins):
+    """A channel of the AAC table whose bands are all zero but the widest,
+    the last, which is Huffman-coded with ``bins`` as its written fields."""
+    groups = FrequencyGroups.aac_48k_long()
+    w = BitWriter()
+    w.write((1 << 48) - 1, 48)  # 48 zero bands
+    w.write(0, 1)  # coded band
+    w.write(-SF_MIN, 8)
+    w.write(0, 1)  # Huffman mode
+    for value, length in bins:
+        w.write(value, length)
+    return groups, w
+
+
+def _escape_fields(table, magnitude, negative=False):
+    """The fields of an escaped bin: code, ue() of the excess, sign."""
+    v = magnitude - ESCAPE_SYMBOL + 1
+    size = v.bit_length()
+    return [(table.codes[ESCAPE_SYMBOL], table.lengths[ESCAPE_SYMBOL]), (0, size - 1), (v, size), (int(negative), 1)]
+
+
+def test_escape_beyond_int64_in_the_last_bin_of_the_widest_band():
+    table = default_table()
+    zeros = [(table.codes[0], table.lengths[0])] * 95
+    groups, w = _widest_band_stream(zeros + _escape_fields(table, 1 << 63))
+    assert groups.widths()[-1] == 96
+    with pytest.raises(StreamError, match="out of range"):
+        entropy_decode_channel(BitReader(w.getvalue()), groups, table)
+    # the largest magnitude that fits
+    groups, w = _widest_band_stream(zeros + _escape_fields(table, (1 << 63) - 1, negative=True))
+    got = entropy_decode_channel(BitReader(w.getvalue()), groups, table)
+    assert got.quant_indices[-1] == 1 - (1 << 63) and not got.quant_indices[:-1].any()
+
+
+def test_cut_inside_a_wide_huffman_band_is_exhausted():
+    table = default_table()
+    one = (table.codes[1] << 1, table.lengths[1] + 1)  # +1
+    groups, w = _widest_band_stream([one] * 96)
+    data = w.getvalue()
+    assert entropy_decode_channel(BitReader(data), groups, table).quant_indices[-96:].tolist() == [1] * 96
+    assert 8 * 8 > 48 + 10 and 8 * (len(data) - 1) > 48 + 10 + 95 * one[1]
+    for cut in (8, len(data) // 2, len(data) - 1):  # in the first, a middle and the last bin
+        with pytest.raises(StreamError, match="bitstream exhausted"):
+            entropy_decode_channel(BitReader(data[:cut]), groups, table)
 
 
 # --- batched encoder against the per-band references it replaced ---

@@ -434,18 +434,13 @@ def chirp_bypass_streams():
     }
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("where", ["basis", "channel"])
-@pytest.mark.parametrize("codec", ["proposed", "baseline"])
-def test_non_finite_raw_value_conceals_the_frame(chirp_bypass_streams, codec, where, value):
-    """A NaN or infinity where frame 0 holds a raw float64 (the first basis
-    value after the mode bit, or the payload's last channel value), under a
-    recomputed CRC, is a parse error: the frame is concealed and every
-    decoded sample stays finite."""
+def _with_raw_value(res, where, value) -> bytes:
+    """``res.stream`` with ``value`` where frame 0 holds a raw float64 (the
+    first basis value after the mode bit, or the payload's last channel
+    value), under a recomputed CRC."""
     import struct
     import zlib
 
-    res = chirp_bypass_streams[codec]
     stream = bytearray(res.stream)
     start, size = _frame_span(stream, 0)
     f0 = res.stats.frames[0]
@@ -455,12 +450,64 @@ def test_non_finite_raw_value_conceals_the_frame(chirp_bypass_streams, codec, wh
     bits = bits & ~(((1 << 64) - 1) << shift) | int.from_bytes(struct.pack(">d", value), "big") << shift
     stream[start : start + size] = bits.to_bytes(size, "big")
     stream[start + size : start + size + 4] = zlib.crc32(stream[start : start + size]).to_bytes(4, "big")
-    dec = pipeline.decode(bytes(stream))
+    return bytes(stream)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["basis", "channel"])
+@pytest.mark.parametrize("codec", ["proposed", "baseline"])
+def test_non_finite_raw_value_conceals_the_frame(chirp_bypass_streams, codec, where, value):
+    """A NaN or infinity in a raw value is a parse error: the frame is
+    concealed and every decoded sample stays finite."""
+    stream = _with_raw_value(chirp_bypass_streams[codec], where, value)
+    dec = pipeline.decode(stream)
     assert dec.concealed_frames == 1 and dec.stats.frames[0].concealed
     assert dec.stats.frames[0].conceal_reason == f"non-finite raw {where} value"
     assert np.all(np.isfinite(dec.signal.samples))
     with pytest.raises(StreamError, match="non-finite"):
-        pipeline.measure_stream(bytes(stream))
+        pipeline.measure_stream(stream)
+
+
+@pytest.mark.parametrize("where", ["basis", "channel"])
+@pytest.mark.parametrize("codec", ["proposed", "baseline"])
+def test_huge_finite_raw_value_conceals_the_frame(chirp_bypass_streams, codec, where):
+    """A finite raw value near the float64 limit parses, but its frame would
+    overflow to inf and NaN samples in synthesis: it is concealed."""
+    stream = _with_raw_value(chirp_bypass_streams[codec], where, -1.5e308)
+    dec = pipeline.decode(stream)
+    assert dec.concealed_frames == 1 and dec.stats.frames[0].conceal_reason == "decoded values out of range"
+    assert np.all(np.isfinite(dec.signal.samples))
+    assert pipeline.measure_stream(stream).frames[0].core_bits > 0  # the frame itself is well formed
+
+
+@pytest.fixture(scope="module")
+def talkers_bypass_streams():
+    """0.2 s of ``two_talkers`` in bypass at L=256, per codec."""
+    from hoacodec import scenes
+
+    signal = scenes.render_scene(scenes.corpus_specs(duration=0.2)[0])
+    return {
+        codec: pipeline.encode(signal, pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True))
+        for codec in ("proposed", "baseline")
+    }
+
+
+@pytest.mark.parametrize("codec,bit", [
+    ("proposed", 55),  # codec_id: the proposed frames read as baseline frames
+    ("proposed", 102), ("proposed", 103), ("baseline", 102), ("baseline", 103),  # order
+])
+def test_header_flips_that_misread_raw_values_stay_finite(talkers_bypass_streams, codec, bit):
+    """Each of these one-bit header flips leaves a few frames that parse,
+    misaligned, into finite raw values near 1e308.  The decode raises a
+    HoaCodecError or conceals those frames; its samples are finite."""
+    stream = bytearray(talkers_bypass_streams[codec].stream)
+    stream[bit // 8] ^= 0x80 >> bit % 8
+    try:
+        dec = pipeline.decode(bytes(stream))
+    except HoaCodecError:
+        return
+    assert dec.concealed_frames > 0
+    assert np.all(np.isfinite(dec.signal.samples))
 
 
 def test_group_table_must_cover_the_stream(small_scene_module):
@@ -670,6 +717,26 @@ def test_decode_peak_memory_stays_near_the_output(small_scene_module):
         decoded, peak = peak_of(lambda: pipeline.decode(encoded.stream))
         out = decoded.signal.samples.nbytes
         assert peak < 1.6 * out, (codec, "decode", peak / out)
+
+
+def test_quantized_decode_peak_memory_stays_near_the_output(small_scene_module, full_quantizers):
+    """The channel decoder's jump tables live for one frame: the allocation
+    peak of decoding a quantized L=1024 stream (measured 2.09x and 2.41x
+    the output's bytes for the proposed codec and the baseline) stays
+    within 25% of that, far below a table kept for every frame."""
+    import tracemalloc
+
+    for codec, bound in (("proposed", 2.6), ("baseline", 3.0)):
+        cfg = pipeline.EncoderConfig(codec=codec, half_length=1024, quantizers=full_quantizers)
+        stream = pipeline.encode(small_scene_module, cfg).stream
+        tracemalloc.start()
+        try:
+            decoded = pipeline.decode(stream, quantizers=full_quantizers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = decoded.signal.samples.nbytes
+        assert peak < bound * out, (codec, peak / out)
 
 
 def test_one_channel_decode_call_per_frame(encoded, small_quantizers_module, monkeypatch):
