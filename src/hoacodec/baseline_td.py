@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hoacodec.errors import DegenerateBasisError, ParameterError, ShapeError
+from hoacodec.errors import DegenerateBasisError, ShapeError
 from hoacodec.numlin import hungarian, svd
 
 CONDITION_CAP = 1e8
@@ -43,18 +43,11 @@ class InterpolationWindow:
     """Blend weights w(l), l in [0, L): 0-ish at the seam, exactly 1 at l=L-1."""
 
     values: np.ndarray
-    kind: str = "triangular"
 
     @classmethod
-    def make(cls, half_length: int, kind: str = "triangular") -> "InterpolationWindow":
-        l = np.arange(half_length)
-        if kind == "triangular":
-            values = (l + 1) / half_length
-        elif kind == "hanning":
-            values = 0.5 * (1.0 - np.cos(np.pi * (l + 1) / half_length))
-        else:
-            raise ParameterError(f"unknown interpolation window kind {kind!r}")
-        return cls(values=values, kind=kind)
+    def make(cls, half_length: int) -> "InterpolationWindow":
+        """The triangular window (l + 1) / L."""
+        return cls(values=(np.arange(half_length) + 1) / half_length)
 
 
 @dataclass

@@ -47,14 +47,12 @@ def _add_codec_options(p, with_codec=True, with_mnmr=True):
     p.add_argument("--flatness-threshold", type=float, default=0.25)
     p.add_argument("--codebooks", type=Path, default=None, help="trained quantizer directory")
     p.add_argument("--huffman-table", type=Path, default=None)
-    p.add_argument("--groups", type=Path, default=None, help="frequency-group config JSON")
     p.add_argument("--bypass", action="store_true", help="skip all quantization (diagnostic)")
 
 
 def _build_config(args, codec=None, mnmr=None) -> pipeline.EncoderConfig:
     quant = sideinfo.QuantizerSet.load(args.codebooks) if args.codebooks else None
     table = core_codec.HuffmanTable.load(args.huffman_table) if args.huffman_table else None
-    groups = noise_subst.FrequencyGroups.from_config(args.groups) if args.groups else None
     return pipeline.EncoderConfig(
         codec=codec or args.codec,
         half_length=args.frame,
@@ -68,7 +66,6 @@ def _build_config(args, codec=None, mnmr=None) -> pipeline.EncoderConfig:
         bypass_quantization=args.bypass,
         quantizers=quant,
         huffman_table=table,
-        groups=groups,
     )
 
 

@@ -129,6 +129,8 @@ def read_hoa_wav(path) -> HoaSignal:
     tag, channels, sample_rate, _, block_align, bits = fmt
     if channels < 1:
         raise FormatError(f"{path}: zero channels")
+    if block_align != channels * bits // 8:
+        raise FormatError(f"{path}: block align {block_align} is not {channels} channels of {bits} bits")
     frames = len(payload) // block_align if block_align else 0
     payload = payload[: frames * block_align]
 

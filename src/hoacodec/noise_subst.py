@@ -12,7 +12,6 @@ power exactly.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,13 +100,6 @@ class FrequencyGroups:
             raise ShapeError(f"cannot form {count} groups from {num_bins} bins")
         bounds = np.linspace(0, num_bins, count + 1).round().astype(int)
         return cls(offsets=tuple(bounds.tolist()))
-
-    @classmethod
-    def from_config(cls, path) -> "FrequencyGroups":
-        """Load a group table: JSON with an ``offsets`` list of 50 ints."""
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(offsets=tuple(int(v) for v in doc["offsets"]))
 
 
 def groups_for(num_bins: int) -> FrequencyGroups:

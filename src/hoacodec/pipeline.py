@@ -44,7 +44,6 @@ CODEC_PROPOSED = 1
 _CODEC_NAMES = {"baseline": CODEC_BASELINE, "proposed": CODEC_PROPOSED}
 
 _FLAG_BYPASS = 1
-_FLAG_HANNING_INTERP = 2
 
 GROUP_TABLE_AAC48K = 0
 GROUP_TABLE_UNIFORM = 1
@@ -75,10 +74,8 @@ class EncoderConfig:
     rd_lambda: float = DEFAULT_RD_LAMBDA
     seed: int = 0
     bypass_quantization: bool = False
-    interp_window_kind: str = "triangular"
     quantizers: sideinfo.QuantizerSet | None = None
     huffman_table: core_codec.HuffmanTable | None = None
-    groups: FrequencyGroups | None = None
 
     def codec_id(self) -> int:
         try:
@@ -86,14 +83,9 @@ class EncoderConfig:
         except KeyError:
             raise ConfigurationError(f"unknown codec {self.codec!r}") from None
 
-    def resolved_groups(self) -> FrequencyGroups:
-        return self.groups or noise_subst.groups_for(self.half_length)
-
     def group_table_id(self) -> int:
-        g = self.resolved_groups()
-        if g.offsets == noise_subst.AAC_48K_LONG_OFFSETS:
-            return GROUP_TABLE_AAC48K
-        return GROUP_TABLE_UNIFORM
+        """The table :func:`noise_subst.groups_for` picks: AAC at L=1024, else uniform."""
+        return GROUP_TABLE_AAC48K if self.half_length == 1024 else GROUP_TABLE_UNIFORM
 
     def resolved_table(self) -> core_codec.HuffmanTable:
         return self.huffman_table or core_codec.default_table()
@@ -115,8 +107,6 @@ class EncoderConfig:
                 raise ConfigurationError(
                     f"quantizers trained for {self.quantizers.dim} channels, signal has {M}"
                 )
-        if self.resolved_groups().num_bins != self.half_length:
-            raise ConfigurationError("group table does not match half_length")
 
 
 def _check_parameters(error, codec_id: int, order: int, p) -> None:
@@ -128,6 +118,8 @@ def _check_parameters(error, codec_id: int, order: int, p) -> None:
         raise error(f"order {order} above the maximum {MAX_ORDER}")
     if L > MAX_HALF_LENGTH:
         raise error(f"half length {L} above the maximum {MAX_HALF_LENGTH}")
+    if L < NUM_GROUPS:
+        raise error(f"half length {L} below the {NUM_GROUPS} noise groups")
     if L % 2:
         raise error(f"half length {L} is odd; the MDCT folds an even half length")
     if not 1 <= p.rank <= M:
@@ -264,10 +256,6 @@ class StreamHeader:
         return bool(self.flags & _FLAG_BYPASS)
 
     @property
-    def interp_kind(self) -> str:
-        return "hanning" if self.flags & _FLAG_HANNING_INTERP else "triangular"
-
-    @property
     def num_channels(self) -> int:
         return (self.order + 1) ** 2
 
@@ -331,15 +319,14 @@ def _read_header(data: bytes) -> StreamHeader:
     # values the encoder can never write (EncoderConfig.validate)
     if h.sample_rate == 0:
         raise StreamError("sample rate 0")
-    if h.flags & ~(_FLAG_BYPASS | _FLAG_HANNING_INTERP):
+    if h.flags & ~_FLAG_BYPASS:
         raise StreamError(f"unknown flag bits in {h.flags:#04x}")
     if h.codec_id not in (CODEC_BASELINE, CODEC_PROPOSED):
         raise StreamError(f"unknown codec id {h.codec_id}")
     _check_parameters(StreamError, h.codec_id, h.order, h)
     if h.group_table_id not in (GROUP_TABLE_AAC48K, GROUP_TABLE_UNIFORM):
         raise StreamError(f"unknown group table id {h.group_table_id}")
-    aac = h.group_table_id == GROUP_TABLE_AAC48K
-    if h.half_length < NUM_GROUPS or (aac and h.half_length != noise_subst.AAC_48K_LONG_OFFSETS[-1]):
+    if h.group_table_id == GROUP_TABLE_AAC48K and h.half_length != 1024:
         raise StreamError(f"half length {h.half_length} does not fit group table {h.group_table_id}")
     if h.frame_count != num_frames(h.original_length, h.half_length):
         raise StreamError(
@@ -393,12 +380,9 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
     cfg.validate(signal.order)
     codec_id = cfg.codec_id()
     qfp = cfg.quantizers.fingerprint() if cfg.quantizers is not None else 0
-    flags = _FLAG_BYPASS if cfg.bypass_quantization else 0
-    if cfg.interp_window_kind == "hanning":
-        flags |= _FLAG_HANNING_INTERP
     header = StreamHeader(
         codec_id=codec_id,
-        flags=flags,
+        flags=_FLAG_BYPASS if cfg.bypass_quantization else 0,
         sample_rate=signal.sample_rate,
         order=signal.order,
         half_length=cfg.half_length,
@@ -420,7 +404,7 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
     _write_header(hw, header)
     stream, frame_stats = io.BytesIO(), []
     stream.write(hw.getvalue())
-    for payload, stats in coder(signal, cfg, cfg.resolved_groups(), cfg.resolved_table()):
+    for payload, stats in coder(signal, cfg, noise_subst.groups_for(cfg.half_length), cfg.resolved_table()):
         stream.write(len(payload).to_bytes(4, "big"))
         stream.write(payload)
         stream.write(zlib.crc32(payload).to_bytes(4, "big"))
@@ -526,7 +510,7 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups, table):
     discarded and described by the noise block."""
     L, r = cfg.half_length, cfg.rank
     nbg = (cfg.background_order + 1) ** 2
-    interp = baseline_td.InterpolationWindow.make(L, cfg.interp_window_kind)
+    interp = baseline_td.InterpolationWindow.make(L)
     mdct_win = transform.sine_window(L)
     state = sideinfo.SideInfoState()
     prev_basis: baseline_td.TruncatedBasis | None = None
@@ -584,15 +568,14 @@ class DecodeResult:
     concealed_frames: int = 0
 
 
-def _open_stream(stream: bytes, quantizers, huffman_table, groups):
-    """Read and check the header, resolve the group table and split frames.
+def _open_stream(stream: bytes, quantizers, huffman_table):
+    """Read and check the header, take its group table and split frames.
 
     Returns (header, table, groups, frames, truncated) where ``frames`` is
     a list of (start, end, crc_ok): the payload is ``stream[start:end]``,
     sliced when it is read, and its CRC is checked without a copy.
     Codebooks or a Huffman table that do not match the stream's
-    fingerprints, and a group table that does not cover the stream's half
-    length, raise :class:`ConfigurationError`.
+    fingerprints raise :class:`ConfigurationError`.
     """
     header = _read_header(stream)
     table = huffman_table or core_codec.default_table()
@@ -605,15 +588,10 @@ def _open_stream(stream: bytes, quantizers, huffman_table, groups):
             )
         if quantizers.fingerprint() != header.quantizer_fingerprint:
             raise ConfigurationError("codebooks do not match the stream fingerprint")
-    if groups is None:
-        if header.group_table_id == GROUP_TABLE_AAC48K:
-            groups = FrequencyGroups.aac_48k_long()
-        else:
-            groups = FrequencyGroups.uniform(header.half_length)
-    elif groups.num_bins != header.half_length:
-        raise ConfigurationError(
-            f"group table covers {groups.num_bins} bins, stream has {header.half_length}"
-        )
+    if header.group_table_id == GROUP_TABLE_AAC48K:
+        groups = FrequencyGroups.aac_48k_long()
+    else:
+        groups = FrequencyGroups.uniform(header.half_length)
 
     frames, pos, view = [], HEADER_BYTES, memoryview(stream)
     while len(frames) < header.frame_count and pos + 4 <= len(stream):
@@ -659,7 +637,6 @@ def decode(
     stream: bytes,
     quantizers: sideinfo.QuantizerSet | None = None,
     huffman_table: core_codec.HuffmanTable | None = None,
-    groups: FrequencyGroups | None = None,
 ) -> DecodeResult:
     """Decode a container stream back to an :class:`HoaSignal` in one pass:
     each frame is parsed, reconstructed and overlap-added as it is read.
@@ -668,7 +645,7 @@ def decode(
     decoded spectra; a truncated stream raises :class:`StreamError` whose
     ``partial`` attribute carries the samples decoded so far.
     """
-    header, table, groups, frames, truncated = _open_stream(stream, quantizers, huffman_table, groups)
+    header, table, groups, frames, truncated = _open_stream(stream, quantizers, huffman_table)
     frame_stats = []
     decoded = _decode_frames(header, stream, frames, quantizers, table, groups, frame_stats)
     window = transform.sine_window(header.half_length)
@@ -773,7 +750,7 @@ def _recombine_baseline(header: StreamHeader, decoded, count: int, window) -> np
     the per-sample blend of bases f-1 and f, plus the ambient columns.  The
     head padding and the tail after the last of ``count`` blocks are dropped."""
     L, rank = header.half_length, header.rank
-    interp = baseline_td.InterpolationWindow.make(L, header.interp_kind)
+    interp = baseline_td.InterpolationWindow.make(L)
     hoa = np.empty(((count - 1) * L, header.num_channels))
     recent = collections.deque(maxlen=2)  # the bases of the last two blocks read
 
@@ -806,7 +783,7 @@ def measure_stream(
     any signal reconstruction; category sums plus framing overhead equal
     the container size exactly.
     """
-    header, table, groups, frames, truncated = _open_stream(stream, quantizers, huffman_table, None)
+    header, table, groups, frames, truncated = _open_stream(stream, quantizers, huffman_table)
     if truncated:
         raise StreamError("stream truncated; cannot account bits")
     state = sideinfo.SideInfoState()

@@ -229,8 +229,8 @@ def predict_basis(prev: TruncatedBasis, cur: TruncatedBasis):
 class _Code:
     """The side-info fields of one frame: per column, band after band, and
     per band the match's Lehmer rank and reconstructed basis.  The encoder
-    fills them before its walk writes them; the decoder's walk reads them,
-    and rebuilds each band as it is read, into a fresh one."""
+    fills them before its walk writes them; the decoder's walk reads them
+    into a fresh one, and :func:`_rebuilt` then reconstructs its bases."""
 
     def __init__(self, ranks: list):
         n = sum(ranks)
@@ -246,21 +246,19 @@ def _split(rows: np.ndarray, ranks: list) -> list:
     return [np.ascontiguousarray(rows[end - r : end].T) for r, end in zip(ranks, ends)]
 
 
-def _decoded_band(q: QuantizerSet, c: _Code, at: int, r: int, refs) -> np.ndarray:
-    """A band's (M, r) reconstruction from the fields of its columns ``at``..
-    in ``c``, column by column, with the values of :func:`_intra_rows` and
-    :func:`_predicted_rows`; ``refs`` holds the reference columns."""
-    units, zero = q.intra_units
-    basis = np.empty((q.dim, r))
-    for k, i in enumerate(range(at, at + r)):
-        if not c.intra[i]:
-            v = q.coeff.centroids[c.coeff_index[i], 0] * refs[:, k] + q.residual.centroids[c.residual_index[i]]
-            basis[:, k] = _renormalize(v, k)
-        elif zero[c.intra_index[i]]:
-            basis[:, k] = _renormalize(np.zeros(q.dim), k)
-        else:
-            basis[:, k] = units[c.intra_index[i]]
-    return basis
+def _rebuilt(q: QuantizerSet, c: _Code, ranks: list, state: SideInfoState, switched: bool) -> list:
+    """The per-band bases the fields read into ``c`` describe, rebuilt as
+    the encoder rebuilt them: every column intra, then the predicted ones
+    from the previous frame's pool, column ``ref_index`` on a mode switch,
+    else the column at the same place."""
+    cols = np.concatenate([np.arange(r) for r in ranks])
+    rows = _intra_rows(q, np.array(c.intra_index), cols)
+    p = np.flatnonzero(np.logical_not(c.intra))
+    if p.size:
+        refs = np.ascontiguousarray(state.pool()[:, np.array(c.ref_index)[p] if switched else p].T)
+        coeff_index, residual_index = np.array(c.coeff_index)[p], np.array(c.residual_index)[p]
+        rows[p] = _predicted_rows(q, coeff_index, residual_index, refs, cols[p])
+    return _split(rows, ranks)
 
 
 def _code_bands(q: QuantizerSet, trials: list) -> list:
@@ -332,13 +330,11 @@ def _code_bands(q: QuantizerSet, trials: list) -> list:
 def _band(f: _Fields, q, state: SideInfoState, band: int, r: int, info, c: _Code, at: int, pool) -> None:
     """intra_band:u1, then r intra indices or a predicted band, for the
     columns ``at``.. of ``c``: written as they stand when encoding, read
-    into ``c`` and reconstructed into ``c.bases`` when decoding."""
+    into ``c`` when decoding."""
     if f.flag(state.prev_bases is None):
         for k in range(at, at + r):
             c.intra_index[k] = f.uint("intra codebook index", q.intra.size, c.intra_index[k])
         info.intra_columns += r
-        if f.reading:
-            c.bases.append(_decoded_band(q, c, at, r, None))
         return
     if state.prev_bases is None:
         raise StreamError("predicted band before any intra frame")
@@ -360,9 +356,6 @@ def _band(f: _Fields, q, state: SideInfoState, band: int, r: int, info, c: _Code
             info.predicted_columns += 1
         c.coeff_index[k] = f.uint("coefficient codebook index", q.coeff.size, c.coeff_index[k])
         c.residual_index[k] = f.uint("residual codebook index", q.residual.size, c.residual_index[k])
-    if f.reading:
-        refs = state.prev_bases[band] if pool is None else pool[:, c.ref_index[at : at + r]]
-        c.bases.append(_decoded_band(q, c, at, r, refs))
 
 
 def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=None) -> tuple:
@@ -383,7 +376,7 @@ def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=N
         pool = state.pool() if info.switched else None
         for band, (r, at) in enumerate(zip(ranks[mode], itertools.accumulate(ranks[mode], initial=0))):
             _band(f, q, state, band, r, info, c, at, pool)
-        bases = c.bases
+        bases = _rebuilt(q, c, ranks[mode], state, info.switched) if coded is None else c.bases
     info.bit_count = f.position - start
     state.prev_bases = [b.copy() for b in bases]
     state.prev_mode = mode

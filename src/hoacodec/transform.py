@@ -48,7 +48,10 @@ class AnalysisWindow:
 
 
 def sine_window(half_length: int) -> AnalysisWindow:
-    """w(l) = sin[(pi/2L)(l + 1/2)], the common MDCT default."""
+    """w(l) = sin[(pi/2L)(l + 1/2)], the common MDCT default; the MDCT's
+    folding needs an even half length of at least 2."""
+    if half_length < 2 or half_length % 2:
+        raise ShapeError(f"half length {half_length} is not an even number of at least 2")
     l = np.arange(2 * half_length)
     return AnalysisWindow(np.sin(np.pi / (2 * half_length) * (l + 0.5)))
 

@@ -128,6 +128,11 @@ def test_runtime_errors_exit_2(workspace):
     bad = workspace / "bad.bs"
     bad.write_bytes(b"garbage")
     assert main(["decode", str(bad), str(workspace / "z.wav")]) == 2
+    # a frame length the MDCT cannot fold
+    for frame in ("255", "0"):
+        assert main(["analyze", str(wav), "--frame", frame]) == 2
+    assert main(["train-quantizers", str(workspace / "corpus"),
+                 "--out", str(workspace / "x255"), "--frame", "255"]) == 2
 
 
 def test_missing_codebooks_message_names_command(workspace, capsys):

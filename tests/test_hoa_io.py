@@ -78,6 +78,21 @@ def test_garbage_file_rejected(tmp_path):
         read_hoa_wav(tmp_path / "bad.wav")
 
 
+def test_inconsistent_block_align_rejected(rng, tmp_path):
+    # a 4-channel float32 file whose fmt chunk claims 6 bytes per sample frame
+    import struct
+
+    path = tmp_path / "x.wav"
+    write_hoa_wav(_signal(rng, length=64, channels=4), path, "float32")
+    data = bytearray(path.read_bytes())
+    fmt = data.index(b"fmt ") + 8
+    assert struct.unpack_from("<H", data, fmt + 12) == (16,)
+    struct.pack_into("<H", data, fmt + 12, 6)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="block align"):
+        read_hoa_wav(path)
+
+
 def test_extensible_header_accepted(rng, tmp_path):
     # rewrap a plain float WAV as WAVE_FORMAT_EXTENSIBLE
     import struct

@@ -66,15 +66,6 @@ def test_uniform_fallback_and_dispatch():
         FrequencyGroups.uniform(10)
 
 
-def test_group_config_roundtrip(tmp_path):
-    import json
-
-    g = FrequencyGroups.aac_48k_long()
-    (tmp_path / "g.json").write_text(json.dumps({"offsets": list(g.offsets), "sample_rate": 48000}))
-    back = FrequencyGroups.from_config(tmp_path / "g.json")
-    assert back.offsets == g.offsets
-
-
 def test_malformed_offsets_rejected():
     with pytest.raises(ShapeError):
         FrequencyGroups(offsets=tuple(range(10)))

@@ -37,6 +37,12 @@ def test_sine_window_princen_bradley():
         sine_window(L).validate(tol=1e-12)
 
 
+@pytest.mark.parametrize("L", [0, 1, 255, -4])
+def test_sine_window_refuses_half_lengths_the_mdct_cannot_fold(L):
+    with pytest.raises(ShapeError, match="half length"):
+        sine_window(L)
+
+
 def test_bad_window_rejected():
     w = AnalysisWindow(np.linspace(0, 1, 16))
     with pytest.raises(ShapeError):
