@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hoacodec import core_codec, freq_svd, noise_subst, pipeline, scenes, sideinfo, transform
+from hoacodec import freq_svd, noise_subst, pipeline, scenes, sideinfo, transform
 from hoacodec.errors import HoaCodecError
 from hoacodec.hoa_io import read_hoa_wav, write_hoa_wav
 
@@ -46,13 +46,14 @@ def _add_codec_options(p, with_codec=True, with_mnmr=True):
     p.add_argument("--rd-lambda", type=float, default=pipeline.DEFAULT_RD_LAMBDA)
     p.add_argument("--flatness-threshold", type=float, default=0.25)
     p.add_argument("--codebooks", type=Path, default=None, help="trained quantizer directory")
-    p.add_argument("--huffman-table", type=Path, default=None)
     p.add_argument("--bypass", action="store_true", help="skip all quantization (diagnostic)")
 
 
+def _quantizers(args) -> sideinfo.QuantizerSet | None:
+    return sideinfo.QuantizerSet.load(args.codebooks) if args.codebooks else None
+
+
 def _build_config(args, codec=None, mnmr=None) -> pipeline.EncoderConfig:
-    quant = sideinfo.QuantizerSet.load(args.codebooks) if args.codebooks else None
-    table = core_codec.HuffmanTable.load(args.huffman_table) if args.huffman_table else None
     return pipeline.EncoderConfig(
         codec=codec or args.codec,
         half_length=args.frame,
@@ -64,8 +65,7 @@ def _build_config(args, codec=None, mnmr=None) -> pipeline.EncoderConfig:
         rd_lambda=args.rd_lambda,
         seed=args.seed,
         bypass_quantization=args.bypass,
-        quantizers=quant,
-        huffman_table=table,
+        quantizers=_quantizers(args),
     )
 
 
@@ -75,15 +75,6 @@ def _number_list(text: str, kind, option: str) -> list:
         return [kind(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"{option} wants comma-separated numbers, got {text!r}") from None
-
-
-def _load_decode_kwargs(args) -> dict:
-    kwargs = {}
-    if args.codebooks:
-        kwargs["quantizers"] = sideinfo.QuantizerSet.load(args.codebooks)
-    if args.huffman_table:
-        kwargs["huffman_table"] = core_codec.HuffmanTable.load(args.huffman_table)
-    return kwargs
 
 
 def cmd_encode(args) -> int:
@@ -104,7 +95,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     stream = args.input.read_bytes()
-    result = pipeline.decode(stream, **_load_decode_kwargs(args))
+    result = pipeline.decode(stream, _quantizers(args))
     write_hoa_wav(result.signal, args.output, args.format)
     print(f"wrote {args.output} ({result.signal.length} samples, "
           f"{result.signal.num_channels} channels)")
@@ -115,7 +106,7 @@ def cmd_decode(args) -> int:
 
 def cmd_stats(args) -> int:
     stream = args.input.read_bytes()
-    stats = pipeline.measure_stream(stream, **_load_decode_kwargs(args))
+    stats = pipeline.measure_stream(stream, _quantizers(args))
     doc = stats.to_dict()
     if args.json:
         args.json.write_text(json.dumps(doc, indent=1))
@@ -289,7 +280,6 @@ def build_parser() -> _Parser:
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
     p.add_argument("--codebooks", type=Path, default=None)
-    p.add_argument("--huffman-table", type=Path, default=None)
     p.add_argument("--format", default="float32",
                    choices=["float32", "pcm16", "pcm24", "pcm32"])
     p.set_defaults(func=cmd_decode)
@@ -297,7 +287,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("stats", help="exact bit accounting of a stream")
     p.add_argument("input", type=Path)
     p.add_argument("--codebooks", type=Path, default=None)
-    p.add_argument("--huffman-table", type=Path, default=None)
     p.add_argument("--json", type=Path, default=None)
     p.set_defaults(func=cmd_stats)
 

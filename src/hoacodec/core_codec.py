@@ -4,8 +4,8 @@ Per frame, on all of its component channels at once (the columns of an
 (L, C) spectrum matrix; a 1-D spectrum is one channel): a simplified
 psychoacoustic masking curve over the 49 frequency groups, scalefactor
 search meeting a maximum noise-to-mask ratio per band, x^(3/4) companded
-integer quantization, and canonical Huffman entropy coding with trained
-tables and a per-band raw fallback.  Results keep the layout of the
+integer quantization, and canonical Huffman entropy coding with one frozen
+trained table and a per-band raw fallback.  Results keep the layout of the
 input: per-band arrays are (49,) or (49, C), per-bin ones (L,) or (L, C).
 
 The model is deliberately compact: a two-slope spreading over band indices
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +33,6 @@ _QUANT_MAGIC = 0.4054
 
 ESCAPE_SYMBOL = 16  # magnitudes 0..15 are coded directly, >=16 escape
 _ALPHABET = ESCAPE_SYMBOL + 1
-
-_TABLE_MAGIC = b"HAHT"
-_TABLE_VERSION = 1
 
 
 @dataclass
@@ -344,22 +340,6 @@ class HuffmanTable:
             if 0 < s < ESCAPE_SYMBOL:  # sign bit set
                 self._value[base + span // 2 : base + span] = -s
 
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_TABLE_MAGIC + struct.pack("<HH", _TABLE_VERSION, _ALPHABET))
-            fh.write(bytes(self.lengths))
-
-    @classmethod
-    def load(cls, path) -> "HuffmanTable":
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) < 8 or data[:4] != _TABLE_MAGIC:
-            raise FormatError(f"{path}: not a Huffman table file")
-        version, nsym = struct.unpack_from("<HH", data, 4)
-        if version != _TABLE_VERSION or nsym != _ALPHABET:
-            raise FormatError(f"{path}: unsupported table version/alphabet")
-        return cls(list(data[8 : 8 + nsym]))
-
     @classmethod
     def train(cls, magnitude_histogram) -> "HuffmanTable":
         """Optimal lengths for a magnitude histogram, then reassigned in
@@ -386,14 +366,13 @@ class HuffmanTable:
         return cls(ordered)
 
 
-# default table: frozen from training on the synthetic scene corpus at
-# MNMR targets 0.5..8 (demos/05_retrain_tables.py reproduces it)
+# the one table of every stream, as fixed as a standard's codebooks: frozen
+# from training on the synthetic scene corpus at MNMR targets 0.5..8
+# (demos/05_retrain_tables.py reproduces it)
 DEFAULT_MAGNITUDE_LENGTHS = (
     2, 2, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15,
 )
-
-def default_table() -> HuffmanTable:
-    return HuffmanTable(DEFAULT_MAGNITUDE_LENGTHS)
+HUFFMAN_TABLE = HuffmanTable(DEFAULT_MAGNITUDE_LENGTHS)
 
 
 def _bit_length(v: np.ndarray) -> np.ndarray:
@@ -408,12 +387,12 @@ def _escapes(mags: np.ndarray):
     return esc, _bit_length(mags[esc] - (ESCAPE_SYMBOL - 1))
 
 
-def _band_costs(mags: np.ndarray, layout: GroupLayout, table: HuffmanTable) -> np.ndarray:
+def _band_costs(mags: np.ndarray, layout: GroupLayout) -> np.ndarray:
     """Exact (huffman_bits, raw_bits, raw_width) of every band from the
     bins' magnitudes, as a (3, bands) int64 array: per-bin code, sign and
     escape lengths summed per band."""
     offsets, widths, _ = layout
-    per_bin = table.length_array[np.minimum(mags, ESCAPE_SYMBOL)] + (mags > 0)
+    per_bin = HUFFMAN_TABLE.length_array[np.minimum(mags, ESCAPE_SYMBOL)] + (mags > 0)
     esc, esc_bits = _escapes(mags)
     per_bin[esc] += 2 * esc_bits - 1  # ue() of the excess
     huff = np.add.reduceat(per_bin, offsets[:-1])
@@ -421,7 +400,7 @@ def _band_costs(mags: np.ndarray, layout: GroupLayout, table: HuffmanTable) -> n
     return np.stack([huff, 6 + widths * (width + 1), width])
 
 
-def channel_cost(coded: CodedChannel, groups: FrequencyGroups, table: HuffmanTable):
+def channel_cost(coded: CodedChannel, groups: FrequencyGroups):
     """Exact bit count :func:`entropy_encode_channel` would produce for each
     channel: an integer for one channel, a (C,) array for C.  The band
     costs are kept in ``coded.band_costs``."""
@@ -429,7 +408,7 @@ def channel_cost(coded: CodedChannel, groups: FrequencyGroups, table: HuffmanTab
     shape = np.shape(coded.zero_band)
     zero = _flat(coded.zero_band, nb)
     mags = np.abs(_flat(coded.quant_indices, groups.num_bins))
-    costs = _band_costs(mags, groups.layout(zero.size // nb), table)
+    costs = _band_costs(mags, groups.layout(zero.size // nb))
     coded.band_costs = np.stack([_unflat(c, shape) for c in costs])
     # zero flag per band; scalefactor, mode flag and the cheaper coding per coded band
     bits = np.where(zero, 1, 10 + np.minimum(costs[0], costs[1]))
@@ -439,11 +418,11 @@ def channel_cost(coded: CodedChannel, groups: FrequencyGroups, table: HuffmanTab
 def entropy_encode_channel(
     coded: CodedChannel,
     groups: FrequencyGroups,
-    table: HuffmanTable,
     writer: BitWriter,
 ) -> int:
     """Serialize the coded channels one after another; returns the number of
-    bits written.
+    bits written.  The band modes come from ``coded.band_costs``, which
+    :func:`channel_cost` fills.
 
     The channels are written as one run of fields in stream order: each
     band's header, then one field per bin (Huffman code and sign, or raw
@@ -457,13 +436,8 @@ def entropy_encode_channel(
         raise StreamError(f"scalefactor {int(sf[bad][0])} out of range")
     q = _flat(coded.quant_indices, groups.num_bins)
     mags = np.abs(q)
-    layout = groups.layout(zero.size // nb)
-    offsets, widths, _ = layout
-    # the band modes come from the cost cache (channel_cost's, or the caller's)
-    if coded.band_costs is None:
-        huff, raw_cost, width = _band_costs(mags, layout, table)
-    else:
-        huff, raw_cost, width = (_flat(c, nb) for c in coded.band_costs)
+    offsets, widths, _ = groups.layout(zero.size // nb)
+    huff, raw_cost, width = (_flat(c, nb) for c in coded.band_costs)
     raw = ~zero & (huff > raw_cost)
     width = np.where(zero, 1, width)
     # band header: zero:u1, or zero:u1 scalefactor:u8 raw:u1 [width:u6]
@@ -478,15 +452,15 @@ def entropy_encode_channel(
     bin_raw = np.repeat(raw, widths)
     bin_width = np.repeat(width, widths)
     bins = np.empty((q.size, 2), dtype=np.int64)  # (value, length)
-    bins[:, 0] = np.where(bin_raw, neg << bin_width | mags, table.code_array[sym] << nonzero | neg)
-    bins[:, 1] = np.where(bin_raw, bin_width + 1, table.length_array[sym] + nonzero)
+    bins[:, 0] = np.where(bin_raw, neg << bin_width | mags, HUFFMAN_TABLE.code_array[sym] << nonzero | neg)
+    bins[:, 1] = np.where(bin_raw, bin_width + 1, HUFFMAN_TABLE.length_array[sym] + nonzero)
     bins[np.repeat(zero, widths)] = 0
     # an escape's bin field is its code alone; its ue() prefix, ue() value
     # and sign are inserted after it, before the next band's header
     esc, esc_bits = _escapes(mags)
     huffman = np.repeat(~zero & ~raw, widths)[esc]
     esc, esc_bits = esc[huffman], esc_bits[huffman]
-    bins[esc] = table.codes[ESCAPE_SYMBOL], table.lengths[ESCAPE_SYMBOL]
+    bins[esc] = HUFFMAN_TABLE.codes[ESCAPE_SYMBOL], HUFFMAN_TABLE.lengths[ESCAPE_SYMBOL]
     extra = np.column_stack([
         np.zeros_like(esc), esc_bits - 1, mags[esc] - (ESCAPE_SYMBOL - 1), esc_bits, neg[esc], np.ones_like(esc),
     ]).reshape(-1, 2)
@@ -530,7 +504,7 @@ def _escape_excess(data: bytes, pos: int) -> tuple:
     return pos + size, -mag if (x >> (_ESCAPE_SPAN - size)) & 1 else mag
 
 
-def _bin_chain(data: bytes, start: int, table: HuffmanTable) -> tuple:
+def _bin_chain(data: bytes, start: int) -> tuple:
     """The next-position table of the bins from bit ``start`` to the end of
     ``data``, in positions relative to ``start``: (window, nxt, escapes,
     values, errors).  ``window[p]`` holds the 17 bits at p, zero-padded;
@@ -543,7 +517,7 @@ def _bin_chain(data: bytes, start: int, table: HuffmanTable) -> tuple:
     window = words[:, None] >> np.arange(15, 7, -1, dtype=np.uint32)
     window &= 0x1FFFF
     window = window.ravel()[start & 7 :]
-    advance = table._advance[window]
+    advance = HUFFMAN_TABLE._advance[window]
     dead = n + 1
     nxt = np.arange(n + 2, dtype=np.int32)  # a payload holds under 2**31 bits
     nxt[:n] += advance
@@ -556,7 +530,7 @@ def _bin_chain(data: bytes, start: int, table: HuffmanTable) -> tuple:
     escapes = np.flatnonzero(advance == 0)
     values, errors = np.zeros(escapes.size, dtype=np.int64), {}
     if escapes.size:
-        at = escapes + table.lengths[ESCAPE_SYMBOL]
+        at = escapes + HUFFMAN_TABLE.lengths[ESCAPE_SYMBOL]
         bits = np.zeros(escapes.size, dtype=np.int64)
         inside = at + 34 <= n
         bits[inside] = window[at[inside]].astype(np.int64) << 17 | window[at[inside] + 17]
@@ -602,7 +576,6 @@ def _raw_fields(data: bytes, at: np.ndarray, width: np.ndarray) -> np.ndarray:
 def entropy_decode_channel(
     reader: BitReader,
     groups: FrequencyGroups,
-    table: HuffmanTable,
     channels: int | None = None,
 ) -> CodedChannel:
     """Exact inverse of :func:`entropy_encode_channel`: reads ``channels``
@@ -614,7 +587,7 @@ def entropy_decode_channel(
     doubling levels.  The bins of all bands are then read in one pass."""
     data = reader.data
     start = reader.bit_position
-    window, nxt, escapes, escape_values, errors = _bin_chain(data, start, table)
+    window, nxt, escapes, escape_values, errors = _bin_chain(data, start)
     dead = nxt.size - 1
     n = dead - 1  # the region's bits
     nb = len(groups.edges)
@@ -666,7 +639,7 @@ def entropy_decode_channel(
     for k, level in enumerate(levels):
         sel = np.flatnonzero(rank >> k == 1)
         at[sel] = np.take(level, at[sel - (1 << k)])
-    values = table._value[window[at]].astype(np.int64)
+    values = HUFFMAN_TABLE._value[window[at]].astype(np.int64)
     escaped = np.flatnonzero(values == ESCAPE_SYMBOL)
     values[escaped] = escape_values[np.searchsorted(escapes, at[escaped])]
     q[bins] = values

@@ -50,7 +50,7 @@ class BandLayout:
 
     @classmethod
     def uniform(cls, num_bins: int, n: int) -> "BandLayout":
-        if num_bins % n:
+        if n < 1 or num_bins % n:
             raise ShapeError(f"{num_bins} bins do not split into {n} uniform bands")
         return cls(lengths=(num_bins // n,) * n)
 

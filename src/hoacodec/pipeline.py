@@ -75,7 +75,6 @@ class EncoderConfig:
     seed: int = 0
     bypass_quantization: bool = False
     quantizers: sideinfo.QuantizerSet | None = None
-    huffman_table: core_codec.HuffmanTable | None = None
 
     def codec_id(self) -> int:
         try:
@@ -86,9 +85,6 @@ class EncoderConfig:
     def group_table_id(self) -> int:
         """The table :func:`noise_subst.groups_for` picks: AAC at L=1024, else uniform."""
         return GROUP_TABLE_AAC48K if self.half_length == 1024 else GROUP_TABLE_UNIFORM
-
-    def resolved_table(self) -> core_codec.HuffmanTable:
-        return self.huffman_table or core_codec.default_table()
 
     def side_quantizers(self) -> sideinfo.QuantizerSet | None:
         """The side-info quantizers; None in bypass (raw float64 bases)."""
@@ -270,8 +266,9 @@ class StreamHeader:
         )
 
 
-def _table_fingerprint(table: core_codec.HuffmanTable) -> int:
-    return zlib.crc32(bytes(table.lengths))
+# the header's table fingerprint, the CRC-32 of the code lengths of the one
+# Huffman table every stream is coded with
+_TABLE_FINGERPRINT = zlib.crc32(bytes(core_codec.HUFFMAN_TABLE.lengths))
 
 
 # the header after magic and version: (StreamHeader field, bits) in stream
@@ -328,6 +325,8 @@ def _read_header(data: bytes) -> StreamHeader:
         raise StreamError(f"unknown group table id {h.group_table_id}")
     if h.group_table_id == GROUP_TABLE_AAC48K and h.half_length != 1024:
         raise StreamError(f"half length {h.half_length} does not fit group table {h.group_table_id}")
+    if h.table_fingerprint != _TABLE_FINGERPRINT:
+        raise StreamError(f"unknown Huffman table fingerprint {h.table_fingerprint:#010x}")
     if h.frame_count != num_frames(h.original_length, h.half_length):
         raise StreamError(
             f"frame count {h.frame_count} does not match {h.original_length} samples "
@@ -395,7 +394,7 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
         mnmr=cfg.mnmr,
         rd_lambda=cfg.rd_lambda,
         quantizer_fingerprint=qfp,
-        table_fingerprint=_table_fingerprint(cfg.resolved_table()),
+        table_fingerprint=_TABLE_FINGERPRINT,
         group_table_id=cfg.group_table_id(),
     )
     _check_header_fits(header)
@@ -404,7 +403,7 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
     _write_header(hw, header)
     stream, frame_stats = io.BytesIO(), []
     stream.write(hw.getvalue())
-    for payload, stats in coder(signal, cfg, noise_subst.groups_for(cfg.half_length), cfg.resolved_table()):
+    for payload, stats in coder(signal, cfg, noise_subst.groups_for(cfg.half_length)):
         stream.write(len(payload).to_bytes(4, "big"))
         stream.write(payload)
         stream.write(zlib.crc32(payload).to_bytes(4, "big"))
@@ -425,7 +424,7 @@ class _Trial(NamedTuple):
     layout: freq_svd.BandLayout | None = None
 
 
-def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConfig, groups, table):
+def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConfig, groups):
     """The one frame coder of both codecs.  Codes the channels of all
     ``trials`` in one MNMR-quantization pass (raw in bypass).  With more
     than one trial, the one of least rate-distortion cost against the
@@ -439,7 +438,7 @@ def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConf
     else:
         mask = core_codec.masking_threshold(channels, groups)
         coded = core_codec.quantize_mnmr(channels, mask, cfg.mnmr, groups)
-        bits = core_codec.channel_cost(coded, groups, table)
+        bits = core_codec.channel_cost(coded, groups)
         max_nmr, escalated = coded.nmr.max(axis=0), coded.escalated.sum(axis=0)
     cols = [slice(k * count, (k + 1) * count) for k in range(len(trials))]
     ranked, rd = [0], {}
@@ -462,7 +461,7 @@ def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConf
     if coded is None:
         t.writer.write_f64_array(t.channels.T)  # channel after channel
     else:
-        core_codec.entropy_encode_channel(coded.columns(c), groups, table, t.writer)
+        core_codec.entropy_encode_channel(coded.columns(c), groups, t.writer)
     core_bits = t.writer.bit_length - start
     assert core_bits == bits[c].sum()
     payload = t.writer.getvalue()
@@ -473,7 +472,7 @@ def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConf
     return payload, stats, t.state
 
 
-def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups, table):
+def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups):
     """Yield (payload, FrameStats) per frame: each frame's spectrum gets one
     trial per band-split mode, and the winner's side-info state carries on."""
     window = transform.sine_window(cfg.half_length)
@@ -496,11 +495,11 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups, table):
             noise_bits = _write_noise_block(w, info)
             channels = np.hstack([np.concatenate(dec.foregrounds), residual[:, :nbg]])
             trials.append(_Trial(w, side, noise_bits, channels, trial_state, recon, layout))
-        payload, stats, state = _code_frame(sp.index, trials, sp.coeffs, cfg, groups, table)
+        payload, stats, state = _code_frame(sp.index, trials, sp.coeffs, cfg, groups)
         yield payload, stats
 
 
-def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups, table):
+def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups):
     """Yield (payload, FrameStats) per frame, one frame behind the
     decomposition.  Frame f's side info is written when frame f is
     decomposed; its core block is [head(f); head(f+1)], where head(f) is
@@ -538,7 +537,7 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups, table):
             spec = transform.mdct_forward(TimeFrame(index=index, samples=block), mdct_win).coeffs
             info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups, cfg.flatness_threshold)
             trial = _Trial(writer, side_info, _write_noise_block(writer, info), spec[:, : r + nbg])
-            payload, stats, _ = _code_frame(index, [trial], spec, cfg, groups, table)
+            payload, stats, _ = _code_frame(index, [trial], spec, cfg, groups)
             yield payload, stats
         if frame is not None:
             block[:L] = block[L:]
@@ -568,19 +567,15 @@ class DecodeResult:
     concealed_frames: int = 0
 
 
-def _open_stream(stream: bytes, quantizers, huffman_table):
+def _open_stream(stream: bytes, quantizers):
     """Read and check the header, take its group table and split frames.
 
-    Returns (header, table, groups, frames, truncated) where ``frames`` is
-    a list of (start, end, crc_ok): the payload is ``stream[start:end]``,
-    sliced when it is read, and its CRC is checked without a copy.
-    Codebooks or a Huffman table that do not match the stream's
-    fingerprints raise :class:`ConfigurationError`.
+    Returns (header, groups, frames, truncated) where ``frames`` is a list
+    of (start, end, crc_ok): the payload is ``stream[start:end]``, sliced
+    when it is read, and its CRC is checked without a copy.  Codebooks that
+    do not match the stream's fingerprint raise :class:`ConfigurationError`.
     """
     header = _read_header(stream)
-    table = huffman_table or core_codec.default_table()
-    if _table_fingerprint(table) != header.table_fingerprint:
-        raise ConfigurationError("Huffman table does not match the stream")
     if not header.bypass:
         if quantizers is None:
             raise ConfigurationError(
@@ -601,7 +596,7 @@ def _open_stream(stream: bytes, quantizers, huffman_table):
         crc = int.from_bytes(stream[end : end + 4], "big")
         frames.append((start, end, zlib.crc32(view[start:end]) == crc))
         pos = end + 4
-    return header, table, groups, frames, len(frames) < header.frame_count
+    return header, groups, frames, len(frames) < header.frame_count
 
 
 def parse_frame(
@@ -609,7 +604,6 @@ def parse_frame(
     header: StreamHeader,
     state: sideinfo.SideInfoState,
     quantizers: sideinfo.QuantizerSet | None,
-    table: core_codec.HuffmanTable,
     groups: FrequencyGroups,
 ) -> ParsedFrame:
     """Read one frame payload: side info, noise block, component channels.
@@ -628,16 +622,12 @@ def parse_frame(
     if header.bypass:
         channels = sideinfo.require_finite(reader.read_f64_array((count, groups.num_bins)), "raw channel").T
     else:
-        channels = core_codec.entropy_decode_channel(reader, groups, table, count)
+        channels = core_codec.entropy_decode_channel(reader, groups, count)
     core_bits = reader.bit_position - side.bit_count - noise_bits
     return ParsedFrame(side, bases, noise, channels, noise_bits, core_bits)
 
 
-def decode(
-    stream: bytes,
-    quantizers: sideinfo.QuantizerSet | None = None,
-    huffman_table: core_codec.HuffmanTable | None = None,
-) -> DecodeResult:
+def decode(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> DecodeResult:
     """Decode a container stream back to an :class:`HoaSignal` in one pass:
     each frame is parsed, reconstructed and overlap-added as it is read.
 
@@ -645,9 +635,9 @@ def decode(
     decoded spectra; a truncated stream raises :class:`StreamError` whose
     ``partial`` attribute carries the samples decoded so far.
     """
-    header, table, groups, frames, truncated = _open_stream(stream, quantizers, huffman_table)
+    header, groups, frames, truncated = _open_stream(stream, quantizers)
     frame_stats = []
-    decoded = _decode_frames(header, stream, frames, quantizers, table, groups, frame_stats)
+    decoded = _decode_frames(header, stream, frames, quantizers, groups, frame_stats)
     window = transform.sine_window(header.half_length)
     if not frames:
         samples = np.zeros((0, header.num_channels))
@@ -670,7 +660,7 @@ def decode(
     )
 
 
-def _decode_frames(header: StreamHeader, stream, frames, quantizers, table, groups, frame_stats: list):
+def _decode_frames(header: StreamHeader, stream, frames, quantizers, groups, frame_stats: list):
     """Parse each frame payload of ``stream``, or conceal it, and yield its spectrum and
     bases as it is read, appending its :class:`FrameStats` to ``frame_stats``.
     The spectrum is the proposed codec's L x M spectrum, or the baseline's
@@ -685,7 +675,7 @@ def _decode_frames(header: StreamHeader, stream, frames, quantizers, table, grou
         payload, p, reason = stream[start:end], None, "crc"
         if crc_ok:
             try:
-                p = parse_frame(BitReader(payload), header, state, quantizers, table, groups)
+                p = parse_frame(BitReader(payload), header, state, quantizers, groups)
             except StreamError as exc:
                 # a damaged prediction chain can leave later frames
                 # unparseable; treat them like CRC failures
@@ -772,18 +762,14 @@ def _recombine_baseline(header: StreamHeader, decoded, count: int, window) -> np
 # stream measurement
 # --------------------------------------------------------------------------
 
-def measure_stream(
-    stream: bytes,
-    quantizers: sideinfo.QuantizerSet | None = None,
-    huffman_table: core_codec.HuffmanTable | None = None,
-) -> StreamStats:
+def measure_stream(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> StreamStats:
     """Exact per-frame bit accounting of an existing stream.
 
     Parses every frame as the decoder does (:func:`parse_frame`) without
     any signal reconstruction; category sums plus framing overhead equal
     the container size exactly.
     """
-    header, table, groups, frames, truncated = _open_stream(stream, quantizers, huffman_table)
+    header, groups, frames, truncated = _open_stream(stream, quantizers)
     if truncated:
         raise StreamError("stream truncated; cannot account bits")
     state = sideinfo.SideInfoState()
@@ -792,6 +778,6 @@ def measure_stream(
         if not crc_ok:
             raise StreamError(f"frame {f}: CRC mismatch")
         payload = stream[start:end]
-        p = parse_frame(BitReader(payload), header, state, quantizers, table, groups)
+        p = parse_frame(BitReader(payload), header, state, quantizers, groups)
         frame_stats.append(_frame_stats(f, payload, p.side, p.noise_bits, p.core_bits))
     return header.stream_stats(frame_stats)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import lpmv
 
-from hoacodec.errors import ParameterError
+from hoacodec.errors import FormatError, ParameterError
 from hoacodec.hoa_io import HoaSignal
 
 
@@ -128,15 +128,26 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, path) -> "SceneSpec":
+        """The recipe :meth:`to_json` writes; a file that is not JSON, or an
+        unknown or missing key, is a :class:`FormatError`."""
         with open(path) as fh:
-            doc = json.load(fh)
-        sources = [SourceSpec(**s) for s in doc.pop("sources", [])]
-        return cls(sources=sources, **doc)
+            try:
+                doc = json.load(fh)
+                sources = [SourceSpec(**s) for s in doc.pop("sources", [])]
+                return cls(sources=sources, **doc)
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise FormatError(f"{path}: not a scene recipe: {exc}") from None
 
 
 def render_scene(spec: SceneSpec) -> HoaSignal:
     """Encode every source analytically and add a diffuse bed."""
-    n = int(round(spec.duration * spec.sample_rate))
+    if spec.sample_rate < 1:
+        raise ParameterError(f"sample rate {spec.sample_rate} below 1 Hz")
+    if spec.order < 0:
+        raise ParameterError(f"negative order {spec.order}")
+    n = int(round(spec.duration * spec.sample_rate)) if math.isfinite(spec.duration) else 0
+    if n < 1:
+        raise ParameterError(f"a {spec.duration} s scene at {spec.sample_rate} Hz has no samples")
     M = (spec.order + 1) ** 2
     out = np.zeros((n, M))
     for src in spec.sources:

@@ -135,6 +135,39 @@ def test_runtime_errors_exit_2(workspace):
                  "--out", str(workspace / "x255"), "--frame", "255"]) == 2
 
 
+def test_bad_parameters_exit_2_with_one_line(workspace, tmp_path, capsys):
+    """Bad band counts, scene parameters and scene recipes end in one error
+    line, not a traceback."""
+    recipes = {
+        "unknown_key.json": json.dumps({"duration": 0.1, "tempo": 3}),
+        "unknown_source_key.json": json.dumps({"duration": 0.1, "sources": [{"kind": "tone", "pitch": 3}]}),
+        "not_json.json": "{not json",
+    }
+    for name, text in recipes.items():
+        (tmp_path / name).write_text(text)
+    out = str(tmp_path / "scenes")
+    cases = [
+        ["analyze", str(_wav(workspace)), "--frame", "256", "--bands", "0"],
+        ["synth", "--out", out, "--duration", "-1"],
+        ["synth", "--out", out, "--sample-rate", "0"],
+        ["synth", "--out", out, "--order", "-1"],
+        *(["synth", "--out", out, "--recipe", str(tmp_path / name)] for name in recipes),
+    ]
+    for argv in cases:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_huffman_table_option_is_a_usage_error(workspace):
+    """Every stream uses the one built-in table; no command takes another."""
+    wav, stream = str(_wav(workspace)), str(workspace / "out.bs")
+    assert main(["encode", "--huffman-table", "x", wav, str(workspace / "h.bs")]) == 1
+    assert main(["decode", "--huffman-table", "x", stream, str(workspace / "h.wav")]) == 1
+    assert main(["stats", "--huffman-table", "x", stream]) == 1
+
+
 def test_missing_codebooks_message_names_command(workspace, capsys):
     wav = _wav(workspace)
     code = main(["encode", "--frame", "256", "--codebooks",

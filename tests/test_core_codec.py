@@ -8,6 +8,7 @@ from hoacodec.core_codec import (
     ESCAPE_SYMBOL,
     SF_MAX,
     SF_MIN,
+    HUFFMAN_TABLE,
     CodedChannel,
     HuffmanTable,
     MaskingConfig,
@@ -20,7 +21,6 @@ from hoacodec.core_codec import (
     _pow43,
     band_energies,
     channel_cost,
-    default_table,
     dequantize_channel,
     entropy_decode_channel,
     entropy_encode_channel,
@@ -129,11 +129,10 @@ def test_measured_nmr_examples(groups, rng):
 def test_rate_monotone_in_target(groups, rng):
     spectrum = rng.standard_normal(1024) * 10
     mask = masking_threshold(spectrum, groups)
-    table = default_table()
     bits = []
     for tau in (0.25, 0.5, 1.0, 2.0, 4.0, 16.0):
         coded = quantize_mnmr(spectrum, mask, tau, groups)
-        bits.append(channel_cost(coded, groups, table))
+        bits.append(channel_cost(coded, groups))
     assert all(b1 >= b2 for b1, b2 in zip(bits, bits[1:]))
 
 
@@ -143,12 +142,11 @@ def test_roundtrip_random_indices(groups, rng):
     spectrum = rng.standard_normal(1024) * 15
     mask = masking_threshold(spectrum, groups)
     coded = quantize_mnmr(spectrum, mask, 0.5, groups)
-    table = default_table()
     w = BitWriter()
-    bits = entropy_encode_channel(coded, groups, table, w)
-    assert bits == channel_cost(coded, groups, table)
+    bits = channel_cost(coded, groups)
+    assert entropy_encode_channel(coded, groups, w) == bits
     r = BitReader(w.getvalue())
-    back = entropy_decode_channel(r, groups, table)
+    back = entropy_decode_channel(r, groups)
     assert np.array_equal(back.quant_indices, coded.quant_indices)
     assert np.array_equal(back.zero_band, coded.zero_band)
     assert np.array_equal(
@@ -159,9 +157,8 @@ def test_roundtrip_random_indices(groups, rng):
 def test_all_zero_spectrum_costs_under_two_bits_per_band(groups):
     mask = masking_threshold(np.zeros(1024), groups)
     coded = quantize_mnmr(np.zeros(1024), mask, 1.0, groups)
-    table = default_table()
-    w = BitWriter()
-    bits = entropy_encode_channel(coded, groups, table, w)
+    bits = channel_cost(coded, groups)
+    assert entropy_encode_channel(coded, groups, BitWriter()) == bits
     assert bits < 2 * len(groups.edges)
 
 
@@ -171,8 +168,7 @@ def test_rate_beats_raw_fixed_width(groups, rng):
     spectrum = rng.standard_normal(1024) * 25
     mask = masking_threshold(spectrum, groups)
     coded = quantize_mnmr(spectrum, mask, 0.5, groups)
-    table = default_table()
-    actual = channel_cost(coded, groups, table)
+    actual = channel_cost(coded, groups)
     raw_everywhere = 0
     for b, (lo, hi) in enumerate(groups.edges):
         raw_everywhere += 1
@@ -185,29 +181,18 @@ def test_rate_beats_raw_fixed_width(groups, rng):
 
 
 def test_skewed_distribution_near_entropy(rng):
-    # a table trained for the sample's own statistics codes it within 10%
-    # of the empirical Shannon bound (plus the sign bits it must spend)
-    groups = groups_for(1024)
+    # a table trained for the sample's own statistics codes its symbols, plus
+    # a sign bit per nonzero value, within 10% of the empirical Shannon bound
+    # plus those sign bits
     mags = rng.geometric(0.55, size=1024) - 1
-    signs = rng.choice([-1, 1], size=1024)
-    values = (mags * signs).astype(np.int64)
-    from hoacodec.core_codec import CodedChannel
-
-    clipped = np.minimum(np.abs(values), 16)
-    hist = np.bincount(clipped, minlength=17).astype(float)
+    clipped = np.minimum(mags, ESCAPE_SYMBOL)
+    assert clipped.max() < ESCAPE_SYMBOL  # no escape excess to count
+    hist = np.bincount(clipped, minlength=ESCAPE_SYMBOL + 1).astype(float)
     table = HuffmanTable.train(hist)
-    coded = CodedChannel(
-        num_bins=1024,
-        zero_band=np.zeros(len(groups.edges), dtype=bool),
-        scalefactors=np.zeros(len(groups.edges), dtype=np.int64),
-        quant_indices=values,
-    )
-    bits = channel_cost(coded, groups, table)
+    bits = table.length_array[clipped].sum() + np.count_nonzero(mags)
     p = hist / hist.sum()
     entropy = -np.sum(p[p > 0] * np.log2(p[p > 0]))
-    payload = entropy * 1024 + np.count_nonzero(values)  # symbols + signs
-    overhead = len(groups.edges) * 10  # flags + scalefactors + band modes
-    assert bits <= 1.10 * payload + overhead
+    assert bits <= 1.10 * (entropy * 1024 + np.count_nonzero(mags))
 
 
 def test_escape_values_roundtrip(groups):
@@ -221,10 +206,10 @@ def test_escape_values_roundtrip(groups):
         scalefactors=np.zeros(len(groups.edges), dtype=np.int64),
         quant_indices=values,
     )
-    table = default_table()
     w = BitWriter()
-    entropy_encode_channel(coded, groups, table, w)
-    back = entropy_decode_channel(BitReader(w.getvalue()), groups, table)
+    channel_cost(coded, groups)
+    entropy_encode_channel(coded, groups, w)
+    back = entropy_decode_channel(BitReader(w.getvalue()), groups)
     assert np.array_equal(back.quant_indices, values)
 
 
@@ -237,18 +222,12 @@ def test_table_training_monotone_lengths(rng):
     assert sum(2.0 ** -l for l in table.lengths) == pytest.approx(1.0)
 
 
-def test_table_file_roundtrip(tmp_path):
-    table = default_table()
-    table.save(tmp_path / "t.haht")
-    back = HuffmanTable.load(tmp_path / "t.haht")
-    assert back.lengths == table.lengths
-    assert back.codes == table.codes
-
-
-def test_table_bad_file_rejected(tmp_path):
-    (tmp_path / "bad.haht").write_bytes(b"nope")
-    with pytest.raises(FormatError):
-        HuffmanTable.load(tmp_path / "bad.haht")
+def test_table_constructor_checks():
+    with pytest.raises(FormatError, match="17 code lengths"):
+        HuffmanTable([2] * 16)
+    for bad in (0, 33):
+        with pytest.raises(FormatError, match=r"\[1, 32\]"):
+            HuffmanTable([bad] + [2] * 16)
     with pytest.raises(FormatError):
         HuffmanTable([1] * 17)  # Kraft violation
     with pytest.raises(FormatError, match="Kraft"):
@@ -266,15 +245,16 @@ def test_band_energy_reduction(groups, rng):
 # --- table-driven channel decoder against a bit-serial reference ---
 
 
-def _reference_decode(reader, groups, table, channels=None):
+def _reference_decode(reader, groups, channels=None):
     """One reader call per field and one bit per Huffman code step;
     ``channels`` channels one after another, stacked as columns."""
     if channels is not None:
-        cols = [_reference_decode(reader, groups, table) for _ in range(channels)]
+        cols = [_reference_decode(reader, groups) for _ in range(channels)]
         return CodedChannel(groups.num_bins, *(
             np.stack([getattr(c, name) for c in cols], axis=-1)
             for name in ("zero_band", "scalefactors", "quant_indices")
         ))
+    table = HUFFMAN_TABLE
     codes = {(table.lengths[s], table.codes[s]): s for s in range(ESCAPE_SYMBOL + 1)}
     nb = len(groups.edges)
     zero_band = np.zeros(nb, dtype=bool)
@@ -306,28 +286,16 @@ def _reference_decode(reader, groups, table, channels=None):
     return CodedChannel(groups.num_bins, zero_band, scalefactors, np.array(q, dtype=np.int64))
 
 
-def _outcome(decoder, data, start, groups, table, channels=None):
+def _outcome(decoder, data, start, groups, channels=None):
     """(CodedChannel fields, end bit position), or "StreamError"."""
     reader = BitReader(data)
     reader.bit_position = start
     try:
-        c = decoder(reader, groups, table, channels)
+        c = decoder(reader, groups, channels)
     except StreamError:
         return "StreamError"
     return (c.num_bins, c.zero_band.tolist(), c.scalefactors.tolist(),
             c.quant_indices.tolist(), reader.bit_position)
-
-
-@st.composite
-def huffman_tables(draw):
-    """Kraft-complete tables: split leaves of a binary tree until it has one
-    leaf per symbol; long chains give codes up to 16 bits, the longest a
-    complete code over 17 symbols has."""
-    lengths = [1, 1]
-    while len(lengths) < ESCAPE_SYMBOL + 1:
-        i = draw(st.integers(0, len(lengths) - 1))
-        lengths[i:i + 1] = [lengths[i] + 1] * 2
-    return HuffmanTable(draw(st.permutations(lengths)))
 
 
 @st.composite
@@ -353,10 +321,10 @@ def coded_channels(draw):
     return CodedChannel(groups.num_bins, zero_band, scalefactors, values), groups, forced
 
 
-def _force_raw(coded, groups, table, forced):
+def _force_raw(coded, groups, forced):
     """Fill the band cost cache, then send the ``forced`` bands raw at the
     given widths (band -> width)."""
-    channel_cost(coded, groups, table)
+    channel_cost(coded, groups)
     for b, width in forced.items():
         coded.band_costs[:, b] = (1, 0, width)
 
@@ -365,40 +333,40 @@ _PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[Heal
 
 
 @_PROPERTY
-@given(huffman_tables(), coded_channels(), st.integers(0, 15), st.integers(0, 20), st.randoms())
-def test_channel_decoder_matches_reference(table, channel, lead, trail, rnd):
+@given(coded_channels(), st.integers(0, 15), st.integers(0, 20), st.randoms())
+def test_channel_decoder_matches_reference(channel, lead, trail, rnd):
     coded, groups, forced = channel
-    _force_raw(coded, groups, table, forced)
+    _force_raw(coded, groups, forced)
     w = BitWriter()
     w.write(rnd.getrandbits(lead), lead)  # start away from a byte boundary
-    entropy_encode_channel(coded, groups, table, w)
+    entropy_encode_channel(coded, groups, w)
     w.write(rnd.getrandbits(trail), trail)
     data = w.getvalue()
 
-    got = _outcome(entropy_decode_channel, data, lead, groups, table)
-    assert got == _outcome(_reference_decode, data, lead, groups, table)
+    got = _outcome(entropy_decode_channel, data, lead, groups)
+    assert got == _outcome(_reference_decode, data, lead, groups)
     expected = np.where(np.repeat(coded.zero_band, groups.widths()), 0, coded.quant_indices)
     assert got[3] == expected.tolist()
     for cut in range(len(data)):  # every truncation: the reference's result or StreamError
         truncated = data[:cut]
         start = min(lead, 8 * cut)
-        assert _outcome(entropy_decode_channel, truncated, start, groups, table) == _outcome(
-            _reference_decode, truncated, start, groups, table
+        assert _outcome(entropy_decode_channel, truncated, start, groups) == _outcome(
+            _reference_decode, truncated, start, groups
         )
 
 
 @_PROPERTY
-@given(huffman_tables(), st.binary(max_size=200), st.integers(0, 7), st.integers(49, 120))
-def test_channel_decoder_on_random_bytes(table, data, lead, num_bins):
+@given(st.binary(max_size=200), st.integers(0, 7), st.integers(49, 120))
+def test_channel_decoder_on_random_bytes(data, lead, num_bins):
     groups = FrequencyGroups.uniform(num_bins)
     lead = min(lead, 8 * len(data))
-    assert _outcome(entropy_decode_channel, data, lead, groups, table) == _outcome(
-        _reference_decode, data, lead, groups, table
+    assert _outcome(entropy_decode_channel, data, lead, groups) == _outcome(
+        _reference_decode, data, lead, groups
     )
 
 
 def test_escape_beyond_int64_is_a_stream_error():
-    table = default_table()
+    table = HUFFMAN_TABLE
     w = BitWriter()
     w.write(0, 1)  # coded band
     w.write(-SF_MIN, 8)
@@ -409,7 +377,7 @@ def test_escape_beyond_int64_is_a_stream_error():
     w.write(0, 64)
     w.write(0, 1)  # sign
     with pytest.raises(StreamError, match="out of range"):
-        entropy_decode_channel(BitReader(w.getvalue()), FrequencyGroups.uniform(49), table)
+        entropy_decode_channel(BitReader(w.getvalue()), FrequencyGroups.uniform(49))
 
 
 
@@ -440,29 +408,29 @@ def wide_coded_channels(draw):
 
 
 @_PROPERTY
-@given(huffman_tables(), wide_coded_channels(), st.integers(0, 15), st.integers(0, 20), st.randoms())
-def test_channel_decoder_matches_reference_at_real_band_widths(table, channel, lead, trail, rnd):
+@given(wide_coded_channels(), st.integers(0, 15), st.integers(0, 20), st.randoms())
+def test_channel_decoder_matches_reference_at_real_band_widths(channel, lead, trail, rnd):
     coded, groups, raw_width = channel
-    channel_cost(coded, groups, table)
+    channel_cost(coded, groups)
     raw = raw_width > 0
     coded.band_costs[:, raw] = np.stack([np.ones(raw.sum()), np.zeros(raw.sum()), raw_width[raw]])
     count = coded.zero_band.shape[1]
     w = BitWriter()
     w.write(rnd.getrandbits(lead), lead)
-    entropy_encode_channel(coded, groups, table, w)
+    entropy_encode_channel(coded, groups, w)
     w.write(rnd.getrandbits(trail), trail)
     data = w.getvalue()
 
-    got = _outcome(entropy_decode_channel, data, lead, groups, table, count)
-    assert got == _outcome(_reference_decode, data, lead, groups, table, count)
+    got = _outcome(entropy_decode_channel, data, lead, groups, count)
+    assert got == _outcome(_reference_decode, data, lead, groups, count)
     expected = np.where(np.repeat(coded.zero_band, groups.widths(), axis=0), 0, coded.quant_indices)
     assert got[3] == expected.tolist()
     # a spread of truncations: the reference's result or StreamError
     cuts = {*np.linspace(0, len(data) - 1, 6).astype(int).tolist(), *(rnd.randrange(len(data)) for _ in range(4))}
     for cut in sorted(cuts):
         truncated, start = data[:cut], min(lead, 8 * cut)
-        assert _outcome(entropy_decode_channel, truncated, start, groups, table, count) == _outcome(
-            _reference_decode, truncated, start, groups, table, count
+        assert _outcome(entropy_decode_channel, truncated, start, groups, count) == _outcome(
+            _reference_decode, truncated, start, groups, count
         )
 
 
@@ -480,36 +448,35 @@ def _widest_band_stream(bins):
     return groups, w
 
 
-def _escape_fields(table, magnitude, negative=False):
+def _escape_fields(magnitude, negative=False):
     """The fields of an escaped bin: code, ue() of the excess, sign."""
     v = magnitude - ESCAPE_SYMBOL + 1
     size = v.bit_length()
-    return [(table.codes[ESCAPE_SYMBOL], table.lengths[ESCAPE_SYMBOL]), (0, size - 1), (v, size), (int(negative), 1)]
+    escape = (HUFFMAN_TABLE.codes[ESCAPE_SYMBOL], HUFFMAN_TABLE.lengths[ESCAPE_SYMBOL])
+    return [escape, (0, size - 1), (v, size), (int(negative), 1)]
 
 
 def test_escape_beyond_int64_in_the_last_bin_of_the_widest_band():
-    table = default_table()
-    zeros = [(table.codes[0], table.lengths[0])] * 95
-    groups, w = _widest_band_stream(zeros + _escape_fields(table, 1 << 63))
+    zeros = [(HUFFMAN_TABLE.codes[0], HUFFMAN_TABLE.lengths[0])] * 95
+    groups, w = _widest_band_stream(zeros + _escape_fields(1 << 63))
     assert groups.widths()[-1] == 96
     with pytest.raises(StreamError, match="out of range"):
-        entropy_decode_channel(BitReader(w.getvalue()), groups, table)
+        entropy_decode_channel(BitReader(w.getvalue()), groups)
     # the largest magnitude that fits
-    groups, w = _widest_band_stream(zeros + _escape_fields(table, (1 << 63) - 1, negative=True))
-    got = entropy_decode_channel(BitReader(w.getvalue()), groups, table)
+    groups, w = _widest_band_stream(zeros + _escape_fields((1 << 63) - 1, negative=True))
+    got = entropy_decode_channel(BitReader(w.getvalue()), groups)
     assert got.quant_indices[-1] == 1 - (1 << 63) and not got.quant_indices[:-1].any()
 
 
 def test_cut_inside_a_wide_huffman_band_is_exhausted():
-    table = default_table()
-    one = (table.codes[1] << 1, table.lengths[1] + 1)  # +1
+    one = (HUFFMAN_TABLE.codes[1] << 1, HUFFMAN_TABLE.lengths[1] + 1)  # +1
     groups, w = _widest_band_stream([one] * 96)
     data = w.getvalue()
-    assert entropy_decode_channel(BitReader(data), groups, table).quant_indices[-96:].tolist() == [1] * 96
+    assert entropy_decode_channel(BitReader(data), groups).quant_indices[-96:].tolist() == [1] * 96
     assert 8 * 8 > 48 + 10 and 8 * (len(data) - 1) > 48 + 10 + 95 * one[1]
     for cut in (8, len(data) // 2, len(data) - 1):  # in the first, a middle and the last bin
         with pytest.raises(StreamError, match="bitstream exhausted"):
-            entropy_decode_channel(BitReader(data[:cut]), groups, table)
+            entropy_decode_channel(BitReader(data[:cut]), groups)
 
 
 # --- batched encoder against the per-band references it replaced ---
@@ -559,28 +526,30 @@ def _reference_quantize_mnmr(spectrum, mask, target, groups):
     return CodedChannel(x.shape[0], zero_band, scalefactors, qidx, nmr=nmr, escalated=escalated)
 
 
-def _reference_band_costs(values, table):
+def _reference_band_costs(values):
     mags = np.abs(values)
     width = max(1, int(np.max(mags, initial=0)).bit_length())
-    huff = int(table.length_array[np.minimum(mags, ESCAPE_SYMBOL)].sum()) + int(np.count_nonzero(mags))
+    huff = int(HUFFMAN_TABLE.length_array[np.minimum(mags, ESCAPE_SYMBOL)].sum()) + int(np.count_nonzero(mags))
     esc = mags[mags >= ESCAPE_SYMBOL]
     if esc.size:
         huff += int(np.sum(2 * (np.floor(np.log2(esc - ESCAPE_SYMBOL + 1)).astype(np.int64) + 1) - 1))
     return huff, 6 + values.size * (width + 1), width
 
 
-def _reference_channel_cost(coded, groups, table):
+def _reference_channel_cost(coded, groups):
     total = 0
     for b, (lo, hi) in enumerate(groups.edges):
         total += 1
         if not coded.zero_band[b]:
-            huff, raw, _ = _reference_band_costs(coded.quant_indices[lo:hi], table)
+            huff, raw, _ = _reference_band_costs(coded.quant_indices[lo:hi])
             total += 9 + min(huff, raw)
     return total
 
 
-def _reference_encode(coded, groups, table, writer):
-    """One BitWriter.write per header field and per value."""
+def _reference_encode(coded, groups, writer):
+    """One BitWriter.write per header field and per value; the band modes
+    from ``coded.band_costs``, or from the band's own costs without them."""
+    table = HUFFMAN_TABLE
     start = writer.bit_length
     for b, (lo, hi) in enumerate(groups.edges):
         writer.write_flag(bool(coded.zero_band[b]))
@@ -589,7 +558,7 @@ def _reference_encode(coded, groups, table, writer):
         writer.write(int(coded.scalefactors[b]) - SF_MIN, 8)
         values = coded.quant_indices[lo:hi]
         if coded.band_costs is None:
-            huff, raw, width = _reference_band_costs(values, table)
+            huff, raw, width = _reference_band_costs(values)
         else:
             huff, raw, width = coded.band_costs[:, b].tolist()
         writer.write_flag(huff > raw)
@@ -667,10 +636,9 @@ def test_batched_search_matches_per_band_scan(case):
     masking, dequantization and measured NMR."""
     x, mask, target, groups = case
     got = quantize_mnmr(x, mask, target, groups)
-    table = default_table()
-    costs = channel_cost(got, groups, table)
+    costs = channel_cost(got, groups)
     w, ref = BitWriter(), BitWriter()
-    written = entropy_encode_channel(got, groups, table, w)
+    written = entropy_encode_channel(got, groups, w)
     masks = masking_threshold(x, groups).band_power
     decoded = dequantize_channel(got, groups)
     nmr = measure_nmr(x, decoded, mask, groups)
@@ -679,8 +647,8 @@ def test_batched_search_matches_per_band_scan(case):
         one = got.columns(c)
         _same_coding(one, _reference_quantize_mnmr(x[:, c], column, target, groups))
         one.band_costs = None
-        assert costs[c] == _reference_channel_cost(one, groups, table)
-        _reference_encode(one, groups, table, ref)
+        assert costs[c] == _reference_channel_cost(one, groups)
+        _reference_encode(one, groups, ref)
         assert masks[:, c].tobytes() == masking_threshold(x[:, c], groups).band_power.tobytes()
         assert decoded[:, c].tobytes() == dequantize_channel(one, groups).tobytes()
         assert nmr[:, c].tobytes() == measure_nmr(x[:, c], decoded[:, c], column, groups).tobytes()
@@ -718,14 +686,14 @@ def test_search_window_edges_match_per_band_scan():
 
 
 @_PROPERTY
-@given(huffman_tables(), coded_channels(), st.integers(0, 7), st.randoms())
-def test_channel_writer_matches_per_value_writes(table, channel, lead, rnd):
+@given(coded_channels(), st.integers(0, 7), st.randoms())
+def test_channel_writer_matches_per_value_writes(channel, lead, rnd):
     coded, groups, forced = channel
-    assert channel_cost(coded, groups, table) == _reference_channel_cost(coded, groups, table)
-    _force_raw(coded, groups, table, forced)  # raw-forced bands stay raw
+    assert channel_cost(coded, groups) == _reference_channel_cost(coded, groups)
+    _force_raw(coded, groups, forced)  # raw-forced bands stay raw
     prefix = rnd.getrandbits(lead)
     w, ref = BitWriter(), BitWriter()
     w.write(prefix, lead)
     ref.write(prefix, lead)
-    assert entropy_encode_channel(coded, groups, table, w) == _reference_encode(coded, groups, table, ref)
+    assert entropy_encode_channel(coded, groups, w) == _reference_encode(coded, groups, ref)
     assert w.getvalue() == ref.getvalue()

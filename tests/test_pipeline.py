@@ -254,24 +254,29 @@ def test_operating_point_is_checked_up_front(codec, monkeypatch):
         assert pipeline.decode(pipeline.encode(sig, ok).stream).stats.frames
 
 
-def test_wrong_huffman_table_rejected(encoded, small_quantizers_module):
-    from hoacodec.core_codec import HuffmanTable
+def _other_huffman_table(stream: bytes) -> bytes:
+    """``stream`` with the table fingerprint of another complete code, as a
+    stream coded with that table would carry."""
+    import zlib
 
-    other = HuffmanTable((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 16))
-    with pytest.raises(ConfigurationError, match="table"):
-        pipeline.decode(encoded["proposed"].stream,
-                        quantizers=small_quantizers_module, huffman_table=other)
+    offset, size = _HEADER_FIELDS["table_fingerprint"]
+    other = zlib.crc32(bytes((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 16)))
+    return stream[:offset] + other.to_bytes(size, "big") + stream[offset + size :]
+
+
+def test_wrong_huffman_table_rejected(encoded, small_quantizers_module):
+    """Every stream is coded with the one table; a header naming another is
+    refused, as no decoder could read its channels."""
+    with pytest.raises(StreamError, match="Huffman table"):
+        pipeline.decode(_other_huffman_table(encoded["proposed"].stream), quantizers=small_quantizers_module)
 
 
 def test_measure_stream_checks_fingerprints(encoded, small_quantizers_module):
     import copy
 
-    from hoacodec.core_codec import HuffmanTable
-
     stream = encoded["proposed"].stream
-    other_table = HuffmanTable((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 16))
-    with pytest.raises(ConfigurationError, match="table"):
-        pipeline.measure_stream(stream, quantizers=small_quantizers_module, huffman_table=other_table)
+    with pytest.raises(StreamError, match="Huffman table"):
+        pipeline.measure_stream(_other_huffman_table(stream), quantizers=small_quantizers_module)
     other_codebooks = copy.deepcopy(small_quantizers_module)
     other_codebooks.residual.centroids[0, 0] += 1.0
     with pytest.raises(ConfigurationError, match="fingerprint"):
@@ -282,7 +287,7 @@ def test_measure_stream_checks_fingerprints(encoded, small_quantizers_module):
 _HEADER_FIELDS = {
     "codec_id": (6, 1), "flags": (7, 1), "sample_rate": (8, 4), "order": (12, 1), "half_length": (13, 4),
     "rank": (17, 1), "bands": (18, 1), "background_order": (19, 1), "original_length": (28, 8),
-    "frame_count": (36, 4), "group_table_id": (64, 1),
+    "frame_count": (36, 4), "table_fingerprint": (60, 4), "group_table_id": (64, 1),
 }
 
 
@@ -297,6 +302,7 @@ _HEADER_FIELDS = {
     ("order", 200, "order 200 above"),  # M=40401
     ("group_table_id", 5, "group table id"),
     ("group_table_id", 0, "half length"),  # the AAC table needs L=1024, the stream has 256
+    ("table_fingerprint", 0, "unknown Huffman table fingerprint"),
     ("half_length", 32, "half length"),  # fewer bins than noise groups
     # with a matching frame count; the decoder would allocate per frame
     ("half_length", 2**26, "half length 67108864 above the maximum"),
@@ -726,7 +732,7 @@ def test_one_channel_decode_call_per_frame(encoded, small_quantizers_module, mon
     decode_channels = core_codec.entropy_decode_channel
 
     def counted(*args):
-        calls.append(args[3])
+        calls.append(args[2])
         return decode_channels(*args)
 
     monkeypatch.setattr(core_codec, "entropy_decode_channel", counted)
