@@ -152,6 +152,8 @@ def compaction_gain(spec: SpectralFrame, rank: int, layout: BandLayout):
     Returns (energy_global, energy_banded); the banded value can never be
     below the global one since each band may choose its own basis.
     """
+    if rank < 1:
+        raise ShapeError(f"rank {rank} below 1")
     if rank > spec.coeffs.shape[1]:
         raise ShapeError("rank exceeds channel count")
     s_global = svd(spec.coeffs).singular_values

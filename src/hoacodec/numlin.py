@@ -183,9 +183,12 @@ def _seed_centroids(training: np.ndarray, size: int, rng: np.random.Generator) -
 
 def _assign(training: np.ndarray, centroids: np.ndarray):
     """Nearest centroid per training vector; ties go to the smaller index."""
-    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 ; argmin over c
-    cross = training @ centroids.T
-    d2 = np.sum(centroids**2, axis=1)[None, :] - 2.0 * cross
+    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 ; argmin over c.  One (n, K)
+    # matrix, scaled and shifted in place: -2 is exact and c2 + (-2 x.c) is
+    # c2 - 2 x.c bit for bit.
+    d2 = training @ centroids.T
+    d2 *= -2.0
+    d2 += np.sum(centroids**2, axis=1)
     labels = np.argmin(d2, axis=1)
     dist = d2[np.arange(training.shape[0]), labels] + np.sum(training**2, axis=1)
     return labels, np.maximum(dist, 0.0)
@@ -219,19 +222,25 @@ def gla_train(
     history = []
     for _ in range(max_iter):
         labels, dist = _assign(training, centroids)
-        # reseed empty cells before the mean update
+        # reseed empty cells before the mean update; only then does the
+        # partition change
         counts = np.bincount(labels, minlength=size)
-        for k in np.flatnonzero(counts == 0):
-            far = int(np.argmax(dist))
-            centroids[k] = training[far]
-            dist[far] = 0.0
-        labels, dist = _assign(training, centroids)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            for k in empty:
+                far = int(np.argmax(dist))
+                centroids[k] = training[far]
+                dist[far] = 0.0
+            labels, dist = _assign(training, centroids)
+            counts = np.bincount(labels, minlength=size)
         step = float(dist.mean())
         history.append(step)
-        for k in range(size):
-            members = training[labels == k]
-            if members.shape[0]:
-                centroids[k] = members.mean(axis=0)
+        # each cell's members, in their original order, are one slice of the
+        # label-sorted set: its mean is the masked mean bit for bit
+        grouped = training[np.argsort(labels, kind="stable")]
+        ends = np.cumsum(counts)
+        for k in np.flatnonzero(counts):
+            centroids[k] = grouped[ends[k] - counts[k] : ends[k]].mean(axis=0)
         if np.isfinite(prev) and prev - step <= tol * max(prev, np.finfo(float).tiny):
             break
         prev = step

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import lpmv
@@ -128,15 +128,33 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, path) -> "SceneSpec":
-        """The recipe :meth:`to_json` writes; a file that is not JSON, or an
-        unknown or missing key, is a :class:`FormatError`."""
+        """The recipe :meth:`to_json` writes; a file that is not JSON, an
+        unknown or missing key, or a value of the wrong type is a
+        :class:`FormatError`."""
         with open(path) as fh:
             try:
-                doc = json.load(fh)
-                sources = [SourceSpec(**s) for s in doc.pop("sources", [])]
-                return cls(sources=sources, **doc)
-            except (ValueError, TypeError, AttributeError) as exc:
+                doc = _typed_fields(cls, json.load(fh))
+                doc["sources"] = [SourceSpec(**_typed_fields(SourceSpec, s)) for s in doc.get("sources", [])]
+                return cls(**doc)
+            except (ValueError, TypeError) as exc:
                 raise FormatError(f"{path}: not a scene recipe: {exc}") from None
+
+
+# the JSON values each recipe field annotation accepts: an int is a number,
+# a bool is not
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "list": (list,)}
+
+
+def _typed_fields(cls, doc) -> dict:
+    """``doc`` once it is an object whose values have the types of
+    ``cls``'s field annotations; a ``TypeError`` otherwise."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{cls.__name__} must be an object, got {type(doc).__name__}")
+    for f in fields(cls):
+        value = doc.get(f.name)
+        if f.name in doc and (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type])):
+            raise TypeError(f"{cls.__name__}.{f.name} must be {f.type}, got {type(value).__name__}")
+    return doc
 
 
 def render_scene(spec: SceneSpec) -> HoaSignal:

@@ -131,6 +131,9 @@ def test_runtime_errors_exit_2(workspace):
     # a frame length the MDCT cannot fold
     for frame in ("255", "0"):
         assert main(["analyze", str(wav), "--frame", frame]) == 2
+    # a compaction rank below 1
+    for rank in ("0", "-1"):
+        assert main(["analyze", str(wav), "--frame", "256", "--rank", rank]) == 2
     assert main(["train-quantizers", str(workspace / "corpus"),
                  "--out", str(workspace / "x255"), "--frame", "255"]) == 2
 
@@ -142,6 +145,11 @@ def test_bad_parameters_exit_2_with_one_line(workspace, tmp_path, capsys):
         "unknown_key.json": json.dumps({"duration": 0.1, "tempo": 3}),
         "unknown_source_key.json": json.dumps({"duration": 0.1, "sources": [{"kind": "tone", "pitch": 3}]}),
         "not_json.json": "{not json",
+        "string_duration.json": json.dumps({"name": "x", "duration": "1"}),
+        "bool_order.json": json.dumps({"duration": 0.1, "order": True}),
+        "string_source_level.json": json.dumps({"duration": 0.1, "sources": [{"kind": "tone", "level": "0.5"}]}),
+        "source_not_object.json": json.dumps({"duration": 0.1, "sources": [3]}),
+        "sources_not_list.json": json.dumps({"duration": 0.1, "sources": {"kind": "tone"}}),
     }
     for name, text in recipes.items():
         (tmp_path / name).write_text(text)

@@ -132,6 +132,13 @@ def test_single_band_layout_equals_global(rng):
     assert eb == pytest.approx(eg, rel=1e-12)
 
 
+def test_compaction_rank_below_one_rejected(rng):
+    sp = _frame(rng, L=64, M=8)
+    for rank in (0, -1):
+        with pytest.raises(ShapeError):
+            compaction_gain(sp, rank, layout_for_mode(1, 64))
+
+
 def test_banded_energy_dominates(rng):
     for _ in range(25):
         sp = _frame(rng, L=64, M=8)

@@ -1,12 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hoacodec import numlin
 from hoacodec.errors import FormatError, NumericError, ShapeError, TrainingError
 from hoacodec.numlin import (
     Codebook,
+    _assign,
+    _seed_centroids,
     distortion,
     gla_train,
     hungarian,
@@ -213,6 +217,87 @@ def test_degenerate_flag_when_size_exceeds_distinct_vectors():
 def test_empty_training_rejected():
     with pytest.raises(TrainingError):
         gla_train(np.zeros((0, 2)), 2)
+
+
+def _reference_assign(training, centroids):
+    """The nearest-centroid search the in-place one replaced: three (n, K)
+    temporaries."""
+    cross = training @ centroids.T
+    d2 = np.sum(centroids**2, axis=1)[None, :] - 2.0 * cross
+    labels = np.argmin(d2, axis=1)
+    dist = d2[np.arange(training.shape[0]), labels] + np.sum(training**2, axis=1)
+    return labels, np.maximum(dist, 0.0)
+
+
+def _reference_gla_train(training, size, tol=1e-6, max_iter=200, seed=0):
+    """The Lloyd loop the one-assignment loop replaced: two searches and K
+    boolean masks per iteration.  Returns (centroids, history, degenerate)."""
+    training = np.atleast_2d(np.asarray(training, dtype=np.float64))
+    degenerate = size > np.unique(training, axis=0).shape[0]
+    centroids = _seed_centroids(training, size, np.random.default_rng(seed))
+    prev = np.inf
+    history = []
+    for _ in range(max_iter):
+        labels, dist = _reference_assign(training, centroids)
+        counts = np.bincount(labels, minlength=size)
+        for k in np.flatnonzero(counts == 0):
+            far = int(np.argmax(dist))
+            centroids[k] = training[far]
+            dist[far] = 0.0
+        labels, dist = _reference_assign(training, centroids)
+        step = float(dist.mean())
+        history.append(step)
+        for k in range(size):
+            members = training[labels == k]
+            if members.shape[0]:
+                centroids[k] = members.mean(axis=0)
+        if np.isfinite(prev) and prev - step <= tol * max(prev, np.finfo(float).tiny):
+            break
+        prev = step
+    return centroids, history, degenerate
+
+
+def _gla_cases(rng):
+    """(training, size, seed): dims 1, 2 and 16, and a set of few distinct
+    rows, so cells go empty and get reseeded."""
+    yield rng.standard_normal((700, 1)) * 0.3, 16, 7
+    yield rng.standard_normal((500, 2)), 32, 1
+    yield rng.standard_normal((900, 16)), 64, 3
+    few = rng.standard_normal((6, 2))
+    yield few[rng.integers(6, size=300)], 8, 5
+
+
+def test_gla_train_matches_reference_bit_for_bit(rng, monkeypatch):
+    reseeds = []
+    for training, size, seed in _gla_cases(rng):
+        want, history, degenerate = _reference_gla_train(training, size, max_iter=40, seed=seed)
+        calls = []
+        monkeypatch.setattr(numlin, "_assign", lambda x, c: calls.append(1) or _assign(x, c))
+        cb = gla_train(training, size, max_iter=40, seed=seed)
+        monkeypatch.undo()
+        assert cb.centroids.tobytes() == want.tobytes()
+        assert cb.history == history and cb.degenerate == degenerate
+        reseeds.append(len(calls) - len(history))
+    # one search per iteration, plus one after each reseed; the last set reseeds
+    assert reseeds[:3] == [0, 0, 0] and reseeds[3] > 0
+
+
+def test_assign_matches_three_temporary_formula(rng):
+    for training, size, seed in _gla_cases(rng):
+        centroids = _seed_centroids(training, size, np.random.default_rng(seed))
+        for got, want in zip(_assign(training, centroids), _reference_assign(training, centroids)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_gla_train_peak_memory_is_about_one_distance_matrix():
+    training = np.random.default_rng(0).standard_normal((4536, 16))
+    tracemalloc.start()
+    try:
+        gla_train(training, 256, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * training.shape[0] * 256 * 8
 
 
 # --- nearest quantization ---
