@@ -35,14 +35,11 @@ ESCAPE_SYMBOL = 16  # magnitudes 0..15 are coded directly, >=16 escape
 _ALPHABET = ESCAPE_SYMBOL + 1
 
 
-@dataclass
-class MaskingConfig:
-    """Parameters of the simplified masking model (all config-exposed)."""
-
-    spread_lower_db: float = 22.0  # decay per band toward lower frequencies
-    spread_upper_db: float = 12.0  # decay per band toward higher frequencies
-    snr_offset_db: float = 18.0  # tonality-independent masker-to-threshold drop
-    absolute_floor: float = 1e-9  # per-band power floor (hearing-threshold stand-in)
+# the simplified masking model
+SPREAD_LOWER_DB = 22.0  # decay per band toward lower frequencies
+SPREAD_UPPER_DB = 12.0  # decay per band toward higher frequencies
+SNR_OFFSET_DB = 18.0  # tonality-independent masker-to-threshold drop
+ABSOLUTE_FLOOR = 1e-9  # per-band power floor (hearing-threshold stand-in)
 
 
 @dataclass
@@ -77,29 +74,24 @@ def band_energies(spectrum: np.ndarray, groups: FrequencyGroups) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _spreading(lower_db: float, upper_db: float, nb: int) -> np.ndarray:
+def _spreading(nb: int) -> np.ndarray:
     """Two-slope spreading gains, (target band, masker band); read-only."""
     d = np.arange(nb)[:, None] - np.arange(nb)[None, :]  # target - masker
-    atten_db = np.where(d >= 0, upper_db * d, -lower_db * d)
+    atten_db = np.where(d >= 0, SPREAD_UPPER_DB * d, -SPREAD_LOWER_DB * d)
     gains = 10.0 ** (-atten_db / 10.0)
     gains.setflags(write=False)
     return gains
 
 
-def masking_threshold(
-    spectrum: np.ndarray,
-    groups: FrequencyGroups,
-    config: MaskingConfig | None = None,
-) -> MaskingCurve:
+def masking_threshold(spectrum: np.ndarray, groups: FrequencyGroups) -> MaskingCurve:
     """Spread per-band energy with two slopes, drop by the SNR offset, floor;
     per channel."""
-    cfg = config or MaskingConfig()
     energy = band_energies(spectrum, groups)
     nb = energy.shape[0]
     per_channel = _flat(energy, nb).reshape(-1, nb)
-    spread = per_channel[:, None, :] * _spreading(cfg.spread_lower_db, cfg.spread_upper_db, nb)
-    mask = spread.sum(axis=-1) * 10.0 ** (-cfg.snr_offset_db / 10.0)
-    return MaskingCurve(band_power=_unflat(np.maximum(mask, cfg.absolute_floor).ravel(), energy.shape))
+    spread = per_channel[:, None, :] * _spreading(nb)
+    mask = spread.sum(axis=-1) * 10.0 ** (-SNR_OFFSET_DB / 10.0)
+    return MaskingCurve(band_power=_unflat(np.maximum(mask, ABSOLUTE_FLOOR).ravel(), energy.shape))
 
 
 @dataclass

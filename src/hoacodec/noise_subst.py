@@ -94,11 +94,11 @@ class FrequencyGroups:
         return cls(offsets=AAC_48K_LONG_OFFSETS)
 
     @classmethod
-    def uniform(cls, num_bins: int, count: int = NUM_GROUPS) -> "FrequencyGroups":
+    def uniform(cls, num_bins: int) -> "FrequencyGroups":
         """Equal-width fallback for frame lengths other than 1024 bins."""
-        if num_bins < count:
-            raise ShapeError(f"cannot form {count} groups from {num_bins} bins")
-        bounds = np.linspace(0, num_bins, count + 1).round().astype(int)
+        if num_bins < NUM_GROUPS:
+            raise ShapeError(f"cannot form {NUM_GROUPS} groups from {num_bins} bins")
+        bounds = np.linspace(0, num_bins, NUM_GROUPS + 1).round().astype(int)
         return cls(offsets=tuple(bounds.tolist()))
 
 

@@ -153,8 +153,11 @@ class FrameStats:
     switched_columns: int = 0  # predicted from a reference after a mode switch
 
 
+_FRAMING_BITS = 64  # the u32 size and u32 CRC around each frame payload
+
+
 def _frame_stats(
-    index: int, payload: bytes, side: sideinfo.SideInfoFrame | None, noise_bits=0, core_bits=0,
+    index: int, payload_bits: int, side: sideinfo.SideInfoFrame | None, noise_bits=0, core_bits=0,
     **extra,
 ) -> FrameStats:
     """Accounting of one container frame: the payload bits left over by the
@@ -167,8 +170,8 @@ def _frame_stats(
         side_bits=side.bit_count,
         noise_bits=noise_bits,
         core_bits=core_bits,
-        padding_bits=8 * len(payload) - side.bit_count - noise_bits - core_bits,
-        total_bits=8 * len(payload) + 64,
+        padding_bits=payload_bits - side.bit_count - noise_bits - core_bits,
+        total_bits=payload_bits + _FRAMING_BITS,
         intra_columns=side.intra_columns,
         predicted_columns=side.predicted_columns,
         switched_columns=side.switched_columns,
@@ -452,7 +455,7 @@ def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConf
             payload_bits = t.side.bit_count + t.noise_bits + int(bits[c].sum())
             costs.append(
                 _mask_weighted_error(original, spectrum, masks, groups)
-                + cfg.rd_lambda * (payload_bits + 64 + (-payload_bits) % 8)
+                + cfg.rd_lambda * (payload_bits + _FRAMING_BITS + (-payload_bits) % 8)
             )
         ranked = sorted(range(len(trials)), key=lambda k: (costs[k], trials[k].side.mode))
         rd = {"rd_cost": costs[ranked[0]], "rd_cost_other": costs[ranked[1]]}
@@ -466,7 +469,7 @@ def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConf
     assert core_bits == bits[c].sum()
     payload = t.writer.getvalue()
     stats = _frame_stats(
-        index, payload, t.side, t.noise_bits, core_bits,
+        index, 8 * len(payload), t.side, t.noise_bits, core_bits,
         max_nmr=float(max_nmr[c].max()), escalated_bands=int(escalated[c].sum()), **rd,
     )
     return payload, stats, t.state
@@ -556,8 +559,6 @@ class ParsedFrame:
     bases: list  # per band, the (M, r) basis (one band for the baseline)
     noise: NoiseGroupInfo
     channels: core_codec.CodedChannel | np.ndarray  # the (L, C) components; raw spectra in bypass
-    noise_bits: int
-    core_bits: int
 
 
 @dataclass
@@ -599,32 +600,39 @@ def _open_stream(stream: bytes, quantizers):
     return header, groups, frames, len(frames) < header.frame_count
 
 
-def parse_frame(
-    reader: BitReader,
-    header: StreamHeader,
-    state: sideinfo.SideInfoState,
-    quantizers: sideinfo.QuantizerSet | None,
-    groups: FrequencyGroups,
-) -> ParsedFrame:
-    """Read one frame payload: side info, noise block, component channels.
-
-    The same syntax serves both codecs; the baseline has a single band in
-    either mode.  ``state`` is the side-info prediction state and advances
-    with the frame.  Raises :class:`StreamError` on a malformed payload.
-    """
+def _walk(header: StreamHeader, groups: FrequencyGroups, stream: bytes, frames, quantizers):
+    """The one frame walk of decode and stats: yields (FrameStats, ParsedFrame)
+    per frame of ``frames`` (see :func:`_open_stream`), read as side info, noise
+    block and component channels with the side-info state carried on.  A frame
+    that fails its CRC or does not parse yields stats concealed with the reason
+    ("crc" or the parse error) and None.  The baseline has one band per mode."""
     rank = header.rank
-    nbands = header.bands if header.codec_id == CODEC_PROPOSED else 1
-    ranks = {0: [rank], 1: [rank] * nbands}
+    ranks = {0: [rank], 1: [rank] * (header.bands if header.codec_id == CODEC_PROPOSED else 1)}
     q = None if header.bypass else quantizers
-    side, bases = sideinfo.decode_sideinfo(reader, q, state, ranks, header.num_channels)
-    noise, noise_bits = _read_noise_block(reader)
     count = rank + (header.background_order + 1) ** 2
-    if header.bypass:
-        channels = sideinfo.require_finite(reader.read_f64_array((count, groups.num_bins)), "raw channel").T
-    else:
-        channels = core_codec.entropy_decode_channel(reader, groups, count)
-    core_bits = reader.bit_position - side.bit_count - noise_bits
-    return ParsedFrame(side, bases, noise, channels, noise_bits, core_bits)
+    state = sideinfo.SideInfoState()
+    for f, (start, end, crc_ok) in enumerate(frames):
+        p, reason = None, "crc"
+        if crc_ok:
+            reader = BitReader(stream[start:end])
+            try:
+                side, bases = sideinfo.decode_sideinfo(reader, q, state, ranks, header.num_channels)
+                noise, noise_bits = _read_noise_block(reader)
+                if header.bypass:
+                    raw = reader.read_f64_array((count, groups.num_bins))
+                    channels = sideinfo.require_finite(raw, "raw channel").T
+                else:
+                    channels = core_codec.entropy_decode_channel(reader, groups, count)
+                p = ParsedFrame(side, bases, noise, channels)
+            except StreamError as exc:
+                # a damaged prediction chain can leave later frames
+                # unparseable; treat them like CRC failures
+                reason = str(exc)
+        if p is None:
+            yield _frame_stats(f, 8 * (end - start), None, concealed=True, conceal_reason=reason), None
+        else:
+            core_bits = reader.bit_position - side.bit_count - noise_bits
+            yield _frame_stats(f, 8 * (end - start), side, noise_bits, core_bits), p
 
 
 def decode(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> DecodeResult:
@@ -637,7 +645,7 @@ def decode(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> De
     """
     header, groups, frames, truncated = _open_stream(stream, quantizers)
     frame_stats = []
-    decoded = _decode_frames(header, stream, frames, quantizers, groups, frame_stats)
+    decoded = _decode_frames(header, groups, _walk(header, groups, stream, frames, quantizers), frame_stats)
     window = transform.sine_window(header.half_length)
     if not frames:
         samples = np.zeros((0, header.num_channels))
@@ -660,26 +668,18 @@ def decode(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> De
     )
 
 
-def _decode_frames(header: StreamHeader, stream, frames, quantizers, groups, frame_stats: list):
-    """Parse each frame payload of ``stream``, or conceal it, and yield its spectrum and
-    bases as it is read, appending its :class:`FrameStats` to ``frame_stats``.
-    The spectrum is the proposed codec's L x M spectrum, or the baseline's
-    (L, r + M) component block.  A concealed frame repeats the previous
-    frame's spectrum and bases (zeros before the first decoded frame)."""
+def _decode_frames(header: StreamHeader, groups, walk, frame_stats: list):
+    """Reconstruct each frame of ``walk`` and yield its spectrum and bases,
+    appending its :class:`FrameStats` to ``frame_stats``.  The spectrum is
+    the proposed codec's L x M spectrum, or the baseline's (L, r + M)
+    component block.  A concealed frame repeats the previous frame's
+    spectrum and bases (zeros before the first decoded frame)."""
     L, M, rank = header.half_length, header.num_channels, header.rank
     nbg = (header.background_order + 1) ** 2
     proposed = header.codec_id == CODEC_PROPOSED
     spectrum, bases = np.zeros((L, M if proposed else rank + M)), [np.zeros((M, rank))]
-    state = sideinfo.SideInfoState()
-    for f, (start, end, crc_ok) in enumerate(frames):
-        payload, p, reason = stream[start:end], None, "crc"
-        if crc_ok:
-            try:
-                p = parse_frame(BitReader(payload), header, state, quantizers, groups)
-            except StreamError as exc:
-                # a damaged prediction chain can leave later frames
-                # unparseable; treat them like CRC failures
-                reason = str(exc)
+    for stats, p in walk:
+        f = stats.index
         if p is not None:
             channels = p.channels if header.bypass else core_codec.dequantize_channel(p.channels, groups)
             noise = noise_subst.synthesize_noise(p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg)
@@ -694,11 +694,9 @@ def _decode_frames(header: StreamHeader, stream, frames, quantizers, groups, fra
             if in_range:
                 spectrum, bases = decoded, p.bases
             else:
-                p, reason = None, "decoded values out of range"
-        if p is None:
-            frame_stats.append(_frame_stats(f, payload, None, concealed=True, conceal_reason=reason))
-        else:
-            frame_stats.append(_frame_stats(f, payload, p.side, p.noise_bits, p.core_bits))
+                reason = "decoded values out of range"
+                stats = _frame_stats(f, stats.total_bits - _FRAMING_BITS, None, concealed=True, conceal_reason=reason)
+        frame_stats.append(stats)
         yield transform.SpectralFrame(index=f, coeffs=spectrum), bases
 
 
@@ -765,19 +763,20 @@ def _recombine_baseline(header: StreamHeader, decoded, count: int, window) -> np
 def measure_stream(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> StreamStats:
     """Exact per-frame bit accounting of an existing stream.
 
-    Parses every frame as the decoder does (:func:`parse_frame`) without
-    any signal reconstruction; category sums plus framing overhead equal
-    the container size exactly.
+    Reads every frame through the decoder's own walk (:func:`_walk`)
+    without any signal reconstruction; category sums plus framing overhead
+    equal the container size exactly.  Raises :class:`StreamError` on the
+    first frame the walk cannot parse; its ``partial`` attribute carries the
+    stats of the frames before it.
     """
     header, groups, frames, truncated = _open_stream(stream, quantizers)
     if truncated:
         raise StreamError("stream truncated; cannot account bits")
-    state = sideinfo.SideInfoState()
     frame_stats = []
-    for f, (start, end, crc_ok) in enumerate(frames):
-        if not crc_ok:
-            raise StreamError(f"frame {f}: CRC mismatch")
-        payload = stream[start:end]
-        p = parse_frame(BitReader(payload), header, state, quantizers, groups)
-        frame_stats.append(_frame_stats(f, payload, p.side, p.noise_bits, p.core_bits))
+    for stats, _ in _walk(header, groups, stream, frames, quantizers):
+        if stats.concealed:
+            reason = stats.conceal_reason
+            message = f"frame {stats.index}: CRC mismatch" if reason == "crc" else reason
+            raise StreamError(message, partial=header.stream_stats(frame_stats))
+        frame_stats.append(stats)
     return header.stream_stats(frame_stats)

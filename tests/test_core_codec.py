@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.core_codec import (
+    ABSOLUTE_FLOOR,
     ESCAPE_SYMBOL,
     SF_MAX,
     SF_MIN,
     HUFFMAN_TABLE,
     CodedChannel,
     HuffmanTable,
-    MaskingConfig,
     MaskingCurve,
     _CHUNKS,
     _QUANT_MAGIC,
@@ -40,27 +40,33 @@ def groups():
 # --- masking ---
 
 def test_silence_masks_at_absolute_floor(groups):
-    cfg = MaskingConfig()
-    mask = masking_threshold(np.zeros(1024), groups, cfg)
-    assert np.all(mask.band_power == cfg.absolute_floor)
+    mask = masking_threshold(np.zeros(1024), groups)
+    assert np.all(mask.band_power == ABSOLUTE_FLOOR)
 
 
 def test_single_loud_band_spreads_monotonically(groups):
     spectrum = np.zeros(1024)
-    spectrum[512:544] = 30.0  # one loud region
-    mask = masking_threshold(spectrum, groups, MaskingConfig(absolute_floor=1e-30))
+    spectrum[512:544] = 30.0  # one loud region, all in one band
+    mask = masking_threshold(spectrum, groups)
     b0 = int(np.argmax(mask.band_power))
     above = mask.band_power[b0:]
     below = mask.band_power[: b0 + 1]
     assert np.all(np.diff(above) <= 1e-9 * above[:-1])
     assert np.all(np.diff(below) >= -1e-9 * below[1:])
+    # the bands above the floor fall off by 12 dB per band upward and
+    # 22 dB per band downward from the loud band
+    lifted = np.flatnonzero(mask.band_power > ABSOLUTE_FLOOR)
+    up = mask.band_power[b0 : lifted[-1] + 1]
+    down = mask.band_power[lifted[0] : b0 + 1]
+    assert up.size > 2 and down.size > 2
+    np.testing.assert_allclose(up[1:] / up[:-1], 10.0 ** (-12.0 / 10.0), rtol=1e-12)
+    np.testing.assert_allclose(down[:-1] / down[1:], 10.0 ** (-22.0 / 10.0), rtol=1e-12)
 
 
 def test_mask_scales_with_energy(groups, rng):
     spectrum = rng.standard_normal(1024) * 5
-    cfg = MaskingConfig(absolute_floor=1e-30)
-    m1 = masking_threshold(spectrum, groups, cfg).band_power
-    m2 = masking_threshold(3.0 * spectrum, groups, cfg).band_power
+    m1 = masking_threshold(spectrum, groups).band_power
+    m2 = masking_threshold(3.0 * spectrum, groups).band_power
     assert np.allclose(m2, 9.0 * m1, rtol=1e-12)
 
 

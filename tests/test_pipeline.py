@@ -516,6 +516,11 @@ def test_header_flips_that_misread_raw_values_stay_finite(talkers_bypass_streams
     flips=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=4),
 )
 def test_bit_flips_with_valid_crc_conceal_or_raise(encoded, small_quantizers_module, codec, frame, flips):
+    """Stats stops where decode conceals: ``measure_stream`` raises exactly
+    when ``decode`` conceals a frame, with the first concealed frame's
+    reason, and the two account every frame before it alike.  Each set of
+    flips is checked under a recomputed CRC and under the stream's own CRC,
+    which the flips break."""
     import zlib
 
     stream = bytearray(encoded[codec].stream)
@@ -523,16 +528,21 @@ def test_bit_flips_with_valid_crc_conceal_or_raise(encoded, small_quantizers_mod
     for bit in flips:
         bit %= 8 * size
         stream[start + bit // 8] ^= 0x80 >> (bit % 8)
+    crc_broken = bytes(stream)
     stream[start + size : start + size + 4] = zlib.crc32(stream[start : start + size]).to_bytes(4, "big")
-    stream = bytes(stream)
-    try:
-        pipeline.decode(stream, quantizers=small_quantizers_module)
-    except HoaCodecError:
-        pass
-    try:
-        pipeline.measure_stream(stream, quantizers=small_quantizers_module)
-    except StreamError:
-        pass
+    for damaged in (bytes(stream), crc_broken):
+        frames = pipeline.decode(damaged, quantizers=small_quantizers_module).stats.frames
+        concealed = [f for f in frames if f.concealed]
+        if not concealed:
+            measured = pipeline.measure_stream(damaged, quantizers=small_quantizers_module).frames
+            assert measured == frames
+            continue
+        first = concealed[0]
+        reason = f"frame {first.index}: CRC mismatch" if first.conceal_reason == "crc" else first.conceal_reason
+        with pytest.raises(StreamError) as raised:
+            pipeline.measure_stream(damaged, quantizers=small_quantizers_module)
+        assert str(raised.value) == reason
+        assert raised.value.partial.frames == frames[: first.index]
 
 
 def test_decode_reads_no_bit_at_a_time(small_scene_module, small_quantizers_module, monkeypatch):
