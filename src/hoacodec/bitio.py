@@ -187,34 +187,3 @@ class BitReader:
             raise StreamError("bitstream exhausted")
         self._pos = pos
 
-
-def lehmer_encode(perm) -> int:
-    """Rank a permutation of 0..r-1 in lexicographic order."""
-    perm = list(perm)
-    r = len(perm)
-    rank = 0
-    remaining = list(range(r))
-    for i, p in enumerate(perm):
-        idx = remaining.index(p)
-        rank = rank * (r - i) + idx
-        remaining.pop(idx)
-    return rank
-
-
-def lehmer_decode(rank: int, r: int) -> list[int]:
-    """Inverse of :func:`lehmer_encode`."""
-    digits = []
-    for base in range(1, r + 1):
-        digits.append(rank % base)
-        rank //= base
-    digits.reverse()
-    remaining = list(range(r))
-    return [remaining.pop(d) for d in digits]
-
-
-def factorial_bits(r: int) -> int:
-    """ceil(log2 r!): bits needed for a Lehmer index of a length-r permutation."""
-    f = 1
-    for i in range(2, r + 1):
-        f *= i
-    return (f - 1).bit_length()

@@ -44,7 +44,6 @@ def _add_codec_options(p, with_codec=True, with_mnmr=True):
     p.add_argument("--bg-order", type=int, default=1, help="background ambisonics order t")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rd-lambda", type=float, default=pipeline.DEFAULT_RD_LAMBDA)
-    p.add_argument("--flatness-threshold", type=float, default=0.25)
     p.add_argument("--codebooks", type=Path, default=None, help="trained quantizer directory")
     p.add_argument("--bypass", action="store_true", help="skip all quantization (diagnostic)")
 
@@ -61,7 +60,6 @@ def _build_config(args, codec=None, mnmr=None) -> pipeline.EncoderConfig:
         bands=args.bands,
         background_order=args.bg_order,
         mnmr=mnmr if mnmr is not None else args.mnmr,
-        flatness_threshold=args.flatness_threshold,
         rd_lambda=args.rd_lambda,
         seed=args.seed,
         bypass_quantization=args.bypass,

@@ -31,6 +31,9 @@ AAC_48K_LONG_OFFSETS = (
 
 NUM_GROUPS = 49
 
+# a group is noise-like, and so substituted, above this flatness
+FLATNESS_THRESHOLD = 0.25
+
 # energy quantizer: index 0 is exact silence, 1..63 span 96 dB in equal steps
 ENERGY_BITS = 6
 ENERGY_FLOOR_DB = -60.0
@@ -194,7 +197,7 @@ def group_flatness(spectra: np.ndarray, groups: FrequencyGroups) -> tuple:
 def analyze_discarded(
     discarded_spectra: np.ndarray,
     groups: FrequencyGroups,
-    threshold: float = 0.25,
+    threshold: float = FLATNESS_THRESHOLD,
 ) -> NoiseGroupInfo:
     """Flatness-gate the discarded channels' spectra and quantize energies.
 

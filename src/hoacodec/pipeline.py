@@ -37,7 +37,7 @@ from hoacodec.hoa_io import HoaSignal, TimeFrame, num_frames, segment_frames
 from hoacodec.noise_subst import NUM_GROUPS, FrequencyGroups, NoiseGroupInfo
 
 MAGIC = b"HOAC"
-VERSION = 1
+VERSION = 2
 
 CODEC_BASELINE = 0
 CODEC_PROPOSED = 1
@@ -70,7 +70,6 @@ class EncoderConfig:
     bands: int = 4
     background_order: int = 1
     mnmr: float = 1.0
-    flatness_threshold: float = 0.25
     rd_lambda: float = DEFAULT_RD_LAMBDA
     seed: int = 0
     bypass_quantization: bool = False
@@ -494,7 +493,7 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups):
             bases = [baseline_td.TruncatedBasis(vectors=v, frame=sp.index) for v in recon]
             dec = freq_svd.band_decompose(bands, cfg.rank, layout, bases=bases)
             residual = freq_svd.compute_residual(sp, dec)
-            info = noise_subst.analyze_discarded(residual[:, nbg:], groups, cfg.flatness_threshold)
+            info = noise_subst.analyze_discarded(residual[:, nbg:], groups)
             noise_bits = _write_noise_block(w, info)
             channels = np.hstack([np.concatenate(dec.foregrounds), residual[:, :nbg]])
             trials.append(_Trial(w, side, noise_bits, channels, trial_state, recon, layout))
@@ -538,7 +537,7 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups):
         if waiting is not None:
             index, writer, side_info = waiting
             spec = transform.mdct_forward(TimeFrame(index=index, samples=block), mdct_win).coeffs
-            info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups, cfg.flatness_threshold)
+            info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups)
             trial = _Trial(writer, side_info, _write_noise_block(writer, info), spec[:, : r + nbg])
             payload, stats, _ = _code_frame(index, [trial], spec, cfg, groups)
             yield payload, stats

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from hoacodec.baseline_td import TruncatedBasis, match_bases, truncated_basis
-from hoacodec.bitio import BitReader, BitWriter, factorial_bits, lehmer_encode
+from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.errors import ConfigurationError, ShapeError, StreamError, TrainingError
 from hoacodec.freq_svd import MODE_FOUR_BANDS, MODE_SINGLE_BAND, mode_bases
 from hoacodec.hoa_io import segment_frames
@@ -227,17 +227,17 @@ def predict_basis(prev: TruncatedBasis, cur: TruncatedBasis):
 
 
 class _Code:
-    """The side-info fields of one frame: per column, band after band, and
-    per band the match's Lehmer rank and reconstructed basis.  The encoder
-    fills them before its walk writes them; the decoder's walk reads them
-    into a fresh one, and :func:`_rebuilt` then reconstructs its bases."""
+    """The side-info fields of one frame, per column, band after band, and
+    the reconstructed bases, per band.  The encoder fills them before its
+    walk writes them; the decoder's walk reads them into a fresh one, and
+    :func:`_rebuilt` then reconstructs its bases."""
 
     def __init__(self, ranks: list):
         n = sum(ranks)
-        self.perm, self.bases = [0] * len(ranks), []  # per band
+        self.bases = []  # per band
         self.intra = [True] * n  # column_intra (every column of an intra band)
-        self.intra_index, self.ref_index, self.flip = [0] * n, [0] * n, [False] * n
-        self.signs, self.coeff_index, self.residual_index = [False] * n, [0] * n, [0] * n
+        self.intra_index, self.ref_index = [0] * n, [0] * n
+        self.coeff_index, self.residual_index = [0] * n, [0] * n
 
 
 def _split(rows: np.ndarray, ranks: list) -> list:
@@ -268,7 +268,9 @@ def _code_bands(q: QuantizerSet, trials: list) -> list:
     Each column's target and reference are fixed first: in a same-mode
     band the Hungarian-matched, sign-aligned column and the band's previous
     column; on a mode switch the raw column, flipped when its best pool
-    reference correlates negatively, and that pool column.  References are
+    reference correlates negatively, and that pool column.  The match and
+    the flips only shape the targets: no field carries them, as the
+    decoder rebuilds each column from its reference alone.  References are
     reconstructed columns, so never zero.  Then one nearest-centroid pass
     per codebook covers all columns: intra for all, then coefficient and
     residual for the columns of predicted bands.  A column is predicted
@@ -289,13 +291,13 @@ def _code_bands(q: QuantizerSet, trials: list) -> list:
             elif pool is not None:
                 corrs = np.array([target @ pool for target in raw.T])
                 best = np.abs(corrs).argmax(axis=1)
-                c.ref_index[k], c.flip[k] = best.tolist(), (corrs[np.arange(len(best)), best] < 0).tolist()
-                targets += [-t if f else t for t, f in zip(raw.T, c.flip[k])]
+                c.ref_index[k] = best.tolist()
+                flips = corrs[np.arange(len(best)), best] < 0
+                targets += [-t if f else t for t, f in zip(raw.T, flips)]
                 refs += [pool[:, j] for j in c.ref_index[k]]
             else:
                 prev = state.prev_bases[band]
-                assignment, signs, aligned = match_bases(TruncatedBasis(vectors=prev), TruncatedBasis(vectors=raw))
-                c.perm[band], c.signs[k] = lehmer_encode(assignment.permutation.tolist()), (signs < 0).tolist()
+                _, _, aligned = match_bases(TruncatedBasis(vectors=prev), TruncatedBasis(vectors=raw))
                 targets += list(aligned.vectors.T)
                 refs += list(prev.T)
             cols += range(raw.shape[1])
@@ -327,7 +329,7 @@ def _code_bands(q: QuantizerSet, trials: list) -> list:
     return codes
 
 
-def _band(f: _Fields, q, state: SideInfoState, band: int, r: int, info, c: _Code, at: int, pool) -> None:
+def _band(f: _Fields, q, state: SideInfoState, r: int, info, c: _Code, at: int, pool) -> None:
     """intra_band:u1, then r intra indices or a predicted band, for the
     columns ``at``.. of ``c``: written as they stand when encoding, read
     into ``c`` when decoding."""
@@ -338,10 +340,6 @@ def _band(f: _Fields, q, state: SideInfoState, band: int, r: int, info, c: _Code
         return
     if state.prev_bases is None:
         raise StreamError("predicted band before any intra frame")
-    if pool is None:
-        f.uint("permutation index", math.factorial(r), c.perm[band], factorial_bits(r))
-        for k in range(at, at + r):
-            f.flag(c.signs[k])
     for k in range(at, at + r):
         c.intra[k] = f.flag(c.intra[k])
         if c.intra[k]:
@@ -350,7 +348,6 @@ def _band(f: _Fields, q, state: SideInfoState, band: int, r: int, info, c: _Code
             continue
         if pool is not None:
             c.ref_index[k] = f.uint("prediction reference", pool.shape[1], c.ref_index[k])
-            f.flag(c.flip[k])
             info.switched_columns += 1
         else:
             info.predicted_columns += 1
@@ -374,8 +371,8 @@ def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=N
     else:
         c = coded or _Code(ranks[mode])
         pool = state.pool() if info.switched else None
-        for band, (r, at) in enumerate(zip(ranks[mode], itertools.accumulate(ranks[mode], initial=0))):
-            _band(f, q, state, band, r, info, c, at, pool)
+        for r, at in zip(ranks[mode], itertools.accumulate(ranks[mode], initial=0)):
+            _band(f, q, state, r, info, c, at, pool)
         bases = _rebuilt(q, c, ranks[mode], state, info.switched) if coded is None else c.bases
     info.bit_count = f.position - start
     state.prev_bases = [b.copy() for b in bases]

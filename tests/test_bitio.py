@@ -1,16 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hoacodec.bitio import (
-    BitReader,
-    BitWriter,
-    factorial_bits,
-    lehmer_decode,
-    lehmer_encode,
-)
+from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.errors import StreamError
 
 
@@ -134,16 +126,3 @@ def test_arbitrary_field_sequences_roundtrip(fields):
     for value, nbits in fields:
         assert r.read(nbits) == value & ((1 << nbits) - 1)
 
-
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
-def test_lehmer_codes_all_permutations(r):
-    for perm in itertools.permutations(range(r)):
-        rank = lehmer_encode(perm)
-        assert rank < 2 ** factorial_bits(r)
-        assert lehmer_decode(rank, r) == list(perm)
-
-
-def test_lehmer_is_lexicographic():
-    perms = sorted(itertools.permutations(range(4)))
-    ranks = [lehmer_encode(p) for p in perms]
-    assert ranks == list(range(24))

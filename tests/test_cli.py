@@ -176,6 +176,16 @@ def test_huffman_table_option_is_a_usage_error(workspace):
     assert main(["stats", "--huffman-table", "x", stream]) == 1
 
 
+def test_flatness_threshold_option_is_a_usage_error(workspace):
+    """Noise substitution gates at the constant noise_subst.FLATNESS_THRESHOLD;
+    no command sets another (NaN once switched substitution off silently)."""
+    wav, out = str(_wav(workspace)), workspace / "f.bs"
+    for value in ("0.5", "nan"):
+        assert main(["encode", "--flatness-threshold", value, wav, str(out)]) == 1
+        assert main(["compare", "--corpus", str(workspace / "corpus"), "--flatness-threshold", value]) == 1
+    assert not out.exists()
+
+
 def test_missing_codebooks_message_names_command(workspace, capsys):
     wav = _wav(workspace)
     code = main(["encode", "--frame", "256", "--codebooks",

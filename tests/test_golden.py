@@ -28,25 +28,25 @@ _OPERATING_POINTS = {
 # (codec, mode) -> stream, decoded, decoded with frame 3 damaged, partial of a 2/3 cut
 GOLDEN = {
     ("proposed", "quantized"): (
-        "58a615096f144f0868904243e97ad97c35d3dd7d8f34d34f35deb0db469cc49d",
+        "d01406d45e81e93464acc75376de028e0e32c8040eb2bbec542d06998b324453",
         "f11b5e04ef1e1756363f29e2df60e53d88e71cb7b8b0483a68704cf4dc8118cb",
         "ca5f18634be191c06e5d6378e0be6f482e087779f28041342f05695e33daaab3",
         "d069030be20f4e543bd8bfdb83856800b491769fb06d427f99c38a798ac2e473",
     ),
     ("proposed", "bypass"): (
-        "3ea69b51e746823d2cac72366c5e50b8daa46fc795d648dafa2213d9cd7b8626",
+        "b63ff2b3d12153241b57e5bfd270ee4482797c01f2bad9a1c0ac4e4784f5d62d",
         "07f8ebbd4286e3a2e33db7f13d7750d94484fc378ae6f29468a230836e1eeff6",
         "7a2b89ebd509f05031e72636ed653e152c8228e754411980fbdf5e39896b4152",
         "b6fe5c19655101217baff6ae96d58aa6715ddfc90ee38d5bfce136cf06408489",
     ),
     ("baseline", "quantized"): (
-        "934c59bae5d3d89ec9596b69949751247598148d5e606c4ee81f33dbe56a3c42",
+        "a9cb80f3e2132fd8f1aaa49156e68549006bb06b842cbf643a8e2b785059c7ea",
         "4031b5f358c20a30442edf9cdb958f22d57c1b9caf694496281483158af9f5c5",
         "592f5aecfc22fb6afefc1f469f0912283c7a76c42521ad26a969ded8a00c2653",
         "5310a3e079be22101ab5eab483bc18767d584bb766fe8d4c3f811cc541a08541",
     ),
     ("baseline", "bypass"): (
-        "d0c15d5ad3b96d831e09949dbe9dc8c890455a047a5c140d295005d61880cd2c",
+        "b11ad520d7ad64d65d2368c481d57efb3c9952a55a4d3200a2b34282476be774",
         "6c1d5e45457452ef5d2501cd33295bbd76bc9dcac14d58d79c8eec4154f1f9b0",
         "291de1a98bed5bfe343302cfcd77126b30a75a01c94cad4024f1cd346f7c1f22",
         "d533f7a8eb53ed4c21d2a63a7a1dbc322f9ff7d74b7b339a7943f6aa6b9d37c5",

@@ -21,11 +21,11 @@ from hoacodec import pipeline
 # codec -> (stream, decoded)
 GOLDEN = {
     "proposed": (
-        "cc7a5b6753ee6019f02556de8773e0eb207a80bb977e1fdfc82ecab87ab03c34",
+        "5506767734844c09581eb2893dc1dfcc0fbfa802b081f36ff2094c8a25dd3949",
         "ba92247a7da3230965f1ee8e487a688c58657fb5e69462908086296348ca8105",
     ),
     "baseline": (
-        "ff9039c033729e54c224095858e1f3ca72290e72212e757d814f568878e29c45",
+        "ccaa2eecfd1479e8ccfb98c6edf50647a473af23591dc2186ead1aba166ff933",
         "67bb8f783bbc8cb615e63282ca946c3ff5a4a9cb94fd32e9cc4a2b6cd8dcf988",
     ),
 }

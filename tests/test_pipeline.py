@@ -285,13 +285,14 @@ def test_measure_stream_checks_fingerprints(encoded, small_quantizers_module):
 
 # (byte offset, size) of header fields, see docs/bitstream.md
 _HEADER_FIELDS = {
-    "codec_id": (6, 1), "flags": (7, 1), "sample_rate": (8, 4), "order": (12, 1), "half_length": (13, 4),
-    "rank": (17, 1), "bands": (18, 1), "background_order": (19, 1), "original_length": (28, 8),
-    "frame_count": (36, 4), "table_fingerprint": (60, 4), "group_table_id": (64, 1),
+    "version": (4, 2), "codec_id": (6, 1), "flags": (7, 1), "sample_rate": (8, 4), "order": (12, 1),
+    "half_length": (13, 4), "rank": (17, 1), "bands": (18, 1), "background_order": (19, 1),
+    "original_length": (28, 8), "frame_count": (36, 4), "table_fingerprint": (60, 4), "group_table_id": (64, 1),
 }
 
 
 @pytest.mark.parametrize("field,value,match", [
+    ("version", 1, "unsupported stream version 1"),  # v1 sent dead predicted-band fields
     ("codec_id", 7, "codec id"),
     ("flags", 5, "unknown flag bits"),  # bypass plus an undefined bit
     ("flags", 129, "unknown flag bits"),

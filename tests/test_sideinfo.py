@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hoacodec import scenes, sideinfo
 from hoacodec.baseline_td import TruncatedBasis, match_bases
-from hoacodec.bitio import BitReader, BitWriter, lehmer_encode
+from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.errors import ConfigurationError, StreamError, TrainingError
 from hoacodec.numlin import Codebook, svd
 from hoacodec.sideinfo import (
@@ -27,9 +27,14 @@ def _random_basis(rng, m=16, r=4):
     return svd(rng.standard_normal((64, m))).right[:, :r]
 
 
+def _cb(limit):
+    """Width of a field holding a value below ``limit``: cb(limit), at least 1."""
+    return max(1, (limit - 1).bit_length())
+
+
 def _index_bits(codebook):
-    """Width of an index field into ``codebook``: cb(size), at least 1."""
-    return max(1, (codebook.size - 1).bit_length())
+    """Width of an index field into ``codebook``."""
+    return _cb(codebook.size)
 
 
 # --- prediction ---
@@ -98,10 +103,10 @@ def test_first_frame_is_intra(rng, small_quantizers):
     # mode, intra_band flag, then one bare intra index per column
     assert (first.intra_columns, first.predicted_columns, first.switched_columns) == (4, 0, 0)
     assert first.bit_count == 1 + 1 + 4 * _index_bits(q.intra)
-    # a predicted band: permutation, signs and a column_intra flag per column
+    # a predicted band: a column_intra flag per column, then its indices
     assert not second.switched and second.switched_columns == 0
     assert second.intra_columns + second.predicted_columns == 4
-    assert second.bit_count == 1 + 1 + 5 + 4 + 4 + (
+    assert second.bit_count == 1 + 1 + 4 + (
         second.intra_columns * _index_bits(q.intra)
         + second.predicted_columns * (_index_bits(q.coeff) + _index_bits(q.residual))
     )
@@ -121,11 +126,11 @@ def test_mode_switch_uses_reference_indices(rng, small_quantizers):
     assert switch_frame.predicted_columns == 0
     assert switch_frame.intra_columns + switch_frame.switched_columns == 4
     assert switch_frame.switched_columns > 0
-    # no permutation or band signs; each predicted column names one of the
-    # 16 columns the 4 bands left in the pool (4 bits) and a sign
+    # each predicted column names one of the 16 columns the 4 bands left in
+    # the pool (4 bits)
     assert switch_frame.bit_count == 1 + 1 + 4 + (
         switch_frame.intra_columns * _index_bits(q.intra)
-        + switch_frame.switched_columns * (4 + 1 + _index_bits(q.coeff) + _index_bits(q.residual))
+        + switch_frame.switched_columns * (4 + _index_bits(q.coeff) + _index_bits(q.residual))
     )
 
 
@@ -138,29 +143,12 @@ def test_static_scene_side_info_near_floor(rng, small_quantizers):
         frame, _ = encode_sideinfo([V.copy()], 0, small_quantizers, enc_state, w)
         bits.append(frame.bit_count)
     r = 4
-    # static content after the intra frame: permutation + signs + per-column
-    # flag/indices; the coefficient stays pinned at the top codebook entry
-    floor = 1 + 1 + 5 + r + r * (
+    # static content after the intra frame: per-column flag/indices; the
+    # coefficient stays pinned at the top codebook entry
+    floor = 1 + 1 + r * (
         1 + _index_bits(small_quantizers.coeff) + _index_bits(small_quantizers.residual)
     )
     assert all(b <= floor for b in bits[1:])
-
-
-def test_corrupt_permutation_index_raises(rng, small_quantizers):
-    enc_state = SideInfoState()
-    w = BitWriter()
-    encode_sideinfo([_random_basis(rng)], 0, small_quantizers, enc_state, w)
-    w2 = BitWriter()
-    encode_sideinfo([_random_basis(rng)], 0, small_quantizers, enc_state, w2)
-    data = bytearray(w2.getvalue())
-    # frame layout: mode(1) + intra_band(1) + perm(5 bits for r=4); force the
-    # permutation field to an out-of-range rank (>= 24)
-    data[0] |= 0b00111110
-    dec_state = SideInfoState()
-    dec_state.prev_bases = [_random_basis(rng)]
-    dec_state.prev_mode = 0
-    with pytest.raises(StreamError, match="permutation"):
-        decode_sideinfo(BitReader(bytes(data)), small_quantizers, dec_state, {0: [4], 1: [4] * 4})
 
 
 def test_truncated_stream_raises(rng, small_quantizers):
@@ -181,12 +169,16 @@ def test_truncated_stream_raises(rng, small_quantizers):
 )
 def test_grammar_roundtrip_and_prefixes(small_quantizers, modes, rank, bypass, seed):
     """Decoded bases are bit-identical to the encoder's, ``bit_count`` is the
-    bits read, and every strict byte prefix of a frame raises StreamError."""
+    bits read, and every strict byte prefix of a frame raises StreamError.
+    Quantized, every frame after the first has exactly the bits its column
+    counts call for: mode, intra_band per band, column_intra per column,
+    then each column's indices."""
     rng = np.random.default_rng(seed)
     q = None if bypass else small_quantizers
     ranks = {0: [rank], 1: [rank] * 4}
     enc_state, dec_state = SideInfoState(), SideInfoState()
-    for mode in modes:
+    for f, mode in enumerate(modes):
+        prev_mode = enc_state.prev_mode
         raw = [_random_basis(rng, 16, rank) for _ in ranks[mode]]
         w = BitWriter()
         frame, recon = encode_sideinfo(raw, mode, q, enc_state, w)
@@ -202,23 +194,28 @@ def test_grammar_roundtrip_and_prefixes(small_quantizers, modes, rank, bypass, s
             frame.intra_columns, frame.predicted_columns, frame.switched_columns)
         for a, b in zip(recon, drecon):
             assert a.tobytes() == b.tobytes()
+        if q is not None and f > 0:
+            pool = sum(ranks[prev_mode])
+            assert frame.bit_count == 1 + len(ranks[mode]) + sum(ranks[mode]) + (
+                frame.intra_columns * _index_bits(q.intra)
+                + frame.predicted_columns * (_index_bits(q.coeff) + _index_bits(q.residual))
+                + frame.switched_columns * (_cb(pool) + _index_bits(q.coeff) + _index_bits(q.residual))
+            )
 
 
 # out-of-range values in each index field of each branch; r=3 columns, one
 # previous mode-0 band (a 3-column pool), codebooks of 12/40/40 entries.
 # Fields after the mode bit, as (value, bits).
-_PREDICTED = [(0, 1), (0, 3), (0, 3)]  # intra_band, permutation, 3 signs
-_SWITCHED = [(0, 1)]  # intra_band
+_PREDICTED_BAND = [(0, 1)]  # intra_band 0
 _BAD_FIELDS = {
     "intra band, intra index": (0, [(1, 1), (63, 6)], "intra codebook index"),
-    "predicted, permutation": (0, [(0, 1), (7, 3)], "permutation index"),
-    "predicted, intra index": (0, _PREDICTED + [(1, 1), (40, 6)], "intra codebook index"),
-    "predicted, coeff index": (0, _PREDICTED + [(0, 1), (12, 4)], "coefficient codebook index"),
-    "predicted, residual index": (0, _PREDICTED + [(0, 1), (0, 4), (63, 6)], "residual codebook index"),
-    "switched, intra index": (1, _SWITCHED + [(1, 1), (63, 6)], "intra codebook index"),
-    "switched, reference": (1, _SWITCHED + [(0, 1), (3, 2)], "prediction reference"),
-    "switched, coeff index": (1, _SWITCHED + [(0, 1), (2, 2), (1, 1), (15, 4)], "coefficient codebook index"),
-    "switched, residual index": (1, _SWITCHED + [(0, 1), (0, 2), (0, 1), (0, 4), (40, 6)], "residual codebook index"),
+    "predicted, intra index": (0, _PREDICTED_BAND + [(1, 1), (40, 6)], "intra codebook index"),
+    "predicted, coeff index": (0, _PREDICTED_BAND + [(0, 1), (12, 4)], "coefficient codebook index"),
+    "predicted, residual index": (0, _PREDICTED_BAND + [(0, 1), (0, 4), (63, 6)], "residual codebook index"),
+    "switched, intra index": (1, _PREDICTED_BAND + [(1, 1), (63, 6)], "intra codebook index"),
+    "switched, reference": (1, _PREDICTED_BAND + [(0, 1), (3, 2)], "prediction reference"),
+    "switched, coeff index": (1, _PREDICTED_BAND + [(0, 1), (2, 2), (15, 4)], "coefficient codebook index"),
+    "switched, residual index": (1, _PREDICTED_BAND + [(0, 1), (0, 2), (0, 4), (40, 6)], "residual codebook index"),
 }
 
 
@@ -281,28 +278,28 @@ def _reference_choose(q, target, ref, col):
 
 
 def _reference_band(q, state, band, raw, switched):
-    """A predicted band coded column by column: (perm, signs, per column
-    (ref_index, flip, intra, intra index, coeff index, residual index), the
-    (M, r) reconstruction)."""
+    """A predicted band coded column by column: (per column (ref_index,
+    intra, intra index, coeff index, residual index), the (M, r)
+    reconstruction).  Targets are matched and sign-aligned to the band's
+    previous basis, or on a switch flipped towards their pool reference."""
     r = raw.shape[1]
     recon, columns = np.empty((q.dim, r)), []
     if switched:
-        pool, perm, signs = state.pool(), 0, [False] * r
+        pool = state.pool()
         for k in range(r):
             target = raw[:, k]
             corrs = target @ pool
             ref_index = int(np.argmax(np.abs(corrs)))
             flip = bool(corrs[ref_index] < 0)
             choice, recon[:, k] = _reference_choose(q, -target if flip else target, pool[:, ref_index], k)
-            columns.append((ref_index, flip) + choice)
+            columns.append((ref_index,) + choice)
     else:
         prev = state.prev_bases[band]
-        assignment, signs, aligned = match_bases(TruncatedBasis(vectors=prev), TruncatedBasis(vectors=raw))
-        perm, signs = lehmer_encode(assignment.permutation.tolist()), (signs < 0).tolist()
+        _, _, aligned = match_bases(TruncatedBasis(vectors=prev), TruncatedBasis(vectors=raw))
         for k in range(r):
             choice, recon[:, k] = _reference_choose(q, aligned.vectors[:, k], prev[:, k], k)
-            columns.append((0, False) + choice)
-    return perm, signs, columns, recon
+            columns.append((0,) + choice)
+    return columns, recon
 
 
 def _zero_intra_centroid(q):
@@ -338,13 +335,13 @@ def test_frame_wide_decisions_match_per_column_reference(rng, small_quantizers, 
         codes = sideinfo._code_bands(q, [(raws[0], 0, state), (raws[1], 1, state)])
         for mode, code in zip((0, 1), codes):
             for band, raw in enumerate(raws[mode]):
-                perm, signs, columns, recon = _reference_band(q, state, band, raw, mode != prev_mode)
+                columns, recon = _reference_band(q, state, band, raw, mode != prev_mode)
                 k = slice(4 * band, 4 * band + 4)
-                got = list(zip(code.ref_index[k], code.flip[k], code.intra[k], code.intra_index[k],
+                got = list(zip(code.ref_index[k], code.intra[k], code.intra_index[k],
                                code.coeff_index[k], code.residual_index[k]))
-                assert (code.perm[band], code.signs[k], got) == (perm, signs, columns)
+                assert got == columns
                 assert code.bases[band].tobytes() == recon.tobytes()
-                picked.update((mode != prev_mode, c[2]) for c in columns)
+                picked.update((mode != prev_mode, c[1]) for c in columns)
     # (switched band, intra) for every kind of column, or with the zero
     # centroid at least one intra column
     assert picked == {(False, False), (False, True), (True, False), (True, True)} or (
