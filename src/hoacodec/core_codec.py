@@ -134,13 +134,24 @@ def _pow43(q: np.ndarray) -> np.ndarray:
     return out
 
 
-# scalefactor rows searched per band in the batched passes, from the first
-# step that quantizes the band's peak to a nonzero index: the first chunk for
-# every coded band, each later one only for the bands still without an
-# in-budget row, and then 16 rows at a time down to the finest step.  On the
-# synthetic corpus the pick lies fewer than 24 rows past that step, and
-# within 16 rows for most bands, so the chunks set the time, not the result.
-_CHUNKS = (16, 8, 8)
+# A coefficient quantizes to zero at a scalefactor row while its |x|^(3/4)
+# lies below that row's entry here: the step^(3/4) times 1 - _QUANT_MAGIC,
+# less a relative 1e-9 so that every coefficient counted as zero is zero in
+# the float test of _rows_noise too.  Ascending, for np.searchsorted; the
+# number of entries above a value is the first row where it may be nonzero.
+_ZERO_BELOW_34 = (_SF_STEPS_34 * (1.0 - _QUANT_MAGIC) * (1.0 - 1e-9))[::-1]
+
+# Rows past a band's first nonzero step over which the zeroed-coefficient
+# bound is summed.
+_BOUND_ROWS = 16
+
+# scalefactor rows searched per band in the batched passes, from the row
+# where the bound first allows the budget: the first chunk for every coded
+# band, each later one only for the bands still without an in-budget row,
+# and then 16 rows at a time down to the finest step.  On the synthetic
+# corpus the pick lies a median of 5-6 rows past that row, and at most 17,
+# so the chunks set the time, not the result.
+_CHUNKS = (8, 8, 16)
 
 
 def _band_sums(values: np.ndarray, bands: np.ndarray, bins: np.ndarray, out: np.ndarray) -> None:
@@ -176,6 +187,30 @@ def _rows_noise(absx, absx34, layout: GroupLayout, bands, first, rows: int) -> n
     return noise[:, bands].T
 
 
+def _first_nonzero_row(peak34: np.ndarray) -> np.ndarray:
+    """Per value of ``peak34`` (an |x|^(3/4)), the first scalefactor row that
+    quantizes it to a nonzero index, clipped at the finest step: the row
+    from which ``_ZERO_BELOW_34`` no longer counts it as zero, or the next
+    one, as the division test at that row decides."""
+    first = _SF_COUNT - np.searchsorted(_ZERO_BELOW_34, peak34, side="right")
+    first += peak34 / _SF_STEPS_34[np.minimum(first, _SF_COUNT - 1)] < 1.0 - _QUANT_MAGIC
+    return np.minimum(first, _SF_COUNT - 1)
+
+
+def _zeroed_energy(x2, absx34, widths, first) -> np.ndarray:
+    """For bands of ``widths`` laid end to end in ``x2`` and ``absx34``, the
+    energy of the coefficients that quantize to zero at each of the
+    ``_BOUND_ROWS`` rows from the band's row in ``first``: a lower bound on
+    its noise there, (bands, _BOUND_ROWS), non-increasing along a row."""
+    zeroed_until = _SF_COUNT - np.searchsorted(_ZERO_BELOW_34, absx34, side="right")
+    band = np.repeat(np.arange(widths.size), widths)
+    slot = np.clip(zeroed_until - first[band], 0, _BOUND_ROWS)
+    slot += band * (_BOUND_ROWS + 1)
+    by_row = np.bincount(slot, weights=x2, minlength=widths.size * (_BOUND_ROWS + 1))
+    # column t sums the slots past t: the coefficients still zero at row t
+    return np.cumsum(by_row.reshape(-1, _BOUND_ROWS + 1)[:, :0:-1], axis=1)[:, ::-1]
+
+
 def quantize_mnmr(
     spectrum: np.ndarray,
     mask: MaskingCurve,
@@ -190,15 +225,21 @@ def quantize_mnmr(
     band is coded at its minimum-noise scalefactor and flagged.
 
     The search runs on all coded bands of all channels at once, laid end
-    to end (``groups.layout``).  From each band's first nonzero step, the
-    bins are quantized at the rows of one ``_CHUNKS`` entry after the
-    other, then of 16 rows at a time down to the finest step, for the bands
-    without an in-budget row so far, and the squared errors are summed per
-    band and row (:func:`_band_sums`).  A band without an in-budget row at
-    any step takes its minimum-noise row, the first one of all its rows.
+    to end (``groups.layout``).  A coefficient that quantizes to zero adds
+    exactly x^2 to its band's noise and none adds less than 0, so a row
+    where the band's zeroed coefficients alone exceed the budget (by a
+    relative 1e-9, far above that sum's rounding error) cannot be picked:
+    each band's search starts past those of the ``_BOUND_ROWS`` rows from
+    its first nonzero step.  From there the bins are quantized at the rows
+    of one ``_CHUNKS`` entry after the other, then of 16 rows at a time
+    down to the finest step, for the bands without an in-budget row so
+    far, and the squared errors are summed per band and row
+    (:func:`_band_sums`).  A band without an in-budget row at any step
+    takes its minimum-noise row, the first one of all its rows from the
+    first nonzero step.
     """
-    if target <= 0:
-        raise ShapeError("MNMR target must be positive")
+    if not (np.isfinite(target) and target > 0):
+        raise ShapeError(f"MNMR target {target} is not a positive finite ratio")
     shape = np.shape(spectrum)
     band_shape = (len(groups.edges),) + shape[1:]
     x = _flat(np.asarray(spectrum, dtype=np.float64), groups.num_bins)
@@ -217,21 +258,25 @@ def quantize_mnmr(
     zero_band = energy <= budget
     nmr = energy / power  # the coded bands' entries are replaced below
     coded = np.flatnonzero(~zero_band)
+    coded_bins = np.repeat(~zero_band, widths)
+    coded_widths = widths[coded]
     # steps that quantize every coefficient to zero give noise == band
     # energy > budget, so the scan starts at the first step that gives the
-    # band's peak a nonzero index
-    peak34 = np.maximum.reduceat(absx34, offsets[:-1])[coded]
-    first = np.count_nonzero(peak34[:, None] / _SF_STEPS_34 < 1.0 - _QUANT_MAGIC, axis=1)
-    first = np.minimum(first, _SF_COUNT - 1)
+    # band's peak a nonzero index, or later where the zeroed energy alone
+    # is over budget
+    first = _first_nonzero_row(np.maximum.reduceat(absx34, offsets[:-1])[coded])
+    zeroed = _zeroed_energy(x2[coded_bins], absx34[coded_bins], coded_widths, first)
+    skipped = np.count_nonzero(zeroed > budget[coded, None] * (1.0 + 1e-9), axis=1)
+    begin = np.minimum(first + skipped, _SF_COUNT - 1)
 
     pick = np.empty(coded.size, dtype=np.int64)
     picked_noise = np.empty(coded.size)
     todo = np.arange(coded.size)  # coded bands without an in-budget row yet
     start, chunks = 0, iter(_CHUNKS)
-    while todo.size and start < _SF_COUNT:
+    while todo.size and start < _SF_COUNT - begin[todo].min():
         rows = next(chunks, 16)
-        row = first[todo, None] + start + np.arange(rows)
-        noise = _rows_noise(absx, absx34, layout, coded[todo], first[todo] + start, rows)
+        row = begin[todo, None] + start + np.arange(rows)
+        noise = _rows_noise(absx, absx34, layout, coded[todo], begin[todo] + start, rows)
         ok = (noise <= budget[coded[todo], None]) & (row < _SF_COUNT)
         found = ok.any(axis=1)
         hit = np.flatnonzero(found)
@@ -250,8 +295,7 @@ def quantize_mnmr(
     nmr[coded] = picked_noise / power[coded]
     scalefactors = np.zeros(nb, dtype=np.int64)
     scalefactors[coded] = SF_MAX - pick
-    coded_bins = np.repeat(~zero_band, widths)
-    step34 = _SF_STEPS_34[np.repeat(pick, widths[coded])]
+    step34 = _SF_STEPS_34[np.repeat(pick, coded_widths)]
     q = np.floor(absx34[coded_bins] / step34 + _QUANT_MAGIC)
     qidx = np.zeros(x.size, dtype=np.int64)
     qidx[coded_bins] = np.sign(x[coded_bins]) * q.astype(np.int64)

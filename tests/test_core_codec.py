@@ -13,12 +13,16 @@ from hoacodec.core_codec import (
     CodedChannel,
     HuffmanTable,
     MaskingCurve,
+    _BOUND_ROWS,
     _CHUNKS,
     _QUANT_MAGIC,
     _SF_COUNT,
     _SF_STEPS,
     _SF_STEPS_34,
+    _first_nonzero_row,
     _pow43,
+    _rows_noise,
+    _zeroed_energy,
     band_energies,
     channel_cost,
     dequantize_channel,
@@ -28,7 +32,7 @@ from hoacodec.core_codec import (
     measure_nmr,
     quantize_mnmr,
 )
-from hoacodec.errors import FormatError, StreamError
+from hoacodec.errors import FormatError, ShapeError, StreamError
 from hoacodec.noise_subst import FrequencyGroups, groups_for
 
 
@@ -77,6 +81,13 @@ def test_silence_codes_to_nothing(groups):
     coded = quantize_mnmr(np.zeros(1024), mask, 1.0, groups)
     assert coded.zero_band.all()
     assert np.all(coded.quant_indices == 0)
+
+
+@pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_target_that_is_not_positive_and_finite_is_refused(groups, rng, target):
+    spectrum = rng.standard_normal(1024)
+    with pytest.raises(ShapeError, match="MNMR target"):
+        quantize_mnmr(spectrum, masking_threshold(spectrum, groups), target, groups)
 
 
 def test_huge_target_gives_coarsest_coding(groups, rng):
@@ -662,10 +673,129 @@ def test_batched_search_matches_per_band_scan(case):
     assert w.getvalue() == ref.getvalue()
 
 
+def _bound_start(xs, budget):
+    """One band's first nonzero step, and the row its search starts at: the
+    first nonzero step moved past the rows whose zeroed energy exceeds the
+    budget, clipped at the finest step."""
+    absx34 = np.abs(xs) ** 0.75
+    first = _first_nonzero_row(absx34.max(keepdims=True))
+    zeroed = _zeroed_energy(xs * xs, absx34, np.array([xs.size]), first)
+    skipped = np.count_nonzero(zeroed > budget * (1 + 1e-9))
+    return int(first[0]), min(int(first[0]) + skipped, _SF_COUNT - 1)
+
+
+@_EQUIVALENCE
+@given(mnmr_stacks())
+def test_zeroed_energy_bounds_the_noise_of_every_skipped_row(case):
+    """At each of the ``_BOUND_ROWS`` rows from a coded band's first nonzero
+    step, its zeroed energy is at most the row's noise as the search
+    computes it (to the relative 1e-9 the search allows), and every row it
+    rules out lies before the first row it allows and is over budget."""
+    x, mask, target, groups = case
+    got = quantize_mnmr(x, mask, target, groups)
+    flat = x.ravel(order="F")
+    layout = groups.layout(x.shape[1])
+    zero_band = got.zero_band.ravel(order="F")
+    coded = np.flatnonzero(~zero_band)
+    coded_bins = np.repeat(~zero_band, layout.widths)
+    absx = np.abs(flat)
+    absx34 = absx**0.75
+    first = _first_nonzero_row(np.maximum.reduceat(absx34, layout.offsets[:-1])[coded])
+    zeroed = _zeroed_energy((flat * flat)[coded_bins], absx34[coded_bins], layout.widths[coded], first)
+    noise = _rows_noise(absx, absx34, layout, coded, first, _BOUND_ROWS)
+    budget = target * mask.band_power.ravel(order="F")[coded, None]
+    assert np.all(zeroed <= noise * (1 + 1e-9))
+    ruled_out = zeroed > budget * (1 + 1e-9)
+    assert np.all(noise[ruled_out] > np.broadcast_to(budget, noise.shape)[ruled_out])
+    assert np.all(np.diff(ruled_out.astype(np.int8), axis=1) <= 0)  # a run from the first row
+    pick = SF_MAX - got.scalefactors.ravel(order="F")[coded]
+    settled = ~got.escalated.ravel(order="F")[coded]
+    assert np.all(pick[settled] >= (first + ruled_out.sum(axis=1))[settled])
+
+
+def test_first_nonzero_row_matches_the_division_test():
+    """The table search with its one division test at the boundary row
+    gives the row count of the division test at every row, for peaks at
+    and a few ulps around every row's boundary, 0 and extreme magnitudes."""
+    edges = _SF_STEPS_34 * (1.0 - _QUANT_MAGIC)
+    near, below, above = [edges], edges, edges
+    for _ in range(3):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        near += [below, above]
+    logs = np.random.default_rng(5).uniform(-240, 240, 20000)
+    tiny, huge = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    peaks = np.concatenate(near + [10.0**logs, [0.0, tiny, 1e-300, 1e300, huge]])
+    with np.errstate(over="ignore"):  # the largest peaks over the finest steps
+        division = np.count_nonzero(peaks[:, None] / _SF_STEPS_34 < 1.0 - _QUANT_MAGIC, axis=1)
+    assert np.array_equal(_first_nonzero_row(peaks), np.minimum(division, _SF_COUNT - 1))
+
+
+def test_picks_with_noise_or_zeroed_energy_at_the_budget_match_per_band_scan():
+    """A pick whose noise equals target x mask exactly, and a pick whose
+    zeroed coefficients alone make up the whole budget (so the bound sits
+    exactly at it and must not skip the row), agree with the per-band scan."""
+    groups = FrequencyGroups.uniform(256)
+    target = 2.0
+    x = np.zeros((256, 1))
+    power = np.ones((len(groups.edges), 1))
+    picks = {}
+    rng = np.random.default_rng(3)
+    for b in range(0, 12, 2):  # noise at the pick == target * mask
+        lo, hi = groups.edges[b]
+        xs = rng.standard_normal(hi - lo) * 10.0 ** (b - 4)
+        x[lo:hi, 0] = xs
+        absx = np.abs(xs)
+        first, _ = _bound_start(xs, 0.0)
+        rows = np.arange(first, _SF_COUNT)
+        q = np.floor(absx**0.75 / _SF_STEPS_34[rows, None] + _QUANT_MAGIC)
+        noise = np.sum((absx - _pow43(q) * _SF_STEPS[rows, None]) ** 2, axis=1)
+        record = np.flatnonzero(noise < np.minimum.accumulate(np.r_[np.inf, noise[:-1]]))
+        k = record[np.argmax(noise[record] < 1e-3 * noise[0])]  # a new lowest noise
+        power[b, 0] = noise[k] / target
+        picks[b] = first + k
+    for b in range(1, 12, 2):  # zeroed energy at the pick == target * mask
+        lo, hi = groups.edges[b]
+        k = 40 + 9 * b
+        step = _SF_STEPS[k]
+        on_grid = _pow43(np.array([2, 1, 2, 1])) * step * np.array([1, -1, 1, -1])
+        small = 2.0 ** np.floor(np.log2(0.25 * step))
+        x[lo:hi, 0] = np.r_[on_grid[: hi - lo - 2], small, -small / 2]
+        power[b, 0] = 1.25 * small**2 / target
+        first, begin = _bound_start(x[lo:hi, 0], 1.25 * small**2)
+        assert first < k < first + _BOUND_ROWS and begin <= k  # the bound reaches the pick
+        picks[b] = k
+    got = quantize_mnmr(x, MaskingCurve(power), target, groups)
+    _same_coding(got.columns(0), _reference_quantize_mnmr(x[:, 0], MaskingCurve(power[:, 0]), target, groups))
+    for b, k in picks.items():
+        assert SF_MAX - got.scalefactors[b, 0] == k and got.nmr[b, 0] == target
+
+
+def test_search_edges_no_coded_band_and_bound_start_at_the_finest_step():
+    """A frame with no coded band, and a band whose zeroed coefficients
+    exceed the budget at every row, so its bound start clips at the finest
+    step and it escalates from its first nonzero step."""
+    groups = FrequencyGroups.uniform(256)
+    x = np.zeros((256, 2))
+    x[0:5, 1] = [1.0, 0.3, -0.7, 0.2, 0.9]
+    silent = quantize_mnmr(x, MaskingCurve(np.full((len(groups.edges), 2), 10.0)), 1.0, groups)
+    assert silent.zero_band.all() and not silent.escalated.any()
+    assert not silent.quant_indices.any()
+    x[0:5, 0] = [5e-6, 3e-7, -3e-7, 3e-7, -3e-7]  # a floor zero at every step
+    power = np.ones((len(groups.edges), 2))
+    power[0] = 1e-13, 1e-2
+    first, begin = _bound_start(x[0:5, 0], 1e-13)
+    assert first + _BOUND_ROWS >= _SF_COUNT and begin == _SF_COUNT - 1
+    got = quantize_mnmr(x, MaskingCurve(power), 1.0, groups)
+    for c in range(2):
+        _same_coding(got.columns(c), _reference_quantize_mnmr(x[:, c], MaskingCurve(power[:, c]), 1.0, groups))
+    assert got.escalated[0, 0] and not got.escalated[1:].any() and not got.escalated[:, 1].any()
+
+
 def test_search_window_edges_match_per_band_scan():
     """Picks in each chunk, a pick past the last of ``_CHUNKS``, a search
     clipped at the finest step and an escalated band, coded in one matrix
-    call, all agree with the per-band scan."""
+    call, all agree with the per-band scan; the chunks count from each
+    band's bound start."""
     groups = FrequencyGroups.uniform(256)
     x = np.zeros((256, 2))
     x[0:5, 0] = [1e3, 1e-3, -2e-3, 3e-3, 1e-3]  # spike over a floor 120 dB down
@@ -675,20 +805,23 @@ def test_search_window_edges_match_per_band_scan():
     x[5:10, 1] = [1.0, 3e-2, -2e-2, 4e-2, 1e-2]  # spike over a floor 30 dB down
     power = np.ones((len(groups.edges), 2))
     power[0:3, 0] = 1e-6, 1e-11, 1e-20
-    power[0:3, 1] = 1e-1, 1e-3, 1e-2
+    power[0:3, 1] = 1e-1, 1e-5, 1e-2
     got = quantize_mnmr(x, MaskingCurve(power), 1.0, groups)
     for c in range(2):
         _same_coding(got.columns(c), _reference_quantize_mnmr(x[:, c], MaskingCurve(power[:, c]), 1.0, groups))
-    # scalefactor rows of the first three bands, from the first nonzero step
-    peaks = np.stack([np.abs(x[lo:hi]).max(axis=0) for lo, hi in groups.edges[:3]])
-    first = np.count_nonzero(peaks[..., None] ** 0.75 / _SF_STEPS_34 < 1 - _QUANT_MAGIC, axis=-1)
-    after = SF_MAX - got.scalefactors[:3] - first
+    # scalefactor rows of the first three bands, from the bound start
+    begin = np.array([[_bound_start(x[lo:hi, c], power[b, c])[1] for c in range(2)]
+                      for b, (lo, hi) in enumerate(groups.edges[:3])])
+    after = SF_MAX - got.scalefactors[:3] - begin
     window = sum(_CHUNKS)
     assert after[0, 0] >= window  # found by a 16-row pass after the chunks
-    assert first[1, 0] + window > _SF_COUNT  # search clipped at the finest step
+    assert begin[1, 0] + window > _SF_COUNT  # search clipped at the finest step
     assert got.escalated[2, 0] and not got.escalated[:2, 0].any() and not got.escalated[:, 1].any()
-    # channel 1 picks in the first, second and third chunk
+    # channel 1 picks in the first, second and third chunk, two of them
+    # after rows the bound skipped
     assert after[0, 1] < _CHUNKS[0] <= after[2, 1] < _CHUNKS[0] + _CHUNKS[1] <= after[1, 1] < window
+    firsts = [_bound_start(x[lo:hi, 1], power[b, 1])[0] for b, (lo, hi) in enumerate(groups.edges[:3])]
+    assert begin[1, 1] > firsts[1] and begin[2, 1] > firsts[2]
 
 
 @_PROPERTY
