@@ -518,6 +518,11 @@ def entropy_encode_channel(
 _EXHAUSTED = "bitstream exhausted"
 _MAX_MAGNITUDE = (1 << 63) - 1  # quantizer indices are int64
 _ESCAPE_SPAN = 130  # the longest escape excess: ue() of 64 zeros, 65 bits, then a sign
+# the longest band header (zero:u1 scalefactor:u8 raw:u1 width:u6) and the
+# longest bin (the escape code, then the longest excess and sign): no block
+# of channels is longer than its bands and bins at these lengths
+_MAX_HEAD_BITS = 16
+_MAX_BIN_BITS = max(HUFFMAN_TABLE.lengths) + _ESCAPE_SPAN
 
 
 def _escape_excess(data: bytes, pos: int) -> tuple:
@@ -613,22 +618,29 @@ def entropy_decode_channel(
     reader: BitReader,
     groups: FrequencyGroups,
     channels: int | None = None,
-) -> CodedChannel:
+    values: bool = True,
+) -> CodedChannel | None:
     """Exact inverse of :func:`entropy_encode_channel`: reads ``channels``
     channels, one after another, into an (L, channels) matrix, or one 1-D
     channel when ``channels`` is None.
 
     The band headers are read one band at a time.  A band's bins are
     skipped over: a raw band by its fixed width, a Huffman band through the
-    doubling levels.  The bins of all bands are then read in one pass."""
-    data = reader.data
+    doubling levels.  The bins of all bands are then read in one pass.
+    With ``values`` False that pass is skipped: the call only parses, with
+    every check of the full call, moves ``reader`` past the channels and
+    returns None."""
     start = reader.bit_position
-    window, nxt, escapes, escape_values, errors = _bin_chain(data, start)
-    dead = nxt.size - 1
-    n = dead - 1  # the region's bits
     nb = len(groups.edges)
     count = 1 if channels is None else channels
     offsets, widths, _ = groups.layout(count)  # the channels' bands end to end
+    # the tables cover no more than the longest block of these channels:
+    # every bin of a valid chain, and every bit it reads, lies inside it
+    longest = widths.size * _MAX_HEAD_BITS + int(offsets[-1]) * _MAX_BIN_BITS
+    data = reader.data[: (start + longest + 7) >> 3]
+    window, nxt, escapes, escape_values, errors = _bin_chain(data, start)
+    dead = nxt.size - 1
+    n = dead - 1  # the region's bits
     levels = [nxt]
     while 1 << len(levels) <= widths.max():
         levels.append(np.take(levels[-1], levels[-1]))
@@ -664,6 +676,8 @@ def entropy_decode_channel(
                 p = nxt[p]
             raise StreamError(errors.get(int(p), _EXHAUSTED))
     reader.bit_position = start + p
+    if not values:
+        return None
 
     kind, first = np.array(kind), np.array(first, dtype=np.int32)
     q = np.zeros(offsets[-1], dtype=np.int64)

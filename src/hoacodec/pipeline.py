@@ -555,9 +555,9 @@ class ParsedFrame:
     """One frame payload as read from the stream, before reconstruction."""
 
     side: sideinfo.SideInfoFrame
-    bases: list  # per band, the (M, r) basis (one band for the baseline)
+    bases: list | None  # per band, the (M, r) basis (one band for the baseline)
     noise: NoiseGroupInfo
-    channels: core_codec.CodedChannel | np.ndarray  # the (L, C) components; raw spectra in bypass
+    channels: core_codec.CodedChannel | np.ndarray | None  # the (L, C) components; raw spectra in bypass
 
 
 @dataclass
@@ -599,39 +599,47 @@ def _open_stream(stream: bytes, quantizers):
     return header, groups, frames, len(frames) < header.frame_count
 
 
-def _walk(header: StreamHeader, groups: FrequencyGroups, stream: bytes, frames, quantizers):
+def _walk(header: StreamHeader, groups: FrequencyGroups, stream: bytes, frames, quantizers, reconstruct: bool):
     """The one frame walk of decode and stats: yields (FrameStats, ParsedFrame)
     per frame of ``frames`` (see :func:`_open_stream`), read as side info, noise
     block and component channels with the side-info state carried on.  A frame
-    that fails its CRC or does not parse yields stats concealed with the reason
-    ("crc" or the parse error) and None.  The baseline has one band per mode."""
+    that fails its CRC or does not parse (padding of 8 bits or more, or with a
+    set bit, included) yields stats concealed with the reason ("crc" or the
+    parse error) and None.  The baseline has one band per mode.  Without
+    ``reconstruct`` every field is read and checked alike, but the quantized
+    bases and components are left None."""
     rank = header.rank
     ranks = {0: [rank], 1: [rank] * (header.bands if header.codec_id == CODEC_PROPOSED else 1)}
     q = None if header.bypass else quantizers
     count = rank + (header.background_order + 1) ** 2
     state = sideinfo.SideInfoState()
     for f, (start, end, crc_ok) in enumerate(frames):
-        p, reason = None, "crc"
+        p, reason, payload_bits = None, "crc", 8 * (end - start)
         if crc_ok:
             reader = BitReader(stream[start:end])
             try:
-                side, bases = sideinfo.decode_sideinfo(reader, q, state, ranks, header.num_channels)
+                side, bases = sideinfo.decode_sideinfo(reader, q, state, ranks, header.num_channels, reconstruct)
                 noise, noise_bits = _read_noise_block(reader)
                 if header.bypass:
                     raw = reader.read_f64_array((count, groups.num_bins))
                     channels = sideinfo.require_finite(raw, "raw channel").T
                 else:
-                    channels = core_codec.entropy_decode_channel(reader, groups, count)
+                    channels = core_codec.entropy_decode_channel(reader, groups, count, values=reconstruct)
+                core_bits = reader.bit_position - side.bit_count - noise_bits
+                padding = payload_bits - reader.bit_position
+                if padding >= 8:
+                    raise StreamError(f"{padding} padding bits (at most 7)")
+                if reader.read(padding):
+                    raise StreamError("nonzero padding bits")
                 p = ParsedFrame(side, bases, noise, channels)
             except StreamError as exc:
                 # a damaged prediction chain can leave later frames
                 # unparseable; treat them like CRC failures
                 reason = str(exc)
         if p is None:
-            yield _frame_stats(f, 8 * (end - start), None, concealed=True, conceal_reason=reason), None
+            yield _frame_stats(f, payload_bits, None, concealed=True, conceal_reason=reason), None
         else:
-            core_bits = reader.bit_position - side.bit_count - noise_bits
-            yield _frame_stats(f, 8 * (end - start), side, noise_bits, core_bits), p
+            yield _frame_stats(f, payload_bits, side, noise_bits, core_bits), p
 
 
 def decode(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> DecodeResult:
@@ -644,7 +652,8 @@ def decode(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> De
     """
     header, groups, frames, truncated = _open_stream(stream, quantizers)
     frame_stats = []
-    decoded = _decode_frames(header, groups, _walk(header, groups, stream, frames, quantizers), frame_stats)
+    walk = _walk(header, groups, stream, frames, quantizers, reconstruct=True)
+    decoded = _decode_frames(header, groups, walk, frame_stats)
     window = transform.sine_window(header.half_length)
     if not frames:
         samples = np.zeros((0, header.num_channels))
@@ -762,17 +771,19 @@ def _recombine_baseline(header: StreamHeader, decoded, count: int, window) -> np
 def measure_stream(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> StreamStats:
     """Exact per-frame bit accounting of an existing stream.
 
-    Reads every frame through the decoder's own walk (:func:`_walk`)
-    without any signal reconstruction; category sums plus framing overhead
-    equal the container size exactly.  Raises :class:`StreamError` on the
-    first frame the walk cannot parse; its ``partial`` attribute carries the
-    stats of the frames before it.
+    Reads every frame through the decoder's own walk (:func:`_walk`) with
+    every check decode makes, but without reconstruction: no quantized
+    basis is rebuilt, no coded bin's value is read and no signal is
+    synthesized.  Category sums plus framing overhead equal the container
+    size exactly, and each frame's padding is under a byte of zeros.  Raises
+    :class:`StreamError` on the first frame the walk cannot parse; its
+    ``partial`` attribute carries the stats of the frames before it.
     """
     header, groups, frames, truncated = _open_stream(stream, quantizers)
     if truncated:
         raise StreamError("stream truncated; cannot account bits")
     frame_stats = []
-    for stats, _ in _walk(header, groups, stream, frames, quantizers):
+    for stats, _ in _walk(header, groups, stream, frames, quantizers, reconstruct=False):
         if stats.concealed:
             reason = stats.conceal_reason
             message = f"frame {stats.index}: CRC mismatch" if reason == "crc" else reason

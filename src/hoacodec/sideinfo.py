@@ -113,11 +113,13 @@ class SideInfoFrame:
 
 
 class SideInfoState:
-    """Reconstruction state shared (by value) between encoder and decoder."""
+    """Reconstruction state shared (by value) between encoder and decoder;
+    a walk that only parses leaves ``prev_bases`` None."""
 
     def __init__(self):
         self.prev_bases: list | None = None  # list of (M, r) arrays, unit columns
-        self.prev_mode: int | None = None
+        self.prev_mode: int | None = None  # None before the first frame
+        self.prev_columns = 0  # the previous frame's columns: the pool's width
 
     def pool(self) -> np.ndarray:
         """All previous columns side by side, (M, total)."""
@@ -127,7 +129,7 @@ class SideInfoState:
         """An independent state, e.g. for one trial encode of a frame; the
         arrays are shared because a walk replaces them and never writes them."""
         clone = SideInfoState()
-        clone.prev_bases, clone.prev_mode = self.prev_bases, self.prev_mode
+        clone.prev_bases, clone.prev_mode, clone.prev_columns = self.prev_bases, self.prev_mode, self.prev_columns
         return clone
 
 
@@ -329,16 +331,16 @@ def _code_bands(q: QuantizerSet, trials: list) -> list:
     return codes
 
 
-def _band(f: _Fields, q, state: SideInfoState, r: int, info, c: _Code, at: int, pool) -> None:
+def _band(f: _Fields, q, state: SideInfoState, r: int, info, c: _Code, at: int) -> None:
     """intra_band:u1, then r intra indices or a predicted band, for the
     columns ``at``.. of ``c``: written as they stand when encoding, read
     into ``c`` when decoding."""
-    if f.flag(state.prev_bases is None):
+    if f.flag(state.prev_mode is None):
         for k in range(at, at + r):
             c.intra_index[k] = f.uint("intra codebook index", q.intra.size, c.intra_index[k])
         info.intra_columns += r
         return
-    if state.prev_bases is None:
+    if state.prev_mode is None:
         raise StreamError("predicted band before any intra frame")
     for k in range(at, at + r):
         c.intra[k] = f.flag(c.intra[k])
@@ -346,8 +348,8 @@ def _band(f: _Fields, q, state: SideInfoState, r: int, info, c: _Code, at: int, 
             c.intra_index[k] = f.uint("intra codebook index", q.intra.size, c.intra_index[k])
             info.intra_columns += 1
             continue
-        if pool is not None:
-            c.ref_index[k] = f.uint("prediction reference", pool.shape[1], c.ref_index[k])
+        if info.switched:
+            c.ref_index[k] = f.uint("prediction reference", state.prev_columns, c.ref_index[k])
             info.switched_columns += 1
         else:
             info.predicted_columns += 1
@@ -355,14 +357,16 @@ def _band(f: _Fields, q, state: SideInfoState, r: int, info, c: _Code, at: int, 
         c.residual_index[k] = f.uint("residual codebook index", q.residual.size, c.residual_index[k])
 
 
-def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=None) -> tuple:
+def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=None, rebuild=True) -> tuple:
     """The one side-info syntax (docs/bitstream.md § Side info):
 
         side_info := mode:u1 ( band+ | bypass_basis+ )
 
     Encodes ``coded`` (the frame's :class:`_Code`, or in bypass its raw
-    (M, r) bases) when it is given, else decodes.  ``q`` None is bypass:
-    each basis is ``channels`` x r raw float64.  Advances ``state``."""
+    (M, r) bases) when it is given, else decodes, rebuilding the quantized
+    bases only when ``rebuild`` is set (else they are None).  ``q`` None is
+    bypass: each basis is ``channels`` x r raw float64.  Advances
+    ``state``."""
     start = f.position
     mode = f.uint("mode", 2, mode)
     info = SideInfoFrame(mode=mode, switched=state.prev_mode is not None and state.prev_mode != mode)
@@ -370,13 +374,14 @@ def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=N
         bases = [f.floats((channels, r), None if coded is None else coded[band]) for band, r in enumerate(ranks[mode])]
     else:
         c = coded or _Code(ranks[mode])
-        pool = state.pool() if info.switched else None
         for r, at in zip(ranks[mode], itertools.accumulate(ranks[mode], initial=0)):
-            _band(f, q, state, r, info, c, at, pool)
-        bases = _rebuilt(q, c, ranks[mode], state, info.switched) if coded is None else c.bases
+            _band(f, q, state, r, info, c, at)
+        if coded is None:
+            c.bases = _rebuilt(q, c, ranks[mode], state, info.switched) if rebuild else None
+        bases = c.bases
     info.bit_count = f.position - start
-    state.prev_bases = [b.copy() for b in bases]
-    state.prev_mode = mode
+    state.prev_bases = None if bases is None else [b.copy() for b in bases]
+    state.prev_mode, state.prev_columns = mode, sum(ranks[mode])
     return info, bases
 
 
@@ -420,14 +425,18 @@ def decode_sideinfo(
     state: SideInfoState,
     ranks: dict,
     channels: int | None = None,
+    rebuild: bool = True,
 ) -> tuple:
     """Read what :func:`encode_sideinfo` writes.
 
     ``ranks``: per mode, the per-band column counts; ``channels``: the row
-    count of bypass bases (``q`` None).  Raises :class:`StreamError` on a
-    truncated, out-of-range or (bypass) non-finite field.
+    count of bypass bases (``q`` None).  With ``rebuild`` False the fields
+    are read and checked but the quantized bases are not rebuilt: the
+    returned bases are None, and so is ``state.prev_bases``.  Raises
+    :class:`StreamError` on a truncated, out-of-range or (bypass)
+    non-finite field.
     """
-    return _side_info(_Fields(reader), q, state, ranks, channels=channels)
+    return _side_info(_Fields(reader), q, state, ranks, channels=channels, rebuild=rebuild)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from hoacodec.bitio import BitReader, BitWriter
@@ -303,6 +303,21 @@ def _reference_decode(reader, groups, channels=None):
     return CodedChannel(groups.num_bins, zero_band, scalefactors, np.array(q, dtype=np.int64))
 
 
+def _same_parse(data, start, groups, channels=None):
+    """The parse-only call (``values=False``) ends at the full call's end
+    position, or raises the full call's StreamError text."""
+    ends = []
+    for values in (True, False):
+        reader = BitReader(data)
+        reader.bit_position = start
+        try:
+            entropy_decode_channel(reader, groups, channels, values=values)
+            ends.append(reader.bit_position)
+        except StreamError as exc:
+            ends.append(str(exc))
+    assert ends[0] == ends[1]
+
+
 def _outcome(decoder, data, start, groups, channels=None):
     """(CodedChannel fields, end bit position), or "StreamError"."""
     reader = BitReader(data)
@@ -364,12 +379,14 @@ def test_channel_decoder_matches_reference(channel, lead, trail, rnd):
     assert got == _outcome(_reference_decode, data, lead, groups)
     expected = np.where(np.repeat(coded.zero_band, groups.widths()), 0, coded.quant_indices)
     assert got[3] == expected.tolist()
+    _same_parse(data, lead, groups)
     for cut in range(len(data)):  # every truncation: the reference's result or StreamError
         truncated = data[:cut]
         start = min(lead, 8 * cut)
         assert _outcome(entropy_decode_channel, truncated, start, groups) == _outcome(
             _reference_decode, truncated, start, groups
         )
+        _same_parse(truncated, start, groups)
 
 
 @_PROPERTY
@@ -380,6 +397,7 @@ def test_channel_decoder_on_random_bytes(data, lead, num_bins):
     assert _outcome(entropy_decode_channel, data, lead, groups) == _outcome(
         _reference_decode, data, lead, groups
     )
+    _same_parse(data, lead, groups)
 
 
 def test_escape_beyond_int64_is_a_stream_error():
@@ -442,6 +460,7 @@ def test_channel_decoder_matches_reference_at_real_band_widths(channel, lead, tr
     assert got == _outcome(_reference_decode, data, lead, groups, count)
     expected = np.where(np.repeat(coded.zero_band, groups.widths(), axis=0), 0, coded.quant_indices)
     assert got[3] == expected.tolist()
+    _same_parse(data, lead, groups, count)
     # a spread of truncations: the reference's result or StreamError
     cuts = {*np.linspace(0, len(data) - 1, 6).astype(int).tolist(), *(rnd.randrange(len(data)) for _ in range(4))}
     for cut in sorted(cuts):
@@ -449,6 +468,7 @@ def test_channel_decoder_matches_reference_at_real_band_widths(channel, lead, tr
         assert _outcome(entropy_decode_channel, truncated, start, groups, count) == _outcome(
             _reference_decode, truncated, start, groups, count
         )
+        _same_parse(truncated, start, groups, count)
 
 
 def _widest_band_stream(bins):
@@ -494,6 +514,44 @@ def test_cut_inside_a_wide_huffman_band_is_exhausted():
     for cut in (8, len(data) // 2, len(data) - 1):  # in the first, a middle and the last bin
         with pytest.raises(StreamError, match="bitstream exhausted"):
             entropy_decode_channel(BitReader(data[:cut]), groups)
+
+
+def test_tables_stop_at_the_longest_block(monkeypatch):
+    """Bits after the channels change nothing, and the jump tables never
+    cover more than the longest block the bands allow: checked on 49
+    one-bin bands that each hold the longest valid escape, and with the
+    last one's excess at the longest length read (64 leading zeros, out
+    of range)."""
+    from hoacodec import core_codec
+
+    groups, seen = FrequencyGroups.uniform(49), []
+    bin_chain = core_codec._bin_chain
+
+    def recorded(data, start):
+        seen.append(8 * len(data) - start)
+        return bin_chain(data, start)
+
+    monkeypatch.setattr(core_codec, "_bin_chain", recorded)
+    longest = 49 * (16 + 145)
+    junk = np.random.default_rng(5).bytes(4096)
+    header = [(0, 1), (-SF_MIN, 8), (0, 1)]
+    for last, outcome in (((1 << 63) - 1, None), (ESCAPE_SYMBOL + (1 << 65) - 2, "out of range")):
+        bins = [*_escape_fields((1 << 63) - 1)] * 48 + _escape_fields(last)
+        w = BitWriter()
+        for band in range(49):
+            for value, length in header + bins[4 * band : 4 * band + 4]:
+                w.write(value, length)
+        data = w.getvalue()
+        for tail in (b"", junk):
+            if outcome:
+                with pytest.raises(StreamError, match=outcome):
+                    entropy_decode_channel(BitReader(data + tail), groups)
+                continue
+            reader = BitReader(data + tail)
+            got = entropy_decode_channel(reader, groups)
+            assert got.quant_indices.tolist() == [(1 << 63) - 1] * 49
+            assert reader.bit_position == 49 * (10 + 141)
+    assert max(seen) < longest + 8
 
 
 # --- batched encoder against the per-band references it replaced ---
@@ -641,7 +699,10 @@ def mnmr_stacks(draw):
     return x, MaskingCurve(power), target, groups
 
 
+# no shrink phase: a failing case reports as found, in seconds, where
+# shrinking one took minutes
 _EQUIVALENCE = settings(max_examples=80, deadline=None, derandomize=True,
+                        phases=(Phase.explicit, Phase.reuse, Phase.generate),
                         suppress_health_check=[HealthCheck.too_slow])
 
 

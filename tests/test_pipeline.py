@@ -420,6 +420,89 @@ def test_concealment_reasons(encoded, small_quantizers_module):
         assert doc["frames"][2]["conceal_reason"] == reason
 
 
+def _with_payload(stream, index, payload) -> bytes:
+    """``stream`` with frame ``index``'s payload replaced, size and CRC updated."""
+    import zlib
+
+    start, size = _frame_span(stream, index)
+    framed = len(payload).to_bytes(4, "big") + payload + zlib.crc32(payload).to_bytes(4, "big")
+    return stream[: start - 4] + framed + stream[start + size + 4 :]
+
+
+def test_padding_of_a_byte_or_a_set_bit_is_refused(encoded, small_quantizers_module):
+    """A payload pads to a byte with fewer than 8 zero bits.  A byte more, or
+    a set pad bit, is a parse error: decode conceals the frame and stats
+    raises, with the same reason."""
+    for codec in ("proposed", "baseline"):
+        res = encoded[codec]
+        f = next(f for f in res.stats.frames if f.padding_bits)
+        start, size = _frame_span(res.stream, f.index)
+        payload = res.stream[start : start + size]
+        for damaged, reason in (
+            (payload + b"\0", f"{f.padding_bits + 8} padding bits (at most 7)"),
+            (payload[:-1] + bytes([payload[-1] | 1]), "nonzero padding bits"),
+        ):
+            stream = _with_payload(res.stream, f.index, damaged)
+            frames = pipeline.decode(stream, quantizers=small_quantizers_module).stats.frames
+            assert [g.index for g in frames if g.concealed] == [f.index]
+            assert frames[f.index].conceal_reason == reason
+            with pytest.raises(StreamError) as raised:
+                pipeline.measure_stream(stream, quantizers=small_quantizers_module)
+            assert str(raised.value) == reason
+
+
+def test_junk_after_the_channels_costs_bounded_memory(encoded, small_quantizers_module):
+    """The channel decoder's tables cover at most the longest block the
+    header allows (38 KB at L=256 with 8 channels), not a frame's whole
+    payload: with 256 KiB and 1 MiB of zeros after frame 0's channels the
+    allocation peak of decode and of stats was 7.3 MiB and 8.0 MiB, where
+    tables over all of the payload took 48.5 MiB at 256 KiB."""
+    import tracemalloc
+
+    stream = encoded["proposed"].stream
+    start, size = _frame_span(stream, 0)
+    for junk in (1 << 18, 1 << 20):
+        padded = _with_payload(stream, 0, stream[start : start + size] + bytes(junk))
+        for call in (pipeline.decode, pipeline.measure_stream):
+            tracemalloc.start()
+            try:
+                try:
+                    call(padded, quantizers=small_quantizers_module)
+                except StreamError as exc:
+                    assert "padding bits" in str(exc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 2**20, (call.__name__, junk, peak / 2**20)
+
+
+def test_stats_parses_without_rebuilding(encoded, small_quantizers_module, monkeypatch):
+    """Stats reads every field decode reads, with the same FrameStats, but
+    never rebuilds a quantized basis; the proposed stream holds intra,
+    predicted and switched columns."""
+    from hoacodec import sideinfo
+
+    rebuilt = [0]
+    rebuild = sideinfo._rebuilt
+
+    def counted(*args):
+        rebuilt[0] += 1
+        return rebuild(*args)
+
+    monkeypatch.setattr(sideinfo, "_rebuilt", counted)
+    for codec in ("proposed", "baseline"):
+        stream = encoded[codec].stream
+        rebuilt[0] = 0
+        frames = pipeline.decode(stream, quantizers=small_quantizers_module).stats.frames
+        assert rebuilt[0] == len(frames)
+        rebuilt[0] = 0
+        assert pipeline.measure_stream(stream, quantizers=small_quantizers_module).frames == frames
+        assert rebuilt[0] == 0
+    frames = encoded["proposed"].stats.frames
+    for kind in ("intra_columns", "predicted_columns", "switched_columns"):
+        assert sum(getattr(f, kind) for f in frames) > 0, kind
+
+
 @pytest.fixture(scope="module")
 def chirp_bypass_streams():
     """0.2 s of ``orbiting_chirp`` in bypass at L=256, per codec."""
@@ -742,9 +825,9 @@ def test_one_channel_decode_call_per_frame(encoded, small_quantizers_module, mon
     calls = []
     decode_channels = core_codec.entropy_decode_channel
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[2])
-        return decode_channels(*args)
+        return decode_channels(*args, **kwargs)
 
     monkeypatch.setattr(core_codec, "entropy_decode_channel", counted)
     for codec in ("proposed", "baseline"):

@@ -229,7 +229,7 @@ def test_out_of_range_field_raises_stream_error(rng, case):
     )
     state = SideInfoState()
     if case != "intra band, intra index":
-        state.prev_bases, state.prev_mode = [_random_basis(rng, 16, 3)], 0
+        state.prev_bases, state.prev_mode, state.prev_columns = [_random_basis(rng, 16, 3)], 0, 3
     w = BitWriter()
     w.write(mode, 1)
     for value, bits in fields:
