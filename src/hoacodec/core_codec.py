@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hoacodec.bitio import BitReader, BitWriter
-from hoacodec.errors import FormatError, ShapeError, StreamError
+from hoacodec.errors import FormatError, NumericError, ShapeError, StreamError
 from hoacodec.noise_subst import FrequencyGroups, GroupLayout
 
 SF_MIN = -80  # 1.5 dB steps: -120 dB
@@ -237,6 +237,9 @@ def quantize_mnmr(
     (:func:`_band_sums`).  A band without an in-budget row at any step
     takes its minimum-noise row, the first one of all its rows from the
     first nonzero step.
+
+    Raises NumericError when a band's energy is not finite or a quantized
+    magnitude would exceed ``_MAX_MAGNITUDE``.
     """
     if not (np.isfinite(target) and target > 0):
         raise ShapeError(f"MNMR target {target} is not a positive finite ratio")
@@ -255,6 +258,8 @@ def quantize_mnmr(
     x2 = x * x
     for bands, bins in by_width:
         _band_sums(x2, bands, bins, energy)
+    if not np.all(np.isfinite(energy)):
+        raise NumericError(f"band energy is not finite: it exceeds the float64 limit {np.finfo(float).max:.4g}")
     zero_band = energy <= budget
     nmr = energy / power  # the coded bands' entries are replaced below
     coded = np.flatnonzero(~zero_band)
@@ -297,6 +302,10 @@ def quantize_mnmr(
     scalefactors[coded] = SF_MAX - pick
     step34 = _SF_STEPS_34[np.repeat(pick, coded_widths)]
     q = np.floor(absx34[coded_bins] / step34 + _QUANT_MAGIC)
+    if q.size and q.max() >= 2.0**63:  # the least float above _MAX_MAGNITUDE
+        raise NumericError(
+            f"quantized magnitude {q.max():.4g} exceeds 2^63 - 1, the largest the 6-bit raw width allows"
+        )
     qidx = np.zeros(x.size, dtype=np.int64)
     qidx[coded_bins] = np.sign(x[coded_bins]) * q.astype(np.int64)
 

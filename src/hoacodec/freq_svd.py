@@ -95,28 +95,24 @@ def mode_bases(spec: SpectralFrame, mode: int, rank: int, bands: int = 4) -> tup
 
 def band_decompose(
     bands: list,
-    ranks,
+    rank: int,
     layout: BandLayout,
     bases: list | None = None,
 ) -> BandDecomposition:
-    """Per-band SVD, truncation, and projection.
+    """Per-band SVD, truncation to ``rank`` columns, and projection.
 
     ``bases`` overrides the per-band bases (the pipeline passes in the
     side-info-reconstructed ones so encoder and decoder stay in sync);
     otherwise each band's basis is the truncated SVD of the band.
     """
-    if isinstance(ranks, int):
-        ranks = [ranks] * len(bands)
-    if len(ranks) != len(bands):
-        raise ShapeError("one rank per band required")
     out_bases = []
     foregrounds = []
-    for i, (band, r) in enumerate(zip(bands, ranks)):
-        if band.shape[0] < r:
+    for i, band in enumerate(bands):
+        if band.shape[0] < rank:
             raise ShapeError(
-                f"band {i} has {band.shape[0]} bins, cannot retain {r} components"
+                f"band {i} has {band.shape[0]} bins, cannot retain {rank} components"
             )
-        basis = bases[i] if bases is not None else truncated_basis(band, r, frame=i)
+        basis = bases[i] if bases is not None else truncated_basis(band, rank, frame=i)
         out_bases.append(basis)
         foregrounds.append(foreground_with_fallback(band, basis))
     return BandDecomposition(layout=layout, bases=out_bases, foregrounds=foregrounds)

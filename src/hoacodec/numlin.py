@@ -1,7 +1,7 @@
 """Shared numerical kernels: SVD, optimal assignment, Lloyd codebook training.
 
 The SVD and the assignment solver wrap LAPACK/scipy primitives behind
-deterministic contracts (sign canonicalization, lexicographic tie-breaking);
+deterministic contracts (sign canonicalization, one deterministic solve);
 the Generalized Lloyd trainer is implemented here because its seeding,
 empty-cell and stopping rules are part of the codec's reproducibility
 contract.
@@ -102,66 +102,16 @@ def svd(A: np.ndarray) -> SvdResult:
 
 
 def hungarian(cost: np.ndarray) -> Assignment:
-    """Minimum-cost assignment; ties resolved to the lexicographically
-    smallest permutation.
-
-    The rule: of the permutations whose cost is within ``tol = 1e-9 *
-    max(1, |optimum|)`` of the optimum, the lexicographically smallest.
-    scipy's solver gives the optimum and a known optimal completion; each
-    source in order then tries only the free targets below the one that
-    completion uses, and solves the remainder for a target only when the
-    least cost of any matching through it is within tol of the optimum, so
-    a matrix without such a near-tie costs one solve.
-    """
+    """Minimum-cost assignment: one call of scipy's deterministic solver
+    (Crouse, IEEE TAES 2016).  Among tied optima it returns the one that
+    solver finds; no caller depends on which."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ShapeError(f"cost matrix must be square, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise NumericError("cost matrix contains non-finite values")
-    r = cost.shape[0]
-    if r == 0:
-        return Assignment(permutation=np.zeros(0, dtype=np.intp), total_cost=0.0)
     rows, perm = scipy.optimize.linear_sum_assignment(cost)
-    own = cost[rows, perm]
-    optimum = float(own.sum())
-    tol = 1e-9 * max(1.0, abs(optimum))
-    # ``near``: where a matching that gives row i column j may cost within
-    # tol of the optimum; ``slack`` covers rounding.  Cheap bounds first:
-    # that entry plus every other row's minimum, and plus every other
-    # column's.
-    slack = 8.0 * (r + 1) ** 2 * np.finfo(float).eps * float(np.abs(cost).max())
-    limit = optimum + tol + slack
-    row_min, col_min = cost.min(axis=1), cost.min(axis=0)
-    near = (cost - row_min[:, None] + float(row_min.sum()) <= limit) & (cost - col_min + float(col_min.sum()) <= limit)
-    below = np.arange(r) < perm[:, None]
-    if np.any(near & below):
-        # Exact bound, from the exchange graph of the optimum: arc a -> b
-        # moves the row holding column a to column b.  The least a matching
-        # that gives row i column j costs above the optimum is that move
-        # plus the cheapest path from j back to perm[i] (Floyd-Warshall);
-        # rounding can only lower it, which costs a solve, never a wrong pick.
-        holder = np.empty(r, dtype=np.intp)
-        holder[perm] = rows
-        dist = cost[holder] - own[holder][:, None]
-        for k in range(r):
-            np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
-        near &= cost - own[:, None] + dist[:, perm].T <= tol + slack
-    if not np.any(near & below):  # no near-tie: the optimum is the pick
-        return Assignment(permutation=perm, total_cost=optimum)
-    free = np.ones(r, dtype=bool)
-    fixed_cost = 0.0
-    for i in range(r - 1):
-        for j in np.flatnonzero(free[: perm[i]] & near[i, : perm[i]]):
-            rest = free.copy()
-            rest[j] = False
-            tail = cost[i + 1 :][:, rest]
-            sub_rows, sub_cols = scipy.optimize.linear_sum_assignment(tail)
-            if fixed_cost + cost[i, j] + float(tail[sub_rows, sub_cols].sum()) <= optimum + tol:
-                perm[i], perm[i + 1 :] = j, np.flatnonzero(rest)[sub_cols]
-                break
-        free[perm[i]] = False
-        fixed_cost += cost[i, perm[i]]
-    return Assignment(permutation=perm, total_cost=optimum)
+    return Assignment(permutation=perm, total_cost=float(cost[rows, perm].sum()))
 
 
 def _seed_centroids(training: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,11 +1,12 @@
 import csv
 import json
+import warnings
 
 import pytest
 
 from hoacodec import pipeline
 from hoacodec.cli import main
-from hoacodec.hoa_io import read_hoa_wav, write_hoa_wav
+from hoacodec.hoa_io import HoaSignal, read_hoa_wav, write_hoa_wav
 from hoacodec.sideinfo import QuantizerSet
 
 
@@ -192,3 +193,21 @@ def test_missing_codebooks_message_names_command(workspace, capsys):
                  str(workspace / "missing"), str(wav), str(workspace / "q.bs")])
     assert code == 2
     assert "train-quantizers" in capsys.readouterr().err
+
+
+def test_too_loud_input_exits_2_with_one_line(workspace, tmp_path, capsys):
+    """A float32 WAV 1e30 times full scale would quantize past 2^63 - 1:
+    one error line, no traceback and no numpy warning."""
+    sig = read_hoa_wav(_wav(workspace))
+    loud = tmp_path / "loud.wav"
+    write_hoa_wav(HoaSignal(sig.sample_rate, sig.order, sig.samples * 1e30), loud)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([
+            "encode", "--frame", "256", "--codebooks", str(workspace / "cb"),
+            str(loud), str(tmp_path / "loud.bs"),
+        ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2^63 - 1" in err, err

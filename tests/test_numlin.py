@@ -75,13 +75,9 @@ def test_non_finite_rejected():
 
 # --- hungarian ---
 
-def brute_force(cost):
+def brute_force_cost(cost):
     r = cost.shape[0]
-    best = min(
-        itertools.permutations(range(r)),
-        key=lambda p: (sum(cost[i, p[i]] for i in range(r)), p),
-    )
-    return list(best), sum(cost[i, best[i]] for i in range(r))
+    return min(sum(cost[i, p[i]] for i in range(r)) for p in itertools.permutations(range(r)))
 
 
 def test_identity_cheapest():
@@ -96,19 +92,20 @@ def test_swap_cheapest():
     assert a.total_cost == 2.0
 
 
-def test_tie_breaks_lexicographically():
-    a = hungarian(np.ones((3, 3)))
-    assert list(a.permutation) == [0, 1, 2]
+def test_empty_matrix():
+    a = hungarian(np.zeros((0, 0)))
+    assert a.permutation.size == 0
+    assert a.total_cost == 0.0
 
 
 def test_matches_brute_force_on_random_integer_costs(rng):
     for _ in range(40):
         r = int(rng.integers(1, 7))
-        cost = rng.integers(0, 10, (r, r)).astype(float)
+        cost = rng.integers(0, 10, (r, r)).astype(float)  # ties are common
         a = hungarian(cost)
-        perm, total = brute_force(cost)
-        assert a.total_cost == pytest.approx(total, abs=1e-9)
-        assert list(a.permutation) == perm
+        assert sorted(a.permutation.tolist()) == list(range(r))
+        assert a.total_cost == brute_force_cost(cost)
+        assert float(cost[np.arange(r), a.permutation].sum()) == a.total_cost
 
 
 def test_non_square_rejected():
@@ -116,40 +113,19 @@ def test_non_square_rejected():
         hungarian(np.zeros((2, 3)))
 
 
-def _reference_hungarian(cost):
-    """The greedy tie rule the matcher replaced: scipy's optimum, then each
-    source in order takes the smallest target that keeps the remainder's
-    optimum (1 + r(r+1)/2 solves) within tol of it."""
-    import scipy.optimize
-
-    def best(sub):
-        rows, cols = scipy.optimize.linear_sum_assignment(sub)
-        return float(sub[rows, cols].sum())
-
-    r = cost.shape[0]
-    optimum = best(cost)
-    tol = 1e-9 * max(1.0, abs(optimum))
-    perm, free, fixed_cost = [], list(range(r)), 0.0
-    for i in range(r):
-        for j in free:
-            rest = [c for c in free if c != j]
-            tail = best(cost[np.ix_(range(i + 1, r), rest)]) if rest else 0.0
-            if fixed_cost + cost[i, j] + tail <= optimum + tol:
-                perm.append(j)
-                fixed_cost += cost[i, j]
-                free.remove(j)
-                break
-    return perm, optimum
+def test_non_finite_cost_rejected():
+    with pytest.raises(NumericError):
+        hungarian(np.array([[0.0, np.inf], [1.0, 0.0]]))
 
 
 def _matching_costs(rng, r):
-    """Cost matrices with exact ties, near-ties either side of tol, and the
-    matcher's own 1 - |corr| between consecutive bases."""
+    """Cost matrices with exact ties, near-ties, and the matcher's own
+    1 - |corr| between consecutive bases."""
     yield np.ones((r, r))
     yield rng.integers(0, 3, (r, r)).astype(float)
     grid = rng.integers(0, 4, (r, r)) * 0.25
-    yield grid + rng.choice([0.0, 0.4e-9, 2.5e-9], (r, r))  # offsets below and above tol
-    yield grid * 1e3 + rng.choice([0.0, 0.4e-6, 2.5e-6], (r, r))  # tol scales with |optimum|
+    yield grid + rng.choice([0.0, 0.4e-9, 2.5e-9], (r, r))
+    yield grid * 1e3 + rng.choice([0.0, 0.4e-6, 2.5e-6], (r, r))
     yield rng.uniform(-5, 5, (r, r))
     m = max(r, 16)
     prev = np.linalg.qr(rng.standard_normal((m, r)))[0]
@@ -157,23 +133,46 @@ def _matching_costs(rng, r):
     yield 1.0 - np.abs(prev.T @ cur)
 
 
+def _cheapest_exchange_cycle(cost, perm):
+    """The least cost change of any cyclic exchange of targets: an arc
+    a -> b moves the source holding target a to target b.  A permutation
+    is a least-cost one iff no cycle lowers its cost (Floyd-Warshall)."""
+    r = cost.shape[0]
+    holder = np.empty(r, dtype=np.intp)
+    holder[perm] = np.arange(r)
+    dist = cost[holder] - cost[holder, np.arange(r)][:, None]
+    for k in range(r):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    return float(dist.diagonal().min())
+
+
 @pytest.mark.parametrize("r", list(range(1, 13)) + [16, 20, 24, 32])
 def test_hungarian_matches_reference_rule(rng, r):
+    """The rule: a least-cost permutation, whatever the ties."""
     for cost in _matching_costs(rng, r):
         a = hungarian(cost)
-        perm, optimum = _reference_hungarian(cost)
-        assert a.permutation.tolist() == perm
-        assert a.total_cost == pytest.approx(optimum, abs=1e-9 * max(1.0, abs(optimum)))
+        assert sorted(a.permutation.tolist()) == list(range(r))
+        assert a.total_cost == float(cost[np.arange(r), a.permutation].sum())
+        tol = 1e-12 * r * max(1.0, float(np.abs(cost).max()))
+        assert _cheapest_exchange_cycle(cost, a.permutation) >= -tol
+        if r <= 6:
+            assert a.total_cost == pytest.approx(brute_force_cost(cost), abs=tol)
 
 
-def test_hungarian_solves_once_without_near_ties(rng, monkeypatch):
+def test_hungarian_solves_once(rng, monkeypatch):
     import scipy.optimize
 
     calls = []
     solve = scipy.optimize.linear_sum_assignment
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", lambda c: calls.append(c) or solve(c))
     for r in list(range(1, 9)) + [16, 32]:
-        for cost in (rng.uniform(0, 1, (r, r)), 1.0 - np.eye(r)):
+        costs = (
+            rng.uniform(0, 1, (r, r)),
+            1.0 - np.eye(r),
+            np.ones((r, r)),
+            rng.integers(0, 3, (r, r)).astype(float),
+        )
+        for cost in costs:
             calls.clear()
             hungarian(cost)
             assert len(calls) == 1
@@ -418,5 +417,4 @@ def test_hungarian_property_vs_brute_force(r, seed):
     rng = np.random.default_rng(seed)
     cost = rng.uniform(0, 1, (r, r))
     a = hungarian(cost)
-    _, total = brute_force(cost)
-    assert a.total_cost == pytest.approx(total, abs=1e-9)
+    assert a.total_cost == pytest.approx(brute_force_cost(cost), abs=1e-9)

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hoacodec import pipeline
-from hoacodec.errors import ConfigurationError, HoaCodecError, StreamError
+from hoacodec.errors import ConfigurationError, HoaCodecError, NumericError, StreamError
 from hoacodec.hoa_io import HoaSignal
 
 
@@ -836,3 +836,30 @@ def test_one_channel_decode_call_per_frame(encoded, small_quantizers_module, mon
             calls.clear()
             stats = parse(stream, quantizers=small_quantizers_module)
             assert calls == [4 + 4] * len(stats.frames)  # rank 4 plus (1 + 1)^2 background channels
+
+
+@pytest.fixture(scope="module")
+def talkers_short():
+    """0.1 s of ``two_talkers``."""
+    from hoacodec import scenes
+
+    return scenes.render_scene(scenes.corpus_specs(duration=0.1)[0])
+
+
+@pytest.mark.parametrize("codec", ["proposed", "baseline"])
+def test_too_loud_input_raises_numeric_error(talkers_short, small_quantizers, codec):
+    """Scaled by 1e29 the scene still encodes.  By 1e30 a quantized magnitude
+    passes 2^63 - 1, which the 6-bit raw width cannot hold; by 1e160 a band's
+    energy passes the float64 maximum.  Either is a NumericError naming the
+    limit, not an IndexError or a stream with NaN ratios."""
+    cfg = pipeline.EncoderConfig(codec=codec, half_length=256, quantizers=small_quantizers)
+
+    def scaled(k):
+        return HoaSignal(talkers_short.sample_rate, talkers_short.order, talkers_short.samples * k)
+
+    assert all(np.isfinite(f.max_nmr) for f in pipeline.encode(scaled(1e29), cfg).stats.frames)
+    with pytest.raises(NumericError, match=r"2\^63 - 1"):
+        pipeline.encode(scaled(1e30), cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # the analysis before the coder overflows first
+        with pytest.raises(NumericError, match="float64 limit"):
+            pipeline.encode(scaled(1e160), cfg)
