@@ -6,9 +6,33 @@ table, and prints the code lengths that live in core_codec as
 DEFAULT_MAGNITUDE_LENGTHS.
 """
 
+import heapq
+
 import numpy as np
 
 from hoacodec import core_codec, pipeline, scenes, sideinfo
+
+
+def train(magnitude_histogram) -> core_codec.HuffmanTable:
+    """Optimal lengths for a magnitude histogram, then reassigned in
+    magnitude order so code length never decreases with magnitude
+    (keeps the coarser-step-never-costs-more property exact)."""
+    hist = np.maximum(np.asarray(magnitude_histogram, dtype=np.float64), 1.0)
+    # enforce non-increasing counts so lengths are monotone in magnitude
+    hist = np.maximum.accumulate(hist[::-1])[::-1]
+    heap = [(float(count), s, (s,)) for s, count in enumerate(hist)]
+    heapq.heapify(heap)
+    lengths = [0] * hist.size
+    counter = hist.size
+    while len(heap) > 1:
+        w1, _, s1 = heapq.heappop(heap)
+        w2, _, s2 = heapq.heappop(heap)
+        for s in s1 + s2:
+            lengths[s] += 1
+        heapq.heappush(heap, (w1 + w2, counter, s1 + s2))
+        counter += 1
+    return core_codec.HuffmanTable(sorted(lengths))
+
 
 histogram = np.zeros(17)
 original = core_codec.quantize_mnmr
@@ -41,7 +65,7 @@ try:
 finally:
     core_codec.quantize_mnmr = original
 
-table = core_codec.HuffmanTable.train(histogram)
+table = train(histogram)
 print("magnitude histogram:", histogram.astype(int).tolist())
 print("trained code lengths:", tuple(table.lengths))
 print("frozen default:     ", core_codec.DEFAULT_MAGNITUDE_LENGTHS)

@@ -16,8 +16,8 @@ with a fixed SNR offset instead of tonality estimation, scalefactors on a
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -385,31 +385,6 @@ class HuffmanTable:
             if 0 < s < ESCAPE_SYMBOL:  # sign bit set
                 self._value[base + span // 2 : base + span] = -s
 
-    @classmethod
-    def train(cls, magnitude_histogram) -> "HuffmanTable":
-        """Optimal lengths for a magnitude histogram, then reassigned in
-        magnitude order so code length never decreases with magnitude
-        (keeps the coarser-step-never-costs-more property exact)."""
-        hist = np.asarray(magnitude_histogram, dtype=np.float64)
-        if hist.size != _ALPHABET:
-            raise FormatError(f"histogram needs {_ALPHABET} entries")
-        hist = np.maximum(hist, 1.0)
-        # enforce non-increasing counts so lengths are monotone in magnitude
-        hist = np.maximum.accumulate(hist[::-1])[::-1]
-        heap = [(float(hist[s]), s, (s,)) for s in range(_ALPHABET)]
-        heapq.heapify(heap)
-        lengths = [0] * _ALPHABET
-        counter = _ALPHABET
-        while len(heap) > 1:
-            w1, _, s1 = heapq.heappop(heap)
-            w2, _, s2 = heapq.heappop(heap)
-            for s in s1 + s2:
-                lengths[s] += 1
-            heapq.heappush(heap, (w1 + w2, counter, s1 + s2))
-            counter += 1
-        ordered = sorted(lengths)
-        return cls(ordered)
-
 
 # the one table of every stream, as fixed as a standard's codebooks: frozen
 # from training on the synthetic scene corpus at MNMR targets 0.5..8
@@ -519,10 +494,13 @@ def entropy_encode_channel(
 # Decoding follows the chain of Huffman-coded bins through jump tables over
 # the channel region of a payload, from the reader's position to its end:
 # nxt[p] is the position after the bin that starts at p (code, sign bit and
-# an escape's excess), and doubling level k, nxt applied 2**k times, ends a
-# band of n bins in popcount(n) lookups.  A position whose bin runs past the
-# payload or is a bad escape goes to an absorbing dead entry.  The tables
-# live for one call.
+# an escape's excess), and doubling level k is nxt applied 2**k times.  The
+# levels stop at 8-bin jumps (_LEVELS): each one is a gather over every bit
+# of the region, which costs as much as a few thousand band-walk hops, and
+# only the AAC table's widest bands would use more.  A band of w bins ends
+# after w >> 3 top-level hops and popcount(w & 7) lower ones.  A position
+# whose bin runs past the payload or is a bad escape goes to an absorbing
+# dead entry.  The tables live for one call.
 
 _EXHAUSTED = "bitstream exhausted"
 _MAX_MAGNITUDE = (1 << 63) - 1  # quantizer indices are int64
@@ -532,6 +510,8 @@ _ESCAPE_SPAN = 130  # the longest escape excess: ue() of 64 zeros, 65 bits, then
 # of channels is longer than its bands and bins at these lengths
 _MAX_HEAD_BITS = 16
 _MAX_BIN_BITS = max(HUFFMAN_TABLE.lengths) + _ESCAPE_SPAN
+_LEVELS = 4  # doubling levels: jumps of 1, 2, 4 and 8 bins
+_TOP = 1 << (_LEVELS - 1)
 
 
 def _escape_excess(data: bytes, pos: int) -> tuple:
@@ -557,17 +537,18 @@ def _escape_excess(data: bytes, pos: int) -> tuple:
 def _bin_chain(data: bytes, start: int) -> tuple:
     """The next-position table of the bins from bit ``start`` to the end of
     ``data``, in positions relative to ``start``: (window, nxt, escapes,
-    values, errors).  ``window[p]`` holds the 17 bits at p, zero-padded;
-    ``nxt`` has the region's n positions, then n and the dead entry n + 1,
-    both dead; ``escapes`` lists the positions that start with the escape
-    code, in order, and ``values`` their values; ``errors`` maps each bad
-    escape to its message."""
+    values, errors).  ``window[p]`` holds the 17 bits at p, zero-padded,
+    for p up to n + 7, so the dead entry indexes it too; ``nxt`` has the
+    region's n positions, then n and the dead entry n + 1, both dead;
+    ``escapes`` lists the positions that start with the escape code, in
+    order, and ``values`` their values; ``errors`` maps each bad escape to
+    its message."""
     first, n = start >> 3, 8 * len(data) - start
-    words = np.ndarray((len(data) - first,), ">u4", data + bytes(3), first, (1,))  # overlapping
+    words = np.ndarray((len(data) - first + 1,), ">u4", data + bytes(4), first, (1,))  # overlapping
     window = words[:, None] >> np.arange(15, 7, -1, dtype=np.uint32)
     window &= 0x1FFFF
     window = window.ravel()[start & 7 :]
-    advance = HUFFMAN_TABLE._advance[window]
+    advance = HUFFMAN_TABLE._advance[window[:n]]
     dead = n + 1
     nxt = np.arange(n + 2, dtype=np.int32)  # a payload holds under 2**31 bits
     nxt[:n] += advance
@@ -601,11 +582,46 @@ def _bin_chain(data: bytes, start: int) -> tuple:
     return window, nxt, escapes, values, errors
 
 
-def _band_bins(band: np.ndarray, offsets: np.ndarray, widths: np.ndarray) -> tuple:
-    """(rank in its band, index) of every bin of the bands ``band``."""
-    w = widths[band]
-    rank = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)
-    return rank, np.repeat(offsets[band], w) + rank
+class _ReadPlan(NamedTuple):
+    """What a call reads, fixed by the group table and the channel count.
+    Bins are placed in slots by rank in their band, then by band: rank 0
+    of every band, then rank 1 of every band wider than one bin, and so on."""
+
+    bands: tuple  # per band of the block: (width, levels of its hops)
+    levels: int  # doubling levels the hops and steps use
+    band: np.ndarray  # per slot, its band
+    rank: np.ndarray  # per slot, its rank in the band
+    steps: tuple  # (level, lo, hi, src): slots lo:hi are that level applied to slots src
+    order: np.ndarray  # per bin of the block, its slot
+
+
+@functools.lru_cache(maxsize=8)
+def _read_plan(groups: FrequencyGroups, count: int) -> _ReadPlan:
+    """The read plan of ``count`` channels over ``groups`` (read-only).  Bin
+    r + 2**k of a band, where r < 2**k, is level k applied to bin r, up to
+    the top level; ranks from 2 * _TOP on are placed _TOP at a time, each
+    the top level applied to the bin _TOP before it."""
+    _, widths, _ = layout = groups.layout(count)
+    top = int(widths.max())
+    hops = tuple(
+        (w, (_LEVELS - 1,) * (w // _TOP) + tuple(k for k in range(_LEVELS - 1) if w >> k & 1))
+        for w in widths.tolist()
+    )
+    rank, band = np.nonzero(widths > np.arange(top)[:, None])  # slot order
+    rank_start = np.searchsorted(rank, np.arange(top + 1))
+    slot = np.zeros((widths.size, top), dtype=np.intp)
+    slot[band, rank] = np.arange(band.size)
+    steps, r = [], 1
+    while r < top:
+        jump = min(r, _TOP)
+        lo, hi = rank_start[r], rank_start[min(r + jump, top)]
+        steps.append((jump.bit_length() - 1, lo, hi, slot[band[lo:hi], rank[lo:hi] - jump]))
+        r += jump
+    order = np.empty(band.size, dtype=np.intp)
+    order[layout.offsets[band] + rank] = np.arange(band.size)
+    for a in (band, rank, order, *(step[3] for step in steps)):
+        a.setflags(write=False)
+    return _ReadPlan(hops, min(_LEVELS, top.bit_length()), band, rank, tuple(steps), order)
 
 
 def _raw_fields(data: bytes, at: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -633,54 +649,52 @@ def entropy_decode_channel(
     channels, one after another, into an (L, channels) matrix, or one 1-D
     channel when ``channels`` is None.
 
-    The band headers are read one band at a time.  A band's bins are
-    skipped over: a raw band by its fixed width, a Huffman band through the
-    doubling levels.  The bins of all bands are then read in one pass.
-    With ``values`` False that pass is skipped: the call only parses, with
-    every check of the full call, moves ``reader`` past the channels and
-    returns None."""
+    A walk over the bands records each band header's position and skips
+    the band's bins: a raw band by its fixed width, a Huffman band through
+    the doubling levels.  One gather of the headers then gives the zero
+    flags, scalefactors and raw widths, and the bins of all bands are read
+    in one pass, placed by the read plan (:func:`_read_plan`).  With
+    ``values`` False that pass is skipped: the call only parses, with every
+    check of the full call, moves ``reader`` past the channels and returns
+    None."""
     start = reader.bit_position
     nb = len(groups.edges)
     count = 1 if channels is None else channels
-    offsets, widths, _ = groups.layout(count)  # the channels' bands end to end
+    plan = _read_plan(groups, count)
     # the tables cover no more than the longest block of these channels:
     # every bin of a valid chain, and every bit it reads, lies inside it
-    longest = widths.size * _MAX_HEAD_BITS + int(offsets[-1]) * _MAX_BIN_BITS
+    longest = nb * count * _MAX_HEAD_BITS + groups.num_bins * count * _MAX_BIN_BITS
     data = reader.data[: (start + longest + 7) >> 3]
     window, nxt, escapes, escape_values, errors = _bin_chain(data, start)
     dead = nxt.size - 1
     n = dead - 1  # the region's bits
     levels = [nxt]
-    while 1 << len(levels) <= widths.max():
+    while len(levels) < plan.levels:
         levels.append(np.take(levels[-1], levels[-1]))
-    hops = [[levels[k] for k in range(w.bit_length()) if w >> k & 1] for w in widths[:nb].tolist()]
-    # per band: 0 zero, 1 Huffman, 2 raw; the position of its first bin;
-    # a raw band's width
-    kind, first, raw_width = [0] * widths.size, [0] * widths.size, [0] * widths.size
-    scalefactors = [0] * widths.size
-    p = 0  # relative to start
-    for b, (w, hop) in enumerate(zip(widths.tolist(), hops * count)):
+    # memoryviews index as Python ints, twice as fast as ndarray.item
+    bits, jumps = memoryview(window), [memoryview(level) for level in levels]
+    heads = [0] * len(plan.bands)  # each band header's position, relative to start
+    p = 0
+    for b, (w, hop) in enumerate(plan.bands):
         if p >= n:
             raise StreamError(_EXHAUSTED)
-        head = window.item(p)  # zero:u1, or zero:u1 scalefactor:u8 raw:u1 [width:u6]
+        heads[b] = p
+        head = bits[p]  # zero:u1, or zero:u1 scalefactor:u8 raw:u1 [width:u6]
         if head >> 16:
             p += 1
             continue
         if p + 10 > n:
             raise StreamError(_EXHAUSTED)
-        scalefactors[b] = (head >> 8 & 0xFF) + SF_MIN
         if head & 0x80:  # a sign and a magnitude per bin
-            kind[b], first[b], raw_width[b] = 2, p + 16, head >> 1 & 63
-            p += 16 + w * (raw_width[b] + 1)
+            p += 16 + w * ((head >> 1 & 63) + 1)
             if p > n:
                 raise StreamError(_EXHAUSTED)
             continue
-        kind[b] = 1
-        first[b] = p = p + 10
-        for level in hop:
-            p = level.item(p)
+        p += 10
+        for k in hop:
+            p = jumps[k][p]
         if p == dead:  # the first bad bin of the band raises its own error
-            p = first[b]
+            p = heads[b] + 10
             while nxt[p] != dead:
                 p = nxt[p]
             raise StreamError(errors.get(int(p), _EXHAUSTED))
@@ -688,30 +702,30 @@ def entropy_decode_channel(
     if not values:
         return None
 
-    kind, first = np.array(kind), np.array(first, dtype=np.int32)
-    q = np.zeros(offsets[-1], dtype=np.int64)
-    band = np.flatnonzero(kind == 1)
-    # each Huffman bin's position: bin r + 2**k of a band, where r < 2**k,
-    # is doubling level k applied to bin r
-    rank, bins = _band_bins(band, offsets, widths)
-    at = np.repeat(first[band], widths[band])
-    for k, level in enumerate(levels):
-        sel = np.flatnonzero(rank >> k == 1)
-        at[sel] = np.take(level, at[sel - (1 << k)])
+    heads = np.array(heads)
+    head = window[heads]
+    zero = (head >> 16).astype(bool)
+    raw = ~zero & (head & 0x80).astype(bool)
+    # a Huffman band's bins follow its 10-bit header; every other band
+    # starts at the dead entry, whose window holds zero bits and so the
+    # value 0, and keeps it through every level
+    at = np.empty(plan.band.size, dtype=np.int32)
+    at[: heads.size] = np.where(zero | raw, dead, heads + 10)
+    for k, lo, hi, src in plan.steps:
+        np.take(levels[k], np.take(at, src), out=at[lo:hi])
     values = HUFFMAN_TABLE._value[window[at]].astype(np.int64)
     escaped = np.flatnonzero(values == ESCAPE_SYMBOL)
     values[escaped] = escape_values[np.searchsorted(escapes, at[escaped])]
-    q[bins] = values
-    band = np.flatnonzero(kind == 2)
-    if band.size:
-        rank, bins = _band_bins(band, offsets, widths)
-        width = np.repeat(np.array(raw_width)[band], widths[band])
-        at = start + np.repeat(first[band], widths[band]) + rank * (width + 1)
-        q[bins] = _raw_fields(data, at, width)
+    if raw.any():
+        sel = np.flatnonzero(raw[plan.band])
+        band, rank = plan.band[sel], plan.rank[sel]
+        width = (head[band] >> 1 & 63).astype(np.int64)
+        values[sel] = _raw_fields(data, start + heads[band] + 16 + rank * (width + 1), width)
+    scalefactors = np.where(zero, 0, (head >> 8 & 0xFF).astype(np.int64) + SF_MIN)
     band_shape = (nb,) + (() if channels is None else (channels,))
     return CodedChannel(
         groups.num_bins,
-        _unflat(kind == 0, band_shape),
-        _unflat(np.array(scalefactors, dtype=np.int64), band_shape),
-        _unflat(q, (groups.num_bins,) + band_shape[1:]),
+        _unflat(zero, band_shape),
+        _unflat(scalefactors, band_shape),
+        _unflat(values[plan.order], (groups.num_bins,) + band_shape[1:]),
     )

@@ -230,13 +230,6 @@ def quantize_nearest(rows, cb: Codebook) -> np.ndarray:
     return best
 
 
-def distortion(training: np.ndarray, cb: Codebook) -> float:
-    """Mean squared distance of a training set to its nearest centroids."""
-    training = np.atleast_2d(np.asarray(training, dtype=np.float64))
-    _, dist = _assign(training, cb.centroids)
-    return float(dist.mean())
-
-
 # --------------------------------------------------------------------------
 # Codebook file format: little-endian, versioned.
 #   magic 'HACB' | u16 version | u16 flags | u32 dim | u32 size | u64 seed

@@ -32,7 +32,7 @@ import numpy as np
 
 from hoacodec import baseline_td, core_codec, freq_svd, noise_subst, sideinfo, transform
 from hoacodec.bitio import BitReader, BitWriter
-from hoacodec.errors import ConfigurationError, StreamError
+from hoacodec.errors import ConfigurationError, NumericError, StreamError
 from hoacodec.hoa_io import HoaSignal, TimeFrame, num_frames, segment_frames
 from hoacodec.noise_subst import NUM_GROUPS, FrequencyGroups, NoiseGroupInfo
 
@@ -426,6 +426,22 @@ class _Trial(NamedTuple):
     layout: freq_svd.BandLayout | None = None
 
 
+def _check_energy(index: int, spectrum: np.ndarray) -> None:
+    """Refuse a frame whose sum of squares could overflow float64, before
+    the masking and noise analysis square it: a peak below sqrt(max / size)
+    keeps the sum finite, and the test itself cannot overflow.  A bypass
+    frame that passes decodes to well under ``_MAX_OUTPUT_BOUND``: its
+    decoded magnitudes sum to less than twice sqrt(size * max), under 1e158
+    at the header caps, and the bases multiply that by at most about 1e6."""
+    limit = math.sqrt(np.finfo(np.float64).max / spectrum.size)
+    peak = float(np.abs(spectrum).max())
+    if not peak < limit:  # NaN as well
+        raise NumericError(
+            f"frame {index}: peak magnitude {peak:.4g} is not below {limit:.4g}, so its energy "
+            f"could exceed the float64 limit {np.finfo(np.float64).max:.4g}"
+        )
+
+
 def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConfig, groups):
     """The one frame coder of both codecs.  Codes the channels of all
     ``trials`` in one MNMR-quantization pass (raw in bypass).  With more
@@ -482,6 +498,7 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups):
     nbg = (cfg.background_order + 1) ** 2
     for frame in segment_frames(signal.samples, cfg.half_length):
         sp = transform.mdct_forward(frame, window)
+        _check_energy(sp.index, sp.coeffs)
         modes = [freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS]
         analyses = [freq_svd.mode_bases(sp, mode, cfg.rank, cfg.bands) for mode in modes]
         writers, states = [BitWriter() for _ in modes], [state.copy() for _ in modes]
@@ -537,6 +554,7 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups):
         if waiting is not None:
             index, writer, side_info = waiting
             spec = transform.mdct_forward(TimeFrame(index=index, samples=block), mdct_win).coeffs
+            _check_energy(index, spec)
             info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups)
             trial = _Trial(writer, side_info, _write_noise_block(writer, info), spec[:, : r + nbg])
             payload, stats, _ = _code_frame(index, [trial], spec, cfg, groups)
@@ -713,7 +731,8 @@ def _decode_frames(header: StreamHeader, groups, walk, frame_stats: list):
 # overlap-add or the baseline's recombination.  Each output sample is at
 # most a few times the sum of the spectrum's magnitudes times the sum of
 # the bases' magnitudes, so a bypass frame whose product reaches this bound
-# is concealed.  Coded audio stays hundreds of decades below it.  Quantized
+# is concealed.  The encoder never writes one (_check_energy keeps coded
+# frames over a hundred decades below it), but a stream's bytes may.  Quantized
 # frames need no check: indices below 2**63 at steps up to +120 dB, unit
 # bases and tabled noise energies keep every value below about 1e40.
 _MAX_OUTPUT_BOUND = 1e300

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 import warnings
 
 import pytest
@@ -211,3 +212,24 @@ def test_too_loud_input_exits_2_with_one_line(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "2^63 - 1" in err, err
+
+
+def test_bypass_input_too_loud_to_decode_exits_2_with_one_line(workspace, tmp_path, capsys):
+    """A float64 WAV 1e300 times full scale: a bypass encode would write
+    frames the decoder can only conceal, so it refuses them with one error
+    line, no traceback and no numpy warning."""
+    sig = read_hoa_wav(_wav(workspace))
+    payload = (sig.samples * 1e300).astype("<f8").tobytes()
+    channels = sig.num_channels
+    fmt = struct.pack("<HHIIHH", 3, channels, sig.sample_rate, sig.sample_rate * channels * 8, channels * 8, 64)
+    riff = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(payload)) + payload
+    loud = tmp_path / "loud64.wav"
+    loud.write_bytes(b"RIFF" + struct.pack("<I", len(riff)) + riff)
+    assert read_hoa_wav(loud).samples.max() > 1e299
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["encode", "--frame", "256", "--bypass", str(loud), str(tmp_path / "loud.bs")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "float64 limit" in err, err

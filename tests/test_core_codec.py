@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.core_codec import (
     ABSOLUTE_FLOOR,
+    DEFAULT_MAGNITUDE_LENGTHS,
     ESCAPE_SYMBOL,
     SF_MAX,
     SF_MIN,
@@ -197,21 +200,6 @@ def test_rate_beats_raw_fixed_width(groups, rng):
     assert actual <= raw_everywhere
 
 
-def test_skewed_distribution_near_entropy(rng):
-    # a table trained for the sample's own statistics codes its symbols, plus
-    # a sign bit per nonzero value, within 10% of the empirical Shannon bound
-    # plus those sign bits
-    mags = rng.geometric(0.55, size=1024) - 1
-    clipped = np.minimum(mags, ESCAPE_SYMBOL)
-    assert clipped.max() < ESCAPE_SYMBOL  # no escape excess to count
-    hist = np.bincount(clipped, minlength=ESCAPE_SYMBOL + 1).astype(float)
-    table = HuffmanTable.train(hist)
-    bits = table.length_array[clipped].sum() + np.count_nonzero(mags)
-    p = hist / hist.sum()
-    entropy = -np.sum(p[p > 0] * np.log2(p[p > 0]))
-    assert bits <= 1.10 * (entropy * 1024 + np.count_nonzero(mags))
-
-
 def test_escape_values_roundtrip(groups):
     values = np.zeros(1024, dtype=np.int64)
     values[5] = 4000
@@ -232,11 +220,15 @@ def test_escape_values_roundtrip(groups):
 
 # --- tables ---
 
-def test_table_training_monotone_lengths(rng):
-    hist = rng.integers(1, 10000, 17)
-    table = HuffmanTable.train(hist)
-    assert all(a <= b for a, b in zip(table.lengths, table.lengths[1:]))
-    assert sum(2.0 ** -l for l in table.lengths) == pytest.approx(1.0)
+def test_frozen_lengths_are_complete_and_monotone():
+    """The frozen code is complete (the Kraft sum is exactly 1), and no
+    magnitude has a shorter code than a smaller one, so a coarser step
+    never costs more bits."""
+    lengths = DEFAULT_MAGNITUDE_LENGTHS
+    assert len(lengths) == ESCAPE_SYMBOL + 1
+    assert sum(1 << (32 - l) for l in lengths) == 1 << 32
+    assert all(a <= b for a, b in zip(lengths, lengths[1:]))
+    assert HUFFMAN_TABLE.lengths == list(lengths)
 
 
 def test_table_constructor_checks():
@@ -552,6 +544,73 @@ def test_tables_stop_at_the_longest_block(monkeypatch):
             assert got.quant_indices.tolist() == [(1 << 63) - 1] * 49
             assert reader.bit_position == 49 * (10 + 141)
     assert max(seen) < longest + 8
+
+
+def _mixed_block(groups, count, seed):
+    """``count`` channels over ``groups`` written one after another: a
+    quarter of the bands zero, a sixth raw (one to three bits wider than
+    needed, up to 63), the rest Huffman with mostly small magnitudes, a few
+    escapes, and a third of the bands ending in an escape.  Returns (data,
+    the values the decoder must read)."""
+    rng = np.random.default_rng(seed)
+    nb, L = len(groups.edges), groups.num_bins
+    kind = rng.choice(3, size=(nb, count), p=[0.25, 0.58, 0.17])  # zero, Huffman, raw
+    mags = rng.integers(0, 4, size=(L, count))
+    escape = rng.random((L, count)) < 0.03
+    mags[escape] = rng.integers(ESCAPE_SYMBOL, 1 << 40, size=escape.sum())
+    last = np.asarray(groups.offsets[1:]) - 1
+    for b, c in zip(*np.nonzero(rng.random((nb, count)) < 0.3)):
+        mags[last[b], c] = rng.integers(ESCAPE_SYMBOL, 1 << 62)
+    values = np.where(rng.random((L, count)) < 0.5, -mags, mags)
+    coded = CodedChannel(L, kind == 0, rng.integers(SF_MIN, SF_MAX + 1, size=(nb, count)), values)
+    channel_cost(coded, groups)
+    raw = kind == 2
+    needed = coded.band_costs[2][raw]
+    width = np.minimum(needed + rng.integers(1, 4, needed.size), 63)
+    coded.band_costs[:, raw] = np.stack([np.ones(raw.sum()), np.zeros(raw.sum()), width])
+    w = BitWriter()
+    entropy_encode_channel(coded, groups, w)
+    return w.getvalue(), np.where(np.repeat(kind == 0, groups.widths(), axis=0), 0, values)
+
+
+@pytest.mark.parametrize("num_bins", [2048, 4096])
+@pytest.mark.parametrize("count", [1, 3])
+def test_channel_decoder_matches_reference_at_long_uniform_bands(num_bins, count):
+    """Bands of 41-42 and 83-84 bins: several top-level hops per band in the
+    walk, and several 8-bin chunks placed per band in the value pass."""
+    groups = FrequencyGroups.uniform(num_bins)
+    assert 41 <= groups.widths().min() and groups.widths().max() <= 84
+    data, values = _mixed_block(groups, count, seed=num_bins + count)
+    got = _outcome(entropy_decode_channel, data, 0, groups, count)
+    assert got == _outcome(_reference_decode, data, 0, groups, count)
+    assert got[3] == values.tolist()
+    _same_parse(data, 0, groups, count)
+
+
+@pytest.mark.parametrize("values", [True, False])
+def test_jump_tables_peak_under_32_bytes_per_payload_bit(values):
+    """An 8-channel block over 49 uniform groups at L=4096, followed by
+    512 KiB of zeros: the tables span nearly all of that payload, and one
+    call's allocation peak stays under 32 bytes per payload bit."""
+    groups = FrequencyGroups.uniform(4096)
+    rng = np.random.default_rng(3)
+    mags = rng.integers(0, 4, size=(4096, 8))
+    q = np.where(rng.random(mags.shape) < 0.5, -mags, mags)
+    coded = CodedChannel(4096, np.zeros((49, 8), bool), np.zeros((49, 8), np.int64), q)
+    channel_cost(coded, groups)
+    w = BitWriter()
+    entropy_encode_channel(coded, groups, w)
+    data = w.getvalue() + bytes(512 * 1024)
+    entropy_decode_channel(BitReader(data), groups, 8, values=values)  # the read plan, cached
+    reader = BitReader(data)
+    tracemalloc.start()
+    try:
+        entropy_decode_channel(reader, groups, 8, values=values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reader.bit_position == w.bit_length
+    assert peak < 32 * 8 * len(data), peak / (8 * len(data))
 
 
 # --- batched encoder against the per-band references it replaced ---

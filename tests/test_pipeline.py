@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -849,17 +851,27 @@ def talkers_short():
 @pytest.mark.parametrize("codec", ["proposed", "baseline"])
 def test_too_loud_input_raises_numeric_error(talkers_short, small_quantizers, codec):
     """Scaled by 1e29 the scene still encodes.  By 1e30 a quantized magnitude
-    passes 2^63 - 1, which the 6-bit raw width cannot hold; by 1e160 a band's
-    energy passes the float64 maximum.  Either is a NumericError naming the
-    limit, not an IndexError or a stream with NaN ratios."""
-    cfg = pipeline.EncoderConfig(codec=codec, half_length=256, quantizers=small_quantizers)
+    passes 2^63 - 1, which the 6-bit raw width cannot hold.  By 1e160 and
+    1e300 a frame's energy could pass the float64 maximum, so the frame is
+    refused before any analysis squares it, quantized or in bypass.  Each
+    refusal is a NumericError naming the limit, with no numpy warning.  In
+    bypass, 1e150 lies just under that limit and its stream decodes without
+    a concealed frame."""
 
-    def scaled(k):
-        return HoaSignal(talkers_short.sample_rate, talkers_short.order, talkers_short.samples * k)
+    def encode(k, bypass=False):
+        cfg = pipeline.EncoderConfig(
+            codec=codec, half_length=256, quantizers=small_quantizers, bypass_quantization=bypass
+        )
+        return pipeline.encode(HoaSignal(talkers_short.sample_rate, talkers_short.order, talkers_short.samples * k), cfg)
 
-    assert all(np.isfinite(f.max_nmr) for f in pipeline.encode(scaled(1e29), cfg).stats.frames)
-    with pytest.raises(NumericError, match=r"2\^63 - 1"):
-        pipeline.encode(scaled(1e30), cfg)
-    with np.errstate(over="ignore", invalid="ignore"):  # the analysis before the coder overflows first
-        with pytest.raises(NumericError, match="float64 limit"):
-            pipeline.encode(scaled(1e160), cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(np.isfinite(f.max_nmr) for f in encode(1e29).stats.frames)
+        with pytest.raises(NumericError, match=r"2\^63 - 1"):
+            encode(1e30)
+        for k in (1e29, 1e30, 1e150):
+            assert pipeline.decode(encode(k, bypass=True).stream).concealed_frames == 0
+        for bypass in (False, True):
+            for k in (1e160, 1e300):
+                with pytest.raises(NumericError, match="float64 limit"):
+                    encode(k, bypass)
