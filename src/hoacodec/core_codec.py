@@ -396,8 +396,10 @@ HUFFMAN_TABLE = HuffmanTable(DEFAULT_MAGNITUDE_LENGTHS)
 
 
 def _bit_length(v: np.ndarray) -> np.ndarray:
-    """``int.bit_length`` of each value (non-negative int64)."""
-    return np.array([x.bit_length() for x in v.tolist()], dtype=np.int64)
+    """``int.bit_length`` of each value (non-negative int64 or uint64),
+    exact: float64 holds each 32-bit half exactly."""
+    high = np.frexp(v >> 32)[1]
+    return np.where(high, high + 32, np.frexp(v & 0xFFFFFFFF)[1])
 
 
 def _escapes(mags: np.ndarray):
@@ -512,39 +514,24 @@ _MAX_HEAD_BITS = 16
 _MAX_BIN_BITS = max(HUFFMAN_TABLE.lengths) + _ESCAPE_SPAN
 _LEVELS = 4  # doubling levels: jumps of 1, 2, 4 and 8 bins
 _TOP = 1 << (_LEVELS - 1)
-
-
-def _escape_excess(data: bytes, pos: int) -> tuple:
-    """(end, signed magnitude) of the ue() excess and sign bit that follow
-    an escape code ending at bit ``pos``; raises the StreamError that
-    reading them with :class:`BitReader` would raise."""
-    avail = 8 * len(data) - pos
-    i, shift = pos >> 3, pos & 7
-    chunk = int.from_bytes(data[i : i + 18].ljust(18, b"\0"), "big")  # 144 >= 7 + 130 bits
-    x = (chunk >> (144 - shift - _ESCAPE_SPAN)) & ((1 << _ESCAPE_SPAN) - 1)
-    zeros = _ESCAPE_SPAN - x.bit_length()
-    if zeros > 64:
-        raise StreamError("malformed Exp-Golomb code" if avail > 64 else _EXHAUSTED)
-    size = 2 * zeros + 2
-    if size > avail:
-        raise StreamError(_EXHAUSTED)
-    mag = ESCAPE_SYMBOL - 1 + (x >> (_ESCAPE_SPAN - size + 1))
-    if mag > _MAX_MAGNITUDE:
-        raise StreamError(f"escape magnitude {mag} out of range")
-    return pos + size, -mag if (x >> (_ESCAPE_SPAN - size)) & 1 else mag
+# zero bytes after a block: an escape's second 64-bit read may start 78 bits
+# past its end, and reads 9 bytes from there
+_PADDING = 18
 
 
 def _bin_chain(data: bytes, start: int) -> tuple:
     """The next-position table of the bins from bit ``start`` to the end of
-    ``data``, in positions relative to ``start``: (window, nxt, escapes,
-    values, errors).  ``window[p]`` holds the 17 bits at p, zero-padded,
-    for p up to n + 7, so the dead entry indexes it too; ``nxt`` has the
-    region's n positions, then n and the dead entry n + 1, both dead;
-    ``escapes`` lists the positions that start with the escape code, in
-    order, and ``values`` their values; ``errors`` maps each bad escape to
-    its message."""
+    ``data``, in positions relative to ``start``: (padded, window, nxt,
+    escapes, values, errors).  ``padded`` is ``data`` with zero bytes after
+    it for every read past its end; ``window[p]`` holds the 17 bits at p,
+    zero-padded, for p up to n + 7, so the dead entry indexes it too;
+    ``nxt`` has the region's n positions, then n and the dead entry n + 1,
+    both dead; ``escapes`` lists the positions that start with the escape
+    code, in order, and ``values`` their values; ``errors`` maps each bad
+    escape to its message."""
     first, n = start >> 3, 8 * len(data) - start
-    words = np.ndarray((len(data) - first + 1,), ">u4", data + bytes(4), first, (1,))  # overlapping
+    padded = data + bytes(_PADDING)
+    words = np.ndarray((len(data) - first + 1,), ">u4", padded, first, (1,))  # overlapping
     window = words[:, None] >> np.arange(15, 7, -1, dtype=np.uint32)
     window &= 0x1FFFF
     window = window.ravel()[start & 7 :]
@@ -555,31 +542,30 @@ def _bin_chain(data: bytes, start: int) -> tuple:
     np.minimum(nxt, dead, out=nxt)  # a code or sign bit past the end
     nxt[n] = dead
 
-    # an escape's excess is read from the two windows after its code when
-    # it has at most 16 leading zeros, so that its ue() and sign fit in their
-    # 34 bits, and field by field otherwise
+    # an escape's excess is ue() (z zeros, a one and z bits), then a sign:
+    # the 64 bits after its code give z, and for z <= 62 the 64 bits from
+    # its one hold the rest; at z = 64 the bit after the zeros tells 64 from more
     escapes = np.flatnonzero(advance == 0)
     values, errors = np.zeros(escapes.size, dtype=np.int64), {}
     if escapes.size:
-        at = escapes + HUFFMAN_TABLE.lengths[ESCAPE_SYMBOL]
-        bits = np.zeros(escapes.size, dtype=np.int64)
-        inside = at + 34 <= n
-        bits[inside] = window[at[inside]].astype(np.int64) << 17 | window[at[inside] + 17]
-        zeros = 34 - np.frexp(bits)[1]
-        short = zeros <= 16
-        bits, zeros = bits[short], zeros[short]
-        mag = ESCAPE_SYMBOL - 1 + (bits >> (33 - 2 * zeros))
-        values[short] = np.where(bits >> (32 - 2 * zeros) & 1, -mag, mag)
-        nxt[escapes[short]] = at[short] + 2 * zeros + 2
-        for i in np.flatnonzero(~short).tolist():
-            p = int(escapes[i])
-            try:
-                end, values[i] = _escape_excess(data, start + int(at[i]))
-                nxt[p] = end - start
-            except StreamError as exc:
-                errors[p] = str(exc)
-                nxt[p] = dead
-    return window, nxt, escapes, values, errors
+        at = start + escapes + HUFFMAN_TABLE.lengths[ESCAPE_SYMBOL]
+        zeros = 64 - _bit_length(_words(padded, at))
+        word = _words(padded, at + zeros)
+        z = np.minimum(zeros, 62).astype(np.uint64)
+        excess = (word >> (np.uint64(63) - z)).astype(np.int64)
+        end, bits = at + 2 * zeros + 2, 8 * len(data)
+        malformed = (zeros == 64) & (word >> np.uint64(63) == 0)  # more than 64 zeros
+        exhausted = np.where(malformed, bits - at <= 64, end > bits)
+        ok = ~malformed & ~exhausted & (zeros <= 62) & (excess <= _MAX_MAGNITUDE - (ESCAPE_SYMBOL - 1))
+        mag = np.where(ok, excess, 0) + (ESCAPE_SYMBOL - 1)
+        values = np.where(word >> (np.uint64(62) - z) & np.uint64(1), -mag, mag)
+        nxt[escapes] = np.where(ok, end - start, dead)
+        for i in np.flatnonzero(~ok).tolist():
+            errors[int(escapes[i])] = (
+                _EXHAUSTED if exhausted[i] else "malformed Exp-Golomb code" if malformed[i]
+                else "escape magnitude out of range"
+            )
+    return padded, window, nxt, escapes, values, errors
 
 
 class _ReadPlan(NamedTuple):
@@ -624,17 +610,21 @@ def _read_plan(groups: FrequencyGroups, count: int) -> _ReadPlan:
     return _ReadPlan(hops, min(_LEVELS, top.bit_length()), band, rank, tuple(steps), order)
 
 
-def _raw_fields(data: bytes, at: np.ndarray, width: np.ndarray) -> np.ndarray:
+def _words(padded: bytes, at: np.ndarray) -> np.ndarray:
+    """The 64 bits at each bit position ``at`` of ``padded`` as uint64: the
+    big-endian word at its byte, shifted left, and the top bits of the byte
+    after it.  ``padded`` holds 9 bytes from each position's byte on."""
+    i, shift = at >> 3, (at & 7).astype(np.uint64)
+    word = np.ndarray((len(padded) - 8,), ">u8", padded, 0, (1,))[i].astype(np.uint64) << shift
+    word |= np.frombuffer(padded, np.uint8)[i + 8].astype(np.uint64) >> (np.uint64(8) - shift)
+    return word
+
+
+def _raw_fields(padded: bytes, at: np.ndarray, width: np.ndarray) -> np.ndarray:
     """The signed values of the raw bins at bit positions ``at``: a sign bit,
     then a ``width``-bit magnitude (width <= 63)."""
-    padded = data + bytes(9)
-    i, shift, width = at >> 3, (at & 7).astype(np.uint64), width.astype(np.uint64)
-    one = np.uint64(1)
-    # the 64 bits at each position: the big-endian word at its byte, shifted
-    # left, and the top bits of the byte after it
-    word = np.ndarray((len(data) + 1,), ">u8", padded, 0, (1,))[i].astype(np.uint64) << shift
-    word |= np.frombuffer(padded, np.uint8)[i + 8].astype(np.uint64) >> (np.uint64(8) - shift)
-    field = word >> (np.uint64(63) - width)
+    one, width = np.uint64(1), width.astype(np.uint64)
+    field = _words(padded, at) >> (np.uint64(63) - width)
     mag = (field & ((one << width) - one)).astype(np.int64)
     return np.where(field >> width & one, -mag, mag)
 
@@ -665,7 +655,7 @@ def entropy_decode_channel(
     # every bin of a valid chain, and every bit it reads, lies inside it
     longest = nb * count * _MAX_HEAD_BITS + groups.num_bins * count * _MAX_BIN_BITS
     data = reader.data[: (start + longest + 7) >> 3]
-    window, nxt, escapes, escape_values, errors = _bin_chain(data, start)
+    padded, window, nxt, escapes, escape_values, errors = _bin_chain(data, start)
     dead = nxt.size - 1
     n = dead - 1  # the region's bits
     levels = [nxt]
@@ -720,7 +710,7 @@ def entropy_decode_channel(
         sel = np.flatnonzero(raw[plan.band])
         band, rank = plan.band[sel], plan.rank[sel]
         width = (head[band] >> 1 & 63).astype(np.int64)
-        values[sel] = _raw_fields(data, start + heads[band] + 16 + rank * (width + 1), width)
+        values[sel] = _raw_fields(padded, start + heads[band] + 16 + rank * (width + 1), width)
     scalefactors = np.where(zero, 0, (head >> 8 & 0xFF).astype(np.int64) + SF_MIN)
     band_shape = (nb,) + (() if channels is None else (channels,))
     return CodedChannel(

@@ -81,10 +81,6 @@ class EncoderConfig:
         except KeyError:
             raise ConfigurationError(f"unknown codec {self.codec!r}") from None
 
-    def group_table_id(self) -> int:
-        """The table :func:`noise_subst.groups_for` picks: AAC at L=1024, else uniform."""
-        return GROUP_TABLE_AAC48K if self.half_length == 1024 else GROUP_TABLE_UNIFORM
-
     def side_quantizers(self) -> sideinfo.QuantizerSet | None:
         """The side-info quantizers; None in bypass (raw float64 bases)."""
         return None if self.bypass_quantization else self.quantizers
@@ -143,7 +139,7 @@ class FrameStats:
     rd_cost: float = 0.0
     rd_cost_other: float = 0.0
     concealed: bool = False
-    conceal_reason: str = ""  # "crc", the parse error, or "decoded values out of range"
+    conceal_reason: str = ""  # "crc" or the parse error, a raw value out of range included
     max_nmr: float = 0.0  # encoder-side worst band NMR (0 in bypass)
     escalated_bands: int = 0  # bands where no scalefactor met the target
     # side-info basis columns by coding (all 0 in bypass and when concealed)
@@ -153,6 +149,19 @@ class FrameStats:
 
 
 _FRAMING_BITS = 64  # the u32 size and u32 CRC around each frame payload
+
+# Raw (bypass) values are any float64 a stream holds; near 1e308 they would
+# overflow to inf and NaN in reconstruction, synthesis or the baseline's
+# recombination.  _walk bounds them where it reads them, bases at
+# sideinfo.RAW_BASIS_BOUND and channels at this bound (a parse error beyond
+# either), so no sum or product of decoding passes about 1e210.  The encoder
+# stays below both: its bases are unit columns of numlin.svd's right vectors,
+# which baseline_td.match_bases only permutes and sign-flips, and
+# _check_energy keeps each coded spectrum under about 2e153, its channels
+# well within 1e5 times its peak.  Quantized frames need no bound: indices
+# below 2**63 at steps up to +120 dB, unit bases and tabled noise energies
+# keep every value below about 1e40.
+_RAW_CHANNEL_BOUND = 1e200
 
 
 def _frame_stats(
@@ -303,6 +312,11 @@ def _write_header(w: BitWriter, h: StreamHeader) -> None:
             w.write(getattr(h, name), bits)
 
 
+def _group_table_id(groups: FrequencyGroups) -> int:
+    """The header id of a table :func:`noise_subst.groups_for` picks."""
+    return GROUP_TABLE_AAC48K if groups == FrequencyGroups.aac_48k_long() else GROUP_TABLE_UNIFORM
+
+
 def _read_header(data: bytes) -> StreamHeader:
     if len(data) < HEADER_BYTES or data[:4] != MAGIC:
         raise StreamError("not a hoacodec stream")
@@ -323,10 +337,8 @@ def _read_header(data: bytes) -> StreamHeader:
     if h.codec_id not in (CODEC_BASELINE, CODEC_PROPOSED):
         raise StreamError(f"unknown codec id {h.codec_id}")
     _check_parameters(StreamError, h.codec_id, h.order, h)
-    if h.group_table_id not in (GROUP_TABLE_AAC48K, GROUP_TABLE_UNIFORM):
-        raise StreamError(f"unknown group table id {h.group_table_id}")
-    if h.group_table_id == GROUP_TABLE_AAC48K and h.half_length != 1024:
-        raise StreamError(f"half length {h.half_length} does not fit group table {h.group_table_id}")
+    if h.group_table_id != _group_table_id(noise_subst.groups_for(h.half_length)):
+        raise StreamError(f"group table id {h.group_table_id} does not fit half length {h.half_length}")
     if h.table_fingerprint != _TABLE_FINGERPRINT:
         raise StreamError(f"unknown Huffman table fingerprint {h.table_fingerprint:#010x}")
     if h.frame_count != num_frames(h.original_length, h.half_length):
@@ -380,6 +392,7 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
     """Encode a signal with the configured codec into a container stream."""
     cfg.validate(signal.order)
     codec_id = cfg.codec_id()
+    groups = noise_subst.groups_for(cfg.half_length)
     qfp = cfg.quantizers.fingerprint() if cfg.quantizers is not None else 0
     header = StreamHeader(
         codec_id=codec_id,
@@ -397,7 +410,7 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
         rd_lambda=cfg.rd_lambda,
         quantizer_fingerprint=qfp,
         table_fingerprint=_TABLE_FINGERPRINT,
-        group_table_id=cfg.group_table_id(),
+        group_table_id=_group_table_id(groups),
     )
     _check_header_fits(header)
     coder = _encode_proposed if codec_id == CODEC_PROPOSED else _encode_baseline
@@ -405,7 +418,7 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
     _write_header(hw, header)
     stream, frame_stats = io.BytesIO(), []
     stream.write(hw.getvalue())
-    for payload, stats in coder(signal, cfg, noise_subst.groups_for(cfg.half_length)):
+    for payload, stats in coder(signal, cfg, groups):
         stream.write(len(payload).to_bytes(4, "big"))
         stream.write(payload)
         stream.write(zlib.crc32(payload).to_bytes(4, "big"))
@@ -429,10 +442,9 @@ class _Trial(NamedTuple):
 def _check_energy(index: int, spectrum: np.ndarray) -> None:
     """Refuse a frame whose sum of squares could overflow float64, before
     the masking and noise analysis square it: a peak below sqrt(max / size)
-    keeps the sum finite, and the test itself cannot overflow.  A bypass
-    frame that passes decodes to well under ``_MAX_OUTPUT_BOUND``: its
-    decoded magnitudes sum to less than twice sqrt(size * max), under 1e158
-    at the header caps, and the bases multiply that by at most about 1e6."""
+    keeps the sum finite, and the test itself cannot overflow.  It also
+    keeps every bypass frame's raw channels far under ``_RAW_CHANNEL_BOUND``,
+    so the decoder conceals no frame the encoder writes."""
     limit = math.sqrt(np.finfo(np.float64).max / spectrum.size)
     peak = float(np.abs(spectrum).max())
     if not peak < limit:  # NaN as well
@@ -601,11 +613,7 @@ def _open_stream(stream: bytes, quantizers):
             )
         if quantizers.fingerprint() != header.quantizer_fingerprint:
             raise ConfigurationError("codebooks do not match the stream fingerprint")
-    if header.group_table_id == GROUP_TABLE_AAC48K:
-        groups = FrequencyGroups.aac_48k_long()
-    else:
-        groups = FrequencyGroups.uniform(header.half_length)
-
+    groups = noise_subst.groups_for(header.half_length)
     frames, pos, view = [], HEADER_BYTES, memoryview(stream)
     while len(frames) < header.frame_count and pos + 4 <= len(stream):
         start, end = pos + 4, pos + 4 + int.from_bytes(stream[pos : pos + 4], "big")
@@ -622,10 +630,10 @@ def _walk(header: StreamHeader, groups: FrequencyGroups, stream: bytes, frames, 
     per frame of ``frames`` (see :func:`_open_stream`), read as side info, noise
     block and component channels with the side-info state carried on.  A frame
     that fails its CRC or does not parse (padding of 8 bits or more, or with a
-    set bit, included) yields stats concealed with the reason ("crc" or the
-    parse error) and None.  The baseline has one band per mode.  Without
-    ``reconstruct`` every field is read and checked alike, but the quantized
-    bases and components are left None."""
+    set bit, and a raw value out of range included) yields stats concealed
+    with the reason ("crc" or the parse error) and None.  The baseline has
+    one band per mode.  Without ``reconstruct`` every field is read and
+    checked alike, but the quantized bases and components are left None."""
     rank = header.rank
     ranks = {0: [rank], 1: [rank] * (header.bands if header.codec_id == CODEC_PROPOSED else 1)}
     q = None if header.bypass else quantizers
@@ -640,7 +648,7 @@ def _walk(header: StreamHeader, groups: FrequencyGroups, stream: bytes, frames, 
                 noise, noise_bits = _read_noise_block(reader)
                 if header.bypass:
                     raw = reader.read_f64_array((count, groups.num_bins))
-                    channels = sideinfo.require_finite(raw, "raw channel").T
+                    channels = sideinfo.require_bounded(raw, _RAW_CHANNEL_BOUND, "raw channel").T
                 else:
                     channels = core_codec.entropy_decode_channel(reader, groups, count, values=reconstruct)
                 core_bits = reader.bit_position - side.bit_count - noise_bits
@@ -709,39 +717,15 @@ def _decode_frames(header: StreamHeader, groups, walk, frame_stats: list):
         if p is not None:
             channels = p.channels if header.bypass else core_codec.dequantize_channel(p.channels, groups)
             noise = noise_subst.synthesize_noise(p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg)
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                if proposed:
-                    layout = freq_svd.layout_for_mode(p.side.mode, L, header.bands)
-                    decoded = _proposed_spectrum(channels, p.bases, layout)
-                    decoded[:, nbg:] += noise
-                else:
-                    decoded = np.column_stack([channels, noise])
-                in_range = not header.bypass or _output_bound(decoded, p.bases) < _MAX_OUTPUT_BOUND
-            if in_range:
-                spectrum, bases = decoded, p.bases
+            if proposed:
+                layout = freq_svd.layout_for_mode(p.side.mode, L, header.bands)
+                spectrum = _proposed_spectrum(channels, p.bases, layout)
+                spectrum[:, nbg:] += noise
             else:
-                reason = "decoded values out of range"
-                stats = _frame_stats(f, stats.total_bits - _FRAMING_BITS, None, concealed=True, conceal_reason=reason)
+                spectrum = np.column_stack([channels, noise])
+            bases = p.bases
         frame_stats.append(stats)
         yield transform.SpectralFrame(index=f, coeffs=spectrum), bases
-
-
-# Raw (bypass) values are any finite float64, and a frame of values near
-# 1e308 would overflow to inf and NaN samples in the inverse MDCT, the
-# overlap-add or the baseline's recombination.  Each output sample is at
-# most a few times the sum of the spectrum's magnitudes times the sum of
-# the bases' magnitudes, so a bypass frame whose product reaches this bound
-# is concealed.  The encoder never writes one (_check_energy keeps coded
-# frames over a hundred decades below it), but a stream's bytes may.  Quantized
-# frames need no check: indices below 2**63 at steps up to +120 dB, unit
-# bases and tabled noise energies keep every value below about 1e40.
-_MAX_OUTPUT_BOUND = 1e300
-
-
-def _output_bound(spectrum: np.ndarray, bases: list) -> float:
-    """Sum of |spectrum| times (1 + the sum of |bases|); inf or NaN when
-    either overflows."""
-    return float(np.abs(spectrum).sum()) * (1.0 + sum(float(np.abs(b).sum()) for b in bases))
 
 
 def _proposed_spectrum(decoded: np.ndarray, bases: list, layout) -> np.ndarray:
@@ -795,8 +779,10 @@ def measure_stream(stream: bytes, quantizers: sideinfo.QuantizerSet | None = Non
     basis is rebuilt, no coded bin's value is read and no signal is
     synthesized.  Category sums plus framing overhead equal the container
     size exactly, and each frame's padding is under a byte of zeros.  Raises
-    :class:`StreamError` on the first frame the walk cannot parse; its
-    ``partial`` attribute carries the stats of the frames before it.
+    :class:`StreamError` on the first frame decode conceals (a CRC failure,
+    or a parse error such as a raw value out of range), with decode's
+    reason; its ``partial`` attribute carries the stats of the frames
+    before it.
     """
     header, groups, frames, truncated = _open_stream(stream, quantizers)
     if truncated:

@@ -162,18 +162,22 @@ class _Fields:
         return bool(self.uint("flag", 2, int(value)))
 
     def floats(self, shape: tuple, value: np.ndarray | None = None) -> np.ndarray:
-        """Raw float64 values; a non-finite one read is a :class:`StreamError`."""
+        """Raw float64 basis values; one read above RAW_BASIS_BOUND in
+        magnitude, or NaN, is a :class:`StreamError`."""
         if not self.reading:
             self.io.write_f64_array(value)
             return value
-        return require_finite(self.io.read_f64_array(shape), "raw basis")
+        return require_bounded(self.io.read_f64_array(shape), RAW_BASIS_BOUND, "raw basis")
 
 
-def require_finite(values: np.ndarray, what: str) -> np.ndarray:
-    """``values``, or a :class:`StreamError` when one is NaN or infinite (the
-    encoder never writes one: :func:`numlin.svd` refuses non-finite input)."""
-    if not np.all(np.isfinite(values)):
-        raise StreamError(f"non-finite {what} value")
+RAW_BASIS_BOUND = 1.0 + 1e-9  # unit columns (pipeline._RAW_CHANNEL_BOUND says why)
+
+
+def require_bounded(values: np.ndarray, bound: float, what: str) -> np.ndarray:
+    """``values``, or a :class:`StreamError` when one's magnitude exceeds
+    ``bound`` or is NaN."""
+    if not np.all(np.abs(values) <= bound):  # False for NaN too
+        raise StreamError(f"{what} value out of range")
     return values
 
 
@@ -433,8 +437,8 @@ def decode_sideinfo(
     count of bypass bases (``q`` None).  With ``rebuild`` False the fields
     are read and checked but the quantized bases are not rebuilt: the
     returned bases are None, and so is ``state.prev_bases``.  Raises
-    :class:`StreamError` on a truncated, out-of-range or (bypass)
-    non-finite field.
+    :class:`StreamError` on a truncated or out-of-range field, a bypass
+    basis value included.
     """
     return _side_info(_Fields(reader), q, state, ranks, channels=channels, rebuild=rebuild)
 

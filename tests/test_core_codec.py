@@ -22,6 +22,7 @@ from hoacodec.core_codec import (
     _SF_COUNT,
     _SF_STEPS,
     _SF_STEPS_34,
+    _bit_length,
     _first_nonzero_row,
     _pow43,
     _rows_noise,
@@ -406,6 +407,60 @@ def test_escape_beyond_int64_is_a_stream_error():
     with pytest.raises(StreamError, match="out of range"):
         entropy_decode_channel(BitReader(w.getvalue()), FrequencyGroups.uniform(49))
 
+
+def test_bit_length_is_exact_around_every_power_of_two():
+    """The vectorized bit length equals ``int.bit_length`` next to every
+    power of two, where a float64 of the whole value would round, for the
+    encoder's int64 magnitudes and the decoder's uint64 words."""
+    values = sorted({(1 << k) + d for k in range(64) for d in (-1, 0, 1)} | {0, (1 << 64) - 1})
+    for dtype, top in ((np.int64, 1 << 63), (np.uint64, 1 << 64)):
+        v = [x for x in values if x < top]
+        assert _bit_length(np.array(v, dtype=dtype)).tolist() == [x.bit_length() for x in v]
+
+
+def _result(decoder, data, start, groups):
+    """(values, end bit position), or the StreamError's text."""
+    reader = BitReader(data)
+    reader.bit_position = start
+    try:
+        return decoder(reader, groups).quant_indices.tolist(), reader.bit_position
+    except StreamError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("zeros", [16, 17, 31, 32, 62, 63, 64, 65])
+@pytest.mark.parametrize("lead", [0, 7])
+def test_escape_excess_at_every_read_length(zeros, lead):
+    """An escape whose excess has ``zeros`` leading zeros, then random bits,
+    in the first of 49 one-bin bands: around the 32-bit halves of the
+    leading-zero count, the int64 limit and the longest code read, the
+    decoder gives the reference's values or error text, whole and at every
+    cut (with lead 7, one cut leaves exactly 64 bits after the code), and
+    parsing alone ends alike."""
+    import random
+
+    rnd = random.Random(zeros + lead)
+    groups = FrequencyGroups.uniform(49)
+    info, negative = rnd.getrandbits(zeros), rnd.random() < 0.5
+    w = BitWriter()
+    w.write(rnd.getrandbits(lead), lead)
+    for value, length in [(0, 1), (-SF_MIN, 8), (0, 1), (HUFFMAN_TABLE.codes[ESCAPE_SYMBOL], 15),
+                          (0, zeros), (1, 1), (info, zeros), (int(negative), 1), ((1 << 48) - 1, 48)]:
+        w.write(value, length)
+    data = w.getvalue()
+    magnitude = ESCAPE_SYMBOL - 1 + (1 << zeros | info)
+    expected = ([-magnitude if negative else magnitude] + [0] * 48, lead + 75 + 2 * zeros)
+    if zeros == 65:
+        expected = "malformed Exp-Golomb code"
+    elif magnitude >= 1 << 63:
+        expected = "escape magnitude out of range"
+    assert _result(entropy_decode_channel, data, lead, groups) == expected
+    for cut in range(len(data) + 1):
+        truncated, start = data[:cut], min(lead, 8 * cut)
+        assert _result(entropy_decode_channel, truncated, start, groups) == _result(
+            _reference_decode, truncated, start, groups
+        )
+        _same_parse(truncated, start, groups)
 
 
 @st.composite

@@ -43,7 +43,7 @@ def test_golden_hashes_aac_groups(small_scene, small_quantizers, codec):
         codec=codec, half_length=1024, seed=5, rank=4, background_order=1,
         quantizers=small_quantizers,
     )
-    assert cfg.group_table_id() == pipeline.GROUP_TABLE_AAC48K
     stream = pipeline.encode(small_scene, cfg).stream
+    assert stream[pipeline.HEADER_BYTES - 1] == pipeline.GROUP_TABLE_AAC48K  # the header's last field
     decoded = pipeline.decode(stream, quantizers=small_quantizers).signal.samples
     assert (_sha(stream), _sha(decoded)) == GOLDEN[codec]

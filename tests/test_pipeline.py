@@ -305,6 +305,7 @@ _HEADER_FIELDS = {
     ("order", 200, "order 200 above"),  # M=40401
     ("group_table_id", 5, "group table id"),
     ("group_table_id", 0, "half length"),  # the AAC table needs L=1024, the stream has 256
+    ("half_length", 1024, "group table id 1 does not fit half length 1024"),  # L=1024 implies the AAC table
     ("table_fingerprint", 0, "unknown Huffman table fingerprint"),
     ("half_length", 32, "half length"),  # fewer bins than noise groups
     # with a matching frame count; the decoder would allocate per frame
@@ -518,50 +519,62 @@ def chirp_bypass_streams():
     }
 
 
-def _with_raw_value(res, where, value) -> bytes:
-    """``res.stream`` with ``value`` where frame 0 holds a raw float64 (the
-    first basis value after the mode bit, or the payload's last channel
-    value), under a recomputed CRC."""
-    import struct
+def _with_raw_values(res, edits) -> bytes:
+    """``res.stream`` under recomputed CRCs, with raw float64 values
+    overwritten: ``edits`` lists (frame, where, value, index), writing
+    ``value`` over value ``index`` (from the end when negative) of the
+    frame's raw basis run (after the mode bit) or channel run (after the
+    noise block), or over the whole run when ``index`` is None."""
     import zlib
 
     stream = bytearray(res.stream)
-    start, size = _frame_span(stream, 0)
-    f0 = res.stats.frames[0]
-    at = 1 if where == "basis" else f0.side_bits + f0.noise_bits + f0.core_bits - 64
-    bits = int.from_bytes(stream[start : start + size], "big")
-    shift = 8 * size - at - 64
-    bits = bits & ~(((1 << 64) - 1) << shift) | int.from_bytes(struct.pack(">d", value), "big") << shift
-    stream[start : start + size] = bits.to_bytes(size, "big")
-    stream[start + size : start + size + 4] = zlib.crc32(stream[start : start + size]).to_bytes(4, "big")
+    for frame, where, value, index in edits:
+        f = res.stats.frames[frame]
+        if where == "basis":
+            first, count = 1, (f.side_bits - 1) // 64
+        else:
+            first, count = f.side_bits + f.noise_bits, f.core_bits // 64
+        at, n = (first, count) if index is None else (first + 64 * (index % count), 1)
+        start, size = _frame_span(stream, frame)
+        bits = int.from_bytes(stream[start : start + size], "big")
+        shift = 8 * size - at - 64 * n
+        run = int.from_bytes(np.full(n, value, ">f8").tobytes(), "big")
+        bits = bits & ~(((1 << 64 * n) - 1) << shift) | run << shift
+        stream[start : start + size] = bits.to_bytes(size, "big")
+        stream[start + size : start + size + 4] = zlib.crc32(stream[start : start + size]).to_bytes(4, "big")
     return bytes(stream)
+
+
+def _assert_frame_0_concealed(stream, where):
+    """Decode conceals frame 0 alone for its raw value, with finite samples,
+    and stats raises there with decode's reason."""
+    dec = pipeline.decode(stream)
+    assert dec.concealed_frames == 1 and dec.stats.frames[0].concealed
+    assert dec.stats.frames[0].conceal_reason == f"raw {where} value out of range"
+    assert np.all(np.isfinite(dec.signal.samples))
+    with pytest.raises(StreamError, match=f"^raw {where} value out of range$"):
+        pipeline.measure_stream(stream)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["basis", "channel"])
 @pytest.mark.parametrize("codec", ["proposed", "baseline"])
 def test_non_finite_raw_value_conceals_the_frame(chirp_bypass_streams, codec, where, value):
-    """A NaN or infinity in a raw value is a parse error: the frame is
-    concealed and every decoded sample stays finite."""
-    stream = _with_raw_value(chirp_bypass_streams[codec], where, value)
-    dec = pipeline.decode(stream)
-    assert dec.concealed_frames == 1 and dec.stats.frames[0].concealed
-    assert dec.stats.frames[0].conceal_reason == f"non-finite raw {where} value"
-    assert np.all(np.isfinite(dec.signal.samples))
-    with pytest.raises(StreamError, match="non-finite"):
-        pipeline.measure_stream(stream)
+    """A NaN or infinity in a raw value (the first basis value, or the
+    payload's last channel value) is a parse error: the frame is concealed
+    and every decoded sample stays finite."""
+    index = 0 if where == "basis" else -1
+    _assert_frame_0_concealed(_with_raw_values(chirp_bypass_streams[codec], [(0, where, value, index)]), where)
 
 
 @pytest.mark.parametrize("where", ["basis", "channel"])
 @pytest.mark.parametrize("codec", ["proposed", "baseline"])
 def test_huge_finite_raw_value_conceals_the_frame(chirp_bypass_streams, codec, where):
-    """A finite raw value near the float64 limit parses, but its frame would
-    overflow to inf and NaN samples in synthesis: it is concealed."""
-    stream = _with_raw_value(chirp_bypass_streams[codec], where, -1.5e308)
-    dec = pipeline.decode(stream)
-    assert dec.concealed_frames == 1 and dec.stats.frames[0].conceal_reason == "decoded values out of range"
-    assert np.all(np.isfinite(dec.signal.samples))
-    assert pipeline.measure_stream(stream).frames[0].core_bits > 0  # the frame itself is well formed
+    """A finite raw value near the float64 limit would overflow to inf and
+    NaN samples in synthesis: it is out of range where it is read, so the
+    frame is concealed and stats stops there."""
+    index = 0 if where == "basis" else -1
+    _assert_frame_0_concealed(_with_raw_values(chirp_bypass_streams[codec], [(0, where, -1.5e308, index)]), where)
 
 
 @pytest.fixture(scope="module")
@@ -574,6 +587,24 @@ def talkers_bypass_streams():
         codec: pipeline.encode(signal, pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True))
         for codec in ("proposed", "baseline")
     }
+
+
+def test_raw_values_too_large_together_across_frames_are_refused(talkers_bypass_streams):
+    """Frame 3 of a baseline bypass stream holds raw bases at 1e180 and
+    channels at 1e-200, frame 4 channels at 1e180.  Each frame alone
+    reconstructs to small values, but the recombination blends frame 3's
+    bases into frame 4's foreground, overflowing to inf and NaN.  Frame 3's
+    bases are out of range where they are read: decode conceals that frame
+    alone and every sample is finite, and stats stops there."""
+    edits = [(3, "basis", 1e180, None), (3, "channel", 1e-200, None), (4, "channel", 1e180, None)]
+    stream = _with_raw_values(talkers_bypass_streams["baseline"], edits)
+    dec = pipeline.decode(stream)
+    assert [f.index for f in dec.stats.frames if f.concealed] == [3]
+    assert dec.stats.frames[3].conceal_reason == "raw basis value out of range"
+    assert np.all(np.isfinite(dec.signal.samples))
+    with pytest.raises(StreamError, match="^raw basis value out of range$") as raised:
+        pipeline.measure_stream(stream)
+    assert raised.value.partial.frames == dec.stats.frames[:3]
 
 
 @pytest.mark.parametrize("codec,bit", [
@@ -607,9 +638,34 @@ def test_bit_flips_with_valid_crc_conceal_or_raise(encoded, small_quantizers_mod
     reason, and the two account every frame before it alike.  Each set of
     flips is checked under a recomputed CRC and under the stream's own CRC,
     which the flips break."""
+    _assert_conceal_or_raise(encoded[codec].stream, small_quantizers_module, frame, flips)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    codec=st.sampled_from(["proposed", "baseline"]),
+    frame=st.integers(0, 5),
+    flips=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=4),
+    exponent=st.booleans(),
+)
+def test_bit_flips_in_bypass_streams_conceal_or_raise(talkers_bypass_streams, codec, frame, flips, exponent):
+    """The same contract on bypass streams, where most flips land in raw
+    values.  With ``exponent``, each flip moves to the top exponent bit of
+    the raw channel value it falls in, which takes a value below 2 out of
+    range."""
+    res = talkers_bypass_streams[codec]
+    if exponent:
+        f = res.stats.frames[frame]
+        first = f.side_bits + f.noise_bits
+        flips = [first + 64 * (bit % (f.core_bits // 64)) + 1 for bit in flips]
+    _assert_conceal_or_raise(res.stream, None, frame, flips)
+
+
+def _assert_conceal_or_raise(stream, quantizers, frame, flips):
     import zlib
 
-    stream = bytearray(encoded[codec].stream)
+    stream = bytearray(stream)
     start, size = _frame_span(stream, frame)
     for bit in flips:
         bit %= 8 * size
@@ -617,16 +673,16 @@ def test_bit_flips_with_valid_crc_conceal_or_raise(encoded, small_quantizers_mod
     crc_broken = bytes(stream)
     stream[start + size : start + size + 4] = zlib.crc32(stream[start : start + size]).to_bytes(4, "big")
     for damaged in (bytes(stream), crc_broken):
-        frames = pipeline.decode(damaged, quantizers=small_quantizers_module).stats.frames
+        frames = pipeline.decode(damaged, quantizers=quantizers).stats.frames
         concealed = [f for f in frames if f.concealed]
         if not concealed:
-            measured = pipeline.measure_stream(damaged, quantizers=small_quantizers_module).frames
+            measured = pipeline.measure_stream(damaged, quantizers=quantizers).frames
             assert measured == frames
             continue
         first = concealed[0]
         reason = f"frame {first.index}: CRC mismatch" if first.conceal_reason == "crc" else first.conceal_reason
         with pytest.raises(StreamError) as raised:
-            pipeline.measure_stream(damaged, quantizers=small_quantizers_module)
+            pipeline.measure_stream(damaged, quantizers=quantizers)
         assert str(raised.value) == reason
         assert raised.value.partial.frames == frames[: first.index]
 
