@@ -135,6 +135,10 @@ def cmd_train(args) -> int:
     quantizers.save(args.out)
     print(f"trained on {len(signals)} file(s); codebooks in {args.out} "
           f"(fingerprint {quantizers.fingerprint():#010x})")
+    for name in ("coeff", "residual", "intra"):
+        cb = getattr(quantizers, name)
+        print(f"  {name}: {cb.size} x {cb.dim}, {len(cb.history)} Lloyd iterations, "
+              f"mean distortion {cb.history[-1]:.6g}, degenerate {'yes' if cb.degenerate else 'no'}")
     return 0
 
 

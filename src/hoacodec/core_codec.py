@@ -137,9 +137,15 @@ def _pow43(q: np.ndarray) -> np.ndarray:
 # A coefficient quantizes to zero at a scalefactor row while its |x|^(3/4)
 # lies below that row's entry here: the step^(3/4) times 1 - _QUANT_MAGIC,
 # less a relative 1e-9 so that every coefficient counted as zero is zero in
-# the float test of _rows_noise too.  Ascending, for np.searchsorted; the
-# number of entries above a value is the first row where it may be nonzero.
+# the float test of _rows_noise too.  Ascending; the number of entries above
+# a value is the first row where it may be nonzero.
 _ZERO_BELOW_34 = (_SF_STEPS_34 * (1.0 - _QUANT_MAGIC) * (1.0 - 1e-9))[::-1]
+# The entries are geometric (1.5 dB * 3/4 apart), so log10 places a value
+# within one entry of its rank; -inf and inf pad the table for the two
+# compares that correct it.
+_ZERO_BELOW_LOG = float(np.log10(_ZERO_BELOW_34[0]))
+_ZERO_BELOW_LOG_STEP = float(np.log10(_ZERO_BELOW_34[-1]) - _ZERO_BELOW_LOG) / (_SF_COUNT - 1)
+_ZERO_BELOW_PADDED = np.concatenate(([-np.inf], _ZERO_BELOW_34, [np.inf]))
 
 # Rows past a band's first nonzero step over which the zeroed-coefficient
 # bound is summed.
@@ -187,12 +193,23 @@ def _rows_noise(absx, absx34, layout: GroupLayout, bands, first, rows: int) -> n
     return noise[:, bands].T
 
 
+def _zero_below_rank(values: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(_ZERO_BELOW_34, values, side="right")`` for values
+    >= 0: a log10 estimate of each rank, corrected by one table compare on
+    each side.  Zeros are raised to the least normal float before log10."""
+    estimate = (np.log10(np.maximum(values, np.finfo(float).tiny)) - _ZERO_BELOW_LOG) / _ZERO_BELOW_LOG_STEP
+    rank = np.clip(np.floor(estimate) + 1, 0, _SF_COUNT).astype(np.intp)
+    rank += _ZERO_BELOW_PADDED[rank + 1] <= values
+    rank -= _ZERO_BELOW_PADDED[rank] > values
+    return rank
+
+
 def _first_nonzero_row(peak34: np.ndarray) -> np.ndarray:
     """Per value of ``peak34`` (an |x|^(3/4)), the first scalefactor row that
     quantizes it to a nonzero index, clipped at the finest step: the row
     from which ``_ZERO_BELOW_34`` no longer counts it as zero, or the next
     one, as the division test at that row decides."""
-    first = _SF_COUNT - np.searchsorted(_ZERO_BELOW_34, peak34, side="right")
+    first = _SF_COUNT - _zero_below_rank(peak34)
     first += peak34 / _SF_STEPS_34[np.minimum(first, _SF_COUNT - 1)] < 1.0 - _QUANT_MAGIC
     return np.minimum(first, _SF_COUNT - 1)
 
@@ -202,7 +219,7 @@ def _zeroed_energy(x2, absx34, widths, first) -> np.ndarray:
     energy of the coefficients that quantize to zero at each of the
     ``_BOUND_ROWS`` rows from the band's row in ``first``: a lower bound on
     its noise there, (bands, _BOUND_ROWS), non-increasing along a row."""
-    zeroed_until = _SF_COUNT - np.searchsorted(_ZERO_BELOW_34, absx34, side="right")
+    zeroed_until = _SF_COUNT - _zero_below_rank(absx34)
     band = np.repeat(np.arange(widths.size), widths)
     slot = np.clip(zeroed_until - first[band], 0, _BOUND_ROWS)
     slot += band * (_BOUND_ROWS + 1)
@@ -514,6 +531,10 @@ _MAX_HEAD_BITS = 16
 _MAX_BIN_BITS = max(HUFFMAN_TABLE.lengths) + _ESCAPE_SPAN
 _LEVELS = 4  # doubling levels: jumps of 1, 2, 4 and 8 bins
 _TOP = 1 << (_LEVELS - 1)
+# entries per gather of a doubling level: np.take copies its int32 index to
+# intp, so slices bound that copy at 512 KiB; a frame's channels up to 64 Kbit
+# take one gather
+_LEVEL_SLICE = 1 << 16
 # zero bytes after a block: an escape's second 64-bit read may start 78 bits
 # past its end, and reads 9 bytes from there
 _PADDING = 18
@@ -660,7 +681,11 @@ def entropy_decode_channel(
     n = dead - 1  # the region's bits
     levels = [nxt]
     while len(levels) < plan.levels:
-        levels.append(np.take(levels[-1], levels[-1]))
+        prev, level = levels[-1], np.empty_like(nxt)
+        for lo in range(0, nxt.size, _LEVEL_SLICE):
+            # every entry is in range; mode="raise" would buffer the output
+            np.take(prev, prev[lo : lo + _LEVEL_SLICE], out=level[lo : lo + _LEVEL_SLICE], mode="wrap")
+        levels.append(level)
     # memoryviews index as Python ints, twice as fast as ndarray.item
     bits, jumps = memoryview(window), [memoryview(level) for level in levels]
     heads = [0] * len(plan.bands)  # each band header's position, relative to start

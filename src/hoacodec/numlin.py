@@ -28,6 +28,9 @@ _FLAG_DEGENERATE = 1
 # of the exact distance can add up to; the tiny floor covers underflow
 _NEAREST_ROUNDING = 8.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# numpy sums a contiguous row of up to this many values in one unrolled block
+# and splits longer ones (its PW_BLOCKSIZE); _row_sums reproduces that order
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass
@@ -114,12 +117,55 @@ def hungarian(cost: np.ndarray) -> Assignment:
     return Assignment(permutation=perm, total_cost=float(cost[rows, perm].sum()))
 
 
+def _row_sums(columns: np.ndarray) -> np.ndarray:
+    """``np.sum(x, axis=1)`` bit for bit, given ``columns = x.T`` (d, n) of
+    non-negative values, in whole-row passes.
+
+    numpy sums a row of fewer than 8 values in order; one of up to
+    ``_PAIRWISE_BLOCK`` in 8 running partial sums (each over every eighth
+    value), combined pairwise, then its last d % 8 values in order; a longer
+    one as two halves, the first a multiple of 8 values long.
+    """
+    d = columns.shape[0]
+    if d > _PAIRWISE_BLOCK:
+        half = d // 2 - d // 2 % 8
+        return _row_sums(columns[:half]) + _row_sums(columns[half:])
+    if d < 8:
+        total = columns[0].copy()
+        for row in columns[1:]:
+            total += row
+        return total
+    body = d - d % 8
+    part = columns[:8].copy()
+    for start in range(8, body, 8):
+        part += columns[start : start + 8]
+    part = part[0::2] + part[1::2]
+    part = part[0::2] + part[1::2]
+    total = part[0] + part[1]
+    for row in columns[body:]:
+        total += row
+    return total
+
+
 def _seed_centroids(training: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++-style seeding: spread initial centroids by squared distance."""
-    n = training.shape[0]
-    centroids = np.empty((size, training.shape[1]))
+    """k-means++-style seeding: spread initial centroids by squared distance.
+
+    The distances to each new centroid are ``np.sum((training - c) ** 2,
+    axis=1)`` bit for bit, so every probability and draw is too; they are
+    summed over a transposed copy, one pass per dimension instead of one
+    numpy call per row.
+    """
+    n, dim = training.shape
+    columns = np.ascontiguousarray(training.T)
+
+    def sq_dist(c):
+        diff = columns - c[:, None]
+        diff *= diff
+        return _row_sums(diff)
+
+    centroids = np.empty((size, dim))
     centroids[0] = training[rng.integers(n)]
-    d2 = np.sum((training - centroids[0]) ** 2, axis=1)
+    d2 = sq_dist(centroids[0])
     for k in range(1, size):
         total = d2.sum()
         if total <= 0:
@@ -127,20 +173,21 @@ def _seed_centroids(training: np.ndarray, size: int, rng: np.random.Generator) -
             continue
         probs = d2 / total
         centroids[k] = training[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, np.sum((training - centroids[k]) ** 2, axis=1))
+        np.minimum(d2, sq_dist(centroids[k]), out=d2)
     return centroids
 
 
-def _assign(training: np.ndarray, centroids: np.ndarray):
-    """Nearest centroid per training vector; ties go to the smaller index."""
+def _assign(training: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray):
+    """Nearest centroid per training vector; ties go to the smaller index.
+    ``sq_norms`` is ``np.sum(training**2, axis=1)``."""
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 ; argmin over c.  One (n, K)
-    # matrix, scaled and shifted in place: -2 is exact and c2 + (-2 x.c) is
-    # c2 - 2 x.c bit for bit.
-    d2 = training @ centroids.T
-    d2 *= -2.0
+    # matrix, shifted in place: -2 is a power of two, so x.(-2c) is -2 x.c
+    # bit for bit unless a product or partial sum falls below the normal
+    # range (2.2e-308), and c2 + (-2 x.c) is c2 - 2 x.c.
+    d2 = training @ (-2.0 * centroids.T)
     d2 += np.sum(centroids**2, axis=1)
     labels = np.argmin(d2, axis=1)
-    dist = d2[np.arange(training.shape[0]), labels] + np.sum(training**2, axis=1)
+    dist = d2[np.arange(training.shape[0]), labels] + sq_norms
     return labels, np.maximum(dist, 0.0)
 
 
@@ -168,10 +215,11 @@ def gla_train(
 
     rng = np.random.default_rng(seed)
     centroids = _seed_centroids(training, size, rng)
+    sq_norms = np.sum(training**2, axis=1)
     prev = np.inf
     history = []
     for _ in range(max_iter):
-        labels, dist = _assign(training, centroids)
+        labels, dist = _assign(training, sq_norms, centroids)
         # reseed empty cells before the mean update; only then does the
         # partition change
         counts = np.bincount(labels, minlength=size)
@@ -181,16 +229,25 @@ def gla_train(
                 far = int(np.argmax(dist))
                 centroids[k] = training[far]
                 dist[far] = 0.0
-            labels, dist = _assign(training, centroids)
+            labels, dist = _assign(training, sq_norms, centroids)
             counts = np.bincount(labels, minlength=size)
         step = float(dist.mean())
         history.append(step)
-        # each cell's members, in their original order, are one slice of the
-        # label-sorted set: its mean is the masked mean bit for bit
-        grouped = training[np.argsort(labels, kind="stable")]
-        ends = np.cumsum(counts)
-        for k in np.flatnonzero(counts):
-            centroids[k] = grouped[ends[k] - counts[k] : ends[k]].mean(axis=0)
+        filled = np.flatnonzero(counts)
+        if training.shape[1] > 1:
+            # bincount adds each cell's members in their original order,
+            # as a cell's (count, d) .mean(axis=0) does column by column:
+            # the centroids are those means bit for bit
+            sums = np.stack([np.bincount(labels, weights=col, minlength=size) for col in training.T], axis=1)
+            centroids[filled] = sums[filled] / counts[filled, None]
+        else:
+            # a (count, 1) mean sums pairwise, not in order: each cell's
+            # members, in their original order, are one slice of the
+            # label-sorted set
+            grouped = training[np.argsort(labels, kind="stable")]
+            ends = np.cumsum(counts)
+            for k in filled:
+                centroids[k] = grouped[ends[k] - counts[k] : ends[k]].mean(axis=0)
         if np.isfinite(prev) and prev - step <= tol * max(prev, np.finfo(float).tiny):
             break
         prev = step

@@ -5,8 +5,8 @@ import warnings
 
 import pytest
 
-from hoacodec import pipeline
-from hoacodec.cli import main
+from hoacodec import pipeline, sideinfo
+from hoacodec.cli import _collect_wavs, main
 from hoacodec.hoa_io import HoaSignal, read_hoa_wav, write_hoa_wav
 from hoacodec.sideinfo import QuantizerSet
 
@@ -106,6 +106,26 @@ def test_compare_csv_schema(workspace):
     for r in rows:
         expect = 100 * (float(r["baseline_kbps"]) - float(r["proposed_kbps"])) / float(r["baseline_kbps"])
         assert float(r["reduction_percent"]) == pytest.approx(expect, abs=5e-3)
+
+
+def test_train_quantizers_reports_each_codebook(workspace, tmp_path, capsys):
+    """One line per codebook: size, dimension, Lloyd iterations, final mean
+    distortion and the degenerate flag, as training left them."""
+    corpus = workspace / "corpus"
+    assert main(["train-quantizers", str(corpus), "--out", str(tmp_path / "cb"),
+                 "--frame", "256", "--sizes", "4,8,12", "--max-frames", "40"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    config = sideinfo.TrainingConfig(half_length=256, coeff_size=4, residual_size=8, intra_size=12, max_frames=40)
+    q = sideinfo.train_quantizers([read_hoa_wav(p) for p in _collect_wavs(corpus)], config)
+    assert lines[0].endswith(f"(fingerprint {q.fingerprint():#010x})")
+    assert lines[1:] == [
+        f"  coeff: 4 x 1, {len(q.coeff.history)} Lloyd iterations, "
+        f"mean distortion {q.coeff.history[-1]:.6g}, degenerate no",
+        f"  residual: 8 x 16, {len(q.residual.history)} Lloyd iterations, "
+        f"mean distortion {q.residual.history[-1]:.6g}, degenerate no",
+        f"  intra: 12 x 16, {len(q.intra.history)} Lloyd iterations, "
+        f"mean distortion {q.intra.history[-1]:.6g}, degenerate no",
+    ]
 
 
 def test_usage_errors_exit_1(workspace, capsys):

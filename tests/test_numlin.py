@@ -10,6 +10,7 @@ from hoacodec.errors import FormatError, NumericError, ShapeError, TrainingError
 from hoacodec.numlin import (
     Codebook,
     _assign,
+    _row_sums,
     _seed_centroids,
     gla_train,
     hungarian,
@@ -222,6 +223,24 @@ def test_empty_training_rejected():
         gla_train(np.zeros((0, 2)), 2)
 
 
+def _reference_seed_centroids(training, size, rng):
+    """The seeding the whole-array one replaced: one np.sum call per row for
+    every draw."""
+    n = training.shape[0]
+    centroids = np.empty((size, training.shape[1]))
+    centroids[0] = training[rng.integers(n)]
+    d2 = np.sum((training - centroids[0]) ** 2, axis=1)
+    for k in range(1, size):
+        total = d2.sum()
+        if total <= 0:
+            centroids[k] = training[rng.integers(n)]
+            continue
+        probs = d2 / total
+        centroids[k] = training[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, np.sum((training - centroids[k]) ** 2, axis=1))
+    return centroids
+
+
 def _reference_assign(training, centroids):
     """The nearest-centroid search the in-place one replaced: three (n, K)
     temporaries."""
@@ -234,10 +253,11 @@ def _reference_assign(training, centroids):
 
 def _reference_gla_train(training, size, tol=1e-6, max_iter=200, seed=0):
     """The Lloyd loop the one-assignment loop replaced: two searches and K
-    boolean masks per iteration.  Returns (centroids, history, degenerate)."""
+    boolean masks per iteration, each cell's mean taken over its members.
+    Returns (centroids, history, degenerate)."""
     training = np.atleast_2d(np.asarray(training, dtype=np.float64))
     degenerate = size > np.unique(training, axis=0).shape[0]
-    centroids = _seed_centroids(training, size, np.random.default_rng(seed))
+    centroids = _reference_seed_centroids(training, size, np.random.default_rng(seed))
     prev = np.inf
     history = []
     for _ in range(max_iter):
@@ -261,11 +281,15 @@ def _reference_gla_train(training, size, tol=1e-6, max_iter=200, seed=0):
 
 
 def _gla_cases(rng):
-    """(training, size, seed): dims 1, 2 and 16, and a set of few distinct
-    rows, so cells go empty and get reseeded."""
+    """(training, size, seed): dims 1, 3, 8, 9, 16 and 17, so every tail
+    length of the row sums' 8-wide blocks, then a set of few distinct rows,
+    so cells go empty and get reseeded."""
     yield rng.standard_normal((700, 1)) * 0.3, 16, 7
-    yield rng.standard_normal((500, 2)), 32, 1
+    yield rng.standard_normal((500, 3)), 32, 1
+    yield rng.standard_normal((600, 8)) * 10.0, 32, 2
+    yield rng.standard_normal((600, 9)), 24, 4
     yield rng.standard_normal((900, 16)), 64, 3
+    yield rng.standard_normal((700, 17)) * 1e-3, 48, 6
     few = rng.standard_normal((6, 2))
     yield few[rng.integers(6, size=300)], 8, 5
 
@@ -275,21 +299,42 @@ def test_gla_train_matches_reference_bit_for_bit(rng, monkeypatch):
     for training, size, seed in _gla_cases(rng):
         want, history, degenerate = _reference_gla_train(training, size, max_iter=40, seed=seed)
         calls = []
-        monkeypatch.setattr(numlin, "_assign", lambda x, c: calls.append(1) or _assign(x, c))
+        monkeypatch.setattr(numlin, "_assign", lambda x, x2, c: calls.append(1) or _assign(x, x2, c))
         cb = gla_train(training, size, max_iter=40, seed=seed)
         monkeypatch.undo()
         assert cb.centroids.tobytes() == want.tobytes()
         assert cb.history == history and cb.degenerate == degenerate
         reseeds.append(len(calls) - len(history))
     # one search per iteration, plus one after each reseed; the last set reseeds
-    assert reseeds[:3] == [0, 0, 0] and reseeds[3] > 0
+    assert reseeds[:-1] == [0] * (len(reseeds) - 1) and reseeds[-1] > 0
+
+
+def test_seeding_matches_reference_bit_for_bit(rng):
+    """Every draw as in the per-row seeding, past one row-sum block too."""
+    cases = list(_gla_cases(rng))
+    cases.append((rng.standard_normal((200, 130)), 16, 8))
+    for training, size, seed in cases:
+        got = _seed_centroids(training, size, np.random.default_rng(seed))
+        want = _reference_seed_centroids(training, size, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_row_sums_match_np_sum_at_every_width(rng):
+    """numpy's summation order, reproduced for rows of 1 to 300 values, one
+    block or split: a change to that order fails here instead of moving a
+    codebook."""
+    for width in list(range(1, 301)) + [511, 1000, 4099]:
+        rows = 10.0 ** rng.uniform(-8, 8, (257, width))
+        got = _row_sums(np.ascontiguousarray(rows.T))
+        assert got.tobytes() == np.sum(rows, axis=1).tobytes(), width
 
 
 def test_assign_matches_three_temporary_formula(rng):
     for training, size, seed in _gla_cases(rng):
         centroids = _seed_centroids(training, size, np.random.default_rng(seed))
-        for got, want in zip(_assign(training, centroids), _reference_assign(training, centroids)):
-            assert got.tobytes() == want.tobytes()
+        got = _assign(training, np.sum(training**2, axis=1), centroids)
+        for got_part, want_part in zip(got, _reference_assign(training, centroids)):
+            assert got_part.tobytes() == want_part.tobytes()
 
 
 def test_gla_train_peak_memory_is_about_one_distance_matrix():
