@@ -1,12 +1,12 @@
 """AAC-like coding of component channels.
 
-Per frame, on all of its component channels at once (the columns of an
-(L, C) spectrum matrix; a 1-D spectrum is one channel): a simplified
-psychoacoustic masking curve over the 49 frequency groups, scalefactor
-search meeting a maximum noise-to-mask ratio per band, x^(3/4) companded
-integer quantization, and canonical Huffman entropy coding with one frozen
-trained table and a per-band raw fallback.  Results keep the layout of the
-input: per-band arrays are (49,) or (49, C), per-bin ones (L,) or (L, C).
+Per frame, on all of its C component channels at once (the columns of an
+(L, C) spectrum matrix): a simplified psychoacoustic masking curve over the
+49 frequency groups, scalefactor search meeting a maximum noise-to-mask
+ratio per band, x^(3/4) companded integer quantization, and canonical
+Huffman entropy coding with one frozen trained table and a per-band raw
+fallback.  Every array is a matrix with one column per channel: per-band
+arrays are (49, C), per-bin ones (L, C).
 
 The model is deliberately compact: a two-slope spreading over band indices
 with a fixed SNR offset instead of tonality estimation, scalefactors on a
@@ -16,7 +16,7 @@ with a fixed SNR offset instead of tonality estimation, scalefactors on a
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,22 +42,11 @@ SNR_OFFSET_DB = 18.0  # tonality-independent masker-to-threshold drop
 ABSOLUTE_FLOOR = 1e-9  # per-band power floor (hearing-threshold stand-in)
 
 
-@dataclass
-class MaskingCurve:
-    """Masked threshold power per frequency group."""
-
-    band_power: np.ndarray
-
-    def __post_init__(self):
-        self.band_power = np.asarray(self.band_power, dtype=np.float64)
-
-
 def _flat(a, n: int) -> np.ndarray:
-    """The channels of ``a``, one (n,) channel or the columns of an (n, C)
-    matrix, laid end to end: (C * n,)."""
+    """The columns of an (n, C) matrix laid end to end: (C * n,)."""
     a = np.asarray(a)
-    if a.shape[0] != n:
-        raise ShapeError(f"{a.shape[0]} rows do not match the group table's {n}")
+    if a.ndim != 2 or a.shape[0] != n:
+        raise ShapeError(f"shape {a.shape} is not ({n}, channels)")
     return a.ravel(order="F")
 
 
@@ -67,10 +56,11 @@ def _unflat(flat: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def band_energies(spectrum: np.ndarray, groups: FrequencyGroups) -> np.ndarray:
-    """Energy of each band of each channel."""
+    """Energy of each band of each channel: (49, C)."""
     x = _flat(np.asarray(spectrum, dtype=np.float64), groups.num_bins)
-    energy = np.add.reduceat(x**2, groups.layout(x.size // groups.num_bins).offsets[:-1])
-    return _unflat(energy, (len(groups.edges),) + np.shape(spectrum)[1:])
+    count = x.size // groups.num_bins
+    energy = np.add.reduceat(x**2, groups.layout(count).offsets[:-1])
+    return _unflat(energy, (len(groups.edges), count))
 
 
 @functools.lru_cache(maxsize=8)
@@ -83,39 +73,29 @@ def _spreading(nb: int) -> np.ndarray:
     return gains
 
 
-def masking_threshold(spectrum: np.ndarray, groups: FrequencyGroups) -> MaskingCurve:
-    """Spread per-band energy with two slopes, drop by the SNR offset, floor;
-    per channel."""
-    energy = band_energies(spectrum, groups)
-    nb = energy.shape[0]
-    per_channel = _flat(energy, nb).reshape(-1, nb)
-    spread = per_channel[:, None, :] * _spreading(nb)
+def masking_threshold(spectrum: np.ndarray, groups: FrequencyGroups) -> np.ndarray:
+    """Masked threshold power per band of each channel, (49, C): per-band
+    energy spread with two slopes, dropped by the SNR offset, floored."""
+    energy = band_energies(spectrum, groups).T  # (C, 49)
+    spread = energy[:, None, :] * _spreading(energy.shape[1])
     mask = spread.sum(axis=-1) * 10.0 ** (-SNR_OFFSET_DB / 10.0)
-    return MaskingCurve(band_power=_unflat(np.maximum(mask, ABSOLUTE_FLOOR).ravel(), energy.shape))
+    return np.maximum(mask, ABSOLUTE_FLOOR).T
 
 
 @dataclass
 class CodedChannel:
-    """Quantization result for the component channels of one frame: per-band
-    arrays (nb,) for one channel or (nb, C) for C, per-bin arrays (num_bins,)
-    or (num_bins, C)."""
+    """Quantization result for the C component channels of one frame:
+    per-band arrays (49, C), per-bin arrays (L, C)."""
 
-    num_bins: int
     zero_band: np.ndarray  # bool: band transmitted as silent
     scalefactors: np.ndarray  # int in [SF_MIN, SF_MAX]; valid where not zero_band
     quant_indices: np.ndarray  # int64 signed
-    nmr: np.ndarray = field(default=None)  # encoder-side achieved NMR per band
-    escalated: np.ndarray = field(default=None)  # bands where no scalefactor met target
-    # (huffman_bits, raw_bits, raw_width) per band, stacked on a leading axis
-    band_costs: np.ndarray = field(default=None, repr=False)
+    nmr: np.ndarray = None  # encoder-side achieved NMR per band
+    escalated: np.ndarray = None  # bands where no scalefactor met target
 
     def columns(self, index) -> "CodedChannel":
-        """The channels ``index`` selects from a matrix of channels."""
-        return CodedChannel(self.num_bins, *(
-            None if a is None else a[..., index]
-            for a in (self.zero_band, self.scalefactors, self.quant_indices,
-                      self.nmr, self.escalated, self.band_costs)
-        ))
+        """The channels the column index ``index`` selects."""
+        return CodedChannel(*(None if a is None else a[:, index] for a in vars(self).values()))
 
 
 # q^(4/3) lookup for the small quantizer indices that dominate; larger
@@ -230,12 +210,12 @@ def _zeroed_energy(x2, absx34, widths, first) -> np.ndarray:
 
 def quantize_mnmr(
     spectrum: np.ndarray,
-    mask: MaskingCurve,
+    mask: np.ndarray,
     target: float,
     groups: FrequencyGroups,
 ) -> CodedChannel:
     """Per band of every channel, the coarsest scalefactor whose noise stays
-    within ``target`` times the masked threshold.
+    within ``target`` times the masked threshold ``mask`` (49, C).
 
     Bands whose full energy already fits the budget are sent as silent.
     If even the finest step misses the target (pathological inputs), the
@@ -260,13 +240,12 @@ def quantize_mnmr(
     """
     if not (np.isfinite(target) and target > 0):
         raise ShapeError(f"MNMR target {target} is not a positive finite ratio")
-    shape = np.shape(spectrum)
-    band_shape = (len(groups.edges),) + shape[1:]
     x = _flat(np.asarray(spectrum, dtype=np.float64), groups.num_bins)
-    layout = groups.layout(x.size // groups.num_bins)
+    count = x.size // groups.num_bins
+    layout = groups.layout(count)
     offsets, widths, by_width = layout
     nb = widths.size
-    power = _flat(mask.band_power, band_shape[0])
+    power = _flat(mask, len(groups.edges))
     budget = target * power
     absx = np.abs(x)
     absx34 = absx**0.75
@@ -326,18 +305,18 @@ def quantize_mnmr(
     qidx = np.zeros(x.size, dtype=np.int64)
     qidx[coded_bins] = np.sign(x[coded_bins]) * q.astype(np.int64)
 
+    band_shape = (len(groups.edges), count)
     return CodedChannel(
-        num_bins=groups.num_bins,
         zero_band=_unflat(zero_band, band_shape),
         scalefactors=_unflat(scalefactors, band_shape),
-        quant_indices=_unflat(qidx, shape),
+        quant_indices=_unflat(qidx, (groups.num_bins, count)),
         nmr=_unflat(nmr, band_shape),
         escalated=_unflat(escalated, band_shape),
     )
 
 
 def dequantize_channel(coded: CodedChannel, groups: FrequencyGroups) -> np.ndarray:
-    """Reconstruct the spectra a decoder sees, in the layout of ``coded``."""
+    """Reconstruct the (L, C) spectra a decoder sees."""
     steps = np.where(coded.zero_band, 0.0, 10.0 ** (1.5 * coded.scalefactors / 20.0))
     per_bin = np.repeat(steps, groups.layout().widths, axis=0)
     q = coded.quant_indices
@@ -347,17 +326,14 @@ def dequantize_channel(coded: CodedChannel, groups: FrequencyGroups) -> np.ndarr
 def measure_nmr(
     original: np.ndarray,
     decoded: np.ndarray,
-    mask: MaskingCurve,
+    mask: np.ndarray,
     groups: FrequencyGroups,
 ) -> np.ndarray:
-    """Per-band quantization-noise power over masked threshold power, per
-    channel."""
+    """Per-band quantization-noise power over the masked threshold power
+    ``mask``, per channel: (49, C)."""
     if np.shape(original) != np.shape(decoded):
         raise ShapeError("original/decoded shape mismatch")
-    err2 = _flat((np.asarray(original, dtype=np.float64) - decoded) ** 2, groups.num_bins)
-    noise = np.add.reduceat(err2, groups.layout(err2.size // groups.num_bins).offsets[:-1])
-    band_shape = (len(groups.edges),) + np.shape(original)[1:]
-    return _unflat(noise / _flat(mask.band_power, band_shape[0]), band_shape)
+    return band_energies(np.asarray(original, dtype=np.float64) - decoded, groups) / mask
 
 
 # --------------------------------------------------------------------------
@@ -439,29 +415,29 @@ def _band_costs(mags: np.ndarray, layout: GroupLayout) -> np.ndarray:
     return np.stack([huff, 6 + widths * (width + 1), width])
 
 
-def channel_cost(coded: CodedChannel, groups: FrequencyGroups):
+def channel_cost(coded: CodedChannel, groups: FrequencyGroups) -> tuple:
     """Exact bit count :func:`entropy_encode_channel` would produce for each
-    channel: an integer for one channel, a (C,) array for C.  The band
-    costs are kept in ``coded.band_costs``."""
+    channel, (C,), and the (huffman_bits, raw_bits, raw_width) of every band
+    of every channel that it takes, (3, 49, C)."""
     nb = len(groups.edges)
-    shape = np.shape(coded.zero_band)
     zero = _flat(coded.zero_band, nb)
+    count = zero.size // nb
     mags = np.abs(_flat(coded.quant_indices, groups.num_bins))
-    costs = _band_costs(mags, groups.layout(zero.size // nb))
-    coded.band_costs = np.stack([_unflat(c, shape) for c in costs])
+    costs = _band_costs(mags, groups.layout(count))
     # zero flag per band; scalefactor, mode flag and the cheaper coding per coded band
     bits = np.where(zero, 1, 10 + np.minimum(costs[0], costs[1]))
-    return bits.reshape(-1, nb).sum(axis=1).reshape(shape[1:])[()]
+    return bits.reshape(count, nb).sum(axis=1), costs.reshape(3, count, nb).transpose(0, 2, 1)
 
 
 def entropy_encode_channel(
     coded: CodedChannel,
+    costs: np.ndarray,
     groups: FrequencyGroups,
     writer: BitWriter,
 ) -> int:
     """Serialize the coded channels one after another; returns the number of
-    bits written.  The band modes come from ``coded.band_costs``, which
-    :func:`channel_cost` fills.
+    bits written.  The band modes come from ``costs``, the band costs of
+    :func:`channel_cost`.
 
     The channels are written as one run of fields in stream order: each
     band's header, then one field per bin (Huffman code and sign, or raw
@@ -476,7 +452,7 @@ def entropy_encode_channel(
     q = _flat(coded.quant_indices, groups.num_bins)
     mags = np.abs(q)
     offsets, widths, _ = groups.layout(zero.size // nb)
-    huff, raw_cost, width = (_flat(c, nb) for c in coded.band_costs)
+    huff, raw_cost, width = (_flat(c, nb) for c in costs)
     raw = ~zero & (huff > raw_cost)
     width = np.where(zero, 1, width)
     # band header: zero:u1, or zero:u1 scalefactor:u8 raw:u1 [width:u6]
@@ -653,12 +629,12 @@ def _raw_fields(padded: bytes, at: np.ndarray, width: np.ndarray) -> np.ndarray:
 def entropy_decode_channel(
     reader: BitReader,
     groups: FrequencyGroups,
-    channels: int | None = None,
+    channels: int,
     values: bool = True,
 ) -> CodedChannel | None:
     """Exact inverse of :func:`entropy_encode_channel`: reads ``channels``
-    channels, one after another, into an (L, channels) matrix, or one 1-D
-    channel when ``channels`` is None.
+    channels, one after another, into (49, channels) and (L, channels)
+    matrices.
 
     A walk over the bands records each band header's position and skips
     the band's bins: a raw band by its fixed width, a Huffman band through
@@ -670,11 +646,10 @@ def entropy_decode_channel(
     None."""
     start = reader.bit_position
     nb = len(groups.edges)
-    count = 1 if channels is None else channels
-    plan = _read_plan(groups, count)
+    plan = _read_plan(groups, channels)
     # the tables cover no more than the longest block of these channels:
     # every bin of a valid chain, and every bit it reads, lies inside it
-    longest = nb * count * _MAX_HEAD_BITS + groups.num_bins * count * _MAX_BIN_BITS
+    longest = nb * channels * _MAX_HEAD_BITS + groups.num_bins * channels * _MAX_BIN_BITS
     data = reader.data[: (start + longest + 7) >> 3]
     padded, window, nxt, escapes, escape_values, errors = _bin_chain(data, start)
     dead = nxt.size - 1
@@ -727,7 +702,7 @@ def entropy_decode_channel(
     at = np.empty(plan.band.size, dtype=np.int32)
     at[: heads.size] = np.where(zero | raw, dead, heads + 10)
     for k, lo, hi, src in plan.steps:
-        np.take(levels[k], np.take(at, src), out=at[lo:hi])
+        np.take(levels[k], np.take(at, src), out=at[lo:hi], mode="wrap")
     values = HUFFMAN_TABLE._value[window[at]].astype(np.int64)
     escaped = np.flatnonzero(values == ESCAPE_SYMBOL)
     values[escaped] = escape_values[np.searchsorted(escapes, at[escaped])]
@@ -737,10 +712,8 @@ def entropy_decode_channel(
         width = (head[band] >> 1 & 63).astype(np.int64)
         values[sel] = _raw_fields(padded, start + heads[band] + 16 + rank * (width + 1), width)
     scalefactors = np.where(zero, 0, (head >> 8 & 0xFF).astype(np.int64) + SF_MIN)
-    band_shape = (nb,) + (() if channels is None else (channels,))
     return CodedChannel(
-        groups.num_bins,
-        _unflat(zero, band_shape),
-        _unflat(scalefactors, band_shape),
-        _unflat(values[plan.order], (groups.num_bins,) + band_shape[1:]),
+        _unflat(zero, (nb, channels)),
+        _unflat(scalefactors, (nb, channels)),
+        _unflat(values[plan.order], (groups.num_bins, channels)),
     )

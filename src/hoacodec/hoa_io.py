@@ -1,8 +1,8 @@
 """Multichannel ambisonic WAV reading/writing and 50%-overlapped framing.
 
-Channel ordering is assumed ACN and normalization SN3D; both are carried as
-metadata only, the codec itself never depends on them.  Channel counts that
-are not a perfect square are rejected outright.
+Channel ordering is assumed ACN and normalization SN3D; the codec itself
+never depends on either.  Channel counts that are not a perfect square are
+rejected outright.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class HoaSignal:
     sample_rate: int
     order: int
     samples: np.ndarray
-    normalization: str = "SN3D"
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)

@@ -468,7 +468,7 @@ def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConf
     else:
         mask = core_codec.masking_threshold(channels, groups)
         coded = core_codec.quantize_mnmr(channels, mask, cfg.mnmr, groups)
-        bits = core_codec.channel_cost(coded, groups)
+        bits, band_costs = core_codec.channel_cost(coded, groups)
         max_nmr, escalated = coded.nmr.max(axis=0), coded.escalated.sum(axis=0)
     cols = [slice(k * count, (k + 1) * count) for k in range(len(trials))]
     ranked, rd = [0], {}
@@ -491,7 +491,7 @@ def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConf
     if coded is None:
         t.writer.write_f64_array(t.channels.T)  # channel after channel
     else:
-        core_codec.entropy_encode_channel(coded.columns(c), groups, t.writer)
+        core_codec.entropy_encode_channel(coded.columns(c), band_costs[..., c], groups, t.writer)
     core_bits = t.writer.bit_length - start
     assert core_bits == bits[c].sum()
     payload = t.writer.getvalue()

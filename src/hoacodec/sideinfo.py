@@ -146,10 +146,9 @@ class _Fields:
     def position(self) -> int:
         return self.io.bit_position if self.reading else self.io.bit_length
 
-    def uint(self, name: str, limit: int, value: int = 0, bits: int | None = None) -> int:
-        """A value below ``limit`` in ``bits`` bits (default cb(limit), at least 1)."""
-        if bits is None:
-            bits = max(1, (limit - 1).bit_length())
+    def uint(self, name: str, limit: int, value: int = 0) -> int:
+        """A value below ``limit`` in cb(limit) bits, at least 1."""
+        bits = max(1, (limit - 1).bit_length())
         if not self.reading:
             self.io.write(value, bits)
             return value
@@ -504,8 +503,15 @@ def harvest_training_pairs(signals, config: TrainingConfig):
 
 
 def train_quantizers(signals, config: TrainingConfig | None = None) -> QuantizerSet:
-    """GLA-train the three codebooks from a corpus of HoaSignals."""
+    """GLA-train the three codebooks from a corpus of HoaSignals.  A rank
+    outside 1..M of a signal, a negative ``max_frames`` or a negative seed
+    is a :class:`ConfigurationError`."""
     config = config or TrainingConfig()
+    for sig in signals:
+        if not 1 <= config.rank <= sig.num_channels:
+            raise ConfigurationError(f"rank {config.rank} out of range for M={sig.num_channels}")
+    if config.max_frames < 0 or config.seed < 0:
+        raise ConfigurationError(f"max_frames {config.max_frames} and seed {config.seed} must be >= 0")
     rhos, residuals, intras = harvest_training_pairs(signals, config)
     if rhos.shape[0] < config.coeff_size or intras.shape[0] < config.intra_size:
         raise TrainingError(

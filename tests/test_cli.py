@@ -161,8 +161,8 @@ def test_runtime_errors_exit_2(workspace):
 
 
 def test_bad_parameters_exit_2_with_one_line(workspace, tmp_path, capsys):
-    """Bad band counts, scene parameters and scene recipes end in one error
-    line, not a traceback."""
+    """Bad band counts, scene parameters, scene recipes and training
+    settings end in one error line, not a traceback."""
     recipes = {
         "unknown_key.json": json.dumps({"duration": 0.1, "tempo": 3}),
         "unknown_source_key.json": json.dumps({"duration": 0.1, "sources": [{"kind": "tone", "pitch": 3}]}),
@@ -176,12 +176,18 @@ def test_bad_parameters_exit_2_with_one_line(workspace, tmp_path, capsys):
     for name, text in recipes.items():
         (tmp_path / name).write_text(text)
     out = str(tmp_path / "scenes")
+    train = ["train-quantizers", str(workspace / "corpus"), "--out", str(tmp_path / "cb"), "--frame", "256"]
+    too_high = str(read_hoa_wav(_wav(workspace)).num_channels + 1)
     cases = [
         ["analyze", str(_wav(workspace)), "--frame", "256", "--bands", "0"],
         ["synth", "--out", out, "--duration", "-1"],
         ["synth", "--out", out, "--sample-rate", "0"],
         ["synth", "--out", out, "--order", "-1"],
         *(["synth", "--out", out, "--recipe", str(tmp_path / name)] for name in recipes),
+        train + ["--seed", "-1"],
+        train + ["--max-frames", "-1"],
+        train + ["--rank", "-2"],
+        train + ["--rank", too_high],
     ]
     for argv in cases:
         capsys.readouterr()

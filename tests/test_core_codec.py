@@ -15,7 +15,6 @@ from hoacodec.core_codec import (
     HUFFMAN_TABLE,
     CodedChannel,
     HuffmanTable,
-    MaskingCurve,
     _BOUND_ROWS,
     _CHUNKS,
     _QUANT_MAGIC,
@@ -50,61 +49,61 @@ def groups():
 # --- masking ---
 
 def test_silence_masks_at_absolute_floor(groups):
-    mask = masking_threshold(np.zeros(1024), groups)
-    assert np.all(mask.band_power == ABSOLUTE_FLOOR)
+    mask = masking_threshold(np.zeros((1024, 1)), groups)
+    assert np.all(mask == ABSOLUTE_FLOOR)
 
 
 def test_single_loud_band_spreads_monotonically(groups):
-    spectrum = np.zeros(1024)
+    spectrum = np.zeros((1024, 1))
     spectrum[512:544] = 30.0  # one loud region, all in one band
-    mask = masking_threshold(spectrum, groups)
-    b0 = int(np.argmax(mask.band_power))
-    above = mask.band_power[b0:]
-    below = mask.band_power[: b0 + 1]
+    mask = masking_threshold(spectrum, groups)[:, 0]
+    b0 = int(np.argmax(mask))
+    above = mask[b0:]
+    below = mask[: b0 + 1]
     assert np.all(np.diff(above) <= 1e-9 * above[:-1])
     assert np.all(np.diff(below) >= -1e-9 * below[1:])
     # the bands above the floor fall off by 12 dB per band upward and
     # 22 dB per band downward from the loud band
-    lifted = np.flatnonzero(mask.band_power > ABSOLUTE_FLOOR)
-    up = mask.band_power[b0 : lifted[-1] + 1]
-    down = mask.band_power[lifted[0] : b0 + 1]
+    lifted = np.flatnonzero(mask > ABSOLUTE_FLOOR)
+    up = mask[b0 : lifted[-1] + 1]
+    down = mask[lifted[0] : b0 + 1]
     assert up.size > 2 and down.size > 2
     np.testing.assert_allclose(up[1:] / up[:-1], 10.0 ** (-12.0 / 10.0), rtol=1e-12)
     np.testing.assert_allclose(down[:-1] / down[1:], 10.0 ** (-22.0 / 10.0), rtol=1e-12)
 
 
 def test_mask_scales_with_energy(groups, rng):
-    spectrum = rng.standard_normal(1024) * 5
-    m1 = masking_threshold(spectrum, groups).band_power
-    m2 = masking_threshold(3.0 * spectrum, groups).band_power
+    spectrum = rng.standard_normal((1024, 1)) * 5
+    m1 = masking_threshold(spectrum, groups)
+    m2 = masking_threshold(3.0 * spectrum, groups)
     assert np.allclose(m2, 9.0 * m1, rtol=1e-12)
 
 
 # --- quantization ---
 
 def test_silence_codes_to_nothing(groups):
-    mask = masking_threshold(np.zeros(1024), groups)
-    coded = quantize_mnmr(np.zeros(1024), mask, 1.0, groups)
+    mask = masking_threshold(np.zeros((1024, 1)), groups)
+    coded = quantize_mnmr(np.zeros((1024, 1)), mask, 1.0, groups)
     assert coded.zero_band.all()
     assert np.all(coded.quant_indices == 0)
 
 
 @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 def test_target_that_is_not_positive_and_finite_is_refused(groups, rng, target):
-    spectrum = rng.standard_normal(1024)
+    spectrum = rng.standard_normal((1024, 1))
     with pytest.raises(ShapeError, match="MNMR target"):
         quantize_mnmr(spectrum, masking_threshold(spectrum, groups), target, groups)
 
 
 def test_huge_target_gives_coarsest_coding(groups, rng):
-    spectrum = rng.standard_normal(1024)
+    spectrum = rng.standard_normal((1024, 1))
     mask = masking_threshold(spectrum, groups)
     coded = quantize_mnmr(spectrum, mask, 1e12, groups)
     assert coded.zero_band.all()
 
 
 def test_nmr_constraint_met_and_verified(groups, rng):
-    spectrum = rng.standard_normal(1024) * 20
+    spectrum = rng.standard_normal((1024, 1)) * 20
     mask = masking_threshold(spectrum, groups)
     for tau in (0.5, 1.0, 2.0):
         coded = quantize_mnmr(spectrum, mask, tau, groups)
@@ -116,27 +115,27 @@ def test_nmr_constraint_met_and_verified(groups, rng):
 
 def test_coarsest_satisfying_scalefactor(groups, rng):
     # picking any coarser scalefactor in a coded band must violate the target
-    spectrum = rng.standard_normal(1024) * 20
+    spectrum = rng.standard_normal((1024, 1)) * 20
     mask = masking_threshold(spectrum, groups)
     tau = 1.0
     coded = quantize_mnmr(spectrum, mask, tau, groups)
     from hoacodec.core_codec import _QUANT_MAGIC
 
     for b, (lo, hi) in enumerate(groups.edges[:20]):
-        if coded.zero_band[b]:
+        if coded.zero_band[b, 0]:
             continue
-        sf = int(coded.scalefactors[b]) + 1  # one step coarser
+        sf = int(coded.scalefactors[b, 0]) + 1  # one step coarser
         if sf > 80:
             continue
         step = 10.0 ** (1.5 * sf / 20.0)
-        xs = np.abs(spectrum[lo:hi])
+        xs = np.abs(spectrum[lo:hi, 0])
         q = np.floor((xs / step) ** 0.75 + _QUANT_MAGIC)
         noise = float(np.sum((xs - q ** (4.0 / 3.0) * step) ** 2))
-        assert noise > tau * mask.band_power[b]
+        assert noise > tau * mask[b, 0]
 
 
 def test_measured_nmr_examples(groups, rng):
-    spectrum = rng.standard_normal(1024)
+    spectrum = rng.standard_normal((1024, 1))
     mask = masking_threshold(spectrum, groups)
     zeros = measure_nmr(spectrum, spectrum.copy(), mask, groups)
     assert np.all(zeros == 0.0)
@@ -144,32 +143,32 @@ def test_measured_nmr_examples(groups, rng):
     b = 10
     lo, hi = groups.edges[b]
     noisy = spectrum.copy()
-    noisy[lo] += np.sqrt(0.125)
+    noisy[lo, 0] += np.sqrt(0.125)
     nmr = measure_nmr(spectrum, noisy, mask, groups)
-    assert nmr[b] == pytest.approx(0.125 / mask.band_power[b], rel=1e-12)
+    assert nmr[b, 0] == pytest.approx(0.125 / mask[b, 0], rel=1e-12)
 
 
 def test_rate_monotone_in_target(groups, rng):
-    spectrum = rng.standard_normal(1024) * 10
+    spectrum = rng.standard_normal((1024, 1)) * 10
     mask = masking_threshold(spectrum, groups)
     bits = []
     for tau in (0.25, 0.5, 1.0, 2.0, 4.0, 16.0):
         coded = quantize_mnmr(spectrum, mask, tau, groups)
-        bits.append(channel_cost(coded, groups))
+        bits.append(channel_cost(coded, groups)[0][0])
     assert all(b1 >= b2 for b1, b2 in zip(bits, bits[1:]))
 
 
 # --- entropy coding ---
 
 def test_roundtrip_random_indices(groups, rng):
-    spectrum = rng.standard_normal(1024) * 15
+    spectrum = rng.standard_normal((1024, 1)) * 15
     mask = masking_threshold(spectrum, groups)
     coded = quantize_mnmr(spectrum, mask, 0.5, groups)
     w = BitWriter()
-    bits = channel_cost(coded, groups)
-    assert entropy_encode_channel(coded, groups, w) == bits
+    bits, costs = channel_cost(coded, groups)
+    assert entropy_encode_channel(coded, costs, groups, w) == bits[0]
     r = BitReader(w.getvalue())
-    back = entropy_decode_channel(r, groups)
+    back = entropy_decode_channel(r, groups, 1)
     assert np.array_equal(back.quant_indices, coded.quant_indices)
     assert np.array_equal(back.zero_band, coded.zero_band)
     assert np.array_equal(
@@ -178,46 +177,45 @@ def test_roundtrip_random_indices(groups, rng):
 
 
 def test_all_zero_spectrum_costs_under_two_bits_per_band(groups):
-    mask = masking_threshold(np.zeros(1024), groups)
-    coded = quantize_mnmr(np.zeros(1024), mask, 1.0, groups)
-    bits = channel_cost(coded, groups)
-    assert entropy_encode_channel(coded, groups, BitWriter()) == bits
-    assert bits < 2 * len(groups.edges)
+    mask = masking_threshold(np.zeros((1024, 1)), groups)
+    coded = quantize_mnmr(np.zeros((1024, 1)), mask, 1.0, groups)
+    bits, costs = channel_cost(coded, groups)
+    assert entropy_encode_channel(coded, costs, groups, BitWriter()) == bits[0]
+    assert bits[0] < 2 * len(groups.edges)
 
 
 def test_rate_beats_raw_fixed_width(groups, rng):
     # the per-band fallback guarantees huffman-or-raw, so total payload can
     # never exceed coding every band raw
-    spectrum = rng.standard_normal(1024) * 25
+    spectrum = rng.standard_normal((1024, 1)) * 25
     mask = masking_threshold(spectrum, groups)
     coded = quantize_mnmr(spectrum, mask, 0.5, groups)
-    actual = channel_cost(coded, groups)
+    actual = channel_cost(coded, groups)[0][0]
     raw_everywhere = 0
     for b, (lo, hi) in enumerate(groups.edges):
         raw_everywhere += 1
-        if coded.zero_band[b]:
+        if coded.zero_band[b, 0]:
             continue
-        values = coded.quant_indices[lo:hi]
+        values = coded.quant_indices[lo:hi, 0]
         width = max(1, int(np.max(np.abs(values))).bit_length())
         raw_everywhere += 8 + 1 + 6 + values.size * (width + 1)
     assert actual <= raw_everywhere
 
 
 def test_escape_values_roundtrip(groups):
-    values = np.zeros(1024, dtype=np.int64)
+    values = np.zeros((1024, 1), dtype=np.int64)
     values[5] = 4000
     values[6] = -77
     values[900] = 16
     coded = CodedChannel(
-        num_bins=1024,
-        zero_band=np.zeros(len(groups.edges), dtype=bool),
-        scalefactors=np.zeros(len(groups.edges), dtype=np.int64),
+        zero_band=np.zeros((len(groups.edges), 1), dtype=bool),
+        scalefactors=np.zeros((len(groups.edges), 1), dtype=np.int64),
         quant_indices=values,
     )
     w = BitWriter()
-    channel_cost(coded, groups)
-    entropy_encode_channel(coded, groups, w)
-    back = entropy_decode_channel(BitReader(w.getvalue()), groups)
+    _, costs = channel_cost(coded, groups)
+    entropy_encode_channel(coded, costs, groups, w)
+    back = entropy_decode_channel(BitReader(w.getvalue()), groups, 1)
     assert np.array_equal(back.quant_indices, values)
 
 
@@ -247,25 +245,41 @@ def test_table_constructor_checks():
         HuffmanTable(list(range(1, 15)) + [15, 15, 32])
 
 
+def test_one_dimensional_arrays_are_refused(groups):
+    """The coder takes (rows, C) matrices only: a 1-D spectrum, mask or
+    coded channel is a ShapeError."""
+    spectrum = np.ones((1024, 1))
+    mask = masking_threshold(spectrum, groups)
+    coded = quantize_mnmr(spectrum, mask, 1.0, groups)
+    with pytest.raises(ShapeError):
+        masking_threshold(spectrum[:, 0], groups)
+    with pytest.raises(ShapeError):
+        quantize_mnmr(spectrum[:, 0], mask, 1.0, groups)
+    with pytest.raises(ShapeError):
+        quantize_mnmr(spectrum, mask[:, 0], 1.0, groups)
+    with pytest.raises(ShapeError):
+        channel_cost(coded.columns(0), groups)
+
+
 def test_band_energy_reduction(groups, rng):
-    spectrum = rng.standard_normal(1024)
+    spectrum = rng.standard_normal((1024, 1))
     e = band_energies(spectrum, groups)
     for b, (lo, hi) in enumerate(groups.edges):
-        assert e[b] == pytest.approx(float(np.sum(spectrum[lo:hi] ** 2)))
+        assert e[b, 0] == pytest.approx(float(np.sum(spectrum[lo:hi, 0] ** 2)))
 
 
 # --- table-driven channel decoder against a bit-serial reference ---
 
 
-def _reference_decode(reader, groups, channels=None):
+def _reference_decode(reader, groups, channels):
     """One reader call per field and one bit per Huffman code step;
     ``channels`` channels one after another, stacked as columns."""
-    if channels is not None:
-        cols = [_reference_decode(reader, groups) for _ in range(channels)]
-        return CodedChannel(groups.num_bins, *(
-            np.stack([getattr(c, name) for c in cols], axis=-1)
-            for name in ("zero_band", "scalefactors", "quant_indices")
-        ))
+    cols = [_reference_decode_one(reader, groups) for _ in range(channels)]
+    return CodedChannel(*(np.stack(arrays, axis=-1) for arrays in zip(*cols)))
+
+
+def _reference_decode_one(reader, groups):
+    """One channel's (zero_band, scalefactors, quant_indices)."""
     table = HUFFMAN_TABLE
     codes = {(table.lengths[s], table.codes[s]): s for s in range(ESCAPE_SYMBOL + 1)}
     nb = len(groups.edges)
@@ -295,10 +309,10 @@ def _reference_decode(reader, groups, channels=None):
                 if mag >= 1 << 63:
                     raise StreamError("escape magnitude out of range")
                 q[k] = -mag if neg else mag
-    return CodedChannel(groups.num_bins, zero_band, scalefactors, np.array(q, dtype=np.int64))
+    return zero_band, scalefactors, np.array(q, dtype=np.int64)
 
 
-def _same_parse(data, start, groups, channels=None):
+def _same_parse(data, start, groups, channels=1):
     """The parse-only call (``values=False``) ends at the full call's end
     position, or raises the full call's StreamError text."""
     ends = []
@@ -313,15 +327,16 @@ def _same_parse(data, start, groups, channels=None):
     assert ends[0] == ends[1]
 
 
-def _outcome(decoder, data, start, groups, channels=None):
-    """(CodedChannel fields, end bit position), or "StreamError"."""
+def _outcome(decoder, data, start, groups, channels=1):
+    """(the shape and fields of the CodedChannel, end bit position), or
+    "StreamError"."""
     reader = BitReader(data)
     reader.bit_position = start
     try:
         c = decoder(reader, groups, channels)
     except StreamError:
         return "StreamError"
-    return (c.num_bins, c.zero_band.tolist(), c.scalefactors.tolist(),
+    return (c.quant_indices.shape, c.zero_band.tolist(), c.scalefactors.tolist(),
             c.quant_indices.tolist(), reader.bit_position)
 
 
@@ -329,31 +344,32 @@ def _outcome(decoder, data, start, groups, channels=None):
 def coded_channels(draw):
     groups = FrequencyGroups.uniform(draw(st.integers(49, 120)))
     nb = len(groups.edges)
-    values = np.zeros(groups.num_bins, dtype=np.int64)
-    zero_band = np.zeros(nb, dtype=bool)
-    scalefactors = np.zeros(nb, dtype=np.int64)
+    values = np.zeros((groups.num_bins, 1), dtype=np.int64)
+    zero_band = np.zeros((nb, 1), dtype=bool)
+    scalefactors = np.zeros((nb, 1), dtype=np.int64)
     forced = {}
     magnitude = st.one_of(st.integers(0, 3), st.integers(0, 15), st.integers(16, 1 << 20))
     for b, (lo, hi) in enumerate(groups.edges):
         kind = draw(st.sampled_from(["zero", "huffman", "huffman", "raw"]))
         if kind == "zero":
-            zero_band[b] = True
+            zero_band[b, 0] = True
             continue
-        scalefactors[b] = draw(st.integers(SF_MIN, SF_MAX))
+        scalefactors[b, 0] = draw(st.integers(SF_MIN, SF_MAX))
         mags = draw(st.lists(magnitude, min_size=hi - lo, max_size=hi - lo))
         signs = draw(st.lists(st.booleans(), min_size=hi - lo, max_size=hi - lo))
-        values[lo:hi] = [-m if s else m for m, s in zip(mags, signs)]
+        values[lo:hi, 0] = [-m if s else m for m, s in zip(mags, signs)]
         if kind == "raw":  # force raw mode, possibly wider than needed
             forced[b] = max(mags).bit_length() + draw(st.integers(0, 2))
-    return CodedChannel(groups.num_bins, zero_band, scalefactors, values), groups, forced
+    return CodedChannel(zero_band, scalefactors, values), groups, forced
 
 
 def _force_raw(coded, groups, forced):
-    """Fill the band cost cache, then send the ``forced`` bands raw at the
-    given widths (band -> width)."""
-    channel_cost(coded, groups)
+    """The band costs of ``coded``, with the ``forced`` bands sent raw at
+    the given widths (band -> width)."""
+    _, costs = channel_cost(coded, groups)
     for b, width in forced.items():
-        coded.band_costs[:, b] = (1, 0, width)
+        costs[:, b, 0] = (1, 0, width)
+    return costs
 
 
 _PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -363,16 +379,16 @@ _PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[Heal
 @given(coded_channels(), st.integers(0, 15), st.integers(0, 20), st.randoms())
 def test_channel_decoder_matches_reference(channel, lead, trail, rnd):
     coded, groups, forced = channel
-    _force_raw(coded, groups, forced)
+    costs = _force_raw(coded, groups, forced)
     w = BitWriter()
     w.write(rnd.getrandbits(lead), lead)  # start away from a byte boundary
-    entropy_encode_channel(coded, groups, w)
+    entropy_encode_channel(coded, costs, groups, w)
     w.write(rnd.getrandbits(trail), trail)
     data = w.getvalue()
 
     got = _outcome(entropy_decode_channel, data, lead, groups)
     assert got == _outcome(_reference_decode, data, lead, groups)
-    expected = np.where(np.repeat(coded.zero_band, groups.widths()), 0, coded.quant_indices)
+    expected = np.where(np.repeat(coded.zero_band, groups.widths(), axis=0), 0, coded.quant_indices)
     assert got[3] == expected.tolist()
     _same_parse(data, lead, groups)
     for cut in range(len(data)):  # every truncation: the reference's result or StreamError
@@ -407,7 +423,7 @@ def test_escape_beyond_int64_is_a_stream_error():
     w.write(0, 64)
     w.write(0, 1)  # sign
     with pytest.raises(StreamError, match="out of range"):
-        entropy_decode_channel(BitReader(w.getvalue()), FrequencyGroups.uniform(49))
+        entropy_decode_channel(BitReader(w.getvalue()), FrequencyGroups.uniform(49), 1)
 
 
 def test_bit_length_is_exact_around_every_power_of_two():
@@ -425,7 +441,7 @@ def _result(decoder, data, start, groups):
     reader = BitReader(data)
     reader.bit_position = start
     try:
-        return decoder(reader, groups).quant_indices.tolist(), reader.bit_position
+        return decoder(reader, groups, 1).quant_indices[:, 0].tolist(), reader.bit_position
     except StreamError as exc:
         return str(exc)
 
@@ -484,7 +500,7 @@ def wide_coded_channels(draw):
     for b, c in zip(*np.nonzero(ends)):
         mags[last[b], c] = rng.integers(ESCAPE_SYMBOL, 1 << 62)
     values = np.where(rng.random((L, count)) < 0.5, -mags, mags)
-    coded = CodedChannel(L, kind == 0, rng.integers(SF_MIN, SF_MAX + 1, size=(nb, count)), values)
+    coded = CodedChannel(kind == 0, rng.integers(SF_MIN, SF_MAX + 1, size=(nb, count)), values)
     peak = np.maximum.reduceat(mags, groups.offsets[:-1], axis=0)
     needed = np.array([[int(v).bit_length() for v in row] for row in peak])
     raw_width = np.where(kind == 2, np.minimum(needed + rng.integers(0, 3, size=needed.shape), 63), 0)
@@ -495,13 +511,13 @@ def wide_coded_channels(draw):
 @given(wide_coded_channels(), st.integers(0, 15), st.integers(0, 20), st.randoms())
 def test_channel_decoder_matches_reference_at_real_band_widths(channel, lead, trail, rnd):
     coded, groups, raw_width = channel
-    channel_cost(coded, groups)
+    _, costs = channel_cost(coded, groups)
     raw = raw_width > 0
-    coded.band_costs[:, raw] = np.stack([np.ones(raw.sum()), np.zeros(raw.sum()), raw_width[raw]])
+    costs[:, raw] = np.stack([np.ones(raw.sum()), np.zeros(raw.sum()), raw_width[raw]])
     count = coded.zero_band.shape[1]
     w = BitWriter()
     w.write(rnd.getrandbits(lead), lead)
-    entropy_encode_channel(coded, groups, w)
+    entropy_encode_channel(coded, costs, groups, w)
     w.write(rnd.getrandbits(trail), trail)
     data = w.getvalue()
 
@@ -547,22 +563,22 @@ def test_escape_beyond_int64_in_the_last_bin_of_the_widest_band():
     groups, w = _widest_band_stream(zeros + _escape_fields(1 << 63))
     assert groups.widths()[-1] == 96
     with pytest.raises(StreamError, match="out of range"):
-        entropy_decode_channel(BitReader(w.getvalue()), groups)
+        entropy_decode_channel(BitReader(w.getvalue()), groups, 1)
     # the largest magnitude that fits
     groups, w = _widest_band_stream(zeros + _escape_fields((1 << 63) - 1, negative=True))
-    got = entropy_decode_channel(BitReader(w.getvalue()), groups)
-    assert got.quant_indices[-1] == 1 - (1 << 63) and not got.quant_indices[:-1].any()
+    got = entropy_decode_channel(BitReader(w.getvalue()), groups, 1)
+    assert got.quant_indices[-1, 0] == 1 - (1 << 63) and not got.quant_indices[:-1].any()
 
 
 def test_cut_inside_a_wide_huffman_band_is_exhausted():
     one = (HUFFMAN_TABLE.codes[1] << 1, HUFFMAN_TABLE.lengths[1] + 1)  # +1
     groups, w = _widest_band_stream([one] * 96)
     data = w.getvalue()
-    assert entropy_decode_channel(BitReader(data), groups).quant_indices[-96:].tolist() == [1] * 96
+    assert entropy_decode_channel(BitReader(data), groups, 1).quant_indices[-96:, 0].tolist() == [1] * 96
     assert 8 * 8 > 48 + 10 and 8 * (len(data) - 1) > 48 + 10 + 95 * one[1]
     for cut in (8, len(data) // 2, len(data) - 1):  # in the first, a middle and the last bin
         with pytest.raises(StreamError, match="bitstream exhausted"):
-            entropy_decode_channel(BitReader(data[:cut]), groups)
+            entropy_decode_channel(BitReader(data[:cut]), groups, 1)
 
 
 def test_tables_stop_at_the_longest_block(monkeypatch):
@@ -594,11 +610,11 @@ def test_tables_stop_at_the_longest_block(monkeypatch):
         for tail in (b"", junk):
             if outcome:
                 with pytest.raises(StreamError, match=outcome):
-                    entropy_decode_channel(BitReader(data + tail), groups)
+                    entropy_decode_channel(BitReader(data + tail), groups, 1)
                 continue
             reader = BitReader(data + tail)
-            got = entropy_decode_channel(reader, groups)
-            assert got.quant_indices.tolist() == [(1 << 63) - 1] * 49
+            got = entropy_decode_channel(reader, groups, 1)
+            assert got.quant_indices[:, 0].tolist() == [(1 << 63) - 1] * 49
             assert reader.bit_position == 49 * (10 + 141)
     assert max(seen) < longest + 8
 
@@ -619,14 +635,14 @@ def _mixed_block(groups, count, seed):
     for b, c in zip(*np.nonzero(rng.random((nb, count)) < 0.3)):
         mags[last[b], c] = rng.integers(ESCAPE_SYMBOL, 1 << 62)
     values = np.where(rng.random((L, count)) < 0.5, -mags, mags)
-    coded = CodedChannel(L, kind == 0, rng.integers(SF_MIN, SF_MAX + 1, size=(nb, count)), values)
-    channel_cost(coded, groups)
+    coded = CodedChannel(kind == 0, rng.integers(SF_MIN, SF_MAX + 1, size=(nb, count)), values)
+    _, costs = channel_cost(coded, groups)
     raw = kind == 2
-    needed = coded.band_costs[2][raw]
+    needed = costs[2][raw]
     width = np.minimum(needed + rng.integers(1, 4, needed.size), 63)
-    coded.band_costs[:, raw] = np.stack([np.ones(raw.sum()), np.zeros(raw.sum()), width])
+    costs[:, raw] = np.stack([np.ones(raw.sum()), np.zeros(raw.sum()), width])
     w = BitWriter()
-    entropy_encode_channel(coded, groups, w)
+    entropy_encode_channel(coded, costs, groups, w)
     return w.getvalue(), np.where(np.repeat(kind == 0, groups.widths(), axis=0), 0, values)
 
 
@@ -655,10 +671,10 @@ def test_jump_tables_peak_under_22_bytes_per_payload_bit(values):
     rng = np.random.default_rng(3)
     mags = rng.integers(0, 4, size=(4096, 8))
     q = np.where(rng.random(mags.shape) < 0.5, -mags, mags)
-    coded = CodedChannel(4096, np.zeros((49, 8), bool), np.zeros((49, 8), np.int64), q)
-    channel_cost(coded, groups)
+    coded = CodedChannel(np.zeros((49, 8), bool), np.zeros((49, 8), np.int64), q)
+    _, costs = channel_cost(coded, groups)
     w = BitWriter()
-    entropy_encode_channel(coded, groups, w)
+    entropy_encode_channel(coded, costs, groups, w)
     data = w.getvalue() + bytes(512 * 1024)
     entropy_decode_channel(BitReader(data), groups, 8, values=values)  # the read plan, cached
     reader = BitReader(data)
@@ -675,8 +691,10 @@ def test_jump_tables_peak_under_22_bytes_per_payload_bit(values):
 # --- batched encoder against the per-band references it replaced ---
 
 def _reference_quantize_mnmr(spectrum, mask, target, groups):
-    """Per-band coarse-to-fine scan, 16 scalefactor rows at a time."""
-    x = np.asarray(spectrum, dtype=np.float64)
+    """Per-band coarse-to-fine scan, 16 scalefactor rows at a time, of one
+    channel: an (L, 1) spectrum and its (49, 1) mask."""
+    x = np.asarray(spectrum, dtype=np.float64)[:, 0]
+    power = mask[:, 0]
     nb = len(groups.edges)
     zero_band = np.zeros(nb, dtype=bool)
     scalefactors = np.zeros(nb, dtype=np.int64)
@@ -685,11 +703,11 @@ def _reference_quantize_mnmr(spectrum, mask, target, groups):
     escalated = np.zeros(nb, dtype=bool)
     for b, (lo, hi) in enumerate(groups.edges):
         xs = x[lo:hi]
-        budget = target * mask.band_power[b]
+        budget = target * power[b]
         energy = float(np.sum(xs**2))
         if energy <= budget:
             zero_band[b] = True
-            nmr[b] = energy / mask.band_power[b]
+            nmr[b] = energy / power[b]
             continue
         absx = np.abs(xs)
         absx34 = absx**0.75
@@ -715,8 +733,8 @@ def _reference_quantize_mnmr(spectrum, mask, target, groups):
             picked_noise = float(np.sum((absx - _pow43(picked_q) * _SF_STEPS[pick]) ** 2))
         scalefactors[b] = SF_MAX - pick
         qidx[lo:hi] = np.sign(xs) * picked_q.astype(np.int64)
-        nmr[b] = picked_noise / mask.band_power[b]
-    return CodedChannel(x.shape[0], zero_band, scalefactors, qidx, nmr=nmr, escalated=escalated)
+        nmr[b] = picked_noise / power[b]
+    return CodedChannel(*(a[:, None] for a in (zero_band, scalefactors, qidx, nmr, escalated)))
 
 
 def _reference_band_costs(values):
@@ -730,30 +748,32 @@ def _reference_band_costs(values):
 
 
 def _reference_channel_cost(coded, groups):
+    """The bit count of a one-channel ``coded``, band by band."""
     total = 0
     for b, (lo, hi) in enumerate(groups.edges):
         total += 1
-        if not coded.zero_band[b]:
-            huff, raw, _ = _reference_band_costs(coded.quant_indices[lo:hi])
+        if not coded.zero_band[b, 0]:
+            huff, raw, _ = _reference_band_costs(coded.quant_indices[lo:hi, 0])
             total += 9 + min(huff, raw)
     return total
 
 
-def _reference_encode(coded, groups, writer):
-    """One BitWriter.write per header field and per value; the band modes
-    from ``coded.band_costs``, or from the band's own costs without them."""
+def _reference_encode(coded, costs, groups, writer):
+    """One BitWriter.write per header field and per value of a one-channel
+    ``coded``; the band modes from the band costs ``costs``, or from the
+    band's own costs when ``costs`` is None."""
     table = HUFFMAN_TABLE
     start = writer.bit_length
     for b, (lo, hi) in enumerate(groups.edges):
-        writer.write_flag(bool(coded.zero_band[b]))
-        if coded.zero_band[b]:
+        writer.write_flag(bool(coded.zero_band[b, 0]))
+        if coded.zero_band[b, 0]:
             continue
-        writer.write(int(coded.scalefactors[b]) - SF_MIN, 8)
-        values = coded.quant_indices[lo:hi]
-        if coded.band_costs is None:
+        writer.write(int(coded.scalefactors[b, 0]) - SF_MIN, 8)
+        values = coded.quant_indices[lo:hi, 0]
+        if costs is None:
             huff, raw, width = _reference_band_costs(values)
         else:
-            huff, raw, width = coded.band_costs[:, b].tolist()
+            huff, raw, width = costs[:, b, 0].tolist()
         writer.write_flag(huff > raw)
         if huff > raw:
             writer.write(width, 6)
@@ -810,11 +830,11 @@ def mnmr_stacks(draw):
             elif kind == "tiny":
                 x[lo:hi, c] = rng.uniform(-1, 1, hi - lo) * 10.0 ** draw(st.floats(-6.5, -4))
         if draw(st.booleans()):
-            power[:, c] = masking_threshold(x[:, c], groups).band_power
+            power[:, c] = masking_threshold(x[:, [c]], groups)[:, 0]
         else:
             power[:, c] = scale**2 * 10.0 ** rng.uniform(-30, 6, len(groups.edges))
     target = 10.0 ** draw(st.floats(np.log10(0.05), 3))
-    return x, MaskingCurve(power), target, groups
+    return x, power, target, groups
 
 
 # no shrink phase: a failing case reports as found, in seconds, where
@@ -832,23 +852,22 @@ def test_batched_search_matches_per_band_scan(case):
     masking, dequantization and measured NMR."""
     x, mask, target, groups = case
     got = quantize_mnmr(x, mask, target, groups)
-    costs = channel_cost(got, groups)
+    bits, costs = channel_cost(got, groups)
     w, ref = BitWriter(), BitWriter()
-    written = entropy_encode_channel(got, groups, w)
-    masks = masking_threshold(x, groups).band_power
+    written = entropy_encode_channel(got, costs, groups, w)
+    masks = masking_threshold(x, groups)
     decoded = dequantize_channel(got, groups)
     nmr = measure_nmr(x, decoded, mask, groups)
     for c in range(x.shape[1]):
-        column = MaskingCurve(mask.band_power[:, c])
-        one = got.columns(c)
-        _same_coding(one, _reference_quantize_mnmr(x[:, c], column, target, groups))
-        one.band_costs = None
-        assert costs[c] == _reference_channel_cost(one, groups)
-        _reference_encode(one, groups, ref)
-        assert masks[:, c].tobytes() == masking_threshold(x[:, c], groups).band_power.tobytes()
+        column = mask[:, [c]]
+        one = got.columns([c])
+        _same_coding(one, _reference_quantize_mnmr(x[:, [c]], column, target, groups))
+        assert bits[c] == _reference_channel_cost(one, groups)
+        _reference_encode(one, None, groups, ref)
+        assert masks[:, c].tobytes() == masking_threshold(x[:, [c]], groups).tobytes()
         assert decoded[:, c].tobytes() == dequantize_channel(one, groups).tobytes()
-        assert nmr[:, c].tobytes() == measure_nmr(x[:, c], decoded[:, c], column, groups).tobytes()
-    assert written == ref.bit_length == costs.sum()
+        assert nmr[:, c].tobytes() == measure_nmr(x[:, [c]], decoded[:, [c]], column, groups).tobytes()
+    assert written == ref.bit_length == bits.sum()
     assert w.getvalue() == ref.getvalue()
 
 
@@ -882,7 +901,7 @@ def test_zeroed_energy_bounds_the_noise_of_every_skipped_row(case):
     first = _first_nonzero_row(np.maximum.reduceat(absx34, layout.offsets[:-1])[coded])
     zeroed = _zeroed_energy((flat * flat)[coded_bins], absx34[coded_bins], layout.widths[coded], first)
     noise = _rows_noise(absx, absx34, layout, coded, first, _BOUND_ROWS)
-    budget = target * mask.band_power.ravel(order="F")[coded, None]
+    budget = target * mask.ravel(order="F")[coded, None]
     assert np.all(zeroed <= noise * (1 + 1e-9))
     ruled_out = zeroed > budget * (1 + 1e-9)
     assert np.all(noise[ruled_out] > np.broadcast_to(budget, noise.shape)[ruled_out])
@@ -957,8 +976,8 @@ def test_picks_with_noise_or_zeroed_energy_at_the_budget_match_per_band_scan():
         first, begin = _bound_start(x[lo:hi, 0], 1.25 * small**2)
         assert first < k < first + _BOUND_ROWS and begin <= k  # the bound reaches the pick
         picks[b] = k
-    got = quantize_mnmr(x, MaskingCurve(power), target, groups)
-    _same_coding(got.columns(0), _reference_quantize_mnmr(x[:, 0], MaskingCurve(power[:, 0]), target, groups))
+    got = quantize_mnmr(x, power, target, groups)
+    _same_coding(got.columns([0]), _reference_quantize_mnmr(x, power, target, groups))
     for b, k in picks.items():
         assert SF_MAX - got.scalefactors[b, 0] == k and got.nmr[b, 0] == target
 
@@ -970,7 +989,7 @@ def test_search_edges_no_coded_band_and_bound_start_at_the_finest_step():
     groups = FrequencyGroups.uniform(256)
     x = np.zeros((256, 2))
     x[0:5, 1] = [1.0, 0.3, -0.7, 0.2, 0.9]
-    silent = quantize_mnmr(x, MaskingCurve(np.full((len(groups.edges), 2), 10.0)), 1.0, groups)
+    silent = quantize_mnmr(x, np.full((len(groups.edges), 2), 10.0), 1.0, groups)
     assert silent.zero_band.all() and not silent.escalated.any()
     assert not silent.quant_indices.any()
     x[0:5, 0] = [5e-6, 3e-7, -3e-7, 3e-7, -3e-7]  # a floor zero at every step
@@ -978,9 +997,9 @@ def test_search_edges_no_coded_band_and_bound_start_at_the_finest_step():
     power[0] = 1e-13, 1e-2
     first, begin = _bound_start(x[0:5, 0], 1e-13)
     assert first + _BOUND_ROWS >= _SF_COUNT and begin == _SF_COUNT - 1
-    got = quantize_mnmr(x, MaskingCurve(power), 1.0, groups)
+    got = quantize_mnmr(x, power, 1.0, groups)
     for c in range(2):
-        _same_coding(got.columns(c), _reference_quantize_mnmr(x[:, c], MaskingCurve(power[:, c]), 1.0, groups))
+        _same_coding(got.columns([c]), _reference_quantize_mnmr(x[:, [c]], power[:, [c]], 1.0, groups))
     assert got.escalated[0, 0] and not got.escalated[1:].any() and not got.escalated[:, 1].any()
 
 
@@ -999,9 +1018,9 @@ def test_search_window_edges_match_per_band_scan():
     power = np.ones((len(groups.edges), 2))
     power[0:3, 0] = 1e-6, 1e-11, 1e-20
     power[0:3, 1] = 1e-1, 1e-5, 1e-2
-    got = quantize_mnmr(x, MaskingCurve(power), 1.0, groups)
+    got = quantize_mnmr(x, power, 1.0, groups)
     for c in range(2):
-        _same_coding(got.columns(c), _reference_quantize_mnmr(x[:, c], MaskingCurve(power[:, c]), 1.0, groups))
+        _same_coding(got.columns([c]), _reference_quantize_mnmr(x[:, [c]], power[:, [c]], 1.0, groups))
     # scalefactor rows of the first three bands, from the bound start
     begin = np.array([[_bound_start(x[lo:hi, c], power[b, c])[1] for c in range(2)]
                       for b, (lo, hi) in enumerate(groups.edges[:3])])
@@ -1021,11 +1040,11 @@ def test_search_window_edges_match_per_band_scan():
 @given(coded_channels(), st.integers(0, 7), st.randoms())
 def test_channel_writer_matches_per_value_writes(channel, lead, rnd):
     coded, groups, forced = channel
-    assert channel_cost(coded, groups) == _reference_channel_cost(coded, groups)
-    _force_raw(coded, groups, forced)  # raw-forced bands stay raw
+    assert channel_cost(coded, groups)[0].tolist() == [_reference_channel_cost(coded, groups)]
+    costs = _force_raw(coded, groups, forced)  # raw-forced bands stay raw
     prefix = rnd.getrandbits(lead)
     w, ref = BitWriter(), BitWriter()
     w.write(prefix, lead)
     ref.write(prefix, lead)
-    assert entropy_encode_channel(coded, groups, w) == _reference_encode(coded, groups, ref)
+    assert entropy_encode_channel(coded, costs, groups, w) == _reference_encode(coded, costs, groups, ref)
     assert w.getvalue() == ref.getvalue()
