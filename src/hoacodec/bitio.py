@@ -13,6 +13,11 @@ import numpy as np
 from hoacodec.errors import StreamError
 
 
+# row n keeps the last n bits of a 16-bit row
+_KEEP_LAST = np.arange(16) >= 16 - np.arange(17)[:, None]
+_KEEP_LAST.setflags(write=False)
+
+
 class BitWriter:
     """Accumulates bits MSB-first and flushes them into a bytearray."""
 
@@ -66,26 +71,33 @@ class BitWriter:
 
     def write_fields(self, values: np.ndarray, lengths: np.ndarray) -> None:
         """Write ``values[i]`` in ``lengths[i]`` bits for every i, the bits of
-        one :meth:`write` per field: the fields are expanded into one bit
-        array, packed behind the pending bits and appended as bytes."""
+        one :meth:`write` per field: fields longer than 16 bits are split into
+        16-bit pieces, high piece first, the pieces unpacked into a
+        (pieces, 16) bit matrix, and the last ``length`` bits of each row
+        packed behind the pending bits and appended as bytes."""
         values = np.asarray(values, dtype=np.uint64)
         lengths = np.asarray(lengths, dtype=np.int64)
         if np.any((lengths < 0) | (lengths > 64)) or np.any(
             (lengths < 64) & (values >> np.minimum(lengths, 63).astype(np.uint64) != 0)
         ):
             raise ValueError("a value does not fit in its field")
-        n = self._nacc
-        total = int(lengths.sum())
-        ends = np.cumsum(lengths)
-        # bit k of the run is bit (end of its field - 1 - k) of the field's value
-        shift = np.repeat(ends, lengths) - 1 - np.arange(total)
-        bits = np.empty(n + total, dtype=np.uint8)
-        bits[:n] = (self._acc >> np.arange(n - 1, -1, -1)) & 1
-        bits[n:] = (np.repeat(values, lengths) >> shift.astype(np.uint64)) & np.uint64(1)
-        full = (n + total) // 8 * 8
-        self._buf += np.packbits(bits[:full]).tobytes()
-        self._nacc = n + total - full
-        self._acc = int.from_bytes(np.packbits(bits[full:]).tobytes(), "big") >> (-self._nacc % 8)
+        if lengths.size and lengths.max() > 16:
+            parts = np.maximum((lengths + 15) >> 4, 1)
+            ends = np.cumsum(parts)
+            # 16 x the pieces after each one in its field
+            shift = 16 * (np.repeat(ends, parts) - 1 - np.arange(ends[-1]))
+            lengths = np.minimum(np.repeat(lengths, parts) - shift, 16)
+            values = (np.repeat(values, parts) >> shift.astype(np.uint64)) & np.uint64(0xFFFF)
+        # the pending bits lead as one more piece
+        pieces = np.empty(values.size + 1, dtype=">u2")
+        pieces[0], pieces[1:] = self._acc, values
+        lengths = np.concatenate(([self._nacc], lengths))
+        matrix = np.unpackbits(pieces.view(np.uint8).reshape(-1, 2), axis=1)
+        bits = matrix[np.take(_KEEP_LAST, lengths, axis=0)]
+        packed = np.packbits(bits)
+        self._nacc = bits.size % 8
+        self._acc = int(packed[-1]) >> (8 - self._nacc) if self._nacc else 0
+        self._buf += packed[: bits.size // 8].tobytes()
 
     def write_bytes(self, data: bytes) -> None:
         for b in data:

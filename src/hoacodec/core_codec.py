@@ -42,11 +42,12 @@ SNR_OFFSET_DB = 18.0  # tonality-independent masker-to-threshold drop
 ABSOLUTE_FLOOR = 1e-9  # per-band power floor (hearing-threshold stand-in)
 
 
-def _flat(a, n: int) -> np.ndarray:
-    """The columns of an (n, C) matrix laid end to end: (C * n,)."""
+def _flat(a, n: int, channels: int | None = None) -> np.ndarray:
+    """The columns of an (n, C) matrix laid end to end: (C * n,); C must be
+    ``channels`` when given."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != n:
-        raise ShapeError(f"shape {a.shape} is not ({n}, channels)")
+    if a.ndim != 2 or a.shape[0] != n or channels not in (None, a.shape[1]):
+        raise ShapeError(f"shape {a.shape} is not ({n}, {channels or 'channels'})")
     return a.ravel(order="F")
 
 
@@ -140,37 +141,42 @@ _BOUND_ROWS = 16
 _CHUNKS = (8, 8, 16)
 
 
-def _band_sums(values: np.ndarray, bands: np.ndarray, bins: np.ndarray, out: np.ndarray) -> None:
-    """``out[..., bands] = `` the sums of ``values[..., bins]`` over each
-    row of ``bins``, gathered into a C-contiguous array and reduced over its
-    last axis: the pairwise summation ``np.sum`` applies to one band alone,
-    which ``np.add.reduceat`` and strided rows do not reproduce bit for bit."""
-    out[..., bands] = np.ascontiguousarray(values[..., bins]).sum(axis=-1)
-
-
 def _rows_noise(absx, absx34, layout: GroupLayout, bands, first, rows: int) -> np.ndarray:
     """Squared quantization error of each of ``bands`` (increasing) at the
     ``rows`` scalefactor rows from its row in ``first``, clipped at the
-    finest step: (bands, rows)."""
+    finest step: (bands, rows).
+
+    One pass per band width: the class's chosen bands quantized at every
+    row as one C-contiguous (rows, bands * width) array, each band's bins
+    contiguous, and summed over a (rows, bands, width) view of it, the
+    pairwise summation ``np.sum`` applies to one band alone."""
     _, widths, by_width = layout
-    chosen = np.zeros(widths.size, dtype=bool)
-    chosen[bands] = True
-    chosen_bins = np.repeat(chosen, widths)
+    at = np.full(widths.size, -1)
+    at[bands] = np.arange(bands.size)
     row = np.minimum(first + np.arange(rows)[:, None], _SF_COUNT - 1)  # (rows, bands)
-    band_widths = widths[bands]
-    err = absx34[chosen_bins] / np.repeat(_SF_STEPS_34[row], band_widths, axis=1)
-    err += _QUANT_MAGIC
-    np.floor(err, out=err)
-    err = _pow43(err)
-    err *= np.repeat(_SF_STEPS[row], band_widths, axis=1)
-    err -= absx[chosen_bins]
-    err *= err  # (rows, chosen bins)
-    column = np.cumsum(chosen_bins) - 1  # bin -> column of err
-    noise = np.empty((rows, widths.size))
+    noise = np.empty((bands.size, rows))
     for group, bins in by_width:
-        keep = chosen[group]
-        _band_sums(err, group[keep], column[bins[keep]], noise)
-    return noise[:, bands].T
+        sel = at[group]
+        keep = sel >= 0
+        if not keep.any():
+            continue
+        sel = sel[keep]
+        width = bins.shape[1]
+        take = bins[keep].ravel()
+        err = np.repeat(_SF_STEPS_34[row[:, sel]], width, axis=1)
+        np.divide(absx34[take], err, out=err)
+        err += _QUANT_MAGIC
+        # every value is >= _QUANT_MAGIC, so truncation is the floor
+        if err.max() < _POW43_LUT.size:
+            err = _POW43_LUT[err.astype(np.intp)]
+        else:
+            np.floor(err, out=err)
+            err = _pow43(err)
+        err *= np.repeat(_SF_STEPS[row[:, sel]], width, axis=1)
+        err -= absx[take]
+        err *= err
+        noise[sel] = err.reshape(rows, sel.size, width).sum(axis=-1).T
+    return noise
 
 
 def _zero_below_rank(values: np.ndarray) -> np.ndarray:
@@ -231,7 +237,7 @@ def quantize_mnmr(
     of one ``_CHUNKS`` entry after the other, then of 16 rows at a time
     down to the finest step, for the bands without an in-budget row so
     far, and the squared errors are summed per band and row
-    (:func:`_band_sums`).  A band without an in-budget row at any step
+    (:func:`_rows_noise`).  A band without an in-budget row at any step
     takes its minimum-noise row, the first one of all its rows from the
     first nonzero step.
 
@@ -245,15 +251,17 @@ def quantize_mnmr(
     layout = groups.layout(count)
     offsets, widths, by_width = layout
     nb = widths.size
-    power = _flat(mask, len(groups.edges))
+    power = _flat(mask, len(groups.edges), count)
     budget = target * power
     absx = np.abs(x)
     absx34 = absx**0.75
 
+    # per band the pairwise summation np.sum applies to the band alone,
+    # which np.add.reduceat does not reproduce bit for bit
     energy = np.empty(nb)
     x2 = x * x
     for bands, bins in by_width:
-        _band_sums(x2, bands, bins, energy)
+        energy[bands] = x2[bins].sum(axis=-1)
     if not np.all(np.isfinite(energy)):
         raise NumericError(f"band energy is not finite: it exceeds the float64 limit {np.finfo(float).max:.4g}")
     zero_band = energy <= budget
@@ -333,7 +341,10 @@ def measure_nmr(
     ``mask``, per channel: (49, C)."""
     if np.shape(original) != np.shape(decoded):
         raise ShapeError("original/decoded shape mismatch")
-    return band_energies(np.asarray(original, dtype=np.float64) - decoded, groups) / mask
+    noise = band_energies(np.asarray(original, dtype=np.float64) - decoded, groups)
+    if np.shape(mask) != noise.shape:
+        raise ShapeError(f"mask shape {np.shape(mask)} is not {noise.shape}")
+    return noise / mask
 
 
 # --------------------------------------------------------------------------

@@ -29,20 +29,22 @@ def sn3d_harmonics(order: int, azimuth, elevation) -> np.ndarray:
     azimuth = np.atleast_1d(np.asarray(azimuth, dtype=np.float64))
     elevation = np.atleast_1d(np.asarray(elevation, dtype=np.float64))
     azimuth, elevation = np.broadcast_arrays(azimuth, elevation)
-    x = np.sin(elevation)
+    x = np.sin(elevation).ravel()
+    az = azimuth.ravel()
     out = np.empty((azimuth.size, (order + 1) ** 2))
-    for n in range(order + 1):
-        for m in range(-n, n + 1):
-            am = abs(m)
+    # one cosine and one sine per |m|, one Legendre function per (n, |m|),
+    # each shared by +m and -m
+    for am in range(order + 1):
+        cos = np.cos(am * az)
+        sin = np.sin(am * az) if am else None
+        for n in range(am, order + 1):
+            leg = ((-1.0) ** am) * lpmv(am, n, x)
             norm = math.sqrt(
-                (2.0 if m else 1.0) * math.factorial(n - am) / math.factorial(n + am)
+                (2.0 if am else 1.0) * math.factorial(n - am) / math.factorial(n + am)
             )
-            leg = ((-1.0) ** am) * lpmv(am, n, x.ravel())
-            if m >= 0:
-                trig = np.cos(m * azimuth.ravel())
-            else:
-                trig = np.sin(am * azimuth.ravel())
-            out[:, n * n + n + m] = norm * leg * trig
+            out[:, n * n + n + am] = norm * leg * cos
+            if am:
+                out[:, n * n + n - am] = norm * leg * sin
     return out
 
 

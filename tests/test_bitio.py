@@ -84,6 +84,28 @@ def test_field_run_matches_per_field_writes(fields, offset, lead):
     assert run.getvalue() == per_field.getvalue()
 
 
+@pytest.mark.parametrize("pattern", [(1 << 64) - 1, 0x8123_4567_89AB_CDEF])
+@pytest.mark.parametrize("offset", range(8))
+def test_field_run_of_every_length_matches_per_field_writes(offset, pattern):
+    """Fields of every length 0..64 from every pending offset, all ones or
+    the last bits of a pattern whose 16-bit pieces differ: in one run,
+    where each field is split into pieces at its own boundaries, then one
+    run per field."""
+    lengths = np.arange(65)
+    values = np.array([pattern & ((1 << n) - 1) for n in lengths.tolist()], dtype=np.uint64)
+    run, per_field = BitWriter(), BitWriter()
+    for w in (run, per_field):
+        w.write(0b1011001 >> (7 - offset), offset)
+    for _ in range(2):
+        for value, nbits in zip(values.tolist(), lengths.tolist()):
+            per_field.write(value, nbits)
+    run.write_fields(values, lengths)
+    for i in range(lengths.size):
+        run.write_fields(values[i : i + 1], lengths[i : i + 1])
+    assert run.bit_length == per_field.bit_length
+    assert run.getvalue() == per_field.getvalue()
+
+
 def test_field_run_rejects_values_wider_than_their_field():
     w = BitWriter()
     w.write(1, 3)

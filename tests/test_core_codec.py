@@ -261,6 +261,19 @@ def test_one_dimensional_arrays_are_refused(groups):
         channel_cost(coded.columns(0), groups)
 
 
+@pytest.mark.parametrize("columns", [3, 1])
+def test_mask_of_another_channel_count_is_refused(columns, rng):
+    """A (49, C') mask for an (L, C) spectrum is a ShapeError unless C' == C,
+    also where numpy would broadcast a one-column mask."""
+    groups = FrequencyGroups.uniform(256)
+    spectrum = rng.standard_normal((256, 4))
+    mask = np.ones((len(groups.edges), columns))
+    with pytest.raises(ShapeError):
+        quantize_mnmr(spectrum, mask, 1.0, groups)
+    with pytest.raises(ShapeError):
+        measure_nmr(spectrum, 0.5 * spectrum, mask, groups)
+
+
 def test_band_energy_reduction(groups, rng):
     spectrum = rng.standard_normal((1024, 1))
     e = band_energies(spectrum, groups)
@@ -1001,6 +1014,29 @@ def test_search_edges_no_coded_band_and_bound_start_at_the_finest_step():
     for c in range(2):
         _same_coding(got.columns([c]), _reference_quantize_mnmr(x[:, [c]], power[:, [c]], 1.0, groups))
     assert got.escalated[0, 0] and not got.escalated[1:].any() and not got.escalated[:, 1].any()
+
+
+def test_quantized_values_at_the_pow43_table_edge_match_per_band_scan():
+    """Two escalated bands of different widths, searched in the same passes
+    down to the finest step, where one band's largest quantized value is
+    4095, the last the q^(4/3) table holds, and the other's is 4096, one
+    past it: one width class is looked up by truncation, the other takes
+    the floor and pow fallback, in the same pass."""
+    groups = FrequencyGroups.uniform(256)
+    x = np.zeros((256, 1))
+    (lo_a, hi_a), (lo_b, hi_b) = groups.edges[0], groups.edges[2]
+    assert hi_a - lo_a != hi_b - lo_b
+    rng = np.random.default_rng(7)
+    for (lo, hi), q in (((lo_a, hi_a), 4095), ((lo_b, hi_b), 4096)):
+        x[lo:hi, 0] = rng.uniform(-0.02, 0.02, hi - lo)
+        x[lo, 0] = ((q + 0.5 - _QUANT_MAGIC) * _SF_STEPS_34[-1]) ** (4.0 / 3.0)
+    power = np.ones((len(groups.edges), 1))
+    power[[0, 2]] = 1e-40  # below every row's noise: both bands escalate
+    finest = np.floor(np.abs(x) ** 0.75 / _SF_STEPS_34[-1] + _QUANT_MAGIC)
+    assert finest[lo_a:hi_a].max() == 4095 and finest[lo_b:hi_b].max() == 4096
+    got = quantize_mnmr(x, power, 1.0, groups)
+    assert got.escalated[[0, 2], 0].all()
+    _same_coding(got, _reference_quantize_mnmr(x, power, 1.0, groups))
 
 
 def test_search_window_edges_match_per_band_scan():
