@@ -249,19 +249,15 @@ def quantize_mnmr(
     x = _flat(np.asarray(spectrum, dtype=np.float64), groups.num_bins)
     count = x.size // groups.num_bins
     layout = groups.layout(count)
-    offsets, widths, by_width = layout
+    offsets, widths, _ = layout
     nb = widths.size
     power = _flat(mask, len(groups.edges), count)
     budget = target * power
     absx = np.abs(x)
     absx34 = absx**0.75
 
-    # per band the pairwise summation np.sum applies to the band alone,
-    # which np.add.reduceat does not reproduce bit for bit
-    energy = np.empty(nb)
     x2 = x * x
-    for bands, bins in by_width:
-        energy[bands] = x2[bins].sum(axis=-1)
+    energy = layout.group_sums(x2)
     if not np.all(np.isfinite(energy)):
         raise NumericError(f"band energy is not finite: it exceeds the float64 limit {np.finfo(float).max:.4g}")
     zero_band = energy <= budget

@@ -110,11 +110,13 @@ def read_hoa_wav(path) -> HoaSignal:
         (csize,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8 : pos + 8 + csize]
         if cid == b"fmt ":
-            if csize < 16:
+            # the body's own length: a file cut inside the chunk holds less
+            # than csize declares
+            if len(body) < 16:
                 raise FormatError(f"{path}: fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
             if fmt[0] == _WAVE_FORMAT_EXTENSIBLE:
-                if csize < 40:
+                if len(body) < 40:
                     raise FormatError(f"{path}: extensible fmt chunk too short")
                 (subformat,) = struct.unpack_from("<H", body, 24)
                 fmt = (subformat,) + fmt[1:]

@@ -49,6 +49,16 @@ class GroupLayout(NamedTuple):
     widths: np.ndarray  # (49,)
     by_width: tuple  # per distinct width: (groups, their bins as (groups, width))
 
+    def group_sums(self, flat: np.ndarray) -> np.ndarray:
+        """Each group's sum over a flat (count · L) array, as a row sum of
+        one C-contiguous (groups, width) gather per distinct width: the
+        pairwise order np.sum gives one group alone, which np.add.reduceat
+        does not reproduce bit for bit."""
+        out = np.empty(self.widths.size)
+        for groups, bins in self.by_width:
+            out[groups] = flat[bins].sum(axis=-1)
+        return out
+
 
 @dataclass(frozen=True)
 class FrequencyGroups:
@@ -215,55 +225,38 @@ def analyze_discarded(
     return NoiseGroupInfo(active=active, energy_indices=np.where(active, indices, 0).astype(np.uint8))
 
 
-def _channel_rng(stream_seed: int, frame_index: int, channel_index: int):
-    return np.random.default_rng(
-        np.random.SeedSequence([int(stream_seed), int(frame_index), int(channel_index)])
-    )
-
-
 def synthesize_noise(
     info: NoiseGroupInfo,
     groups: FrequencyGroups,
     channel_count: int,
     stream_seed: int,
     frame_index: int,
-    channel_offset: int = 0,
 ) -> np.ndarray:
     """Decoder-side spectra for the discarded channels, (L, C).
 
-    Active groups are filled with seeded Gaussian coefficients rescaled so
+    One Philox generator keyed by the stream seed, its counter's word 1 set
+    to the frame index, draws a (C, L) standard-normal block: row c is
+    discarded channel c, and each group takes its own bins of the row,
+    active or not, so any frame's noise is reached directly and no group's
+    samples depend on another's activity.  Active groups are rescaled so
     each channel's per-bin average power in the group equals the
-    dequantized energy exactly; inactive groups stay zero.  The RNG seed
-    derives from (stream seed, frame index, absolute channel index), so
-    decoding is reproducible without transmitting the noise.
+    dequantized energy exactly; all other bins are +0.0.
     """
     out = np.zeros((groups.num_bins, channel_count))
     energies = info.energies()
-    sel = np.flatnonzero(energies > 0)  # active groups with nonzero energy
-    if channel_count == 0 or sel.size == 0:
+    if channel_count == 0 or not energies.any():
         return out
-    offsets = np.asarray(groups.offsets)
-    starts = offsets[sel]
-    widths = offsets[sel + 1] - starts
-    first = np.cumsum(widths) - widths  # each group's start in a channel's draw
-    # one draw per channel over its groups in ascending order equals
-    # consecutive per-group draws from the same generator
-    draws = np.stack([
-        _channel_rng(stream_seed, frame_index, channel_offset + c).standard_normal(int(widths.sum()))
-        for c in range(channel_count)
-    ])
-    # per-group sums of squares as row sums of a contiguous (rows, width)
-    # array per distinct width: the same pairwise summation as np.sum over
-    # one group, which reduceat or a 3-D sum would not reproduce bit for bit
-    ss = np.empty((channel_count, sel.size))
-    for w in np.unique(widths):
-        cols = np.flatnonzero(widths == w)
-        block = np.ascontiguousarray(draws[:, first[cols, None] + np.arange(w)]) ** 2
-        ss[:, cols] = block.reshape(-1, w).sum(axis=1).reshape(channel_count, cols.size)
-    for c, g in zip(*np.nonzero(ss == 0)):  # an all-zero draw becomes a flat group
-        draws[c, first[g] : first[g] + widths[g]] = 1.0
-        ss[c, g] = float(widths[g])
-    gain = np.sqrt(energies[sel] * widths / ss)
-    rows = np.repeat(starts - first, widths) + np.arange(draws.shape[1])
-    out[rows] = (draws * np.repeat(gain, widths, axis=1)).T
+    # Philox increments counter word 0 per block, so the frame sits in word
+    # 1: frames never share a block
+    rng = np.random.Generator(np.random.Philox(key=stream_seed, counter=[0, frame_index, 0, 0]))
+    draws = rng.standard_normal((channel_count, groups.num_bins))
+    layout = groups.layout(channel_count)
+    ss = layout.group_sums(np.square(draws).ravel())  # (C · 49,), channel-major
+    for g in np.flatnonzero(ss == 0):  # an all-zero draw becomes a flat group
+        draws.ravel()[layout.offsets[g] : layout.offsets[g + 1]] = 1.0
+        ss[g] = layout.widths[g]
+    gain = np.sqrt(np.tile(energies, channel_count) * layout.widths / ss)
+    per_bin = np.repeat(gain, layout.widths).reshape(draws.shape)
+    # a zero gain times a negative draw would leave -0.0 in an inactive bin
+    np.multiply(draws, per_bin, out=out.T, where=per_bin > 0)
     return out

@@ -716,7 +716,7 @@ def _decode_frames(header: StreamHeader, groups, walk, frame_stats: list):
         f = stats.index
         if p is not None:
             channels = p.channels if header.bypass else core_codec.dequantize_channel(p.channels, groups)
-            noise = noise_subst.synthesize_noise(p.noise, groups, M - nbg, header.seed, f, channel_offset=nbg)
+            noise = noise_subst.synthesize_noise(p.noise, groups, M - nbg, header.seed, f)
             if proposed:
                 layout = freq_svd.layout_for_mode(p.side.mode, L, header.bands)
                 spectrum = _proposed_spectrum(channels, p.bases, layout)

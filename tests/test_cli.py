@@ -150,6 +150,10 @@ def test_runtime_errors_exit_2(workspace):
     bad = workspace / "bad.bs"
     bad.write_bytes(b"garbage")
     assert main(["decode", str(bad), str(workspace / "z.wav")]) == 2
+    # a WAV cut inside its fmt chunk
+    cut = workspace / "cut.wav"
+    cut.write_bytes(wav.read_bytes()[:30])
+    assert main(["analyze", str(cut), "--frame", "256"]) == 2
     # a frame length the MDCT cannot fold
     for frame in ("255", "0"):
         assert main(["analyze", str(wav), "--frame", frame]) == 2

@@ -29,9 +29,9 @@ _OPERATING_POINTS = {
 GOLDEN = {
     ("proposed", "quantized"): (
         "d01406d45e81e93464acc75376de028e0e32c8040eb2bbec542d06998b324453",
-        "f11b5e04ef1e1756363f29e2df60e53d88e71cb7b8b0483a68704cf4dc8118cb",
-        "ca5f18634be191c06e5d6378e0be6f482e087779f28041342f05695e33daaab3",
-        "d069030be20f4e543bd8bfdb83856800b491769fb06d427f99c38a798ac2e473",
+        "9fcfddcc8f7499e993b121903204460024742ae786cd055872d6109ec3bba399",
+        "a64b3eb71309e36a78e2974e0203e1731eff19b9393bcf0d049375cce51e3d15",
+        "7241f62247623f05fff08d01557a31c51fd49ef32e0f3ec8fd986bac9c7f80a8",
     ),
     ("proposed", "bypass"): (
         "b63ff2b3d12153241b57e5bfd270ee4482797c01f2bad9a1c0ac4e4784f5d62d",
@@ -41,9 +41,9 @@ GOLDEN = {
     ),
     ("baseline", "quantized"): (
         "a9cb80f3e2132fd8f1aaa49156e68549006bb06b842cbf643a8e2b785059c7ea",
-        "4031b5f358c20a30442edf9cdb958f22d57c1b9caf694496281483158af9f5c5",
-        "592f5aecfc22fb6afefc1f469f0912283c7a76c42521ad26a969ded8a00c2653",
-        "5310a3e079be22101ab5eab483bc18767d584bb766fe8d4c3f811cc541a08541",
+        "e04925ea562301aea5b1e22cb1b87ada3088a02e64f5a48c3437797624f2792c",
+        "4ee4a3985eef457e7d550d57e6a7931310f3603b00af5d06cc6cf4fe1aebc66e",
+        "aef08e4f06572432612658064baff0371161a5bc41a72d96111a4de7154585aa",
     ),
     ("baseline", "bypass"): (
         "b11ad520d7ad64d65d2368c481d57efb3c9952a55a4d3200a2b34282476be774",

@@ -22,11 +22,11 @@ from hoacodec import pipeline
 GOLDEN = {
     "proposed": (
         "5506767734844c09581eb2893dc1dfcc0fbfa802b081f36ff2094c8a25dd3949",
-        "ba92247a7da3230965f1ee8e487a688c58657fb5e69462908086296348ca8105",
+        "a28cb7b5c4903aae5b519b999f309a176796f170cbe8148204726d93c7cdcc86",
     ),
     "baseline": (
         "ccaa2eecfd1479e8ccfb98c6edf50647a473af23591dc2186ead1aba166ff933",
-        "67bb8f783bbc8cb615e63282ca946c3ff5a4a9cb94fd32e9cc4a2b6cd8dcf988",
+        "8a25178a336be17cbf2221dceb79d44af0722cdf6be523bb86ca42700302a045",
     ),
 }
 

@@ -78,6 +78,19 @@ def test_garbage_file_rejected(tmp_path):
         read_hoa_wav(tmp_path / "bad.wav")
 
 
+@pytest.mark.parametrize("length", range(20, 36))
+def test_file_cut_inside_fmt_chunk_rejected(rng, tmp_path, length):
+    """A 16-bit file cut inside its fmt chunk (bytes 20 to 35) holds less
+    than the chunk size declares."""
+    path = tmp_path / "cut.wav"
+    write_hoa_wav(_signal(rng, length=10, channels=4), path, "pcm16")
+    data = path.read_bytes()
+    assert len(data) == 124
+    path.write_bytes(data[:length])
+    with pytest.raises(FormatError, match="fmt chunk too short"):
+        read_hoa_wav(path)
+
+
 def test_inconsistent_block_align_rejected(rng, tmp_path):
     # a 4-channel float32 file whose fmt chunk claims 6 bytes per sample frame
     import struct
@@ -108,6 +121,10 @@ def test_extensible_header_accepted(rng, tmp_path):
     (tmp_path / "ext.wav").write_bytes(data)
     back = read_hoa_wav(tmp_path / "ext.wav")
     assert np.array_equal(back.samples, sig.samples.astype("<f4").astype(np.float64))
+    # cut after 30 of the extensible chunk's 40 bytes
+    (tmp_path / "cut.wav").write_bytes(data[:50])
+    with pytest.raises(FormatError, match="extensible fmt chunk too short"):
+        read_hoa_wav(tmp_path / "cut.wav")
 
 
 # --- framing ---
