@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from hoacodec import freq_svd, noise_subst, pipeline, scenes, sideinfo, transform
-from hoacodec.errors import HoaCodecError
+from hoacodec.errors import FormatError, HoaCodecError
 from hoacodec.hoa_io import read_hoa_wav, write_hoa_wav
 
 COMPARE_SCHEMA = "compare_v1"
@@ -40,10 +40,8 @@ def _add_codec_options(p, with_codec=True, with_mnmr=True):
         p.add_argument("--mnmr", type=float, default=1.0, help="max noise-to-mask ratio")
     p.add_argument("--frame", type=int, default=1024, help="frame half-length L")
     p.add_argument("--rank", type=int, default=4, help="foreground components r")
-    p.add_argument("--bands", type=int, default=4, help="band count of the split mode")
     p.add_argument("--bg-order", type=int, default=1, help="background ambisonics order t")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rd-lambda", type=float, default=pipeline.DEFAULT_RD_LAMBDA)
     p.add_argument("--codebooks", type=Path, default=None, help="trained quantizer directory")
     p.add_argument("--bypass", action="store_true", help="skip all quantization (diagnostic)")
 
@@ -57,14 +55,21 @@ def _build_config(args, codec=None, mnmr=None) -> pipeline.EncoderConfig:
         codec=codec or args.codec,
         half_length=args.frame,
         rank=args.rank,
-        bands=args.bands,
         background_order=args.bg_order,
         mnmr=mnmr if mnmr is not None else args.mnmr,
-        rd_lambda=args.rd_lambda,
         seed=args.seed,
         bypass_quantization=args.bypass,
         quantizers=_quantizers(args),
     )
+
+
+def _read_samples(path: Path):
+    """A WAV with at least one sample: analyze and compare report per frame
+    and per second of audio."""
+    signal = read_hoa_wav(path)
+    if not signal.length:
+        raise FormatError(f"{path}: no samples")
+    return signal
 
 
 def _number_list(text: str, kind, option: str) -> list:
@@ -143,9 +148,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    signal = read_hoa_wav(args.input)
+    signal = _read_samples(args.input)
     spectra, _ = transform.analyze(signal.samples, args.frame)
-    layout = freq_svd.BandLayout.uniform(args.frame, args.bands)
+    layout = freq_svd.layout_for_mode(freq_svd.MODE_FOUR_BANDS, args.frame)
     groups = noise_subst.groups_for(args.frame)
 
     comp_rows, flat, dominated = [], [], 0
@@ -194,7 +199,7 @@ def cmd_compare(args) -> int:
     points = _number_list(args.mnmr, float, "--mnmr")
     rows = []
     for wav in wavs:
-        signal = read_hoa_wav(wav)
+        signal = _read_samples(wav)
         for tau in points:
             rates = {}
             for codec in ("baseline", "proposed"):
@@ -307,7 +312,6 @@ def build_parser() -> _Parser:
     p.add_argument("input", type=Path)
     p.add_argument("--frame", type=int, default=1024)
     p.add_argument("--rank", type=int, default=4)
-    p.add_argument("--bands", type=int, default=4)
     p.add_argument("--compaction-csv", type=Path, default=None)
     p.add_argument("--flatness-csv", type=Path, default=None)
     p.set_defaults(func=cmd_analyze)

@@ -21,6 +21,7 @@ from hoacodec.transform import SpectralFrame
 
 MODE_SINGLE_BAND = 0
 MODE_FOUR_BANDS = 1
+BANDS = 4  # band count of MODE_FOUR_BANDS, fixed by the stream format
 
 
 @dataclass(frozen=True)
@@ -48,21 +49,17 @@ class BandLayout:
         starts = np.concatenate([[0], stops[:-1]])
         return list(zip(starts.tolist(), stops.tolist()))
 
-    @classmethod
-    def uniform(cls, num_bins: int, n: int) -> "BandLayout":
-        if n < 1 or num_bins % n:
-            raise ShapeError(f"{num_bins} bins do not split into {n} uniform bands")
-        return cls(lengths=(num_bins // n,) * n)
 
-
-def layout_for_mode(mode: int, num_bins: int, bands: int = 4) -> BandLayout:
-    """Band layout of the two per-frame coding modes: 1 band or ``bands``
-    uniform bands (4 by default)."""
+def layout_for_mode(mode: int, num_bins: int) -> BandLayout:
+    """Band layout of the two per-frame coding modes: 1 band or
+    :data:`BANDS` uniform bands."""
     if mode == MODE_SINGLE_BAND:
         return BandLayout(lengths=(num_bins,))
-    if mode == MODE_FOUR_BANDS:
-        return BandLayout.uniform(num_bins, bands)
-    raise ShapeError(f"unknown mode {mode}")
+    if mode != MODE_FOUR_BANDS:
+        raise ShapeError(f"unknown mode {mode}")
+    if num_bins % BANDS:
+        raise ShapeError(f"{num_bins} bins do not split into {BANDS} uniform bands")
+    return BandLayout(lengths=(num_bins // BANDS,) * BANDS)
 
 
 @dataclass
@@ -84,11 +81,11 @@ def band_split(spec: SpectralFrame, layout: BandLayout) -> list:
     return [S[a:b] for a, b in layout.edges]
 
 
-def mode_bases(spec: SpectralFrame, mode: int, rank: int, bands: int = 4) -> tuple:
+def mode_bases(spec: SpectralFrame, mode: int, rank: int) -> tuple:
     """A frame's analysis in one coding mode: (layout, per-band coefficient
     rows, per-band raw truncated bases as (M, rank) arrays).  The proposed
     encoder's RD trials and codebook training both start from it."""
-    layout = layout_for_mode(mode, spec.num_bins, bands)
+    layout = layout_for_mode(mode, spec.num_bins)
     parts = band_split(spec, layout)
     return layout, parts, [truncated_basis(b, rank, spec.index).vectors for b in parts]
 

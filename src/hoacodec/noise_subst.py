@@ -139,10 +139,7 @@ class NoiseGroupInfo:
 
     def energies(self) -> np.ndarray:
         """Dequantized per-bin average power per group (0 where inactive)."""
-        out = np.zeros(NUM_GROUPS)
-        nz = self.active & (self.energy_indices > 0)
-        out[nz] = dequantize_energy(self.energy_indices[nz])
-        return out
+        return np.where(self.active, _ENERGY_TABLE[self.energy_indices], 0.0)
 
 
 def quantize_energy(energy):
@@ -161,6 +158,11 @@ def dequantize_energy(index):
     db = ENERGY_FLOOR_DB + (index.astype(np.float64) - 1) * _ENERGY_STEP_DB
     out = 10.0 ** (db / 10.0)
     return np.where(index == 0, 0.0, out)
+
+
+# dequantize_energy of every 6-bit index, gathered by NoiseGroupInfo.energies
+_ENERGY_TABLE = dequantize_energy(np.arange(1 << ENERGY_BITS))
+_ENERGY_TABLE.flags.writeable = False
 
 
 def spectral_flatness(power) -> float:

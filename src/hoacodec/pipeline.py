@@ -55,9 +55,9 @@ MAX_ORDER = 15
 # coders allocate per frame, and the 32-bit header field admits 2^32 - 1
 MAX_HALF_LENGTH = 8192
 
-# default RD lambda: calibrated on the synthetic corpus so both band-split
-# modes are exercised at the default operating points
-DEFAULT_RD_LAMBDA = 1e-4
+# the mode decision's RD lambda, fixed by the stream format: calibrated on the
+# synthetic corpus so both band-split modes are exercised at the defaults
+RD_LAMBDA = 1e-4
 
 
 @dataclass
@@ -67,10 +67,8 @@ class EncoderConfig:
     codec: str = "proposed"
     half_length: int = 1024
     rank: int = 4
-    bands: int = 4
     background_order: int = 1
     mnmr: float = 1.0
-    rd_lambda: float = DEFAULT_RD_LAMBDA
     seed: int = 0
     bypass_quantization: bool = False
     quantizers: sideinfo.QuantizerSet | None = None
@@ -117,14 +115,12 @@ def _check_parameters(error, codec_id: int, order: int, p) -> None:
         raise error(f"rank {p.rank} out of range for M={M}")
     if p.background_order > order:
         raise error(f"background order {p.background_order} exceeds order {order}")
-    if p.bands < 2 or (codec_id == CODEC_PROPOSED and L % p.bands):
-        raise error(f"band count {p.bands} invalid for half length {L}")
-    if L // p.bands < p.rank:
-        raise error(f"bands of {L // p.bands} bins too short to retain rank {p.rank}")
+    if codec_id == CODEC_PROPOSED and L % freq_svd.BANDS:
+        raise error(f"half length {L} does not split into {freq_svd.BANDS} bands")
+    if L // freq_svd.BANDS < p.rank:
+        raise error(f"bands of {L // freq_svd.BANDS} bins too short to retain rank {p.rank}")
     if not (math.isfinite(p.mnmr) and p.mnmr > 0):
         raise error(f"MNMR {p.mnmr} is not a positive finite ratio")
-    if not (math.isfinite(p.rd_lambda) and p.rd_lambda >= 0):
-        raise error(f"RD lambda {p.rd_lambda} is not a finite value >= 0")
 
 
 @dataclass
@@ -336,6 +332,10 @@ def _read_header(data: bytes) -> StreamHeader:
         raise StreamError(f"unknown flag bits in {h.flags:#04x}")
     if h.codec_id not in (CODEC_BASELINE, CODEC_PROPOSED):
         raise StreamError(f"unknown codec id {h.codec_id}")
+    if h.bands != freq_svd.BANDS:
+        raise StreamError(f"band count {h.bands} is not the format's {freq_svd.BANDS}")
+    if h.rd_lambda != RD_LAMBDA:
+        raise StreamError(f"RD lambda {h.rd_lambda} is not the format's {RD_LAMBDA}")
     _check_parameters(StreamError, h.codec_id, h.order, h)
     if h.group_table_id != _group_table_id(noise_subst.groups_for(h.half_length)):
         raise StreamError(f"group table id {h.group_table_id} does not fit half length {h.half_length}")
@@ -401,13 +401,13 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
         order=signal.order,
         half_length=cfg.half_length,
         rank=cfg.rank,
-        bands=cfg.bands,
+        bands=freq_svd.BANDS,
         background_order=cfg.background_order,
         seed=cfg.seed,
         original_length=signal.length,
         frame_count=num_frames(signal.length, cfg.half_length),
         mnmr=cfg.mnmr,
-        rd_lambda=cfg.rd_lambda,
+        rd_lambda=RD_LAMBDA,
         quantizer_fingerprint=qfp,
         table_fingerprint=_TABLE_FINGERPRINT,
         group_table_id=_group_table_id(groups),
@@ -482,7 +482,7 @@ def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConf
             payload_bits = t.side.bit_count + t.noise_bits + int(bits[c].sum())
             costs.append(
                 _mask_weighted_error(original, spectrum, masks, groups)
-                + cfg.rd_lambda * (payload_bits + _FRAMING_BITS + (-payload_bits) % 8)
+                + RD_LAMBDA * (payload_bits + _FRAMING_BITS + (-payload_bits) % 8)
             )
         ranked = sorted(range(len(trials)), key=lambda k: (costs[k], trials[k].side.mode))
         rd = {"rd_cost": costs[ranked[0]], "rd_cost_other": costs[ranked[1]]}
@@ -512,7 +512,7 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups):
         sp = transform.mdct_forward(frame, window)
         _check_energy(sp.index, sp.coeffs)
         modes = [freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS]
-        analyses = [freq_svd.mode_bases(sp, mode, cfg.rank, cfg.bands) for mode in modes]
+        analyses = [freq_svd.mode_bases(sp, mode, cfg.rank) for mode in modes]
         writers, states = [BitWriter() for _ in modes], [state.copy() for _ in modes]
         sides = sideinfo.encode_sideinfo_trials(
             [(a[2], mode, st, w) for a, mode, st, w in zip(analyses, modes, states, writers)], cfg.side_quantizers()
@@ -635,7 +635,7 @@ def _walk(header: StreamHeader, groups: FrequencyGroups, stream: bytes, frames, 
     one band per mode.  Without ``reconstruct`` every field is read and
     checked alike, but the quantized bases and components are left None."""
     rank = header.rank
-    ranks = {0: [rank], 1: [rank] * (header.bands if header.codec_id == CODEC_PROPOSED else 1)}
+    ranks = {0: [rank], 1: [rank] * (freq_svd.BANDS if header.codec_id == CODEC_PROPOSED else 1)}
     q = None if header.bypass else quantizers
     count = rank + (header.background_order + 1) ** 2
     state = sideinfo.SideInfoState()
@@ -718,7 +718,7 @@ def _decode_frames(header: StreamHeader, groups, walk, frame_stats: list):
             channels = p.channels if header.bypass else core_codec.dequantize_channel(p.channels, groups)
             noise = noise_subst.synthesize_noise(p.noise, groups, M - nbg, header.seed, f)
             if proposed:
-                layout = freq_svd.layout_for_mode(p.side.mode, L, header.bands)
+                layout = freq_svd.layout_for_mode(p.side.mode, L)
                 spectrum = _proposed_spectrum(channels, p.bases, layout)
                 spectrum[:, nbg:] += noise
             else:

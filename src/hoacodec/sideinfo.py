@@ -454,7 +454,6 @@ class TrainingConfig:
     residual_size: int = 256
     intra_size: int = 256
     seed: int = 7
-    tol: float = 1e-6
     max_iter: int = 100
     max_frames: int = 12000
 
@@ -518,7 +517,7 @@ def train_quantizers(signals, config: TrainingConfig | None = None) -> Quantizer
             f"corpus yielded {rhos.shape[0]} prediction pairs and "
             f"{intras.shape[0]} columns; too few for the requested codebooks"
         )
-    common = dict(tol=config.tol, max_iter=config.max_iter, seed=config.seed)
+    common = dict(max_iter=config.max_iter, seed=config.seed)
     return QuantizerSet(
         coeff=gla_train(rhos, config.coeff_size, **common),
         residual=gla_train(residuals, config.residual_size, **common),

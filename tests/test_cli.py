@@ -3,6 +3,7 @@ import json
 import struct
 import warnings
 
+import numpy as np
 import pytest
 
 from hoacodec import pipeline, sideinfo
@@ -165,8 +166,8 @@ def test_runtime_errors_exit_2(workspace):
 
 
 def test_bad_parameters_exit_2_with_one_line(workspace, tmp_path, capsys):
-    """Bad band counts, scene parameters, scene recipes and training
-    settings end in one error line, not a traceback."""
+    """Bad scene parameters, scene recipes and training settings, and WAV
+    files with no samples, end in one error line, not a traceback."""
     recipes = {
         "unknown_key.json": json.dumps({"duration": 0.1, "tempo": 3}),
         "unknown_source_key.json": json.dumps({"duration": 0.1, "sources": [{"kind": "tone", "pitch": 3}]}),
@@ -182,8 +183,12 @@ def test_bad_parameters_exit_2_with_one_line(workspace, tmp_path, capsys):
     out = str(tmp_path / "scenes")
     train = ["train-quantizers", str(workspace / "corpus"), "--out", str(tmp_path / "cb"), "--frame", "256"]
     too_high = str(read_hoa_wav(_wav(workspace)).num_channels + 1)
+    empty = tmp_path / "empty" / "empty.wav"
+    empty.parent.mkdir()
+    write_hoa_wav(HoaSignal(48000, 1, np.zeros((0, 4))), empty)
     cases = [
-        ["analyze", str(_wav(workspace)), "--frame", "256", "--bands", "0"],
+        ["analyze", str(empty), "--frame", "256"],
+        ["compare", "--corpus", str(empty.parent), "--frame", "256", "--bypass"],
         ["synth", "--out", out, "--duration", "-1"],
         ["synth", "--out", out, "--sample-rate", "0"],
         ["synth", "--out", out, "--order", "-1"],
@@ -198,6 +203,17 @@ def test_bad_parameters_exit_2_with_one_line(workspace, tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_band_count_and_rd_lambda_options_are_usage_errors(workspace):
+    """The format fixes the band count (4) and the RD lambda (1e-4); no
+    command sets either."""
+    wav, out = str(_wav(workspace)), workspace / "b.bs"
+    assert main(["encode", "--bands", "4", wav, str(out)]) == 1
+    assert main(["encode", "--rd-lambda", "0.1", wav, str(out)]) == 1
+    assert main(["compare", "--corpus", str(workspace / "corpus"), "--bands", "4"]) == 1
+    assert main(["analyze", wav, "--bands", "4"]) == 1
+    assert not out.exists()
 
 
 def test_huffman_table_option_is_a_usage_error(workspace):

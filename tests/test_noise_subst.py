@@ -256,6 +256,23 @@ def test_energy_quantizer_matches_scalar_reference(rng):
     assert [quantize_energy(float(e)) for e in energies] == expected
 
 
+def test_energies_gather_equals_per_call_dequantization(rng):
+    """NoiseGroupInfo.energies gathers from a 64-entry table; each entry is
+    bit for bit what dequantize_energy gives for that index alone, in a
+    whole set and in any subset, with 0 wherever a group is inactive.  (A
+    0-d index takes numpy's scalar power, which can differ in the last bit;
+    energies never dequantized one.)"""
+    table = NoiseGroupInfo(np.ones(64, dtype=bool), np.arange(64, dtype=np.uint8)).energies()
+    assert [dequantize_energy([i])[0] for i in range(64)] == table.tolist()
+    assert dequantize_energy(np.arange(64)).tolist() == table.tolist()
+    for _ in range(2000):
+        active = rng.random(NUM_GROUPS) < 0.5
+        indices = rng.integers(0, 64, NUM_GROUPS).astype(np.uint8)
+        expected = np.zeros(NUM_GROUPS)
+        expected[active] = dequantize_energy(indices[active])
+        assert NoiseGroupInfo(active, indices).energies().tolist() == expected.tolist()
+
+
 def _reference_flatness(discarded, groups):
     """Per group, one (bins, C) block at a time: channel-averaged flatness
     and mean power."""

@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -204,7 +205,6 @@ def test_config_validation(small_quantizers_module):
         (dict(seed=-1), 3, "seed"),
         (dict(seed=2**64 + 5), 3, "seed"),
         (dict(half_length=2**32), 3, "half length"),
-        (dict(bands=256), 3, "bands"),
         (dict(rank=256), 15, "rank"),  # M=256: the rank is in range but not 8 bits wide
         (dict(background_order=256), 15, "background order"),
     ):
@@ -221,11 +221,9 @@ def test_config_validation(small_quantizers_module):
 
 @pytest.mark.parametrize("codec", ["baseline", "proposed"])
 def test_operating_point_is_checked_up_front(codec, monkeypatch):
-    """An MNMR that is not a positive finite ratio, or an RD lambda that is
-    not finite and >= 0, is refused before any frame is analysed; the
-    decoder refuses a header carrying one."""
-    import struct
-
+    """An MNMR that is not a positive finite ratio is refused before any
+    frame is analysed; the decoder refuses a header carrying one, or an RD
+    lambda other than the format's."""
     from hoacodec import transform
 
     sig = HoaSignal(48000, 1, np.random.default_rng(3).uniform(-0.5, 0.5, (1024, 4)))
@@ -239,9 +237,10 @@ def test_operating_point_is_checked_up_front(codec, monkeypatch):
         (dict(rd_lambda=float("nan")), "RD lambda"), (dict(rd_lambda=float("inf")), "RD lambda"),
         (dict(rd_lambda=-1e-12), "RD lambda"),
     ):
-        bad = pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True, **kw)
-        with pytest.raises(ConfigurationError, match=match):
-            pipeline.encode(sig, bad)
+        if "mnmr" in kw:
+            bad = pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True, **kw)
+            with pytest.raises(ConfigurationError, match=match):
+                pipeline.encode(sig, bad)
         offset = 40 if "mnmr" in kw else 48  # the header's two f64 fields
         edited = bytearray(stream)
         edited[offset : offset + 8] = struct.pack(">d", *kw.values())
@@ -250,8 +249,8 @@ def test_operating_point_is_checked_up_front(codec, monkeypatch):
                 parse(bytes(edited))
     assert not analysed
     monkeypatch.undo()
-    # the edges that stay valid: any positive ratio, and lambda 0
-    for kw in (dict(mnmr=1e-3), dict(mnmr=1e6), dict(rd_lambda=0.0)):
+    # the edges that stay valid: any positive ratio
+    for kw in (dict(mnmr=1e-3), dict(mnmr=1e6)):
         ok = pipeline.EncoderConfig(codec=codec, half_length=256, bypass_quantization=True, **kw)
         assert pipeline.decode(pipeline.encode(sig, ok).stream).stats.frames
 
@@ -289,7 +288,8 @@ def test_measure_stream_checks_fingerprints(encoded, small_quantizers_module):
 _HEADER_FIELDS = {
     "version": (4, 2), "codec_id": (6, 1), "flags": (7, 1), "sample_rate": (8, 4), "order": (12, 1),
     "half_length": (13, 4), "rank": (17, 1), "bands": (18, 1), "background_order": (19, 1),
-    "original_length": (28, 8), "frame_count": (36, 4), "table_fingerprint": (60, 4), "group_table_id": (64, 1),
+    "original_length": (28, 8), "frame_count": (36, 4), "rd_lambda": (48, 8), "table_fingerprint": (60, 4),
+    "group_table_id": (64, 1),
 }
 
 
@@ -317,6 +317,10 @@ _HEADER_FIELDS = {
     ("background_order", 4, "background order"),  # order 3
     ("bands", 1, "band count"),
     ("bands", 3, "band count"),  # 256 bins do not split into 3 bands
+    ("bands", 8, "band count 8"),  # 256 bins split into 8 bands of 32, above the rank
+    ("bands", 2, "band count 2"),
+    ("rd_lambda", 0.0, "RD lambda"),
+    ("rd_lambda", 1e-3, "RD lambda"),
     # the 0.4 s scene has 19200 samples in 76 frames at L=256
     ("original_length", 2**62, "frame count"),
     ("original_length", 3 * 19200, "frame count"),
@@ -331,7 +335,7 @@ def test_header_values_the_encoder_never_writes_are_rejected(
         edits["frame_count"] = pipeline.num_frames(19200, value)
     for name, v in edits.items():
         offset, size = _HEADER_FIELDS[name]
-        stream[offset : offset + size] = v.to_bytes(size, "big")
+        stream[offset : offset + size] = struct.pack(">d", v) if isinstance(v, float) else v.to_bytes(size, "big")
     for parse in (pipeline.decode, pipeline.measure_stream):
         with pytest.raises(StreamError, match=match):
             parse(bytes(stream), quantizers=small_quantizers_module)
@@ -813,16 +817,16 @@ def foa_setup():
     return sig, sideinfo.train_quantizers([sig], config)
 
 
-@pytest.mark.parametrize("codec,rank,bg_order,bands", [
-    ("proposed", 2, 0, 4),
-    ("proposed", 3, 1, 8),
-    ("baseline", 1, 1, 4),
-    ("baseline", 4, 0, 4),
+@pytest.mark.parametrize("codec,rank,bg_order", [
+    ("proposed", 2, 0),
+    ("proposed", 3, 1),
+    ("baseline", 1, 1),
+    ("baseline", 4, 0),
 ])
-def test_parameter_matrix_roundtrips(foa_setup, codec, rank, bg_order, bands):
+def test_parameter_matrix_roundtrips(foa_setup, codec, rank, bg_order):
     sig, quant = foa_setup
     cfg = pipeline.EncoderConfig(
-        codec=codec, half_length=256, rank=rank, bands=bands,
+        codec=codec, half_length=256, rank=rank,
         background_order=bg_order, mnmr=1.0, quantizers=quant, seed=9,
     )
     res = pipeline.encode(sig, cfg)
