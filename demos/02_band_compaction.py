@@ -38,4 +38,4 @@ for mode in (freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS):
     dec = freq_svd.band_decompose(freq_svd.band_split(sp, lay), RANK, lay)
     residual = freq_svd.compute_residual(sp, dec)
     share = np.sum(residual**2) / np.sum(sp.coeffs**2)
-    print(f"mode {mode} ({lay.n} band{'s' if lay.n > 1 else ''}): residual keeps {share:.1%} of frame energy")
+    print(f"mode {mode} ({len(lay)} band{'s' if len(lay) > 1 else ''}): residual keeps {share:.1%} of frame energy")

@@ -13,8 +13,8 @@ import numpy as np
 from hoacodec import core_codec, pipeline, scenes, sideinfo
 
 
-def train(magnitude_histogram) -> core_codec.HuffmanTable:
-    """Optimal lengths for a magnitude histogram, then reassigned in
+def train(magnitude_histogram) -> list:
+    """Optimal code lengths for a magnitude histogram, reassigned in
     magnitude order so code length never decreases with magnitude
     (keeps the coarser-step-never-costs-more property exact)."""
     hist = np.maximum(np.asarray(magnitude_histogram, dtype=np.float64), 1.0)
@@ -31,7 +31,7 @@ def train(magnitude_histogram) -> core_codec.HuffmanTable:
             lengths[s] += 1
         heapq.heappush(heap, (w1 + w2, counter, s1 + s2))
         counter += 1
-    return core_codec.HuffmanTable(sorted(lengths))
+    return sorted(lengths)
 
 
 histogram = np.zeros(17)
@@ -65,11 +65,11 @@ try:
 finally:
     core_codec.quantize_mnmr = original
 
-table = train(histogram)
+lengths = train(histogram)
 print("magnitude histogram:", histogram.astype(int).tolist())
-print("trained code lengths:", tuple(table.lengths))
+print("trained code lengths:", tuple(lengths))
 print("frozen default:     ", core_codec.DEFAULT_MAGNITUDE_LENGTHS)
 
 p = histogram / histogram.sum()
 entropy = -np.sum(p[p > 0] * np.log2(p[p > 0]))
-print(f"sample entropy {entropy:.3f} bits, trained table {np.sum(p * table.lengths):.3f} bits/symbol")
+print(f"sample entropy {entropy:.3f} bits, trained code {np.sum(p * lengths):.3f} bits/symbol")

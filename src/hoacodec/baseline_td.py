@@ -52,11 +52,10 @@ class InterpolationWindow:
 
 @dataclass
 class FrameDecomposition:
-    """Foreground components, ambient residual and the basis that split them."""
+    """Foreground components and the ambient residual of one frame."""
 
     foreground: np.ndarray  # (2L, r)
     ambient: np.ndarray  # (2L, M)
-    basis: TruncatedBasis
 
 
 def extract_foreground(X: np.ndarray, basis: TruncatedBasis) -> np.ndarray:
@@ -184,4 +183,4 @@ def decompose_frame(
     approx = np.empty_like(X)
     approx[:L] = np.einsum("lr,lmr->lm", foreground[:L], interpolate_basis(prev, basis, window))
     approx[L:] = foreground[L:] @ basis.vectors.T
-    return FrameDecomposition(foreground=foreground, ambient=X - approx, basis=basis)
+    return FrameDecomposition(foreground=foreground, ambient=X - approx)

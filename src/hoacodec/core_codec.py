@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from hoacodec.bitio import BitReader, BitWriter
-from hoacodec.errors import FormatError, NumericError, ShapeError, StreamError
+from hoacodec.errors import NumericError, ShapeError, StreamError
 from hoacodec.noise_subst import FrequencyGroups, GroupLayout
 
 SF_MIN = -80  # 1.5 dB steps: -120 dB
@@ -106,12 +106,14 @@ _SF_STEPS_34 = _SF_STEPS**0.75
 
 
 def _pow43(q: np.ndarray) -> np.ndarray:
-    small = q < _POW43_LUT.size
-    if small.all():
+    """floor(q)^(4/3) for an array of q >= 0: a table lookup by truncation
+    for the values below the table's size, and pow of the floor for the
+    others."""
+    if not q.size or q.max() < _POW43_LUT.size:
         return _POW43_LUT[q.astype(np.intp)]
-    out = np.where(small, _POW43_LUT[np.minimum(q, _POW43_LUT.size - 1).astype(np.intp)], 0.0)
-    big = ~small
-    out[big] = q[big] ** (4.0 / 3.0)
+    big = q >= _POW43_LUT.size
+    out = np.where(big, 0.0, _POW43_LUT[np.minimum(q, _POW43_LUT.size - 1).astype(np.intp)])
+    out[big] = np.floor(q[big]) ** (4.0 / 3.0)
     return out
 
 
@@ -166,12 +168,7 @@ def _rows_noise(absx, absx34, layout: GroupLayout, bands, first, rows: int) -> n
         err = np.repeat(_SF_STEPS_34[row[:, sel]], width, axis=1)
         np.divide(absx34[take], err, out=err)
         err += _QUANT_MAGIC
-        # every value is >= _QUANT_MAGIC, so truncation is the floor
-        if err.max() < _POW43_LUT.size:
-            err = _POW43_LUT[err.astype(np.intp)]
-        else:
-            np.floor(err, out=err)
-            err = _pow43(err)
+        err = _pow43(err)  # every value is >= _QUANT_MAGIC
         err *= np.repeat(_SF_STEPS[row[:, sel]], width, axis=1)
         err -= absx[take]
         err *= err
@@ -349,50 +346,38 @@ def measure_nmr(
 # Huffman or raw fixed-width, so the payload never exceeds the raw coding.
 # --------------------------------------------------------------------------
 
-class HuffmanTable:
-    """Canonical Huffman code defined entirely by its code lengths."""
-
-    def __init__(self, lengths):
-        lengths = [int(v) for v in lengths]
-        if len(lengths) != _ALPHABET:
-            raise FormatError(f"expected {_ALPHABET} code lengths")
-        if any(l < 1 or l > 32 for l in lengths):
-            raise FormatError("code lengths must be in [1, 32]")
-        # exact in integers: a float sum within 1e-9 of 1 passes over-full
-        # lengths such as 1..14, 15, 15, 32.  A complete code over 17 symbols
-        # is a full binary tree with 17 leaves, so no code exceeds 16 bits.
-        if sum(1 << (32 - l) for l in lengths) != 1 << 32:
-            raise FormatError("code lengths violate the Kraft equality")
-        self.lengths = lengths
-        self.length_array = np.asarray(lengths, dtype=np.int64)
-        self.codes = [0] * _ALPHABET
-        code, prev_len = 0, 0
-        for s in sorted(range(_ALPHABET), key=lambda s: (lengths[s], s)):
-            code <<= lengths[s] - prev_len
-            self.codes[s] = code
-            code, prev_len = code + 1, lengths[s]
-        self.code_array = np.asarray(self.codes, dtype=np.int64)
-        # decode table over the next 17 bits, which hold every code and the
-        # bit after it: the bits a bin spans (code, then the sign of a
-        # nonzero value) and its signed value; an escape, whose excess and
-        # sign follow its code, spans 0 bits and reads ESCAPE_SYMBOL
-        self._advance = np.empty(1 << 17, dtype=np.uint8)
-        self._value = np.empty(1 << 17, dtype=np.int8)
-        for s in range(_ALPHABET):
-            base, span = self.codes[s] << (17 - lengths[s]), 1 << (17 - lengths[s])
-            self._advance[base : base + span] = 0 if s == ESCAPE_SYMBOL else lengths[s] + (s > 0)
-            self._value[base : base + span] = s
-            if 0 < s < ESCAPE_SYMBOL:  # sign bit set
-                self._value[base + span // 2 : base + span] = -s
+# the one code of every stream, as fixed as a standard's codebooks: its code
+# lengths per symbol, frozen from training on the synthetic scene corpus at
+# MNMR targets 0.5..8 (demos/05_retrain_tables.py reproduces them).  They are
+# a complete code (Kraft sum 1), so no code is longer than 16 bits.
+DEFAULT_MAGNITUDE_LENGTHS = (2, 2, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15)
 
 
-# the one table of every stream, as fixed as a standard's codebooks: frozen
-# from training on the synthetic scene corpus at MNMR targets 0.5..8
-# (demos/05_retrain_tables.py reproduces it)
-DEFAULT_MAGNITUDE_LENGTHS = (
-    2, 2, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15,
-)
-HUFFMAN_TABLE = HuffmanTable(DEFAULT_MAGNITUDE_LENGTHS)
+def _canonical_code(lengths: tuple) -> tuple:
+    """The read-only (lengths, codes, advance, value) arrays of the
+    canonical code of ``lengths``: symbols sorted by (length, symbol) take
+    consecutive codes.  ``advance`` and ``value`` decode the next 17 bits,
+    which hold every code and the bit after it: the bits a bin spans (code,
+    then the sign of a nonzero value) and its signed value; an escape, whose
+    excess and sign follow its code, spans 0 bits and reads ESCAPE_SYMBOL."""
+    codes, advance, value = [0] * _ALPHABET, np.empty(1 << 17, np.uint8), np.empty(1 << 17, np.int8)
+    code, length = 0, 0
+    for s in sorted(range(_ALPHABET), key=lambda s: (lengths[s], s)):
+        code <<= lengths[s] - length
+        codes[s], length = code, lengths[s]
+        base, span = code << (17 - length), 1 << (17 - length)
+        advance[base : base + span] = 0 if s == ESCAPE_SYMBOL else length + (s > 0)
+        value[base : base + span] = s
+        if 0 < s < ESCAPE_SYMBOL:  # sign bit set
+            value[base + span // 2 : base + span] = -s
+        code += 1
+    tables = (np.array(lengths, dtype=np.int64), np.array(codes, dtype=np.int64), advance, value)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+_LENGTHS, _CODES, _ADVANCE, _VALUE = _canonical_code(DEFAULT_MAGNITUDE_LENGTHS)
 
 
 def _bit_length(v: np.ndarray) -> np.ndarray:
@@ -414,7 +399,7 @@ def _band_costs(mags: np.ndarray, layout: GroupLayout) -> np.ndarray:
     bins' magnitudes, as a (3, bands) int64 array: per-bin code, sign and
     escape lengths summed per band."""
     offsets, widths, _ = layout
-    per_bin = HUFFMAN_TABLE.length_array[np.minimum(mags, ESCAPE_SYMBOL)] + (mags > 0)
+    per_bin = _LENGTHS[np.minimum(mags, ESCAPE_SYMBOL)] + (mags > 0)
     esc, esc_bits = _escapes(mags)
     per_bin[esc] += 2 * esc_bits - 1  # ue() of the excess
     huff = np.add.reduceat(per_bin, offsets[:-1])
@@ -474,15 +459,15 @@ def entropy_encode_channel(
     bin_raw = np.repeat(raw, widths)
     bin_width = np.repeat(width, widths)
     bins = np.empty((q.size, 2), dtype=np.int64)  # (value, length)
-    bins[:, 0] = np.where(bin_raw, neg << bin_width | mags, HUFFMAN_TABLE.code_array[sym] << nonzero | neg)
-    bins[:, 1] = np.where(bin_raw, bin_width + 1, HUFFMAN_TABLE.length_array[sym] + nonzero)
+    bins[:, 0] = np.where(bin_raw, neg << bin_width | mags, _CODES[sym] << nonzero | neg)
+    bins[:, 1] = np.where(bin_raw, bin_width + 1, _LENGTHS[sym] + nonzero)
     bins[np.repeat(zero, widths)] = 0
     # an escape's bin field is its code alone; its ue() prefix, ue() value
     # and sign are inserted after it, before the next band's header
     esc, esc_bits = _escapes(mags)
     huffman = np.repeat(~zero & ~raw, widths)[esc]
     esc, esc_bits = esc[huffman], esc_bits[huffman]
-    bins[esc] = HUFFMAN_TABLE.codes[ESCAPE_SYMBOL], HUFFMAN_TABLE.lengths[ESCAPE_SYMBOL]
+    bins[esc] = _CODES[ESCAPE_SYMBOL], _LENGTHS[ESCAPE_SYMBOL]
     extra = np.column_stack([
         np.zeros_like(esc), esc_bits - 1, mags[esc] - (ESCAPE_SYMBOL - 1), esc_bits, neg[esc], np.ones_like(esc),
     ]).reshape(-1, 2)
@@ -511,7 +496,7 @@ _ESCAPE_SPAN = 130  # the longest escape excess: ue() of 64 zeros, 65 bits, then
 # longest bin (the escape code, then the longest excess and sign): no block
 # of channels is longer than its bands and bins at these lengths
 _MAX_HEAD_BITS = 16
-_MAX_BIN_BITS = max(HUFFMAN_TABLE.lengths) + _ESCAPE_SPAN
+_MAX_BIN_BITS = max(DEFAULT_MAGNITUDE_LENGTHS) + _ESCAPE_SPAN
 _LEVELS = 4  # doubling levels: jumps of 1, 2, 4 and 8 bins
 _TOP = 1 << (_LEVELS - 1)
 # entries per gather of a doubling level: np.take copies its int32 index to
@@ -539,7 +524,7 @@ def _bin_chain(data: bytes, start: int) -> tuple:
     window = words[:, None] >> np.arange(15, 7, -1, dtype=np.uint32)
     window &= 0x1FFFF
     window = window.ravel()[start & 7 :]
-    advance = HUFFMAN_TABLE._advance[window[:n]]
+    advance = _ADVANCE[window[:n]]
     dead = n + 1
     nxt = np.arange(n + 2, dtype=np.int32)  # a payload holds under 2**31 bits
     nxt[:n] += advance
@@ -552,7 +537,7 @@ def _bin_chain(data: bytes, start: int) -> tuple:
     escapes = np.flatnonzero(advance == 0)
     values, errors = np.zeros(escapes.size, dtype=np.int64), {}
     if escapes.size:
-        at = start + escapes + HUFFMAN_TABLE.lengths[ESCAPE_SYMBOL]
+        at = start + escapes + DEFAULT_MAGNITUDE_LENGTHS[ESCAPE_SYMBOL]
         zeros = 64 - _bit_length(_words(padded, at))
         word = _words(padded, at + zeros)
         z = np.minimum(zeros, 62).astype(np.uint64)
@@ -710,7 +695,7 @@ def entropy_decode_channel(
     at[: heads.size] = np.where(zero | raw, dead, heads + 10)
     for k, lo, hi, src in plan.steps:
         np.take(levels[k], np.take(at, src), out=at[lo:hi], mode="wrap")
-    values = HUFFMAN_TABLE._value[window[at]].astype(np.int64)
+    values = _VALUE[window[at]].astype(np.int64)
     escaped = np.flatnonzero(values == ESCAPE_SYMBOL)
     values[escaped] = escape_values[np.searchsorted(escapes, at[escaped])]
     if raw.any():

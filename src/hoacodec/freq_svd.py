@@ -24,61 +24,37 @@ MODE_FOUR_BANDS = 1
 BANDS = 4  # band count of MODE_FOUR_BANDS, fixed by the stream format
 
 
-@dataclass(frozen=True)
-class BandLayout:
-    """Contiguous low-to-high partition of the L MDCT bins."""
-
-    lengths: tuple
-
-    def __post_init__(self):
-        if any(l <= 0 for l in self.lengths):
-            raise ShapeError("band lengths must be positive")
-
-    @property
-    def n(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def total(self) -> int:
-        return sum(self.lengths)
-
-    @property
-    def edges(self) -> list:
-        """(start, stop) bin range per band."""
-        stops = np.cumsum(self.lengths)
-        starts = np.concatenate([[0], stops[:-1]])
-        return list(zip(starts.tolist(), stops.tolist()))
-
-
-def layout_for_mode(mode: int, num_bins: int) -> BandLayout:
-    """Band layout of the two per-frame coding modes: 1 band or
-    :data:`BANDS` uniform bands."""
+def layout_for_mode(mode: int, num_bins: int) -> tuple:
+    """The (start, stop) bin range of each band of the two per-frame coding
+    modes, low to high: 1 band or :data:`BANDS` uniform bands."""
     if mode == MODE_SINGLE_BAND:
-        return BandLayout(lengths=(num_bins,))
+        return ((0, num_bins),)
     if mode != MODE_FOUR_BANDS:
         raise ShapeError(f"unknown mode {mode}")
     if num_bins % BANDS:
         raise ShapeError(f"{num_bins} bins do not split into {BANDS} uniform bands")
-    return BandLayout(lengths=(num_bins // BANDS,) * BANDS)
+    width = num_bins // BANDS
+    return tuple((b * width, (b + 1) * width) for b in range(BANDS))
 
 
 @dataclass
 class BandDecomposition:
     """Per-band quantized bases and foreground components of one frame."""
 
-    layout: BandLayout
+    layout: tuple  # (start, stop) bin range per band
     bases: list  # of TruncatedBasis, one per band (quantized)
     foregrounds: list  # of (l_i, r_i) arrays
 
 
-def band_split(spec: SpectralFrame, layout: BandLayout) -> list:
-    """Row-contiguous partition of the L x M coefficient matrix."""
+def band_split(spec: SpectralFrame, layout: tuple) -> list:
+    """Row-contiguous partition of the L x M coefficient matrix by the
+    (start, stop) ranges of ``layout``, which must tile its rows low to
+    high, none empty."""
     S = spec.coeffs
-    if layout.total != S.shape[0]:
-        raise ShapeError(
-            f"layout covers {layout.total} bins, frame has {S.shape[0]}"
-        )
-    return [S[a:b] for a, b in layout.edges]
+    stops = [0] + [b for _, b in layout]
+    if any(a != stop or b <= a for (a, b), stop in zip(layout, stops)) or stops[-1] != S.shape[0]:
+        raise ShapeError(f"bands {layout} do not tile the frame's {S.shape[0]} bins, each nonempty")
+    return [S[a:b] for a, b in layout]
 
 
 def mode_bases(spec: SpectralFrame, mode: int, rank: int) -> tuple:
@@ -93,7 +69,7 @@ def mode_bases(spec: SpectralFrame, mode: int, rank: int) -> tuple:
 def band_decompose(
     bands: list,
     rank: int,
-    layout: BandLayout,
+    layout: tuple,
     bases: list | None = None,
 ) -> BandDecomposition:
     """Per-band SVD, truncation to ``rank`` columns, and projection.
@@ -139,7 +115,7 @@ def compute_residual(spec: SpectralFrame, dec: BandDecomposition) -> np.ndarray:
     return spec.coeffs - approx
 
 
-def compaction_gain(spec: SpectralFrame, rank: int, layout: BandLayout):
+def compaction_gain(spec: SpectralFrame, rank: int, layout: tuple):
     """Energy captured by a global rank-r SVD vs per-band rank-r SVDs.
 
     Returns (energy_global, energy_banded); the banded value can never be

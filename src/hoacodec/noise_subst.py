@@ -81,9 +81,6 @@ class FrequencyGroups:
     def edges(self) -> list:
         return list(zip(self.offsets, self.offsets[1:]))
 
-    def widths(self) -> np.ndarray:
-        return np.diff(np.asarray(self.offsets))
-
     @functools.lru_cache(maxsize=16)
     def layout(self, channels: int = 1) -> GroupLayout:
         """Index arrays for work done on all groups of one width at once,

@@ -22,6 +22,7 @@ from hoacodec.errors import FormatError, NumericError, ShapeError, TrainingError
 _CODEBOOK_MAGIC = b"HACB"
 _CODEBOOK_VERSION = 1
 _FLAG_DEGENERATE = 1
+_GLA_TOL = 1e-6  # Lloyd iteration stops below this relative distortion improvement
 # quantize_nearest keeps the centroids within _NEAREST_ROUNDING * (dim + 4) *
 # (max ||c|| + ||x||)^2 of a row's least prefilter value: at least four times
 # the 2 * (dim + 2) * eps of that square that the rounding of the prefilter and
@@ -194,14 +195,13 @@ def _assign(training: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray):
 def gla_train(
     training,
     size: int,
-    tol: float = 1e-6,
     max_iter: int = 200,
     seed: int = 0,
 ) -> Codebook:
     """Generalized Lloyd training of a ``size``-entry codebook.
 
     Alternates nearest-centroid partition and centroid-mean updates until
-    the relative distortion improvement drops below ``tol``.  Empty cells
+    the relative distortion improvement drops below ``_GLA_TOL``.  Empty cells
     are reseeded with the training vector farthest from its current
     centroid.  Deterministic for a fixed seed.
     """
@@ -248,7 +248,7 @@ def gla_train(
             ends = np.cumsum(counts)
             for k in filled:
                 centroids[k] = grouped[ends[k] - counts[k] : ends[k]].mean(axis=0)
-        if np.isfinite(prev) and prev - step <= tol * max(prev, np.finfo(float).tiny):
+        if np.isfinite(prev) and prev - step <= _GLA_TOL * max(prev, _TINY):
             break
         prev = step
     return Codebook(centroids=centroids, seed=seed, degenerate=degenerate, history=history)

@@ -274,8 +274,8 @@ class StreamHeader:
 
 
 # the header's table fingerprint, the CRC-32 of the code lengths of the one
-# Huffman table every stream is coded with
-_TABLE_FINGERPRINT = zlib.crc32(bytes(core_codec.HUFFMAN_TABLE.lengths))
+# Huffman code every stream is coded with
+_TABLE_FINGERPRINT = zlib.crc32(bytes(core_codec.DEFAULT_MAGNITUDE_LENGTHS))
 
 
 # the header after magic and version: (StreamHeader field, bits) in stream
@@ -436,7 +436,7 @@ class _Trial(NamedTuple):
     channels: np.ndarray  # (L, C): the r foreground tracks, then the background
     state: sideinfo.SideInfoState | None = None  # the side-info state after it
     bases: list | None = None  # per band, the (M, r) basis (proposed RD pick)
-    layout: freq_svd.BandLayout | None = None
+    layout: tuple | None = None  # per band, its (start, stop) bin range
 
 
 def _check_energy(index: int, spectrum: np.ndarray) -> None:
@@ -632,10 +632,10 @@ def _walk(header: StreamHeader, groups: FrequencyGroups, stream: bytes, frames, 
     that fails its CRC or does not parse (padding of 8 bits or more, or with a
     set bit, and a raw value out of range included) yields stats concealed
     with the reason ("crc" or the parse error) and None.  The baseline has
-    one band per mode.  Without ``reconstruct`` every field is read and
-    checked alike, but the quantized bases and components are left None."""
+    mode 0 alone, with one band.  Without ``reconstruct`` every field is read
+    and checked alike, but the quantized bases and components are left None."""
     rank = header.rank
-    ranks = {0: [rank], 1: [rank] * (freq_svd.BANDS if header.codec_id == CODEC_PROPOSED else 1)}
+    ranks = {0: [rank], 1: [rank] * freq_svd.BANDS} if header.codec_id == CODEC_PROPOSED else {0: [rank]}
     q = None if header.bypass else quantizers
     count = rank + (header.background_order + 1) ** 2
     state = sideinfo.SideInfoState()
@@ -738,7 +738,7 @@ def _proposed_spectrum(decoded: np.ndarray, bases: list, layout) -> np.ndarray:
     # the encoder's RD trials and the decoder must agree bit for bit, so
     # both back-project C-contiguous foregrounds (freq_svd.back_project)
     fg = np.ascontiguousarray(decoded[:, :rank])
-    S = freq_svd.back_project([fg[a:b] for a, b in layout.edges], bases)
+    S = freq_svd.back_project([fg[a:b] for a, b in layout], bases)
     S[:, : decoded.shape[1] - rank] += decoded[:, rank:]
     return S
 

@@ -368,10 +368,12 @@ def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=N
     Encodes ``coded`` (the frame's :class:`_Code`, or in bypass its raw
     (M, r) bases) when it is given, else decodes, rebuilding the quantized
     bases only when ``rebuild`` is set (else they are None).  ``q`` None is
-    bypass: each basis is ``channels`` x r raw float64.  Advances
-    ``state``."""
+    bypass: each basis is ``channels`` x r raw float64.  A mode that
+    ``ranks`` lacks is a :class:`StreamError`.  Advances ``state``."""
     start = f.position
     mode = f.uint("mode", 2, mode)
+    if mode not in ranks:
+        raise StreamError(f"mode {mode} is not a mode of this codec")
     info = SideInfoFrame(mode=mode, switched=state.prev_mode is not None and state.prev_mode != mode)
     if q is None:
         bases = [f.floats((channels, r), None if coded is None else coded[band]) for band, r in enumerate(ranks[mode])]
@@ -432,12 +434,13 @@ def decode_sideinfo(
 ) -> tuple:
     """Read what :func:`encode_sideinfo` writes.
 
-    ``ranks``: per mode, the per-band column counts; ``channels``: the row
-    count of bypass bases (``q`` None).  With ``rebuild`` False the fields
-    are read and checked but the quantized bases are not rebuilt: the
-    returned bases are None, and so is ``state.prev_bases``.  Raises
-    :class:`StreamError` on a truncated or out-of-range field, a bypass
-    basis value included.
+    ``ranks``: per mode of the codec, the per-band column counts;
+    ``channels``: the row count of bypass bases (``q`` None).  With
+    ``rebuild`` False the fields are read and checked but the quantized
+    bases are not rebuilt: the returned bases are None, and so is
+    ``state.prev_bases``.  Raises
+    :class:`StreamError` on a truncated or out-of-range field, a mode
+    missing from ``ranks`` and a bypass basis value included.
     """
     return _side_info(_Fields(reader), q, state, ranks, channels=channels, rebuild=rebuild)
 

@@ -21,39 +21,31 @@ from hoacodec.errors import ShapeError
 from hoacodec.hoa_io import TimeFrame, segment_frames
 
 
-@dataclass
-class AnalysisWindow:
-    """A 2L-sample window satisfying the Princen-Bradley condition."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size % 2:
-            raise ShapeError("window must be a 1-D array of even length")
-
-    @property
-    def half_length(self) -> int:
-        return self.values.size // 2
-
-    def validate(self, tol: float = 1e-12) -> None:
-        """Raise if the window is asymmetric or violates Princen-Bradley."""
-        w = self.values
-        L = self.half_length
-        if np.max(np.abs(w - w[::-1])) > tol:
-            raise ShapeError("window is not symmetric")
-        pb = w[:L] ** 2 + w[L:] ** 2
-        if np.max(np.abs(pb - 1.0)) > tol:
-            raise ShapeError("window violates the Princen-Bradley condition")
+def _half_length(window: np.ndarray) -> int:
+    """L of a 2L-sample window; it must be a 1-D array of even length."""
+    if window.ndim != 1 or window.size % 2:
+        raise ShapeError("window must be a 1-D array of even length")
+    return window.size // 2
 
 
-def sine_window(half_length: int) -> AnalysisWindow:
-    """w(l) = sin[(pi/2L)(l + 1/2)], the common MDCT default; the MDCT's
-    folding needs an even half length of at least 2."""
+def check_window(window: np.ndarray, tol: float = 1e-12) -> None:
+    """Raise if the window is asymmetric or violates Princen-Bradley."""
+    L = _half_length(window)
+    if np.max(np.abs(window - window[::-1])) > tol:
+        raise ShapeError("window is not symmetric")
+    pb = window[:L] ** 2 + window[L:] ** 2
+    if np.max(np.abs(pb - 1.0)) > tol:
+        raise ShapeError("window violates the Princen-Bradley condition")
+
+
+def sine_window(half_length: int) -> np.ndarray:
+    """w(l) = sin[(pi/2L)(l + 1/2)], the common MDCT default, as a read-only
+    (2L,) array; the MDCT's folding needs an even half length of at least 2."""
     if half_length < 2 or half_length % 2:
         raise ShapeError(f"half length {half_length} is not an even number of at least 2")
-    l = np.arange(2 * half_length)
-    return AnalysisWindow(np.sin(np.pi / (2 * half_length) * (l + 0.5)))
+    window = np.sin(np.pi / (2 * half_length) * (np.arange(2 * half_length) + 0.5))
+    window.setflags(write=False)
+    return window
 
 
 @dataclass
@@ -73,25 +65,26 @@ def _dct4(u: np.ndarray) -> np.ndarray:
     return 0.5 * scipy.fft.dct(u, type=4, axis=0)
 
 
-def mdct_forward(frame: TimeFrame, window: AnalysisWindow) -> SpectralFrame:
-    """Window a 2L x M frame and return its L x M MDCT coefficients."""
+def mdct_forward(frame: TimeFrame, window: np.ndarray) -> SpectralFrame:
+    """Window a 2L x M frame by the (2L,) ``window`` and return its L x M
+    MDCT coefficients."""
     x = frame.samples
-    L = window.half_length
+    L = _half_length(window)
     if x.ndim != 2 or x.shape[0] != 2 * L:
         raise ShapeError(
             f"frame has {x.shape[0] if x.ndim == 2 else x.ndim} rows, expected {2 * L}"
         )
-    z = window.values[:, None] * x
+    z = window[:, None] * x
     h = L // 2
     a, b, c, d = z[:h], z[h:L], z[L : L + h], z[L + h :]
     folded = np.concatenate([-c[::-1] - d, a - b[::-1]], axis=0)
     return SpectralFrame(index=frame.index, coeffs=_dct4(folded))
 
 
-def mdct_inverse(spec: SpectralFrame, window: AnalysisWindow) -> np.ndarray:
+def mdct_inverse(spec: SpectralFrame, window: np.ndarray) -> np.ndarray:
     """Inverse MDCT plus synthesis windowing; returns a 2L x M block."""
     X = spec.coeffs
-    L = window.half_length
+    L = _half_length(window)
     if X.ndim != 2 or X.shape[0] != L:
         raise ShapeError(
             f"spectrum has {X.shape[0] if X.ndim == 2 else X.ndim} rows, expected {L}"
@@ -102,10 +95,10 @@ def mdct_inverse(spec: SpectralFrame, window: AnalysisWindow) -> np.ndarray:
     y[:h] = t[h:]
     y[h : L + h] = -t[::-1]
     y[L + h :] = -t[:h]
-    return window.values[:, None] * y
+    return window[:, None] * y
 
 
-def analyze(signal_samples: np.ndarray, half_length: int, window: AnalysisWindow | None = None):
+def analyze(signal_samples: np.ndarray, half_length: int, window: np.ndarray | None = None):
     """MDCT-transform a (length, channels) array; returns (frames, window).
 
     Convenience wrapper chaining :func:`hoa_io.segment_frames` and the
@@ -117,14 +110,14 @@ def analyze(signal_samples: np.ndarray, half_length: int, window: AnalysisWindow
     return [mdct_forward(fr, window) for fr in segment_frames(signal_samples, half_length)], window
 
 
-def overlap_add(spectra, window: AnalysisWindow):
+def overlap_add(spectra, window: np.ndarray):
     """Inverse-MDCT each spectrum as it arrives and overlap-add the blocks at
     hop L: block f lands on samples [fL, fL + 2L) of the padded timeline
     (:func:`hoa_io.pad_signal`).  Right after block f this yields samples
     [fL, fL + L), which no later block reaches, and after the last of F
     blocks the tail [FL, FL + L).  Each sample is the sum of its blocks in
     frame order, added onto 0.0."""
-    L = window.half_length
+    L = _half_length(window)
     pending = None  # the 2L samples the next block lands on
     for f, sp in enumerate(spectra):
         block = mdct_inverse(sp, window)
@@ -140,7 +133,7 @@ def overlap_add(spectra, window: AnalysisWindow):
         yield pending[:L]
 
 
-def synthesize(spectra, window: AnalysisWindow, original_length: int) -> np.ndarray:
+def synthesize(spectra, window: np.ndarray, original_length: int) -> np.ndarray:
     """Inverse of :func:`analyze` for any iterable of spectra: the samples
     :func:`overlap_add` yields after the head padding, the first
     ``original_length`` of them, or all F*L of F spectra if that is fewer."""

@@ -169,11 +169,12 @@ def test_complete_basis_leaves_no_ambient(rng):
 
 def test_ambient_is_frame_minus_approximation(rng):
     X = rng.standard_normal((64, 9))
-    res = decompose_frame(X, truncated_basis(X, 2), None, InterpolationWindow.make(32))
+    basis = truncated_basis(X, 2)
+    res = decompose_frame(X, basis, None, InterpolationWindow.make(32))
     L = 32
     approx = X - res.ambient
     # trailing half must be the frame-basis back-projection exactly
-    V = res.basis.vectors
+    V = basis.vectors
     assert np.allclose(approx[L:], res.foreground[L:] @ V.T, atol=1e-12)
 
 
@@ -184,8 +185,10 @@ def test_state_chain_matches_and_aligns(rng):
     X2 = -X1  # same subspace, flipped sign
     _, _, aligned = match_bases(first, truncated_basis(X2, 2, 1))
     res = decompose_frame(X2, aligned, first, w)
-    dots = np.einsum("mi,mi->i", first.vectors, res.basis.vectors)
+    dots = np.einsum("mi,mi->i", first.vectors, aligned.vectors)
     assert np.all(dots >= -1e-12)
+    # aligned bases blend without cancelling, so the source stays foreground
+    assert np.sum(res.ambient**2) < 1e-18 * np.sum(X2**2)
 
 
 def test_truncated_basis_columns_are_top_singular_vectors(rng):

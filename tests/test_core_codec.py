@@ -12,15 +12,17 @@ from hoacodec.core_codec import (
     ESCAPE_SYMBOL,
     SF_MAX,
     SF_MIN,
-    HUFFMAN_TABLE,
     CodedChannel,
-    HuffmanTable,
+    _ADVANCE,
     _BOUND_ROWS,
     _CHUNKS,
+    _CODES,
+    _LENGTHS,
     _QUANT_MAGIC,
     _SF_COUNT,
     _SF_STEPS,
     _SF_STEPS_34,
+    _VALUE,
     _ZERO_BELOW_34,
     _bit_length,
     _first_nonzero_row,
@@ -37,8 +39,11 @@ from hoacodec.core_codec import (
     measure_nmr,
     quantize_mnmr,
 )
-from hoacodec.errors import FormatError, ShapeError, StreamError
+from hoacodec.errors import ShapeError, StreamError
 from hoacodec.noise_subst import FrequencyGroups, groups_for
+
+# the frozen code as Python ints, for BitWriter.write
+CODES, LENGTHS = _CODES.tolist(), _LENGTHS.tolist()
 
 
 @pytest.fixture
@@ -222,27 +227,36 @@ def test_escape_values_roundtrip(groups):
 # --- tables ---
 
 def test_frozen_lengths_are_complete_and_monotone():
-    """The frozen code is complete (the Kraft sum is exactly 1), and no
-    magnitude has a shorter code than a smaller one, so a coarser step
-    never costs more bits."""
+    """The frozen code is complete (the Kraft sum is exactly 1, in
+    integers), so no code is longer than 16 bits, the premise of the 17-bit
+    decode window; and no magnitude has a shorter code than a smaller one,
+    so a coarser step never costs more bits."""
     lengths = DEFAULT_MAGNITUDE_LENGTHS
     assert len(lengths) == ESCAPE_SYMBOL + 1
-    assert sum(1 << (32 - l) for l in lengths) == 1 << 32
+    assert all(1 <= l <= 16 for l in lengths)
+    assert sum(1 << (16 - l) for l in lengths) == 1 << 16
     assert all(a <= b for a, b in zip(lengths, lengths[1:]))
-    assert HUFFMAN_TABLE.lengths == list(lengths)
+    assert LENGTHS == list(lengths)
 
 
-def test_table_constructor_checks():
-    with pytest.raises(FormatError, match="17 code lengths"):
-        HuffmanTable([2] * 16)
-    for bad in (0, 33):
-        with pytest.raises(FormatError, match=r"\[1, 32\]"):
-            HuffmanTable([bad] + [2] * 16)
-    with pytest.raises(FormatError):
-        HuffmanTable([1] * 17)  # Kraft violation
-    with pytest.raises(FormatError, match="Kraft"):
-        # over-full by 2^-32: its 17th code would need 33 bits
-        HuffmanTable(list(range(1, 15)) + [15, 15, 32])
+def test_canonical_code_tables():
+    """Codes are assigned in (length, symbol) order, each the previous plus
+    one, shifted to its length; the 17-bit decode tables give each code's
+    span (code and sign bit; 0 for the escape) and signed value, and the
+    four arrays are read-only."""
+    order = sorted(range(ESCAPE_SYMBOL + 1), key=lambda s: (LENGTHS[s], s))
+    assert CODES[order[0]] == 0
+    for prev, s in zip(order, order[1:]):
+        assert CODES[s] == (CODES[prev] + 1) << (LENGTHS[s] - LENGTHS[prev])
+    for s in range(ESCAPE_SYMBOL + 1):
+        base = CODES[s] << (17 - LENGTHS[s])
+        half = 1 << (16 - LENGTHS[s])  # the sign bit follows the code
+        span = 0 if s == ESCAPE_SYMBOL else LENGTHS[s] + (s > 0)
+        assert _ADVANCE[base] == _ADVANCE[base + 2 * half - 1] == span
+        assert _VALUE[base] == s
+        assert _VALUE[base + half] == (-s if 0 < s < ESCAPE_SYMBOL else s)
+    for table in (_LENGTHS, _CODES, _ADVANCE, _VALUE):
+        assert not table.flags.writeable
 
 
 def test_one_dimensional_arrays_are_refused(groups):
@@ -293,8 +307,7 @@ def _reference_decode(reader, groups, channels):
 
 def _reference_decode_one(reader, groups):
     """One channel's (zero_band, scalefactors, quant_indices)."""
-    table = HUFFMAN_TABLE
-    codes = {(table.lengths[s], table.codes[s]): s for s in range(ESCAPE_SYMBOL + 1)}
+    codes = {(LENGTHS[s], CODES[s]): s for s in range(ESCAPE_SYMBOL + 1)}
     nb = len(groups.edges)
     zero_band = np.zeros(nb, dtype=bool)
     scalefactors = np.zeros(nb, dtype=np.int64)
@@ -401,7 +414,7 @@ def test_channel_decoder_matches_reference(channel, lead, trail, rnd):
 
     got = _outcome(entropy_decode_channel, data, lead, groups)
     assert got == _outcome(_reference_decode, data, lead, groups)
-    expected = np.where(np.repeat(coded.zero_band, groups.widths(), axis=0), 0, coded.quant_indices)
+    expected = np.where(np.repeat(coded.zero_band, groups.layout().widths, axis=0), 0, coded.quant_indices)
     assert got[3] == expected.tolist()
     _same_parse(data, lead, groups)
     for cut in range(len(data)):  # every truncation: the reference's result or StreamError
@@ -425,12 +438,11 @@ def test_channel_decoder_on_random_bytes(data, lead, num_bins):
 
 
 def test_escape_beyond_int64_is_a_stream_error():
-    table = HUFFMAN_TABLE
     w = BitWriter()
     w.write(0, 1)  # coded band
     w.write(-SF_MIN, 8)
     w.write(0, 1)  # Huffman mode
-    w.write(table.codes[ESCAPE_SYMBOL], table.lengths[ESCAPE_SYMBOL])
+    w.write(CODES[ESCAPE_SYMBOL], LENGTHS[ESCAPE_SYMBOL])
     w.write(0, 64)  # ue() with 64 leading zeros: an excess of 2**64 - 1
     w.write(1, 1)
     w.write(0, 64)
@@ -475,7 +487,7 @@ def test_escape_excess_at_every_read_length(zeros, lead):
     info, negative = rnd.getrandbits(zeros), rnd.random() < 0.5
     w = BitWriter()
     w.write(rnd.getrandbits(lead), lead)
-    for value, length in [(0, 1), (-SF_MIN, 8), (0, 1), (HUFFMAN_TABLE.codes[ESCAPE_SYMBOL], 15),
+    for value, length in [(0, 1), (-SF_MIN, 8), (0, 1), (CODES[ESCAPE_SYMBOL], 15),
                           (0, zeros), (1, 1), (info, zeros), (int(negative), 1), ((1 << 48) - 1, 48)]:
         w.write(value, length)
     data = w.getvalue()
@@ -536,7 +548,7 @@ def test_channel_decoder_matches_reference_at_real_band_widths(channel, lead, tr
 
     got = _outcome(entropy_decode_channel, data, lead, groups, count)
     assert got == _outcome(_reference_decode, data, lead, groups, count)
-    expected = np.where(np.repeat(coded.zero_band, groups.widths(), axis=0), 0, coded.quant_indices)
+    expected = np.where(np.repeat(coded.zero_band, groups.layout().widths, axis=0), 0, coded.quant_indices)
     assert got[3] == expected.tolist()
     _same_parse(data, lead, groups, count)
     # a spread of truncations: the reference's result or StreamError
@@ -567,14 +579,14 @@ def _escape_fields(magnitude, negative=False):
     """The fields of an escaped bin: code, ue() of the excess, sign."""
     v = magnitude - ESCAPE_SYMBOL + 1
     size = v.bit_length()
-    escape = (HUFFMAN_TABLE.codes[ESCAPE_SYMBOL], HUFFMAN_TABLE.lengths[ESCAPE_SYMBOL])
+    escape = (CODES[ESCAPE_SYMBOL], LENGTHS[ESCAPE_SYMBOL])
     return [escape, (0, size - 1), (v, size), (int(negative), 1)]
 
 
 def test_escape_beyond_int64_in_the_last_bin_of_the_widest_band():
-    zeros = [(HUFFMAN_TABLE.codes[0], HUFFMAN_TABLE.lengths[0])] * 95
+    zeros = [(CODES[0], LENGTHS[0])] * 95
     groups, w = _widest_band_stream(zeros + _escape_fields(1 << 63))
-    assert groups.widths()[-1] == 96
+    assert groups.layout().widths[-1] == 96
     with pytest.raises(StreamError, match="out of range"):
         entropy_decode_channel(BitReader(w.getvalue()), groups, 1)
     # the largest magnitude that fits
@@ -584,7 +596,7 @@ def test_escape_beyond_int64_in_the_last_bin_of_the_widest_band():
 
 
 def test_cut_inside_a_wide_huffman_band_is_exhausted():
-    one = (HUFFMAN_TABLE.codes[1] << 1, HUFFMAN_TABLE.lengths[1] + 1)  # +1
+    one = (CODES[1] << 1, LENGTHS[1] + 1)  # +1
     groups, w = _widest_band_stream([one] * 96)
     data = w.getvalue()
     assert entropy_decode_channel(BitReader(data), groups, 1).quant_indices[-96:, 0].tolist() == [1] * 96
@@ -656,7 +668,7 @@ def _mixed_block(groups, count, seed):
     costs[:, raw] = np.stack([np.ones(raw.sum()), np.zeros(raw.sum()), width])
     w = BitWriter()
     entropy_encode_channel(coded, costs, groups, w)
-    return w.getvalue(), np.where(np.repeat(kind == 0, groups.widths(), axis=0), 0, values)
+    return w.getvalue(), np.where(np.repeat(kind == 0, groups.layout().widths, axis=0), 0, values)
 
 
 @pytest.mark.parametrize("num_bins", [2048, 4096])
@@ -665,7 +677,7 @@ def test_channel_decoder_matches_reference_at_long_uniform_bands(num_bins, count
     """Bands of 41-42 and 83-84 bins: several top-level hops per band in the
     walk, and several 8-bin chunks placed per band in the value pass."""
     groups = FrequencyGroups.uniform(num_bins)
-    assert 41 <= groups.widths().min() and groups.widths().max() <= 84
+    assert 41 <= groups.layout().widths.min() and groups.layout().widths.max() <= 84
     data, values = _mixed_block(groups, count, seed=num_bins + count)
     got = _outcome(entropy_decode_channel, data, 0, groups, count)
     assert got == _outcome(_reference_decode, data, 0, groups, count)
@@ -753,7 +765,7 @@ def _reference_quantize_mnmr(spectrum, mask, target, groups):
 def _reference_band_costs(values):
     mags = np.abs(values)
     width = max(1, int(np.max(mags, initial=0)).bit_length())
-    huff = int(HUFFMAN_TABLE.length_array[np.minimum(mags, ESCAPE_SYMBOL)].sum()) + int(np.count_nonzero(mags))
+    huff = int(_LENGTHS[np.minimum(mags, ESCAPE_SYMBOL)].sum()) + int(np.count_nonzero(mags))
     esc = mags[mags >= ESCAPE_SYMBOL]
     if esc.size:
         huff += int(np.sum(2 * (np.floor(np.log2(esc - ESCAPE_SYMBOL + 1)).astype(np.int64) + 1) - 1))
@@ -775,7 +787,6 @@ def _reference_encode(coded, costs, groups, writer):
     """One BitWriter.write per header field and per value of a one-channel
     ``coded``; the band modes from the band costs ``costs``, or from the
     band's own costs when ``costs`` is None."""
-    table = HUFFMAN_TABLE
     start = writer.bit_length
     for b, (lo, hi) in enumerate(groups.edges):
         writer.write_flag(bool(coded.zero_band[b, 0]))
@@ -796,7 +807,7 @@ def _reference_encode(coded, costs, groups, writer):
         for v in values.tolist():
             m = abs(v)
             s = min(m, ESCAPE_SYMBOL)
-            writer.write(table.codes[s], table.lengths[s])
+            writer.write(CODES[s], LENGTHS[s])
             if m >= ESCAPE_SYMBOL:
                 writer.write_ue(m - ESCAPE_SYMBOL)
             if m:

@@ -4,7 +4,6 @@ import pytest
 from hoacodec.baseline_td import TruncatedBasis
 from hoacodec.errors import ShapeError
 from hoacodec.freq_svd import (
-    BandLayout,
     band_decompose,
     band_split,
     compaction_gain,
@@ -24,12 +23,12 @@ def _frame(rng, L=256, M=16, rank=None):
 
 
 def test_layouts():
-    assert layout_for_mode(0, 1024).lengths == (1024,)
-    assert layout_for_mode(1, 1024).lengths == (256, 256, 256, 256)
+    assert layout_for_mode(0, 1024) == ((0, 1024),)
+    assert layout_for_mode(1, 1024) == ((0, 256), (256, 512), (512, 768), (768, 1024))
     with pytest.raises(ShapeError):
         layout_for_mode(1, 1002)  # 1002 bins do not split into 4 bands
     with pytest.raises(ShapeError):
-        BandLayout(lengths=(0, 10))
+        layout_for_mode(2, 1024)
 
 
 def test_single_band_split_is_identity(rng):
@@ -47,14 +46,28 @@ def test_four_band_split_shapes(rng):
 
 def test_split_concat_is_bit_exact(rng):
     sp = _frame(rng, L=64, M=9)
-    layout = BandLayout(lengths=(8, 24, 32))
+    layout = ((0, 8), (8, 32), (32, 64))
     assert np.array_equal(np.concatenate(band_split(sp, layout)), sp.coeffs)
 
 
 def test_layout_sum_mismatch_rejected(rng):
     sp = _frame(rng, L=64)
-    with pytest.raises(ShapeError):
-        band_split(sp, BandLayout(lengths=(8, 8)))
+    with pytest.raises(ShapeError, match="do not tile"):
+        band_split(sp, ((0, 8), (8, 16)))
+
+
+@pytest.mark.parametrize("layout", [
+    ((0, 32), (32, 72)),  # past the frame's 64 bins
+    ((0, 0), (0, 64)),  # an empty band
+    ((0, 40), (32, 64)),  # overlapping bands
+    ((0, 16), (32, 64)),  # a gap
+    ((32, 64), (0, 32)),  # high to low
+    (),
+])
+def test_layout_that_does_not_tile_the_frame_is_rejected(rng, layout):
+    sp = _frame(rng, L=64)
+    with pytest.raises(ShapeError, match="do not tile"):
+        band_split(sp, layout)
 
 
 def test_exact_low_rank_content_leaves_no_residual(rng):
@@ -87,7 +100,7 @@ def test_captured_energy_equals_top_singular_values(rng):
     layout = layout_for_mode(1, 128)
     dec = band_decompose(band_split(sp, layout), 2, layout)
     approx = reconstruct_spectrum(dec)
-    for band, (a, b) in zip(band_split(sp, layout), layout.edges):
+    for band, (a, b) in zip(band_split(sp, layout), layout):
         s = svd(band).singular_values
         captured = float(np.sum(approx[a:b] ** 2))
         assert captured == pytest.approx(float(np.sum(s[:2] ** 2)), rel=1e-9)
@@ -98,7 +111,7 @@ def test_residual_orthogonal_to_band_basis(rng):
     layout = layout_for_mode(1, 64)
     dec = band_decompose(band_split(sp, layout), 3, layout)
     residual = compute_residual(sp, dec)
-    for basis, (a, b) in zip(dec.bases, layout.edges):
+    for basis, (a, b) in zip(dec.bases, layout):
         # unquantized bases: residual rows live outside span(V)
         proj = residual[a:b] @ basis.vectors
         assert np.max(np.abs(proj)) < 1e-8
@@ -175,7 +188,7 @@ def test_disjoint_band_content_gives_strict_gain(rng):
     S[: L // 2, 0] = u1
     S[L // 2 :, 1] = u2
     sp = SpectralFrame(index=0, coeffs=S)
-    layout = BandLayout(lengths=(L // 2, L // 2))
+    layout = ((0, L // 2), (L // 2, L))
     eg, eb = compaction_gain(sp, 1, layout)
     assert eb > eg + 1e-6
     assert eb == pytest.approx(float(np.sum(S**2)), rel=1e-9)

@@ -232,7 +232,7 @@ def test_other_groups_activity_leaves_a_group_unchanged(rng):
         active = rng.random(NUM_GROUPS) < 0.5
         info = NoiseGroupInfo(active=active, energy_indices=full.energy_indices.copy())
         out = synthesize_noise(info, g, 5, 9, 2)
-        on = np.repeat(active, g.widths())
+        on = np.repeat(active, g.layout().widths)
         assert np.array_equal(out[on], reference[on])
         assert np.all(out[~on] == 0.0)
 

@@ -272,6 +272,12 @@ def test_wrong_huffman_table_rejected(encoded, small_quantizers_module):
         pipeline.decode(_other_huffman_table(encoded["proposed"].stream), quantizers=small_quantizers_module)
 
 
+def test_table_fingerprint_is_unchanged():
+    """The header's table fingerprint, the CRC-32 of the frozen code
+    lengths, is the one every stream so far carries."""
+    assert pipeline._TABLE_FINGERPRINT == 0x5CE413D9
+
+
 def test_measure_stream_checks_fingerprints(encoded, small_quantizers_module):
     import copy
 
@@ -689,6 +695,28 @@ def _assert_conceal_or_raise(stream, quantizers, frame, flips):
             pipeline.measure_stream(damaged, quantizers=quantizers)
         assert str(raised.value) == reason
         assert raised.value.partial.frames == frames[: first.index]
+
+
+@pytest.mark.parametrize("bypass", [True, False])
+def test_baseline_frame_with_its_mode_bit_set_is_concealed(
+    encoded, talkers_bypass_streams, small_quantizers_module, bypass
+):
+    """The baseline has mode 0 alone.  A frame whose mode bit (the first
+    payload bit) is set, under a valid CRC, is a parse error: decode
+    conceals that frame alone and stats stops there, naming the mode."""
+    import zlib
+
+    res, q = (talkers_bypass_streams["baseline"], None) if bypass else (encoded["baseline"], small_quantizers_module)
+    stream = bytearray(res.stream)
+    start, size = _frame_span(stream, 2)
+    assert not stream[start] & 0x80
+    stream[start] |= 0x80
+    stream[start + size : start + size + 4] = zlib.crc32(stream[start : start + size]).to_bytes(4, "big")
+    dec = pipeline.decode(bytes(stream), quantizers=q)
+    assert dec.concealed_frames == 1
+    assert dec.stats.frames[2].conceal_reason == "mode 1 is not a mode of this codec"
+    with pytest.raises(StreamError, match="^mode 1 is not a mode of this codec$"):
+        pipeline.measure_stream(bytes(stream), quantizers=q)
 
 
 def test_decode_reads_no_bit_at_a_time(small_scene_module, small_quantizers_module, monkeypatch):

@@ -160,6 +160,19 @@ def test_truncated_stream_raises(rng, small_quantizers):
         decode_sideinfo(BitReader(data), small_quantizers, SideInfoState(), {0: [4], 1: [4] * 4})
 
 
+@pytest.mark.parametrize("quantized", [True, False])
+def test_mode_missing_from_ranks_raises(rng, small_quantizers, quantized):
+    """A mode the codec does not have is refused before any band is read,
+    and the state is left as it was."""
+    q = small_quantizers if quantized else None
+    w = BitWriter()
+    encode_sideinfo([_random_basis(rng)], 1, q, SideInfoState(), w)
+    state = SideInfoState()
+    with pytest.raises(StreamError, match="^mode 1 is not a mode of this codec$"):
+        decode_sideinfo(BitReader(w.getvalue()), q, state, {0: [4]}, 16)
+    assert state.prev_mode is None
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     modes=st.lists(st.integers(0, 1), min_size=1, max_size=6),

@@ -1,0 +1,92 @@
+"""Nothing public in ``src/hoacodec`` exists only for the unit tests.
+
+Every public function, and every public method and property of a public
+class, must have a user outside its own definition: in ``src/``, in
+``demos/``, in the acceptance suite, or in the per-layer lists of
+``perfbench/tracer.py`` (``LAYERS``, ``_READER_METHODS``,
+``_WRITER_METHODS``), which the benchmark patches by name.  Names are
+matched as identifiers: a function or property is used where its name is
+read, a method where an attribute of its name is called (``x.name(...)``),
+so a field or variable of the same name does not keep a method alive.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hoacodec"
+TRACER_LISTS = ("LAYERS", "_READER_METHODS", "_WRITER_METHODS")
+
+
+def _names_used(tree: ast.AST) -> tuple:
+    """Identifiers a module reads (names, attributes and imported names),
+    and the attribute names it calls."""
+    read, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.rsplit(".", 1)[-1])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            called.add(node.func.attr)
+    return read, called
+
+
+def _tracer_names() -> set:
+    """The strings of the tracer's per-layer lists, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in TRACER_LISTS for t in node.targets
+        ):
+            value = ast.literal_eval(node.value)
+            for item in value.values() if isinstance(value, dict) else [value]:
+                names.update(item)
+    return names
+
+
+def _is_property(fn: ast.FunctionDef) -> bool:
+    """Decorated with ``property``, ``cached_property`` or a property's
+    ``setter`` or ``deleter``."""
+    return any(
+        (d.id if isinstance(d, ast.Name) else getattr(d, "attr", ""))
+        in ("property", "cached_property", "setter", "deleter")
+        for d in fn.decorator_list
+    )
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name, is a method) of each public module-level
+    function and each public method or property of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, not _is_property(item)
+
+
+def test_tracer_lists_are_read():
+    assert {"mdct_forward", "encode", "read_flag", "write_flag"} <= _tracer_names()
+
+
+def test_every_public_definition_has_a_user():
+    users = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    users.append(ROOT / "tests" / "test_acceptance.py")
+    read, called = set(), set()
+    for path in users:
+        r, c = _names_used(ast.parse(path.read_text()))
+        read |= r
+        called |= c
+    listed = _tracer_names()
+    unused = [
+        f"{path.stem}.{qualified}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualified, name, method in _public_definitions(ast.parse(path.read_text()))
+        if name not in listed and name not in (called if method else read)
+    ]
+    assert not unused, f"public definitions that only unit tests or nothing use: {unused}"

@@ -4,9 +4,9 @@ import pytest
 from hoacodec.errors import ShapeError
 from hoacodec.hoa_io import TimeFrame
 from hoacodec.transform import (
-    AnalysisWindow,
     SpectralFrame,
     analyze,
+    check_window,
     mdct_forward,
     mdct_inverse,
     overlap_add,
@@ -34,7 +34,14 @@ def naive_imdct(X, L):
 
 def test_sine_window_princen_bradley():
     for L in (4, 64, 1024):
-        sine_window(L).validate(tol=1e-12)
+        check_window(sine_window(L), tol=1e-12)
+
+
+def test_sine_window_is_a_read_only_array():
+    win = sine_window(8)
+    assert win.shape == (16,) and win.dtype == np.float64
+    with pytest.raises(ValueError):
+        win[0] = 0.0
 
 
 @pytest.mark.parametrize("L", [0, 1, 255, -4])
@@ -44,9 +51,25 @@ def test_sine_window_refuses_half_lengths_the_mdct_cannot_fold(L):
 
 
 def test_bad_window_rejected():
-    w = AnalysisWindow(np.linspace(0, 1, 16))
-    with pytest.raises(ShapeError):
-        w.validate()
+    with pytest.raises(ShapeError, match="symmetric"):
+        check_window(np.linspace(0, 1, 16))
+    with pytest.raises(ShapeError, match="Princen-Bradley"):
+        check_window(np.ones(16))
+
+
+@pytest.mark.parametrize("window", [np.ones(15), np.ones((2, 8)), np.ones(())])
+def test_window_not_1d_of_even_length_is_refused(window):
+    frame = TimeFrame(index=0, samples=np.zeros((16, 2)))
+    spec = SpectralFrame(index=0, coeffs=np.zeros((8, 2)))
+    for call in (
+        lambda: check_window(window),
+        lambda: mdct_forward(frame, window),
+        lambda: mdct_inverse(spec, window),
+        lambda: list(overlap_add([spec], window)),
+        lambda: synthesize([spec], window, 8),
+    ):
+        with pytest.raises(ShapeError, match="1-D array of even length"):
+            call()
 
 
 def test_zero_frame_gives_zero_coefficients():
@@ -60,7 +83,7 @@ def test_forward_matches_naive_reference(rng):
     win = sine_window(L)
     x = rng.standard_normal((2 * L, 16))
     fast = mdct_forward(TimeFrame(index=0, samples=x), win).coeffs
-    ref = naive_mdct(win.values[:, None] * x, L)
+    ref = naive_mdct(win[:, None] * x, L)
     assert np.max(np.abs(fast - ref)) < 1e-9 * np.max(np.abs(ref))
 
 
@@ -69,7 +92,7 @@ def test_inverse_matches_naive_reference(rng):
     win = sine_window(L)
     X = rng.standard_normal((L, 4))
     fast = mdct_inverse(SpectralFrame(index=0, coeffs=X), win)
-    ref = win.values[:, None] * naive_imdct(X, L)
+    ref = win[:, None] * naive_imdct(X, L)
     assert np.max(np.abs(fast - ref)) < 1e-9 * np.max(np.abs(ref))
 
 
@@ -164,5 +187,5 @@ def test_parseval_ratio_is_half_frame_length(rng):
     padded = pad_signal(x, L)
     for sp in spectra:
         block = padded[sp.index * L : sp.index * L + 2 * L]
-        windowed += float(np.sum((win.values[:, None] * block) ** 2))
+        windowed += float(np.sum((win[:, None] * block) ** 2))
     assert coef / windowed == pytest.approx(L / 2, rel=1e-9)
