@@ -454,14 +454,19 @@ def _check_energy(index: int, spectrum: np.ndarray) -> None:
         )
 
 
-def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConfig, groups):
-    """The one frame coder of both codecs.  Codes the channels of all
-    ``trials`` in one MNMR-quantization pass (raw in bypass).  With more
+def _code_frames(frames: list, cfg: EncoderConfig, groups) -> list:
+    """The one frame coder of both codecs.  ``frames`` is a list of
+    (index, trials, original): a frame's candidate codings and its L x M
+    ``original`` spectrum.  Codes the channels of every trial of every frame
+    in one MNMR-quantization pass (raw in bypass): masking, the scalefactor
+    search and the cost each work column by column, so every channel is
+    coded as a call on its own frame would code it.  Per frame, with more
     than one trial, the one of least rate-distortion cost against the
-    L x M ``original`` spectrum wins, ties going to the lower mode.  Writes
-    the winner's channels; returns (payload, FrameStats, winner's state)."""
-    channels = np.hstack([t.channels for t in trials]) if len(trials) > 1 else trials[0].channels
-    count, C = trials[0].channels.shape[1], channels.shape[1]
+    original wins, ties going to the lower mode.  Writes each frame's
+    winner's channels; returns (payload, FrameStats, winner's state) per
+    frame, in order."""
+    channels = np.hstack([t.channels for _, trials, _ in frames for t in trials])
+    C = channels.shape[1]
     if cfg.bypass_quantization:
         coded, bits = None, np.full(C, 64 * channels.shape[0])
         max_nmr, escalated = np.zeros(C), np.zeros(C, dtype=int)
@@ -470,36 +475,42 @@ def _code_frame(index: int, trials: list, original: np.ndarray, cfg: EncoderConf
         coded = core_codec.quantize_mnmr(channels, mask, cfg.mnmr, groups)
         bits, band_costs = core_codec.channel_cost(coded, groups)
         max_nmr, escalated = coded.nmr.max(axis=0), coded.escalated.sum(axis=0)
-    cols = [slice(k * count, (k + 1) * count) for k in range(len(trials))]
-    ranked, rd = [0], {}
-    if len(trials) > 1:
-        # every trial weighs its error with the original channels' masks
-        decoded = channels if coded is None else core_codec.dequantize_channel(coded, groups)
-        masks = core_codec.masking_threshold(original, groups)
-        costs = []
-        for t, c in zip(trials, cols):
-            spectrum = _proposed_spectrum(decoded[:, c], t.bases, t.layout)
-            payload_bits = t.side.bit_count + t.noise_bits + int(bits[c].sum())
-            costs.append(
-                _mask_weighted_error(original, spectrum, masks, groups)
-                + RD_LAMBDA * (payload_bits + _FRAMING_BITS + (-payload_bits) % 8)
-            )
-        ranked = sorted(range(len(trials)), key=lambda k: (costs[k], trials[k].side.mode))
-        rd = {"rd_cost": costs[ranked[0]], "rd_cost_other": costs[ranked[1]]}
-    t, c = trials[ranked[0]], cols[ranked[0]]
-    start = t.writer.bit_length
-    if coded is None:
-        t.writer.write_f64_array(t.channels.T)  # channel after channel
-    else:
-        core_codec.entropy_encode_channel(coded.columns(c), band_costs[..., c], groups, t.writer)
-    core_bits = t.writer.bit_length - start
-    assert core_bits == bits[c].sum()
-    payload = t.writer.getvalue()
-    stats = _frame_stats(
-        index, 8 * len(payload), t.side, t.noise_bits, core_bits,
-        max_nmr=float(max_nmr[c].max()), escalated_bands=int(escalated[c].sum()), **rd,
-    )
-    return payload, stats, t.state
+    coded_frames, at, decoded = [], 0, None
+    for index, trials, original in frames:
+        count = trials[0].channels.shape[1]
+        cols = [slice(at + k * count, at + (k + 1) * count) for k in range(len(trials))]
+        at = cols[-1].stop
+        ranked, rd = [0], {}
+        if len(trials) > 1:
+            if decoded is None:
+                decoded = channels if coded is None else core_codec.dequantize_channel(coded, groups)
+            # every trial weighs its error with the original channels' masks
+            masks = core_codec.masking_threshold(original, groups)
+            costs = []
+            for t, c in zip(trials, cols):
+                spectrum = _proposed_spectrum(decoded[:, c], t.bases, t.layout)
+                payload_bits = t.side.bit_count + t.noise_bits + int(bits[c].sum())
+                costs.append(
+                    _mask_weighted_error(original, spectrum, masks, groups)
+                    + RD_LAMBDA * (payload_bits + _FRAMING_BITS + (-payload_bits) % 8)
+                )
+            ranked = sorted(range(len(trials)), key=lambda k: (costs[k], trials[k].side.mode))
+            rd = {"rd_cost": costs[ranked[0]], "rd_cost_other": costs[ranked[1]]}
+        t, c = trials[ranked[0]], cols[ranked[0]]
+        start = t.writer.bit_length
+        if coded is None:
+            t.writer.write_f64_array(t.channels.T)  # channel after channel
+        else:
+            core_codec.entropy_encode_channel(coded.columns(c), band_costs[..., c], groups, t.writer)
+        core_bits = t.writer.bit_length - start
+        assert core_bits == bits[c].sum()
+        payload = t.writer.getvalue()
+        stats = _frame_stats(
+            index, 8 * len(payload), t.side, t.noise_bits, core_bits,
+            max_nmr=float(max_nmr[c].max()), escalated_bands=int(escalated[c].sum()), **rd,
+        )
+        coded_frames.append((payload, stats, t.state))
+    return coded_frames
 
 
 def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups):
@@ -526,26 +537,39 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups):
             noise_bits = _write_noise_block(w, info)
             channels = np.hstack([np.concatenate(dec.foregrounds), residual[:, :nbg]])
             trials.append(_Trial(w, side, noise_bits, channels, trial_state, recon, layout))
-        payload, stats, state = _code_frame(sp.index, trials, sp.coeffs, cfg, groups)
+        [(payload, stats, state)] = _code_frames([(sp.index, trials, sp.coeffs)], cfg, groups)
         yield payload, stats
 
 
+# the most values (frames x L x coded channels) one _code_frames call of the
+# baseline codes, and at least one frame: 16 frames at L=256 and 4 at L=1024
+# with 8 coded channels.  The MNMR search's temporaries grow with the values
+# it codes (5-9 MiB at this budget), so a segment is capped by values, not
+# by frames.
+_SEGMENT_VALUES = 32768
+
+
 def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups):
-    """Yield (payload, FrameStats) per frame, one frame behind the
-    decomposition.  Frame f's side info is written when frame f is
+    """Yield (payload, FrameStats) per frame, one segment of frames behind
+    the decomposition.  Frame f's side info is written when frame f is
     decomposed; its core block is [head(f); head(f+1)], where head(f) is
     the first L rows of frame f's [foreground | ambient] components, so it
-    is coded once frame f+1 is decomposed (the last block ends in zeros).
-    The background is the first (t+1)^2 ambient channels; the rest is
-    discarded and described by the noise block."""
+    is transformed and its noise block written once frame f+1 is decomposed
+    (the last block ends in zeros).  The background is the first (t+1)^2
+    ambient channels; the rest is discarded and described by the noise
+    block.  The side-info state never depends on how the core channels are
+    coded, so the channels of up to ``_SEGMENT_VALUES`` values of frames are
+    coded by one :func:`_code_frames` call."""
     L, r = cfg.half_length, cfg.rank
     nbg = (cfg.background_order + 1) ** 2
+    per_segment = max(1, _SEGMENT_VALUES // (L * (r + nbg)))
     interp = baseline_td.InterpolationWindow.make(L)
     mdct_win = transform.sine_window(L)
     state = sideinfo.SideInfoState()
     prev_basis: baseline_td.TruncatedBasis | None = None
     block = np.zeros((2 * L, r + signal.num_channels))  # [head(f-1); head(f)]
     waiting = None  # (index, writer, side info) of the frame whose block is next
+    segment = []  # (index, [trial], spectrum) of the frames not coded yet
     for frame in itertools.chain(segment_frames(signal.samples, L), [None]):
         if frame is None:
             block[L:] = 0.0
@@ -569,8 +593,11 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups):
             _check_energy(index, spec)
             info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups)
             trial = _Trial(writer, side_info, _write_noise_block(writer, info), spec[:, : r + nbg])
-            payload, stats, _ = _code_frame(index, [trial], spec, cfg, groups)
-            yield payload, stats
+            segment.append((index, [trial], spec))
+            if len(segment) == per_segment or frame is None:
+                for payload, stats, _ in _code_frames(segment, cfg, groups):
+                    yield payload, stats
+                segment = []
         if frame is not None:
             block[:L] = block[L:]
             waiting = (frame.index, w, side)

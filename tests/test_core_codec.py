@@ -1095,3 +1095,60 @@ def test_channel_writer_matches_per_value_writes(channel, lead, rnd):
     ref.write(prefix, lead)
     assert entropy_encode_channel(coded, costs, groups, w) == _reference_encode(coded, costs, groups, ref)
     assert w.getvalue() == ref.getvalue()
+
+
+@st.composite
+def frame_stacks(draw):
+    """(frames, target, groups): 1-20 frames' (L, C_k) spectra at L=256 or
+    1024, 1-4 channels each, built band by band from a seeded generator as
+    silence, Gaussian bins, or a peak over a floor 3-6 decades down.  Small
+    targets quantize such peaks past the 4096 entries of ``_POW43_LUT`` (its
+    pow branch), and the smallest ones escalate bands."""
+    L = draw(st.sampled_from((256, 1024)))
+    groups = groups_for(L)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = []
+    for _ in range(draw(st.integers(1, 20))):
+        count = int(rng.integers(1, 5))
+        x = rng.standard_normal((L, count)) * 10.0 ** rng.uniform(-6, 6, count)
+        for c in range(count):
+            for (lo, hi), kind in zip(groups.edges, rng.integers(0, 3, len(groups.edges))):
+                if kind == 0:
+                    x[lo:hi, c] = 0.0
+                elif kind == 1:
+                    peak = x[lo:hi, c].std() + 1e-300
+                    x[lo:hi, c] *= 10.0 ** -rng.uniform(3, 6)
+                    x[lo + rng.integers(0, hi - lo), c] = peak
+        frames.append(x)
+    return frames, 10.0 ** draw(st.floats(-12, 1)), groups
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@_EQUIVALENCE
+@given(frame_stacks())
+def test_stacked_frames_code_as_each_frame_alone(case):
+    """Masking, the MNMR search and the cost of the frames' channels side by
+    side equal, column for column and bit for bit, those of each frame's own
+    call: the property that lets one call code a segment of frames."""
+    frames, target, groups = case
+    stacked = np.hstack(frames)
+    mask = masking_threshold(stacked, groups)
+    coded = quantize_mnmr(stacked, mask, target, groups)
+    bits, costs = channel_cost(coded, groups)
+    at = 0
+    for x in frames:
+        cols = slice(at, at + x.shape[1])
+        at = cols.stop
+        own_mask = masking_threshold(x, groups)
+        _same_bits(mask[:, cols], own_mask)
+        own = quantize_mnmr(x, own_mask, target, groups)
+        for name, value in vars(own).items():
+            _same_bits(getattr(coded, name)[:, cols], value)
+        own_bits, own_costs = channel_cost(own, groups)
+        _same_bits(bits[cols], own_bits)
+        _same_bits(costs[..., cols], own_costs)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hoacodec.errors import FormatError, ShapeError
+from hoacodec.errors import FormatError, HoaCodecError, ShapeError
 from hoacodec.hoa_io import (
     HoaSignal,
     num_frames,
@@ -166,3 +168,56 @@ def test_frame_offsets_follow_hop(rng):
         for fr in frames:
             # bit for bit, zero padding included
             assert fr.samples.tobytes() == padded[fr.index * L : fr.index * L + 2 * L].tobytes()
+
+
+# the byte offsets of the RIFF, fmt and data chunk sizes in write_hoa_wav's files
+_WAV_SIZE_FIELDS = (4, 16, 40)
+_WAV_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("cut"), st.integers(0, 200)),
+        st.tuples(st.just("byte"), st.integers(0, 47), st.integers(0, 255)),
+        st.tuples(
+            st.just("size"), st.sampled_from(_WAV_SIZE_FIELDS),
+            st.one_of(st.integers(0, 200), st.integers(0, 2**32 - 1)),
+        ),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@pytest.fixture(scope="module")
+def wav_files(tmp_path_factory):
+    """The bytes of one 11-sample mono signal as PCM16, PCM24 (an odd
+    payload, so the data chunk is padded) and float32."""
+    folder = tmp_path_factory.mktemp("wav")
+    sig = HoaSignal.from_samples(np.random.default_rng(3).uniform(-0.9, 0.9, (11, 1)), 48000)
+    files = {}
+    for fmt in ("pcm16", "pcm24", "float32"):
+        write_hoa_wav(sig, folder / f"{fmt}.wav", fmt)
+        files[fmt] = (folder / f"{fmt}.wav").read_bytes()
+    return folder, files
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(("pcm16", "pcm24", "float32")), _WAV_EDITS)
+def test_edited_wav_loads_or_raises_a_codec_error(wav_files, fmt, edits):
+    """Truncations, header byte edits and chunk-size edits of a WAV file end
+    in a signal or a HoaCodecError, never struct.error, ValueError,
+    IndexError or MemoryError."""
+    folder, files = wav_files
+    data = bytearray(files[fmt])
+    for edit in edits:
+        if edit[0] == "cut":
+            del data[edit[1]:]
+        elif edit[0] == "byte":
+            if edit[1] < len(data):
+                data[edit[1]] = edit[2]
+        elif edit[1] + 4 <= len(data):
+            data[edit[1] : edit[1] + 4] = edit[2].to_bytes(4, "little")
+    path = folder / "edited.wav"
+    path.write_bytes(bytes(data))
+    try:
+        sig = read_hoa_wav(path)
+    except HoaCodecError:
+        return
+    assert sig.samples.shape[1] == sig.num_channels

@@ -909,6 +909,63 @@ def test_quantized_decode_peak_memory_stays_near_the_output(small_scene_module, 
         assert peak < bound * out, (codec, peak / out)
 
 
+def test_quantized_encode_peak_memory_is_bounded(small_scene_module, small_quantizers_module):
+    """The allocation peak of a quantized encode of the 0.4 s scene, from
+    the peaks of the encoders that coded one frame per call (baseline 1.03
+    and 2.69 MiB, proposed 1.48 and 3.78 MiB at L=256 and 1024) plus a
+    margin: 0.5 MiB for the proposed codec, which still codes one frame per
+    call, and 10 MiB for the baseline, whose segments of up to
+    ``_SEGMENT_VALUES`` values peak 9.0 and 5.0 MiB above those in the MNMR
+    search's temporaries.  A segment of twice that budget peaks at 19.6 and
+    14.2 MiB, and one over all the frames at 45.9 and 33.8 MiB."""
+    import tracemalloc
+
+    parent = {("baseline", 256): 1.03, ("baseline", 1024): 2.69, ("proposed", 256): 1.48, ("proposed", 1024): 3.78}
+    margin = {"baseline": 10.0, "proposed": 0.5}
+    for (codec, L), peak_mib in parent.items():
+        cfg = _cfg(small_quantizers_module, codec, half_length=L)
+        tracemalloc.start()
+        try:
+            pipeline.encode(small_scene_module, cfg)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < peak_mib + margin[codec], (codec, L, peak)
+
+
+@pytest.mark.parametrize("bypass", [False, True])
+@pytest.mark.parametrize("L", [256, 1024])
+def test_baseline_segments_code_as_single_frames(small_scene_module, small_quantizers_module, monkeypatch, L, bypass):
+    """The baseline codes K = ``_SEGMENT_VALUES`` // (L * 8) frames of its 8
+    coded channels per ``_code_frames`` call (16 at L=256, 4 at L=1024).  At
+    K - 1, K, K + 1 and 2K + 1 frames, and at 2, the fewest frames of any
+    samples, its stream and stats equal those of a budget of one frame."""
+    K = pipeline._SEGMENT_VALUES // (L * 8)
+    assert K == 4096 // L
+    code_frames, calls = pipeline._code_frames, []
+
+    def counted(frames, *args):
+        calls.append(len(frames))
+        return code_frames(frames, *args)
+
+    monkeypatch.setattr(pipeline, "_code_frames", counted)
+    cfg = _cfg(small_quantizers_module, "baseline", half_length=L, bypass_quantization=bypass)
+    s = small_scene_module
+    for count in (2, K - 1, K, K + 1, 2 * K + 1):
+        signal = HoaSignal(s.sample_rate, s.order, s.samples[: (count - 1) * L])
+        calls.clear()
+        default = pipeline.encode(signal, cfg)
+        assert calls == [K] * (count // K) + [count % K] * (count % K > 0)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_SEGMENT_VALUES", 1)
+            calls.clear()
+            single = pipeline.encode(signal, cfg)
+            assert calls == [1] * count
+        assert len(default.stats.frames) == count
+        assert single.stream == default.stream
+        assert single.stats == default.stats
+
+
 def test_one_channel_decode_call_per_frame(encoded, small_quantizers_module, monkeypatch):
     from hoacodec import core_codec
 

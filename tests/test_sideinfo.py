@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hoacodec import scenes, sideinfo
 from hoacodec.baseline_td import TruncatedBasis, match_bases
 from hoacodec.bitio import BitReader, BitWriter
-from hoacodec.errors import ConfigurationError, StreamError, TrainingError
+from hoacodec.errors import ConfigurationError, HoaCodecError, StreamError, TrainingError
 from hoacodec.numlin import Codebook, svd
 from hoacodec.sideinfo import (
     QuantizerSet,
@@ -461,3 +461,55 @@ def test_quantizer_files_roundtrip(tmp_path, small_quantizers):
 def test_missing_codebooks_error_names_training_command(tmp_path):
     with pytest.raises(ConfigurationError, match="train-quantizers"):
         QuantizerSet.load(tmp_path / "nothing")
+
+
+# per codebook file: magic, u16 version, u16 flags, u32 dim, u32 size, u64
+# seed, then the centroids; the u32 fields' offsets
+_HACB_FILES = ("coeff.hacb", "residual.hacb", "intra.hacb")
+_HACB_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("cut"), st.integers(0, 2**14)),
+        st.tuples(st.just("byte"), st.integers(0, 23), st.integers(0, 255)),
+        st.tuples(st.just("body"), st.integers(24, 2**14), st.integers(0, 255)),
+        st.tuples(
+            st.just("size"), st.sampled_from((8, 12)),
+            st.one_of(st.integers(0, 300), st.integers(0, 2**32 - 1)),
+        ),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@pytest.fixture(scope="module")
+def codebook_files(small_quantizers, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("codebooks")
+    small_quantizers.save(folder / "clean")
+    return folder, {name: (folder / "clean" / name).read_bytes() for name in _HACB_FILES}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(_HACB_FILES), _HACB_EDITS)
+def test_edited_codebook_files_load_or_raise_a_codec_error(codebook_files, name, edits):
+    """Truncations, header byte edits, centroid byte edits and dim or size
+    edits of one of the three codebook files end in a loaded set or a
+    HoaCodecError, never struct.error, ValueError, IndexError or
+    MemoryError.  A loaded set whose centroids changed is refused at decode
+    by its fingerprint, not by the reader."""
+    folder, files = codebook_files
+    data = bytearray(files[name])
+    for edit in edits:
+        if edit[0] == "cut":
+            del data[edit[1]:]
+        elif edit[0] in ("byte", "body"):
+            if edit[1] < len(data):
+                data[edit[1]] = edit[2]
+        elif edit[1] + 4 <= len(data):
+            data[edit[1] : edit[1] + 4] = edit[2].to_bytes(4, "little")
+    edited = folder / "edited"
+    edited.mkdir(exist_ok=True)
+    for other in _HACB_FILES:
+        (edited / other).write_bytes(bytes(data) if other == name else files[other])
+    try:
+        QuantizerSet.load(edited)
+    except HoaCodecError:
+        pass
