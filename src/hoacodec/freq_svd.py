@@ -61,7 +61,7 @@ def mode_bases(spec: SpectralFrame, mode: int, rank: int) -> tuple:
     """A frame's analysis in one coding mode: (layout, per-band coefficient
     rows, per-band raw truncated bases as (M, rank) arrays).  The proposed
     encoder's RD trials and codebook training both start from it."""
-    layout = layout_for_mode(mode, spec.num_bins)
+    layout = layout_for_mode(mode, spec.coeffs.shape[0])
     parts = band_split(spec, layout)
     return layout, parts, [truncated_basis(b, rank, spec.index).vectors for b in parts]
 

@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hoacodec.errors import FormatError, ShapeError
+from hoacodec.errors import FormatError, NumericError, ShapeError
 
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
-
-# int PCM full-scale divisors by container bit depth
-_PCM_SCALE = {16: 2**15, 24: 2**23, 32: 2**31}
 
 
 @dataclass
@@ -66,14 +63,6 @@ class HoaSignal:
             samples = samples[:, None]
         order = _order_for_channels(samples.shape[1])
         return cls(sample_rate=sample_rate, order=order, samples=samples)
-
-
-@dataclass
-class TimeFrame:
-    """One 2L-sample analysis frame; frame f covers padded samples [fL, fL+2L)."""
-
-    index: int
-    samples: np.ndarray  # (2L, M)
 
 
 def _order_for_channels(channels: int) -> int:
@@ -139,19 +128,12 @@ def read_hoa_wav(path) -> HoaSignal:
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     elif tag == _WAVE_FORMAT_IEEE_FLOAT and bits == 64:
         samples = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    elif tag == _WAVE_FORMAT_PCM and bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2") / _PCM_SCALE[16]
-    elif tag == _WAVE_FORMAT_PCM and bits == 32:
-        samples = np.frombuffer(payload, dtype="<i4") / _PCM_SCALE[32]
-    elif tag == _WAVE_FORMAT_PCM and bits == 24:
-        raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-        as32 = (
-            raw[:, 0].astype(np.int32)
-            | (raw[:, 1].astype(np.int32) << 8)
-            | (raw[:, 2].astype(np.int32) << 16)
-        )
-        as32 = (as32 << 8) >> 8  # sign-extend
-        samples = as32 / _PCM_SCALE[24]
+    elif tag == _WAVE_FORMAT_PCM and bits in (16, 24, 32):
+        # the sample's bytes atop an int32 v: v / 2^31 is exactly it / 2^(bits-1)
+        width = bits // 8
+        as32 = np.zeros((len(payload) // width, 4), dtype=np.uint8)
+        as32[:, 4 - width :] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, width)
+        samples = as32.view("<i4")[:, 0] / 2.0**31
     else:
         raise FormatError(f"{path}: unsupported WAV format tag={tag} bits={bits}")
 
@@ -163,28 +145,21 @@ def write_hoa_wav(signal: HoaSignal, path, sample_format: str = "float32") -> No
 
     ``sample_format``: one of ``float32``, ``pcm16``, ``pcm24``, ``pcm32``.
     float32 round-trips bit-exactly through :func:`read_hoa_wav`; integer
-    formats round to the nearest step and clip at full scale.
+    formats round to the nearest step and clip at full scale, and refuse a
+    NaN sample, which has no integer value.
     """
     x = signal.samples
     if sample_format == "float32":
         tag, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
         payload = x.astype("<f4").tobytes()
     elif sample_format in ("pcm16", "pcm24", "pcm32"):
-        bits = int(sample_format[3:])
-        tag = _WAVE_FORMAT_PCM
-        scale = _PCM_SCALE[bits]
-        q = np.clip(np.round(x * scale), -scale, scale - 1).astype(np.int64)
-        if bits == 16:
-            payload = q.astype("<i2").tobytes()
-        elif bits == 32:
-            payload = q.astype("<i4").tobytes()
-        else:
-            q32 = q.astype(np.int32).reshape(-1)
-            raw = np.empty((q32.size, 3), dtype=np.uint8)
-            raw[:, 0] = q32 & 0xFF
-            raw[:, 1] = (q32 >> 8) & 0xFF
-            raw[:, 2] = (q32 >> 16) & 0xFF
-            payload = raw.tobytes()
+        tag, bits = _WAVE_FORMAT_PCM, int(sample_format[3:])
+        if np.isnan(x).any():
+            raise NumericError(f"a NaN sample cannot be written as {sample_format}")
+        scale = 2 ** (bits - 1)
+        # the clipped value shifted to the top of an int32, less its low bytes
+        q = np.clip(np.round(x * scale), -scale, scale - 1).astype(np.int32) << (32 - bits)
+        payload = q.astype("<i4").reshape(-1, 1).view(np.uint8)[:, 4 - bits // 8 :].tobytes()
     else:
         raise FormatError(f"unknown sample format {sample_format!r}")
 
@@ -226,9 +201,9 @@ def pad_signal(samples: np.ndarray, half_length: int) -> np.ndarray:
     return padded
 
 
-def segment_frames(samples: np.ndarray, half_length: int) -> Iterator[TimeFrame]:
-    """Yield the 2L-sample frames of a (length, channels) array, advancing
-    by L (50% overlap); a 1-D array is one channel.
+def segment_frames(samples: np.ndarray, half_length: int) -> Iterator[np.ndarray]:
+    """Yield the (2L, channels) frames of a (length, channels) array,
+    advancing by L (50% overlap); a 1-D array is one channel.
 
     Frame f covers padded samples [f*L, f*L + 2L); the padded timeline has
     L zeros prepended (see :func:`pad_signal`).  Each frame is built as it
@@ -247,4 +222,4 @@ def segment_frames(samples: np.ndarray, half_length: int) -> Iterator[TimeFrame]
         a, b = max(start, 0), min(start + 2 * L, length)
         frame = np.zeros((2 * L, samples.shape[1]))
         frame[a - start : b - start] = samples[a:b]
-        yield TimeFrame(index=f, samples=frame)
+        yield frame

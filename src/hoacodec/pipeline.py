@@ -33,7 +33,7 @@ import numpy as np
 from hoacodec import baseline_td, core_codec, freq_svd, noise_subst, sideinfo, transform
 from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.errors import ConfigurationError, NumericError, StreamError
-from hoacodec.hoa_io import HoaSignal, TimeFrame, num_frames, segment_frames
+from hoacodec.hoa_io import HoaSignal, num_frames, segment_frames
 from hoacodec.noise_subst import NUM_GROUPS, FrequencyGroups, NoiseGroupInfo
 
 MAGIC = b"HOAC"
@@ -519,8 +519,8 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups):
     window = transform.sine_window(cfg.half_length)
     state = sideinfo.SideInfoState()
     nbg = (cfg.background_order + 1) ** 2
-    for frame in segment_frames(signal.samples, cfg.half_length):
-        sp = transform.mdct_forward(frame, window)
+    for f, frame in enumerate(segment_frames(signal.samples, cfg.half_length)):
+        sp = transform.SpectralFrame(index=f, coeffs=transform.mdct_forward(frame, window))
         _check_energy(sp.index, sp.coeffs)
         modes = [freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS]
         analyses = [freq_svd.mode_bases(sp, mode, cfg.rank) for mode in modes]
@@ -570,52 +570,41 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups):
     block = np.zeros((2 * L, r + signal.num_channels))  # [head(f-1); head(f)]
     waiting = None  # (index, writer, side info) of the frame whose block is next
     segment = []  # (index, [trial], spectrum) of the frames not coded yet
-    for frame in itertools.chain(segment_frames(signal.samples, L), [None]):
-        if frame is None:
+    for f, X in enumerate(itertools.chain(segment_frames(signal.samples, L), [None])):
+        if X is None:
             block[L:] = 0.0
         else:
-            X = frame.samples
-            raw = baseline_td.truncated_basis(X, r, frame.index)
+            raw = baseline_td.truncated_basis(X, r, f)
             if cfg.bypass_quantization and prev_basis is not None:
                 # the raw basis is sent, so align it here (quantized side
                 # info aligns inside its predicted bands)
                 _, _, raw = baseline_td.match_bases(prev_basis, raw)
             w = BitWriter()
             side, recon = sideinfo.encode_sideinfo([raw.vectors], 0, cfg.side_quantizers(), state, w)
-            basis = baseline_td.TruncatedBasis(vectors=recon[0], frame=frame.index)
+            basis = baseline_td.TruncatedBasis(vectors=recon[0], frame=f)
             dec = baseline_td.decompose_frame(X, basis, prev_basis, interp)
             block[L:, :r] = dec.foreground[:L]
             block[L:, r:] = dec.ambient[:L]
             prev_basis = basis
         if waiting is not None:
             index, writer, side_info = waiting
-            spec = transform.mdct_forward(TimeFrame(index=index, samples=block), mdct_win).coeffs
+            spec = transform.mdct_forward(block, mdct_win)
             _check_energy(index, spec)
             info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups)
             trial = _Trial(writer, side_info, _write_noise_block(writer, info), spec[:, : r + nbg])
             segment.append((index, [trial], spec))
-            if len(segment) == per_segment or frame is None:
+            if len(segment) == per_segment or X is None:
                 for payload, stats, _ in _code_frames(segment, cfg, groups):
                     yield payload, stats
                 segment = []
-        if frame is not None:
+        if X is not None:
             block[:L] = block[L:]
-            waiting = (frame.index, w, side)
+            waiting = (f, w, side)
 
 
 # --------------------------------------------------------------------------
 # decoding
 # --------------------------------------------------------------------------
-
-@dataclass
-class ParsedFrame:
-    """One frame payload as read from the stream, before reconstruction."""
-
-    side: sideinfo.SideInfoFrame
-    bases: list | None  # per band, the (M, r) basis (one band for the baseline)
-    noise: NoiseGroupInfo
-    channels: core_codec.CodedChannel | np.ndarray | None  # the (L, C) components; raw spectra in bypass
-
 
 @dataclass
 class DecodeResult:
@@ -627,10 +616,12 @@ class DecodeResult:
 def _open_stream(stream: bytes, quantizers):
     """Read and check the header, take its group table and split frames.
 
-    Returns (header, groups, frames, truncated) where ``frames`` is a list
-    of (start, end, crc_ok): the payload is ``stream[start:end]``, sliced
-    when it is read, and its CRC is checked without a copy.  Codebooks that
-    do not match the stream's fingerprint raise :class:`ConfigurationError`.
+    Returns (header, groups, frames, fault) where ``frames`` is a list of
+    (start, end, crc_ok): the payload is ``stream[start:end]``, sliced when
+    it is read, and its CRC is checked without a copy.  ``fault`` is None,
+    or the message of a stream that ends before its last frame or holds
+    bytes after it.  Codebooks that do not match the stream's fingerprint
+    raise :class:`ConfigurationError`.
     """
     header = _read_header(stream)
     if not header.bypass:
@@ -649,50 +640,73 @@ def _open_stream(stream: bytes, quantizers):
         crc = int.from_bytes(stream[end : end + 4], "big")
         frames.append((start, end, zlib.crc32(view[start:end]) == crc))
         pos = end + 4
-    return header, groups, frames, len(frames) < header.frame_count
+    fault = None
+    if len(frames) < header.frame_count:
+        fault = f"stream truncated after {len(frames)} of {header.frame_count} frames"
+    elif pos < len(stream):
+        fault = f"{len(stream) - pos} bytes after the last of {header.frame_count} frames"
+    return header, groups, frames, fault
 
 
 def _walk(header: StreamHeader, groups: FrequencyGroups, stream: bytes, frames, quantizers, reconstruct: bool):
-    """The one frame walk of decode and stats: yields (FrameStats, ParsedFrame)
-    per frame of ``frames`` (see :func:`_open_stream`), read as side info, noise
-    block and component channels with the side-info state carried on.  A frame
-    that fails its CRC or does not parse (padding of 8 bits or more, or with a
-    set bit, and a raw value out of range included) yields stats concealed
-    with the reason ("crc" or the parse error) and None.  The baseline has
-    mode 0 alone, with one band.  Without ``reconstruct`` every field is read
-    and checked alike, but the quantized bases and components are left None."""
-    rank = header.rank
-    ranks = {0: [rank], 1: [rank] * freq_svd.BANDS} if header.codec_id == CODEC_PROPOSED else {0: [rank]}
+    """The one frame walk of decode and stats: yields (FrameStats, spectrum,
+    bases) per frame of ``frames`` (see :func:`_open_stream`), read as side
+    info, noise block and component channels with the side-info state
+    carried on.  A frame that fails its CRC or does not parse (padding of 8
+    bits or more, or with a set bit, and a raw value out of range included)
+    yields stats concealed with the reason ("crc" or the parse error).  The
+    baseline has mode 0 alone, with one band.
+
+    With ``reconstruct`` each frame is rebuilt before the next is read: the
+    spectrum is the proposed codec's L x M spectrum, or the baseline's
+    (L, r + M) component block, and the bases its per-band (M, r) bases.  A
+    concealed frame repeats the previous frame's spectrum and bases (zeros
+    before the first decoded frame).  Without it every field is read and
+    checked alike, but nothing is rebuilt: spectrum and bases are None."""
+    L, M, rank = header.half_length, header.num_channels, header.rank
+    nbg = (header.background_order + 1) ** 2
+    proposed = header.codec_id == CODEC_PROPOSED
+    ranks = {0: [rank], 1: [rank] * freq_svd.BANDS} if proposed else {0: [rank]}
     q = None if header.bypass else quantizers
-    count = rank + (header.background_order + 1) ** 2
     state = sideinfo.SideInfoState()
+    spectrum, bases = None, None
+    if reconstruct:
+        spectrum, bases = np.zeros((L, M if proposed else rank + M)), [np.zeros((M, rank))]
     for f, (start, end, crc_ok) in enumerate(frames):
-        p, reason, payload_bits = None, "crc", 8 * (end - start)
+        stats, reason, payload_bits = None, "crc", 8 * (end - start)
         if crc_ok:
             reader = BitReader(stream[start:end])
             try:
-                side, bases = sideinfo.decode_sideinfo(reader, q, state, ranks, header.num_channels, reconstruct)
-                noise, noise_bits = _read_noise_block(reader)
+                side, frame_bases = sideinfo.decode_sideinfo(reader, q, state, ranks, M, reconstruct)
+                info, noise_bits = _read_noise_block(reader)
                 if header.bypass:
-                    raw = reader.read_f64_array((count, groups.num_bins))
+                    raw = reader.read_f64_array((rank + nbg, groups.num_bins))
                     channels = sideinfo.require_bounded(raw, _RAW_CHANNEL_BOUND, "raw channel").T
                 else:
-                    channels = core_codec.entropy_decode_channel(reader, groups, count, values=reconstruct)
+                    channels = core_codec.entropy_decode_channel(reader, groups, rank + nbg, values=reconstruct)
                 core_bits = reader.bit_position - side.bit_count - noise_bits
                 padding = payload_bits - reader.bit_position
                 if padding >= 8:
                     raise StreamError(f"{padding} padding bits (at most 7)")
                 if reader.read(padding):
                     raise StreamError("nonzero padding bits")
-                p = ParsedFrame(side, bases, noise, channels)
             except StreamError as exc:
                 # a damaged prediction chain can leave later frames
                 # unparseable; treat them like CRC failures
                 reason = str(exc)
-        if p is None:
-            yield _frame_stats(f, payload_bits, None, concealed=True, conceal_reason=reason), None
-        else:
-            yield _frame_stats(f, payload_bits, side, noise_bits, core_bits), p
+            else:
+                stats = _frame_stats(f, payload_bits, side, noise_bits, core_bits)
+                if reconstruct:
+                    if not header.bypass:
+                        channels = core_codec.dequantize_channel(channels, groups)
+                    noise = noise_subst.synthesize_noise(info, groups, M - nbg, header.seed, f)
+                    if proposed:
+                        spectrum = _proposed_spectrum(channels, frame_bases, freq_svd.layout_for_mode(side.mode, L))
+                        spectrum[:, nbg:] += noise
+                    else:
+                        spectrum = np.column_stack([channels, noise])
+                    bases = frame_bases
+        yield stats or _frame_stats(f, payload_bits, None, concealed=True, conceal_reason=reason), spectrum, bases
 
 
 def decode(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> DecodeResult:
@@ -700,59 +714,36 @@ def decode(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> De
     each frame is parsed, reconstructed and overlap-added as it is read.
 
     CRC-failing frames are concealed by repeating the previous frame's
-    decoded spectra; a truncated stream raises :class:`StreamError` whose
-    ``partial`` attribute carries the samples decoded so far.
+    decoded spectra; a stream truncated or with bytes after its last frame
+    raises :class:`StreamError` once its frames are decoded, with their
+    samples in the ``partial`` attribute.
     """
-    header, groups, frames, truncated = _open_stream(stream, quantizers)
+    header, groups, frames, fault = _open_stream(stream, quantizers)
     frame_stats = []
-    walk = _walk(header, groups, stream, frames, quantizers, reconstruct=True)
-    decoded = _decode_frames(header, groups, walk, frame_stats)
+
+    def decoded():
+        for stats, spectrum, bases in _walk(header, groups, stream, frames, quantizers, reconstruct=True):
+            frame_stats.append(stats)
+            yield spectrum, bases
+
     window = transform.sine_window(header.half_length)
     if not frames:
         samples = np.zeros((0, header.num_channels))
     elif header.codec_id == CODEC_PROPOSED:  # the output of the frames the stream holds
         length = min(header.original_length, len(frames) * header.half_length)
-        samples = transform.synthesize((sp for sp, _ in decoded), window, length)
+        spectra = (transform.SpectralFrame(index=f, coeffs=sp) for f, (sp, _) in enumerate(decoded()))
+        samples = transform.synthesize(spectra, window, length)
     else:
-        samples = _recombine_baseline(header, decoded, len(frames), window)
+        samples = _recombine_baseline(header, decoded(), len(frames), window)
 
     signal = HoaSignal(sample_rate=header.sample_rate, order=header.order, samples=samples)
-    if truncated:
-        raise StreamError(
-            f"stream truncated after {len(frames)} of {header.frame_count} frames",
-            partial=signal,
-        )
+    if fault:
+        raise StreamError(fault, partial=signal)
     return DecodeResult(
         signal=signal,
         stats=header.stream_stats(frame_stats),
         concealed_frames=sum(f.concealed for f in frame_stats),
     )
-
-
-def _decode_frames(header: StreamHeader, groups, walk, frame_stats: list):
-    """Reconstruct each frame of ``walk`` and yield its spectrum and bases,
-    appending its :class:`FrameStats` to ``frame_stats``.  The spectrum is
-    the proposed codec's L x M spectrum, or the baseline's (L, r + M)
-    component block.  A concealed frame repeats the previous frame's
-    spectrum and bases (zeros before the first decoded frame)."""
-    L, M, rank = header.half_length, header.num_channels, header.rank
-    nbg = (header.background_order + 1) ** 2
-    proposed = header.codec_id == CODEC_PROPOSED
-    spectrum, bases = np.zeros((L, M if proposed else rank + M)), [np.zeros((M, rank))]
-    for stats, p in walk:
-        f = stats.index
-        if p is not None:
-            channels = p.channels if header.bypass else core_codec.dequantize_channel(p.channels, groups)
-            noise = noise_subst.synthesize_noise(p.noise, groups, M - nbg, header.seed, f)
-            if proposed:
-                layout = freq_svd.layout_for_mode(p.side.mode, L)
-                spectrum = _proposed_spectrum(channels, p.bases, layout)
-                spectrum[:, nbg:] += noise
-            else:
-                spectrum = np.column_stack([channels, noise])
-            bases = p.bases
-        frame_stats.append(stats)
-        yield transform.SpectralFrame(index=f, coeffs=spectrum), bases
 
 
 def _proposed_spectrum(decoded: np.ndarray, bases: list, layout) -> np.ndarray:
@@ -811,11 +802,11 @@ def measure_stream(stream: bytes, quantizers: sideinfo.QuantizerSet | None = Non
     reason; its ``partial`` attribute carries the stats of the frames
     before it.
     """
-    header, groups, frames, truncated = _open_stream(stream, quantizers)
-    if truncated:
-        raise StreamError("stream truncated; cannot account bits")
+    header, groups, frames, fault = _open_stream(stream, quantizers)
+    if fault:
+        raise StreamError(fault)
     frame_stats = []
-    for stats, _ in _walk(header, groups, stream, frames, quantizers, reconstruct=False):
+    for stats, _, _ in _walk(header, groups, stream, frames, quantizers, reconstruct=False):
         if stats.concealed:
             reason = stats.conceal_reason
             message = f"frame {stats.index}: CRC mismatch" if reason == "crc" else reason

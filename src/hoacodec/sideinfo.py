@@ -468,7 +468,7 @@ def _raw_basis_frames(signals, config: TrainingConfig):
     L = config.half_length
     window = sine_window(L)
     for sig in signals:
-        streams = [[[truncated_basis(fr.samples, config.rank).vectors] for fr in segment_frames(sig.samples, L)]]
+        streams = [[[truncated_basis(x, config.rank).vectors] for x in segment_frames(sig.samples, L)]]
         specs, _ = analyze(sig.samples, L, window)
         for mode in (MODE_SINGLE_BAND, MODE_FOUR_BANDS):
             streams.append([mode_bases(sp, mode, config.rank)[2] for sp in specs])

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 
 from hoacodec.errors import ShapeError
-from hoacodec.hoa_io import TimeFrame, segment_frames
+from hoacodec.hoa_io import segment_frames
 
 
 def _half_length(window: np.ndarray) -> int:
@@ -55,20 +55,15 @@ class SpectralFrame:
     index: int
     coeffs: np.ndarray
 
-    @property
-    def num_bins(self) -> int:
-        return self.coeffs.shape[0]
-
 
 def _dct4(u: np.ndarray) -> np.ndarray:
     # scipy's DCT-IV carries a factor 2 relative to the plain cosine sum
     return 0.5 * scipy.fft.dct(u, type=4, axis=0)
 
 
-def mdct_forward(frame: TimeFrame, window: np.ndarray) -> SpectralFrame:
+def mdct_forward(x: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Window a 2L x M frame by the (2L,) ``window`` and return its L x M
     MDCT coefficients."""
-    x = frame.samples
     L = _half_length(window)
     if x.ndim != 2 or x.shape[0] != 2 * L:
         raise ShapeError(
@@ -78,12 +73,12 @@ def mdct_forward(frame: TimeFrame, window: np.ndarray) -> SpectralFrame:
     h = L // 2
     a, b, c, d = z[:h], z[h:L], z[L : L + h], z[L + h :]
     folded = np.concatenate([-c[::-1] - d, a - b[::-1]], axis=0)
-    return SpectralFrame(index=frame.index, coeffs=_dct4(folded))
+    return _dct4(folded)
 
 
-def mdct_inverse(spec: SpectralFrame, window: np.ndarray) -> np.ndarray:
-    """Inverse MDCT plus synthesis windowing; returns a 2L x M block."""
-    X = spec.coeffs
+def mdct_inverse(X: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Inverse MDCT of L x M coefficients plus synthesis windowing; returns
+    a 2L x M block."""
     L = _half_length(window)
     if X.ndim != 2 or X.shape[0] != L:
         raise ShapeError(
@@ -99,7 +94,8 @@ def mdct_inverse(spec: SpectralFrame, window: np.ndarray) -> np.ndarray:
 
 
 def analyze(signal_samples: np.ndarray, half_length: int, window: np.ndarray | None = None):
-    """MDCT-transform a (length, channels) array; returns (frames, window).
+    """MDCT-transform a (length, channels) array; returns (frames, window),
+    frame f a :class:`SpectralFrame` of index f.
 
     Convenience wrapper chaining :func:`hoa_io.segment_frames` and the
     forward transform the way both pipelines consume per-channel-group
@@ -107,16 +103,17 @@ def analyze(signal_samples: np.ndarray, half_length: int, window: np.ndarray | N
     """
     if window is None:
         window = sine_window(half_length)
-    return [mdct_forward(fr, window) for fr in segment_frames(signal_samples, half_length)], window
+    frames = segment_frames(signal_samples, half_length)
+    return [SpectralFrame(index=f, coeffs=mdct_forward(x, window)) for f, x in enumerate(frames)], window
 
 
 def overlap_add(spectra, window: np.ndarray):
-    """Inverse-MDCT each spectrum as it arrives and overlap-add the blocks at
-    hop L: block f lands on samples [fL, fL + 2L) of the padded timeline
-    (:func:`hoa_io.pad_signal`).  Right after block f this yields samples
-    [fL, fL + L), which no later block reaches, and after the last of F
-    blocks the tail [FL, FL + L).  Each sample is the sum of its blocks in
-    frame order, added onto 0.0."""
+    """Inverse-MDCT each L x M spectrum as it arrives and overlap-add the
+    blocks at hop L: block f lands on samples [fL, fL + 2L) of the padded
+    timeline (:func:`hoa_io.pad_signal`).  Right after block f this yields
+    samples [fL, fL + L), which no later block reaches, and after the last
+    of F blocks the tail [FL, FL + L).  Each sample is the sum of its blocks
+    in frame order, added onto 0.0."""
     L = _half_length(window)
     pending = None  # the 2L samples the next block lands on
     for f, sp in enumerate(spectra):
@@ -134,10 +131,10 @@ def overlap_add(spectra, window: np.ndarray):
 
 
 def synthesize(spectra, window: np.ndarray, original_length: int) -> np.ndarray:
-    """Inverse of :func:`analyze` for any iterable of spectra: the samples
-    :func:`overlap_add` yields after the head padding, the first
+    """Inverse of :func:`analyze` for any iterable of :class:`SpectralFrame`:
+    the samples :func:`overlap_add` yields after the head padding, the first
     ``original_length`` of them, or all F*L of F spectra if that is fewer."""
-    hops = overlap_add(spectra, window)
+    hops = overlap_add((sp.coeffs for sp in spectra), window)
     next(hops, None)  # the head padding
     out, end = np.zeros((0, 0)), 0
     for hop in hops:

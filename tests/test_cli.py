@@ -163,6 +163,12 @@ def test_runtime_errors_exit_2(workspace):
         assert main(["analyze", str(wav), "--frame", "256", "--rank", rank]) == 2
     assert main(["train-quantizers", str(workspace / "corpus"),
                  "--out", str(workspace / "x255"), "--frame", "255"]) == 2
+    # a stream with a byte after its last frame
+    long = workspace / "long.bs"
+    assert main(["encode", "--bypass", "--frame", "256", str(wav), str(long)]) == 0
+    long.write_bytes(long.read_bytes() + b"\x00")
+    assert main(["decode", str(long), str(workspace / "long.wav")]) == 2
+    assert main(["stats", str(long)]) == 2
 
 
 def test_bad_parameters_exit_2_with_one_line(workspace, tmp_path, capsys):

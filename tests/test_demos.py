@@ -1,4 +1,6 @@
-"""Smoke test: demos 01-04 run to completion in their own processes.
+"""Smoke test: demos 01-04 run to completion in their own processes, with
+every ``RuntimeWarning`` an error as in the suite itself (pyproject.toml's
+filter does not reach a subprocess).
 
 The demos call the library's public API (02 the ``freq_svd`` band
 decomposition), so an API change that breaks one shows up here.  Demo 05
@@ -28,7 +30,7 @@ _SRC = str(Path(hoacodec.__file__).resolve().parent.parent)
 def test_demo_runs(name, tmp_path):
     path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, str(_DEMOS / name)], cwd=tmp_path, capture_output=True, text=True,
+        [sys.executable, "-W", "error::RuntimeWarning", str(_DEMOS / name)], cwd=tmp_path, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=300,
     )
     assert done.returncode == 0, done.stderr

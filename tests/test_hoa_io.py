@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoacodec.errors import FormatError, HoaCodecError, ShapeError
+from hoacodec.errors import FormatError, HoaCodecError, NumericError, ShapeError
 from hoacodec.hoa_io import (
     HoaSignal,
     num_frames,
@@ -56,6 +56,35 @@ def test_pcm_roundtrip_within_one_step(rng, tmp_path, fmt, step):
     write_hoa_wav(sig, tmp_path / "p.wav", fmt)
     back = read_hoa_wav(tmp_path / "p.wav")
     assert np.max(np.abs(back.samples - sig.samples)) <= step
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32])
+def test_pcm_bytes_and_samples_are_exact(rng, tmp_path, bits):
+    """Each sample is written as round(x * 2^(bits-1)), clipped to the
+    format's range, in bits/8 little-endian two's-complement bytes, and read
+    back as exactly that integer over 2^(bits-1)."""
+    scale = 2 ** (bits - 1)
+    edges = [-1.0, 1.0 - 1 / scale, 1.0, -1.5, np.inf, -np.inf, 0.5 / scale, -0.5 / scale]
+    x = np.concatenate([rng.uniform(-1.2, 1.2, 400), edges]).reshape(-1, 4)
+    write_hoa_wav(HoaSignal.from_samples(x, 48000), tmp_path / "p.wav", f"pcm{bits}")
+    q = np.clip(np.round(x * scale), -scale, scale - 1)
+    expected = b"".join(int(v).to_bytes(bits // 8, "little", signed=True) for v in q.ravel())
+    data = (tmp_path / "p.wav").read_bytes()
+    start = data.index(b"data") + 8
+    assert data[start : start + len(expected)] == expected
+    assert np.array_equal(read_hoa_wav(tmp_path / "p.wav").samples, q / scale)
+
+
+def test_nan_samples_are_refused_by_the_integer_formats(tmp_path):
+    x = np.zeros((8, 4))
+    x[3, 2] = np.nan
+    sig = HoaSignal.from_samples(x, 48000)
+    for fmt in ("pcm16", "pcm24", "pcm32"):
+        with pytest.raises(NumericError, match=f"NaN sample cannot be written as {fmt}"):
+            write_hoa_wav(sig, tmp_path / f"{fmt}.wav", fmt)
+        assert not (tmp_path / f"{fmt}.wav").exists()
+    write_hoa_wav(sig, tmp_path / "f.wav", "float32")
+    assert np.isnan(read_hoa_wav(tmp_path / "f.wav").samples[3, 2])
 
 
 def test_empty_signal_roundtrip(tmp_path):
@@ -140,7 +169,7 @@ def test_frame_count_examples():
 def test_frames_are_2l_long(rng):
     frames = list(segment_frames(_signal(rng, length=2048).samples, 1024))
     assert len(frames) == 3
-    assert all(fr.samples.shape == (2048, 16) for fr in frames)
+    assert all(fr.shape == (2048, 16) for fr in frames)
 
 
 def test_every_sample_in_exactly_two_frames(rng):
@@ -148,8 +177,8 @@ def test_every_sample_in_exactly_two_frames(rng):
     for length in (1, 77, 128, 300, 1024):
         frames = segment_frames(rng.uniform(-0.9, 0.9, (length, 4)), L)
         coverage = np.zeros(L + length + 4 * L)
-        for fr in frames:
-            coverage[fr.index * L : fr.index * L + 2 * L] += 1
+        for f, _ in enumerate(frames):
+            coverage[f * L : f * L + 2 * L] += 1
         # original samples occupy padded indices [L, L+length)
         assert np.all(coverage[L : L + length] == 2)
 
@@ -164,10 +193,10 @@ def test_frame_offsets_follow_hop(rng):
         x = rng.uniform(-0.9, 0.9, (length, 4))
         padded = pad_signal(x, L)
         frames = list(segment_frames(x, L))
-        assert [fr.index for fr in frames] == list(range(num_frames(length, L)))
-        for fr in frames:
+        assert len(frames) == num_frames(length, L)
+        for f, fr in enumerate(frames):
             # bit for bit, zero padding included
-            assert fr.samples.tobytes() == padded[fr.index * L : fr.index * L + 2 * L].tobytes()
+            assert fr.tobytes() == padded[f * L : f * L + 2 * L].tobytes()
 
 
 # the byte offsets of the RIFF, fmt and data chunk sizes in write_hoa_wav's files

@@ -529,6 +529,21 @@ def chirp_bypass_streams():
     }
 
 
+@pytest.mark.parametrize("codec", ["proposed", "baseline"])
+def test_bytes_after_the_last_frame_are_refused(chirp_bypass_streams, codec):
+    """Decode still decodes every frame, then raises naming the bytes after
+    the last one, with the signal as partial; stats raises alike."""
+    stream = chirp_bypass_streams[codec].stream
+    clean = pipeline.decode(stream).signal.samples
+    for extra in (b"\x00", bytes(1000), stream):  # a second complete stream too
+        with pytest.raises(StreamError, match=f"^{len(extra)} bytes after the last of ") as raised:
+            pipeline.decode(stream + extra)
+        assert np.array_equal(raised.value.partial.samples, clean)
+        with pytest.raises(StreamError) as measured:
+            pipeline.measure_stream(stream + extra)
+        assert str(measured.value) == str(raised.value)
+
+
 def _with_raw_values(res, edits) -> bytes:
     """``res.stream`` under recomputed CRCs, with raw float64 values
     overwritten: ``edits`` lists (frame, where, value, index), writing
