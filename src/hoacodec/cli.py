@@ -91,7 +91,7 @@ def cmd_encode(args) -> int:
     print(f"modes: {stats.mode_histogram}")
     print(f"side-info share: {100 * stats.side_info_share:.2f}%")
     if args.stats:
-        args.stats.write_text(json.dumps(stats.to_dict(), indent=1))
+        args.stats.write_text(json.dumps(stats.to_dict(), indent=1, allow_nan=False))
         print(f"stats: {args.stats}")
     return 0
 
@@ -110,12 +110,12 @@ def cmd_decode(args) -> int:
 def cmd_stats(args) -> int:
     stream = args.input.read_bytes()
     stats = pipeline.measure_stream(stream, _quantizers(args))
-    doc = stats.to_dict()
+    doc = json.dumps(stats.to_dict(), indent=1, allow_nan=False)
     if args.json:
-        args.json.write_text(json.dumps(doc, indent=1))
+        args.json.write_text(doc)
         print(f"wrote {args.json}")
     else:
-        print(json.dumps(doc, indent=1))
+        print(doc)
     return 0
 
 

@@ -217,7 +217,7 @@ class StreamStats:
             "num_samples": self.num_samples,
             "num_channels": self.num_channels,
             "total_bits": self.total_bits,
-            "kbps": self.kbps,
+            "kbps": self.kbps if self.num_samples else None,  # JSON has no infinity
             "header_bits": self.header_bits,
             "mode_histogram": {str(k): v for k, v in self.mode_histogram.items()},
             "side_info_share": self.side_info_share,
@@ -563,17 +563,13 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups):
     L, r = cfg.half_length, cfg.rank
     nbg = (cfg.background_order + 1) ** 2
     per_segment = max(1, _SEGMENT_VALUES // (L * (r + nbg)))
-    interp = baseline_td.InterpolationWindow.make(L)
     mdct_win = transform.sine_window(L)
-    state = sideinfo.SideInfoState()
-    prev_basis: baseline_td.TruncatedBasis | None = None
-    block = np.zeros((2 * L, r + signal.num_channels))  # [head(f-1); head(f)]
-    waiting = None  # (index, writer, side info) of the frame whose block is next
-    segment = []  # (index, [trial], spectrum) of the frames not coded yet
-    for f, X in enumerate(itertools.chain(segment_frames(signal.samples, L), [None])):
-        if X is None:
-            block[L:] = 0.0
-        else:
+
+    def heads():
+        """(index, writer, side info, head) per frame, then a zero head."""
+        interp = baseline_td.InterpolationWindow.make(L)
+        state, prev_basis = sideinfo.SideInfoState(), None
+        for f, X in enumerate(segment_frames(signal.samples, L)):
             raw = baseline_td.truncated_basis(X, r, f)
             if cfg.bypass_quantization and prev_basis is not None:
                 # the raw basis is sent, so align it here (quantized side
@@ -583,23 +579,21 @@ def _encode_baseline(signal: HoaSignal, cfg: EncoderConfig, groups):
             side, recon = sideinfo.encode_sideinfo([raw.vectors], 0, cfg.side_quantizers(), state, w)
             basis = baseline_td.TruncatedBasis(vectors=recon[0], frame=f)
             dec = baseline_td.decompose_frame(X, basis, prev_basis, interp)
-            block[L:, :r] = dec.foreground[:L]
-            block[L:, r:] = dec.ambient[:L]
+            yield f, w, side, np.hstack([dec.foreground[:L], dec.ambient[:L]])
             prev_basis = basis
-        if waiting is not None:
-            index, writer, side_info = waiting
-            spec = transform.mdct_forward(block, mdct_win)
-            _check_energy(index, spec)
-            info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups)
-            trial = _Trial(writer, side_info, _write_noise_block(writer, info), spec[:, : r + nbg])
-            segment.append((index, [trial], spec))
-            if len(segment) == per_segment or X is None:
-                for payload, stats, _ in _code_frames(segment, cfg, groups):
-                    yield payload, stats
-                segment = []
-        if X is not None:
-            block[:L] = block[L:]
-            waiting = (f, w, side)
+        yield None, None, None, np.zeros((L, r + signal.num_channels))
+
+    segment = []  # (index, [trial], spectrum) of the frames not coded yet
+    for (index, writer, side, head), (following, *_, next_head) in itertools.pairwise(heads()):
+        spec = transform.mdct_forward(np.vstack([head, next_head]), mdct_win)
+        _check_energy(index, spec)
+        info = noise_subst.analyze_discarded(spec[:, r + nbg :], groups)
+        trial = _Trial(writer, side, _write_noise_block(writer, info), spec[:, : r + nbg])
+        segment.append((index, [trial], spec))
+        if len(segment) == per_segment or following is None:
+            for payload, stats, _ in _code_frames(segment, cfg, groups):
+                yield payload, stats
+            segment = []
 
 
 # --------------------------------------------------------------------------
@@ -713,28 +707,38 @@ def decode(stream: bytes, quantizers: sideinfo.QuantizerSet | None = None) -> De
     """Decode a container stream back to an :class:`HoaSignal` in one pass:
     each frame is parsed, reconstructed and overlap-added as it is read.
 
+    Hop f >= 1 of :func:`transform.overlap_add` is output samples
+    [(f-1)L, fL): the proposed codec's as it is, the baseline's foreground
+    times the per-sample blend of bases f-1 and f plus its ambient columns.
+    The baseline drops the tail hop, which would need a basis after the last.
     CRC-failing frames are concealed by repeating the previous frame's
     decoded spectra; a stream truncated or with bytes after its last frame
     raises :class:`StreamError` once its frames are decoded, with their
     samples in the ``partial`` attribute.
     """
     header, groups, frames, fault = _open_stream(stream, quantizers)
-    frame_stats = []
+    L, rank = header.half_length, header.rank
+    proposed = header.codec_id == CODEC_PROPOSED
+    interp = baseline_td.InterpolationWindow.make(L)
+    frame_stats, recent = [], collections.deque(maxlen=2)  # the bases of the last two frames read
 
-    def decoded():
+    def spectra():
         for stats, spectrum, bases in _walk(header, groups, stream, frames, quantizers, reconstruct=True):
             frame_stats.append(stats)
-            yield spectrum, bases
+            recent.append(bases[0])
+            yield spectrum
 
-    window = transform.sine_window(header.half_length)
-    if not frames:
-        samples = np.zeros((0, header.num_channels))
-    elif header.codec_id == CODEC_PROPOSED:  # the output of the frames the stream holds
-        length = min(header.original_length, len(frames) * header.half_length)
-        spectra = (transform.SpectralFrame(index=f, coeffs=sp) for f, (sp, _) in enumerate(decoded()))
-        samples = transform.synthesize(spectra, window, length)
-    else:
-        samples = _recombine_baseline(header, decoded(), len(frames), window)
+    hops = len(frames) if proposed else max(len(frames) - 1, 0)
+    samples = np.empty((min(header.original_length, hops * L), header.num_channels))
+    # every frame is walked, also once the output is full
+    for f, hop in enumerate(transform.overlap_add(spectra(), transform.sine_window(L))):
+        out = samples[max(f - 1, 0) * L : f * L]
+        if not len(out):
+            continue
+        if not proposed:
+            per_sample = baseline_td.interpolate_basis(*map(baseline_td.TruncatedBasis, recent), interp)
+            hop = np.einsum("lr,lmr->lm", hop[:, :rank], per_sample) + hop[:, rank:]
+        out[:] = hop[: len(out)]
 
     signal = HoaSignal(sample_rate=header.sample_rate, order=header.order, samples=samples)
     if fault:
@@ -759,30 +763,6 @@ def _proposed_spectrum(decoded: np.ndarray, bases: list, layout) -> np.ndarray:
     S = freq_svd.back_project([fg[a:b] for a, b in layout], bases)
     S[:, : decoded.shape[1] - rank] += decoded[:, rank:]
     return S
-
-
-def _recombine_baseline(header: StreamHeader, decoded, count: int, window) -> np.ndarray:
-    """Overlap-add the component stream [foreground | ambient] and, once block
-    f >= 1 is added, recombine stream samples [fL, fL+L): the foreground times
-    the per-sample blend of bases f-1 and f, plus the ambient columns.  The
-    head padding and the tail after the last of ``count`` blocks are dropped."""
-    L, rank = header.half_length, header.rank
-    interp = baseline_td.InterpolationWindow.make(L)
-    hoa = np.empty(((count - 1) * L, header.num_channels))
-    recent = collections.deque(maxlen=2)  # the bases of the last two blocks read
-
-    def blocks():
-        for block, bases in decoded:
-            recent.append(baseline_td.TruncatedBasis(bases[0]))
-            yield block
-
-    # overlap_add yields samples [fL, fL+L) right after it reads block f
-    hops = transform.overlap_add(blocks(), window)
-    next(hops)  # the head padding
-    for f, hop in zip(range(1, count), hops):
-        per_sample = baseline_td.interpolate_basis(*recent, interp)
-        hoa[(f - 1) * L : f * L] = np.einsum("lr,lmr->lm", hop[:, :rank], per_sample) + hop[:, rank:]
-    return hoa[: header.original_length]
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,9 @@ predecessor; each column is then predicted from the best-correlated column
 available anywhere in the previous frame, with the chosen reference index
 transmitted.
 
-Encoding and decoding walk the one syntax in :func:`_side_info`; in bypass
-(no quantizer set) the bases travel as raw float64 through the same walk.
+Encoding and decoding walk the one syntax in :func:`_side_info` and rebuild
+the bases from its fields with the one :func:`_rebuilt`; in bypass (no
+quantizer set) the bases travel as raw float64 through the same walk.
 """
 
 from __future__ import annotations
@@ -232,38 +233,30 @@ def predict_basis(prev: TruncatedBasis, cur: TruncatedBasis):
 
 
 class _Code:
-    """The side-info fields of one frame, per column, band after band, and
-    the reconstructed bases, per band.  The encoder fills them before its
-    walk writes them; the decoder's walk reads them into a fresh one, and
-    :func:`_rebuilt` then reconstructs its bases."""
+    """The side-info fields of one frame, per column, band after band.  The
+    encoder fills them before its walk writes them; the decoder's walk reads
+    them into a fresh one.  After either walk :func:`_rebuilt` reconstructs
+    the bases they describe."""
 
     def __init__(self, ranks: list):
         n = sum(ranks)
-        self.bases = []  # per band
-        self.intra = [True] * n  # column_intra (every column of an intra band)
-        self.intra_index, self.ref_index = [0] * n, [0] * n
-        self.coeff_index, self.residual_index = [0] * n, [0] * n
-
-
-def _split(rows: np.ndarray, ranks: list) -> list:
-    """Rows of a frame's columns, band after band, as (M, r) bases."""
-    ends = np.cumsum(ranks)
-    return [np.ascontiguousarray(rows[end - r : end].T) for r, end in zip(ranks, ends)]
+        self.intra = np.ones(n, dtype=bool)  # column_intra (every column of an intra band)
+        self.intra_index, self.ref_index = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        self.coeff_index, self.residual_index = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
 
 
 def _rebuilt(q: QuantizerSet, c: _Code, ranks: list, state: SideInfoState, switched: bool) -> list:
-    """The per-band bases the fields read into ``c`` describe, rebuilt as
-    the encoder rebuilt them: every column intra, then the predicted ones
-    from the previous frame's pool, column ``ref_index`` on a mode switch,
-    else the column at the same place."""
+    """The per-band bases the fields of ``c`` describe, rebuilt the same way
+    by encoder and decoder: every column intra, then the predicted ones from
+    the previous frame's pool, column ``ref_index`` on a mode switch, else
+    the column at the same place.  Each band's (M, r) basis is C-contiguous."""
     cols = np.concatenate([np.arange(r) for r in ranks])
-    rows = _intra_rows(q, np.array(c.intra_index), cols)
-    p = np.flatnonzero(np.logical_not(c.intra))
+    rows = _intra_rows(q, c.intra_index, cols)
+    p = np.flatnonzero(~c.intra)
     if p.size:
-        refs = np.ascontiguousarray(state.pool()[:, np.array(c.ref_index)[p] if switched else p].T)
-        coeff_index, residual_index = np.array(c.coeff_index)[p], np.array(c.residual_index)[p]
-        rows[p] = _predicted_rows(q, coeff_index, residual_index, refs, cols[p])
-    return _split(rows, ranks)
+        refs = np.ascontiguousarray(state.pool()[:, c.ref_index[p] if switched else p].T)
+        rows[p] = _predicted_rows(q, c.coeff_index[p], c.residual_index[p], refs, cols[p])
+    return [np.ascontiguousarray(rows[at : at + r].T) for r, at in zip(ranks, itertools.accumulate(ranks, initial=0))]
 
 
 def _code_bands(q: QuantizerSet, trials: list) -> list:
@@ -296,7 +289,7 @@ def _code_bands(q: QuantizerSet, trials: list) -> list:
             elif pool is not None:
                 corrs = np.array([target @ pool for target in raw.T])
                 best = np.abs(corrs).argmax(axis=1)
-                c.ref_index[k] = best.tolist()
+                c.ref_index[k] = best
                 flips = corrs[np.arange(len(best)), best] < 0
                 targets += [-t if f else t for t, f in zip(raw.T, flips)]
                 refs += [pool[:, j] for j in c.ref_index[k]]
@@ -321,16 +314,14 @@ def _code_bands(q: QuantizerSet, trials: list) -> list:
         pred_rows = _predicted_rows(q, coeff_index[p], residual_index[p], R, cols[p])
         better = np.sum((pred_rows - Tp) ** 2, axis=1) <= np.sum((rows[p] - Tp) ** 2, axis=1)
         predicted[p[better]] = True
-        rows[p[better]] = pred_rows[better]
     coeff_index[~predicted] = residual_index[~predicted] = intra_index[predicted] = 0
 
     at = 0
-    for c, (raw_bases, _, _) in zip(codes, trials):
+    for c in codes:
         k = slice(at, at + len(c.ref_index))
         at = k.stop
-        c.intra, c.intra_index = (~predicted[k]).tolist(), intra_index[k].tolist()
-        c.coeff_index, c.residual_index = coeff_index[k].tolist(), residual_index[k].tolist()
-        c.bases = _split(rows[k], [b.shape[1] for b in raw_bases])
+        c.intra, c.intra_index = ~predicted[k], intra_index[k]
+        c.coeff_index, c.residual_index = coeff_index[k], residual_index[k]
     return codes
 
 
@@ -366,8 +357,9 @@ def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=N
         side_info := mode:u1 ( band+ | bypass_basis+ )
 
     Encodes ``coded`` (the frame's :class:`_Code`, or in bypass its raw
-    (M, r) bases) when it is given, else decodes, rebuilding the quantized
-    bases only when ``rebuild`` is set (else they are None).  ``q`` None is
+    (M, r) bases) when it is given, else decodes.  Either way the quantized
+    bases are then rebuilt from the fields (:func:`_rebuilt`), only when
+    ``rebuild`` is set (else they are None).  ``q`` None is
     bypass: each basis is ``channels`` x r raw float64.  A mode that
     ``ranks`` lacks is a :class:`StreamError`.  Advances ``state``."""
     start = f.position
@@ -381,9 +373,7 @@ def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=N
         c = coded or _Code(ranks[mode])
         for r, at in zip(ranks[mode], itertools.accumulate(ranks[mode], initial=0)):
             _band(f, q, state, r, info, c, at)
-        if coded is None:
-            c.bases = _rebuilt(q, c, ranks[mode], state, info.switched) if rebuild else None
-        bases = c.bases
+        bases = _rebuilt(q, c, ranks[mode], state, info.switched) if rebuild else None
     info.bit_count = f.position - start
     state.prev_bases = None if bases is None else [b.copy() for b in bases]
     state.prev_mode, state.prev_columns = mode, sum(ranks[mode])
@@ -505,10 +495,13 @@ def harvest_training_pairs(signals, config: TrainingConfig):
 
 
 def train_quantizers(signals, config: TrainingConfig | None = None) -> QuantizerSet:
-    """GLA-train the three codebooks from a corpus of HoaSignals.  A rank
-    outside 1..M of a signal, a negative ``max_frames`` or a negative seed
-    is a :class:`ConfigurationError`."""
+    """GLA-train the three codebooks from a corpus of HoaSignals.  Signals of
+    different channel counts, a rank outside 1..M of a signal, a negative
+    ``max_frames`` or a negative seed are a :class:`ConfigurationError`."""
     config = config or TrainingConfig()
+    counts = sorted({sig.num_channels for sig in signals})
+    if len(counts) > 1:
+        raise ConfigurationError(f"signals of {counts} channels; one codebook set fits one channel count")
     for sig in signals:
         if not 1 <= config.rank <= sig.num_channels:
             raise ConfigurationError(f"rank {config.rank} out of range for M={sig.num_channels}")

@@ -129,6 +129,32 @@ def test_train_quantizers_reports_each_codebook(workspace, tmp_path, capsys):
     ]
 
 
+def test_train_quantizers_on_mixed_orders_exits_2(tmp_path, capsys):
+    for order in (1, 3):
+        samples = np.random.default_rng(order).standard_normal((4800, (order + 1) ** 2))
+        write_hoa_wav(HoaSignal(sample_rate=48000, order=order, samples=samples), tmp_path / f"o{order}.wav")
+    assert main(["train-quantizers", str(tmp_path), "--out", str(tmp_path / "cb"), "--frame", "256"]) == 2
+    assert "[4, 16] channels" in capsys.readouterr().err
+
+
+def _strict_json(text: str):
+    """``text`` parsed by a parser that refuses NaN and the infinities."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_stats_of_an_empty_signal_are_standard_json(tmp_path, capsys):
+    wav, stream = tmp_path / "empty.wav", tmp_path / "empty.bs"
+    write_hoa_wav(HoaSignal(sample_rate=48000, order=1, samples=np.zeros((0, 4))), wav)
+    assert main(["encode", "--bypass", "--frame", "256", str(wav), str(stream),
+                 "--stats", str(tmp_path / "enc.json")]) == 0
+    assert _strict_json((tmp_path / "enc.json").read_text())["kbps"] is None
+    capsys.readouterr()
+    assert main(["stats", str(stream)]) == 0
+    assert _strict_json(capsys.readouterr().out)["kbps"] is None
+
+
 def test_usage_errors_exit_1(workspace, capsys):
     assert main(["encode"]) == 1
     assert main(["compare", "--corpus", str(workspace / "nowhere")]) == 1

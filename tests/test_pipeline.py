@@ -157,6 +157,31 @@ def test_truncated_stream_raises_with_partial(encoded, small_quantizers_module):
     assert partial is not None and partial.length > 0
 
 
+@pytest.mark.parametrize("codec", ["proposed", "baseline"])
+@pytest.mark.parametrize("n", [10 * 256, 10 * 256 - 37])
+def test_decode_hops_of_intact_and_cut_streams(small_scene_module, small_quantizers_module, codec, n):
+    """Decode's hop loop: one FrameStats per header frame, as stats reads
+    them, and on a stream cut after k of F frames a partial signal of the
+    hops those frames complete, equal to the intact decode where both
+    reach: k·L samples for the proposed codec, (k - 1)·L for the baseline,
+    whose last hop also needs the next frame's basis, at most n."""
+    s, L = small_scene_module, 256
+    q = small_quantizers_module
+    res = pipeline.encode(HoaSignal(s.sample_rate, s.order, s.samples[:n]), _cfg(q, codec))
+    intact = pipeline.decode(res.stream, quantizers=q)
+    assert intact.stats.frames == pipeline.measure_stream(res.stream, quantizers=q).frames
+    assert len(intact.stats.frames) == len(res.stats.frames) == 11
+    ends = np.cumsum([pipeline.HEADER_BYTES] + [f.total_bits // 8 for f in res.stats.frames])
+    for k, end in enumerate(ends[:-1]):
+        with pytest.raises(StreamError, match=f"truncated after {k} of 11 frames") as raised:
+            pipeline.decode(res.stream[:end], quantizers=q)
+        partial = raised.value.partial.samples
+        shared = min(n, max(k - 1, 0) * L)
+        assert len(partial) == (min(n, k * L) if codec == "proposed" else shared)
+        assert partial.shape[1] == 16
+        assert np.array_equal(partial[:shared], intact.signal.samples[:shared])
+
+
 def test_not_a_stream_rejected():
     with pytest.raises(StreamError):
         pipeline.decode(b"definitely not a stream")

@@ -347,13 +347,15 @@ def test_frame_wide_decisions_match_per_column_reference(rng, small_quantizers, 
             raws[mode] = [(drift[b % len(drift)], _random_basis(rng), np.eye(16)[:, :4])[k] for b, k in enumerate(kinds)]
         codes = sideinfo._code_bands(q, [(raws[0], 0, state), (raws[1], 1, state)])
         for mode, code in zip((0, 1), codes):
+            ranks = [4] * len(raws[mode])
+            bases = sideinfo._rebuilt(q, code, ranks, state, mode != prev_mode)
             for band, raw in enumerate(raws[mode]):
                 columns, recon = _reference_band(q, state, band, raw, mode != prev_mode)
                 k = slice(4 * band, 4 * band + 4)
                 got = list(zip(code.ref_index[k], code.intra[k], code.intra_index[k],
                                code.coeff_index[k], code.residual_index[k]))
                 assert got == columns
-                assert code.bases[band].tobytes() == recon.tobytes()
+                assert bases[band].tobytes() == recon.tobytes()
                 picked.update((mode != prev_mode, c[1]) for c in columns)
     # (switched band, intra) for every kind of column, or with the zero
     # centroid at least one intra column
@@ -395,6 +397,15 @@ def test_training_requires_enough_data():
                             residual_size=4, intra_size=4)
     with pytest.raises(TrainingError):
         train_quantizers([sig], config)
+
+
+def test_training_refuses_signals_of_different_orders():
+    sigs = [
+        scenes.render_scene(scenes.SceneSpec(duration=0.05, sample_rate=48000, order=order, sources=[], name="o"))
+        for order in (1, 3)
+    ]
+    with pytest.raises(ConfigurationError, match=r"\[4, 16\] channels"):
+        train_quantizers(sigs, TrainingConfig(half_length=256, rank=1))
 
 
 def _small_corpus():

@@ -8,6 +8,10 @@ class, must have a user outside its own definition: in ``src/``, in
 matched as identifiers: a function or property is used where its name is
 read, a method where an attribute of its name is called (``x.name(...)``),
 so a field or variable of the same name does not keep a method alive.
+
+Every private module-level function, class and constant must be read
+somewhere in ``src/``, so a helper that a move leaves without a caller
+shows up here.
 """
 
 import ast
@@ -19,16 +23,15 @@ TRACER_LISTS = ("LAYERS", "_READER_METHODS", "_WRITER_METHODS")
 
 
 def _names_used(tree: ast.AST) -> tuple:
-    """Identifiers a module reads (names, attributes and imported names),
-    and the attribute names it calls."""
+    """Identifiers a module reads (loaded names and attributes, and imported
+    names; an assignment's own target is not a read), and the attribute
+    names it calls."""
     read, called = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
-        elif isinstance(node, ast.alias):
+        if isinstance(node, ast.alias):
             read.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            read.add(node.id if isinstance(node, ast.Name) else node.attr)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             called.add(node.func.attr)
     return read, called
@@ -70,6 +73,20 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, not _is_property(item)
 
 
+def _private_definitions(tree: ast.Module):
+    """The names of the private module-level functions, classes and
+    assigned constants (dunders such as ``__all__`` excluded)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
 def test_tracer_lists_are_read():
     assert {"mdct_forward", "encode", "read_flag", "write_flag"} <= _tracer_names()
 
@@ -90,3 +107,16 @@ def test_every_public_definition_has_a_user():
         if name not in listed and name not in (called if method else read)
     ]
     assert not unused, f"public definitions that only unit tests or nothing use: {unused}"
+
+
+def test_every_private_definition_is_read_in_src():
+    read = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        read |= _names_used(ast.parse(path.read_text()))[0]
+    unread = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _private_definitions(ast.parse(path.read_text()))
+        if name not in read
+    ]
+    assert not unread, f"private definitions nothing in src/ reads: {unread}"
