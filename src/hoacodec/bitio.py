@@ -56,18 +56,9 @@ class BitWriter:
 
     def write_f64_array(self, values) -> None:
         """Write ``values`` row-major as big-endian float64, the bits of one
-        :meth:`write_f64` per value: one byte string, shifted into the
-        pending bits when the writer is not byte-aligned."""
+        :meth:`write_f64` per value, as one field."""
         data = np.ascontiguousarray(values, dtype=">f8").tobytes()
-        n = self._nacc
-        if not n or not data:
-            self._buf += data
-            return
-        buf = np.frombuffer(data, np.uint8)
-        prev = np.empty_like(buf)
-        prev[0], prev[1:] = self._acc, buf[:-1]
-        self._buf += ((prev << (8 - n)) | (buf >> n)).tobytes()
-        self._acc = int(buf[-1]) & ((1 << n) - 1)
+        self.write(int.from_bytes(data, "big"), 8 * len(data))
 
     def write_fields(self, values: np.ndarray, lengths: np.ndarray) -> None:
         """Write ``values[i]`` in ``lengths[i]`` bits for every i, the bits of
@@ -170,17 +161,11 @@ class BitReader:
         return struct.unpack(">d", self.read(64).to_bytes(8, "big"))[0]
 
     def read_f64_array(self, shape) -> np.ndarray:
-        """Read ``prod(shape)`` big-endian float64 values at any bit offset:
-        one byte slice, shifted into byte alignment when the run does not
-        start on a byte boundary."""
+        """Read ``prod(shape)`` big-endian float64 values, what
+        :meth:`BitWriter.write_f64_array` writes, as one field."""
         nbytes = 8 * int(np.prod(shape))
-        start = self._pos
-        self.bit_position = start + 8 * nbytes  # raises StreamError past the end
-        first, shift = divmod(start, 8)
-        buf = np.frombuffer(self._data, np.uint8, nbytes + (shift > 0), first)
-        if shift:
-            buf = (buf[:-1] << shift) | (buf[1:] >> (8 - shift))
-        return buf.view(">f8").astype(np.float64).reshape(shape)
+        data = self.read(8 * nbytes).to_bytes(nbytes, "big")
+        return np.frombuffer(data, ">f8").astype(np.float64).reshape(shape)
 
     def read_bytes(self, n: int) -> bytes:
         return bytes(self.read(8) for _ in range(n))

@@ -57,27 +57,17 @@ def band_split(spec: SpectralFrame, layout: tuple) -> list:
     return [S[a:b] for a, b in layout]
 
 
-def mode_bases(spec: SpectralFrame, mode: int, rank: int) -> tuple:
-    """A frame's analysis in one coding mode: (layout, per-band coefficient
-    rows, per-band raw truncated bases as (M, rank) arrays).  The proposed
-    encoder's RD trials and codebook training both start from it."""
-    layout = layout_for_mode(mode, spec.coeffs.shape[0])
-    parts = band_split(spec, layout)
-    return layout, parts, [truncated_basis(b, rank, spec.index).vectors for b in parts]
+def mode_bases(S: np.ndarray, mode: int, rank: int) -> tuple:
+    """The analysis of an L x M spectrum in one coding mode: (per-band
+    coefficient rows, per-band raw truncated bases as (M, rank) arrays).
+    The proposed encoder's RD trials and codebook training both start from
+    it."""
+    parts = [S[a:b] for a, b in layout_for_mode(mode, S.shape[0])]
+    return parts, [truncated_basis(b, rank).vectors for b in parts]
 
 
-def band_decompose(
-    bands: list,
-    rank: int,
-    layout: tuple,
-    bases: list | None = None,
-) -> BandDecomposition:
-    """Per-band SVD, truncation to ``rank`` columns, and projection.
-
-    ``bases`` overrides the per-band bases (the pipeline passes in the
-    side-info-reconstructed ones so encoder and decoder stay in sync);
-    otherwise each band's basis is the truncated SVD of the band.
-    """
+def band_decompose(bands: list, rank: int, layout: tuple) -> BandDecomposition:
+    """Per-band SVD, truncation to ``rank`` columns, and projection."""
     out_bases = []
     foregrounds = []
     for i, band in enumerate(bands):
@@ -85,7 +75,7 @@ def band_decompose(
             raise ShapeError(
                 f"band {i} has {band.shape[0]} bins, cannot retain {rank} components"
             )
-        basis = bases[i] if bases is not None else truncated_basis(band, rank, frame=i)
+        basis = truncated_basis(band, rank, frame=i)
         out_bases.append(basis)
         foregrounds.append(foreground_with_fallback(band, basis))
     return BandDecomposition(layout=layout, bases=out_bases, foregrounds=foregrounds)

@@ -146,31 +146,34 @@ def write_hoa_wav(signal: HoaSignal, path, sample_format: str = "float32") -> No
     ``sample_format``: one of ``float32``, ``pcm16``, ``pcm24``, ``pcm32``.
     float32 round-trips bit-exactly through :func:`read_hoa_wav`; integer
     formats round to the nearest step and clip at full scale, and refuse a
-    NaN sample, which has no integer value.
+    NaN sample, which has no integer value.  A data chunk or byte rate past
+    a 32-bit RIFF field is refused before any sample is converted.
     """
-    x = signal.samples
     if sample_format == "float32":
         tag, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
-        payload = x.astype("<f4").tobytes()
     elif sample_format in ("pcm16", "pcm24", "pcm32"):
         tag, bits = _WAVE_FORMAT_PCM, int(sample_format[3:])
+    else:
+        raise FormatError(f"unknown sample format {sample_format!r}")
+    channels = signal.num_channels
+    block_align = channels * bits // 8
+    size, byte_rate = signal.length * block_align, signal.sample_rate * block_align
+    riff_size = 4 + (8 + 16) + (8 + size + (size & 1))  # a 16-byte fmt body; RIFF chunks are word-aligned
+    if riff_size >= 1 << 32 or byte_rate >= 1 << 32:
+        raise FormatError(f"{size} bytes of samples at {byte_rate} bytes per second pass the 32-bit RIFF fields")
+    fmt = struct.pack("<HHIIHH", tag, channels, signal.sample_rate, byte_rate, block_align, bits)
+
+    x = signal.samples
+    if tag == _WAVE_FORMAT_IEEE_FLOAT:
+        payload = x.astype("<f4").tobytes()
+    else:
         if np.isnan(x).any():
             raise NumericError(f"a NaN sample cannot be written as {sample_format}")
         scale = 2 ** (bits - 1)
         # the clipped value shifted to the top of an int32, less its low bytes
         q = np.clip(np.round(x * scale), -scale, scale - 1).astype(np.int32) << (32 - bits)
         payload = q.astype("<i4").reshape(-1, 1).view(np.uint8)[:, 4 - bits // 8 :].tobytes()
-    else:
-        raise FormatError(f"unknown sample format {sample_format!r}")
-
-    channels = signal.num_channels
-    block_align = channels * bits // 8
-    byte_rate = signal.sample_rate * block_align
-    fmt = struct.pack(
-        "<HHIIHH", tag, channels, signal.sample_rate, byte_rate, block_align, bits
-    )
-    pad = b"\x00" if len(payload) & 1 else b""  # RIFF chunks are word-aligned
-    riff_size = 4 + (8 + len(fmt)) + (8 + len(payload) + len(pad))
+    pad = b"\x00" if size & 1 else b""
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE")
         fh.write(b"fmt " + struct.pack("<I", len(fmt)) + fmt)

@@ -436,7 +436,6 @@ class _Trial(NamedTuple):
     channels: np.ndarray  # (L, C): the r foreground tracks, then the background
     state: sideinfo.SideInfoState | None = None  # the side-info state after it
     bases: list | None = None  # per band, the (M, r) basis (proposed RD pick)
-    layout: tuple | None = None  # per band, its (start, stop) bin range
 
 
 def _check_energy(index: int, spectrum: np.ndarray) -> None:
@@ -488,7 +487,8 @@ def _code_frames(frames: list, cfg: EncoderConfig, groups) -> list:
             masks = core_codec.masking_threshold(original, groups)
             costs = []
             for t, c in zip(trials, cols):
-                spectrum = _proposed_spectrum(decoded[:, c], t.bases, t.layout)
+                layout = freq_svd.layout_for_mode(t.side.mode, original.shape[0])  # as _walk has it
+                spectrum = _proposed_spectrum(decoded[:, c], t.bases, layout)
                 payload_bits = t.side.bit_count + t.noise_bits + int(bits[c].sum())
                 costs.append(
                     _mask_weighted_error(original, spectrum, masks, groups)
@@ -520,24 +520,22 @@ def _encode_proposed(signal: HoaSignal, cfg: EncoderConfig, groups):
     state = sideinfo.SideInfoState()
     nbg = (cfg.background_order + 1) ** 2
     for f, frame in enumerate(segment_frames(signal.samples, cfg.half_length)):
-        sp = transform.SpectralFrame(index=f, coeffs=transform.mdct_forward(frame, window))
-        _check_energy(sp.index, sp.coeffs)
+        S = transform.mdct_forward(frame, window)
+        _check_energy(f, S)
         modes = [freq_svd.MODE_SINGLE_BAND, freq_svd.MODE_FOUR_BANDS]
-        analyses = [freq_svd.mode_bases(sp, mode, cfg.rank) for mode in modes]
+        bands, raws = zip(*(freq_svd.mode_bases(S, mode, cfg.rank) for mode in modes))
         writers, states = [BitWriter() for _ in modes], [state.copy() for _ in modes]
-        sides = sideinfo.encode_sideinfo_trials(
-            [(a[2], mode, st, w) for a, mode, st, w in zip(analyses, modes, states, writers)], cfg.side_quantizers()
-        )
+        sides = sideinfo.encode_sideinfo_trials(list(zip(raws, modes, states, writers)), cfg.side_quantizers())
         trials = []
-        for (layout, bands, _), (side, recon), w, trial_state in zip(analyses, sides, writers, states):
-            bases = [baseline_td.TruncatedBasis(vectors=v, frame=sp.index) for v in recon]
-            dec = freq_svd.band_decompose(bands, cfg.rank, layout, bases=bases)
-            residual = freq_svd.compute_residual(sp, dec)
+        for parts, (side, recon), w, trial_state in zip(bands, sides, writers, states):
+            # each band projected onto its side-info-rebuilt basis, as the decoder has it
+            fgs = [baseline_td.foreground_with_fallback(b, baseline_td.TruncatedBasis(V)) for b, V in zip(parts, recon)]
+            residual = S - freq_svd.back_project(fgs, recon)
             info = noise_subst.analyze_discarded(residual[:, nbg:], groups)
             noise_bits = _write_noise_block(w, info)
-            channels = np.hstack([np.concatenate(dec.foregrounds), residual[:, :nbg]])
-            trials.append(_Trial(w, side, noise_bits, channels, trial_state, recon, layout))
-        [(payload, stats, state)] = _code_frames([(sp.index, trials, sp.coeffs)], cfg, groups)
+            channels = np.hstack([np.concatenate(fgs), residual[:, :nbg]])
+            trials.append(_Trial(w, side, noise_bits, channels, trial_state, recon))
+        [(payload, stats, state)] = _code_frames([(f, trials, S)], cfg, groups)
         yield payload, stats
 
 

@@ -325,14 +325,13 @@ def _code_bands(q: QuantizerSet, trials: list) -> list:
     return codes
 
 
-def _band(f: _Fields, q, state: SideInfoState, r: int, info, c: _Code, at: int) -> None:
+def _band(f: _Fields, q, state: SideInfoState, r: int, switched: bool, c: _Code, at: int) -> None:
     """intra_band:u1, then r intra indices or a predicted band, for the
     columns ``at``.. of ``c``: written as they stand when encoding, read
     into ``c`` when decoding."""
     if f.flag(state.prev_mode is None):
         for k in range(at, at + r):
             c.intra_index[k] = f.uint("intra codebook index", q.intra.size, c.intra_index[k])
-        info.intra_columns += r
         return
     if state.prev_mode is None:
         raise StreamError("predicted band before any intra frame")
@@ -340,13 +339,9 @@ def _band(f: _Fields, q, state: SideInfoState, r: int, info, c: _Code, at: int) 
         c.intra[k] = f.flag(c.intra[k])
         if c.intra[k]:
             c.intra_index[k] = f.uint("intra codebook index", q.intra.size, c.intra_index[k])
-            info.intra_columns += 1
             continue
-        if info.switched:
+        if switched:
             c.ref_index[k] = f.uint("prediction reference", state.prev_columns, c.ref_index[k])
-            info.switched_columns += 1
-        else:
-            info.predicted_columns += 1
         c.coeff_index[k] = f.uint("coefficient codebook index", q.coeff.size, c.coeff_index[k])
         c.residual_index[k] = f.uint("residual codebook index", q.residual.size, c.residual_index[k])
 
@@ -357,10 +352,11 @@ def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=N
         side_info := mode:u1 ( band+ | bypass_basis+ )
 
     Encodes ``coded`` (the frame's :class:`_Code`, or in bypass its raw
-    (M, r) bases) when it is given, else decodes.  Either way the quantized
-    bases are then rebuilt from the fields (:func:`_rebuilt`), only when
-    ``rebuild`` is set (else they are None).  ``q`` None is
-    bypass: each basis is ``channels`` x r raw float64.  A mode that
+    (M, r) bases) when it is given, else decodes.  Either way the columns
+    are counted by coding from the column_intra fields, and the quantized
+    bases rebuilt from the fields (:func:`_rebuilt`) when ``rebuild`` is
+    set (else they are None).  ``q`` None is bypass: each basis is
+    ``channels`` x r raw float64, and no column is counted.  A mode that
     ``ranks`` lacks is a :class:`StreamError`.  Advances ``state``."""
     start = f.position
     mode = f.uint("mode", 2, mode)
@@ -372,7 +368,10 @@ def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=N
     else:
         c = coded or _Code(ranks[mode])
         for r, at in zip(ranks[mode], itertools.accumulate(ranks[mode], initial=0)):
-            _band(f, q, state, r, info, c, at)
+            _band(f, q, state, r, info.switched, c, at)
+        predicted = int(np.count_nonzero(~c.intra))
+        info.intra_columns = c.intra.size - predicted
+        info.predicted_columns, info.switched_columns = (0, predicted) if info.switched else (predicted, 0)
         bases = _rebuilt(q, c, ranks[mode], state, info.switched) if rebuild else None
     info.bit_count = f.position - start
     state.prev_bases = None if bases is None else [b.copy() for b in bases]
@@ -461,7 +460,7 @@ def _raw_basis_frames(signals, config: TrainingConfig):
         streams = [[[truncated_basis(x, config.rank).vectors] for x in segment_frames(sig.samples, L)]]
         specs, _ = analyze(sig.samples, L, window)
         for mode in (MODE_SINGLE_BAND, MODE_FOUR_BANDS):
-            streams.append([mode_bases(sp, mode, config.rank)[2] for sp in specs])
+            streams.append([mode_bases(sp.coeffs, mode, config.rank)[1] for sp in specs])
         for stream in streams:
             yield from zip([None] + stream, stream)
 
@@ -481,14 +480,9 @@ def harvest_training_pairs(signals, config: TrainingConfig):
             for k in range(raw.shape[1]):
                 intras.append(raw[:, k])
             if prev is not None and len(prev) == len(frame_bases):
-                _, _, aligned = match_bases(
-                    TruncatedBasis(vectors=prev[band_idx]),
-                    TruncatedBasis(vectors=raw),
-                )
-                rho, residual = predict_basis(
-                    TruncatedBasis(vectors=prev[band_idx]),
-                    TruncatedBasis(vectors=aligned.vectors),
-                )
+                prev_basis = TruncatedBasis(vectors=prev[band_idx])
+                _, _, aligned = match_bases(prev_basis, TruncatedBasis(vectors=raw))
+                rho, residual = predict_basis(prev_basis, aligned)
                 rhos.extend(rho.tolist())
                 residuals.extend(residual.T)
     return np.asarray(rhos)[:, None], np.asarray(residuals), np.asarray(intras)

@@ -28,13 +28,16 @@ def _half_length(window: np.ndarray) -> int:
     return window.size // 2
 
 
-def check_window(window: np.ndarray, tol: float = 1e-12) -> None:
+_WINDOW_TOL = 1e-12  # the largest asymmetry and Princen-Bradley error check_window allows
+
+
+def check_window(window: np.ndarray) -> None:
     """Raise if the window is asymmetric or violates Princen-Bradley."""
     L = _half_length(window)
-    if np.max(np.abs(window - window[::-1])) > tol:
+    if np.max(np.abs(window - window[::-1])) > _WINDOW_TOL:
         raise ShapeError("window is not symmetric")
     pb = window[:L] ** 2 + window[L:] ** 2
-    if np.max(np.abs(pb - 1.0)) > tol:
+    if np.max(np.abs(pb - 1.0)) > _WINDOW_TOL:
         raise ShapeError("window violates the Princen-Bradley condition")
 
 

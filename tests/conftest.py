@@ -1,7 +1,35 @@
+import ctypes
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hoacodec import scenes, sideinfo
+
+# per package, the core-name query of its bundled OpenBLAS
+_OPENBLAS_QUERIES = {"numpy": "scipy_openblas_get_corename64_", "scipy": "scipy_openblas_get_corename"}
+
+
+def openblas_kernels() -> dict:
+    """The kernel each bundled OpenBLAS runs (its core name, which
+    ``OPENBLAS_CORETYPE`` overrides), or "unknown" where the package bundles
+    none or its library has no query."""
+    kernels = {}
+    for package, query in _OPENBLAS_QUERIES.items():
+        kernels[package] = "unknown"
+        libs = Path(importlib.util.find_spec(package).origin).parents[1] / f"{package}.libs"
+        for lib in sorted(libs.glob("*openblas*")):
+            corename = getattr(ctypes.CDLL(str(lib)), query, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                kernels[package] = corename().decode()
+    return kernels
+
+
+def pytest_report_header(config):
+    """Name the BLAS kernel: the pinned stream and decode hashes hold for one."""
+    return "BLAS kernel: " + ", ".join(f"{package} {name}" for package, name in openblas_kernels().items())
 
 
 @pytest.fixture

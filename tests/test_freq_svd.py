@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hoacodec.baseline_td import TruncatedBasis
 from hoacodec.errors import ShapeError
 from hoacodec.freq_svd import (
     band_decompose,
@@ -122,18 +121,6 @@ def test_band_shorter_than_rank_rejected(rng):
     layout = layout_for_mode(1, 8)  # 2-bin bands
     with pytest.raises(ShapeError):
         band_decompose(band_split(sp, layout), 4, layout)
-
-
-def test_external_bases_are_used_verbatim(rng):
-    sp = _frame(rng, L=32, M=6)
-    layout = layout_for_mode(0, 32)
-    V = np.linalg.qr(rng.standard_normal((6, 2)))[0]
-    dec = band_decompose(
-        band_split(sp, layout), 2, layout,
-        bases=[TruncatedBasis(vectors=V)],
-    )
-    assert np.array_equal(dec.bases[0].vectors, V)
-    assert np.allclose(dec.foregrounds[0], sp.coeffs @ V, atol=1e-10)
 
 
 # --- compaction ---

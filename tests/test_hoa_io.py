@@ -87,6 +87,24 @@ def test_nan_samples_are_refused_by_the_integer_formats(tmp_path):
     assert np.isnan(read_hoa_wav(tmp_path / "f.wav").samples[3, 2])
 
 
+@pytest.mark.parametrize("fmt, frames, rate", [("float32", 2**26 + 1, 48000), ("pcm16", 2**27, 48000), ("float32", 1, 2**26)])
+def test_data_past_the_riff_fields_is_refused_before_conversion(tmp_path, fmt, frames, rate):
+    # 16 channels: 2^32 + 64 and 2^32 data bytes, past the 32-bit RIFF size,
+    # or 2^32 bytes per second, past the 32-bit byte rate
+    import tracemalloc
+
+    sig = HoaSignal(sample_rate=rate, order=3, samples=np.broadcast_to(np.zeros(16), (frames, 16)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"{frames * 16 * int(fmt[-2:]) // 8} bytes of samples"):
+            write_hoa_wav(sig, tmp_path / "big.wav", fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert not (tmp_path / "big.wav").exists()
+
+
 def test_empty_signal_roundtrip(tmp_path):
     sig = HoaSignal(sample_rate=48000, order=1, samples=np.zeros((0, 4)))
     write_hoa_wav(sig, tmp_path / "empty.wav")

@@ -1,3 +1,4 @@
+import platform
 import struct
 import warnings
 
@@ -1060,3 +1061,74 @@ def test_too_loud_input_raises_numeric_error(talkers_short, small_quantizers, co
             for k in (1e160, 1e300):
                 with pytest.raises(NumericError, match="float64 limit"):
                     encode(k, bypass)
+
+
+# Run under another OpenBLAS kernel: saves what _decoded_as_compared gives
+# for each stream of a directory, and the kernel names.
+_DECODE_SCRIPT = """
+import json, sys
+from pathlib import Path
+import numpy as np
+sys.path[:0] = sys.argv[1:3]
+from conftest import openblas_kernels
+from test_pipeline import _decoded_as_compared
+from hoacodec.sideinfo import QuantizerSet
+out = Path(sys.argv[3])
+q = QuantizerSet.load(out / "codebooks")
+results = {"kernels": openblas_kernels()}
+for path in sorted(out.glob("*.hoac")):
+    samples, results[path.stem] = _decoded_as_compared(path.read_bytes(), q)
+    np.save(out / (path.stem + ".npy"), samples)
+(out / "results.json").write_text(json.dumps(results))
+"""
+
+
+def _decoded_as_compared(stream: bytes, q) -> tuple:
+    """The samples of one stream's decode, and as JSON values decode's stats,
+    its concealed frame count and measure_stream's stats or error."""
+    import json
+
+    dec = pipeline.decode(stream, q)
+    try:
+        measured = pipeline.measure_stream(stream, q).to_dict()
+    except StreamError as exc:
+        measured = [str(exc), exc.partial.to_dict()]
+    return dec.signal.samples, json.loads(json.dumps([dec.stats.to_dict(), dec.concealed_frames, measured]))
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS kernel names are x86-64's")
+def test_decode_agrees_across_blas_kernels(small_scene_module, small_quantizers_module, tmp_path):
+    """A stream encoded under this host's BLAS kernel decodes under another
+    (Prescott, the oldest x86-64 kernel) to the same stats and concealment,
+    and to samples equal up to rounding."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    small_quantizers_module.save(tmp_path / "codebooks")
+    streams = {}
+    for codec in ("proposed", "baseline"):
+        stream = pipeline.encode(small_scene_module, _cfg(small_quantizers_module, codec)).stream
+        start, size = _frame_span(stream, 2)
+        broken = bytearray(stream)
+        broken[start + size] ^= 0x01  # the first byte of frame 2's CRC
+        streams[codec], streams[f"{codec}_crc_broken"] = stream, bytes(broken)
+    for name, stream in streams.items():
+        (tmp_path / f"{name}.hoac").write_bytes(stream)
+    tests = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    subprocess.run(
+        [sys.executable, "-c", _DECODE_SCRIPT, str(tests.parent / "src"), str(tests), str(tmp_path)],
+        env=env, check=True, timeout=300,
+    )
+    results = json.loads((tmp_path / "results.json").read_text())
+    # x86-64 builds of OpenBLAS alias Prescott to Katmai and report that name
+    assert set(results.pop("kernels").values()) <= {"Prescott", "Katmai", "unknown"}
+    for name, stream in streams.items():
+        samples, compared = _decoded_as_compared(stream, small_quantizers_module)
+        assert results[name] == compared, name
+        other = np.load(tmp_path / f"{name}.npy")
+        assert np.max(np.abs(other - samples)) <= 1e-12 * np.max(np.abs(samples)), name
+    assert results["proposed_crc_broken"][1] >= 1 and results["baseline_crc_broken"][1] >= 1

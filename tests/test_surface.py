@@ -12,9 +12,16 @@ so a field or variable of the same name does not keep a method alive.
 Every private module-level function, class and constant must be read
 somewhere in ``src/``, so a helper that a move leaves without a caller
 shows up here.
+
+Every defaulted parameter of a public function or method must be passed
+by some call in ``src/``, ``demos/``, the acceptance suite or
+``perfbench/``, so a knob that nothing turns shows up here.  A call passes
+a parameter by position or keyword, or by handing on ``*args`` or
+``**kwargs``; calls are matched by name, through import aliases.
 """
 
 import ast
+import collections
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,6 +94,56 @@ def _private_definitions(tree: ast.Module):
         yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
 
 
+def _calls(tree: ast.AST) -> list:
+    """(called name, positional count, keyword names, hands on ``*args`` or
+    ``**kwargs``) of each call, an aliased import called by its own name."""
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            keywords = {k.arg for k in node.keywords}
+            spread = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            calls.append((aliases.get(name, name), len(node.args), keywords, spread))
+    return calls
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, name, position in a call or None, parameter) of each
+    defaulted parameter of a public function or of a public class's public
+    method; keyword-only parameters have no position, and a method's
+    position does not count ``self`` or ``cls``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            owners = [(node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            owners = [
+                (f"{node.name}.{item.name}", item, 0 if _is_static(item) else 1)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            ]
+        else:
+            continue
+        for qualified, fn, skip in owners:
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield qualified, fn.name, i - skip, arg.arg
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield qualified, fn.name, None, arg.arg
+
+
+def _is_static(fn: ast.FunctionDef) -> bool:
+    return any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+
+
 def test_tracer_lists_are_read():
     assert {"mdct_forward", "encode", "read_flag", "write_flag"} <= _tracer_names()
 
@@ -120,3 +177,22 @@ def test_every_private_definition_is_read_in_src():
         if name not in read
     ]
     assert not unread, f"private definitions nothing in src/ reads: {unread}"
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    users = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    users += [ROOT / "tests" / "test_acceptance.py"] + sorted((ROOT / "perfbench").glob("*.py"))
+    calls = collections.defaultdict(list)
+    for path in users:
+        for name, *call in _calls(ast.parse(path.read_text())):
+            calls[name].append(call)
+    unturned = [
+        f"{path.stem}.{qualified}({param})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualified, name, position, param in _defaulted_parameters(ast.parse(path.read_text()))
+        if not any(
+            spread or param in keywords or (position is not None and count > position)
+            for count, keywords, spread in calls[name]
+        )
+    ]
+    assert not unturned, f"defaulted parameters that no caller passes: {unturned}"
