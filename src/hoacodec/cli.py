@@ -50,7 +50,7 @@ def _quantizers(args) -> sideinfo.QuantizerSet | None:
     return sideinfo.QuantizerSet.load(args.codebooks) if args.codebooks else None
 
 
-def _build_config(args, codec=None, mnmr=None) -> pipeline.EncoderConfig:
+def _build_config(args, quantizers, codec=None, mnmr=None) -> pipeline.EncoderConfig:
     return pipeline.EncoderConfig(
         codec=codec or args.codec,
         half_length=args.frame,
@@ -59,7 +59,7 @@ def _build_config(args, codec=None, mnmr=None) -> pipeline.EncoderConfig:
         mnmr=mnmr if mnmr is not None else args.mnmr,
         seed=args.seed,
         bypass_quantization=args.bypass,
-        quantizers=_quantizers(args),
+        quantizers=quantizers,
     )
 
 
@@ -81,7 +81,7 @@ def _number_list(text: str, kind, option: str) -> list:
 
 
 def cmd_encode(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, _quantizers(args))
     signal = read_hoa_wav(args.input)
     result = pipeline.encode(signal, cfg)
     args.output.write_bytes(result.stream)
@@ -197,13 +197,14 @@ def cmd_compare(args) -> int:
     if not wavs:
         raise UsageError(f"no WAV files under {args.corpus}")
     points = _number_list(args.mnmr, float, "--mnmr")
+    quantizers = _quantizers(args)  # one load for every encode
     rows = []
     for wav in wavs:
         signal = _read_samples(wav)
         for tau in points:
             rates = {}
             for codec in ("baseline", "proposed"):
-                cfg = _build_config(args, codec=codec, mnmr=tau)
+                cfg = _build_config(args, quantizers, codec=codec, mnmr=tau)
                 rates[codec] = pipeline.encode(signal, cfg).stats.kbps
             reduction = 100.0 * (rates["baseline"] - rates["proposed"]) / rates["baseline"]
             rows.append({

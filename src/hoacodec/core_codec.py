@@ -110,7 +110,7 @@ def _pow43(q: np.ndarray) -> np.ndarray:
     for the values below the table's size, and pow of the floor for the
     others."""
     if not q.size or q.max() < _POW43_LUT.size:
-        return _POW43_LUT[q.astype(np.intp)]
+        return np.take(_POW43_LUT, q.astype(np.intp, copy=False))
     big = q >= _POW43_LUT.size
     out = np.where(big, 0.0, _POW43_LUT[np.minimum(q, _POW43_LUT.size - 1).astype(np.intp)])
     out[big] = np.floor(q[big]) ** (4.0 / 3.0)
@@ -506,6 +506,10 @@ _LEVEL_SLICE = 1 << 16
 # zero bytes after a block: an escape's second 64-bit read may start 78 bits
 # past its end, and reads 9 bytes from there
 _PADDING = 18
+# the window at bit j of a byte is the native 32-bit word from that byte
+# shifted right by 15 - j: the shifts of 8 Ki bytes, applied a slice at a time
+_WINDOW_SHIFTS = np.tile(np.arange(15, 7, -1, dtype=np.uint32), 1 << 13)
+_WINDOW_SHIFTS.setflags(write=False)
 
 
 def _bin_chain(data: bytes, start: int) -> tuple:
@@ -521,14 +525,20 @@ def _bin_chain(data: bytes, start: int) -> tuple:
     first, n = start >> 3, 8 * len(data) - start
     padded = data + bytes(_PADDING)
     words = np.ndarray((len(data) - first + 1,), ">u4", padded, first, (1,))  # overlapping
-    window = words[:, None] >> np.arange(15, 7, -1, dtype=np.uint32)
+    window = np.repeat(words.astype(np.uint32), 8)
+    for lo in range(0, window.size, _WINDOW_SHIFTS.size):
+        part = window[lo : lo + _WINDOW_SHIFTS.size]
+        np.right_shift(part, _WINDOW_SHIFTS[: part.size], out=part)
     window &= 0x1FFFF
-    window = window.ravel()[start & 7 :]
-    advance = _ADVANCE[window[:n]]
+    window = window[start & 7 :]
+    advance = np.take(_ADVANCE, window[:n])
     dead = n + 1
     nxt = np.arange(n + 2, dtype=np.int32)  # a payload holds under 2**31 bits
     nxt[:n] += advance
-    np.minimum(nxt, dead, out=nxt)  # a code or sign bit past the end
+    # a code or sign bit past the end: a bin spans at most 16 bits, so only
+    # the last 16 positions can reach past n
+    tail = nxt[max(n - 16, 0) :]
+    np.minimum(tail, dead, out=tail)
     nxt[n] = dead
 
     # an escape's excess is ue() (z zeros, a one and z bits), then a sign:
@@ -685,7 +695,7 @@ def entropy_decode_channel(
         return None
 
     heads = np.array(heads)
-    head = window[heads]
+    head = np.take(window, heads)
     zero = (head >> 16).astype(bool)
     raw = ~zero & (head & 0x80).astype(bool)
     # a Huffman band's bins follow its 10-bit header; every other band
@@ -695,7 +705,7 @@ def entropy_decode_channel(
     at[: heads.size] = np.where(zero | raw, dead, heads + 10)
     for k, lo, hi, src in plan.steps:
         np.take(levels[k], np.take(at, src), out=at[lo:hi], mode="wrap")
-    values = _VALUE[window[at]].astype(np.int64)
+    values = np.take(_VALUE, np.take(window, at)).astype(np.int64)
     escaped = np.flatnonzero(values == ESCAPE_SYMBOL)
     values[escaped] = escape_values[np.searchsorted(escapes, at[escaped])]
     if raw.any():

@@ -241,10 +241,9 @@ def synthesize_noise(
     each channel's per-bin average power in the group equals the
     dequantized energy exactly; all other bins are +0.0.
     """
-    out = np.zeros((groups.num_bins, channel_count))
     energies = info.energies()
     if channel_count == 0 or not energies.any():
-        return out
+        return np.zeros((groups.num_bins, channel_count))
     # Philox increments counter word 0 per block, so the frame sits in word
     # 1: frames never share a block
     rng = np.random.Generator(np.random.Philox(key=stream_seed, counter=[0, frame_index, 0, 0]))
@@ -255,7 +254,8 @@ def synthesize_noise(
         draws.ravel()[layout.offsets[g] : layout.offsets[g + 1]] = 1.0
         ss[g] = layout.widths[g]
     gain = np.sqrt(np.tile(energies, channel_count) * layout.widths / ss)
-    per_bin = np.repeat(gain, layout.widths).reshape(draws.shape)
-    # a zero gain times a negative draw would leave -0.0 in an inactive bin
-    np.multiply(draws, per_bin, out=out.T, where=per_bin > 0)
-    return out
+    draws *= np.repeat(gain, layout.widths).reshape(draws.shape)
+    # a zero gain times a negative draw leaves -0.0 in an inactive bin, and
+    # adding +0.0 makes it +0.0 and changes no other value
+    draws += 0.0
+    return draws.T

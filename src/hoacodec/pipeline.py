@@ -353,26 +353,36 @@ def _read_header(data: bytes) -> StreamHeader:
 # shared payload pieces
 # --------------------------------------------------------------------------
 
+def _run(bits: np.ndarray) -> int:
+    """A 0/1 array as one integer, its first bit the highest."""
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
+
+
+def _bits(run: int, size: int) -> np.ndarray:
+    """The ``size`` bits of ``run``, highest first, as a 0/1 uint8 array."""
+    data = (run << (-size % 8)).to_bytes((size + 7) >> 3, "big")
+    return np.unpackbits(np.frombuffer(data, np.uint8), count=size)
+
+
 def _write_noise_block(w: BitWriter, info: NoiseGroupInfo) -> int:
     """The activity flags as one NUM_GROUPS-bit field, then the active
-    groups' energy indices as one run of fields."""
-    start = w.bit_length
+    groups' 6-bit energy indices as one field."""
+    width = noise_subst.ENERGY_BITS
     active = np.asarray(info.active, dtype=bool)
-    w.write(int.from_bytes(np.packbits(active).tobytes(), "big") >> (-NUM_GROUPS % 8), NUM_GROUPS)
-    energies = info.energy_indices[active]
-    w.write_fields(energies, np.full(energies.size, noise_subst.ENERGY_BITS))
-    return w.bit_length - start
+    energies = np.asarray(info.energy_indices, dtype=np.uint8)[active]
+    w.write(_run(active), NUM_GROUPS)
+    w.write(_run(np.unpackbits(energies[:, None], axis=1)[:, 8 - width :]), width * energies.size)
+    return NUM_GROUPS + width * energies.size
 
 
 def _read_noise_block(r: BitReader) -> tuple:
     """What :func:`_write_noise_block` writes, read as two fields: the flags,
     then the active groups' energy indices as one."""
-    flags = r.read(NUM_GROUPS)
-    active = (flags >> np.arange(NUM_GROUPS - 1, -1, -1) & 1).astype(bool)
-    count, width = int(active.sum()), noise_subst.ENERGY_BITS
-    run = r.read(width * count)
+    active = _bits(r.read(NUM_GROUPS), NUM_GROUPS).view(bool)
+    count, width = int(np.count_nonzero(active)), noise_subst.ENERGY_BITS
+    fields = _bits(r.read(width * count), width * count).reshape(count, width)
     indices = np.zeros(NUM_GROUPS, dtype=np.uint8)
-    indices[active] = [run >> width * (count - 1 - i) & ((1 << width) - 1) for i in range(count)]
+    indices[active] = np.packbits(fields, axis=1)[:, 0] >> (8 - width)
     return NoiseGroupInfo(active=active, energy_indices=indices), NUM_GROUPS + width * count
 
 

@@ -28,8 +28,14 @@ def openblas_kernels() -> dict:
 
 
 def pytest_report_header(config):
-    """Name the BLAS kernel: the pinned stream and decode hashes hold for one."""
-    return "BLAS kernel: " + ", ".join(f"{package} {name}" for package, name in openblas_kernels().items())
+    """Name the numpy and scipy builds and their BLAS kernel: the pinned
+    stream and decode hashes hold for one of each."""
+    import scipy
+
+    return [
+        f"numpy {np.__version__}, scipy {scipy.__version__}",
+        "BLAS kernel: " + ", ".join(f"{package} {name}" for package, name in openblas_kernels().items()),
+    ]
 
 
 @pytest.fixture

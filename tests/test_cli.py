@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import struct
 import warnings
@@ -107,6 +108,32 @@ def test_compare_csv_schema(workspace):
     for r in rows:
         expect = 100 * (float(r["baseline_kbps"]) - float(r["proposed_kbps"])) / float(r["baseline_kbps"])
         assert float(r["reduction_percent"]) == pytest.approx(expect, abs=5e-3)
+
+
+def test_compare_loads_codebooks_once(workspace, tmp_path, monkeypatch):
+    """A 2-file x 2-MNMR run loads the codebooks once for its 8 encodes, and
+    writes the CSV a run that loads them for every encode writes."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("two_talkers.wav", "band_separated.wav"):
+        (corpus / name).write_bytes((workspace / "corpus" / name).read_bytes())
+    cb = workspace / "cb"
+    argv = ["compare", "--corpus", str(corpus), "--codebooks", str(cb), "--frame", "256", "--mnmr", "1.0,2.0"]
+    load, loads = QuantizerSet.load.__func__, []
+
+    def counted(cls, directory):
+        loads.append(directory)
+        return load(cls, directory)
+
+    monkeypatch.setattr(QuantizerSet, "load", classmethod(counted))
+    assert main(argv + ["--csv", str(tmp_path / "once.csv")]) == 0
+    assert len(loads) == 1
+
+    encode = pipeline.encode
+    monkeypatch.setattr(pipeline, "encode", lambda signal, cfg: encode(
+        signal, dataclasses.replace(cfg, quantizers=load(QuantizerSet, cb))))
+    assert main(argv + ["--csv", str(tmp_path / "each.csv")]) == 0
+    assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "each.csv").read_bytes()
 
 
 def test_train_quantizers_reports_each_codebook(workspace, tmp_path, capsys):

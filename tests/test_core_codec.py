@@ -24,6 +24,7 @@ from hoacodec.core_codec import (
     _SF_STEPS_34,
     _VALUE,
     _ZERO_BELOW_34,
+    _bin_chain,
     _bit_length,
     _first_nonzero_row,
     _pow43,
@@ -711,6 +712,117 @@ def test_jump_tables_peak_under_22_bytes_per_payload_bit(values):
         tracemalloc.stop()
     assert reader.bit_position == w.bit_length
     assert peak < 22 * 8 * len(data), peak / (8 * len(data))
+
+
+def _reference_chain(data, start):
+    """What ``_bin_chain(data, start)`` must give, built one bit at a time
+    over the region's bits (zeros past the end): (window, nxt, escapes,
+    {escape: value}, errors).  A bin's code is read bit by bit, and an
+    escape's excess, sign and errors in the order of the bit-serial
+    reference decoder."""
+    bits = [b >> (7 - i) & 1 for b in data for i in range(8)]
+    total, n = len(bits), len(bits) - start
+    dead = n + 1
+
+    def bit(q):  # the bit at absolute position q, zero past the end
+        return bits[q] if q < total else 0
+
+    window = [sum(bit(start + p + i) << (16 - i) for i in range(17)) for p in range(n + 8)]
+    codes = {(LENGTHS[s], CODES[s]): s for s in range(ESCAPE_SYMBOL + 1)}
+    nxt, escapes, values, errors = list(range(n + 2)), [], {}, {}
+    for p in range(n):
+        code, length = 0, 0
+        while (length, code) not in codes:
+            code, length = code << 1 | bit(start + p + length), length + 1
+        sym = codes[(length, code)]
+        if sym < ESCAPE_SYMBOL:
+            end = p + length + (sym > 0)
+            nxt[p] = end if end <= n else dead
+            continue
+        escapes.append(p)
+        q, zeros, error = start + p + length, 0, None
+        while True:  # ue(): zeros, a one, then as many bits
+            if q >= total:
+                error = "bitstream exhausted"
+                break
+            q += 1
+            if bits[q - 1]:
+                break
+            zeros += 1
+            if zeros > 64:
+                error = "malformed Exp-Golomb code"
+                break
+        if error is None and q + zeros + 1 > total:  # the excess's bits and the sign
+            error = "bitstream exhausted"
+        if error is None:
+            excess = 1 << zeros | sum(bits[q + i] << (zeros - 1 - i) for i in range(zeros))
+            magnitude = ESCAPE_SYMBOL - 1 + excess
+            q += zeros + 1
+            if magnitude >= 1 << 63:
+                error = "escape magnitude out of range"
+            else:
+                values[p] = -magnitude if bits[q - 1] else magnitude
+        if error is None:
+            nxt[p] = q - start
+        else:
+            nxt[p], errors[p] = dead, error
+    nxt[n] = dead
+    return window, nxt, escapes, values, errors
+
+
+def _assert_chain_matches_reference(data, start):
+    padded, window, nxt, escapes, values, errors = _bin_chain(data, start)
+    ref_window, ref_nxt, ref_escapes, ref_values, ref_errors = _reference_chain(data, start)
+    n = len(ref_nxt) - 2
+    assert padded[: len(data)] == data
+    assert window[: n + 8].tolist() == ref_window
+    assert nxt.tolist() == ref_nxt
+    assert escapes.tolist() == ref_escapes
+    assert errors == ref_errors
+    # a bad escape's value is never read
+    assert {p: v for p, v in zip(escapes.tolist(), values.tolist()) if p not in errors} == ref_values
+
+
+def _escape_bytes(rnd, lead_bits, zeros):
+    """``lead_bits`` random bits, the escape code, ``zeros`` zeros, a one,
+    ``zeros`` random bits and a sign, then random bits."""
+    w = BitWriter()
+    w.write(rnd.getrandbits(lead_bits), lead_bits)
+    w.write(CODES[ESCAPE_SYMBOL], LENGTHS[ESCAPE_SYMBOL])
+    w.write(0, zeros)
+    w.write(1 << zeros | rnd.getrandbits(zeros), zeros + 1)
+    w.write(rnd.getrandbits(9), 9)
+    return w.getvalue()
+
+
+def test_bin_chain_matches_bit_serial_construction():
+    """The window, next-position table, escapes and error map of
+    ``_bin_chain`` equal a bit-by-bit construction: at every start offset
+    0-7, on regions of 0 to 9 bytes (around the 4-byte words the windows
+    come from), a few hundred random regions biased towards runs of ones
+    (escape codes) and zeros (long excesses), and escapes whose excess or
+    sign runs past the end."""
+    import random
+
+    rnd = random.Random(17)
+    cases = []
+    for size in range(10):
+        for offset in range(8):
+            for first in range(2):
+                if 8 * first + offset <= 8 * size:
+                    cases.append((rnd.randbytes(size), 8 * first + offset))
+                    cases.append((bytes([0xFF]) * size, 8 * first + offset))
+    for _ in range(300):
+        size = rnd.randrange(1, 40)
+        data = bytes(rnd.choice((0x00, 0xFF, 0xFE, 0x7F, rnd.randrange(256))) for _ in range(size))
+        cases.append((data, rnd.randrange(min(8 * size, 24) + 1)))
+    for zeros in (0, 1, 16, 31, 32, 47, 62, 63, 64, 65):
+        lead = rnd.randrange(12)
+        full = _escape_bytes(rnd, lead, zeros)
+        for cut in sorted({len(full), len(full) - 1, len(full) - 2, len(full) // 2, (lead + 15 + zeros) // 8 + 1}):
+            cases.append((full[:cut], min(lead, 8 * cut)))
+    for data, start in cases:
+        _assert_chain_matches_reference(data, start)
 
 
 # --- batched encoder against the per-band references it replaced ---

@@ -251,6 +251,141 @@ def test_out_of_range_field_raises_stream_error(rng, case):
         decode_sideinfo(BitReader(w.getvalue() + bytes(8)), q, state, {0: [3], 1: [3, 3]})
 
 
+# --- fields in runs: the grammar read and written field by field ---
+
+# codebook sizes that are not powers of two, so a field can hold a value at
+# or above its limit: coefficient 10 (4 bits), residual 100 (7), intra 200 (8)
+_ODD_QUANTIZERS = QuantizerSet(
+    coeff=Codebook(centroids=np.linspace(-1, 1, 10)[:, None]),
+    residual=Codebook(centroids=np.random.default_rng(1).standard_normal((100, 4))),
+    intra=Codebook(centroids=np.random.default_rng(2).standard_normal((200, 4))),
+)
+
+
+def _reference_side_info(reader, q, prev_mode, prev_columns, ranks):
+    """The side-info syntax read one field at a time: (mode, per column
+    (intra, intra index, reference, coefficient, residual)), or the first
+    StreamError."""
+    def uint(name, limit):
+        value = reader.read(_cb(limit))
+        if value >= limit:
+            raise StreamError(f"{name} {value} out of range (limit {limit})")
+        return value
+
+    def intra():
+        return True, uint("intra codebook index", q.intra.size), 0, 0, 0
+
+    mode = uint("mode", 2)
+    if mode not in ranks:
+        raise StreamError(f"mode {mode} is not a mode of this codec")
+    switched = prev_mode is not None and prev_mode != mode
+    columns = []
+    for r in ranks[mode]:
+        if uint("flag", 2):
+            columns += [intra() for _ in range(r)]
+            continue
+        if prev_mode is None:
+            raise StreamError("predicted band before any intra frame")
+        for _ in range(r):
+            if uint("flag", 2):
+                columns.append(intra())
+                continue
+            ref = uint("prediction reference", prev_columns) if switched else 0
+            coeff = uint("coefficient codebook index", q.coeff.size)
+            columns.append((False, 0, ref, coeff, uint("residual codebook index", q.residual.size)))
+    return mode, columns
+
+
+def _state(prev_mode, prev_columns):
+    state = SideInfoState()
+    state.prev_mode, state.prev_columns = prev_mode, prev_columns
+    return state
+
+
+def _columns(c):
+    return [tuple(x) for x in zip(c.intra.tolist(), c.intra_index.tolist(), c.ref_index.tolist(),
+                                 c.coeff_index.tolist(), c.residual_index.tolist())]
+
+
+def _parsed(parse, data, *args):
+    """(mode, columns, end position) of one parse, or its StreamError text."""
+    reader = BitReader(data)
+    try:
+        mode, columns = parse(reader, *args)
+    except StreamError as exc:
+        return str(exc)
+    return mode, columns, reader.bit_position
+
+
+def _walked(reader, q, prev_mode, prev_columns, ranks):
+    """The decoder's walk, parse only, with the fields it reads kept."""
+    mode = reader.data[0] >> 7 if reader.data else 0
+    c = sideinfo._Code(ranks.get(mode, []))
+    info, _ = sideinfo._side_info(sideinfo._Fields(reader), q, _state(prev_mode, prev_columns), ranks,
+                                  coded=c, rebuild=False)
+    assert info.bit_count == reader.bit_position
+    return info.mode, _columns(c)
+
+
+_RANKS = st.one_of(
+    st.builds(lambda r, s: {0: [r], 1: [s] * 4}, st.integers(1, 5), st.integers(1, 3)),
+    st.builds(lambda r: {0: [r]}, st.integers(1, 5)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=20), prev_mode=st.sampled_from([None, 0, 1]),
+       prev_columns=st.integers(1, 20), ranks=_RANKS)
+def test_column_fields_read_as_field_by_field(data, prev_mode, prev_columns, ranks):
+    """Random bits, whole and at every truncation (a column cut short by
+    the payload's end included): the walk, cutting its fields from bits
+    read ahead, gives the values, end position and StreamError text of
+    reads one field at a time, with every limit checked in the same
+    order."""
+    args = (_ODD_QUANTIZERS, prev_mode, prev_columns, ranks)
+    for cut in range(len(data) + 1):
+        assert _parsed(_walked, data[:cut], *args) == _parsed(_reference_side_info, data[:cut], *args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), prev_mode=st.sampled_from([None, 0, 1]),
+       prev_columns=st.integers(1, 20), mode=st.integers(0, 1), ranks=_RANKS)
+def test_column_fields_write_as_field_by_field(seed, prev_mode, prev_columns, mode, ranks):
+    """The encoder's walk, writing its fields as one field, writes the bits
+    of one write per field, and reads back as written."""
+    q, rng = _ODD_QUANTIZERS, np.random.default_rng(seed)
+    mode = min(mode, max(ranks))
+    c = sideinfo._Code(ranks[mode])
+    n, switched = c.intra.size, prev_mode is not None and prev_mode != mode
+    c.intra = np.ones(n, dtype=bool) if prev_mode is None else rng.random(n) < 0.3
+    c.intra_index = np.where(c.intra, rng.integers(0, q.intra.size, n), 0)
+    c.ref_index = np.where(~c.intra & switched, rng.integers(0, prev_columns, n), 0)
+    c.coeff_index = np.where(c.intra, 0, rng.integers(0, q.coeff.size, n))
+    c.residual_index = np.where(c.intra, 0, rng.integers(0, q.residual.size, n))
+    w = BitWriter()
+    sideinfo._side_info(sideinfo._Fields(w), q, _state(prev_mode, prev_columns), ranks, mode, c, rebuild=False)
+
+    expected = BitWriter()
+    expected.write(mode, 1)
+    at = 0
+    for r in ranks[mode]:
+        expected.write(int(prev_mode is None), 1)
+        for k in range(at, at + r):
+            if prev_mode is not None:
+                expected.write(int(c.intra[k]), 1)
+            if c.intra[k]:
+                expected.write(int(c.intra_index[k]), _cb(q.intra.size))
+                continue
+            if switched:
+                expected.write(int(c.ref_index[k]), _cb(prev_columns))
+            expected.write(int(c.coeff_index[k]), _cb(q.coeff.size))
+            expected.write(int(c.residual_index[k]), _cb(q.residual.size))
+        at += r
+    bits = expected.bit_length
+    assert (w.bit_length, w.getvalue()) == (bits, expected.getvalue())
+    assert _parsed(_walked, w.getvalue(), q, prev_mode, prev_columns, ranks) == (mode, _columns(c), bits)
+
+
 # --- frame-wide decisions against the per-column coder they replaced ---
 
 def _reference_renormalize(v, fallback_axis, dim):
