@@ -70,28 +70,11 @@ def extract_foreground(X: np.ndarray, basis: TruncatedBasis) -> np.ndarray:
     if V.shape[1] == 0:  # rank-0 test mode: empty foreground
         return np.zeros((X.shape[0], 0))
     gram = V.T @ V
-    if _exceeds_condition_cap(gram):
+    if np.linalg.cond(gram) > CONDITION_CAP:
         raise DegenerateBasisError(
             f"basis Gram matrix condition exceeds {CONDITION_CAP:g}"
         )
     return np.linalg.solve(gram, (X @ V).T).T
-
-
-# Gershgorin's discs bound the eigenvalues of the symmetric Gram matrix; a
-# bound ratio this far below the cap decides without rounding doubt.
-_GERSHGORIN_RATIO = 1e6
-
-
-def _exceeds_condition_cap(gram: np.ndarray) -> bool:
-    """Whether ``np.linalg.cond(gram)`` exceeds :data:`CONDITION_CAP`; the
-    condition number (an SVD) is computed only when the Gershgorin bound
-    leaves it open."""
-    diag = np.diag(gram)
-    radius = np.abs(gram).sum(axis=1) - np.abs(diag)
-    lo, hi = (diag - radius).min(), (diag + radius).max()
-    if lo > 0 and hi <= _GERSHGORIN_RATIO * lo:
-        return False
-    return np.linalg.cond(gram) > CONDITION_CAP
 
 
 def drop_degenerate_columns(basis: TruncatedBasis) -> np.ndarray:

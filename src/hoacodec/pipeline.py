@@ -403,7 +403,8 @@ def encode(signal: HoaSignal, cfg: EncoderConfig) -> EncodeResult:
     cfg.validate(signal.order)
     codec_id = cfg.codec_id()
     groups = noise_subst.groups_for(cfg.half_length)
-    qfp = cfg.quantizers.fingerprint() if cfg.quantizers is not None else 0
+    q = cfg.side_quantizers()  # None in bypass: the stream holds no codebook's fingerprint
+    qfp = q.fingerprint() if q is not None else 0
     header = StreamHeader(
         codec_id=codec_id,
         flags=_FLAG_BYPASS if cfg.bypass_quantization else 0,

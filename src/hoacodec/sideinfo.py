@@ -137,54 +137,23 @@ class SideInfoState:
 class _Fields:
     """The bit I/O of one side-info walk.  Writing, a field stores the
     encoder's value; reading, it returns the stream's value after checking
-    it against the field's limit (:class:`StreamError` naming the field).
-
-    Fields move in runs, with the bits and checks of one write or read per
-    field: writing, they are gathered into one value that :meth:`close`
-    writes as one field; reading, they are cut from up to ``_AHEAD`` bits
-    read at once, and :meth:`close` leaves the reader after the last field
-    cut.  A field that runs past the payload's end is exhausted as its own
-    read would be, whatever fields after it hold."""
-
-    _AHEAD = 256
+    it against the field's limit (:class:`StreamError` naming the field)."""
 
     def __init__(self, io):
         self.io = io
         self.reading = isinstance(io, BitReader)
-        # reading: _run holds the bits up to _end, cut up to _pos; writing:
-        # its last _count bits are not written yet
-        self._run = self._count = 0
-        self._pos = self._end = io.bit_position if self.reading else 0
 
     @property
     def position(self) -> int:
-        return self._pos if self.reading else self.io.bit_length + self._count
-
-    def close(self) -> None:
-        """Write the gathered fields, or move the reader after the last one."""
-        if self.reading:
-            self.io.bit_position = self._end = self._pos
-        else:
-            self.io.write(self._run, self._count)
-            self._run = self._count = 0
+        return self.io.bit_position if self.reading else self.io.bit_length
 
     def uint(self, name: str, limit: int, value: int = 0) -> int:
         """A value below ``limit`` in cb(limit) bits, at least 1."""
         bits = max(1, (limit - 1).bit_length())
         if not self.reading:
-            if not 0 <= value < 1 << bits:
-                raise ValueError(f"value {value} does not fit in {bits} bits")
-            self._run, self._count = self._run << bits | int(value), self._count + bits
+            self.io.write(value, bits)
             return value
-        end = self._pos + bits
-        if end > self._end:  # read ahead from this field on
-            ahead = min(8 * len(self.io.data), self._pos + max(bits, self._AHEAD))
-            if end > ahead:
-                raise StreamError("bitstream exhausted")
-            self.io.bit_position = self._pos
-            self._run, self._end = self.io.read(ahead - self._pos), ahead
-        self._pos = end
-        value = self._run >> (self._end - end) & ((1 << bits) - 1)
+        value = self.io.read(bits)
         if value >= limit:
             raise StreamError(f"{name} {value} out of range (limit {limit})")
         return value
@@ -195,13 +164,10 @@ class _Fields:
     def floats(self, shape: tuple, value: np.ndarray | None = None) -> np.ndarray:
         """Raw float64 basis values; one read above RAW_BASIS_BOUND in
         magnitude, or NaN, is a :class:`StreamError`."""
-        self.close()
         if not self.reading:
             self.io.write_f64_array(value)
             return value
-        values = self.io.read_f64_array(shape)
-        self._pos = self._end = self.io.bit_position
-        return require_bounded(values, RAW_BASIS_BOUND, "raw basis")
+        return require_bounded(self.io.read_f64_array(shape), RAW_BASIS_BOUND, "raw basis")
 
 
 RAW_BASIS_BOUND = 1.0 + 1e-9  # unit columns (pipeline._RAW_CHANNEL_BOUND says why)
@@ -407,7 +373,6 @@ def _side_info(f: _Fields, q, state, ranks: dict, mode=0, coded=None, channels=N
         info.intra_columns = c.intra.size - predicted
         info.predicted_columns, info.switched_columns = (0, predicted) if info.switched else (predicted, 0)
         bases = _rebuilt(q, c, ranks[mode], state, info.switched) if rebuild else None
-    f.close()
     info.bit_count = f.position - start
     state.prev_bases = None if bases is None else [b.copy() for b in bases]
     state.prev_mode, state.prev_columns = mode, sum(ranks[mode])

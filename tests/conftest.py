@@ -27,6 +27,21 @@ def openblas_kernels() -> dict:
     return kernels
 
 
+# the OpenBLAS kernel the pinned stream, decode and training hashes were
+# recorded under (numpy's and scipy's alike)
+PINNED_KERNEL = "SkylakeX"
+
+
+def pinned_kernel_note() -> str:
+    """The message of a failed pinned-hash assert: the kernel the pins were
+    recorded under and the kernels this run uses."""
+    return f"pinned under OpenBLAS {PINNED_KERNEL}; this run uses {_kernel_names()}"
+
+
+def _kernel_names() -> str:
+    return ", ".join(f"{package} {name}" for package, name in openblas_kernels().items())
+
+
 def pytest_report_header(config):
     """Name the numpy and scipy builds and their BLAS kernel: the pinned
     stream and decode hashes hold for one of each."""
@@ -34,7 +49,7 @@ def pytest_report_header(config):
 
     return [
         f"numpy {np.__version__}, scipy {scipy.__version__}",
-        "BLAS kernel: " + ", ".join(f"{package} {name}" for package, name in openblas_kernels().items()),
+        "BLAS kernel: " + _kernel_names(),
     ]
 
 

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
-from hoacodec import scenes
+from hoacodec import baseline_td, pipeline, scenes
 from hoacodec.baseline_td import (
+    CONDITION_CAP,
     InterpolationWindow,
     TruncatedBasis,
     decompose_frame,
+    drop_degenerate_columns,
     extract_foreground,
+    foreground_with_fallback,
     interpolate_basis,
     match_bases,
     truncated_basis,
 )
-from hoacodec.errors import ShapeError
-from hoacodec.numlin import svd
+from hoacodec.errors import DegenerateBasisError, ShapeError
+from hoacodec.numlin import Codebook, svd
+from hoacodec.sideinfo import QuantizerSet
 
 
 def _orthonormal(rng, m, r):
@@ -58,6 +62,96 @@ def test_least_squares_optimality_against_perturbations(rng):
 def test_channel_mismatch_rejected(rng):
     with pytest.raises(ShapeError):
         extract_foreground(np.zeros((8, 6)), TruncatedBasis(vectors=np.zeros((5, 2))))
+
+
+# --- degenerate bases and the fallback ---
+
+def _tilted(a, b, condition):
+    """A unit column in the plane of unit columns ``a`` and ``b`` whose Gram
+    matrix with ``a`` has the given condition number: (1 + c) / (1 - c)."""
+    c = 1.0 - 2.0 / (condition + 1.0)
+    return c * a + np.sqrt(1.0 - c * c) * b
+
+
+def _degenerate_bases(rng):
+    """(name, basis, whether it exceeds the cap) for M = 16, r = 3 or 4."""
+    q = _orthonormal(rng, 16, 4).T
+    zero = np.zeros(16)
+    return [
+        ("repeated column", np.column_stack([q[0], q[1], q[0], q[2]]), True),
+        ("zero column", np.column_stack([q[0], zero, q[1]]), True),
+        ("all-zero basis", np.zeros((16, 3)), True),
+        ("pair near 1e7", np.column_stack([q[0], q[1], _tilted(q[0], q[2], 1e7)]), False),
+        ("pair near 1e9", np.column_stack([q[0], q[1], _tilted(q[0], q[2], 1e9)]), True),
+        ("pair near 1e9, sound column last", np.column_stack([q[0], _tilted(q[0], q[1], 1e9), q[2]]), True),
+    ]
+
+
+def _exceeds_cap(V):
+    return np.linalg.cond(V.T @ V) > CONDITION_CAP
+
+
+def test_extract_foreground_raises_exactly_above_the_condition_cap(rng):
+    X = rng.standard_normal((32, 16))
+    for name, V, degenerate in _degenerate_bases(rng):
+        assert _exceeds_cap(V) == degenerate, name
+        if degenerate:
+            with pytest.raises(DegenerateBasisError):
+                extract_foreground(X, TruncatedBasis(vectors=V))
+        else:
+            assert extract_foreground(X, TruncatedBasis(vectors=V)).shape == (32, V.shape[1]), name
+
+
+def test_fallback_zeroes_the_dropped_columns_latest_first(rng):
+    """The fallback keeps the longest leading run of columns within the cap
+    (the dropped ones are the latest), zeroes the foreground of the others,
+    and gives the kept ones the least-squares fit on the kept sub-basis."""
+    X = rng.standard_normal((32, 16))
+    for name, V, _ in _degenerate_bases(rng):
+        r = V.shape[1]
+        kept = max((k for k in range(1, r + 1) if not _exceeds_cap(V[:, :k])), default=0)
+        keep = drop_degenerate_columns(TruncatedBasis(vectors=V))
+        assert np.array_equal(keep, np.arange(r) < kept), name
+        fg = foreground_with_fallback(X, TruncatedBasis(vectors=V))
+        assert np.all(fg[:, ~keep] == 0), name
+        oracle = np.linalg.lstsq(V[:, keep], X.T, rcond=None)[0].T
+        assert np.allclose(fg[:, keep], oracle, rtol=0, atol=1e-6 * np.abs(oracle).max(initial=1.0)), name
+
+
+@pytest.mark.parametrize("codec", ["proposed", "baseline"])
+def test_codebooks_that_rebuild_parallel_columns_code_through_the_fallback(monkeypatch, codec):
+    """An intra codebook of one centroid, a residual codebook of one zero
+    centroid and positive coefficients rebuild every band's columns
+    parallel, so each projection takes the fallback: it raises, then
+    projects onto the one column kept.  The stream still decodes without
+    concealment, and stats reads the encoder's bits."""
+    projections, dropped = [], []
+
+    def counted(function, calls):
+        def wrapper(*args):
+            calls.append(args)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(baseline_td, "extract_foreground", counted(extract_foreground, projections))
+    monkeypatch.setattr(baseline_td, "drop_degenerate_columns", counted(drop_degenerate_columns, dropped))
+    q = QuantizerSet(
+        coeff=Codebook(np.array([[0.5], [1.0]])),
+        residual=Codebook(np.zeros((1, 16))),
+        intra=Codebook(np.full((1, 16), 0.25)),
+    )
+    scene = scenes.render_scene(next(s for s in scenes.corpus_specs(duration=0.3) if s.name == "orbiting_chirp"))
+    res = pipeline.encode(scene, pipeline.EncoderConfig(codec=codec, half_length=256, quantizers=q))
+    assert dropped and len(projections) == 2 * len(dropped)
+    assert all(drop_degenerate_columns(basis).sum() == 1 for basis, in dropped)
+    dec = pipeline.decode(res.stream, q)
+    assert dec.concealed_frames == 0
+    assert np.all(np.isfinite(dec.signal.samples))
+
+    def bits(stats):
+        return [(f.side_bits, f.noise_bits, f.core_bits, f.padding_bits, f.total_bits) for f in stats.frames]
+
+    assert bits(pipeline.measure_stream(res.stream, q)) == bits(res.stats)
 
 
 # --- match_bases ---

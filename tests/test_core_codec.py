@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from bitfields import read_flag, read_ue, write_flag, write_ue
 from hoacodec.bitio import BitReader, BitWriter
 from hoacodec.core_codec import (
     ABSOLUTE_FLOOR,
@@ -314,14 +315,14 @@ def _reference_decode_one(reader, groups):
     scalefactors = np.zeros(nb, dtype=np.int64)
     q = [0] * groups.num_bins
     for b, (lo, hi) in enumerate(groups.edges):
-        if reader.read_flag():
+        if read_flag(reader):
             zero_band[b] = True
             continue
         scalefactors[b] = reader.read(8) + SF_MIN
-        if reader.read_flag():
+        if read_flag(reader):
             width = reader.read(6)
             for k in range(lo, hi):
-                neg = reader.read_flag()
+                neg = read_flag(reader)
                 mag = reader.read(width)
                 q[k] = -mag if neg else mag
             continue
@@ -330,9 +331,9 @@ def _reference_decode_one(reader, groups):
             while (length, code) not in codes:
                 code, length = (code << 1) | reader.read(1), length + 1
             sym = codes[(length, code)]
-            mag = sym if sym < ESCAPE_SYMBOL else ESCAPE_SYMBOL + reader.read_ue()
+            mag = sym if sym < ESCAPE_SYMBOL else ESCAPE_SYMBOL + read_ue(reader)
             if mag:
-                neg = reader.read_flag()
+                neg = read_flag(reader)
                 if mag >= 1 << 63:
                     raise StreamError("escape magnitude out of range")
                 q[k] = -mag if neg else mag
@@ -901,7 +902,7 @@ def _reference_encode(coded, costs, groups, writer):
     band's own costs when ``costs`` is None."""
     start = writer.bit_length
     for b, (lo, hi) in enumerate(groups.edges):
-        writer.write_flag(bool(coded.zero_band[b, 0]))
+        write_flag(writer, coded.zero_band[b, 0])
         if coded.zero_band[b, 0]:
             continue
         writer.write(int(coded.scalefactors[b, 0]) - SF_MIN, 8)
@@ -910,7 +911,7 @@ def _reference_encode(coded, costs, groups, writer):
             huff, raw, width = _reference_band_costs(values)
         else:
             huff, raw, width = costs[:, b, 0].tolist()
-        writer.write_flag(huff > raw)
+        write_flag(writer, huff > raw)
         if huff > raw:
             writer.write(width, 6)
             for v in values.tolist():
@@ -921,9 +922,9 @@ def _reference_encode(coded, costs, groups, writer):
             s = min(m, ESCAPE_SYMBOL)
             writer.write(CODES[s], LENGTHS[s])
             if m >= ESCAPE_SYMBOL:
-                writer.write_ue(m - ESCAPE_SYMBOL)
+                write_ue(writer, m - ESCAPE_SYMBOL)
             if m:
-                writer.write_flag(v < 0)
+                write_flag(writer, v < 0)
     return writer.bit_length - start
 
 

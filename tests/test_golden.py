@@ -17,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import pinned_kernel_note
 from hoacodec import pipeline
 from hoacodec.errors import StreamError
 
@@ -88,4 +89,4 @@ def _hashes(scene, quantizers, codec, mode):
 
 @pytest.mark.parametrize("codec,mode", sorted(GOLDEN))
 def test_golden_hashes(small_scene, small_quantizers, codec, mode):
-    assert _hashes(small_scene, small_quantizers, codec, mode) == GOLDEN[codec, mode]
+    assert _hashes(small_scene, small_quantizers, codec, mode) == GOLDEN[codec, mode], pinned_kernel_note()

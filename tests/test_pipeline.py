@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bitfields import skip, write_flag
 from hoacodec import pipeline
 from hoacodec.errors import ConfigurationError, HoaCodecError, NumericError, StreamError
 from hoacodec.hoa_io import HoaSignal
@@ -316,6 +317,18 @@ def test_measure_stream_checks_fingerprints(encoded, small_quantizers_module):
         pipeline.measure_stream(stream, quantizers=other_codebooks)
 
 
+def test_bypass_stream_ignores_codebooks_passed_to_the_encoder(small_scene_module, small_quantizers_module):
+    """A bypass stream uses no codebook, so passing one to the encoder
+    changes no byte: its header's quantizer fingerprint is 0 either way."""
+    streams = [
+        pipeline.encode(small_scene_module, _cfg(q, codec, bypass_quantization=True)).stream
+        for codec in ("proposed", "baseline")
+        for q in (None, small_quantizers_module)
+    ]
+    assert streams[0] == streams[1] and streams[2] == streams[3]
+    assert {pipeline._read_header(s).quantizer_fingerprint for s in streams} == {0}
+
+
 # (byte offset, size) of header fields, see docs/bitstream.md
 _HEADER_FIELDS = {
     "version": (4, 2), "codec_id": (6, 1), "flags": (7, 1), "sample_rate": (8, 4), "order": (12, 1),
@@ -397,20 +410,20 @@ def test_noise_block_matches_per_flag_fields_and_detects_truncation(rng, lead):
         writer.write(0b101 & ((1 << lead) - 1), lead)
     bits = pipeline._write_noise_block(w, NoiseGroupInfo(active, energies))
     for flag in active:
-        ref.write_flag(bool(flag))
+        write_flag(ref, flag)
     for j in np.flatnonzero(active):
         ref.write(int(energies[j]), ENERGY_BITS)
     data = w.getvalue()
     assert data == ref.getvalue() and bits == NUM_GROUPS + ENERGY_BITS * active.sum()
 
     r = BitReader(data)
-    r.skip(lead)
+    skip(r, lead)
     info, read_bits = pipeline._read_noise_block(r)
     assert read_bits == bits and np.array_equal(info.active, active)
     assert np.array_equal(info.energy_indices[active], energies[active])
     for cut in ((lead + NUM_GROUPS) // 8, (lead + bits - 1) // 8):  # in the flags, in the energies
         r = BitReader(data[:cut])
-        r.skip(lead)
+        skip(r, lead)
         with pytest.raises(StreamError, match="bitstream exhausted"):
             pipeline._read_noise_block(r)
 
@@ -834,10 +847,10 @@ def test_raw_matrix_read_matches_per_value_reads(rng, offset):
     w.write(0b101, 3)
     data = w.getvalue()
     per_value = BitReader(data)
-    per_value.skip(offset)
+    skip(per_value, offset)
     expected = np.array([per_value.read_f64() for _ in values]).reshape(4, 6)
     reader = BitReader(data)
-    reader.skip(offset)
+    skip(reader, offset)
     got = reader.read_f64_array((4, 6))
     assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
     assert reader.bit_position == per_value.bit_position
@@ -845,7 +858,7 @@ def test_raw_matrix_read_matches_per_value_reads(rng, offset):
     # a run that passes the end of the payload
     for cut in (len(data) - 2, 8 + offset // 8):
         short = BitReader(data[:cut])
-        short.skip(offset)
+        skip(short, offset)
         with pytest.raises(StreamError):
             short.read_f64_array((4, 6))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import pinned_kernel_note
 from hoacodec import scenes, sideinfo
 from hoacodec.baseline_td import TruncatedBasis, match_bases
 from hoacodec.bitio import BitReader, BitWriter
@@ -251,7 +252,7 @@ def test_out_of_range_field_raises_stream_error(rng, case):
         decode_sideinfo(BitReader(w.getvalue() + bytes(8)), q, state, {0: [3], 1: [3, 3]})
 
 
-# --- fields in runs: the grammar read and written field by field ---
+# --- the grammar read and written field by field ---
 
 # codebook sizes that are not powers of two, so a field can hold a value at
 # or above its limit: coefficient 10 (4 bits), residual 100 (7), intra 200 (8)
@@ -338,10 +339,9 @@ _RANKS = st.one_of(
        prev_columns=st.integers(1, 20), ranks=_RANKS)
 def test_column_fields_read_as_field_by_field(data, prev_mode, prev_columns, ranks):
     """Random bits, whole and at every truncation (a column cut short by
-    the payload's end included): the walk, cutting its fields from bits
-    read ahead, gives the values, end position and StreamError text of
-    reads one field at a time, with every limit checked in the same
-    order."""
+    the payload's end included): the walk gives the values, end position
+    and StreamError text of reads one field at a time, with every limit
+    checked in the same order."""
     args = (_ODD_QUANTIZERS, prev_mode, prev_columns, ranks)
     for cut in range(len(data) + 1):
         assert _parsed(_walked, data[:cut], *args) == _parsed(_reference_side_info, data[:cut], *args)
@@ -351,8 +351,8 @@ def test_column_fields_read_as_field_by_field(data, prev_mode, prev_columns, ran
 @given(seed=st.integers(0, 2**32 - 1), prev_mode=st.sampled_from([None, 0, 1]),
        prev_columns=st.integers(1, 20), mode=st.integers(0, 1), ranks=_RANKS)
 def test_column_fields_write_as_field_by_field(seed, prev_mode, prev_columns, mode, ranks):
-    """The encoder's walk, writing its fields as one field, writes the bits
-    of one write per field, and reads back as written."""
+    """The encoder's walk writes the bits of one write per field, and
+    reads back as written."""
     q, rng = _ODD_QUANTIZERS, np.random.default_rng(seed)
     mode = min(mode, max(ranks))
     c = sideinfo._Code(ranks[mode])
@@ -564,7 +564,7 @@ def test_harvested_training_material_is_pinned():
     rhos, residuals, intras = harvest_training_pairs(*_small_corpus())
     assert (rhos.shape, residuals.shape, intras.shape) == ((3600, 1), (3600, 16), (3648, 16))
     digest = hashlib.sha256(rhos.tobytes() + residuals.tobytes() + intras.tobytes()).hexdigest()
-    assert digest == "45b97519a414acb4eab0248df89ee4e4dccd22bbafc4f21f4951c609bc0a4e1c"
+    assert digest == "45b97519a414acb4eab0248df89ee4e4dccd22bbafc4f21f4951c609bc0a4e1c", pinned_kernel_note()
 
 
 def test_max_frames_caps_the_whole_harvest():
