@@ -104,6 +104,9 @@ def cmd_decode(args) -> int:
           f"{result.signal.num_channels} channels)")
     if result.concealed_frames:
         print(f"warning: concealed {result.concealed_frames} damaged frame(s)")
+        for f in result.stats.frames:
+            if f.concealed:
+                print(f"  frame {f.index}: {f.conceal_reason}")
     return 0
 
 
@@ -256,7 +259,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     if args.recipe:
         spec = scenes.SceneSpec.from_json(args.recipe)
         specs = [spec]
@@ -266,6 +268,7 @@ def cmd_synth(args) -> int:
         )
     for spec in specs:
         signal = scenes.render_scene(spec)
+        args.out.mkdir(parents=True, exist_ok=True)
         wav = args.out / f"{spec.name}.wav"
         write_hoa_wav(signal, wav, "float32")
         spec.to_json(args.out / f"{spec.name}.recipe.json")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -131,13 +132,17 @@ class SceneSpec:
     @classmethod
     def from_json(cls, path) -> "SceneSpec":
         """The recipe :meth:`to_json` writes; a file that is not JSON, an
-        unknown or missing key, or a value of the wrong type is a
-        :class:`FormatError`."""
+        unknown or missing key, a value of the wrong type, or a name that is
+        not one file name (``synth`` writes ``<name>.wav`` in its output
+        directory) is a :class:`FormatError`."""
         with open(path) as fh:
             try:
                 doc = _typed_fields(cls, json.load(fh))
                 doc["sources"] = [SourceSpec(**_typed_fields(SourceSpec, s)) for s in doc.get("sources", [])]
-                return cls(**doc)
+                spec = cls(**doc)
+                if spec.name in ("", ".", "..") or any(c and c in spec.name for c in ("/", os.sep, os.altsep, "\0")):
+                    raise ValueError(f"name {spec.name!r} is not a file name")
+                return spec
             except (ValueError, TypeError) as exc:
                 raise FormatError(f"{path}: not a scene recipe: {exc}") from None
 
@@ -172,7 +177,10 @@ def render_scene(spec: SceneSpec) -> HoaSignal:
     out = np.zeros((n, M))
     for src in spec.sources:
         sig = src.render(n, spec.sample_rate)
-        az, el = src.trajectory(n, spec.sample_rate)
+        # a source that does not move has one direction: one harmonics row,
+        # the value every sample of its trajectory would give
+        static = src.azimuth_rate == 0 and src.elevation_rate == 0
+        az, el = src.trajectory(1 if static else n, spec.sample_rate)
         out += sig[:, None] * sn3d_harmonics(spec.order, az, el)
     if spec.diffuse_level > 0:
         rng = np.random.default_rng(spec.seed)

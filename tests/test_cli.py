@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 import struct
 import warnings
 
@@ -226,7 +227,8 @@ def test_runtime_errors_exit_2(workspace):
 
 def test_bad_parameters_exit_2_with_one_line(workspace, tmp_path, capsys):
     """Bad scene parameters, scene recipes and training settings, and WAV
-    files with no samples, end in one error line, not a traceback."""
+    files with no samples, end in one error line, not a traceback; a synth
+    that fails creates no output directory."""
     recipes = {
         "unknown_key.json": json.dumps({"duration": 0.1, "tempo": 3}),
         "unknown_source_key.json": json.dumps({"duration": 0.1, "sources": [{"kind": "tone", "pitch": 3}]}),
@@ -262,6 +264,7 @@ def test_bad_parameters_exit_2_with_one_line(workspace, tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert not (tmp_path / "scenes").exists()
 
 
 def test_band_count_and_rd_lambda_options_are_usage_errors(workspace):
@@ -338,3 +341,39 @@ def test_bypass_input_too_loud_to_decode_exits_2_with_one_line(workspace, tmp_pa
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "float64 limit" in err, err
+
+
+def test_synth_recipe_names_stay_inside_out(tmp_path, capsys):
+    """A recipe name is one file name: ``synth`` writes ``<name>.wav`` and
+    ``<name>.recipe.json`` in ``--out``, so a name that is empty, a dot
+    entry or a path is refused with one error line, and nothing is
+    written."""
+    names = ["../escaped", "", ".", "..", "sub/scene", "/abs", "nul\0byte"]
+    names += [f"a{sep}b" for sep in (os.sep, os.altsep) if sep]
+    for i, name in enumerate(names):
+        recipe = tmp_path / f"recipe{i}.json"
+        recipe.write_text(json.dumps({"name": name, "duration": 0.01, "sources": []}))
+    before = sorted(tmp_path.rglob("*"))
+    for i, name in enumerate(names):
+        capsys.readouterr()
+        assert main(["synth", "--out", str(tmp_path / "out"), "--recipe", str(tmp_path / f"recipe{i}.json")]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not a file name" in err, (name, err)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_decode_names_each_concealed_frame_and_why(workspace, tmp_path, capsys):
+    wav = _wav(workspace)
+    stream = tmp_path / "s.bs"
+    assert main(["encode", "--bypass", "--frame", "256", str(wav), str(stream)]) == 0
+    damaged = bytearray(stream.read_bytes())
+    pos = pipeline.HEADER_BYTES
+    for _ in range(2):
+        pos += 8 + int.from_bytes(damaged[pos : pos + 4], "big")
+    damaged[pos + 4 + 10] ^= 0xFF  # a byte of frame 2's payload
+    stream.write_bytes(bytes(damaged))
+    capsys.readouterr()
+    assert main(["decode", str(stream), str(tmp_path / "s.wav")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "warning: concealed 1 damaged frame(s)"
+    assert lines[2:] == ["  frame 2: crc"]
